@@ -399,20 +399,14 @@ class _OffsetPart:
         self.offset = offset
         self.width = width
 
-    def _inside(self, i):
-        return self.offset <= i < self.offset + self.width
-
-    def prepare(self, z):
-        return self.part.prepare(z[self.offset:self.offset + self.width])
-
-    def entry(self, ctx, a, b):
-        if not all(self._inside(i) for i in a) or not all(
-            self._inside(i) for i in b
-        ):
-            return 0.0 + 0.0j
-        a2 = tuple(i - self.offset for i in a)
-        b2 = tuple(i - self.offset for i in b)
-        return self.part.entry(ctx, a2, b2)
+    def jet(self, Z, order):
+        block = slice(self.offset, self.offset + self.width)
+        out = {}
+        for (m, l), t in self.part.jet(Z[:, block], order).items():
+            full = np.zeros(Z.shape[:1] + Z.shape[1:] * (m + l), dtype=t.dtype)
+            full[(slice(None),) + (block,) * (m + l)] = t
+            out[(m, l)] = full
+        return out
 
 
 # ---------------------------------------------------------------------------

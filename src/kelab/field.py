@@ -2,8 +2,12 @@
 
 A ``PotentialField`` is a real scalar function on a domain together with an
 optional analytic jet: a list of (coefficient, part) summands whose mixed
-Wirtinger derivatives are known exactly.  The parts implemented here cover
-every potential the package constructs:
+Wirtinger derivatives are known exactly.  A part maps a stack Z of N points,
+shape (N, n), and an order to its dense jet tensors
+{(m, l): array of shape (N,) + (n,)*(m+l)} for m >= l, leaving out the
+bidegrees that vanish identically; the potential is real, so the (l, m)
+tensors are the conjugates.  The parts implemented here cover every
+potential the package constructs:
 
 * ``RadialBlock``      -- f(s) with s = sum of |z^a|^2 over a coordinate set
                           (unit-ball logs, flat quadratics, per-factor disks)
@@ -17,27 +21,85 @@ every potential the package constructs:
                           finite jet (the type-IV generic norm)
 * ``ConstantPart``     -- additive constants
 
-Derivatives of compositions are assembled by Faa di Bruno sums over set
-partitions / partial matchings of the derivative indices; with order <= 4
-these sums are tiny.
+``RadialBlock``, ``RealLinearLog`` and ``LogOfInnerPart`` are a profile
+composed with an inner function whose jet is finite; one tensor chain rule
+(Faa di Bruno over the set partitions of the derivative slots, at most 15
+at order 4) serves all three.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import EvaluationError, UnsupportedOrderError
-from .jets import Jet, as_point, default_step, fd_jet, index_pairs
+from .jets import Jet, as_points, bidegrees, fd_jet
+
+_FACT = [1, 1, 2, 6, 24]
+
+
+def _check(ok, Z, what, values):
+    """Raise EvaluationError naming the first point of Z where ``ok`` fails."""
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        raise EvaluationError(f"{what} {values[i]} at z={Z[i]!r}")
+
+
+def _log_derivs(u, order, scale=1.0):
+    """scale * d^k/du^k log u for k = 0..order."""
+    return [scale * np.log(u)] + [
+        scale * (-1.0) ** (k - 1) * _FACT[k - 1] / u ** k
+        for k in range(1, order + 1)
+    ]
+
+
+def _mirror(t, m, l):
+    """The (l, m) tensor conj(d(b, a)) of a real function from its (m, l) one."""
+    axes = (0,) + tuple(range(1 + m, 1 + m + l)) + tuple(range(1, 1 + m))
+    return np.conj(t.transpose(axes))
+
+
+def _complete(total, order, N, n):
+    """Both halves of a real jet of N points from its m >= l half.
+
+    Absent tensors are zero.  Entries equal by symmetry are copied from the
+    one with sorted indices, and (m, m) tensors are made Hermitian, so both
+    symmetries hold exactly.
+    """
+    out = {}
+    for m, l in bidegrees(order):
+        if m < l:
+            continue
+        t = total.get((m, l))
+        if t is None:
+            t = np.zeros((N,) + (n,) * (m + l), dtype=complex)
+        if m > 1 or l > 1:
+            t = t.reshape(N, -1)[:, _sorted_index(n, m, l)].reshape(t.shape)
+        if 0 < m == l:
+            t = 0.5 * (t + _mirror(t, m, l))
+        elif m > l:
+            out[(l, m)] = _mirror(t, m, l)
+        out[(m, l)] = t
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_index(n, m, l):
+    """For each element of an (m, l) tensor, the flat index of the element
+    with its holomorphic and antiholomorphic indices sorted."""
+    shape = (n,) * (m + l)
+    return np.array([
+        np.ravel_multi_index(tuple(sorted(ix[:m])) + tuple(sorted(ix[m:])), shape)
+        for ix in np.ndindex(shape)
+    ])
 
 
 # ---------------------------------------------------------------------------
-# small combinatorial helpers (cached: orders never exceed 4)
+# the tensor chain rule
 
 def _set_partitions(items):
-    items = list(items)
     if not items:
         yield []
         return
@@ -48,46 +110,45 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def _partial_matchings(m, l):
-    """Injective partial maps between positions 0..m-1 and 0..l-1.
+@functools.lru_cache(maxsize=None)
+def _chain_terms(m, l, n):
+    """Faa di Bruno terms of bidegree (m, l) on C^n: per set partition of
+    the slots (holomorphic 0..m-1, then antiholomorphic; each block comes
+    sorted), the number of blocks and, per block, its bidegree and the
+    shape that broadcasts its tensor onto its slots."""
+    return tuple(
+        (len(part), tuple(
+            ((sum(i < m for i in b), sum(i >= m for i in b)),
+             (-1,) + tuple(n if i in b else 1 for i in range(m + l)))
+            for b in part))
+        for part in _set_partitions(list(range(m + l)))
+    )
 
-    Yields lists of (i, j) pairs; unmatched positions are implied.
+
+def _compose(dg, inner, order, n):
+    """Jet (m >= l half) of g(w(z)) from dg[k] = g^(k)(w) and the jet of w.
+
+    ``inner`` maps bidegrees of both halves to w's tensors (leading axis N
+    or 1), absent ones vanishing; ``dg[k]`` is None where g^(k) vanishes.
     """
-    def rec(i, free):
-        if i == m:
-            yield []
-            return
-        for tail in rec(i + 1, free):
-            yield tail
-        for j in list(free):
-            for tail in rec(i + 1, free - {j}):
-                yield [(i, j)] + tail
-
-    yield from rec(0, frozenset(range(l)))
-
-
-_MATCHING_CACHE = {}
-
-
-def partial_matchings(m, l):
-    key = (m, l)
-    if key not in _MATCHING_CACHE:
-        _MATCHING_CACHE[key] = list(_partial_matchings(m, l))
-    return _MATCHING_CACHE[key]
-
-
-_PARTITION_CACHE = {}
-
-
-def set_partitions(k):
-    if k not in _PARTITION_CACHE:
-        _PARTITION_CACHE[k] = [
-            [tuple(block) for block in part] for part in _set_partitions(range(k))
-        ]
-    return _PARTITION_CACHE[k]
-
-
-_FACT = [1, 1, 2, 6, 24]
+    out = {(0, 0): dg[0]}
+    for m, l in bidegrees(order):
+        if m < l or m + l == 0:
+            continue
+        total = None
+        for k, blocks in _chain_terms(m, l, n):
+            if dg[k] is None:
+                continue
+            term = dg[k].reshape((-1,) + (1,) * (m + l))
+            for kind, shape in blocks:
+                if kind not in inner:
+                    break
+                term = term * inner[kind].reshape(shape)
+            else:
+                total = term if total is None else total + term
+        if total is not None:
+            out[(m, l)] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +161,12 @@ class LogProfile:
         self.amplitude = float(amplitude)
         self.offset = float(offset)
 
-    def deriv(self, k: int, s: float) -> float:
-        if k == 0:
-            if s >= 1.0:
-                raise EvaluationError(f"log profile evaluated at s={s} >= 1")
-            return -self.amplitude * np.log1p(-s) + self.offset
-        return self.amplitude * _FACT[k - 1] / (1.0 - s) ** k
+    def derivs(self, s, order, Z):
+        _check(s < 1.0, Z, "log profile evaluated at s >= 1: s =", s)
+        return [-self.amplitude * np.log1p(-s) + self.offset] + [
+            self.amplitude * _FACT[k - 1] / (1.0 - s) ** k
+            for k in range(1, order + 1)
+        ]
 
 
 class LinearProfile:
@@ -114,107 +175,79 @@ class LinearProfile:
     def __init__(self, slope: float = 1.0):
         self.slope = float(slope)
 
-    def deriv(self, k: int, s: float) -> float:
-        if k == 0:
-            return self.slope * s
-        if k == 1:
-            return self.slope
-        return 0.0
+    def derivs(self, s, order, Z):
+        return [self.slope * s, np.full_like(s, self.slope)] + [None] * 3
 
 
 class RadialBlock:
     """f(s) with s = sum_{a in indices} |z^a|^2.
 
-    Derivative indices outside ``indices`` kill the entry.  Within the
-    block, s has first derivatives zbar_a / z_b and the constant mixed
-    second derivative delta_ab, so the chain rule reduces to a sum over
-    partial matchings of holomorphic against antiholomorphic indices.
+    Within the block s has first derivatives zbar_a / z_b and the constant
+    mixed second derivative delta_ab; indices outside the block see 0.
     """
 
     def __init__(self, indices, profile):
         self.indices = frozenset(indices)
         self.profile = profile
 
-    def prepare(self, z):
-        idx = sorted(self.indices)
-        s = float(sum(abs(z[a]) ** 2 for a in idx))
-        return (z, s)
+    def jet(self, Z, order):
+        mask, delta = _block_mask(self.indices, Z.shape[1])
+        u = Z * mask
+        s = (np.abs(u) ** 2).sum(axis=1)
+        dg = self.profile.derivs(s, order, Z)
+        if order == 0:
+            return {(0, 0): dg[0]}
+        inner = {(1, 0): np.conj(u), (0, 1): u, (1, 1): delta}
+        return _compose(dg, inner, order, Z.shape[1])
 
-    def entry(self, ctx, a, b):
-        z, s = ctx
-        if any(i not in self.indices for i in a) or any(
-            i not in self.indices for i in b
-        ):
-            return 0.0 + 0.0j
-        m, l = len(a), len(b)
-        if m == 0 and l == 0:
-            return complex(self.profile.deriv(0, s))
-        total = 0.0 + 0.0j
-        for matching in partial_matchings(m, l):
-            coeff = 1.0 + 0.0j
-            matched_a = set()
-            matched_b = set()
-            for i, j in matching:
-                if a[i] != b[j]:
-                    coeff = 0.0
-                    break
-                matched_a.add(i)
-                matched_b.add(j)
-            if coeff == 0.0:
-                continue
-            blocks = len(matching) + (m - len(matched_a)) + (l - len(matched_b))
-            for i in range(m):
-                if i not in matched_a:
-                    coeff *= np.conj(z[a[i]])
-            for j in range(l):
-                if j not in matched_b:
-                    coeff *= z[b[j]]
-            total += coeff * self.profile.deriv(blocks, s)
-        return total
+
+@functools.lru_cache(maxsize=None)
+def _block_mask(indices, n):
+    """The 0/1 mask of a coordinate block in C^n and its diagonal matrix."""
+    mask = np.zeros(n)
+    mask[sorted(indices)] = 1.0
+    return mask, np.diag(mask)[None]
 
 
 class ConstantPart:
     def __init__(self, value: float):
         self.value = float(value)
 
-    def prepare(self, z):
-        return None
+    def jet(self, Z, order):
+        return {(0, 0): np.full(len(Z), self.value)}
 
-    def entry(self, ctx, a, b):
-        return complex(self.value) if not a and not b else 0.0 + 0.0j
+
+@functools.lru_cache(maxsize=None)
+def _coefficients(coeffs, n):
+    """The vector c in C^n of a linear form given as (index, value) pairs."""
+    c = np.zeros(n, dtype=complex)
+    for a, v in coeffs:
+        c[a] = v
+    return c
 
 
 class LinearLog:
     """2 log |w(z)| for the holomorphic affine form w = c0 + sum c_a z^a.
 
-    Pluriharmonic: mixed derivatives vanish; pure ones are derivatives of
-    log w and its conjugate.
+    Pluriharmonic: mixed derivatives vanish; the pure ones are the
+    derivatives of log w, c^{(x)k} (-1)^(k-1) (k-1)! / w^k, and conjugates.
     """
 
     def __init__(self, c0, coeffs):
         self.c0 = complex(c0)
-        self.coeffs = {int(k): complex(v) for k, v in coeffs.items()}
+        self.coeffs = tuple((int(k), complex(v)) for k, v in coeffs.items())
 
-    def _w(self, z):
-        return self.c0 + sum(c * z[a] for a, c in self.coeffs.items())
-
-    def prepare(self, z):
-        w = self._w(z)
-        if abs(w) < 1e-300:
-            raise EvaluationError(f"log|w| singular: w(z)=0 at z={z!r}")
-        return w
-
-    def entry(self, ctx, a, b):
-        w = ctx
-        if a and b:
-            return 0.0 + 0.0j
-        if not a and not b:
-            return complex(2.0 * np.log(abs(w)))
-        idx = a or b
-        k = len(idx)
-        coeff = np.prod([self.coeffs.get(i, 0.0) for i in idx])
-        val = (-1.0) ** (k - 1) * _FACT[k - 1] * coeff / w ** k
-        return val if a else np.conj(val)
+    def jet(self, Z, order):
+        c = _coefficients(self.coeffs, Z.shape[1])
+        w = self.c0 + Z @ c
+        _check(np.abs(w) >= 1e-300, Z, "log|w| singular: w(z) =", w)
+        out = {(0, 0): 2.0 * np.log(np.abs(w))}
+        ck = np.ones(())
+        for k in range(1, order + 1):
+            ck = np.multiply.outer(ck, c)
+            dw = (-1.0) ** (k - 1) * _FACT[k - 1] / w ** k
+            out[(k, 0)] = dw.reshape((-1,) + (1,) * k) * ck
+        return out
 
 
 class RealLinearLog:
@@ -222,41 +255,28 @@ class RealLinearLog:
 
     def __init__(self, c0, coeffs):
         self.c0 = float(c0)
-        self.coeffs = {int(k): complex(v) for k, v in coeffs.items()}
+        self.coeffs = tuple((int(k), complex(v)) for k, v in coeffs.items())
 
-    def prepare(self, z):
-        u = self.c0 + 2.0 * float(
-            np.real(sum(c * z[a] for a, c in self.coeffs.items()))
-        )
-        if u <= 0:
-            raise EvaluationError(f"log of non-positive argument u={u} at z={z!r}")
-        return u
-
-    def entry(self, ctx, a, b):
-        u = ctx
-        k = len(a) + len(b)
-        if k == 0:
-            return complex(np.log(u))
-        coeff = np.prod([self.coeffs.get(i, 0.0) for i in a]) * np.prod(
-            [np.conj(self.coeffs.get(i, 0.0)) for i in b]
-        )
-        return (-1.0) ** (k - 1) * _FACT[k - 1] * coeff / u ** k
+    def jet(self, Z, order):
+        c = _coefficients(self.coeffs, Z.shape[1])
+        u = self.c0 + 2.0 * np.real(Z @ c)
+        _check(u > 0, Z, "log of non-positive argument u =", u)
+        inner = {(1, 0): c[None], (0, 1): np.conj(c)[None]}
+        return _compose(_log_derivs(u, order), inner, order, Z.shape[1])
 
 
 class MatrixLogDetPart:
-    """-kappa log det(I_p - Z Z*) with Z = Z(z) linear in the coordinates.
+    """-kappa log det(I_p - Z Z*) with Z = sum_a z^a L_a linear.
 
-    ``lifts[alpha]`` lists (i, j, weight) triples: d/dz^alpha acts on the
-    full matrix as sum_w weight * d/dZ_ij.  Closed forms (A = (I - Z Z*)^-1,
-    P = Z* A, Q = P Z):
+    ``lifts[a]`` lists (i, j, weight) triples: L_a = sum weight * E_ij.
+    With A = (I - Z Z*)^-1, P = Z* A, LP_a = L_a P and
+    G_ab = L_a (I + P Z) L_b* A, the derivatives are
 
-        d_(ij)                      =  kappa P[j,i]
-        d_(ij)(kl)bar               =  kappa (I + Q)[j,l] A[k,i]
-        d_(ij)(kl)                  =  kappa P[j,k] P[l,i]
-        d_(ij)(mn)(kl)bar           =  kappa (P[j,m] (I+Q)[n,l] A[k,i]
-                                             + (I+Q)[j,l] A[k,m] P[n,i])
-        d_(ij)(kl)(mn)              =  kappa (P[j,m] P[n,k] P[l,i]
-                                             + P[j,k] P[l,m] P[n,i])
+        d_a         =  kappa tr LP_a
+        d_a dbar_b  =  kappa tr G_ab
+        d_a d_b     =  kappa tr(LP_a LP_b)
+        d_a d_c dbar_b = kappa (tr(LP_a G_cb) + tr(G_ab LP_c))
+        d_a d_b d_c =  kappa (tr(LP_a LP_c LP_b) + tr(LP_a LP_b LP_c))
 
     plus conjugates.  Exact to order 3; order 4 falls back to the
     finite-difference oracle.
@@ -268,157 +288,82 @@ class MatrixLogDetPart:
         self.p = int(p)
         self.q = int(q)
         self.kappa = float(kappa)
-        self.lifts = tuple(tuple(entry) for entry in lifts)
-
-    def matrix(self, z):
-        Z = np.zeros((self.p, self.q), dtype=complex)
-        for alpha, lift in enumerate(self.lifts):
+        self.L = np.zeros((len(lifts), self.p, self.q), dtype=complex)
+        for a, lift in enumerate(lifts):
             for i, j, w in lift:
-                Z[i, j] += w * z[alpha]
-        return Z
+                self.L[a, i, j] += w
 
-    def prepare(self, z):
-        Z = self.matrix(z)
-        M = np.eye(self.p, dtype=complex) - Z @ Z.conj().T
-        sign, logabsdet = np.linalg.slogdet(M)
-        if sign.real <= 0:
-            raise EvaluationError(
-                f"det(I - Z Z*) = {sign * np.exp(logabsdet)} not positive at z={z!r}"
-            )
-        A = np.linalg.inv(M)
-        P = Z.conj().T @ A
-        Q = P @ Z
-        IQ = np.eye(self.q, dtype=complex) + Q
-        return {"logdet": logabsdet, "A": A, "P": P, "IQ": IQ}
-
-    def _full_entry(self, ctx, ae, be):
-        """Derivative on the unconstrained matrix space.
-
-        ``ae``/``be`` are tuples of (i, j) entry pairs for the holomorphic /
-        antiholomorphic factors.
-        """
-        k = self.kappa
-        A, P, IQ = ctx["A"], ctx["P"], ctx["IQ"]
-        m, l = len(ae), len(be)
-        if m == 0 and l == 0:
-            return complex(-k * ctx["logdet"])
-        if m < l:
-            return np.conj(self._full_entry(ctx, be, ae))
-        if (m, l) == (1, 0):
-            (i, j), = ae
-            return k * P[j, i]
-        if (m, l) == (1, 1):
-            (i, j), = ae
-            (kk, ll), = be
-            return k * IQ[j, ll] * A[kk, i]
-        if (m, l) == (2, 0):
-            (i, j), (kk, ll) = ae
-            return k * P[j, kk] * P[ll, i]
-        if (m, l) == (2, 1):
-            (i, j), (mm, nn) = ae
-            (kk, ll), = be
-            return k * (
-                P[j, mm] * IQ[nn, ll] * A[kk, i]
-                + IQ[j, ll] * A[kk, mm] * P[nn, i]
-            )
-        if (m, l) == (3, 0):
-            (i, j), (kk, ll), (mm, nn) = ae
-            return k * (
-                P[j, mm] * P[nn, kk] * P[ll, i]
-                + P[j, kk] * P[ll, mm] * P[nn, i]
-            )
-        raise UnsupportedOrderError(
-            f"matrix log-det derivatives implemented to order {self.max_order}"
-        )
-
-    def entry(self, ctx, a, b):
-        if len(a) + len(b) > self.max_order:
+    def jet(self, Z, order):
+        if order > self.max_order:
             raise UnsupportedOrderError(
                 f"matrix log-det derivatives implemented to order {self.max_order}"
             )
-        total = 0.0 + 0.0j
-        for alift in itertools.product(*[self.lifts[i] for i in a]) if a else [()]:
-            for blift in itertools.product(*[self.lifts[i] for i in b]) if b else [()]:
-                w = 1.0
-                ae = []
-                be = []
-                for i, j, wt in alift:
-                    w *= wt
-                    ae.append((i, j))
-                for i, j, wt in blift:
-                    w *= wt
-                    be.append((i, j))
-                total += w * self._full_entry(ctx, tuple(ae), tuple(be))
-        return total
+        k, L = self.kappa, self.L
+        Zm = np.tensordot(Z, L, axes=1)
+        Zh = np.conj(Zm.transpose(0, 2, 1))
+        M = np.eye(self.p) - Zm @ Zh
+        eigs = np.linalg.eigvalsh(M)
+        # the domain is I - Z Z* > 0; det > 0 alone admits points far outside
+        _check(eigs[:, 0] > 0, Z, "I - Z Z* not positive: min eigenvalue",
+               eigs[:, 0])
+        out = {(0, 0): -k * np.log(eigs).sum(axis=1)}
+        if order == 0:
+            return out
+        A = np.linalg.inv(M)
+        P = Zh @ A
+        LP = L @ P[:, None]
+        out[(1, 0)] = k * np.trace(LP, axis1=2, axis2=3)
+        if order >= 2:
+            IQ = np.eye(self.q) + P @ Zm
+            G = np.einsum("Naij,Nbjk->Nabik", L @ IQ[:, None],
+                          np.conj(L.transpose(0, 2, 1)) @ A[:, None])
+            out[(1, 1)] = k * np.einsum("Nabii->Nab", G)
+            out[(2, 0)] = k * np.einsum("Naik,Nbki->Nab", LP, LP)
+        if order >= 3:
+            out[(2, 1)] = k * (np.einsum("Naik,Ncbki->Nacb", LP, G)
+                               + np.einsum("Nabik,Ncki->Nacb", G, LP))
+            LPLP = np.einsum("Naik,Nbkj->Nabij", LP, LP)
+            out[(3, 0)] = k * (np.einsum("Nacij,Nbji->Nabc", LPLP, LP)
+                               + np.einsum("Nabij,Ncji->Nabc", LPLP, LP))
+        return out
 
 
 class TypeIVNorm:
-    """The degree-(2,2) polynomial 1 - 2 z.zbar + |z.z|^2 and its jet."""
+    """The degree-(2,2) polynomial 1 - 2 z.zbar + |z.z|^2 and its jet.
 
-    def prepare(self, z):
-        s = float(np.sum(np.abs(z) ** 2))
-        u = complex(np.sum(z * z))
-        return {"z": z, "s": s, "u": u, "value": 1.0 - 2.0 * s + abs(u) ** 2}
+    ``jet`` gives every bidegree of both halves; those above (2, 2) vanish.
+    """
 
-    def entry(self, ctx, a, b):
-        z, u = ctx["z"], ctx["u"]
-        m, l = len(a), len(b)
-        if (m, l) == (0, 0):
-            return complex(ctx["value"])
-        if m < l:
-            return np.conj(self.entry(ctx, b, a))
-        if (m, l) == (1, 0):
-            return -2.0 * np.conj(z[a[0]]) + 2.0 * z[a[0]] * np.conj(u)
-        if (m, l) == (1, 1):
-            return -2.0 * (a[0] == b[0]) + 4.0 * z[a[0]] * np.conj(z[b[0]])
-        if (m, l) == (2, 0):
-            return 2.0 * (a[0] == a[1]) * np.conj(u)
-        if (m, l) == (2, 1):
-            return 4.0 * (a[0] == a[1]) * np.conj(z[b[0]])
-        if (m, l) == (2, 2):
-            return 4.0 * (a[0] == a[1]) * (b[0] == b[1])
-        return 0.0 + 0.0j
+    def jet(self, Z):
+        zb = np.conj(Z)
+        ub = np.conj(np.sum(Z * Z, axis=1))
+        eye = np.eye(Z.shape[1])[None]
+        out = {
+            (0, 0): 1.0 - 2.0 * np.sum(np.abs(Z) ** 2, axis=1) + np.abs(ub) ** 2,
+            (1, 0): -2.0 * zb + 2.0 * Z * ub[:, None],
+            (1, 1): -2.0 * eye + 4.0 * Z[:, :, None] * zb[:, None, :],
+            (2, 0): 2.0 * eye * ub[:, None, None],
+            (2, 1): 4.0 * eye[..., None] * zb[:, None, None, :],
+            (2, 2): 4.0 * eye[:, :, :, None, None] * eye[:, None, None, :, :],
+        }
+        for m, l in ((1, 0), (2, 0), (2, 1)):
+            out[(l, m)] = _mirror(out[(m, l)], m, l)
+        return out
 
 
 class LogOfInnerPart:
-    """-kappa log w(z) for an inner function with a known jet.
-
-    Assembled by the set-partition form of the chain rule: for a combined
-    index multiset S,
-
-        d_S (-kappa log w) = -kappa sum_partitions (-1)^(#blocks-1)
-                             (#blocks-1)! w^(-#blocks) prod_blocks d_B w.
-    """
+    """-kappa log w(z) for an inner function with a known finite jet."""
 
     def __init__(self, inner, kappa):
         self.inner = inner
         self.kappa = float(kappa)
 
-    def prepare(self, z):
-        ctx = self.inner.prepare(z)
-        w = complex(ctx["value"])
-        if w.real <= 0:
-            raise EvaluationError(f"inner norm {w} not positive at z={z!r}")
-        return ctx
-
-    def entry(self, ctx, a, b):
-        w = complex(ctx["value"])
-        labels = [("h", i) for i in a] + [("a", i) for i in b]
-        k = len(labels)
-        if k == 0:
-            return complex(-self.kappa * np.log(w.real))
-        total = 0.0 + 0.0j
-        for partition in set_partitions(k):
-            nb = len(partition)
-            term = (-1.0) ** (nb - 1) * _FACT[nb - 1] / w ** nb
-            for block in partition:
-                ba = tuple(labels[i][1] for i in block if labels[i][0] == "h")
-                bb = tuple(labels[i][1] for i in block if labels[i][0] == "a")
-                term *= self.inner.entry(ctx, ba, bb)
-                if term == 0.0:
-                    break
-            total += term
-        return -self.kappa * total
+    def jet(self, Z, order):
+        inner = self.inner.jet(Z)
+        w = np.real(inner[(0, 0)])
+        _check(w > 0, Z, "inner norm not positive:", w)
+        return _compose(_log_derivs(w, order, -self.kappa), inner, order,
+                        Z.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +377,8 @@ class PotentialField:
     value and the closed-form jet; FD-only potentials set ``parts=None``
     and provide ``fn``.  ``ricci_constant`` is the K > 0 the associated
     metric is normalized to (Ric = -K g); constructions that have no
-    Einstein normalization use nan.
+    Einstein normalization use nan.  Values and jets are taken at a point
+    (n,) or at a stack of points (N, n).
     """
 
     domain: object
@@ -443,47 +389,45 @@ class PotentialField:
     fn: object = None
     certificate: object = dataclass_field(default=None, repr=False)
 
-    def __call__(self, z) -> float:
-        z = as_point(z)
+    #: ``fd_jet`` evaluates a whole stencil of this field in one call
+    takes_stack = True
+
+    def _sum(self, Z, order):
+        total = {(0, 0): np.zeros(len(Z))}
+        for c, part in self.parts:
+            for key, t in part.jet(Z, order).items():
+                total[key] = total[key] + c * t if key in total else c * t
+        return total
+
+    def __call__(self, z):
+        z = as_points(z)
+        Z = z.reshape(-1, z.shape[-1])
         if self.fn is not None:
-            return float(self.fn(z))
-        ctxs = [part.prepare(z) for _, part in self.parts]
-        return float(
-            sum(
-                c * part.entry(ctx, (), ()).real
-                for (c, part), ctx in zip(self.parts, ctxs)
-            )
-        )
+            values = np.array([float(self.fn(w)) for w in Z])
+        else:
+            values = self._sum(Z, 0)[(0, 0)]
+        return float(values[0]) if z.ndim == 1 else values
 
     def analytic_jet(self, z, order: int) -> Jet:
         if order > self.analytic_order or self.parts is None:
             raise UnsupportedOrderError(
                 f"{self.label}: no closed-form derivatives at order {order}"
             )
-        z = as_point(z)
-        ctxs = [part.prepare(z) for _, part in self.parts]
-        derivs = {}
-        for a, b in index_pairs(len(z), order):
-            # the potential is real, so deriv(a, b) = conj(deriv(b, a));
-            # mirroring keeps the symmetry exact and halves the work, and
-            # self-conjugate entries are exactly real
-            if (b, a) in derivs:
-                derivs[(a, b)] = np.conj(derivs[(b, a)])
-                continue
-            val = sum(
-                c * part.entry(ctx, a, b)
-                for (c, part), ctx in zip(self.parts, ctxs)
-            )
-            derivs[(a, b)] = complex(val.real) if a == b else complex(val)
-        return Jet(point=z, order=order, derivs=derivs)
+        z = as_points(z)
+        Z = z.reshape(-1, z.shape[-1])
+        tensors = _complete(self._sum(Z, order), order, *Z.shape)
+        jet = Jet(point=Z, order=order, tensors=tensors)
+        return jet if z.ndim == 2 else jet.at(0)
 
     def jet(self, z, order: int, step: float | None = None) -> Jet:
         """Closed form when available, finite differences otherwise."""
         if self.parts is not None and order <= self.analytic_order:
             return self.analytic_jet(z, order)
+        z = as_points(z)
+        if z.ndim == 2:
+            return Jet.stack([self.jet(w, order, step=step) for w in z])
         if order == 0:
-            z = as_point(z)
-            return Jet(point=z, order=0, derivs={((), ()): complex(self(z))})
+            return Jet(point=z, order=0, tensors={(0, 0): np.array(self(z))})
         return fd_jet(self, z, order, step=step)
 
     def scaled(self, factor: float, label: str | None = None) -> "PotentialField":
@@ -524,9 +468,6 @@ class PotentialField:
             analytic_order=self.analytic_order,
             label=label or self.label,
         )
-
-    def fd_step(self, order: int) -> float:
-        return default_step(order)
 
     def __repr__(self):  # keep frames and reports readable
         return f"PotentialField({self.label}, K={self.ricci_constant:g})"

@@ -12,7 +12,9 @@ Conventions, with G the matrix G[a, b] = g_{a bbar} = d^2 phi / dz^a dzbar^b:
 * covariant Hessian phi_{a;b} = d_b d_a phi - Gamma^l_{ab} phi_l.
 * Laplacian on scalars  Delta f = g^{a bbar} d_a dbar_b f = tr(F g_inv).
 * Ricci tensor      Ric = -d dbar log det G, evaluated by an outer central
-  difference over the (analytic where available) inner metric.
+  difference over the (analytic where available) inner metric.  The inner
+  evaluation is stacked: the whole stencil's log det g comes from one
+  ``metric_from_potential`` call on an (N, n) stack of points.
 
 Two identities tie these together on a Kaehler-Einstein metric with
 Ric = -K g and any local potential phi of it:
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import Jet, as_point, fd_jet
+from .jets import Jet, as_point, as_points, fd_jet, stack_capable
 
 _PD_TOL = 1e-12
 _HERMITIAN_TOL = 1e-8
@@ -41,11 +43,12 @@ _HERMITIAN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MetricFrame:
-    """Metric data derived from a potential at one point.
+    """Metric data derived from a potential at one point or a stack.
 
     ``christoffel`` is present only when the frame was built to order >= 3;
     metric-only consumers (lengths, Laplacians, Ricci stencils) request
-    order 2 and skip it.
+    order 2 and skip it.  A frame of a stack of N points carries a leading
+    axis of N on every field (``log_det_g`` is then an array).
     """
 
     point: np.ndarray
@@ -57,50 +60,71 @@ class MetricFrame:
 
     @property
     def dim(self) -> int:
-        return len(self.point)
+        return self.point.shape[-1]
 
     def raise_index(self, covector: np.ndarray) -> np.ndarray:
         """phi^a from phi_a (holomorphic components of a real 1-form)."""
-        return np.conj(self.g_inv @ covector)
+        return np.conj((self.g_inv @ covector[..., None])[..., 0])
+
+
+def _reject(bad, z, message):
+    """Raise DegenerateMetricError for the first point where ``bad`` holds;
+    ``message(i, point)`` describes row i of the stack."""
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise DegenerateMetricError(message(i, z[i] if z.ndim == 2 else z))
 
 
 def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
     """Build the metric, inverse, Christoffels and log-det at ``z``.
 
-    Raises ``DegenerateMetricError`` if the complex Hessian of the
-    potential fails to be positive definite there.
+    ``z`` is a point (n,) or a stack of points (N, n); every check applies
+    to each point.  Raises ``DegenerateMetricError`` naming the point where
+    the complex Hessian of the potential fails to be Hermitian or positive
+    definite.
     """
-    z = as_point(z)
-    jet = p.jet(z, order)
+    z = as_points(z)
+    Z = z.reshape(-1, z.shape[-1])
+    jet = p.jet(Z, order)
     g = jet.mixed_hessian()
-    herm_defect = float(np.max(np.abs(g - g.conj().T)))
-    if herm_defect > _HERMITIAN_TOL:
-        raise DegenerateMetricError(
-            f"complex Hessian not Hermitian at {z!r} (defect {herm_defect:.2e})"
-        )
-    g = 0.5 * (g + g.conj().T)
-    eigs = np.linalg.eigvalsh(g)
-    if eigs[0] <= _PD_TOL:
-        raise DegenerateMetricError(
-            f"metric not positive definite at {z!r}: min eigenvalue {eigs[0]:.3e}"
-        )
-    g_inv = np.linalg.inv(g)
+    gh = np.conj(g.transpose(0, 2, 1))
+    herm_defect = np.abs(g - gh).max(axis=(1, 2))
+    _reject(~(herm_defect <= _HERMITIAN_TOL), z, lambda i, point: (
+        f"complex Hessian not Hermitian at {point!r} "
+        f"(defect {herm_defect[i]:.2e})"))
+    g = 0.5 * (g + gh)
+    eigs, vecs = np.linalg.eigh(g)
+    _reject(~(eigs[:, 0] > _PD_TOL), z, lambda i, point: (
+        f"metric not positive definite at {point!r}: "
+        f"min eigenvalue {eigs[i, 0]:.3e}"))
+    g_inv = (vecs / eigs[:, None, :]) @ np.conj(vecs.transpose(0, 2, 1))
     christoffel = None
     if order >= 3:
         third = jet.third_tensor()  # [a, b, m] = phi_{a b mbar}
         # Gamma^l_{ab} = g^{l mbar} phi_{a b mbar};  g^{l mbar} = g_inv[m, l]
-        christoffel = np.einsum("ml,abm->lab", g_inv, third)
-    log_det = float(np.sum(np.log(eigs)))
+        christoffel = np.einsum("Nml,Nabm->Nlab", g_inv, third)
+    log_det = np.log(eigs).sum(axis=1)
+    if z.ndim == 1:
+        return MetricFrame(
+            point=z, g=g[0], g_inv=g_inv[0],
+            christoffel=None if christoffel is None else christoffel[0],
+            log_det_g=float(log_det[0]), jet=jet.at(0),
+        )
     return MetricFrame(
         point=z, g=g, g_inv=g_inv, christoffel=christoffel,
         log_det_g=log_det, jet=jet,
     )
 
 
-def gradient_length_sq(p, frame: MetricFrame) -> float:
-    """phi_a g^{a bbar} phi_bbar at the frame's point (half the 1-form norm)."""
+def gradient_length_sq(p, frame: MetricFrame):
+    """phi_a g^{a bbar} phi_bbar at the frame's point (half the 1-form norm).
+
+    A float for a one-point frame, an array of N for a stacked one.
+    """
     phi_z = frame.jet.holo_gradient()
-    return float(np.real(np.vdot(phi_z, frame.g_inv @ phi_z)))
+    raised = (frame.g_inv @ phi_z[..., None])[..., 0]
+    val = np.real(np.sum(np.conj(phi_z) * raised, axis=-1))
+    return float(val) if val.ndim == 0 else val
 
 
 def d_length_sq(p, frame: MetricFrame) -> float:
@@ -141,8 +165,12 @@ def laplacian(f, frame: MetricFrame, step: float | None = None) -> float:
 
 
 def gradient_length_field(p, order: int = 2):
-    """The scalar field z -> |dphi|_half^2(z), for use under ``laplacian``."""
+    """The scalar field z -> |dphi|_half^2(z), for use under ``laplacian``.
 
+    It takes a point or a stack of points.
+    """
+
+    @stack_capable
     def field(z):
         frame = metric_from_potential(p, z, order=order)
         return gradient_length_sq(p, frame)
@@ -165,6 +193,7 @@ def ricci(p, z, step: float | None = None) -> np.ndarray:
         # while h^4 truncation stays below the respective targets
         step = 2e-3 if p.analytic_order >= 2 else 4e-3
 
+    @stack_capable
     def log_det(w):
         return metric_from_potential(p, w, order=2).log_det_g
 

@@ -4,22 +4,29 @@ A ``Jet`` holds the value and all partial derivatives
 
     d(a, b) = (prod_{alpha in a} d/dz^alpha) (prod_{beta in b} d/dzbar^beta) f
 
-up to a requested total order (at most 4).  Two evaluation paths exist:
+up to a requested total order (at most 4), as one dense array per
+bidegree (|a|, |b|): ``tensors[(m, l)][..., a1..am, b1..bl]``.  A jet of a
+single point has arrays of shape (n,)*(m+l); a jet of a stack of N points
+carries a leading axis of N.  Two evaluation paths exist:
 
 * ``fd_jet`` -- a finite-difference oracle valid for any smooth real
   function, built from tensor-product central stencils in the underlying
   real coordinates with one Richardson extrapolation (steps h and h/2).
+  It reads only values of the function; a callable whose ``takes_stack``
+  attribute is true (see ``stack_capable``) gets the whole stencil at once.
 * ``analytic_jet`` -- exact derivatives for potentials that declare a
   closed form (see ``field.PotentialField``).
 
 Wirtinger convention: d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2.
-Multi-indices are stored as sorted tuples of coordinate indices, so mixed
-partials that agree by symmetry share one entry.
+Each tensor is symmetric within its holomorphic and within its
+antiholomorphic indices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,72 +56,79 @@ def as_point(coords) -> np.ndarray:
     return z
 
 
-def index_pairs(n: int, order: int):
-    """All (a, b) multi-index pairs with |a| + |b| <= order, sorted form."""
-    for total in range(order + 1):
-        for ka in range(total + 1):
-            kb = total - ka
-            for a in itertools.combinations_with_replacement(range(n), ka):
-                for b in itertools.combinations_with_replacement(range(n), kb):
-                    yield a, b
+def as_points(coords) -> np.ndarray:
+    """A point as a 1-d complex vector, or a stack of N points as (N, n)."""
+    z = np.asarray(coords, dtype=complex)
+    if z.ndim != 1 and z.ndim != 2:
+        return as_point(z)
+    if z.shape[-1] < 1:
+        raise ValueError(f"points need at least one coordinate, got {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError(f"non-finite coordinates: {z}")
+    return z
+
+
+def stack_capable(f):
+    """Mark ``f`` as mapping an (N, n) stack of points to N values."""
+    f.takes_stack = True
+    return f
+
+
+@functools.lru_cache(maxsize=None)
+def bidegrees(order: int) -> tuple:
+    """All (m, l) with m + l <= order."""
+    return tuple((m, k - m) for k in range(order + 1) for m in range(k, -1, -1))
 
 
 @dataclass(frozen=True)
 class Jet:
-    """Value plus mixed Wirtinger derivatives of a real scalar at a point."""
+    """Value plus mixed Wirtinger derivatives of a real scalar, dense."""
 
     point: np.ndarray
     order: int
-    derivs: dict
+    tensors: dict
 
-    @property
-    def dim(self) -> int:
-        return len(self.point)
+    def at(self, i: int) -> "Jet":
+        """The single-point jet of row ``i`` of a stacked jet."""
+        return Jet(self.point[i], self.order,
+                   {k: t[i] for k, t in self.tensors.items()})
 
-    def d(self, a, b) -> complex:
-        return self.derivs[(tuple(sorted(a)), tuple(sorted(b)))]
+    @staticmethod
+    def stack(jets) -> "Jet":
+        """One jet of N points from N single-point jets."""
+        return Jet(np.stack([j.point for j in jets]), jets[0].order,
+                   {k: np.stack([j.tensors[k] for j in jets])
+                    for k in jets[0].tensors})
 
-    def value(self) -> float:
-        return self.derivs[((), ())].real
+    def value(self):
+        v = np.real(self.tensors[(0, 0)])
+        return float(v) if v.ndim == 0 else v
 
     def holo_gradient(self) -> np.ndarray:
-        """(d f / dz^alpha) as a length-n vector."""
-        n = self.dim
-        return np.array([self.d((a,), ()) for a in range(n)])
+        """(d f / dz^alpha), shape [..., n]."""
+        return self.tensors[(1, 0)]
 
     def mixed_hessian(self) -> np.ndarray:
-        """Matrix H[a, b] = d^2 f / dz^a dzbar^b (the metric candidate)."""
-        n = self.dim
-        out = np.empty((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = self.d((a,), (b,))
-        return out
+        """H[a, b] = d^2 f / dz^a dzbar^b (the metric candidate)."""
+        return self.tensors[(1, 1)]
 
     def pure_hessian(self) -> np.ndarray:
-        """Matrix of unbarred second derivatives d^2 f / dz^a dz^b."""
-        n = self.dim
-        out = np.empty((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = self.d((a, b), ())
-        return out
+        """Unbarred second derivatives d^2 f / dz^a dz^b."""
+        return self.tensors[(2, 0)]
 
     def third_tensor(self) -> np.ndarray:
         """T[a, b, m] = d^3 f / dz^a dz^b dzbar^m (source of Christoffels)."""
-        n = self.dim
-        out = np.empty((n, n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                for m in range(n):
-                    out[a, b, m] = self.d((a, b), (m,))
-        return out
+        return self.tensors[(2, 1)]
 
     def conjugation_defect(self) -> float:
         """max |d(a,b) - conj(d(b,a))|; zero for derivatives of real functions."""
+        lead = self.point.ndim - 1
         worst = 0.0
-        for (a, b), val in self.derivs.items():
-            worst = max(worst, abs(val - np.conj(self.d(b, a))))
+        for (m, l), t in self.tensors.items():
+            mirror = np.moveaxis(self.tensors[(l, m)],
+                                 list(range(lead, lead + l)),
+                                 list(range(lead + m, lead + m + l)))
+            worst = max(worst, float(np.max(np.abs(t - np.conj(mirror)))))
         return worst
 
 
@@ -129,65 +143,16 @@ _STENCILS = {
 }
 
 
-def _real_partials(f, z, needed, h):
-    """Central-difference real partials for every multi-index in ``needed``.
-
-    ``needed`` maps a real multi-index (tuple of per-real-dimension orders,
-    length 2n, dimension 2k is Re z^k and 2k+1 is Im z^k) to nothing; the
-    return value maps it to the O(h^2) stencil estimate.  Function values
-    are cached across stencils since neighbouring multi-indices share
-    evaluation points.
-    """
-    n = len(z)
-    cache = {}
-
-    def feval(offsets):
-        val = cache.get(offsets)
-        if val is None:
-            w = np.array(z, dtype=complex)
-            for dim, k in offsets:
-                if dim % 2 == 0:
-                    w[dim // 2] += k * h
-                else:
-                    w[dim // 2] += 1j * k * h
-            val = float(f(w))
-            if not np.isfinite(val):
-                raise EvaluationError(
-                    f"non-finite value at stencil point {w!r} (base {z!r})"
-                )
-            cache[offsets] = val
-        return val
-
-    out = {}
-    for midx in needed:
-        dims = [d for d in range(2 * n) if midx[d] > 0]
-        parts = [_STENCILS[midx[d]] for d in dims]
-        scale = h ** (-sum(midx))
-        acc = 0.0
-        for combo in itertools.product(*[p.items() for p in parts]):
-            coeff = 1.0
-            offsets = []
-            for dim, (off, c) in zip(dims, combo):
-                coeff *= c
-                if off != 0:
-                    offsets.append((dim, off))
-            acc += coeff * feval(tuple(offsets))
-        out[midx] = acc * scale
-    return out
-
-
 def _wirtinger_expansion(a, b, n):
     """Expand prod d/dz^a prod d/dzbar^b into real partials.
 
-    Returns a list of (real multi-index, complex coefficient) pairs.
+    Returns {real multi-index: complex coefficient}; real dimension 2k is
+    Re z^k and 2k+1 is Im z^k.
     """
-    factors = []
-    for alpha in a:
-        factors.append(((2 * alpha, 0.5), (2 * alpha + 1, -0.5j)))
-    for beta in b:
-        factors.append(((2 * beta, 0.5), (2 * beta + 1, 0.5j)))
+    factors = [((2 * i, 0.5), (2 * i + 1, -0.5j)) for i in a]
+    factors += [((2 * i, 0.5), (2 * i + 1, 0.5j)) for i in b]
     terms = {}
-    for combo in itertools.product(*factors) if factors else [()]:
+    for combo in itertools.product(*factors):
         midx = [0] * (2 * n)
         coeff = 1.0 + 0.0j
         for dim, c in combo:
@@ -195,14 +160,74 @@ def _wirtinger_expansion(a, b, n):
             coeff *= c
         key = tuple(midx)
         terms[key] = terms.get(key, 0.0 + 0.0j) + coeff
-    return list(terms.items())
+    return terms
+
+
+@dataclass(frozen=True)
+class _StencilPlan:
+    """The finite-difference stencil of one (n, order), planned once.
+
+    ``offsets[p]`` is a stencil point in units of h/2.  Row r < R of
+    (``rows``, ``cols``, ``weights``) is real partial r at step h, row R + r
+    the same partial at step h/2, each a sum of exact 1-d stencil
+    coefficients times f-values; ``real_order[r]`` is its order k, scaled
+    by step^-k.  Jet entry e is the sum of ``wirtinger`` coefficients
+    times the Richardson-combined partials, and ``layout`` lists, per
+    bidegree, the entry of every tensor element.
+    """
+
+    offsets: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    real_order: np.ndarray
+    wirtinger: tuple  # (entry index, partial index, complex coefficient)
+    layout: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_plan(n: int, order: int) -> _StencilPlan:
+    entries, layout = {}, []
+    for m, l in bidegrees(order):
+        index = []
+        for a in itertools.product(range(n), repeat=m):
+            for b in itertools.product(range(n), repeat=l):
+                key = (tuple(sorted(a)), tuple(sorted(b)))
+                index.append(entries.setdefault(key, len(entries)))
+        layout.append(((m, l), np.array(index)))
+    partials, wirtinger = {}, []
+    for (a, b), e in entries.items():
+        for midx, c in _wirtinger_expansion(a, b, n).items():
+            wirtinger.append((e, partials.setdefault(midx, len(partials)), c))
+    points, stencil = {}, []
+    for midx, r in partials.items():
+        dims = [d for d in range(2 * n) if midx[d] > 0]
+        for combo in itertools.product(*[_STENCILS[midx[d]].items() for d in dims]):
+            coeff = math.prod(c for _, c in combo)
+            for row, unit in ((r, 2), (len(partials) + r, 1)):
+                off = [0] * (2 * n)
+                for d, (o, _) in zip(dims, combo):
+                    off[d] = unit * o
+                stencil.append((row, points.setdefault(tuple(off), len(points)),
+                                coeff))
+    offsets = np.array(list(points), dtype=float).reshape(len(points), 2 * n)
+    rows, cols, weights = (np.array(col) for col in zip(*stencil))
+    e, r, c = (np.array(col) for col in zip(*wirtinger))
+    return _StencilPlan(
+        offsets=offsets[:, 0::2] + 1j * offsets[:, 1::2], rows=rows, cols=cols,
+        weights=weights, real_order=np.array([sum(m) for m in partials], float),
+        wirtinger=(e, r, c), layout=tuple(layout),
+    )
 
 
 def fd_jet(f, z, order: int, step: float | None = None) -> Jet:
     """Finite-difference jet of a real scalar function.
 
     Central differences at steps h and h/2 combined by one Richardson
-    extrapolation, giving O(h^4) truncation on smooth functions.
+    extrapolation, giving O(h^4) truncation on smooth functions.  The
+    stencil of each (n, order) is planned once; a callable whose
+    ``takes_stack`` attribute is true is evaluated on all stencil points
+    in one call, any other callable point by point.
     """
     z = as_point(z)
     if not 1 <= order <= MAX_ORDER:
@@ -211,28 +236,33 @@ def fd_jet(f, z, order: int, step: float | None = None) -> Jet:
     if h <= 0:
         raise ValueError("step must be positive")
     n = len(z)
-
-    expansions = {}
-    needed = set()
-    for a, b in index_pairs(n, order):
-        exp = _wirtinger_expansion(a, b, n)
-        expansions[(a, b)] = exp
-        for midx, _ in exp:
-            needed.add(midx)
-
-    coarse = _real_partials(f, z, needed, h)
-    fine = _real_partials(f, z, needed, h / 2)
+    plan = _stencil_plan(n, order)
+    stencil = z + (h / 2) * plan.offsets
+    if getattr(f, "takes_stack", False):
+        values = np.asarray(f(stencil), dtype=float).reshape(len(stencil))
+    else:
+        values = np.array([float(f(w)) for w in stencil])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise EvaluationError(
+            f"non-finite value at stencil point {stencil[bad[0]]!r} (base {z!r})"
+        )
+    R = len(plan.real_order)
+    acc = np.bincount(plan.rows, plan.weights * values[plan.cols], 2 * R)
+    coarse = acc[:R] * h ** -plan.real_order
+    fine = acc[R:] * (h / 2) ** -plan.real_order
     # Richardson: leading error of every stencil above is O(h^2).
-    partials = {m: (4.0 * fine[m] - coarse[m]) / 3.0 for m in needed}
-
-    derivs = {}
-    for (a, b), exp in expansions.items():
-        derivs[(a, b)] = sum(c * partials[m] for m, c in exp)
-    return Jet(point=z, order=order, derivs=derivs)
+    partials = (4.0 * fine - coarse) / 3.0
+    e, r, c = plan.wirtinger
+    flat = (np.bincount(e, c.real * partials[r])
+            + 1j * np.bincount(e, c.imag * partials[r]))
+    tensors = {(m, l): flat[index].reshape((n,) * (m + l))
+               for (m, l), index in plan.layout}
+    return Jet(point=z, order=order, tensors=tensors)
 
 
 def analytic_jet(p, z, order: int) -> Jet:
-    """Closed-form jet of a potential field.
+    """Closed-form jet of a potential field at a point or a stack of points.
 
     Requires ``p.analytic_order >= order``; agreement with ``fd_jet`` is the
     oracle check exercised by the test suite.
@@ -244,4 +274,4 @@ def analytic_jet(p, z, order: int) -> Jet:
             f"{p!r} implements closed-form derivatives to order "
             f"{p.analytic_order}, requested {order}"
         )
-    return p.analytic_jet(as_point(z), order)
+    return p.analytic_jet(as_points(z), order)

@@ -71,6 +71,15 @@ def _point_json(z) -> list:
     return [[float(c.real), float(c.imag)] for c in np.atleast_1d(z)]
 
 
+def _worst(residuals) -> float:
+    """The largest of several residuals, NaN if any is NaN.
+
+    Plain ``max(0.0, nan)`` is 0.0, which would let a NaN residual pass;
+    a NaN or inf residual must fail the ``worst <= tol`` test instead.
+    """
+    return float(np.max(list(residuals)))
+
+
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
@@ -131,7 +140,7 @@ def suite_einstein(config) -> VerificationReport:
         rng = np.random.default_rng(seed)
         for z in sample_interior(d, rng, samples, shrink=shrink):
             r = hermgeo.einstein_residual(p, z)
-            worst = max(worst, r)
+            worst = _worst([worst, r])
             rows.append({
                 "domain": d.label,
                 "point": _point_json(z),
@@ -170,7 +179,7 @@ def suite_delta_identity(config) -> VerificationReport:
         rng = np.random.default_rng(seed)
         for z in sample_interior(d, rng, samples, shrink=shrink):
             r = hermgeo.delta_identity_residual(p, z)
-            worst = max(worst, r)
+            worst = _worst([worst, r])
             rows.append({
                 "domain": d.label,
                 "potential": p.label,
@@ -202,7 +211,7 @@ def suite_key_equation(config) -> VerificationReport:
     worst = 0.0
     for z in sample_interior(p.domain, rng, samples):
         r = hermgeo.key_equation_residual(p, z)
-        worst = max(worst, r)
+        worst = _worst([worst, r])
         rows.append({"point": _point_json(z),
                      "residuals": {"key_equation": r}})
     return VerificationReport(
@@ -232,9 +241,9 @@ def suite_constant_length(config) -> VerificationReport:
     rows = []
     worst = 0.0
     for z in sample_interior(d, rng, samples):
-        frame = hermgeo.metric_from_potential(p, z)
+        frame = hermgeo.metric_from_potential(p, z, order=2)
         r = abs(hermgeo.gradient_length_sq(p, frame) - target)
-        worst = max(worst, r)
+        worst = _worst([worst, r])
         rows.append({"point": _point_json(z),
                      "residuals": {"length_deviation": r}})
     cert = potentials.ConstantLengthCertificate(
@@ -269,8 +278,8 @@ def suite_dbar_defect(config) -> VerificationReport:
     for z in sample_interior(p.domain, rng, samples):
         defect = vfield.dbar_defect(p, z)
         law = vfield.dbar_defect_closed_form(p, z)
-        r = max(defect, abs(defect - law))
-        worst = max(worst, r)
+        r = _worst([defect, abs(defect - law)])
+        worst = _worst([worst, r])
         rows.append({
             "point": _point_json(z),
             "residuals": {"defect": defect, "defect_vs_closed_form":
@@ -313,7 +322,7 @@ def suite_flow(config) -> VerificationReport:
         p, np.zeros(n, dtype=complex), 0.5, dt=dt
     )
     reparam = vfield.reparametrization_deviation(p, z0, 0.8, dt=dt)
-    tangency = max(
+    tangency = _worst(
         vfield.level_set_tangency(p, z)
         for z in sample_interior(p.domain, rng, 10)
     )
@@ -327,7 +336,7 @@ def suite_flow(config) -> VerificationReport:
         "reparametrization": reparam / 1e-5,
         "tangency": tangency / 1e-10,
     }
-    worst = max(residuals.values())
+    worst = _worst(residuals.values())
     return VerificationReport(
         suite="flow",
         domain=p.domain.to_json(),
@@ -366,7 +375,7 @@ def suite_kai_ohsawa(config) -> VerificationReport:
             "lower_bound": bound_violation / 1e-9,
             "slice_derivative": deriv / 1e-8,
         }
-        worst = max(worst, max(residuals.values()))
+        worst = _worst([worst, *residuals.values()])
         rows.append({
             "domain": d.label,
             "constant": L,
@@ -410,7 +419,7 @@ def _slice_derivative_residual(d) -> float:
         dx = (slice_value(h) - slice_value(-h)) / (2 * h)
         dy = (slice_value(1j * h) - slice_value(-1j * h)) / (2 * h)
         fd = 0.5 * (dx - 1j * dy)
-        worst = max(worst, abs(closed - d.c), abs(fd - d.c))
+        worst = _worst([worst, abs(closed - d.c), abs(fd - d.c)])
     return worst
 
 
@@ -441,7 +450,7 @@ def suite_ball_minimality(config) -> VerificationReport:
             r = max(0.0, row.bound_over_K - row.rc_over_K + 1e-12)
             if not row.strict:
                 r = max(r, 1.0)
-        worst = max(worst, r)
+        worst = _worst([worst, r])
         entry = row.as_dict()
         entry["residuals"] = {"classification": r}
         rows.append(entry)
@@ -471,7 +480,7 @@ def suite_cheng_yau(config) -> VerificationReport:
     exact = chengyau.ball_closed_form(n, K, grid=sol.grid)
     grid_dev = float(np.max(np.abs(sol.phi - exact.phi)))
     sel = sol.grid[2:-2][:: max(1, len(sol.grid) // 200)]
-    ode_res = max(abs(chengyau.radial_ode_residual(sol, t)) for t in sel)
+    ode_res = _worst(abs(chengyau.radial_ode_residual(sol, t)) for t in sel)
     limit, gap = chengyau.boundary_limit_estimate(sol)
     target = (n + 1) / K
     out_csv = config.get("solution_csv")
@@ -482,7 +491,7 @@ def suite_cheng_yau(config) -> VerificationReport:
         "ode_residual": ode_res / 1e-8,
         "boundary_limit": abs(gap) / (0.02 * target),
     }
-    worst = max(residuals.values())
+    worst = _worst(residuals.values())
     return VerificationReport(
         suite="cheng-yau",
         domain=ball(n).to_json(),

@@ -152,3 +152,21 @@ def test_verification_failure_exit_code(tmp_path):
                      "--tol", "1e-30", "--out", str(out)])
     assert code == 1
     assert json.loads(out.read_text())["pass"] is False
+
+
+def test_nan_residual_fails_suite(monkeypatch):
+    """One NaN sample fails the suite: max(0.0, nan) would drop it."""
+    from kelab import hermgeo
+
+    real = hermgeo.key_equation_residual
+    calls = []
+
+    def one_nan(p, z):
+        calls.append(z)
+        return float("nan") if len(calls) == 3 else real(p, z)
+
+    monkeypatch.setattr(hermgeo, "key_equation_residual", one_nan)
+    report = run_suite("key-equation", {"samples": 5, "seed": 1})
+    assert len(calls) == 5
+    assert report.passed is False
+    assert report.max_residual != report.max_residual  # NaN

@@ -211,3 +211,77 @@ def test_einstein_residual_nested_fd_path():
     rng = np.random.default_rng(59)
     for z in sample_interior(base.domain, rng, 3, shrink=0.7):
         assert hermgeo.einstein_residual(fd_only, z) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# stacked frames
+
+STACKED_KINDS = {
+    "ball(3)": lambda: domains.bergman_potential(domains.ball(3)),
+    "polydisc(2)": lambda: domains.bergman_potential(domains.polydisc(2)),
+    "type1(2,2)": lambda: domains.bergman_potential(domains.type_i(2, 2)),
+    "type1(2,3)": lambda: domains.bergman_potential(domains.type_i(2, 3)),
+    "type3(2)": lambda: domains.bergman_potential(domains.type_iii(2)),
+    "type4(3)": lambda: domains.bergman_potential(domains.type_iv(3)),
+    "halfplane(2)": lambda: domains.bergman_potential(
+        domains.halfplane_product(2)),
+    "ball(2) x type4(3)": lambda: domains.bergman_potential(
+        domains.product(domains.ball(2), domains.type_iv(3))),
+    "rescaled-ball": lambda: potentials.rescaled_ball_potential(2, 3.0),
+    "ke-ball": lambda: domains.ke_potential(domains.ball(2), 3.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(STACKED_KINDS))
+def test_stacked_frames_match_per_point(kind):
+    """One frame call on an (N, n) stack equals N one-point frames."""
+    p = STACKED_KINDS[kind]()
+    zs = np.array(sample_interior(p.domain, np.random.default_rng(61), 9,
+                                  shrink=0.9))
+    order = min(3, p.analytic_order)
+    stacked = hermgeo.metric_from_potential(p, zs, order=order)
+    lengths = hermgeo.gradient_length_sq(p, stacked)
+    assert stacked.log_det_g.shape == lengths.shape == (len(zs),)
+    for i, z in enumerate(zs):
+        one = hermgeo.metric_from_potential(p, z, order=order)
+        pairs = [(stacked.g[i], one.g), (stacked.g_inv[i], one.g_inv),
+                 (stacked.christoffel[i], one.christoffel),
+                 (stacked.log_det_g[i], one.log_det_g),
+                 (lengths[i], hermgeo.gradient_length_sq(p, one))]
+        pairs += [(t[i], one.jet.tensors[k])
+                  for k, t in stacked.jet.tensors.items()]
+        for a, b in pairs:
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+def test_stacked_ricci_equals_scalar_stencil():
+    """ricci's stacked inner log det matches a point-by-point stencil."""
+    from kelab.jets import fd_jet
+
+    p = domains.bergman_potential(domains.type_i(2, 2))
+    z = np.array([0.1 + 0.05j, -0.2j, 0.15, 0.05 - 0.1j])
+
+    def log_det(w):
+        return hermgeo.metric_from_potential(p, w, order=2).log_det_g
+
+    plain = -fd_jet(log_det, z, 2, step=2e-3).mixed_hessian()
+    np.testing.assert_array_equal(hermgeo.ricci(p, z), plain)
+
+
+def test_stacked_degenerate_metric_names_the_point():
+    """2|z1|^2 + log(1 - |z1|^2) + |z2|^2 has g_11 = 2 - (1 - |z1|^2)^-2,
+    positive only for |z1|^2 < 1 - 2^-1/2; the second point lies beyond."""
+    from kelab.field import LinearProfile, LogProfile, RadialBlock
+
+    p = PotentialField(
+        domain=domains.ball(2), ricci_constant=np.nan, analytic_order=4,
+        label="degenerate-rim", parts=[
+            (1.0, RadialBlock((0,), LinearProfile(2.0))),
+            (1.0, RadialBlock((0,), LogProfile(-1.0))),
+            (1.0, RadialBlock((1,), LinearProfile(1.0))),
+        ],
+    )
+    zs = np.array([[0.1, 0.2j], [0.7, -0.1]])
+    hermgeo.metric_from_potential(p, zs[:1], order=2)
+    with pytest.raises(DegenerateMetricError, match=r"0\.7"):
+        hermgeo.metric_from_potential(p, zs, order=2)

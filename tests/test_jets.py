@@ -1,12 +1,14 @@
 """Derivative engine: finite-difference oracle vs closed forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from kelab import domains, potentials
+from kelab import domains, hermgeo, potentials
 from kelab.errors import EvaluationError, UnsupportedOrderError
 from kelab.field import PotentialField
-from kelab.jets import analytic_jet, as_point, fd_jet
+from kelab.jets import analytic_jet, as_point, fd_jet, stack_capable
 from kelab.sampling import sample_interior
 
 
@@ -14,12 +16,19 @@ def quadratic(z):
     return float(np.sum(np.abs(z) ** 2))
 
 
+def jet_gap(ja, jb):
+    """Largest entrywise difference over the bidegrees of ``ja``."""
+    return max(float(np.max(np.abs(ja.tensors[k] - jb.tensors[k])))
+               for k in ja.tensors)
+
+
 def test_fd_jet_quadratic_center():
     jet = fd_jet(quadratic, np.zeros(2, complex), 2)
     for a in range(2):
         for b in range(2):
-            assert jet.d((a,), (b,)) == pytest.approx(1.0 if a == b else 0.0, abs=1e-9)
-            assert abs(jet.d((a, b), ())) < 1e-9
+            expected = 1.0 if a == b else 0.0
+            assert jet.mixed_hessian()[a, b] == pytest.approx(expected, abs=1e-9)
+            assert abs(jet.pure_hessian()[a, b]) < 1e-9
 
 
 def test_fd_jet_ball_log_first_derivative():
@@ -28,14 +37,14 @@ def test_fd_jet_ball_log_first_derivative():
         return -float(np.log(1.0 - np.sum(np.abs(z) ** 2)))
 
     jet = fd_jet(f, np.array([0.5, 0.0], dtype=complex), 1)
-    assert jet.d((0,), ()) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert jet.holo_gradient()[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_fd_jet_constant_function():
     jet = fd_jet(lambda z: 4.25, np.array([0.1 + 0.2j]), 3)
-    for (a, b), val in jet.derivs.items():
-        if a or b:
-            assert abs(val) < 1e-10
+    for (m, l), val in jet.tensors.items():
+        if m or l:
+            assert np.max(np.abs(val)) < 1e-10
 
 
 def test_fd_jet_rejects_bad_order_and_step():
@@ -58,11 +67,43 @@ def test_fd_jet_reports_bad_stencil_point():
         fd_jet(f, np.array([0.29999 + 0.0j]), 2, step=1e-3)
 
 
+@pytest.mark.parametrize("d", [domains.ball(2), domains.type_i(2, 2),
+                               domains.type_iv(3)], ids=lambda d: d.label)
+def test_fd_jet_of_stacked_field_equals_scalar_lambda(d):
+    """A field that takes a stack is evaluated in one call; the same
+    function wrapped as a plain scalar lambda is evaluated point by point.
+    The values, hence the jets, are the same."""
+    p = domains.bergman_potential(d)
+    z = sample_interior(d, np.random.default_rng(7), 1, shrink=0.8)[0]
+    for f in (p, hermgeo.gradient_length_field(p)):
+        assert f.takes_stack
+        assert jet_gap(fd_jet(f, z, 2), fd_jet(lambda w: f(w), z, 2)) == 0.0
+
+
+def test_stacked_stencil_errors_match_scalar():
+    """Off the domain and at a NaN value both paths raise EvaluationError."""
+    p = domains.bergman_potential(domains.ball(1))
+    rim = np.array([0.9999999 + 0j])
+    for f in (p, hermgeo.gradient_length_field(p)):
+        for g in (f, lambda w: f(w)):
+            with pytest.raises(EvaluationError, match="at z="):
+                fd_jet(g, rim, 2)
+
+    @stack_capable
+    def stacked(w):
+        v = 0.09 - np.abs(w[:, 0]) ** 2
+        return np.where(v > 0, -np.log(np.abs(v)), np.nan)
+
+    for g in (stacked, lambda w: stacked(w[None])[0]):
+        with pytest.raises(EvaluationError, match="stencil point"):
+            fd_jet(g, np.array([0.29999 + 0.0j]), 2, step=1e-3)
+
+
 def test_analytic_ball_gradient():
     p = domains.ke_potential(domains.ball(2), 3.0)  # phi_rho for n = 2
     jet = analytic_jet(p, np.array([0.3, 0.4], dtype=complex), 1)
-    assert jet.d((0,), ()) == pytest.approx(0.3 / 0.75, abs=1e-14)
-    assert jet.d((1,), ()) == pytest.approx(8.0 / 15.0, abs=1e-14)
+    assert jet.holo_gradient()[0] == pytest.approx(0.3 / 0.75, abs=1e-14)
+    assert jet.holo_gradient()[1] == pytest.approx(8.0 / 15.0, abs=1e-14)
 
 
 def test_analytic_order_zero_is_value():
@@ -114,7 +155,7 @@ def test_oracle_agreement_low_orders(p):
     for z in pts:
         ja = p.analytic_jet(z, 2)
         jf = fd_jet(p, z, 2)
-        worst = max(worst, max(abs(ja.derivs[k] - jf.derivs[k]) for k in ja.derivs))
+        worst = max(worst, jet_gap(ja, jf))
     assert worst <= 1e-6
 
 
@@ -128,7 +169,7 @@ def test_oracle_agreement_high_orders(p):
         order = min(4, p.analytic_order)
         ja = p.analytic_jet(z, order)
         jf = fd_jet(p, z, order)
-        worst = max(worst, max(abs(ja.derivs[k] - jf.derivs[k]) for k in ja.derivs))
+        worst = max(worst, jet_gap(ja, jf))
     assert worst <= 1e-3
 
 
@@ -153,19 +194,21 @@ def test_linearity_of_analytic_jets():
     combo = combine(d, np.nan, [(c1, p1), (c2, p2)], 4, "combo")
     z = np.array([0.25 + 0.05j, -0.3 + 0.2j])
     j1, j2, jc = p1.analytic_jet(z, 3), p2.analytic_jet(z, 3), combo.analytic_jet(z, 3)
-    for key in jc.derivs:
-        expected = c1 * j1.derivs[key] + c2 * j2.derivs[key]
-        assert abs(jc.derivs[key] - expected) <= 1e-12
+    for key in jc.tensors:
+        expected = c1 * j1.tensors[key] + c2 * j2.tensors[key]
+        assert np.max(np.abs(jc.tensors[key] - expected)) <= 1e-12
 
 
 def test_multi_indices_stored_sorted():
+    """Each dense tensor is exactly symmetric in its holomorphic and in its
+    antiholomorphic indices, as when entries were keyed by sorted indices."""
     p = domains.bergman_potential(domains.ball(2))
     jet = p.analytic_jet(np.array([0.1, 0.2j]), 3)
-    for a, b in jet.derivs:
-        assert tuple(sorted(a)) == a
-        assert tuple(sorted(b)) == b
-    # accessors normalize the order
-    assert jet.d((1, 0), ()) == jet.d((0, 1), ())
+    for (m, l), t in jet.tensors.items():
+        for hol in itertools.permutations(range(m)):
+            for anti in itertools.permutations(range(m, m + l)):
+                assert np.array_equal(t, t.transpose(hol + anti))
+    assert jet.pure_hessian()[1, 0] == jet.pure_hessian()[0, 1]
 
 
 def test_as_point_validation():
@@ -183,7 +226,7 @@ def test_jet_dispatch_above_analytic_order_uses_fd():
     jet = p.jet(z, 4)  # silently served by the FD oracle
     assert jet.order == 4
     ja = p.analytic_jet(z, 3)
-    shared = max(abs(jet.derivs[k] - ja.derivs[k]) for k in ja.derivs)
+    shared = jet_gap(ja, jet)
     assert shared <= 1e-3
 
 
@@ -196,5 +239,5 @@ def test_fd_only_potential_falls_back():
     z = np.array([0.2 + 0.1j, 0.1 - 0.2j])
     ja = base.analytic_jet(z, 2)
     jf = fd_only.jet(z, 2)
-    worst = max(abs(ja.derivs[k] - jf.derivs[k]) for k in ja.derivs)
+    worst = jet_gap(ja, jf)
     assert worst <= 1e-6

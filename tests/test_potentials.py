@@ -68,6 +68,15 @@ def test_rescaled_singular_at_pole():
         p(np.array([-1.0 + 0j, 0.0 + 0j]))
 
 
+def test_matrix_kernel_rejects_points_far_outside():
+    """Z = 1.5 I has det(I - Z Z*) > 0 but lies outside type1(2,2)."""
+    p = domains.bergman_potential(domains.type_i(2, 2))
+    z = np.array([1.5, 0.0, 0.0, 1.5], dtype=complex)
+    assert not p.domain.contains(z)
+    with pytest.raises(EvaluationError, match="1.5"):
+        p(z)
+
+
 def test_rescaled_constant_length_sweep_analytic_and_fd():
     n, K = 2, 3.0
     p = potentials.rescaled_ball_potential(n, K)
@@ -102,6 +111,24 @@ def test_certificate_and_lower_bound():
 def test_certificate_rejects_non_constant():
     p = domains.ke_potential(domains.ball(2), 3.0)  # length |z|^2, not constant
     cert = potentials.certify_constant_length(p, samples=50, seed=0)
+    assert not cert.ok
+    with pytest.raises(CertificateError):
+        cert.require()
+
+
+def test_certificate_rejects_nan_length(monkeypatch):
+    """One NaN gradient length fails the certificate."""
+    real = hermgeo.gradient_length_sq
+    calls = []
+
+    def one_nan(p, frame):
+        calls.append(frame)
+        return float("nan") if len(calls) == 4 else real(p, frame)
+
+    monkeypatch.setattr(hermgeo, "gradient_length_sq", one_nan)
+    p = potentials.rescaled_ball_potential(2, 3.0)
+    cert = potentials.certify_constant_length(p, samples=10, seed=0)
+    assert len(calls) == 11
     assert not cert.ok
     with pytest.raises(CertificateError):
         cert.require()
