@@ -3,12 +3,13 @@
     kelab run <suite> [--domain KIND] [--p P --q Q | --m M | --n N]
                       [--ricci K] [--samples N] [--seed S] [--tol T]
                       [--out PATH]
-    kelab run-all [--config PATH] [--jobs J] [--out DIR]
+    kelab run-all [--config PATH] [--out DIR]
     kelab list
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-configuration error.  The environment variable KELAB_SEED overrides the
-seed when no --seed is given.
+configuration error, including a config key the suite does not take
+(``kelab list`` prints each suite's keys).  The environment variable
+KELAB_SEED overrides the seed when no --seed is given.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ def _build_parser():
     runall = sub.add_parser("run-all", help="run every suite")
     runall.add_argument("--config", type=Path,
                         help="JSON config {seed, suites: {name: {...}}}")
-    runall.add_argument("--jobs", type=int, default=1)
     runall.add_argument("--out", type=Path, default=Path("reports"),
                         help="directory for per-suite reports (default ./reports)")
 
-    sub.add_parser("list", help="print suites and what they check")
+    sub.add_parser("list", help="print suites, what they check and their "
+                                "config keys")
     return parser
 
 
@@ -127,7 +128,7 @@ def _cmd_run_all(args) -> int:
         config["seed"] = int(env_seed)
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports, ok = run_all(config, out_dir=out_dir, jobs=max(1, args.jobs))
+    reports, ok = run_all(config, out_dir=out_dir)
     for report in reports:
         path = out_dir / f"{report.suite}.json"
         path.write_text(report.to_json() + "\n")
@@ -147,9 +148,12 @@ def _cmd_run_all(args) -> int:
 
 def _cmd_list() -> int:
     for name in sorted(SUITES):
-        _, desc, ops = SUITES[name]
-        print(f"{name:>16}  {desc}")
-        print(f"{'':>16}  operations: {', '.join(ops)}")
+        suite = SUITES[name]
+        keys = ", ".join(f"{key}={json.dumps(default)}"
+                         for key, default in suite.schema.items())
+        print(f"{name:>16}  {suite.checks}")
+        print(f"{'':>16}  operations: {', '.join(suite.operations)}")
+        print(f"{'':>16}  keys: {keys}")
     return EXIT_PASS
 
 

@@ -517,22 +517,3 @@ def siegel_pullback_slice_derivative(d: DomainModel, alpha: int = 0) -> complex:
     dlog_kh = -2.0 / (sigma0 + np.conj(sigma0))
     sigma_prime = 2.0 / (0.0 + 1.0) ** 2
     return complex(d.c / 2.0 * dlog_kh * sigma_prime)
-
-
-# convenience: parity between table data and constructed models
-def table_records() -> list[InvariantsRecord]:
-    """Invariant rows used by the minimality comparisons."""
-    rows = [
-        type_i(1, 2).invariants(),
-        type_i(2, 2).invariants(),
-        type_i(2, 3).invariants(),
-        type_i(3, 3).invariants(),
-        type_ii(5).invariants(),
-        type_ii(6).invariants(),
-        type_iii(2).invariants(),
-        type_iii(3).invariants(),
-        type_iv(3).invariants(),
-        type_iv(4).invariants(),
-    ]
-    rows.extend(EXCEPTIONAL_INVARIANTS)
-    return rows

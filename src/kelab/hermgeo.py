@@ -116,7 +116,7 @@ def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
     )
 
 
-def gradient_length_sq(p, frame: MetricFrame):
+def gradient_length_sq(frame: MetricFrame):
     """phi_a g^{a bbar} phi_bbar at the frame's point (half the 1-form norm).
 
     A float for a one-point frame, an array of N for a stacked one.
@@ -127,12 +127,12 @@ def gradient_length_sq(p, frame: MetricFrame):
     return float(val) if val.ndim == 0 else val
 
 
-def d_length_sq(p, frame: MetricFrame) -> float:
+def d_length_sq(frame: MetricFrame) -> float:
     """Full squared length of the 1-form d(phi): twice the half norm."""
-    return 2.0 * gradient_length_sq(p, frame)
+    return 2.0 * gradient_length_sq(frame)
 
 
-def covariant_hessian(p, frame: MetricFrame) -> np.ndarray:
+def covariant_hessian(frame: MetricFrame) -> np.ndarray:
     """phi_{a;b} = d_b d_a phi - Gamma^l_{ab} phi_l (symmetric)."""
     if frame.christoffel is None:
         raise ValueError("covariant Hessian needs a frame built to order >= 3")
@@ -141,9 +141,9 @@ def covariant_hessian(p, frame: MetricFrame) -> np.ndarray:
     return pure - np.einsum("lab,l->ab", frame.christoffel, phi_z)
 
 
-def hessian_norm_sq(p, frame: MetricFrame) -> float:
+def hessian_norm_sq(frame: MetricFrame) -> float:
     """|Hess phi|^2 = phi_{a;b} conj(phi_{l;m}) g^{a lbar} g^{b mbar} >= 0."""
-    H = covariant_hessian(p, frame)
+    H = covariant_hessian(frame)
     gi = frame.g_inv
     val = np.sum(H * (gi.T @ np.conj(H) @ gi))
     return float(np.real(val))
@@ -173,7 +173,7 @@ def gradient_length_field(p, order: int = 2):
     @stack_capable
     def field(z):
         frame = metric_from_potential(p, z, order=order)
-        return gradient_length_sq(p, frame)
+        return gradient_length_sq(frame)
 
     return field
 
@@ -218,7 +218,7 @@ def key_equation_residual(p, z) -> float:
     frame = metric_from_potential(p, z)
     phi_z = frame.jet.holo_gradient()
     phi_up = frame.raise_index(phi_z)
-    H = covariant_hessian(p, frame)
+    H = covariant_hessian(frame)
     contraction = np.einsum("ab,a->b", H, phi_up)
     return float(np.max(np.abs(contraction + phi_z)))
 
@@ -228,7 +228,7 @@ def delta_identity_residual(p, z, step: float | None = None) -> float:
     frame = metric_from_potential(p, z)
     n = frame.dim
     K = p.ricci_constant
-    L = gradient_length_sq(p, frame)
-    H2 = hessian_norm_sq(p, frame)
+    L = gradient_length_sq(frame)
+    H2 = hessian_norm_sq(frame)
     lap = laplacian(gradient_length_field(p), frame, step=step)
     return float(abs(lap - H2 - n + K * L))

@@ -84,11 +84,11 @@ def certify_constant_length(p: PotentialField, samples: int = 200,
     rng = np.random.default_rng(seed)
     center = np.zeros(d.n, dtype=complex)
     frame0 = hermgeo.metric_from_potential(p, center, order=2)
-    constant = hermgeo.gradient_length_sq(p, frame0)
+    constant = hermgeo.gradient_length_sq(frame0)
     worst = 0.0
     for z in sample_interior(d, rng, samples, shrink=shrink):
         frame = hermgeo.metric_from_potential(p, z, order=2)
-        val = hermgeo.gradient_length_sq(p, frame)
+        val = hermgeo.gradient_length_sq(frame)
         # np.maximum keeps a NaN deviation, so the certificate fails
         worst = float(np.maximum(worst, abs(val - constant)))
     cert = ConstantLengthCertificate(
@@ -310,11 +310,11 @@ def kai_ohsawa_constant(d: DomainModel, spot_checks: int = 20,
     p = kai_ohsawa_potential(d)
     center = np.zeros(d.n, dtype=complex)
     frame0 = hermgeo.metric_from_potential(p, center, order=2)
-    L = hermgeo.gradient_length_sq(p, frame0)
+    L = hermgeo.gradient_length_sq(frame0)
     rng = np.random.default_rng(seed)
     for z in sample_interior(d, rng, spot_checks):
         frame = hermgeo.metric_from_potential(p, z, order=2)
-        val = hermgeo.gradient_length_sq(p, frame)
+        val = hermgeo.gradient_length_sq(frame)
         if not abs(val - L) <= tol:  # a NaN length fails too
             raise NormalizationError(
                 f"gradient length of {p.label} is not constant: "

@@ -1,9 +1,12 @@
 """Named verification suites over the domain catalog.
 
-Each suite draws seeded interior samples, evaluates one family of
-residuals, and returns a ``VerificationReport``.  Reports serialize to
-JSON; identical (suite, config, seed) inputs reproduce the report
-byte-for-byte apart from ``runtime_ms``.
+Each suite is a ``Suite`` in ``SUITES``: what it checks, its default
+tolerance, its config keys with their defaults (its schema) and a body
+that returns the domain, its own params and the sample rows.  One runner,
+``run_suite``, checks the config, times the body, folds every residual of
+every row into ``max_residual`` and builds the ``VerificationReport``.
+Reports serialize to strict JSON; identical (suite, config, seed) inputs
+reproduce the report byte-for-byte apart from ``runtime_ms``.
 
 Residual semantics: single-identity suites (einstein, delta-identity,
 key-equation, constant-length, dbar-defect, ball-minimality) report the
@@ -15,8 +18,10 @@ report each residual divided by its own threshold and pass at 1.0.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +43,8 @@ from .domains import (
 )
 from .errors import ConfigError
 from .sampling import sample_interior
+
+_NORM_EXPONENTS = {"type1": 1.0, "type2": 0.5, "type3": 1.0, "type4": 1.0}
 
 
 @dataclass
@@ -64,7 +71,24 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """Strict JSON: a non-finite float is written as a string."""
+        return json.dumps(_finite_json(self.to_dict()), sort_keys=True,
+                          indent=2, allow_nan=False)
+
+
+def _finite_json(value):
+    """``value`` with each NaN or +-inf float as its JSON name in a string.
+
+    ``float()`` parses "NaN", "Infinity" and "-Infinity" back, and strict
+    JSON readers reject the bare ``NaN`` that ``json.dumps`` writes.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
 
 
 def _point_json(z) -> list:
@@ -85,88 +109,131 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _common(config):
-    seed = int(config.get("seed", 0))
-    tol = config.get("tol")
-    samples = int(config.get("samples", 0) or 0)
-    if tol is not None:
-        _require(float(tol) > 0, f"tolerance must be positive, got {tol}")
-    _require(samples >= 0, "sample count must be nonnegative")
-    return seed, tol, samples
-
-
-def _domain_from_config(config, default: DomainModel) -> DomainModel:
-    raw = config.get("domain")
-    if raw is None:
-        return default
+def _domain(raw) -> DomainModel:
     if isinstance(raw, DomainModel):
         return raw
     if isinstance(raw, dict):
         try:
             return from_json(raw)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid domain parameters {raw!r}: {exc}")
     raise ConfigError(f"cannot interpret domain {raw!r}")
 
 
-def _ricci_of(config, default: float) -> float:
-    # "K" is accepted as an alias for "ricci"
-    val = config.get("ricci", config.get("K", default))
-    val = float(val)
-    _require(val > 0, f"Ricci constant must be positive, got {val}")
-    return val
+# ---------------------------------------------------------------------------
+# the suite record and its runner
+
+@dataclass(frozen=True)
+class Suite:
+    body: Callable[[dict], tuple]
+    checks: str
+    operations: list
+    tol: float
+    keys: dict
+
+    @property
+    def schema(self) -> dict:
+        """Every config key the suite takes, with its default."""
+        return {"seed": 0, "tol": self.tol, **self.keys}
+
+
+SUITES: dict[str, Suite] = {}
+
+
+def _suite(name, checks, operations, tol, **keys):
+    """Register the decorated body as suite ``name`` with schema ``keys``."""
+    def register(body):
+        SUITES[name] = Suite(body, checks, operations, tol, keys)
+        return body
+    return register
+
+
+def _resolve_config(name: str, config: dict) -> dict:
+    """``config`` checked against the suite's schema, defaults filled in.
+
+    A missing or ``None`` value takes the default; numbers are converted
+    to the type of their default.  ``samples`` 0 means the default.
+    """
+    if name not in SUITES:
+        raise ConfigError(
+            f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
+        )
+    schema = SUITES[name].schema
+    unknown = sorted(set(config) - set(schema))
+    _require(not unknown,
+             f"{name} does not take {', '.join(map(repr, unknown))}; "
+             f"accepted keys: {', '.join(sorted(schema))}")
+    cfg = {}
+    for key, default in schema.items():
+        value = config.get(key)
+        if value is None:
+            value = default
+        elif isinstance(default, (int, float)):
+            try:
+                value = type(default)(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name}: {key} must be a number, "
+                                  f"got {value!r}") from None
+        cfg[key] = value
+    _require(cfg["tol"] > 0, f"tolerance must be positive, got {cfg['tol']}")
+    if "samples" in cfg:
+        _require(cfg["samples"] >= 0, "sample count must be nonnegative")
+        cfg["samples"] = cfg["samples"] or schema["samples"]
+    if "ricci" in cfg:
+        _require(cfg["ricci"] > 0,
+                 f"Ricci constant must be positive, got {cfg['ricci']}")
+    return cfg
+
+
+def run_suite(name: str, config: dict | None = None) -> VerificationReport:
+    cfg = _resolve_config(name, dict(config or {}))
+    t0 = time.perf_counter()
+    domain, params, rows = SUITES[name].body(cfg)
+    _require(rows, f"{name}: the config leaves nothing to check")
+    worst = _worst(r for row in rows for r in row["residuals"].values())
+    echo = {key: cfg[key] for key in ("seed", "tol", "samples") if key in cfg}
+    return VerificationReport(
+        suite=name,
+        domain=domain,
+        params={**echo, **params},
+        samples=rows,
+        max_residual=worst,
+        passed=worst <= cfg["tol"],
+        runtime_ms=int(1000 * (time.perf_counter() - t0)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-def suite_einstein(config) -> VerificationReport:
+@_suite("einstein", "Ricci of dd^c log-kernel equals -1 on the catalog",
+        ["hermgeo.ricci", "domains.bergman_potential"], tol=1e-3,
+        samples=20, shrink=0.8,
+        domains=[d.to_json() for d in (ball(2), polydisc(2), polydisc(3),
+                                       type_i(2, 2), type_iii(2), type_iv(3))])
+def _einstein(cfg):
     """max |Ric + K g| for the catalog's kernel potentials (K = 1)."""
-    t0 = time.perf_counter()
-    seed, tol, samples = _common(config)
-    tol = 1e-3 if tol is None else float(tol)
-    samples = samples or 20
-    shrink = float(config.get("shrink", 0.8))
-    domains = config.get("domains")
-    if domains is None:
-        models = [ball(2), polydisc(2), polydisc(3), type_i(2, 2),
-                  type_iii(2), type_iv(3)]
-    else:
-        models = [from_json(d) if isinstance(d, dict) else d for d in domains]
+    models = [_domain(d) for d in cfg["domains"]]
     rows = []
-    worst = 0.0
     for d in models:
         p = bergman_potential(d)
-        rng = np.random.default_rng(seed)
-        for z in sample_interior(d, rng, samples, shrink=shrink):
-            r = hermgeo.einstein_residual(p, z)
-            worst = _worst([worst, r])
+        rng = np.random.default_rng(cfg["seed"])
+        for z in sample_interior(d, rng, cfg["samples"], shrink=cfg["shrink"]):
             rows.append({
                 "domain": d.label,
                 "point": _point_json(z),
-                "residuals": {"einstein": r},
+                "residuals": {"einstein": hermgeo.einstein_residual(p, z)},
             })
-    return VerificationReport(
-        suite="einstein",
-        domain=[d.to_json() for d in models],
-        params={"seed": seed, "samples": samples, "tol": tol,
-                "shrink": shrink, "ricci_constant": 1.0,
-                "norm_exponents": {"type1": 1.0, "type2": 0.5,
-                                   "type3": 1.0, "type4": 1.0}},
-        samples=rows,
-        max_residual=worst,
-        passed=worst <= tol,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+    params = {"shrink": cfg["shrink"], "ricci_constant": 1.0,
+              "norm_exponents": _NORM_EXPONENTS}
+    return [d.to_json() for d in models], params, rows
 
 
-def suite_delta_identity(config) -> VerificationReport:
+@_suite("delta-identity", "Delta|dphi|^2 = |Hess phi|^2 + n - K|dphi|^2",
+        ["hermgeo.laplacian", "hermgeo.hessian_norm_sq"], tol=1e-3,
+        samples=50, shrink=0.85)
+def _delta_identity(cfg):
     """|Delta L - |Hess|^2 - n + K L| for three benchmark metrics."""
-    t0 = time.perf_counter()
-    seed, tol, samples = _common(config)
-    tol = 1e-3 if tol is None else float(tol)
-    samples = samples or 50
-    shrink = float(config.get("shrink", 0.85))
     b2 = ball(2)
     targets = [
         (ke_potential(b2, float(b2.n + 1)), b2),
@@ -174,228 +241,142 @@ def suite_delta_identity(config) -> VerificationReport:
         (bergman_potential(type_i(2, 2)), type_i(2, 2)),
     ]
     rows = []
-    worst = 0.0
     for p, d in targets:
-        rng = np.random.default_rng(seed)
-        for z in sample_interior(d, rng, samples, shrink=shrink):
-            r = hermgeo.delta_identity_residual(p, z)
-            worst = _worst([worst, r])
+        rng = np.random.default_rng(cfg["seed"])
+        for z in sample_interior(d, rng, cfg["samples"], shrink=cfg["shrink"]):
             rows.append({
                 "domain": d.label,
                 "potential": p.label,
                 "point": _point_json(z),
-                "residuals": {"delta_identity": r},
+                "residuals": {
+                    "delta_identity": hermgeo.delta_identity_residual(p, z)},
             })
-    return VerificationReport(
-        suite="delta-identity",
-        domain=[d.to_json() for _, d in targets],
-        params={"seed": seed, "samples": samples, "tol": tol, "shrink": shrink},
-        samples=rows,
-        max_residual=worst,
-        passed=worst <= tol,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+    return [d.to_json() for _, d in targets], {"shrink": cfg["shrink"]}, rows
 
 
-def suite_key_equation(config) -> VerificationReport:
+@_suite("key-equation", "phi_{a;b} phi^a = -phi_b at constant gradient length",
+        ["hermgeo.covariant_hessian"], tol=1e-6, samples=100, n=2, ricci=3.0)
+def _key_equation(cfg):
     """Componentwise |phi_{a;b} phi^a + phi_b| for a constant-length potential."""
-    t0 = time.perf_counter()
-    seed, tol, samples = _common(config)
-    tol = 1e-6 if tol is None else float(tol)
-    samples = samples or 100
-    n = int(config.get("n", 2))
-    K = _ricci_of(config, 3.0)
-    p = potentials.rescaled_ball_potential(n, K)
-    rng = np.random.default_rng(seed)
-    rows = []
-    worst = 0.0
-    for z in sample_interior(p.domain, rng, samples):
-        r = hermgeo.key_equation_residual(p, z)
-        worst = _worst([worst, r])
-        rows.append({"point": _point_json(z),
-                     "residuals": {"key_equation": r}})
-    return VerificationReport(
-        suite="key-equation",
-        domain=p.domain.to_json(),
-        params={"seed": seed, "samples": samples, "tol": tol, "n": n,
-                "ricci": K},
-        samples=rows,
-        max_residual=worst,
-        passed=worst <= tol,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+    p = potentials.rescaled_ball_potential(cfg["n"], cfg["ricci"])
+    rng = np.random.default_rng(cfg["seed"])
+    rows = [{"point": _point_json(z),
+             "residuals": {"key_equation": hermgeo.key_equation_residual(p, z)}}
+            for z in sample_interior(p.domain, rng, cfg["samples"])]
+    return p.domain.to_json(), {"n": cfg["n"], "ricci": cfg["ricci"]}, rows
 
 
-def suite_constant_length(config) -> VerificationReport:
-    """|L - (n+1)/K| for the rescaled ball potential; emits a certificate."""
-    t0 = time.perf_counter()
-    seed, tol, samples = _common(config)
-    tol = 1e-8 if tol is None else float(tol)
-    samples = samples or 200
-    d = _domain_from_config(config, ball(int(config.get("n", 2))))
+@_suite("constant-length", "rescaled ball potential has |dphi|^2 = (n+1)/K",
+        ["potentials.rescaled_ball_potential", "hermgeo.gradient_length_sq"],
+        tol=1e-8, samples=200, n=2, ricci=3.0, domain=None)
+def _constant_length(cfg):
+    """|L - (n+1)/K| for the rescaled ball potential on ``domain`` (ball(n))."""
+    d = ball(cfg["n"]) if cfg["domain"] is None else _domain(cfg["domain"])
     _require(d.kind == BALL, "constant-length suite runs on ball domains")
-    K = _ricci_of(config, 3.0)
+    K = cfg["ricci"]
     p = potentials.rescaled_ball_potential(d.n, K)
     target = (d.n + 1) / K
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["seed"])
     rows = []
-    worst = 0.0
-    for z in sample_interior(d, rng, samples):
+    for z in sample_interior(d, rng, cfg["samples"]):
         frame = hermgeo.metric_from_potential(p, z, order=2)
-        r = abs(hermgeo.gradient_length_sq(p, frame) - target)
-        worst = _worst([worst, r])
+        r = abs(hermgeo.gradient_length_sq(frame) - target)
         rows.append({"point": _point_json(z),
                      "residuals": {"length_deviation": r}})
-    cert = potentials.ConstantLengthCertificate(
-        label=p.label, constant=target, max_deviation=worst,
-        sample_count=samples, tolerance=tol, seed=seed,
-    )
-    p.certificate = cert
-    return VerificationReport(
-        suite="constant-length",
-        domain=d.to_json(),
-        params={"seed": seed, "samples": samples, "tol": tol,
-                "ricci": K, "target": target},
-        samples=rows,
-        max_residual=worst,
-        passed=worst <= tol,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+    return d.to_json(), {"ricci": K, "target": target}, rows
 
 
-def suite_dbar_defect(config) -> VerificationReport:
+@_suite("dbar-defect", "|nabla'' V|^2 vanishes for certified potentials",
+        ["vfield.dbar_defect", "vfield.dbar_defect_closed_form"], tol=1e-8,
+        samples=100, n=2, ricci=3.0)
+def _dbar_defect(cfg):
     """|nabla'' V|^2 and its agreement with the closed form, certified case."""
-    t0 = time.perf_counter()
-    seed, tol, samples = _common(config)
-    tol = 1e-8 if tol is None else float(tol)
-    samples = samples or 100
-    n = int(config.get("n", 2))
-    K = _ricci_of(config, 3.0)
-    p = potentials.rescaled_ball_potential(n, K)
-    rng = np.random.default_rng(seed)
+    p = potentials.rescaled_ball_potential(cfg["n"], cfg["ricci"])
+    rng = np.random.default_rng(cfg["seed"])
     rows = []
-    worst = 0.0
-    for z in sample_interior(p.domain, rng, samples):
+    for z in sample_interior(p.domain, rng, cfg["samples"]):
         defect = vfield.dbar_defect(p, z)
         law = vfield.dbar_defect_closed_form(p, z)
-        r = _worst([defect, abs(defect - law)])
-        worst = _worst([worst, r])
         rows.append({
             "point": _point_json(z),
-            "residuals": {"defect": defect, "defect_vs_closed_form":
-                          abs(defect - law)},
+            "residuals": {"defect": defect,
+                          "defect_vs_closed_form": abs(defect - law)},
         })
-    return VerificationReport(
-        suite="dbar-defect",
-        domain=p.domain.to_json(),
-        params={"seed": seed, "samples": samples, "tol": tol, "n": n,
-                "ricci": K},
-        samples=rows,
-        max_residual=worst,
-        passed=worst <= tol,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+    return p.domain.to_json(), {"n": cfg["n"], "ricci": cfg["ricci"]}, rows
 
 
-def suite_flow(config) -> VerificationReport:
+@_suite("flow", "Re W conserves phi; the Re V flow acts by isometries",
+        ["vfield.integrate_flow", "vfield.pullback_metric_deviation"],
+        tol=1.0, n=2, ricci=3.0, horizon=5.0, dt=1e-3, trajectory_csv=None)
+def _flow(cfg):
     """Level-set conservation, isometry pullback and reparametrization.
 
     Residuals are normalized by their native thresholds (1e-6 / 1e-4 /
     1e-5 / 1e-10); the suite passes at 1.0.
     """
-    t0 = time.perf_counter()
-    seed, tol, _ = _common(config)
-    tol = 1.0 if tol is None else float(tol)
-    n = int(config.get("n", 2))
-    K = _ricci_of(config, 3.0)
-    horizon = float(config.get("horizon", 5.0))
-    dt = float(config.get("dt", 1e-3))
-    p = potentials.rescaled_ball_potential(n, K)
-    potentials.certify_constant_length(p, samples=50, seed=seed)
-    rng = np.random.default_rng(seed)
+    n, dt = cfg["n"], cfg["dt"]
+    p = potentials.rescaled_ball_potential(n, cfg["ricci"])
+    potentials.certify_constant_length(p, samples=50, seed=cfg["seed"])
+    rng = np.random.default_rng(cfg["seed"])
     z0 = sample_interior(p.domain, rng, 1, shrink=0.5)[0]
 
-    traj = vfield.flow_trajectory(p, z0, horizon, dt=dt, generator="re_w",
-                                  record_every=200)
-    conservation = float(np.max(np.abs(traj["values"] - p(z0))))
-    pullback = vfield.pullback_metric_deviation(
-        p, np.zeros(n, dtype=complex), 0.5, dt=dt
-    )
-    reparam = vfield.reparametrization_deviation(p, z0, 0.8, dt=dt)
-    tangency = _worst(
-        vfield.level_set_tangency(p, z)
-        for z in sample_interior(p.domain, rng, 10)
-    )
-    out_csv = config.get("trajectory_csv")
-    if out_csv:
-        vfield.trajectory_to_csv(traj, out_csv)
-
-    residuals = {
-        "conservation": conservation / 1e-6,
-        "pullback_metric": pullback / 1e-4,
-        "reparametrization": reparam / 1e-5,
-        "tangency": tangency / 1e-10,
+    traj = vfield.flow_trajectory(p, z0, cfg["horizon"], dt=dt,
+                                  generator="re_w", record_every=200)
+    raw = {
+        "conservation": float(np.max(np.abs(traj["values"] - p(z0)))),
+        "pullback_metric": vfield.pullback_metric_deviation(
+            p, np.zeros(n, dtype=complex), 0.5, dt=dt),
+        "reparametrization": vfield.reparametrization_deviation(
+            p, z0, 0.8, dt=dt),
+        "tangency": _worst(vfield.level_set_tangency(p, z)
+                           for z in sample_interior(p.domain, rng, 10)),
     }
-    worst = _worst(residuals.values())
-    return VerificationReport(
-        suite="flow",
-        domain=p.domain.to_json(),
-        params={"seed": seed, "tol": tol, "n": n, "ricci": K,
-                "horizon": horizon, "dt": dt,
-                "thresholds": {"conservation": 1e-6, "pullback_metric": 1e-4,
-                               "reparametrization": 1e-5, "tangency": 1e-10}},
-        samples=[{"point": _point_json(z0), "residuals": residuals}],
-        max_residual=worst,
-        passed=worst <= tol,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+    if cfg["trajectory_csv"]:
+        vfield.trajectory_to_csv(traj, cfg["trajectory_csv"])
+
+    thresholds = {"conservation": 1e-6, "pullback_metric": 1e-4,
+                  "reparametrization": 1e-5, "tangency": 1e-10}
+    residuals = {k: raw[k] / thresholds[k] for k in raw}
+    params = {"n": n, "ricci": cfg["ricci"], "horizon": cfg["horizon"],
+              "dt": dt, "thresholds": thresholds}
+    return p.domain.to_json(), params, [{"point": _point_json(z0),
+                                         "residuals": residuals}]
 
 
-def suite_kai_ohsawa(config) -> VerificationReport:
+@_suite("kai-ohsawa", "constant length of the Siegel pullback; bound rank*c",
+        ["potentials.kai_ohsawa_constant",
+         "domains.siegel_log_kernel_on_polydisc_slice"],
+        tol=1.0, max_dimension=3)
+def _kai_ohsawa(cfg):
     """Constant gradient length of the Siegel pullback on balls/polydiscs.
 
     Checks L against its closed-form value (n+1 resp. 2r), the lower bound
     rank*c, and the slice derivative of the pulled-back log-kernel at 0.
     Residuals normalized by (1e-6, 1e-9, 1e-8); passes at 1.0.
     """
-    t0 = time.perf_counter()
-    seed, tol, _ = _common(config)
-    tol = 1.0 if tol is None else float(tol)
-    nmax = int(config.get("max_dimension", 3))
+    nmax = cfg["max_dimension"]
+    thresholds = {"length_vs_expected": 1e-6, "lower_bound": 1e-9,
+                  "slice_derivative": 1e-8}
     rows = []
-    worst = 0.0
     for d in [ball(n) for n in range(1, nmax + 1)] + \
              [polydisc(r) for r in range(1, nmax + 1)]:
-        L = potentials.kai_ohsawa_constant(d, seed=seed)
+        L = potentials.kai_ohsawa_constant(d, seed=cfg["seed"])
         expected = float(d.n + 1 if d.kind == BALL else 2 * d.rank)
-        bound_violation = max(0.0, d.rank * d.c - L)
-        deriv = _slice_derivative_residual(d)
-        residuals = {
-            "length_vs_expected": abs(L - expected) / 1e-6,
-            "lower_bound": bound_violation / 1e-9,
-            "slice_derivative": deriv / 1e-8,
+        raw = {
+            "length_vs_expected": abs(L - expected),
+            "lower_bound": max(0.0, d.rank * d.c - L),
+            "slice_derivative": _slice_derivative_residual(d),
         }
-        worst = _worst([worst, *residuals.values()])
         rows.append({
             "domain": d.label,
             "constant": L,
             "expected": expected,
             "rank_times_c": d.rank * d.c,
             "equality_with_bound": bool(abs(L - d.rank * d.c) <= 1e-9),
-            "residuals": residuals,
+            "residuals": {k: raw[k] / thresholds[k] for k in raw},
         })
-    return VerificationReport(
-        suite="kai-ohsawa",
-        domain=[r["domain"] for r in rows],
-        params={"seed": seed, "tol": tol, "max_dimension": nmax,
-                "thresholds": {"length_vs_expected": 1e-6,
-                               "lower_bound": 1e-9,
-                               "slice_derivative": 1e-8}},
-        samples=rows,
-        max_residual=worst,
-        passed=worst <= tol,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+    params = {"max_dimension": nmax, "thresholds": thresholds}
+    return [r["domain"] for r in rows], params, rows
 
 
 def _slice_derivative_residual(d) -> float:
@@ -423,12 +404,10 @@ def _slice_derivative_residual(d) -> float:
     return worst
 
 
-def suite_ball_minimality(config) -> VerificationReport:
+@_suite("ball-minimality", "rank*c exceeds n+1 except for the ball",
+        ["potentials.ball_minimality_report"], tol=1e-9, ricci=1.0)
+def _ball_minimality(cfg):
     """rank*c vs n+1 across the catalog: strict except for type1(1,n)."""
-    t0 = time.perf_counter()
-    seed, tol, _ = _common(config)
-    tol = 1e-9 if tol is None else float(tol)
-    K = _ricci_of(config, 1.0)
     entries = [
         type_i(1, 1), type_i(1, 2), type_i(1, 3), type_i(1, 5),
         type_i(2, 2), type_i(2, 3), type_i(3, 3),
@@ -437,212 +416,122 @@ def suite_ball_minimality(config) -> VerificationReport:
         type_iv(3), type_iv(4), type_iv(5),
     ]
     rows_raw = potentials.ball_minimality_report(
-        list(entries) + list(EXCEPTIONAL_INVARIANTS), K=K
+        entries + list(EXCEPTIONAL_INVARIANTS), K=cfg["ricci"]
     )
     ball_like = {f"type1(1,{q})" for q in range(1, 40)}
     rows = []
-    worst = 0.0
     for row in rows_raw:
-        expected_equality = row.label in ball_like
-        if expected_equality:
+        if row.label in ball_like:
             r = abs(row.rc_over_K - row.bound_over_K)
         else:
             r = max(0.0, row.bound_over_K - row.rc_over_K + 1e-12)
             if not row.strict:
                 r = max(r, 1.0)
-        worst = _worst([worst, r])
-        entry = row.as_dict()
-        entry["residuals"] = {"classification": r}
-        rows.append(entry)
-    return VerificationReport(
-        suite="ball-minimality",
-        domain=None,
-        params={"seed": seed, "tol": tol, "ricci": K},
-        samples=rows,
-        max_residual=worst,
-        passed=worst <= tol,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+        rows.append({**row.as_dict(), "residuals": {"classification": r}})
+    return None, {"ricci": cfg["ricci"]}, rows
 
 
-def suite_cheng_yau(config) -> VerificationReport:
+@_suite("cheng-yau", "radial solver matches the closed ball solution",
+        ["chengyau.shoot", "chengyau.boundary_limit_estimate"],
+        tol=1.0, n=2, ricci=3.0, solution_csv=None)
+def _cheng_yau(cfg):
     """Shooting solver vs the closed ball solution and its boundary limit.
 
     Residuals normalized: grid deviation / 1e-5, ODE residual / 1e-8,
     boundary-limit gap / (2% of target); passes at 1.0.
     """
-    t0 = time.perf_counter()
-    seed, tol, _ = _common(config)
-    tol = 1.0 if tol is None else float(tol)
-    n = int(config.get("n", 2))
-    K = _ricci_of(config, 3.0)
+    n, K = cfg["n"], cfg["ricci"]
     sol = chengyau.shoot(n, K)
     exact = chengyau.ball_closed_form(n, K, grid=sol.grid)
-    grid_dev = float(np.max(np.abs(sol.phi - exact.phi)))
     sel = sol.grid[2:-2][:: max(1, len(sol.grid) // 200)]
-    ode_res = _worst(abs(chengyau.radial_ode_residual(sol, t)) for t in sel)
     limit, gap = chengyau.boundary_limit_estimate(sol)
-    target = (n + 1) / K
-    out_csv = config.get("solution_csv")
-    if out_csv:
-        chengyau.solution_to_csv(sol, out_csv)
-    residuals = {
-        "grid_deviation": grid_dev / 1e-5,
-        "ode_residual": ode_res / 1e-8,
-        "boundary_limit": abs(gap) / (0.02 * target),
+    if cfg["solution_csv"]:
+        chengyau.solution_to_csv(sol, cfg["solution_csv"])
+    raw = {
+        "grid_deviation": float(np.max(np.abs(sol.phi - exact.phi))),
+        "ode_residual": _worst(abs(chengyau.radial_ode_residual(sol, t))
+                               for t in sel),
+        "boundary_limit": abs(gap),
     }
-    worst = _worst(residuals.values())
-    return VerificationReport(
-        suite="cheng-yau",
-        domain=ball(n).to_json(),
-        params={"seed": seed, "tol": tol, "n": n, "ricci": K,
-                "center_value": sol.phi[0], "boundary_limit": limit,
-                "thresholds": {"grid_deviation": 1e-5, "ode_residual": 1e-8,
-                               "boundary_limit": 0.02 * target}},
-        samples=[{"residuals": residuals}],
-        max_residual=worst,
-        passed=worst <= tol,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+    thresholds = {"grid_deviation": 1e-5, "ode_residual": 1e-8,
+                  "boundary_limit": 0.02 * ((n + 1) / K)}
+    params = {"n": n, "ricci": K, "center_value": sol.phi[0],
+              "boundary_limit": limit, "thresholds": thresholds}
+    return ball(n).to_json(), params, [
+        {"residuals": {k: raw[k] / thresholds[k] for k in raw}}]
 
 
-def suite_table1(config) -> VerificationReport:
-    """Invariants (c, n, rank) of every kind against their closed forms."""
-    t0 = time.perf_counter()
-    seed, tol, _ = _common(config)
-    tol = 0.5 if tol is None else float(tol)
-    expected = {
-        "type1(2,2)": (4.0, 4, 2),
-        "type1(2,3)": (5.0, 6, 2),
-        "type1(1,4)": (5.0, 4, 1),
-        "type2(5)": (8.0, 10, 2),
-        "type2(6)": (10.0, 15, 3),
-        "type3(2)": (3.0, 3, 2),
-        "type3(4)": (5.0, 10, 4),
-        "type4(3)": (3.0, 3, 2),
-        "type4(6)": (6.0, 6, 2),
-        "exceptional-16": (12.0, 16, 2),
-        "exceptional-27": (18.0, 27, 3),
-        "ball(4)": (5.0, 4, 1),
-    }
-    models = {
-        "type1(2,2)": type_i(2, 2), "type1(2,3)": type_i(2, 3),
-        "type1(1,4)": type_i(1, 4), "type2(5)": type_ii(5),
-        "type2(6)": type_ii(6), "type3(2)": type_iii(2),
-        "type3(4)": type_iii(4), "type4(3)": type_iv(3),
-        "type4(6)": type_iv(6), "ball(4)": ball(4),
-    }
+@_suite("table1", "catalog invariants match their closed forms",
+        ["domains.DomainModel.invariants"], tol=0.5)
+def _table1(cfg):
+    """Invariants (c, n, rank) of every kind against their closed forms.
+
+    One more row checks that ball(n) coincides with type1(1, n).
+    """
+    exceptional = {rec.label: rec for rec in EXCEPTIONAL_INVARIANTS}
+    expected = [
+        (type_i(2, 2).invariants(), 4.0, 4, 2),
+        (type_i(2, 3).invariants(), 5.0, 6, 2),
+        (type_i(1, 4).invariants(), 5.0, 4, 1),
+        (type_ii(5).invariants(), 8.0, 10, 2),
+        (type_ii(6).invariants(), 10.0, 15, 3),
+        (type_iii(2).invariants(), 3.0, 3, 2),
+        (type_iii(4).invariants(), 5.0, 10, 4),
+        (type_iv(3).invariants(), 3.0, 3, 2),
+        (type_iv(6).invariants(), 6.0, 6, 2),
+        (exceptional["exceptional-16"], 12.0, 16, 2),
+        (exceptional["exceptional-27"], 18.0, 27, 3),
+        (ball(4).invariants(), 5.0, 4, 1),
+    ]
     rows = []
-    mismatches = 0
-    for label, (c, n, rank) in expected.items():
-        if label in models:
-            rec = models[label].invariants()
-        else:
-            rec = next(r for r in EXCEPTIONAL_INVARIANTS if r.label == label)
+    for rec, c, n, rank in expected:
         ok = (rec.c == c and rec.n == n and rec.rank == rank)
-        irreducible_nonball = not (label.startswith("type1(1,")
-                                   or label.startswith("ball"))
+        irreducible_nonball = not (rec.label.startswith("type1(1,")
+                                   or rec.label.startswith("ball"))
         bound_ok = (rec.rc > rec.n + 1) if irreducible_nonball else \
             (abs(rec.rc - (rec.n + 1)) < 1e-12)
-        if not (ok and bound_ok):
-            mismatches += 1
         rows.append({
-            "kind": label,
+            "kind": rec.label,
             "c": rec.c, "n": rec.n, "rank": rec.rank, "rc": rec.rc,
             "matches": bool(ok), "bound_ok": bool(bound_ok),
             "residuals": {"mismatch": 0.0 if (ok and bound_ok) else 1.0},
         })
-    # the ball coincides with type1(1, n)
-    def _tuple(rec):
+
+    def invariants(d):
+        rec = d.invariants()
         return (rec.c, rec.n, rec.rank)
 
-    coincide = all(
-        _tuple(ball(n).invariants()) == _tuple(type_i(1, n).invariants())
-        for n in (1, 2, 3, 5)
-    )
-    if not coincide:
-        mismatches += 1
-    return VerificationReport(
-        suite="table1",
-        domain=None,
-        params={"seed": seed, "tol": tol,
-                "ball_is_type1_1n": bool(coincide),
-                "norm_exponents": {"type1": 1.0, "type2": 0.5,
-                                   "type3": 1.0, "type4": 1.0}},
-        samples=rows,
-        max_residual=float(mismatches),
-        passed=mismatches == 0,
-        runtime_ms=int(1000 * (time.perf_counter() - t0)),
-    )
-
-
-SUITES = {
-    "einstein": (suite_einstein,
-                 "Ricci of dd^c log-kernel equals -1 on the catalog",
-                 ["hermgeo.ricci", "domains.bergman_potential"]),
-    "delta-identity": (suite_delta_identity,
-                       "Delta|dphi|^2 = |Hess phi|^2 + n - K|dphi|^2",
-                       ["hermgeo.laplacian", "hermgeo.hessian_norm_sq"]),
-    "key-equation": (suite_key_equation,
-                     "phi_{a;b} phi^a = -phi_b at constant gradient length",
-                     ["hermgeo.covariant_hessian"]),
-    "constant-length": (suite_constant_length,
-                        "rescaled ball potential has |dphi|^2 = (n+1)/K",
-                        ["potentials.rescaled_ball_potential",
-                         "hermgeo.gradient_length_sq"]),
-    "dbar-defect": (suite_dbar_defect,
-                    "|nabla'' V|^2 vanishes for certified potentials",
-                    ["vfield.dbar_defect", "vfield.dbar_defect_closed_form"]),
-    "flow": (suite_flow,
-             "Re W conserves phi; the Re V flow acts by isometries",
-             ["vfield.integrate_flow", "vfield.pullback_metric_deviation"]),
-    "kai-ohsawa": (suite_kai_ohsawa,
-                   "constant length of the Siegel pullback; bound rank*c",
-                   ["potentials.kai_ohsawa_constant",
-                    "domains.siegel_log_kernel_on_polydisc_slice"]),
-    "ball-minimality": (suite_ball_minimality,
-                        "rank*c exceeds n+1 except for the ball",
-                        ["potentials.ball_minimality_report"]),
-    "cheng-yau": (suite_cheng_yau,
-                  "radial solver matches the closed ball solution",
-                  ["chengyau.shoot", "chengyau.boundary_limit_estimate"]),
-    "table1": (suite_table1,
-               "catalog invariants match their closed forms",
-               ["domains.table_records"]),
-}
-
-
-def run_suite(name: str, config: dict | None = None) -> VerificationReport:
-    if name not in SUITES:
-        raise ConfigError(
-            f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
-        )
-    fn, _, _ = SUITES[name]
-    return fn(dict(config or {}))
+    coincide = all(invariants(ball(n)) == invariants(type_i(1, n))
+                   for n in (1, 2, 3, 5))
+    rows.append({"kind": "ball(n) = type1(1,n)",
+                 "residuals": {"mismatch": 0.0 if coincide else 1.0}})
+    params = {"ball_is_type1_1n": bool(coincide),
+              "norm_exponents": _NORM_EXPONENTS}
+    return None, params, rows
 
 
 def default_config() -> dict:
     return {"seed": 0, "suites": {name: {} for name in SUITES}}
 
 
-def run_all(config: dict, out_dir=None, jobs: int = 1):
-    """Run every configured suite; returns (reports, all_passed).
+def run_all(config: dict, out_dir=None):
+    """Run every configured suite in order; returns (reports, all_passed).
 
-    Suites run concurrently up to ``jobs``; each draws from its own seeded
-    generator so the reports are independent of scheduling.
+    Every suite's config is checked before the first suite runs.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
+    unknown = sorted(set(config) - {"seed", "suites"})
+    _require(not unknown, f"unknown config key(s) {', '.join(unknown)}; "
+                          "accepted: seed, suites")
     suite_cfgs = config.get("suites") or {name: {} for name in SUITES}
     seed = int(config.get("seed", 0))
-    names = [n for n in SUITES if n in suite_cfgs]
     for name in suite_cfgs:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r} in config")
-
-    def one(name):
-        cfg = dict(suite_cfgs.get(name) or {})
-        cfg.setdefault("seed", seed)
+    cfgs = {}
+    for name in SUITES:
+        if name not in suite_cfgs:
+            continue
+        cfg = {"seed": seed, **(suite_cfgs[name] or {})}
         if out_dir is not None:
             if name == "flow":
                 cfg.setdefault("trajectory_csv",
@@ -650,13 +539,9 @@ def run_all(config: dict, out_dir=None, jobs: int = 1):
             if name == "cheng-yau":
                 cfg.setdefault("solution_csv",
                                str(out_dir / "cheng_yau_solution.csv"))
-        return run_suite(name, cfg)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, names))
-    else:
-        reports = [one(name) for name in names]
+        _resolve_config(name, cfg)
+        cfgs[name] = cfg
+    reports = [run_suite(name, cfg) for name, cfg in cfgs.items()]
     return reports, all(r.passed for r in reports)
 
 
@@ -666,8 +551,8 @@ def summary_dict(reports) -> dict:
             r.suite: {
                 "pass": r.passed,
                 "max_residual": r.max_residual,
-                "checks": SUITES[r.suite][1],
-                "operations": SUITES[r.suite][2],
+                "checks": SUITES[r.suite].checks,
+                "operations": SUITES[r.suite].operations,
             }
             for r in reports
         },

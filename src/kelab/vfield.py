@@ -65,7 +65,7 @@ def vector_field(p, z, require_certificate: bool = True) -> VectorFieldAt:
     z = as_point(z)
     frame, phi_z, phi_up = _gradient_parts(p, z)
     factor = _exp_factor(p, frame.jet.value())
-    length = float(np.sqrt(max(hermgeo.gradient_length_sq(p, frame), 0.0)))
+    length = float(np.sqrt(max(hermgeo.gradient_length_sq(frame), 0.0)))
     return VectorFieldAt(
         point=z,
         components=1j * factor * phi_up,
@@ -89,7 +89,7 @@ def dbar_defect(p, z) -> float:
     phi_up = frame.raise_index(phi_z)
     n = frame.dim
     K = p.ricci_constant
-    H = hermgeo.covariant_hessian(p, frame)
+    H = hermgeo.covariant_hessian(frame)
     raised_conj_hessian = frame.g_inv.T @ np.conj(H)  # [a, b] = g^{a mbar} conj(H[m, b])
     T = (K / (n + 1)) * np.outer(phi_up, np.conj(phi_z)) + raised_conj_hessian
     factor = _exp_factor(p, frame.jet.value())
@@ -112,7 +112,7 @@ def dbar_defect_closed_form(p, z) -> float:
     """
     z = as_point(z)
     frame = hermgeo.metric_from_potential(p, z, order=2)
-    L = hermgeo.gradient_length_sq(p, frame)
+    L = hermgeo.gradient_length_sq(frame)
     n = frame.dim
     K = p.ricci_constant
     return float(

@@ -39,7 +39,7 @@ def test_criterion_01_ball_gradient_law():
         rng = np.random.default_rng(100 + n)
         for z in sample_interior(p.domain, rng, 200):
             frame = hermgeo.metric_from_potential(p, z)
-            val = hermgeo.gradient_length_sq(p, frame)
+            val = hermgeo.gradient_length_sq(frame)
             worst = max(worst, abs(val - float(np.sum(np.abs(z) ** 2))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 1.0
@@ -55,7 +55,7 @@ def test_criterion_02_constant_length():
         rng = np.random.default_rng(17)
         for z in sample_interior(p.domain, rng, 200):
             frame = hermgeo.metric_from_potential(p, z)
-            worst = max(worst, abs(hermgeo.gradient_length_sq(p, frame) - target))
+            worst = max(worst, abs(hermgeo.gradient_length_sq(frame) - target))
     assert _announce(2, worst <= 1e-8, f"max dev {worst:.2e}")
 
 
@@ -308,7 +308,7 @@ def test_criterion_11_oracle_coherence():
         worst_radial = max(
             worst_radial,
             abs(chengyau.radial_gradient_length(rp, tg)
-                - hermgeo.gradient_length_sq(field, frame)),
+                - hermgeo.gradient_length_sq(frame)),
         )
     ok = worst <= 1e-6 and worst_radial <= 1e-6
     assert _announce(

@@ -113,7 +113,7 @@ def test_gradient_length_consistent_with_frames():
         z = np.zeros(n, dtype=complex)
         z[0] = np.sqrt(tg)
         frame = hermgeo.metric_from_potential(field, z)
-        full = hermgeo.gradient_length_sq(field, frame)
+        full = hermgeo.gradient_length_sq(frame)
         assert radial_gradient_length(rp, tg) == pytest.approx(full, abs=1e-6)
 
 

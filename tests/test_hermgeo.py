@@ -61,30 +61,30 @@ def test_ball_gradient_length_law(n):
     rng = np.random.default_rng(n)
     for z in sample_interior(p.domain, rng, 50):
         frame = hermgeo.metric_from_potential(p, z)
-        assert hermgeo.gradient_length_sq(p, frame) == pytest.approx(
+        assert hermgeo.gradient_length_sq(frame) == pytest.approx(
             float(np.sum(np.abs(z) ** 2)), abs=1e-12
         )
 
 
 def test_gradient_length_at_critical_point(phi_rho_2):
     frame = hermgeo.metric_from_potential(phi_rho_2, np.zeros(2, complex))
-    assert hermgeo.gradient_length_sq(phi_rho_2, frame) == 0.0
-    assert hermgeo.d_length_sq(phi_rho_2, frame) == 0.0
+    assert hermgeo.gradient_length_sq(frame) == 0.0
+    assert hermgeo.d_length_sq(frame) == 0.0
 
 
 def test_rescaled_gradient_length_point(rescaled_23):
     z = np.array([0.3, 0.4], dtype=complex)
     frame = hermgeo.metric_from_potential(rescaled_23, z)
-    assert hermgeo.gradient_length_sq(rescaled_23, frame) == pytest.approx(1.0, abs=1e-12)
-    assert hermgeo.d_length_sq(rescaled_23, frame) == pytest.approx(2.0, abs=1e-12)
+    assert hermgeo.gradient_length_sq(frame) == pytest.approx(1.0, abs=1e-12)
+    assert hermgeo.d_length_sq(frame) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_covariant_hessian_examples(rescaled_23):
     z0 = np.zeros(2, complex)
     frame = hermgeo.metric_from_potential(rescaled_23, z0)
-    H = hermgeo.covariant_hessian(rescaled_23, frame)
+    H = hermgeo.covariant_hessian(frame)
     np.testing.assert_allclose(H, [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14)
-    assert hermgeo.hessian_norm_sq(rescaled_23, frame) == pytest.approx(1.0, abs=1e-14)
+    assert hermgeo.hessian_norm_sq(frame) == pytest.approx(1.0, abs=1e-14)
     # contraction with the raised gradient reproduces -phi_b at the center
     phi_z = frame.jet.holo_gradient()
     contraction = np.einsum("ab,a->b", H, frame.raise_index(phi_z))
@@ -92,7 +92,7 @@ def test_covariant_hessian_examples(rescaled_23):
     # symmetry away from the center
     z = np.array([0.3 + 0.15j, -0.2 + 0.25j])
     frame = hermgeo.metric_from_potential(rescaled_23, z)
-    H = hermgeo.covariant_hessian(rescaled_23, frame)
+    H = hermgeo.covariant_hessian(frame)
     np.testing.assert_allclose(H, H.T, atol=1e-13)
 
 
@@ -101,9 +101,9 @@ def test_flat_fixture_hessian_vanishes():
     z = np.array([0.3 + 0.1j, -0.2j])
     frame = hermgeo.metric_from_potential(p, z)
     np.testing.assert_allclose(
-        hermgeo.covariant_hessian(p, frame), 0.0, atol=1e-14
+        hermgeo.covariant_hessian(frame), 0.0, atol=1e-14
     )
-    assert hermgeo.hessian_norm_sq(p, frame) == pytest.approx(0.0, abs=1e-14)
+    assert hermgeo.hessian_norm_sq(frame) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_key_equation_across_constructions():
@@ -119,7 +119,7 @@ def test_hessian_norm_lower_bound_at_constant_length():
     rng = np.random.default_rng(23)
     for z in sample_interior(p.domain, rng, 30):
         frame = hermgeo.metric_from_potential(p, z)
-        assert hermgeo.hessian_norm_sq(p, frame) >= 1.0 - 1e-9
+        assert hermgeo.hessian_norm_sq(frame) >= 1.0 - 1e-9
 
 
 def test_laplacian_flat_quadratic():
@@ -240,14 +240,14 @@ def test_stacked_frames_match_per_point(kind):
                                   shrink=0.9))
     order = min(3, p.analytic_order)
     stacked = hermgeo.metric_from_potential(p, zs, order=order)
-    lengths = hermgeo.gradient_length_sq(p, stacked)
+    lengths = hermgeo.gradient_length_sq(stacked)
     assert stacked.log_det_g.shape == lengths.shape == (len(zs),)
     for i, z in enumerate(zs):
         one = hermgeo.metric_from_potential(p, z, order=order)
         pairs = [(stacked.g[i], one.g), (stacked.g_inv[i], one.g_inv),
                  (stacked.christoffel[i], one.christoffel),
                  (stacked.log_det_g[i], one.log_det_g),
-                 (lengths[i], hermgeo.gradient_length_sq(p, one))]
+                 (lengths[i], hermgeo.gradient_length_sq(one))]
         pairs += [(t[i], one.jet.tensors[k])
                   for k, t in stacked.jet.tensors.items()]
         for a, b in pairs:

@@ -45,21 +45,21 @@ def test_rescaled_center_values():
     z0 = np.zeros(2, complex)
     assert p(z0) == pytest.approx(0.0, abs=1e-15)
     frame = hermgeo.metric_from_potential(p, z0)
-    assert hermgeo.gradient_length_sq(p, frame) == pytest.approx(1.0, abs=1e-14)
+    assert hermgeo.gradient_length_sq(frame) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rescaled_random_point():
     p = potentials.rescaled_ball_potential(2, 3.0)
     z = np.array([0.3 + 0.2j, -0.4 + 0j])
     frame = hermgeo.metric_from_potential(p, z)
-    assert hermgeo.gradient_length_sq(p, frame) == pytest.approx(1.0, abs=1e-8)
+    assert hermgeo.gradient_length_sq(frame) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_rescaled_constant_scales_with_ricci():
     p = potentials.rescaled_ball_potential(2, 1.0)
     z = np.array([0.1 + 0.4j, 0.2 - 0.1j])
     frame = hermgeo.metric_from_potential(p, z)
-    assert hermgeo.gradient_length_sq(p, frame) == pytest.approx(3.0, abs=1e-10)
+    assert hermgeo.gradient_length_sq(frame) == pytest.approx(3.0, abs=1e-10)
 
 
 def test_rescaled_singular_at_pole():
@@ -90,13 +90,13 @@ def test_rescaled_constant_length_sweep_analytic_and_fd():
     for z in pts:
         frame = hermgeo.metric_from_potential(p, z)
         worst_analytic = max(
-            worst_analytic, abs(hermgeo.gradient_length_sq(p, frame) - 1.0)
+            worst_analytic, abs(hermgeo.gradient_length_sq(frame) - 1.0)
         )
     assert worst_analytic <= 1e-8
     worst_fd = 0.0
     for z in pts[:25]:
         frame = hermgeo.metric_from_potential(fd_only, z)
-        worst_fd = max(worst_fd, abs(hermgeo.gradient_length_sq(fd_only, frame) - 1.0))
+        worst_fd = max(worst_fd, abs(hermgeo.gradient_length_sq(frame) - 1.0))
     assert worst_fd <= 1e-4
 
 
@@ -121,9 +121,9 @@ def test_certificate_rejects_nan_length(monkeypatch):
     real = hermgeo.gradient_length_sq
     calls = []
 
-    def one_nan(p, frame):
+    def one_nan(frame):
         calls.append(frame)
-        return float("nan") if len(calls) == 4 else real(p, frame)
+        return float("nan") if len(calls) == 4 else real(frame)
 
     monkeypatch.setattr(hermgeo, "gradient_length_sq", one_nan)
     p = potentials.rescaled_ball_potential(2, 3.0)
@@ -145,7 +145,7 @@ def test_product_of_rescaled_disks():
     rng = np.random.default_rng(5)
     for z in sample_interior(prod.domain, rng, 40):
         frame = hermgeo.metric_from_potential(prod, z)
-        val = hermgeo.gradient_length_sq(prod, frame)
+        val = hermgeo.gradient_length_sq(frame)
         assert val == pytest.approx(4.0 / K, abs=1e-10)
     # strictly above the irreducible bound (n+1)/K = 3/K on the 2-dim product
     assert 4.0 / K > 3.0 / K
@@ -158,10 +158,10 @@ def test_product_additivity_pointwise():
     rng = np.random.default_rng(6)
     for z in sample_interior(prod.domain, rng, 20):
         frame = hermgeo.metric_from_potential(prod, z)
-        total = hermgeo.gradient_length_sq(prod, frame)
+        total = hermgeo.gradient_length_sq(frame)
         f1 = hermgeo.metric_from_potential(p1, z[:1])
         f2 = hermgeo.metric_from_potential(p2, z[1:])
-        parts = hermgeo.gradient_length_sq(p1, f1) + hermgeo.gradient_length_sq(p2, f2)
+        parts = hermgeo.gradient_length_sq(f1) + hermgeo.gradient_length_sq(f2)
         assert total == pytest.approx(parts, abs=1e-10)
 
 

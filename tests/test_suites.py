@@ -1,0 +1,175 @@
+"""The suite harness: schemas, the residual fold, strict JSON reports."""
+
+import dataclasses
+import functools
+import json
+import math
+
+import pytest
+
+import kelab
+from kelab import cli, hermgeo, suites
+from kelab.domains import DomainModel
+from kelab.errors import ConfigError
+from kelab.suites import SUITES, VerificationReport, run_all, run_suite
+
+#: every suite at a size that runs in about a second (cheng-yau has no size
+#: key and runs its default shoot)
+MINIMAL = {
+    "einstein": {"samples": 1, "domains": [{"kind": "ball", "n": 2}]},
+    "delta-identity": {"samples": 1},
+    "key-equation": {"samples": 2},
+    "constant-length": {"samples": 2, "domain": {"kind": "ball", "n": 2}},
+    "dbar-defect": {"samples": 2},
+    "flow": {"horizon": 0.04, "dt": 0.04},
+    "kai-ohsawa": {"max_dimension": 1},
+    "ball-minimality": {},
+    "cheng-yau": {},
+    "table1": {},
+}
+
+
+def test_minimal_configs_cover_every_suite():
+    assert set(MINIMAL) == set(SUITES)
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("name", list(MINIMAL))
+def test_suite_folds_and_echoes_every_key(name, tmp_path):
+    schema = SUITES[name].schema
+    config = {key: default for key, default in schema.items()
+              if default is not None}
+    config.update(MINIMAL[name])
+    config["seed"] = 3
+    outputs = {key: tmp_path / f"{key}.csv" for key in schema
+               if key.endswith("_csv")}
+    config.update({key: str(path) for key, path in outputs.items()})
+
+    report = json.loads(run_suite(name, config).to_json(),
+                        parse_constant=_raise_on_constant)
+    rows = report["samples"]
+    assert rows
+    assert report["max_residual"] == max(
+        r for row in rows for r in row["residuals"].values())
+    assert report["pass"] == (report["max_residual"] <= config["tol"])
+
+    params, domain = report["params"], report["domain"]
+    for key, value in config.items():
+        if key in outputs:
+            assert outputs[key].exists(), key
+        elif key in params:
+            assert params[key] == value, key
+        elif isinstance(domain, dict) and key in domain:
+            assert domain[key] == value, key
+        else:
+            assert domain == value, key
+
+
+@pytest.mark.parametrize("name", list(MINIMAL))
+def test_unknown_key_is_config_error(name):
+    with pytest.raises(ConfigError) as err:
+        run_suite(name, {**MINIMAL[name], "smaples": 5})
+    for key in SUITES[name].schema:
+        assert key in str(err.value)
+
+
+@pytest.mark.parametrize("name, config", [
+    ("einstein", {"domain": {"kind": "type1", "p": 2, "q": 3}}),
+    ("key-equation", {"smaples": 999, "ricci": 3.0}),
+    ("key-equation", {"K": 5.0}),
+    ("table1", {"n": 3}),
+    ("flow", {"samples": 10}),
+])
+def test_keys_a_suite_does_not_read_are_rejected(name, config):
+    with pytest.raises(ConfigError):
+        run_suite(name, config)
+
+
+def test_bad_values_are_config_errors():
+    with pytest.raises(ConfigError):
+        run_suite("key-equation", {"samples": -1})
+    with pytest.raises(ConfigError):
+        run_suite("key-equation", {"ricci": 0.0})
+    with pytest.raises(ConfigError):
+        run_suite("key-equation", {"n": "two"})
+    with pytest.raises(ConfigError):
+        run_suite("einstein", {"domains": []})
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "einstein", "--domain", "type1", "--p", "2", "--q", "3"],
+    ["run", "table1", "--n", "3"],
+])
+def test_cli_rejects_keys_the_suite_does_not_take(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "accepted keys" in capsys.readouterr().err
+
+
+def test_run_all_checks_every_suite_before_running_one(monkeypatch):
+    ran = []
+    monkeypatch.setattr(suites, "run_suite",
+                        lambda name, cfg: ran.append(name))
+    config = {"suites": {"table1": {}, "key-equation": {"bogus": 1}}}
+    with pytest.raises(ConfigError):
+        run_all(config)
+    with pytest.raises(ConfigError):
+        run_all({"seed": 1, "suits": {}})
+    assert ran == []
+
+
+def test_nan_report_is_strict_json_and_fails(monkeypatch):
+    real = hermgeo.key_equation_residual
+    calls = []
+
+    def one_nan(p, z):
+        calls.append(z)
+        return float("nan") if len(calls) == 2 else real(p, z)
+
+    monkeypatch.setattr(hermgeo, "key_equation_residual", one_nan)
+    report = run_suite("key-equation", {"samples": 3, "seed": 1})
+    data = json.loads(report.to_json(), parse_constant=_raise_on_constant)
+    assert data["pass"] is False
+    assert data["max_residual"] == "NaN"
+    assert data["samples"][1]["residuals"]["key_equation"] == "NaN"
+    assert math.isnan(float(data["max_residual"]))
+
+
+def test_infinities_are_written_as_strings():
+    report = VerificationReport(
+        suite="key-equation", domain=None, params={"tol": 1e-6},
+        samples=[{"residuals": {"a": float("inf"), "b": -float("inf"),
+                                "c": 1.5}}],
+        max_residual=float("inf"), passed=False, runtime_ms=0)
+    data = json.loads(report.to_json(), parse_constant=_raise_on_constant)
+    assert data["samples"][0]["residuals"] == {
+        "a": "Infinity", "b": "-Infinity", "c": 1.5}
+    assert float(data["max_residual"]) == float("inf")
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_operations_name_kelab_attributes(name):
+    for op in SUITES[name].operations:
+        functools.reduce(getattr, op.split("."), kelab)
+
+
+def test_table1_fails_when_ball_is_not_type1_1n(monkeypatch):
+    real = DomainModel.invariants
+
+    def off_by_one(self):
+        rec = real(self)
+        if self.label == "type1(1,5)":
+            return dataclasses.replace(rec, c=rec.c + 1)
+        return rec
+
+    monkeypatch.setattr(DomainModel, "invariants", off_by_one)
+    report = run_suite("table1", {})
+    assert report.passed is False
+    assert report.max_residual == 1.0
+    assert report.params["ball_is_type1_1n"] is False
+    *table, coincidence = report.samples
+    assert coincidence == {"kind": "ball(n) = type1(1,n)",
+                           "residuals": {"mismatch": 1.0}}
+    assert all(row["residuals"]["mismatch"] == 0.0 for row in table)
