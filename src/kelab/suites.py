@@ -148,11 +148,25 @@ def _suite(name, checks, operations, tol, **keys):
     return register
 
 
+def _number(name, key, value, kind):
+    """``value`` as ``kind`` (int or float).  An int key takes an integral
+    value such as 2.0 but rejects 2.9 instead of truncating it."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: {key} must be a number, "
+                          f"got {value!r}") from None
+    _require(kind is not int or isinstance(value, str) or number == value,
+             f"{name}: {key} must be an integer, got {value!r}")
+    return number
+
+
 def _resolve_config(name: str, config: dict) -> dict:
     """``config`` checked against the suite's schema, defaults filled in.
 
     A missing or ``None`` value takes the default; numbers are converted
-    to the type of their default.  ``samples`` 0 means the default.
+    to the type of their default (see ``_number``).  ``samples`` 0 means
+    the default.
     """
     if name not in SUITES:
         raise ConfigError(
@@ -169,11 +183,7 @@ def _resolve_config(name: str, config: dict) -> dict:
         if value is None:
             value = default
         elif isinstance(default, (int, float)):
-            try:
-                value = type(default)(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name}: {key} must be a number, "
-                                  f"got {value!r}") from None
+            value = _number(name, key, value, type(default))
         cfg[key] = value
     _require(cfg["tol"] > 0, f"tolerance must be positive, got {cfg['tol']}")
     if "samples" in cfg:
@@ -268,10 +278,23 @@ def _key_equation(cfg):
 
 @_suite("constant-length", "rescaled ball potential has |dphi|^2 = (n+1)/K",
         ["potentials.rescaled_ball_potential", "hermgeo.gradient_length_sq"],
-        tol=1e-8, samples=200, n=2, ricci=3.0, domain=None)
+        tol=1e-8, samples=200, n=None, ricci=3.0, domain=None)
 def _constant_length(cfg):
-    """|L - (n+1)/K| for the rescaled ball potential on ``domain`` (ball(n))."""
-    d = ball(cfg["n"]) if cfg["domain"] is None else _domain(cfg["domain"])
+    """|L - (n+1)/K| for the rescaled ball potential on ``domain``.
+
+    ``domain`` defaults to ball(n) and ``n`` to the domain's dimension (2
+    when neither is given); an ``n`` the domain disagrees with is a config
+    error.
+    """
+    n = cfg["n"]
+    if n is not None:
+        n = _number("constant-length", "n", n, int)
+    if cfg["domain"] is None:
+        d = ball(2 if n is None else n)
+    else:
+        d = _domain(cfg["domain"])
+        _require(n is None or n == d.n,
+                 f"constant-length: n = {n} disagrees with {d.label}")
     _require(d.kind == BALL, "constant-length suite runs on ball domains")
     K = cfg["ricci"]
     p = potentials.rescaled_ball_potential(d.n, K)
@@ -283,7 +306,7 @@ def _constant_length(cfg):
         r = abs(hermgeo.gradient_length_sq(frame) - target)
         rows.append({"point": _point_json(z),
                      "residuals": {"length_deviation": r}})
-    return d.to_json(), {"ricci": K, "target": target}, rows
+    return d.to_json(), {"n": d.n, "ricci": K, "target": target}, rows
 
 
 @_suite("dbar-defect", "|nabla'' V|^2 vanishes for certified potentials",

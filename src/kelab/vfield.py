@@ -13,7 +13,9 @@ diagnostic that vanishes exactly in the certified case), and
     Re W:  dz/dt = i phi^a(z)          (tangent to the level sets of phi)
     Re V:  dz/dt = i e^(K phi/(n+1)) phi^a(z)
 
-with fixed-step RK4.
+with fixed-step RK4.  One integrator serves every flow: it advances an
+(M, n) stack of start points in lockstep, each row with its own time and
+generator, and builds each RK4 stage's frames in one stacked call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import hermgeo
 from .errors import CertificateError, FlowExitError
-from .jets import as_point
+from .jets import as_point, as_points
 
 MAX_HORIZON = 10.0
 
@@ -135,80 +137,116 @@ def level_set_tangency(p, z) -> float:
 # ---------------------------------------------------------------------------
 # flows
 
-def _velocity(p, generator):
-    K = p.ricci_constant
+def _velocity(p, z, re_v):
+    """Re W, or Re V on the rows where ``re_v`` holds, at an (M, n) stack.
+
+    Re V is the Re W velocity i phi^a times e^(K phi/(n+1)); one stacked
+    frame serves every row.
+    """
+    frame = hermgeo.metric_from_potential(p, z, order=2)
+    phi_up = frame.raise_index(frame.jet.holo_gradient())
     n = p.domain.n
-
-    if generator == "re_w":
-        def vel(z):
-            frame, phi_z, phi_up = _gradient_parts(p, z)
-            return 1j * phi_up
-    elif generator == "re_v":
-        def vel(z):
-            frame, phi_z, phi_up = _gradient_parts(p, z)
-            return 1j * np.exp(K * frame.jet.value() / (n + 1)) * phi_up
-    else:
-        raise ValueError(f"unknown generator {generator!r}; use re_w or re_v")
-    return vel
+    factor = np.where(re_v, np.exp(p.ricci_constant * frame.jet.value()
+                                   / (n + 1)), 1.0)
+    return (1j * factor)[:, None] * phi_up
 
 
-def integrate_flow(p, z0, t: float, dt: float = 1e-3,
-                   generator: str = "re_w") -> np.ndarray:
+def _rk4(p, z0, t, dt, generator, record_every=0):
+    """Lockstep RK4 of an (M, n) stack of start points.
+
+    Row i runs round(|t_i|/dt) steps of h_i = t_i/steps_i under its own
+    generator and then freezes; each RK4 stage is one stacked frame over
+    the rows still running.  ``t`` and ``generator`` are one value for all
+    rows or one per row.  Returns [(times, states)] of the whole stack at
+    the start, after every ``record_every``-th lockstep step and after the
+    last (``record_every=0`` records only the ends).
+
+    Every accepted step is checked for membership.  Rows that leave the
+    domain stop; the others run on while they could still leave earlier,
+    and the earliest exit (the lowest row on ties) is raised as a
+    ``FlowExitError`` carrying that row's exit time.
+    """
+    m = len(z0)
+    t = np.broadcast_to(np.asarray(t, dtype=float), (m,))
+    generator = np.broadcast_to(np.asarray(generator), (m,))
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    for ti in t:
+        if abs(ti) > MAX_HORIZON:
+            raise ValueError(f"|t| capped at {MAX_HORIZON} (requested {ti})")
+    for g in generator:
+        if g not in ("re_w", "re_v"):
+            raise ValueError(f"unknown generator {g!r}; use re_w or re_v")
+    d = p.domain
+    for zi in z0:
+        if not d.contains(zi):
+            raise FlowExitError(f"initial point {zi!r} outside {d.label}", 0.0)
+    steps = np.array([int(round(abs(ti) / dt)) for ti in t])
+    h = np.array([ti / s if s else 0.0 for ti, s in zip(t, steps)])
+    abs_h = np.abs(h)
+    re_v = generator == "re_v"
+    last = int(steps.max())
+
+    z = z0.copy()
+    record = [(np.zeros(m), z.copy())]
+    exits = []  # (|exit time|, row, exit time)
+    earliest = np.inf
+    left = np.zeros(m, dtype=bool)
+    for k in range(1, last + 1):
+        run = np.flatnonzero((steps >= k) & ~left
+                             & (k * abs_h <= earliest))
+        if not run.size:
+            break
+        zr, hr, rv = z[run], h[run, None], re_v[run]
+        k1 = _velocity(p, zr, rv)
+        k2 = _velocity(p, zr + 0.5 * hr * k1, rv)
+        k3 = _velocity(p, zr + 0.5 * hr * k2, rv)
+        k4 = _velocity(p, zr + hr * k3, rv)
+        z[run] = zr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        for i in run:
+            if not d.contains(z[i]):
+                tk = float(k * h[i])
+                exits.append((abs(tk), i, tk))
+                earliest = min(earliest, abs(tk))
+                left[i] = True
+        if record_every and (k % record_every == 0 or k == last):
+            record.append((k * h, z.copy()))
+    if exits:
+        _, i, tk = min(exits)
+        row = f" (row {i})" if m > 1 else ""
+        raise FlowExitError(f"trajectory{row} left {d.label} at t={tk:.6f}",
+                            tk)
+    if not record_every:
+        record.append((last * h, z.copy()))
+    return record
+
+
+def integrate_flow(p, z0, t, dt: float = 1e-3, generator="re_w") -> np.ndarray:
     """Endpoint of the RK4 trajectory of Re W or Re V from z0.
 
-    The membership of every accepted step is checked; leaving the domain
-    raises ``FlowExitError`` with the exit time.
+    ``z0`` is a point (n,) or a stack (M, n) of start points, integrated
+    in lockstep; ``t`` and ``generator`` are one value for every row or
+    one per row.  Leaving the domain raises ``FlowExitError`` with the
+    exit time (the earliest one in a stack).
     """
-    traj = flow_trajectory(p, z0, t, dt=dt, generator=generator,
-                           record_every=0)
-    return traj["points"][-1]
+    z = as_points(z0)
+    ends = _rk4(p, np.atleast_2d(z), t, dt, generator)[-1][1]
+    return ends if z.ndim == 2 else ends[0]
 
 
 def flow_trajectory(p, z0, t: float, dt: float = 1e-3,
                     generator: str = "re_w", record_every: int = 1) -> dict:
-    """Integrate and optionally record the trajectory.
+    """Integrate one trajectory and optionally record it.
 
     Returns {"times": array, "points": list of coordinate vectors,
     "values": array of phi along the way}.  ``record_every=0`` records
     only the endpoints.
     """
     z0 = as_point(z0)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if abs(t) > MAX_HORIZON:
-        raise ValueError(f"|t| capped at {MAX_HORIZON} (requested {t})")
-    d = p.domain
-    if not d.contains(z0):
-        raise FlowExitError(f"initial point {z0!r} outside {d.label}", 0.0)
-    vel = _velocity(p, generator)
-    steps = int(round(abs(t) / dt))
-    h = (t / steps) if steps else 0.0
-
-    times = [0.0]
-    points = [z0.copy()]
-    values = [p(z0)]
-    z = z0.copy()
-    for k in range(steps):
-        k1 = vel(z)
-        k2 = vel(z + 0.5 * h * k1)
-        k3 = vel(z + 0.5 * h * k2)
-        k4 = vel(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        tk = (k + 1) * h
-        if not d.contains(z):
-            raise FlowExitError(
-                f"trajectory left {d.label} at t={tk:.6f}", tk
-            )
-        if record_every and ((k + 1) % record_every == 0 or k + 1 == steps):
-            times.append(tk)
-            points.append(z.copy())
-            values.append(p(z))
-    if not record_every:
-        times.append(steps * h)
-        points.append(z.copy())
-        values.append(p(z))
-    return {"times": np.array(times), "points": points,
-            "values": np.array(values)}
+    record = _rk4(p, z0[None], t, dt, generator, record_every)
+    points = [z[0] for _, z in record]
+    return {"times": np.array([times[0] for times, _ in record]),
+            "points": points, "values": np.array([p(z) for z in points])}
 
 
 def trajectory_to_csv(traj: dict, path) -> None:
@@ -239,20 +277,19 @@ def pullback_metric_deviation(p, z0, t: float, dt: float = 1e-3,
     """
     z0 = as_point(z0)
     n = len(z0)
-
-    def flow(z):
-        return integrate_flow(p, z, t, dt=dt, generator="re_v")
+    # rows 2b and 2b+1 start at z0 + and - jac_step e_b, row 2n at z0
+    starts = np.repeat(z0[None], 2 * n + 1, axis=0)
+    for b in range(n):
+        starts[2 * b, b] += jac_step
+        starts[2 * b + 1, b] -= jac_step
+    ends = integrate_flow(p, starts, t, dt=dt, generator="re_v")
 
     J = np.zeros((n, n), dtype=complex)
     for b in range(n):
-        zp = z0.copy()
-        zp[b] += jac_step
-        zm = z0.copy()
-        zm[b] -= jac_step
-        J[:, b] = (flow(zp) - flow(zm)) / (2.0 * jac_step)
+        J[:, b] = (ends[2 * b] - ends[2 * b + 1]) / (2.0 * jac_step)
 
     g0 = hermgeo.metric_from_potential(p, z0, order=2).g
-    g1 = hermgeo.metric_from_potential(p, flow(z0), order=2).g
+    g1 = hermgeo.metric_from_potential(p, ends[2 * n], order=2).g
     pulled = J.T @ g1 @ np.conj(J)
     return float(np.max(np.abs(pulled - g0)))
 
@@ -265,6 +302,6 @@ def reparametrization_deviation(p, z0, t: float, dt: float = 1e-3) -> float:
     """
     z0 = as_point(z0)
     s = _exp_factor(p, p(z0))
-    end_v = integrate_flow(p, z0, t, dt=dt, generator="re_v")
-    end_w = integrate_flow(p, z0, s * t, dt=dt, generator="re_w")
+    end_v, end_w = integrate_flow(p, np.stack([z0, z0]), [t, s * t], dt=dt,
+                                  generator=["re_v", "re_w"])
     return float(np.max(np.abs(end_v - end_w)))

@@ -1,6 +1,7 @@
 """Radial Monge-Ampere solver: closed forms, shooting, boundary limits."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from kelab import chengyau, domains, hermgeo, potentials
 from kelab.errors import BracketingError, DegenerateMetricError, ResolutionError
 from kelab.chengyau import (
     RadialPotential,
+    _assert_monotone,
+    _integrate,
     ball_center_value,
     ball_closed_form,
     boundary_limit_estimate,
@@ -17,6 +20,7 @@ from kelab.chengyau import (
     radial_ode_residual,
     shoot,
 )
+from kelab.suites import run_suite
 
 
 def test_residual_vanishes_on_closed_form():
@@ -149,3 +153,85 @@ def test_solution_csv(tmp_path):
         thin_rows = list(csv.reader(fh))
     assert 3 <= len(thin_rows) <= 2500
     assert float(thin_rows[-1][0]) == pytest.approx(rp.grid[-1], abs=1e-15)
+
+
+def _reference_integrate(n, K, phi0, dtau, tau_end):
+    """The RK4 loop written with a stage function: (blow-up tau, taus, phis,
+    psis).  The solver's hand-written loop must reproduce it bit for bit."""
+    class BlowUp(Exception):
+        pass
+
+    def f(tau_c, phi_c, psi_c):
+        t = 1.0 - math.exp(-tau_c)
+        om = 1.0 - t
+        if K * phi_c > 690.0 or psi_c <= 0.0:
+            raise BlowUp
+        return om * psi_c, om * (
+            (math.exp(K * phi_c) * psi_c ** (1.0 - n) - psi_c) / t)
+
+    tau = -math.log1p(-chengyau._SERIES_START)
+    phi, psi = chengyau._series_start(n, K, phi0)
+    taus, phis, psis = [tau], [phi], [psi]
+    for _ in range(int(math.ceil((tau_end - tau) / dtau))):
+        h = dtau
+        try:
+            k1 = f(tau, phi, psi)
+            k2 = f(tau + 0.5 * h, phi + 0.5 * h * k1[0], psi + 0.5 * h * k1[1])
+            k3 = f(tau + 0.5 * h, phi + 0.5 * h * k2[0], psi + 0.5 * h * k2[1])
+            k4 = f(tau + h, phi + h * k3[0], psi + h * k3[1])
+        except (BlowUp, OverflowError):
+            return tau, taus, phis, psis
+        phi += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        psi += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        tau += h
+        taus.append(tau)
+        phis.append(phi)
+        psis.append(psi)
+        if not math.isfinite(psi) or psi > chengyau.BLOWUP_THRESHOLD:
+            return tau, taus, phis, psis
+    return None, taus, phis, psis
+
+
+@pytest.mark.parametrize("offset, blows_up", [
+    (0.5, True), (-0.5, False), (1e-9, None)])
+def test_search_integration_records_nothing_and_agrees(offset, blows_up):
+    """Super-, sub- and near-critical starts: the non-recording run keeps
+    the recording run's final state, watched step and blow-up tau."""
+    n, K = 2, 3.0
+    phi0 = ball_center_value(n, K) + offset
+    dtau, tau_end = chengyau._SEARCH_DTAU, chengyau._SEARCH_TAU
+    watch = tau_end - 1.0
+    record = ([], [], [])
+    recorded = _integrate(n, K, phi0, dtau, tau_end, watch=watch,
+                          record=record)
+    blow_up, end, watched = _integrate(n, K, phi0, dtau, tau_end,
+                                       watch=watch)
+    taus, phis, psis = record
+    if blows_up is not None:
+        assert (blow_up is not None) == blows_up
+    assert recorded == (blow_up, end, watched)
+    assert end == (taus[-1], phis[-1], psis[-1])
+    if blow_up is None:
+        i = min(range(len(taus)), key=lambda i: abs(taus[i] - watch))
+        assert watched == (taus[i], psis[i])
+
+    ref_blow_up, *ref = _reference_integrate(n, K, phi0, dtau, tau_end)
+    assert ref_blow_up == blow_up
+    assert [taus, phis, psis] == ref
+
+
+def test_non_monotone_blow_up_history_is_rejected():
+    with pytest.raises(BracketingError):
+        _assert_monotone([(0.0, 5.0), (1.0, 5.0)])
+    with pytest.raises(BracketingError):
+        _assert_monotone([(1.0, 4.0), (0.0, 3.0), (0.5, None)])
+    _assert_monotone([(1.0, 3.0), (0.0, 5.0), (-1.0, None)])
+
+
+def _report_text(name, config):
+    text = run_suite(name, config).to_json()
+    return [line for line in text.splitlines() if '"runtime_ms"' not in line]
+
+
+def test_cheng_yau_report_is_deterministic():
+    assert _report_text("cheng-yau", {}) == _report_text("cheng-yau", {})

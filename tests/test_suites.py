@@ -99,6 +99,41 @@ def test_bad_values_are_config_errors():
         run_suite("einstein", {"domains": []})
 
 
+@pytest.mark.parametrize("key", ["n", "samples"])
+def test_fractional_value_of_an_integer_key_is_config_error(key):
+    config = {"n": 2, "samples": 2}
+    config[key] += 0.5
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        run_suite("key-equation", config)
+
+
+def test_integral_float_of_an_integer_key_is_accepted():
+    report = run_suite("key-equation", {"n": 2.0, "samples": 2.0})
+    assert report.params["n"] == 2 and type(report.params["n"]) is int
+    assert report.params["samples"] == 2
+    assert len(report.samples) == 2
+
+
+def test_constant_length_n_disagreeing_with_domain_is_config_error():
+    with pytest.raises(ConfigError, match="ball"):
+        run_suite("constant-length",
+                  {"domain": {"kind": "ball", "n": 3}, "n": 2, "samples": 2})
+
+
+def test_constant_length_runs_on_the_given_domain_alone():
+    report = run_suite("constant-length",
+                       {"domain": {"kind": "ball", "n": 3}, "samples": 2})
+    assert report.domain == {"kind": "ball", "n": 3}
+    assert report.params["n"] == 3
+    assert report.params["target"] == pytest.approx(4 / 3.0)
+
+
+def test_constant_length_echoes_the_n_it_used():
+    report = run_suite("constant-length", {"n": 3, "samples": 2})
+    assert report.params["n"] == 3 and report.domain["n"] == 3
+    assert run_suite("constant-length", {"samples": 2}).params["n"] == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "einstein", "--domain", "type1", "--p", "2", "--q", "3"],
     ["run", "table1", "--n", "3"],

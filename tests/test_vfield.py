@@ -9,6 +9,7 @@ from kelab import domains, hermgeo, potentials, vfield
 from kelab.errors import CertificateError, FlowExitError
 from kelab.field import PotentialField
 from kelab.sampling import sample_interior
+from kelab.suites import run_suite
 
 
 @pytest.fixture(scope="module")
@@ -166,14 +167,18 @@ def test_flow_reparametrization(certified):
     assert vfield.reparametrization_deviation(certified, z0, 0.8) <= 1e-5
 
 
-def test_flow_exit_detection():
+def _off_center():
     # an off-center rotation: W = i (z + 0.8), circles around -0.8 and
     # leaves the unit disc from z0 = 0.5
-    p = PotentialField(
+    return PotentialField(
         domain=domains.ball(1), ricci_constant=2.0, parts=None,
         analytic_order=0, label="off-center",
         fn=lambda z: float(np.sum(np.abs(z) ** 2) + 2 * np.real(0.8 * z[0])),
     )
+
+
+def test_flow_exit_detection():
+    p = _off_center()
     with pytest.raises(FlowExitError) as err:
         vfield.integrate_flow(p, np.array([0.5 + 0j]), 3.0, dt=5e-3)
     assert 0 < err.value.time <= 3.0
@@ -194,3 +199,101 @@ def test_trajectory_csv_round_trip(tmp_path, certified):
     last = [float(x) for x in rows[-1]]
     assert last[0] == pytest.approx(0.2, abs=1e-12)
     assert last[5] == pytest.approx(traj["values"][-1], rel=1e-12)
+
+
+def _stacked_calls(monkeypatch):
+    """Record every (starts, t, dt, generator, endpoints) of integrate_flow."""
+    calls = []
+    real = vfield.integrate_flow
+
+    def spy(p, z0, t, dt=1e-3, generator="re_w"):
+        ends = real(p, z0, t, dt=dt, generator=generator)
+        calls.append((np.array(z0), t, dt, generator, ends))
+        return ends
+
+    monkeypatch.setattr(vfield, "integrate_flow", spy)
+    return calls, real
+
+
+def _assert_rows_match_single_flows(p, calls, real):
+    for starts, t, dt, generator, ends in calls:
+        m = len(starts)
+        ts = np.broadcast_to(np.asarray(t, float), (m,))
+        gens = np.broadcast_to(np.asarray(generator), (m,))
+        for z, ti, g, end in zip(starts, ts, gens, ends):
+            one = real(p, z, float(ti), dt=dt, generator=str(g))
+            assert np.array_equal(one, end)
+
+
+def test_pullback_flows_batched_equal_single_rows(certified, monkeypatch):
+    calls, real = _stacked_calls(monkeypatch)
+    dev = vfield.pullback_metric_deviation(certified, np.array([0.1 + 0.05j,
+                                                                -0.2j]),
+                                           0.5, dt=4e-3)
+    assert dev <= 1e-4
+    (starts, t, _, generator, ends), = calls
+    assert starts.shape == (5, 2) and generator == "re_v"
+    _assert_rows_match_single_flows(certified, calls, real)
+
+
+def test_reparametrization_flows_batched_equal_single_rows(certified,
+                                                           monkeypatch):
+    calls, real = _stacked_calls(monkeypatch)
+    z0 = np.array([0.15 + 0.1j, -0.1 + 0.2j])
+    assert vfield.reparametrization_deviation(certified, z0, 0.8,
+                                              dt=4e-3) <= 1e-5
+    (starts, t, dt, generator, ends), = calls
+    assert list(generator) == ["re_v", "re_w"]
+    steps = [round(abs(ti) / dt) for ti in t]
+    assert steps[0] != steps[1]  # rows of different lengths
+    _assert_rows_match_single_flows(certified, calls, real)
+
+
+def test_stacked_flow_rows_of_different_lengths(certified):
+    starts = np.array([[0.1 + 0.05j, -0.2j], [0.0, 0.3], [0.2j, 0.1],
+                       [-0.1, 0.1 - 0.1j]])
+    t = [0.3, -0.2, 0.0, 0.12]
+    generator = ["re_v", "re_w", "re_v", "re_w"]
+    ends = vfield.integrate_flow(certified, starts, t, dt=4e-3,
+                                 generator=generator)
+    assert ends.shape == starts.shape
+    for z, ti, g, end in zip(starts, t, generator, ends):
+        one = vfield.integrate_flow(certified, z, ti, dt=4e-3, generator=g)
+        assert np.array_equal(one, end)
+    assert np.array_equal(ends[2], starts[2])
+
+
+def _exit_time(p, z, t, dt):
+    with pytest.raises(FlowExitError) as err:
+        vfield.integrate_flow(p, np.array([z]), t, dt=dt)
+    return err.value.time
+
+
+def test_stacked_flow_exit_is_the_earliest():
+    p = _off_center()
+    dt = 5e-3
+    # rows 1 and 2 are the same flow: the tie goes to the lower row
+    with pytest.raises(FlowExitError) as err:
+        vfield.integrate_flow(p, np.array([[0.0], [0.5], [0.5]]), 3.0, dt=dt)
+    assert err.value.time == _exit_time(p, 0.5, 3.0, dt)
+    assert err.value.time < _exit_time(p, 0.0, 3.0, dt)
+    assert "row 1" in str(err.value)
+    # the higher row's shorter step leaves the domain at an earlier time
+    with pytest.raises(FlowExitError) as err:
+        vfield.integrate_flow(p, np.array([[0.5], [0.5]]), [3.0, 2.9985],
+                              dt=dt)
+    late, early = _exit_time(p, 0.5, 3.0, dt), _exit_time(p, 0.5, 2.9985, dt)
+    assert early < late
+    assert err.value.time == early
+    assert "row 1" in str(err.value)
+
+
+def _report_text(name, config):
+    text = run_suite(name, config).to_json()
+    return [line for line in text.splitlines() if '"runtime_ms"' not in line]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_flow_report_is_deterministic(seed):
+    config = {"horizon": 1.0, "dt": 4e-3, "seed": seed}
+    assert _report_text("flow", config) == _report_text("flow", config)
