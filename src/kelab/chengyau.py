@@ -110,65 +110,69 @@ def closed_form_field(n: int, K: float) -> PotentialField:
 # ---------------------------------------------------------------------------
 # derivatives on the (non-uniform) grid
 
-def _dphi_dt_at(rp: RadialPotential, i: int) -> float:
-    """phi''(t_i) by differentiating the stored phi' grid (independent of
-    the ODE, so residuals below are genuine checks)."""
+def _dphi_dt(rp: RadialPotential, i):
+    """phi''(t_i) at grid indices ``i`` (an index array) by differentiating
+    the stored phi' grid (independent of the ODE, so residuals below are
+    genuine checks): the three-point formula on the stencil centred at i,
+    one-sided at the two ends of the grid."""
     t, f = rp.grid, rp.dphi
     m = len(t)
     if m < 3:
         raise ResolutionError("need at least 3 grid points for derivatives")
-    if i == 0:
-        i = 1
-        h1, h2 = t[1] - t[0], t[2] - t[1]
-        return (
-            -(2 * h1 + h2) / (h1 * (h1 + h2)) * f[0]
-            + (h1 + h2) / (h1 * h2) * f[1]
-            - h1 / (h2 * (h1 + h2)) * f[2]
-        )
-    if i == m - 1:
-        h1, h2 = t[m - 2] - t[m - 3], t[m - 1] - t[m - 2]
-        return (
-            h2 / (h1 * (h1 + h2)) * f[m - 3]
-            - (h1 + h2) / (h1 * h2) * f[m - 2]
-            + (h1 + 2 * h2) / (h2 * (h1 + h2)) * f[m - 1]
-        )
-    h1, h2 = t[i] - t[i - 1], t[i + 1] - t[i]
-    return (
-        -h2 / (h1 * (h1 + h2)) * f[i - 1]
-        + (h2 - h1) / (h1 * h2) * f[i]
-        + h1 / (h2 * (h1 + h2)) * f[i + 1]
+    c = np.clip(i, 1, m - 2)
+    h1, h2 = t[c] - t[c - 1], t[c + 1] - t[c]
+    f0, f1, f2 = f[c - 1], f[c], f[c + 1]
+    first = (
+        -(2 * h1 + h2) / (h1 * (h1 + h2)) * f0
+        + (h1 + h2) / (h1 * h2) * f1
+        - h1 / (h2 * (h1 + h2)) * f2
     )
+    centred = (
+        -h2 / (h1 * (h1 + h2)) * f0
+        + (h2 - h1) / (h1 * h2) * f1
+        + h1 / (h2 * (h1 + h2)) * f2
+    )
+    last = (
+        h2 / (h1 * (h1 + h2)) * f0
+        - (h1 + h2) / (h1 * h2) * f1
+        + (h1 + 2 * h2) / (h2 * (h1 + h2)) * f2
+    )
+    return np.where(i < c, first, np.where(i > c, last, centred))
+
+
+def _radial_eigenvalues(rp: RadialPotential, i):
+    """(phi', phi' + t phi'') at grid indices ``i``, the eigenvalues of the
+    complex Hessian; both must be positive."""
+    t, dp = rp.grid[i], rp.dphi[i]
+    radial_dir = dp + t * _dphi_dt(rp, i)
+    bad = np.flatnonzero((dp <= 0) | (radial_dir <= 0))
+    if len(bad):
+        j = bad[0]
+        raise DegenerateMetricError(
+            f"radial metric degenerate at t={t[j]}: phi'={dp[j]}, "
+            f"phi'+t phi''={radial_dir[j]}"
+        )
+    return dp, radial_dir
 
 
 def radial_ode_residual(rp: RadialPotential, t: float) -> float:
     """(n-1) log phi' + log(phi' + t phi'') - K phi at a grid point."""
     i = rp.index_of(t)
-    dp = rp.dphi[i]
-    ddp = _dphi_dt_at(rp, i)
-    radial_dir = dp + t * ddp
-    if dp <= 0 or radial_dir <= 0:
-        raise DegenerateMetricError(
-            f"radial metric degenerate at t={t}: phi'={dp}, "
-            f"phi'+t phi''={radial_dir}"
-        )
+    (dp,), (radial_dir,) = _radial_eigenvalues(rp, np.array([i]))
     return float(
         (rp.n - 1) * math.log(dp) + math.log(radial_dir) - rp.K * rp.phi[i]
     )
 
 
+def _gradient_lengths(rp: RadialPotential, i) -> np.ndarray:
+    dp, radial_dir = _radial_eigenvalues(rp, i)
+    return rp.grid[i] * dp * dp / radial_dir
+
+
 def radial_gradient_length(rp: RadialPotential, t: float) -> float:
     """t phi'^2 / (phi' + t phi''), the gradient length of the radial
     potential in its own metric."""
-    i = rp.index_of(t)
-    dp = rp.dphi[i]
-    ddp = _dphi_dt_at(rp, i)
-    radial_dir = dp + t * ddp
-    if dp <= 0 or radial_dir <= 0:
-        raise DegenerateMetricError(
-            f"radial metric degenerate at t={t}: phi'={dp}, "
-            f"phi'+t phi''={radial_dir}"
-        )
-    return float(t * dp * dp / radial_dir)
+    return float(_gradient_lengths(rp, np.array([rp.index_of(t)]))[0])
 
 
 def boundary_limit_estimate(rp: RadialPotential) -> tuple[float, float]:
@@ -368,16 +372,17 @@ def solution_to_csv(rp: RadialPotential, path, stride: int | None = None) -> Non
     """
     if stride is None:
         stride = max(1, len(rp.grid) // 2000)
-    idx = list(range(0, len(rp.grid), stride))
+    idx = np.arange(0, len(rp.grid), stride)
     if idx[-1] != len(rp.grid) - 1:
-        idx.append(len(rp.grid) - 1)
+        idx = np.append(idx, len(rp.grid) - 1)
+    if len(rp.grid) >= 3:
+        lengths = [f"{L:.17g}" for L in _gradient_lengths(rp, idx).tolist()]
+    else:
+        lengths = [""] * len(idx)
+    columns = (rp.grid[idx].tolist(), rp.phi[idx].tolist(),
+               rp.dphi[idx].tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "phi", "dphi", "gradient_length"])
-        for i in idx:
-            t = rp.grid[i]
-            L = radial_gradient_length(rp, t) if len(rp.grid) >= 3 else ""
-            writer.writerow(
-                [f"{t:.17g}", f"{rp.phi[i]:.17g}", f"{rp.dphi[i]:.17g}",
-                 f"{L:.17g}" if L != "" else ""]
-            )
+        for t, phi, dphi, L in zip(*columns, lengths):
+            writer.writerow([f"{t:.17g}", f"{phi:.17g}", f"{dphi:.17g}", L])

@@ -6,8 +6,7 @@ matrix domains
     type I   (p x q matrices,  I - Z Z* > 0),         n = pq,       rank p
     type II  (antisymmetric m x m, I - Z Z* > 0),     n = m(m-1)/2, rank [m/2]
     type III (symmetric m x m,  I - Z Z* > 0),        n = m(m+1)/2, rank m
-    type IV  (z in C^m, ||z||^2 < 1 and
-              1 - 2 z.zbar + |z.z|^2 > 0),            n = m,        rank 2
+    type IV  (z in C^m, Lie norm < 1),                n = m,        rank 2
 
 plus products, the unbounded half-plane product used as the image of the
 Cayley transform, and two exceptional invariant records that exist only as
@@ -18,7 +17,8 @@ are parametrized by their independent entries (type II strictly upper
 triangular, type III upper triangular).  Generic norms are normalized to 1
 at the origin and vanish on the boundary; the exponent pairing each norm
 with the Bergman kernel is validated numerically by the Einstein suite
-(Ricci of dd^c log K equals -1).
+(Ricci of dd^c log K equals -1).  Membership in a bounded kind is one
+Minkowski gauge, ``gauge``; the sampler uses the same gauge.
 """
 
 from __future__ import annotations
@@ -262,19 +262,30 @@ def as_matrix(d: DomainModel, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # membership and generic norms
 
-def _contains(d: DomainModel, z: np.ndarray) -> bool:
+def gauge(d: DomainModel, z) -> float:
+    """The Minkowski gauge of a bounded kind: d = {z : gauge(d, z) < 1}.
+
+    Every bounded kind is circled and convex, so this one homogeneous
+    norm carries its whole shape: |z| for the ball, max |z^a| for the
+    polydisc, the operator norm of the matrix realization for types I-III
+    and the Lie norm sqrt(|z|^2 + sqrt(|z|^4 - |z.z|^2)) for type IV.
+    """
+    z = as_point(z)
     if d.kind == BALL:
-        return float(np.sum(np.abs(z) ** 2)) < 1.0
+        return float(np.linalg.norm(z))
     if d.kind == POLYDISC:
-        return bool(np.all(np.abs(z) < 1.0))
+        return float(np.max(np.abs(z)))
     if d.kind in (TYPE_I, TYPE_II, TYPE_III):
-        Z = as_matrix(d, z)
-        smax = np.linalg.norm(Z, 2)
-        return float(smax) < 1.0
+        return float(np.linalg.norm(as_matrix(d, z), 2))
     if d.kind == TYPE_IV:
-        s = float(np.sum(np.abs(z) ** 2))
-        u = complex(np.sum(z * z))
-        return s < 1.0 and 1.0 - 2.0 * s + abs(u) ** 2 > 0.0
+        s = float(np.vdot(z, z).real)
+        u = abs(complex(np.sum(z * z)))
+        # |z.z| <= |z|^2; the max absorbs rounding in the difference
+        return float(np.sqrt(s + np.sqrt(max(s * s - u * u, 0.0))))
+    raise UnsupportedDomainError(f"{d.label} has no Minkowski gauge")
+
+
+def _contains(d: DomainModel, z: np.ndarray) -> bool:
     if d.kind == HALFPLANE_PRODUCT:
         return bool(np.all(np.real(z) < 0.0))
     if d.kind == PRODUCT:
@@ -284,7 +295,7 @@ def _contains(d: DomainModel, z: np.ndarray) -> bool:
                 return False
             off += f.n
         return True
-    raise UnsupportedDomainError(f"membership undefined for {d.kind!r}")
+    return gauge(d, z) < 1.0
 
 
 def generic_norm(d: DomainModel, z) -> float:

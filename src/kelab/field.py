@@ -30,7 +30,7 @@ at order 4) serves all three.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -387,7 +387,6 @@ class PotentialField:
     analytic_order: int
     label: str
     fn: object = None
-    certificate: object = dataclass_field(default=None, repr=False)
 
     #: ``fd_jet`` evaluates a whole stencil of this field in one call
     takes_stack = True
@@ -448,25 +447,6 @@ class PotentialField:
             analytic_order=self.analytic_order,
             label=label or f"{factor:g}*{self.label}",
             fn=fn,
-        )
-
-    def plus_constant(self, c: float, label: str | None = None) -> "PotentialField":
-        if self.parts is None:
-            base = self.fn
-            return PotentialField(
-                domain=self.domain,
-                ricci_constant=self.ricci_constant,
-                parts=None,
-                analytic_order=self.analytic_order,
-                label=label or self.label,
-                fn=lambda z: float(base(z)) + c,
-            )
-        return PotentialField(
-            domain=self.domain,
-            ricci_constant=self.ricci_constant,
-            parts=self.parts + [(1.0, ConstantPart(c))],
-            analytic_order=self.analytic_order,
-            label=label or self.label,
         )
 
     def __repr__(self):  # keep frames and reports readable

@@ -101,7 +101,6 @@ def certify_constant_length(p: PotentialField, samples: int = 200,
             f"{p.label}: certified constant {constant:.12f} violates the "
             f"lower bound (n+1)/K = {bound:.12f}"
         )
-    p.certificate = cert
     return cert
 
 
@@ -210,10 +209,6 @@ def product_potential(p1: PotentialField, p2: PotentialField) -> PotentialField:
     with the same constant and gradient lengths add pointwise.
     """
     d1, d2 = p1.domain, p2.domain
-    if d2.n == 0:
-        return p1
-    if d1.n == 0:
-        return p2
     if not np.isclose(p1.ricci_constant, p2.ricci_constant, rtol=0, atol=1e-12):
         raise NormalizationError(
             f"Ricci constants differ: {p1.ricci_constant} vs {p2.ricci_constant}"
@@ -233,15 +228,6 @@ def product_potential(p1: PotentialField, p2: PotentialField) -> PotentialField:
         parts=parts,
         analytic_order=min(p1.analytic_order, p2.analytic_order),
         label=f"({p1.label}) (+) ({p2.label})",
-    )
-
-
-def trivial_factor() -> PotentialField:
-    """Zero-dimensional placeholder factor (identity for products)."""
-    dom = DomainModel("trivial", (), n=0, rank=0, c=None)
-    return PotentialField(
-        domain=dom, ricci_constant=np.nan, parts=[], analytic_order=4,
-        label="trivial",
     )
 
 

@@ -339,7 +339,8 @@ def _flow(cfg):
     """
     n, dt = cfg["n"], cfg["dt"]
     p = potentials.rescaled_ball_potential(n, cfg["ricci"])
-    potentials.certify_constant_length(p, samples=50, seed=cfg["seed"])
+    cert = potentials.certify_constant_length(p, samples=50, seed=cfg["seed"])
+    cert.require()
     rng = np.random.default_rng(cfg["seed"])
     z0 = sample_interior(p.domain, rng, 1, shrink=0.5)[0]
 

@@ -53,17 +53,17 @@ def _exp_factor(p, value):
     return float(np.exp(p.ricci_constant * value / (n + 1)))
 
 
-def vector_field(p, z, require_certificate: bool = True) -> VectorFieldAt:
-    """V at z.  By default the potential must carry a passing certificate
-    of constant gradient length; the construction is only guaranteed to be
-    holomorphic in that case."""
-    if require_certificate:
-        cert = getattr(p, "certificate", None)
-        if cert is None:
+def vector_field(p, z, certificate) -> VectorFieldAt:
+    """V at z.  ``certificate`` is the passing constant-gradient-length
+    certificate of ``p`` (``certify_constant_length``); the construction is
+    only guaranteed to be holomorphic in that case.  ``None`` skips the
+    check."""
+    if certificate is not None:
+        if certificate.label != p.label:
             raise CertificateError(
-                f"{p.label} has no constant-gradient-length certificate"
+                f"certificate of {certificate.label} given for {p.label}"
             )
-        cert.require()
+        certificate.require()
     z = as_point(z)
     frame, phi_z, phi_up = _gradient_parts(p, z)
     factor = _exp_factor(p, frame.jet.value())

@@ -155,6 +155,28 @@ def test_solution_csv(tmp_path):
     assert float(thin_rows[-1][0]) == pytest.approx(rp.grid[-1], abs=1e-15)
 
 
+def test_solution_csv_column_matches_per_row(tmp_path):
+    """The vectorized gradient-length column is the per-row value."""
+    rp = ball_closed_form(2, 3.0)
+    path = tmp_path / "radial.csv"
+    chengyau.solution_to_csv(rp, path, stride=97)
+    with open(path) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == rp.grid[-1]
+    for t, _, _, grad in rows:
+        expected = radial_gradient_length(rp, float(t))
+        assert float(grad) == pytest.approx(expected, rel=1e-12)
+    flat = RadialPotential(n=2, K=3.0, grid=np.array([0.0, 0.1, 0.2, 0.3]),
+                           phi=np.ones(4), dphi=np.zeros(4))
+    with pytest.raises(DegenerateMetricError):
+        chengyau.solution_to_csv(flat, tmp_path / "flat.csv")
+    short = RadialPotential(n=2, K=3.0, grid=np.array([0.0, 0.1]),
+                            phi=np.ones(2), dphi=np.ones(2))
+    chengyau.solution_to_csv(short, tmp_path / "short.csv")
+    with open(tmp_path / "short.csv") as fh:
+        assert [r[3] for r in list(csv.reader(fh))[1:]] == ["", ""]
+
+
 def _reference_integrate(n, K, phi0, dtau, tau_end):
     """The RK4 loop written with a stage function: (blow-up tau, taus, phis,
     psis).  The solver's hand-written loop must reproduce it bit for bit."""

@@ -33,6 +33,7 @@ from kelab.errors import (
 )
 from kelab import hermgeo
 from kelab.sampling import sample_interior
+from kelab.suites import run_suite
 
 
 @pytest.mark.parametrize("d,c,n,r", [
@@ -103,20 +104,84 @@ def test_membership_error_outside():
         generic_norm(type_iv(3), [0.9, 0.9j, 0.0])
 
 
-def test_membership_matches_norm_positivity():
-    d = type_i(2, 2)
+def _inside_by_inequality(d, z):
+    """Each kind's closed-form membership inequality, the oracle for
+    ``domains.gauge``."""
+    if d.kind == "ball":
+        return float(np.sum(np.abs(z) ** 2)) < 1.0
+    if d.kind == "polydisc":
+        return bool(np.all(np.abs(z) < 1.0))
+    if d.kind == "type4":
+        s = float(np.sum(np.abs(z) ** 2))
+        u = complex(np.sum(z * z))
+        return s < 1.0 and 1.0 - 2.0 * s + abs(u) ** 2 > 0.0
+    Z = domains.as_matrix(d, z)
+    eigs = np.linalg.eigvalsh(np.eye(Z.shape[0]) - Z @ Z.conj().T)
+    return bool(eigs[0] > 0)
+
+
+@pytest.mark.parametrize("d", [
+    ball(3), polydisc(3), type_i(2, 3), type_ii(5), type_iii(3), type_iv(4),
+], ids=lambda d: d.label)
+def test_membership_matches_norm_positivity(d):
+    """Points at Euclidean radius 0.2-1.6 straddle every kind's boundary."""
     rng = np.random.default_rng(8)
     hits = 0
     for _ in range(300):
-        z = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-        Z = domains.as_matrix(d, z)
-        eigs = np.linalg.eigvalsh(np.eye(2) - Z @ Z.conj().T)
-        inside = bool(eigs[0] > 0)
+        u = rng.standard_normal(d.n) + 1j * rng.standard_normal(d.n)
+        z = rng.uniform(0.2, 1.6) * u / np.linalg.norm(u)
+        inside = _inside_by_inequality(d, z)
         assert d.contains(z) == inside
         if inside:
             hits += 1
             assert generic_norm(d, z) > 0
-    assert hits > 10
+    assert 10 < hits < 290
+
+
+def test_gauge_is_the_minkowski_gauge():
+    rng = np.random.default_rng(4)
+    for d in (ball(2), polydisc(2), type_i(2, 3), type_ii(4), type_iii(2),
+              type_iv(3)):
+        z = rng.standard_normal(d.n) + 1j * rng.standard_normal(d.n)
+        g = domains.gauge(d, z)
+        assert domains.gauge(d, 2.5 * np.exp(0.7j) * z) == \
+            pytest.approx(2.5 * g, rel=1e-12)
+        assert d.contains(z / g * (1 - 1e-9))
+        assert not d.contains(z / g * (1 + 1e-9))
+    with pytest.raises(UnsupportedDomainError):
+        domains.gauge(halfplane_product(1), [-1.0])
+
+
+@pytest.mark.parametrize("d", [
+    type_i(3, 3), type_ii(5), type_ii(6), type_iii(3), type_iv(5),
+    product(type_i(2, 2), ball(1)), product(halfplane_product(1), ball(1)),
+], ids=lambda d: d.label)
+def test_sampler_reaches_every_kind(d):
+    shrink = 0.8
+    points = sample_interior(d, np.random.default_rng(11), 40, shrink=shrink)
+    assert len(points) == 40
+    for z in points:
+        assert z.shape == (d.n,)
+        assert d.contains(z / shrink)
+    again = sample_interior(d, np.random.default_rng(11), 40, shrink=shrink)
+    np.testing.assert_array_equal(np.array(points), np.array(again))
+
+
+def test_sampler_fails_closed(monkeypatch):
+    """A drawn point that leaves shrink * domain raises, never passes."""
+    monkeypatch.setattr(domains.DomainModel, "contains", lambda self, z: False)
+    with pytest.raises(MembershipError):
+        sample_interior(ball(2), np.random.default_rng(0), 1)
+
+
+def test_einstein_on_the_kinds_only_the_gauge_sampler_reaches():
+    report = run_suite("einstein", {
+        "domains": [type_i(3, 3), type_ii(5), type_iii(3), type_iv(5)],
+        "samples": 1,
+    })
+    assert report.passed
+    assert report.max_residual <= 1e-3
+    assert len(report.samples) == 4
 
 
 def test_bergman_metric_at_origin():

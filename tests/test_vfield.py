@@ -14,42 +14,49 @@ from kelab.suites import run_suite
 
 @pytest.fixture(scope="module")
 def certified():
-    p = potentials.rescaled_ball_potential(2, 3.0)
-    potentials.certify_constant_length(p, samples=60, seed=0)
-    return p
+    return potentials.rescaled_ball_potential(2, 3.0)
 
 
-def test_vector_field_at_center(certified):
-    v = vfield.vector_field(certified, np.zeros(2, complex))
+@pytest.fixture(scope="module")
+def certificate(certified):
+    return potentials.certify_constant_length(certified, samples=60, seed=0)
+
+
+def test_vector_field_at_center(certified, certificate):
+    v = vfield.vector_field(certified, np.zeros(2, complex), certificate)
     np.testing.assert_allclose(v.components, [1j, 0.0], atol=1e-14)
     assert v.norm == pytest.approx(1.0, abs=1e-14)
 
 
-def test_vector_field_norm_law(certified):
+def test_vector_field_norm_law(certified, certificate):
     n, K = 2, 3.0
     rng = np.random.default_rng(2)
     for z in sample_interior(certified.domain, rng, 20):
-        v = vfield.vector_field(certified, z)
+        v = vfield.vector_field(certified, z, certificate)
         expected = np.exp(K * certified(z) / (n + 1)) * np.sqrt((n + 1) / K)
         assert v.norm == pytest.approx(expected, rel=1e-10)
         assert v.norm > 0
 
 
-def test_vector_field_is_deterministic(certified):
+def test_vector_field_is_deterministic(certified, certificate):
     z = np.array([0.2 + 0.1j, -0.1 + 0.3j])
-    v1 = vfield.vector_field(certified, z)
-    v2 = vfield.vector_field(certified, z)
+    v1 = vfield.vector_field(certified, z, certificate)
+    v2 = vfield.vector_field(certified, z, certificate)
     np.testing.assert_array_equal(v1.components, v2.components)
 
 
 def test_vector_field_requires_certificate():
-    p = potentials.rescaled_ball_potential(2, 3.0)  # no certificate attached
+    p = potentials.rescaled_ball_potential(2, 3.0)
+    # a passing certificate, but of another potential
+    other = potentials.ConstantLengthCertificate(
+        label="other", constant=1.0, max_deviation=0.0, sample_count=1,
+        tolerance=1e-8, seed=0)
     with pytest.raises(CertificateError):
-        vfield.vector_field(p, np.zeros(2, complex))
+        vfield.vector_field(p, np.zeros(2, complex), other)
     bad = domains.ke_potential(domains.ball(2), 3.0)
-    potentials.certify_constant_length(bad, samples=30, seed=0)
+    cert = potentials.certify_constant_length(bad, samples=30, seed=0)
     with pytest.raises(CertificateError):
-        vfield.vector_field(bad, np.zeros(2, complex))
+        vfield.vector_field(bad, np.zeros(2, complex), cert)
 
 
 def test_dbar_defect_certified(certified):
