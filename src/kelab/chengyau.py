@@ -8,7 +8,9 @@ normalization phi = (1/K) log det g becomes the scalar ODE
 
 with the regular-singular start phi'(0) = exp(K phi(0) / n) forced at
 t = 0.  The complete solution blows up exactly at t = 1; ``shoot`` finds
-it by bisecting phi(0) against the blow-up location.  On the ball the
+it by a bracketing regula falsi (Illinois form) on phi(0), scoring each
+candidate by the growth of the boundary weight phi' (1-t) at the end of
+a search window, +inf when it blows up inside it.  On the ball the
 closed form is
 
     phi(t) = -A log(1 - t) + (n/K) log A,      A = (n+1)/K,
@@ -37,10 +39,10 @@ from .field import LogProfile, PotentialField, RadialBlock
 
 BLOWUP_THRESHOLD = 1e8
 _SERIES_START = 1e-4     # switch from the t ~ 0 series to RK4
-_SEARCH_DTAU = 5e-4      # bisection-phase step
+_SEARCH_DTAU = 5e-4      # search-phase step
 _FINE_DTAU = 5e-5        # returned-solution step
 _FINAL_EDGE = 2e-4       # returned grid reaches t = 1 - _FINAL_EDGE
-_SEARCH_TAU = -math.log(_FINAL_EDGE)   # bisection integrates this far
+_SEARCH_TAU = -math.log(_FINAL_EDGE)   # the search integrates this far
 
 
 @dataclass(frozen=True)
@@ -290,19 +292,41 @@ def _integrate(n, K, phi0, dtau, tau_end, watch=math.inf, record=None):
     return blow_up, (tau, phi, psi), (tau_w, psi_w)
 
 
+def _boundary_growth(n, K, phi0):
+    """g = w(end) - w(watch) over the search window from phi(0) = phi0, with
+    the boundary weight w = psi e^(-tau) = phi' (1-t) and the watched step
+    one unit of tau before the end; +inf when the run blows up.  Returns
+    (g, blow-up tau or None)."""
+    tau_star, (tau, _, psi), (tau_w, psi_w) = _integrate(
+        n, K, phi0, _SEARCH_DTAU, _SEARCH_TAU, watch=_SEARCH_TAU - 1.0
+    )
+    if tau_star is not None:
+        return math.inf, tau_star
+    return psi * math.exp(-tau) - psi_w * math.exp(-tau_w), None
+
+
 def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
           tol: float = 1e-11) -> RadialPotential:
-    """Find the complete radial solution by bisection on phi(0).
+    """Find the complete radial solution by bracketing regula falsi on phi(0).
 
-    A candidate phi(0) is classified super-critical when phi' crosses the
-    blow-up threshold inside the search window (its blow-up sits at some
-    t < 1), or -- for candidates that survive to the window's edge -- when
-    the boundary weight w = phi' (1-t) is still growing there: w tends to
-    the finite amplitude (n+1)/K on the complete solution, decays for
-    sub-critical starts and grows for super-critical ones, so the
-    classification boundary is the solution whose blow-up converges to
-    t = 1.  Recorded blow-up times must decrease strictly with phi(0),
-    the monotonicity bisection relies on.
+    A candidate phi(0) is super-critical when phi' crosses the blow-up
+    threshold inside the search window (its blow-up sits at some t < 1),
+    or -- for candidates that survive to the window's edge -- when the
+    boundary weight w = phi' (1-t) is still growing there:
+    ``_boundary_growth`` g > 0.  w tends to the finite amplitude (n+1)/K
+    on the complete solution, decays for sub-critical starts and grows
+    for super-critical ones, so the root of g is the solution whose
+    blow-up converges to t = 1.
+
+    The bracket lo < hi with g(lo) <= 0 < g(hi) shrinks by regula falsi
+    in its Illinois form (Dowell & Jarratt, 1971): the next candidate is
+    the secant root through (lo, g(lo)) and (hi, g(hi)), or the midpoint
+    while hi is a blow-up (g = +inf), kept at least tol/2 inside the
+    bracket; an end that stays through two secant steps in a row has its
+    g halved.  Near the root g is smooth and almost linear in phi(0), so
+    few candidates integrate the whole window.  The search stops at
+    hi - lo <= tol and returns the midpoint.  Recorded blow-up times must
+    decrease strictly with phi(0).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -316,29 +340,40 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
 
     history = []
 
-    def super_critical(phi0):
-        tau_star, (tau, _, psi), (tau_w, psi_w) = _integrate(
-            n, K, phi0, _SEARCH_DTAU, _SEARCH_TAU, watch=_SEARCH_TAU - 1.0
-        )
+    def growth(phi0):
+        g, tau_star = _boundary_growth(n, K, phi0)
         history.append((phi0, tau_star))
-        if tau_star is not None:
-            return True
-        return psi * math.exp(-tau) > psi_w * math.exp(-tau_w)
+        return g
 
-    if super_critical(lo):
+    g_lo = growth(lo)
+    if g_lo > 0:
         raise BracketingError(
             f"phi(0)={lo} already blows up before t=1; lower the bracket"
         )
-    if not super_critical(hi):
+    g_hi = growth(hi)
+    if not g_hi > 0:
         raise BracketingError(
             f"phi(0)={hi} stays complete past t=1; raise the bracket"
         )
+    kept = 0  # +1 (-1) after a secant step that kept lo (hi)
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if super_critical(mid):
-            hi = mid
+        secant = g_hi < math.inf
+        if secant:
+            x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
         else:
-            lo = mid
+            x = 0.5 * (lo + hi)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        g = growth(x)
+        if g > 0:
+            hi, g_hi = x, g
+            if secant and kept > 0:
+                g_lo *= 0.5
+            kept = 1 if secant else 0
+        else:
+            lo, g_lo = x, g
+            if secant and kept < 0:
+                g_hi *= 0.5
+            kept = -1 if secant else 0
     phi0 = 0.5 * (lo + hi)
 
     _assert_monotone(history)

@@ -23,6 +23,7 @@ Minkowski gauge, ``gauge``; the sampler uses the same gauge.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,15 +249,23 @@ def _matrix_lifts(d: DomainModel):
     raise UnsupportedDomainError(f"{d.label} is not a matrix kind")
 
 
+@functools.lru_cache(maxsize=None)
+def _matrix_plan(d: DomainModel):
+    """The lifts as one scatter: (shape, flat cells, coordinate index,
+    weight), one entry per matrix cell a coordinate reaches."""
+    p, q, lifts = _matrix_lifts(d)
+    cells, alpha, w = zip(*[(i * q + j, a, w) for a, lift in enumerate(lifts)
+                            for i, j, w in lift])
+    return (p, q), np.array(cells), np.array(alpha), np.array(w)
+
+
 def as_matrix(d: DomainModel, z) -> np.ndarray:
     """Assemble the matrix realization of a flattened coordinate vector."""
     z = as_point(z)
-    p, q, lifts = _matrix_lifts(d)
-    Z = np.zeros((p, q), dtype=complex)
-    for alpha, lift in enumerate(lifts):
-        for i, j, w in lift:
-            Z[i, j] += w * z[alpha]
-    return Z
+    shape, cells, alpha, w = _matrix_plan(d)
+    Z = np.zeros(shape[0] * shape[1], dtype=complex)
+    Z[cells] = w * z[alpha]
+    return Z.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

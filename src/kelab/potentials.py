@@ -71,6 +71,15 @@ class ConstantLengthCertificate:
             )
 
 
+def _center_and_sampled_lengths(p: PotentialField, points):
+    """|dphi|_half^2 at the origin (a float) and at ``points`` (an array),
+    from one stacked frame."""
+    stack = np.array([np.zeros(p.domain.n, dtype=complex), *points])
+    lengths = hermgeo.gradient_length_sq(
+        hermgeo.metric_from_potential(p, stack, order=2))
+    return float(lengths[0]), lengths[1:]
+
+
 def certify_constant_length(p: PotentialField, samples: int = 200,
                             seed: int = 0, tolerance: float = 1e-8,
                             shrink: float = 0.95) -> ConstantLengthCertificate:
@@ -82,15 +91,10 @@ def certify_constant_length(p: PotentialField, samples: int = 200,
     """
     d = p.domain
     rng = np.random.default_rng(seed)
-    center = np.zeros(d.n, dtype=complex)
-    frame0 = hermgeo.metric_from_potential(p, center, order=2)
-    constant = hermgeo.gradient_length_sq(frame0)
-    worst = 0.0
-    for z in sample_interior(d, rng, samples, shrink=shrink):
-        frame = hermgeo.metric_from_potential(p, z, order=2)
-        val = hermgeo.gradient_length_sq(frame)
-        # np.maximum keeps a NaN deviation, so the certificate fails
-        worst = float(np.maximum(worst, abs(val - constant)))
+    constant, lengths = _center_and_sampled_lengths(
+        p, sample_interior(d, rng, samples, shrink=shrink))
+    # np.max keeps a NaN deviation, so the certificate fails
+    worst = float(np.max(np.abs(lengths - constant), initial=0.0))
     cert = ConstantLengthCertificate(
         label=p.label, constant=constant, max_deviation=worst,
         sample_count=samples, tolerance=tolerance, seed=seed,
@@ -294,19 +298,17 @@ def kai_ohsawa_constant(d: DomainModel, spot_checks: int = 20,
     constancy at ``spot_checks`` further interior points.
     """
     p = kai_ohsawa_potential(d)
-    center = np.zeros(d.n, dtype=complex)
-    frame0 = hermgeo.metric_from_potential(p, center, order=2)
-    L = hermgeo.gradient_length_sq(frame0)
     rng = np.random.default_rng(seed)
-    for z in sample_interior(d, rng, spot_checks):
-        frame = hermgeo.metric_from_potential(p, z, order=2)
-        val = hermgeo.gradient_length_sq(frame)
-        if not abs(val - L) <= tol:  # a NaN length fails too
-            raise NormalizationError(
-                f"gradient length of {p.label} is not constant: "
-                f"{val:.12f} vs {L:.12f} at {z!r}"
-            )
-    return float(L)
+    points = sample_interior(d, rng, spot_checks)
+    L, lengths = _center_and_sampled_lengths(p, points)
+    bad = np.flatnonzero(~(np.abs(lengths - L) <= tol))  # NaN fails too
+    if bad.size:
+        i = bad[0]
+        raise NormalizationError(
+            f"gradient length of {p.label} is not constant: "
+            f"{lengths[i]:.12f} vs {L:.12f} at {points[i]!r}"
+        )
+    return L
 
 
 # ---------------------------------------------------------------------------

@@ -329,13 +329,16 @@ def _dbar_defect(cfg):
 
 
 @_suite("flow", "Re W conserves phi; the Re V flow acts by isometries",
-        ["vfield.integrate_flow", "vfield.pullback_metric_deviation"],
+        ["potentials.certify_constant_length", "vfield.run_flows",
+         "vfield.pullback_check", "vfield.reparametrization_check",
+         "vfield.level_set_tangency"],
         tol=1.0, n=2, ricci=3.0, horizon=5.0, dt=1e-3, trajectory_csv=None)
 def _flow(cfg):
     """Level-set conservation, isometry pullback and reparametrization.
 
-    Residuals are normalized by their native thresholds (1e-6 / 1e-4 /
-    1e-5 / 1e-10); the suite passes at 1.0.
+    The level-set trajectory and the rows of both fixed-time checks run
+    as one RK4 stack.  Residuals are normalized by their native
+    thresholds (1e-6 / 1e-4 / 1e-5 / 1e-10); the suite passes at 1.0.
     """
     n, dt = cfg["n"], cfg["dt"]
     p = potentials.rescaled_ball_potential(n, cfg["ricci"])
@@ -344,14 +347,15 @@ def _flow(cfg):
     rng = np.random.default_rng(cfg["seed"])
     z0 = sample_interior(p.domain, rng, 1, shrink=0.5)[0]
 
-    traj = vfield.flow_trajectory(p, z0, cfg["horizon"], dt=dt,
-                                  generator="re_w", record_every=200)
+    traj, (pullback, reparametrization) = vfield.run_flows(
+        p, (z0, cfg["horizon"], "re_w"),
+        [vfield.pullback_check(p, np.zeros(n, dtype=complex), 0.5),
+         vfield.reparametrization_check(p, z0, 0.8)],
+        dt=dt, record_every=200)
     raw = {
         "conservation": float(np.max(np.abs(traj["values"] - p(z0)))),
-        "pullback_metric": vfield.pullback_metric_deviation(
-            p, np.zeros(n, dtype=complex), 0.5, dt=dt),
-        "reparametrization": vfield.reparametrization_deviation(
-            p, z0, 0.8, dt=dt),
+        "pullback_metric": pullback,
+        "reparametrization": reparametrization,
         "tangency": _worst(vfield.level_set_tangency(p, z)
                            for z in sample_interior(p.domain, rng, 10)),
     }

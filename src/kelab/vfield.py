@@ -15,13 +15,18 @@ diagnostic that vanishes exactly in the certified case), and
 
 with fixed-step RK4.  One integrator serves every flow: it advances an
 (M, n) stack of start points in lockstep, each row with its own time and
-generator, and builds each RK4 stage's frames in one stacked call.
+generator, and builds each RK4 stage's frames in one stacked call.  A
+fixed-time check (``pullback_check``, ``reparametrization_check``) is
+its start rows plus the reduction of their endpoints to a residual, so
+``run_flows`` can integrate a recorded trajectory and several checks as
+one stack, and each check's public wrapper integrates it alone.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,9 +162,10 @@ def _rk4(p, z0, t, dt, generator, record_every=0):
     Row i runs round(|t_i|/dt) steps of h_i = t_i/steps_i under its own
     generator and then freezes; each RK4 stage is one stacked frame over
     the rows still running.  ``t`` and ``generator`` are one value for all
-    rows or one per row.  Returns [(times, states)] of the whole stack at
-    the start, after every ``record_every``-th lockstep step and after the
-    last (``record_every=0`` records only the ends).
+    rows or one per row.  Returns the (M, n) endpoints and the trajectory
+    of row 0 as [(time, point)]: its start, the point after every
+    ``record_every``-th of its own steps and after its last
+    (``record_every=0`` records the start and the end only).
 
     Every accepted step is checked for membership.  Rows that leave the
     domain stop; the others run on while they could still leave earlier,
@@ -185,14 +191,13 @@ def _rk4(p, z0, t, dt, generator, record_every=0):
     h = np.array([ti / s if s else 0.0 for ti, s in zip(t, steps)])
     abs_h = np.abs(h)
     re_v = generator == "re_v"
-    last = int(steps.max())
 
     z = z0.copy()
-    record = [(np.zeros(m), z.copy())]
+    record = [(0.0, z[0].copy())]
     exits = []  # (|exit time|, row, exit time)
     earliest = np.inf
     left = np.zeros(m, dtype=bool)
-    for k in range(1, last + 1):
+    for k in range(1, int(steps.max()) + 1):
         run = np.flatnonzero((steps >= k) & ~left
                              & (k * abs_h <= earliest))
         if not run.size:
@@ -209,16 +214,15 @@ def _rk4(p, z0, t, dt, generator, record_every=0):
                 exits.append((abs(tk), i, tk))
                 earliest = min(earliest, abs(tk))
                 left[i] = True
-        if record_every and (k % record_every == 0 or k == last):
-            record.append((k * h, z.copy()))
+        if k == steps[0] or (k < steps[0] and record_every
+                             and k % record_every == 0):
+            record.append((k * h[0], z[0].copy()))
     if exits:
         _, i, tk = min(exits)
         row = f" (row {i})" if m > 1 else ""
         raise FlowExitError(f"trajectory{row} left {d.label} at t={tk:.6f}",
                             tk)
-    if not record_every:
-        record.append((last * h, z.copy()))
-    return record
+    return z, record
 
 
 def integrate_flow(p, z0, t, dt: float = 1e-3, generator="re_w") -> np.ndarray:
@@ -230,8 +234,45 @@ def integrate_flow(p, z0, t, dt: float = 1e-3, generator="re_w") -> np.ndarray:
     exit time (the earliest one in a stack).
     """
     z = as_points(z0)
-    ends = _rk4(p, np.atleast_2d(z), t, dt, generator)[-1][1]
+    ends, _ = _rk4(p, np.atleast_2d(z), t, dt, generator)
     return ends if z.ndim == 2 else ends[0]
+
+
+class FlowCheck(NamedTuple):
+    """A fixed-time flow check: its start rows, their time and generator
+    (one value or one per row) and the map from the rows' endpoints to the
+    check's residual."""
+
+    starts: np.ndarray
+    t: object
+    generator: object
+    residual: Callable[[np.ndarray], float]
+
+
+def run_flows(p, trajectory, checks, dt: float = 1e-3,
+              record_every: int = 1):
+    """A recorded trajectory and fixed-time checks in one RK4 stack.
+
+    ``trajectory`` is (z0, t, generator) of the recorded row, row 0 of the
+    stack; the rows of every ``FlowCheck`` in ``checks`` follow it.
+    Returns the trajectory as ``flow_trajectory`` does and the residual of
+    each check.  Leaving the domain from any row raises ``FlowExitError``
+    with the earliest exit time.
+    """
+    z0, t, generator = trajectory
+    rows = [(as_point(z0)[None], t, generator)] + [c[:3] for c in checks]
+    starts = np.concatenate([s for s, _, _ in rows])
+    ts = np.concatenate([np.broadcast_to(np.asarray(t, dtype=float), len(s))
+                         for s, t, _ in rows])
+    generators = np.concatenate([np.broadcast_to(np.asarray(g), len(s))
+                                 for s, _, g in rows])
+    ends, record = _rk4(p, starts, ts, dt, generators, record_every)
+    bounds = np.cumsum([len(s) for s, _, _ in rows])
+    points = [z for _, z in record]
+    traj = {"times": np.array([time for time, _ in record]),
+            "points": points, "values": np.array([p(z) for z in points])}
+    return traj, [check.residual(e) for check, e in
+                  zip(checks, np.split(ends, bounds[:-1])[1:])]
 
 
 def flow_trajectory(p, z0, t: float, dt: float = 1e-3,
@@ -242,11 +283,7 @@ def flow_trajectory(p, z0, t: float, dt: float = 1e-3,
     "values": array of phi along the way}.  ``record_every=0`` records
     only the endpoints.
     """
-    z0 = as_point(z0)
-    record = _rk4(p, z0[None], t, dt, generator, record_every)
-    points = [z[0] for _, z in record]
-    return {"times": np.array([times[0] for times, _ in record]),
-            "points": points, "values": np.array([p(z) for z in points])}
+    return run_flows(p, (z0, t, generator), [], dt, record_every)[0]
 
 
 def trajectory_to_csv(traj: dict, path) -> None:
@@ -267,41 +304,57 @@ def trajectory_to_csv(traj: dict, path) -> None:
             writer.writerow(row)
 
 
-def pullback_metric_deviation(p, z0, t: float, dt: float = 1e-3,
-                              jac_step: float = 1e-4) -> float:
-    """max entrywise |(flow_t)^* g - g| at z0 for the Re V flow.
+def pullback_check(p, z0, t: float, jac_step: float = 1e-4) -> FlowCheck:
+    """Isometry at z0: max entrywise |(flow_t)^* g - g| for the Re V flow.
 
     The flow of a holomorphic field is holomorphic in the initial point,
     so its complex Jacobian J (by central differences) suffices:
-    (flow^* g)_{a bbar} = J^T g(flow(z)) conj(J).
+    (flow^* g)_{a bbar} = J^T g(flow(z)) conj(J).  Rows 2b and 2b+1 start
+    at z0 + and - jac_step e_b, row 2n at z0.
     """
     z0 = as_point(z0)
     n = len(z0)
-    # rows 2b and 2b+1 start at z0 + and - jac_step e_b, row 2n at z0
     starts = np.repeat(z0[None], 2 * n + 1, axis=0)
     for b in range(n):
         starts[2 * b, b] += jac_step
         starts[2 * b + 1, b] -= jac_step
-    ends = integrate_flow(p, starts, t, dt=dt, generator="re_v")
 
-    J = np.zeros((n, n), dtype=complex)
-    for b in range(n):
-        J[:, b] = (ends[2 * b] - ends[2 * b + 1]) / (2.0 * jac_step)
+    def residual(ends):
+        J = np.zeros((n, n), dtype=complex)
+        for b in range(n):
+            J[:, b] = (ends[2 * b] - ends[2 * b + 1]) / (2.0 * jac_step)
+        g0 = hermgeo.metric_from_potential(p, z0, order=2).g
+        g1 = hermgeo.metric_from_potential(p, ends[2 * n], order=2).g
+        pulled = J.T @ g1 @ np.conj(J)
+        return float(np.max(np.abs(pulled - g0)))
 
-    g0 = hermgeo.metric_from_potential(p, z0, order=2).g
-    g1 = hermgeo.metric_from_potential(p, ends[2 * n], order=2).g
-    pulled = J.T @ g1 @ np.conj(J)
-    return float(np.max(np.abs(pulled - g0)))
+    return FlowCheck(starts, t, "re_v", residual)
 
 
-def reparametrization_deviation(p, z0, t: float, dt: float = 1e-3) -> float:
-    """|flow_V(t, z0) - flow_W(s t, z0)| with s = e^(K c/(n+1)), c = phi(z0).
+def reparametrization_check(p, z0, t: float) -> FlowCheck:
+    """Reparametrization at z0: |flow_V(t, z0) - flow_W(s t, z0)| with
+    s = e^(K c/(n+1)), c = phi(z0).
 
     Both flows stay on the level set {phi = c}, where V = s W, so the
     trajectories coincide up to the constant time rescaling.
     """
     z0 = as_point(z0)
     s = _exp_factor(p, p(z0))
-    end_v, end_w = integrate_flow(p, np.stack([z0, z0]), [t, s * t], dt=dt,
-                                  generator=["re_v", "re_w"])
-    return float(np.max(np.abs(end_v - end_w)))
+    return FlowCheck(np.stack([z0, z0]), [t, s * t], ["re_v", "re_w"],
+                     lambda ends: float(np.max(np.abs(ends[0] - ends[1]))))
+
+
+def _single_check(p, check: FlowCheck, dt: float) -> float:
+    return check.residual(integrate_flow(p, check.starts, check.t, dt=dt,
+                                         generator=check.generator))
+
+
+def pullback_metric_deviation(p, z0, t: float, dt: float = 1e-3,
+                              jac_step: float = 1e-4) -> float:
+    """The ``pullback_check`` residual, integrated on its own."""
+    return _single_check(p, pullback_check(p, z0, t, jac_step), dt)
+
+
+def reparametrization_deviation(p, z0, t: float, dt: float = 1e-3) -> float:
+    """The ``reparametrization_check`` residual, integrated on its own."""
+    return _single_check(p, reparametrization_check(p, z0, t), dt)

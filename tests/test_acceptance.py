@@ -105,7 +105,7 @@ def test_criterion_05_einstein_catalog():
 def test_criterion_06a_dbar_defect_certified():
     """|nabla'' V|^2 <= 1e-8 at 100 points for the certified potential."""
     p = potentials.rescaled_ball_potential(2, 3.0)
-    potentials.certify_constant_length(p, samples=50, seed=0)
+    potentials.certify_constant_length(p, samples=50, seed=0).require()
     rng = np.random.default_rng(43)
     worst = 0.0
     worst_law = 0.0
@@ -153,7 +153,7 @@ def test_criterion_06b_closed_form_for_defining_potential():
 def test_criterion_07_flow():
     """phi conserved along Re W to 1e-6; t=0.5 pullback within 1e-4."""
     p = potentials.rescaled_ball_potential(2, 3.0)
-    potentials.certify_constant_length(p, samples=50, seed=0)
+    potentials.certify_constant_length(p, samples=50, seed=0).require()
     z0 = np.array([0.15 + 0.1j, -0.1 + 0.2j])
     traj = vfield.flow_trajectory(p, z0, 5.0, dt=1e-3, generator="re_w",
                                   record_every=250)

@@ -52,8 +52,28 @@ AGREEMENT_CASES = [(1, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (2, 1.0)]
 
 
 @pytest.fixture(scope="module")
-def solutions():
-    return {(n, K): shoot(n, K) for (n, K) in AGREEMENT_CASES}
+def searches():
+    """shoot at every AGREEMENT_CASES entry, with the (phi0, g, blow-up tau)
+    of every candidate its search classified, in order."""
+    real = chengyau._boundary_growth
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for n, K in AGREEMENT_CASES:
+            seen = []
+
+            def spy(n, K, phi0, seen=seen):
+                g, tau_star = real(n, K, phi0)
+                seen.append((phi0, g, tau_star))
+                return g, tau_star
+
+            mp.setattr(chengyau, "_boundary_growth", spy)
+            out[(n, K)] = (shoot(n, K), seen)
+    return out
+
+
+@pytest.fixture(scope="module")
+def solutions(searches):
+    return {case: sol for case, (sol, _) in searches.items()}
 
 
 @pytest.mark.parametrize("n,K", AGREEMENT_CASES)
@@ -64,6 +84,68 @@ def test_shoot_recovers_ball_solution(n, K, solutions):
     assert np.max(np.abs(sol.phi - exact.phi)) <= 1e-5
     sel = sol.grid[2:-2:4000]
     assert max(abs(radial_ode_residual(sol, t)) for t in sel) <= 1e-8
+
+
+def _super_critical(n, K, phi0):
+    """The classification rule of the search: a blow-up inside the search
+    window, or a boundary weight psi e^(-tau) that still grows over its
+    last unit of tau."""
+    tau_star, (tau, _, psi), (tau_w, psi_w) = _integrate(
+        n, K, phi0, chengyau._SEARCH_DTAU, chengyau._SEARCH_TAU,
+        watch=chengyau._SEARCH_TAU - 1.0)
+    if tau_star is not None:
+        return True
+    return psi * math.exp(-tau) > psi_w * math.exp(-tau_w)
+
+
+def _bisection_phi0(n, K, lo=-1.0, hi=3.0, tol=1e-11):
+    """phi(0) by plain bisection on ``_super_critical``: the reference for
+    the regula falsi in ``shoot``."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _super_critical(n, K, mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n,K", AGREEMENT_CASES)
+def test_search_agrees_with_bisection(n, K, searches):
+    sol, seen = searches[(n, K)]
+    assert abs(sol.phi[0] - _bisection_phi0(n, K)) <= 1e-11
+    for phi0, g, tau_star in seen:
+        assert (g > 0) == _super_critical(n, K, phi0)
+        assert (g == math.inf) == (tau_star is not None)
+    # every candidate after the two bracket ends lies inside the bracket
+    assert [phi0 for phi0, _, _ in seen[:2]] == [-1.0, 3.0]
+    assert all(-1.0 < phi0 < 3.0 for phi0, _, _ in seen[2:])
+
+
+def test_search_classifies_few_candidates(searches):
+    _, seen = searches[(2, 3.0)]
+    assert len(seen) <= 24
+
+
+def test_search_bracket_within_tol_runs_no_iteration(monkeypatch):
+    calls = []
+    real = chengyau._boundary_growth
+
+    def spy(n, K, phi0):
+        calls.append(phi0)
+        return real(n, K, phi0)
+
+    monkeypatch.setattr(chengyau, "_boundary_growth", spy)
+    sol = shoot(2, 3.0, phi0_bracket=(-0.01, 0.01), tol=0.05)
+    assert calls == [-0.01, 0.01]
+    assert sol.phi[0] == 0.0
+
+
+def test_coarse_search_of_the_benchmark_probe():
+    sol = shoot(2, 3.0, tol=1e-3)
+    assert abs(sol.phi[0] - ball_center_value(2, 3.0)) <= 1e-3
+    limit, gap = boundary_limit_estimate(sol)
+    assert abs(gap) <= 0.02 * sol.amplitude_target
 
 
 def test_shoot_input_validation():

@@ -120,6 +120,30 @@ def _inside_by_inequality(d, z):
     return bool(eigs[0] > 0)
 
 
+def _as_matrix_entrywise(d, z):
+    """Each coordinate's lifts added into the matrix one entry at a time."""
+    p, q, lifts = domains._matrix_lifts(d)
+    Z = np.zeros((p, q), dtype=complex)
+    for alpha, lift in enumerate(lifts):
+        for i, j, w in lift:
+            Z[i, j] += w * z[alpha]
+    return Z
+
+
+@pytest.mark.parametrize("d", [
+    type_i(2, 3), type_i(3, 3), type_ii(5), type_ii(6), type_iii(3),
+], ids=lambda d: d.label)
+def test_as_matrix_equals_the_entrywise_loop(d):
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        z = rng.standard_normal(d.n) + 1j * rng.standard_normal(d.n)
+        assert np.array_equal(domains.as_matrix(d, z),
+                              _as_matrix_entrywise(d, z))
+    Z = domains.as_matrix(d, z)
+    Z[0, 0] = 7.0  # the result is a fresh array, not the cached plan
+    assert np.array_equal(domains.as_matrix(d, z), _as_matrix_entrywise(d, z))
+
+
 @pytest.mark.parametrize("d", [
     ball(3), polydisc(3), type_i(2, 3), type_ii(5), type_iii(3), type_iv(4),
 ], ids=lambda d: d.label)

@@ -116,21 +116,79 @@ def test_certificate_rejects_non_constant():
 
 
 def test_certificate_rejects_nan_length(monkeypatch):
-    """One NaN gradient length fails the certificate."""
+    """One NaN gradient length fails the certificate, at the centre or at
+    any sample."""
     real = hermgeo.gradient_length_sq
-    calls = []
-
-    def one_nan(frame):
-        calls.append(frame)
-        return float("nan") if len(calls) == 4 else real(frame)
-
-    monkeypatch.setattr(hermgeo, "gradient_length_sq", one_nan)
     p = potentials.rescaled_ball_potential(2, 3.0)
-    cert = potentials.certify_constant_length(p, samples=10, seed=0)
-    assert len(calls) == 11
-    assert not cert.ok
-    with pytest.raises(CertificateError):
-        cert.require()
+    for row in (0, 3, 10):
+        calls = []
+
+        def one_nan(frame):
+            calls.append(frame)
+            lengths = real(frame).copy()
+            lengths[row] = float("nan")
+            return lengths
+
+        monkeypatch.setattr(hermgeo, "gradient_length_sq", one_nan)
+        cert = potentials.certify_constant_length(p, samples=10, seed=0)
+        # the centre and the 10 samples in one stacked frame
+        assert len(calls) == 1 and calls[0].point.shape == (11, 2)
+        assert not cert.ok
+        with pytest.raises(CertificateError):
+            cert.require()
+
+
+def _lengths_one_frame_per_point(p, points):
+    """The gradient length at each point from its own one-point frame."""
+    return [hermgeo.gradient_length_sq(
+        hermgeo.metric_from_potential(p, z, order=2)) for z in points]
+
+
+def _fd_copy(p):
+    return PotentialField(domain=p.domain, ricci_constant=p.ricci_constant,
+                          parts=None, analytic_order=0, label="fd-copy", fn=p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: potentials.rescaled_ball_potential(2, 3.0),
+    lambda: potentials.rescaled_ball_potential(3, 4.0),
+    lambda: domains.ke_potential(domains.ball(2), 3.0),
+    lambda: domains.bergman_potential(domains.polydisc(3)),
+    lambda: domains.bergman_potential(domains.type_i(2, 2)),
+    lambda: domains.bergman_potential(domains.type_ii(5)),
+    lambda: domains.bergman_potential(domains.type_iii(2)),
+    lambda: domains.bergman_potential(domains.type_iv(3)),
+    lambda: _fd_copy(potentials.rescaled_ball_potential(2, 3.0)),
+], ids=["rescaled-ball2", "rescaled-ball3", "ke-ball2", "polydisc3",
+        "type1-2-2", "type2-5", "type3-2", "type4-3", "fd-rescaled-ball2"])
+def test_certificate_equals_one_frame_per_point(make):
+    """The stacked certificate reproduces the per-point loop bit for bit."""
+    p = make()
+    cert = potentials.certify_constant_length(p, samples=50, seed=0)
+    points = sample_interior(p.domain, np.random.default_rng(0), 50,
+                             shrink=0.95)
+    constant, *lengths = _lengths_one_frame_per_point(
+        p, [np.zeros(p.domain.n, dtype=complex)] + points)
+    worst = 0.0
+    for val in lengths:
+        worst = float(np.maximum(worst, abs(val - constant)))
+    assert cert.constant == constant
+    assert cert.max_deviation == worst
+
+
+@pytest.mark.parametrize("d", [domains.ball(1), domains.ball(2),
+                               domains.ball(3), domains.polydisc(1),
+                               domains.polydisc(2), domains.polydisc(3)],
+                         ids=lambda d: d.label)
+def test_kai_ohsawa_constant_equals_one_frame_per_point(d):
+    p = potentials.kai_ohsawa_potential(d)
+    points = sample_interior(d, np.random.default_rng(0), 20)
+    center, *lengths = _lengths_one_frame_per_point(
+        p, [np.zeros(d.n, dtype=complex)] + points)
+    assert potentials.kai_ohsawa_constant(d) == center
+    assert max(abs(v - center) for v in lengths) <= 1e-6
+    with pytest.raises(NormalizationError, match="not constant"):
+        potentials.kai_ohsawa_constant(d, tol=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -304,3 +304,83 @@ def _report_text(name, config):
 def test_flow_report_is_deterministic(seed):
     config = {"horizon": 1.0, "dt": 4e-3, "seed": seed}
     assert _report_text("flow", config) == _report_text("flow", config)
+
+
+# ---------------------------------------------------------------------------
+# the flow suite's one stack
+
+FLOW_CONFIGS = [(1.0, 4e-3), (0.04, 0.04)]  # (horizon, dt)
+
+
+def _lone_flow_residuals(seed, horizon, dt):
+    """The flow suite's three flow residuals, each from its own integration,
+    normalized as the report does; the lone level-set trajectory too."""
+    p = potentials.rescaled_ball_potential(2, 3.0)
+    rng = np.random.default_rng(seed)
+    z0 = sample_interior(p.domain, rng, 1, shrink=0.5)[0]
+    traj = vfield.flow_trajectory(p, z0, horizon, dt=dt, generator="re_w",
+                                  record_every=200)
+    raw = {
+        "conservation": float(np.max(np.abs(traj["values"] - p(z0)))),
+        "pullback_metric": vfield.pullback_metric_deviation(
+            p, np.zeros(2, dtype=complex), 0.5, dt=dt),
+        "reparametrization": vfield.reparametrization_deviation(
+            p, z0, 0.8, dt=dt),
+    }
+    thresholds = {"conservation": 1e-6, "pullback_metric": 1e-4,
+                  "reparametrization": 1e-5}
+    return {k: raw[k] / thresholds[k] for k in raw}, traj
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("horizon, dt", FLOW_CONFIGS)
+def test_flow_suite_stack_equals_lone_flows(seed, horizon, dt, tmp_path):
+    path = tmp_path / "suite.csv"
+    report = run_suite("flow", {"horizon": horizon, "dt": dt, "seed": seed,
+                                "trajectory_csv": str(path)})
+    (row,) = report.samples
+    lone, traj = _lone_flow_residuals(seed, horizon, dt)
+    for key, value in lone.items():
+        assert row["residuals"][key] == value, key
+    lone_path = tmp_path / "lone.csv"
+    vfield.trajectory_to_csv(traj, lone_path)
+    assert path.read_bytes() == lone_path.read_bytes()
+    # the level-set row is recorded on its own step count: every 200th
+    # step and its last, never past its end, whatever the other rows run
+    steps = int(round(horizon / dt))
+    h = horizon / steps
+    marks = sorted(set(range(0, steps, 200)) | {steps})
+    assert list(traj["times"]) == [k * h for k in marks]
+
+
+def _lone_exit_time(p, z, t, dt, generator):
+    with pytest.raises(FlowExitError) as err:
+        vfield.integrate_flow(p, z, t, dt=dt, generator=generator)
+    return err.value.time
+
+
+def test_flow_stack_exit_is_the_earliest_of_any_row():
+    p = _off_center()
+    dt = 5e-3
+    inside, leaving = np.array([-0.7 + 0j]), np.array([0.5 + 0j])
+    # the recorded row leaves; the check's rows circle -0.8 and stay
+    with pytest.raises(FlowExitError) as err:
+        vfield.run_flows(p, (leaving, 3.0, "re_w"),
+                         [vfield.reparametrization_check(p, inside, 0.5)],
+                         dt=dt)
+    assert err.value.time == _lone_exit_time(p, leaving, 3.0, dt, "re_w")
+    # a check's rows leave; the recorded row stays
+    check = vfield.pullback_check(p, leaving, 3.0)
+    with pytest.raises(FlowExitError) as err:
+        vfield.run_flows(p, (inside, 3.0, "re_w"), [check], dt=dt)
+    assert err.value.time == min(
+        _lone_exit_time(p, z, 3.0, dt, "re_v") for z in check.starts)
+
+
+def test_zero_time_trajectory_is_its_start(certified):
+    z0 = np.array([0.2 + 0.1j, 0.05 - 0.3j])
+    for record_every in (0, 1):
+        traj = vfield.flow_trajectory(certified, z0, 0.0,
+                                      record_every=record_every)
+        assert list(traj["times"]) == [0.0]
+        assert np.array_equal(traj["points"][0], z0)
