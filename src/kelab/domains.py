@@ -370,7 +370,7 @@ def bergman_potential(d: DomainModel) -> PotentialField:
             TYPE_III: float(d.params[0] + 1),
         }[d.kind]
         parts = [(1.0, MatrixLogDetPart(p, q, kappa, lifts))]
-        order = 3
+        order = 4
     elif d.kind == TYPE_IV:
         parts = [(1.0, LogOfInnerPart(TypeIVNorm(), float(d.params[0])))]
         order = 4

@@ -16,7 +16,7 @@ potential the package constructs:
 * ``RealLinearLog``    -- log(c0 + 2 Re(c.z)) (half-plane kernel logs)
 * ``MatrixLogDetPart`` -- -kappa log det(I - Z Z*) on matrix balls, with a
                           linear parametrization for symmetry-constrained Z
-                          (closed form to order 3)
+                          (traces of matrix words, closed form to order 4)
 * ``LogOfInnerPart``   -- -kappa log w(z) for an inner function with a known
                           finite jet (the type-IV generic norm)
 * ``ConstantPart``     -- additive constants
@@ -90,10 +90,9 @@ def _sorted_index(n, m, l):
     """For each element of an (m, l) tensor, the flat index of the element
     with its holomorphic and antiholomorphic indices sorted."""
     shape = (n,) * (m + l)
-    return np.array([
-        np.ravel_multi_index(tuple(sorted(ix[:m])) + tuple(sorted(ix[m:])), shape)
-        for ix in np.ndindex(shape)
-    ])
+    ix = np.indices(shape).reshape(m + l, -1)
+    ix = np.concatenate([np.sort(ix[:m], axis=0), np.sort(ix[m:], axis=0)])
+    return np.ravel_multi_index(ix, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +268,28 @@ class MatrixLogDetPart:
     """-kappa log det(I_p - Z Z*) with Z = sum_a z^a L_a linear.
 
     ``lifts[a]`` lists (i, j, weight) triples: L_a = sum weight * E_ij.
-    With A = (I - Z Z*)^-1, P = Z* A, LP_a = L_a P and
-    G_ab = L_a (I + P Z) L_b* A, the derivatives are
+    With A = (I - Z Z*)^-1, P = Z* A and Q = I + P Z, the letters
 
-        d_a         =  kappa tr LP_a
-        d_a dbar_b  =  kappa tr G_ab
-        d_a d_b     =  kappa tr(LP_a LP_b)
-        d_a d_c dbar_b = kappa (tr(LP_a G_cb) + tr(G_ab LP_c))
-        d_a d_b d_c =  kappa (tr(LP_a LP_c LP_b) + tr(LP_a LP_b LP_c))
+        X_a = L_a P,    G_ad = L_a Q L_d* A,    R_d = Z L_d* A
 
-    plus conjugates.  Exact to order 3; order 4 falls back to the
-    finite-difference oracle.
+    differentiate as d_c X_a = X_a X_c, dbar_d X_a = G_ad,
+    d_c G_ad = X_a G_cd + G_ad X_c and dbar_e G_ad = G_ae R_d + G_ad R_e,
+    so every derivative is kappa times a sum of traces of words:
+
+        d_a            =  tr X_a
+        d_a dbar_d     =  tr G_ad
+        d_a d_b        =  tr(X_a X_b)
+        d_a d_c dbar_d =  tr(X_a G_cd) + tr(G_ad X_c)
+        d_a d_b d_c    =  tr(X_a X_c X_b) + tr(X_a X_b X_c)
+        d_a d_b d_c d_e        =  sum over the orderings s of (b, c, e)
+                                  of tr(X_a X_s1 X_s2 X_s3)
+        d_a d_b d_c dbar_d     =  dbar_d of the two (3, 0) words, each X
+                                  in turn replaced by its G (6 terms)
+        d_a d_c dbar_d dbar_e  =  tr((G_ae R_d + G_ad R_e) X_c + G_ad G_ce
+                                     + G_ae G_cd + X_a (G_ce R_d + G_cd R_e))
+
+    plus conjugates; exact to order 4.
     """
-
-    max_order = 3
 
     def __init__(self, p, q, kappa, lifts):
         self.p = int(p)
@@ -294,10 +301,6 @@ class MatrixLogDetPart:
                 self.L[a, i, j] += w
 
     def jet(self, Z, order):
-        if order > self.max_order:
-            raise UnsupportedOrderError(
-                f"matrix log-det derivatives implemented to order {self.max_order}"
-            )
         k, L = self.kappa, self.L
         Zm = np.tensordot(Z, L, axes=1)
         Zh = np.conj(Zm.transpose(0, 2, 1))
@@ -315,8 +318,8 @@ class MatrixLogDetPart:
         out[(1, 0)] = k * np.trace(LP, axis1=2, axis2=3)
         if order >= 2:
             IQ = np.eye(self.q) + P @ Zm
-            G = np.einsum("Naij,Nbjk->Nabik", L @ IQ[:, None],
-                          np.conj(L.transpose(0, 2, 1)) @ A[:, None])
+            LhA = np.conj(L.transpose(0, 2, 1)) @ A[:, None]
+            G = np.einsum("Naij,Nbjk->Nabik", L @ IQ[:, None], LhA)
             out[(1, 1)] = k * np.einsum("Nabii->Nab", G)
             out[(2, 0)] = k * np.einsum("Naik,Nbki->Nab", LP, LP)
         if order >= 3:
@@ -325,7 +328,34 @@ class MatrixLogDetPart:
             LPLP = np.einsum("Naik,Nbkj->Nabij", LP, LP)
             out[(3, 0)] = k * (np.einsum("Nacij,Nbji->Nabc", LPLP, LP)
                                + np.einsum("Nabij,Ncji->Nabc", LPLP, LP))
+        if order >= 4:
+            out.update(_matrix_order_four(k, LP, LPLP, G, Zm[:, None] @ LhA))
         return out
+
+
+def _matrix_order_four(k, X, XX, G, R):
+    """The (4, 0), (3, 1) and (2, 2) tensors of ``MatrixLogDetPart``.
+
+    X[N, a] = X_a, XX[N, a, b] = X_a X_b, G[N, a, d] = G_ad and
+    R[N, d] = R_d.  A trace of four letters is the trace of a product of
+    two two-letter words; each tensor sums such traces over index orders.
+    """
+    def orders(t, labels, out):
+        return k * sum(np.einsum(f"N{s}->N{out}", t) for s in labels)
+
+    W = np.einsum("Nabij,Nceji->Nabce", XX, XX)  # tr(X_a X_b X_c X_e)
+    V = np.einsum("Ngdij,Nxyji->Ngdxy", G, XX)   # tr(G_gd X_x X_y)
+    V = V + np.einsum("Ngdyx->Ngdxy", V)
+    U = np.einsum("Naeij,Ndcji->Naedc", G,       # tr(G_ae R_d X_c)
+                  np.einsum("Ndij,Ncjk->Ndcik", R, X))
+    Y = np.einsum("Nadij,Nceji->Nadce", G, G)    # tr(G_ad G_ce)
+    return {
+        (4, 0): orders(W, ("abce", "abec", "acbe", "aceb", "aebc", "aecb"),
+                       "abce"),
+        (3, 1): orders(V, ("adbc", "bdac", "cdab"), "abcd"),
+        (2, 2): orders(U, ("aedc", "adec", "ceda", "cdea"), "acde")
+                + orders(Y, ("adce", "aecd"), "acde"),
+    }
 
 
 class TypeIVNorm:

@@ -1,4 +1,4 @@
-"""Hermitian geometry of a potential at a point.
+"""Hermitian geometry of a potential at a point or a stack of points.
 
 Conventions, with G the matrix G[a, b] = g_{a bbar} = d^2 phi / dz^a dzbar^b:
 
@@ -11,10 +11,23 @@ Conventions, with G the matrix G[a, b] = g_{a bbar} = d^2 phi / dz^a dzbar^b:
   potential's third derivatives, hence exactly symmetric in (a, b).
 * covariant Hessian phi_{a;b} = d_b d_a phi - Gamma^l_{ab} phi_l.
 * Laplacian on scalars  Delta f = g^{a bbar} d_a dbar_b f = tr(F g_inv).
-* Ricci tensor      Ric = -d dbar log det G, evaluated by an outer central
-  difference over the (analytic where available) inner metric.  The inner
-  evaluation is stacked: the whole stencil's log det g comes from one
-  ``metric_from_potential`` call on an (N, n) stack of points.
+* Ricci tensor      Ric = -d dbar log det G.
+
+Curvature takes one of two paths, chosen in one place,
+``closed_form_curvature``:
+
+* closed form, for potentials with closed-form parts to order 4 (every
+  kernel potential of the catalog): one order-4 frame of a whole stack
+  gives Ric = -g^{i jbar} phi_{i jbar a bbar} + g^{i lbar} g^{k jbar}
+  phi_{i jbar a} phi_{k lbar bbar} (``ricci_from_frame``) and
+  Delta |dphi|_half^2 by the product rule (``length_laplacian_from_frame``);
+* nested finite differences, for FD-only potentials: ``ricci`` takes an
+  outer central difference of log det g over stacked inner frames, and
+  ``laplacian`` differences ``gradient_length_field``.  Both stay the
+  oracle the closed forms are tested against.
+
+The identity residuals take a point (a float back) or an (N, n) stack (an
+array of N back).
 
 Two identities tie these together on a Kaehler-Einstein metric with
 Ric = -K g and any local potential phi of it:
@@ -30,6 +43,7 @@ which forces |dphi|_half^2 >= (n+1)/K.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +130,11 @@ def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
     )
 
 
+def _per_point(val):
+    """A float for a one-point result, the array of N for a stacked one."""
+    return float(val) if np.ndim(val) == 0 else val
+
+
 def gradient_length_sq(frame: MetricFrame):
     """phi_a g^{a bbar} phi_bbar at the frame's point (half the 1-form norm).
 
@@ -123,8 +142,7 @@ def gradient_length_sq(frame: MetricFrame):
     """
     phi_z = frame.jet.holo_gradient()
     raised = (frame.g_inv @ phi_z[..., None])[..., 0]
-    val = np.real(np.sum(np.conj(phi_z) * raised, axis=-1))
-    return float(val) if val.ndim == 0 else val
+    return _per_point(np.real(np.sum(np.conj(phi_z) * raised, axis=-1)))
 
 
 def d_length_sq(frame: MetricFrame) -> float:
@@ -138,30 +156,34 @@ def covariant_hessian(frame: MetricFrame) -> np.ndarray:
         raise ValueError("covariant Hessian needs a frame built to order >= 3")
     phi_z = frame.jet.holo_gradient()
     pure = frame.jet.pure_hessian()
-    return pure - np.einsum("lab,l->ab", frame.christoffel, phi_z)
+    return pure - np.einsum("...lab,...l->...ab", frame.christoffel, phi_z)
 
 
-def hessian_norm_sq(frame: MetricFrame) -> float:
+def hessian_norm_sq(frame: MetricFrame):
     """|Hess phi|^2 = phi_{a;b} conj(phi_{l;m}) g^{a lbar} g^{b mbar} >= 0."""
     H = covariant_hessian(frame)
     gi = frame.g_inv
-    val = np.sum(H * (gi.T @ np.conj(H) @ gi))
-    return float(np.real(val))
+    val = np.sum(H * (_transpose(gi) @ np.conj(H) @ gi), axis=(-2, -1))
+    return _per_point(np.real(val))
 
 
-def laplacian(f, frame: MetricFrame, step: float | None = None) -> float:
-    """Laplace-Beltrami of a scalar field at the frame's point.
+def _transpose(m):
+    return np.swapaxes(m, -1, -2)
+
+
+def laplacian(f, frame: MetricFrame, step: float | None = None):
+    """Laplace-Beltrami of a scalar field at the frame's point, by FD.
 
     ``f`` may be a plain callable (finite differences) or anything exposing
     ``jet`` (closed form when available).  On scalars the covariant mixed
-    second derivative equals the partial one.
+    second derivative equals the partial one.  A stacked frame takes one
+    stencil per point.
     """
-    if hasattr(f, "jet"):
-        jf = f.jet(frame.point, 2, step=step)
-    else:
-        jf = fd_jet(f, frame.point, 2, step=step)
-    F = jf.mixed_hessian()
-    return float(np.real(np.trace(F @ frame.g_inv)))
+    jet = f.jet if hasattr(f, "jet") else functools.partial(fd_jet, f)
+    F = np.reshape([jet(z, 2, step=step).mixed_hessian()
+                    for z in frame.point.reshape(-1, frame.dim)],
+                   frame.g_inv.shape)
+    return _per_point(np.real(np.trace(F @ frame.g_inv, axis1=-2, axis2=-1)))
 
 
 def gradient_length_field(p, order: int = 2):
@@ -181,10 +203,12 @@ def gradient_length_field(p, order: int = 2):
 def ricci(p, z, step: float | None = None) -> np.ndarray:
     """Ricci tensor -d dbar log det g via an outer central difference.
 
-    The inner evaluation z -> log det g uses the potential's analytic
-    second derivatives when declared, which keeps the outer stencil noise
-    near machine level; FD-only potentials fall back to nested differences
-    with a larger outer step.
+    The nested-FD path, for potentials without closed-form curvature, and
+    the oracle of ``ricci_from_frame``.  The inner evaluation
+    z -> log det g uses the potential's analytic second derivatives when
+    declared, which keeps the outer stencil noise near machine level;
+    FD-only potentials fall back to nested differences with a larger
+    outer step.
     """
     z = as_point(z)
     if step is None:
@@ -202,33 +226,116 @@ def ricci(p, z, step: float | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# identity residuals (shared by tests and the verification suites)
+# closed-form curvature from an order-4 frame
+
+def closed_form_curvature(p) -> bool:
+    """Whether ``p``'s curvature comes in closed form from an order-4 frame.
+
+    The one switch between the two paths: potentials with closed-form
+    parts to order 4 use ``ricci_from_frame`` and
+    ``length_laplacian_from_frame``; every other potential (FD-only ones
+    such as ``canonical_potential``) uses the nested-FD ``ricci`` and the
+    FD ``laplacian`` of ``gradient_length_field``.
+    """
+    return p.parts is not None and p.analytic_order >= 4
+
+
+def _order_four(frame: MetricFrame):
+    if frame.jet.order < 4:
+        raise ValueError("closed-form curvature needs an order-4 frame")
+    t = frame.jet.tensors
+    return t[(2, 0)], t[(2, 1)], t[(2, 2)]
+
+
+def ricci_from_frame(frame: MetricFrame) -> np.ndarray:
+    """Ric_{a bbar} = -g^{i jbar} phi_{i jbar a bbar}
+                      + g^{i lbar} g^{k jbar} phi_{i jbar a} phi_{k lbar bbar}.
+
+    Exact from the potential's fourth derivatives; g_inv[j, i] = g^{jbar i}
+    is contracted with the third-derivative tensor first.
+    """
+    _, T21, T22 = _order_four(frame)
+    gi = frame.g_inv
+    first = np.einsum("...ji,...iajb->...ab", gi, T22)
+    left = np.einsum("...li,...iaj->...laj", gi, T21)
+    left = np.einsum("...laj,...jk->...lak", left, gi)
+    second = np.einsum("...lak,...lbk->...ab", left, np.conj(T21))
+    return second - first
+
+
+def length_laplacian_from_frame(frame: MetricFrame):
+    """Delta |dphi|_half^2 = tr(F g^-1) from an order-4 frame, where
+    F_cd = d_c dbar_d (phi_z^H g^-1 phi_z).
+
+    The product rule with d g^-1 = -g^-1 (d g) g^-1 gives, with
+    w = g^-1 phi_z, u = phi_z^H g^-1, X_cj = u_i phi_{c i jbar},
+    C_ci = phi_{c i jbar} w_j - phi_{ci} (= -phi_{c;i}) and
+    S_cd = u_i phi_{c i jbar dbar} w_j,
+
+        F = g + X g^-1 X^H + C (g^-1)^T C^H - S
+
+    (the terms with a third derivative of phi against w or u cancel in
+    pairs).  Against g^-1, g traces to n and the C term to |Hess phi|^2.
+    Every contraction is pairwise, vectors first.
+    """
+    T20, T21, T22 = _order_four(frame)
+    M = frame.g_inv
+    phi_z = frame.jet.holo_gradient()
+    w = (M @ phi_z[..., None])[..., 0]
+    u = (np.conj(phi_z)[..., None, :] @ M)[..., 0, :]
+    X = np.einsum("...i,...cij->...cj", u, T21)
+    C = np.einsum("...cij,...j->...ci", T21, w) - T20
+    S = np.einsum("...i,...cijd->...cjd", u, T22)
+    S = np.einsum("...cjd,...j->...cd", S, w)
+    F = (frame.g + X @ M @ np.conj(_transpose(X))
+         + C @ _transpose(M) @ np.conj(_transpose(C)) - S)
+    return _per_point(np.real(np.einsum("...cd,...dc->...", F, M)))
+
+
+# ---------------------------------------------------------------------------
+# identity residuals (shared by tests and the verification suites); each
+# takes a point (a float back) or an (N, n) stack (an array of N back)
 
 def einstein_residual(p, z, K: float | None = None,
-                      step: float | None = None) -> float:
-    """max entrywise |Ric + K g| at z."""
+                      step: float | None = None):
+    """max entrywise |Ric + K g| at z.
+
+    ``step`` is the outer stencil step of the nested-FD path.
+    """
     K = p.ricci_constant if K is None else K
-    frame = metric_from_potential(p, z, order=2)
-    ric = ricci(p, z, step=step)
-    return float(np.max(np.abs(ric + K * frame.g)))
+    if closed_form_curvature(p):
+        frame = metric_from_potential(p, z, order=4)
+        ric = ricci_from_frame(frame)
+    else:
+        frame = metric_from_potential(p, z, order=2)
+        ric = np.reshape([ricci(p, w, step=step)
+                          for w in frame.point.reshape(-1, frame.dim)],
+                         frame.g.shape)
+    return _per_point(np.max(np.abs(ric + K * frame.g), axis=(-2, -1)))
 
 
-def key_equation_residual(p, z) -> float:
+def key_equation_residual(p, z):
     """max_b |phi_{a;b} phi^a + phi_b| (zero for constant gradient length)."""
     frame = metric_from_potential(p, z)
     phi_z = frame.jet.holo_gradient()
     phi_up = frame.raise_index(phi_z)
     H = covariant_hessian(frame)
-    contraction = np.einsum("ab,a->b", H, phi_up)
-    return float(np.max(np.abs(contraction + phi_z)))
+    contraction = np.einsum("...ab,...a->...b", H, phi_up)
+    return _per_point(np.max(np.abs(contraction + phi_z), axis=-1))
 
 
-def delta_identity_residual(p, z, step: float | None = None) -> float:
-    """|Delta |dphi|^2_half - |Hess phi|^2 - n + K |dphi|^2_half| at z."""
-    frame = metric_from_potential(p, z)
-    n = frame.dim
+def delta_identity_residual(p, z, step: float | None = None):
+    """|Delta |dphi|^2_half - |Hess phi|^2 - n + K |dphi|^2_half| at z.
+
+    ``step`` is the Laplacian's stencil step on the nested-FD path.
+    """
+    if closed_form_curvature(p):
+        frame = metric_from_potential(p, z, order=4)
+        lap = length_laplacian_from_frame(frame)
+    else:
+        frame = metric_from_potential(p, z)
+        lap = laplacian(gradient_length_field(p), frame, step=step)
     K = p.ricci_constant
     L = gradient_length_sq(frame)
     H2 = hessian_norm_sq(frame)
-    lap = laplacian(gradient_length_field(p), frame, step=step)
-    return float(abs(lap - H2 - n + K * L))
+    return _per_point(np.abs(lap - H2 - frame.dim + K * L))

@@ -217,22 +217,26 @@ def run_suite(name: str, config: dict | None = None) -> VerificationReport:
 # suites
 
 @_suite("einstein", "Ricci of dd^c log-kernel equals -1 on the catalog",
-        ["hermgeo.ricci", "domains.bergman_potential"], tol=1e-3,
+        ["hermgeo.ricci_from_frame", "domains.bergman_potential"], tol=1e-3,
         samples=20, shrink=0.8,
         domains=[d.to_json() for d in (ball(2), polydisc(2), polydisc(3),
                                        type_i(2, 2), type_iii(2), type_iv(3))])
 def _einstein(cfg):
-    """max |Ric + K g| for the catalog's kernel potentials (K = 1)."""
+    """max |Ric + K g| for the catalog's kernel potentials (K = 1).
+
+    Each domain's sample stack is one ``einstein_residual`` call.
+    """
     models = [_domain(d) for d in cfg["domains"]]
     rows = []
     for d in models:
         p = bergman_potential(d)
         rng = np.random.default_rng(cfg["seed"])
-        for z in sample_interior(d, rng, cfg["samples"], shrink=cfg["shrink"]):
+        zs = sample_interior(d, rng, cfg["samples"], shrink=cfg["shrink"])
+        for z, r in zip(zs, hermgeo.einstein_residual(p, np.array(zs))):
             rows.append({
                 "domain": d.label,
                 "point": _point_json(z),
-                "residuals": {"einstein": hermgeo.einstein_residual(p, z)},
+                "residuals": {"einstein": float(r)},
             })
     params = {"shrink": cfg["shrink"], "ricci_constant": 1.0,
               "norm_exponents": _NORM_EXPONENTS}
@@ -240,10 +244,13 @@ def _einstein(cfg):
 
 
 @_suite("delta-identity", "Delta|dphi|^2 = |Hess phi|^2 + n - K|dphi|^2",
-        ["hermgeo.laplacian", "hermgeo.hessian_norm_sq"], tol=1e-3,
-        samples=50, shrink=0.85)
+        ["hermgeo.length_laplacian_from_frame", "hermgeo.hessian_norm_sq"],
+        tol=1e-3, samples=50, shrink=0.85)
 def _delta_identity(cfg):
-    """|Delta L - |Hess|^2 - n + K L| for three benchmark metrics."""
+    """|Delta L - |Hess|^2 - n + K L| for three benchmark metrics.
+
+    Each target's sample stack is one ``delta_identity_residual`` call.
+    """
     b2 = ball(2)
     targets = [
         (ke_potential(b2, float(b2.n + 1)), b2),
@@ -253,13 +260,13 @@ def _delta_identity(cfg):
     rows = []
     for p, d in targets:
         rng = np.random.default_rng(cfg["seed"])
-        for z in sample_interior(d, rng, cfg["samples"], shrink=cfg["shrink"]):
+        zs = sample_interior(d, rng, cfg["samples"], shrink=cfg["shrink"])
+        for z, r in zip(zs, hermgeo.delta_identity_residual(p, np.array(zs))):
             rows.append({
                 "domain": d.label,
                 "potential": p.label,
                 "point": _point_json(z),
-                "residuals": {
-                    "delta_identity": hermgeo.delta_identity_residual(p, z)},
+                "residuals": {"delta_identity": float(r)},
             })
     return [d.to_json() for _, d in targets], {"shrink": cfg["shrink"]}, rows
 
@@ -270,9 +277,10 @@ def _key_equation(cfg):
     """Componentwise |phi_{a;b} phi^a + phi_b| for a constant-length potential."""
     p = potentials.rescaled_ball_potential(cfg["n"], cfg["ricci"])
     rng = np.random.default_rng(cfg["seed"])
-    rows = [{"point": _point_json(z),
-             "residuals": {"key_equation": hermgeo.key_equation_residual(p, z)}}
-            for z in sample_interior(p.domain, rng, cfg["samples"])]
+    zs = sample_interior(p.domain, rng, cfg["samples"])
+    residuals = hermgeo.key_equation_residual(p, np.array(zs))
+    rows = [{"point": _point_json(z), "residuals": {"key_equation": float(r)}}
+            for z, r in zip(zs, residuals)]
     return p.domain.to_json(), {"n": cfg["n"], "ricci": cfg["ricci"]}, rows
 
 
@@ -300,12 +308,12 @@ def _constant_length(cfg):
     p = potentials.rescaled_ball_potential(d.n, K)
     target = (d.n + 1) / K
     rng = np.random.default_rng(cfg["seed"])
-    rows = []
-    for z in sample_interior(d, rng, cfg["samples"]):
-        frame = hermgeo.metric_from_potential(p, z, order=2)
-        r = abs(hermgeo.gradient_length_sq(frame) - target)
-        rows.append({"point": _point_json(z),
-                     "residuals": {"length_deviation": r}})
+    zs = sample_interior(d, rng, cfg["samples"])
+    frame = hermgeo.metric_from_potential(p, np.array(zs), order=2)
+    deviations = np.abs(hermgeo.gradient_length_sq(frame) - target)
+    rows = [{"point": _point_json(z),
+             "residuals": {"length_deviation": float(r)}}
+            for z, r in zip(zs, deviations)]
     return d.to_json(), {"n": d.n, "ricci": K, "target": target}, rows
 
 

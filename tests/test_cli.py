@@ -143,9 +143,11 @@ def test_nan_residual_fails_suite(monkeypatch):
     real = hermgeo.key_equation_residual
     calls = []
 
-    def one_nan(p, z):
-        calls.append(z)
-        return float("nan") if len(calls) == 3 else real(p, z)
+    def one_nan(p, zs):  # the suite evaluates its sample stack in one call
+        calls.extend(zs)
+        out = real(p, zs)
+        out[2] = float("nan")
+        return out
 
     monkeypatch.setattr(hermgeo, "key_equation_residual", one_nan)
     report = run_suite("key-equation", {"samples": 5, "seed": 1})

@@ -285,3 +285,106 @@ def test_stacked_degenerate_metric_names_the_point():
     hermgeo.metric_from_potential(p, zs[:1], order=2)
     with pytest.raises(DegenerateMetricError, match=r"0\.7"):
         hermgeo.metric_from_potential(p, zs, order=2)
+
+
+# ---------------------------------------------------------------------------
+# closed-form curvature from one order-4 frame
+
+CURVATURE_KINDS = [
+    domains.ball(2), domains.polydisc(3), domains.type_i(2, 2),
+    domains.type_i(2, 3), domains.type_i(3, 3), domains.type_ii(5),
+    domains.type_iii(2), domains.type_iii(3), domains.type_iv(3),
+    domains.type_iv(5), domains.halfplane_product(2),
+    domains.product(domains.type_i(2, 2), domains.ball(1)),
+]
+
+
+@pytest.mark.parametrize("d", CURVATURE_KINDS, ids=lambda d: d.label)
+def test_closed_form_curvature_matches_fd_oracle(d):
+    """Ricci and Delta|dphi|^2 from one order-4 frame against the nested-FD
+    ``ricci`` and the FD ``laplacian``; one point per kind when n >= 9."""
+    p = domains.bergman_potential(d)
+    assert hermgeo.closed_form_curvature(p)
+    zs = np.array(sample_interior(d, np.random.default_rng(67),
+                                  1 if d.n >= 9 else 2, shrink=0.6))
+    frame = hermgeo.metric_from_potential(p, zs, order=4)
+    ric = hermgeo.ricci_from_frame(frame)
+    lap = hermgeo.length_laplacian_from_frame(frame)
+    assert np.max(np.abs(ric + frame.g)) <= 1e-12
+    fd_lap = hermgeo.laplacian(hermgeo.gradient_length_field(p),
+                               hermgeo.metric_from_potential(p, zs))
+    for i, z in enumerate(zs):
+        scale = max(1.0, np.max(np.abs(frame.g[i])))
+        assert np.max(np.abs(ric[i] - hermgeo.ricci(p, z))) <= 1e-8 * scale
+    np.testing.assert_allclose(lap, fd_lap, rtol=0, atol=1e-6)
+
+
+def test_stacked_residuals_match_per_point():
+    p = domains.bergman_potential(domains.type_i(2, 2))
+    zs = np.array(sample_interior(p.domain, np.random.default_rng(71), 4))
+    for residual in (hermgeo.einstein_residual,
+                     hermgeo.delta_identity_residual,
+                     hermgeo.key_equation_residual):
+        stacked = residual(p, zs)
+        assert stacked.shape == (4,)
+        for i, z in enumerate(zs):
+            assert abs(stacked[i] - residual(p, z)) <= 1e-15
+
+
+@pytest.mark.parametrize("d, outside", [
+    (domains.ball(1), [1.2 + 0j]),
+    (domains.type_i(2, 2), [1.5, 0.0, 0.0, 1.5j]),
+], ids=["ball(1)", "type1(2,2)"])
+def test_closed_form_path_fails_closed(d, outside):
+    """A point outside the domain raises, alone or inside a stack."""
+    from kelab.errors import EvaluationError
+
+    p = domains.bergman_potential(d)
+    inside = np.zeros(d.n, complex)
+    for residual in (hermgeo.einstein_residual,
+                     hermgeo.delta_identity_residual):
+        for z in (np.array(outside), np.array([inside, outside])):
+            with pytest.raises(EvaluationError):
+                residual(p, z)
+
+
+def _fd_jet_spy(monkeypatch):
+    """Count every fd_jet call, through each module's alias."""
+    import kelab
+    from kelab import field, jets
+
+    real, calls = jets.fd_jet, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in (jets, hermgeo, field, kelab):
+        monkeypatch.setattr(module, "fd_jet", spy)
+    return calls
+
+
+def test_curvature_suites_take_the_closed_form_path(monkeypatch):
+    from kelab.suites import run_suite
+
+    calls = _fd_jet_spy(monkeypatch)
+    for name in ("einstein", "delta-identity"):
+        assert run_suite(name).passed
+    assert calls == []
+
+
+def test_fd_only_potential_takes_the_nested_fd_path(monkeypatch):
+    base = domains.bergman_potential(domains.ball(2))
+    fd_only = PotentialField(
+        domain=base.domain, ricci_constant=1.0, parts=None,
+        analytic_order=0, label="fd-kernel", fn=base,
+    )
+    assert not hermgeo.closed_form_curvature(fd_only)
+    calls = _fd_jet_spy(monkeypatch)
+    z = np.array([0.2 + 0.1j, -0.3j])
+    assert hermgeo.einstein_residual(fd_only, z) <= 1e-3
+    ricci_calls = len(calls)
+    assert ricci_calls > 0
+    # nested stencils: Laplacian over FD frames, accurate to a few 1e-3 here
+    assert np.isfinite(hermgeo.delta_identity_residual(fd_only, z))
+    assert len(calls) > ricci_calls

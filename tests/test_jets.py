@@ -119,8 +119,16 @@ def test_type_i_metric_at_origin_is_exponent_times_identity():
     np.testing.assert_allclose(jet.mixed_hessian(), 4.0 * np.eye(4), atol=1e-14)
 
 
+def _order_three_kernel():
+    """The type1(2,2) kernel potential, declaring closed forms to order 3."""
+    from kelab.field import combine
+
+    base = domains.bergman_potential(domains.type_i(2, 2))
+    return combine(base.domain, 1.0, [(1.0, base)], 3, "kernel-to-order-3")
+
+
 def test_unsupported_order_raises():
-    p = domains.bergman_potential(domains.type_i(2, 2))  # closed form to 3
+    p = _order_three_kernel()  # closed form to 3
     with pytest.raises(UnsupportedOrderError):
         analytic_jet(p, np.zeros(4, complex), 4)
 
@@ -211,6 +219,19 @@ def test_multi_indices_stored_sorted():
     assert jet.pure_hessian()[1, 0] == jet.pure_hessian()[0, 1]
 
 
+def test_sorted_index_equals_per_element_loop():
+    """The vectorized index table of ``field._complete`` against sorting
+    each element's indices one at a time."""
+    from kelab.field import _sorted_index
+
+    for n, m, l in ((1, 2, 0), (2, 2, 1), (3, 2, 2), (3, 3, 1), (4, 4, 0)):
+        shape = (n,) * (m + l)
+        loop = [np.ravel_multi_index(tuple(sorted(ix[:m]))
+                                     + tuple(sorted(ix[m:])), shape)
+                for ix in np.ndindex(shape)]
+        assert np.array_equal(_sorted_index(n, m, l), loop)
+
+
 def test_as_point_validation():
     with pytest.raises(ValueError):
         as_point([])
@@ -221,7 +242,7 @@ def test_as_point_validation():
 
 
 def test_jet_dispatch_above_analytic_order_uses_fd():
-    p = domains.bergman_potential(domains.type_i(2, 2))  # closed form to 3
+    p = _order_three_kernel()  # closed form to 3
     z = np.array([0.2 + 0.1j, 0.05, -0.1j, 0.15 - 0.05j])
     jet = p.jet(z, 4)  # silently served by the FD oracle
     assert jet.order == 4
@@ -241,3 +262,17 @@ def test_fd_only_potential_falls_back():
     jf = fd_only.jet(z, 2)
     worst = jet_gap(ja, jf)
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("d", [domains.type_i(2, 3), domains.type_ii(5),
+                               domains.type_iii(3)], ids=lambda d: d.label)
+def test_matrix_order_four_matches_oracle(d):
+    """The order-4 trace formulas of ``MatrixLogDetPart`` against fd_jet
+    (1e-3, as the other orders 3-4 at moderate interior points)."""
+    p = domains.bergman_potential(d)
+    assert p.analytic_order == 4
+    z = sample_interior(d, np.random.default_rng(13), 1, shrink=0.55)[0]
+    ja, jf = p.analytic_jet(z, 4), fd_jet(p, z, 4)
+    assert {k for k in ja.tensors if sum(k) == 4} == {
+        (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)}
+    assert jet_gap(ja, jf) <= 1e-3

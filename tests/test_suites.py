@@ -159,9 +159,11 @@ def test_nan_report_is_strict_json_and_fails(monkeypatch):
     real = hermgeo.key_equation_residual
     calls = []
 
-    def one_nan(p, z):
-        calls.append(z)
-        return float("nan") if len(calls) == 2 else real(p, z)
+    def one_nan(p, zs):  # the suite evaluates its sample stack in one call
+        calls.extend(zs)
+        out = real(p, zs)
+        out[1] = float("nan")
+        return out
 
     monkeypatch.setattr(hermgeo, "key_equation_residual", one_nan)
     report = run_suite("key-equation", {"samples": 3, "seed": 1})
