@@ -201,16 +201,41 @@ def test_einstein_residual_analytic_path_tight():
             assert hermgeo.einstein_residual(p, z) <= 1e-8
 
 
-def test_einstein_residual_nested_fd_path():
-    """An FD-only copy of a kernel potential still verifies to 1e-3."""
+def _fd_jet_spy(monkeypatch):
+    """Count every fd_jet call, through each module's alias."""
+    import kelab
+    from kelab import field, jets
+
+    real, calls = jets.fd_jet, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in (jets, hermgeo, field, kelab):
+        monkeypatch.setattr(module, "fd_jet", spy)
+    return calls
+
+
+def test_einstein_residual_nested_fd_path(monkeypatch):
+    """An FD-only copy of a kernel potential takes the nested-FD stencils
+    and still verifies to 1e-3."""
     base = domains.bergman_potential(domains.ball(2))
     fd_only = PotentialField(
         domain=base.domain, ricci_constant=1.0, parts=None,
         analytic_order=0, label="fd-kernel", fn=base,
     )
+    assert not hermgeo.closed_form_curvature(fd_only)
+    calls = _fd_jet_spy(monkeypatch)
     rng = np.random.default_rng(59)
     for z in sample_interior(base.domain, rng, 3, shrink=0.7):
         assert hermgeo.einstein_residual(fd_only, z) <= 1e-3
+    assert calls
+    # the Laplacian over FD frames holds to a few 1e-3 at this point
+    calls.clear()
+    z = np.array([0.2 + 0.1j, -0.3j])
+    assert hermgeo.delta_identity_residual(fd_only, z) <= 1e-2
+    assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +373,6 @@ def test_closed_form_path_fails_closed(d, outside):
                 residual(p, z)
 
 
-def _fd_jet_spy(monkeypatch):
-    """Count every fd_jet call, through each module's alias."""
-    import kelab
-    from kelab import field, jets
-
-    real, calls = jets.fd_jet, []
-
-    def spy(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    for module in (jets, hermgeo, field, kelab):
-        monkeypatch.setattr(module, "fd_jet", spy)
-    return calls
-
-
 def test_curvature_suites_take_the_closed_form_path(monkeypatch):
     from kelab.suites import run_suite
 
@@ -371,20 +380,3 @@ def test_curvature_suites_take_the_closed_form_path(monkeypatch):
     for name in ("einstein", "delta-identity"):
         assert run_suite(name).passed
     assert calls == []
-
-
-def test_fd_only_potential_takes_the_nested_fd_path(monkeypatch):
-    base = domains.bergman_potential(domains.ball(2))
-    fd_only = PotentialField(
-        domain=base.domain, ricci_constant=1.0, parts=None,
-        analytic_order=0, label="fd-kernel", fn=base,
-    )
-    assert not hermgeo.closed_form_curvature(fd_only)
-    calls = _fd_jet_spy(monkeypatch)
-    z = np.array([0.2 + 0.1j, -0.3j])
-    assert hermgeo.einstein_residual(fd_only, z) <= 1e-3
-    ricci_calls = len(calls)
-    assert ricci_calls > 0
-    # nested stencils: Laplacian over FD frames, accurate to a few 1e-3 here
-    assert np.isfinite(hermgeo.delta_identity_residual(fd_only, z))
-    assert len(calls) > ricci_calls
