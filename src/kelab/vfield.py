@@ -7,8 +7,10 @@ For a potential phi of a metric with Ricci constant K the construction is
 When |dphi|_half^2 is identically (n+1)/K the field is holomorphic and
 nowhere vanishing; its real part generates a 1-parameter isometry group.
 ``dbar_defect`` measures |nabla'' V|^2 for any potential (it is the
-diagnostic that vanishes exactly in the certified case), and
-``integrate_flow`` follows the real fields
+diagnostic that vanishes exactly in the certified case).  It,
+``dbar_defect_closed_form`` and ``level_set_tangency`` take a point (a
+float back) or an (N, n) stack (an array of N back, from one frame of the
+stack).  ``integrate_flow`` follows the real fields
 
     Re W:  dz/dt = i phi^a(z)          (tangent to the level sets of phi)
     Re V:  dz/dt = i e^(K phi/(n+1)) phi^a(z)
@@ -32,6 +34,7 @@ import numpy as np
 
 from . import hermgeo
 from .errors import CertificateError, FlowExitError
+from .hermgeo import _per_point, _transpose
 from .jets import as_point, as_points
 
 MAX_HORIZON = 10.0
@@ -54,8 +57,9 @@ def _gradient_parts(p, z, order=2):
 
 
 def _exp_factor(p, value):
-    n = p.domain.n
-    return float(np.exp(p.ricci_constant * value / (n + 1)))
+    """e^(K phi/(n+1)) of a value (a float back) or an array of values."""
+    return _per_point(
+        np.exp(p.ricci_constant * np.asarray(value) / (p.domain.n + 1)))
 
 
 def vector_field(p, z, certificate) -> VectorFieldAt:
@@ -80,7 +84,7 @@ def vector_field(p, z, certificate) -> VectorFieldAt:
     )
 
 
-def dbar_defect(p, z) -> float:
+def dbar_defect(p, z):
     """|nabla'' V|^2 at z, from
 
         V^a_{;bbar} = e^(K phi/(n+1)) ( (K/(n+1)) phi_bbar phi^a
@@ -88,25 +92,25 @@ def dbar_defect(p, z) -> float:
 
     Works for any potential (no certificate needed): for non-constant
     gradient length it measures how far the construction is from being
-    holomorphic at z.
+    holomorphic at z.  ``z`` is a point (a float back) or an (N, n) stack
+    (an array of N back, from one order-3 frame of the stack).
     """
-    z = as_point(z)
-    frame = hermgeo.metric_from_potential(p, z, order=3)
-    phi_z = frame.jet.holo_gradient()
-    phi_up = frame.raise_index(phi_z)
-    n = frame.dim
+    frame, phi_z, phi_up = _gradient_parts(p, z, order=3)
     K = p.ricci_constant
     H = hermgeo.covariant_hessian(frame)
-    raised_conj_hessian = frame.g_inv.T @ np.conj(H)  # [a, b] = g^{a mbar} conj(H[m, b])
-    T = (K / (n + 1)) * np.outer(phi_up, np.conj(phi_z)) + raised_conj_hessian
-    factor = _exp_factor(p, frame.jet.value())
-    T = factor * T
+    # [a, b] = g^{a mbar} conj(H[m, b])
+    raised_conj_hessian = _transpose(frame.g_inv) @ np.conj(H)
+    T = ((K / (frame.dim + 1))
+         * (phi_up[..., :, None] * np.conj(phi_z)[..., None, :])
+         + raised_conj_hessian)
+    T = np.asarray(_exp_factor(p, frame.jet.value()))[..., None, None] * T
     # |T|^2 with the upper index lowered by g and the barred one raised:
-    val = np.sum(frame.g * (T @ frame.g_inv @ T.conj().T))
-    return float(np.real(val))
+    val = np.sum(frame.g * (T @ frame.g_inv @ np.conj(_transpose(T))),
+                 axis=(-2, -1))
+    return _per_point(np.real(val))
 
 
-def dbar_defect_closed_form(p, z) -> float:
+def dbar_defect_closed_form(p, z):
     """e^(2K phi/(n+1)) ((K/(n+1)) |dphi|_half^2 - 1)^2 at z.
 
     Equals ``dbar_defect`` exactly when the gradient length is the constant
@@ -115,28 +119,29 @@ def dbar_defect_closed_form(p, z) -> float:
     phi_{a;b} phi^a = -phi_b and |Hess phi|^2 = K|dphi|^2_half - n = 1.  For
     other potentials it is a formal expression, not the actual defect: for
     the ball's defining potential phi_rho the law is identically 1, while
-    V^a = i z^a is holomorphic and the defect is 0.
+    V^a = i z^a is holomorphic and the defect is 0.  ``z`` is a point (a
+    float back) or an (N, n) stack (an array of N back, from one order-2
+    frame of the stack).
     """
-    z = as_point(z)
     frame = hermgeo.metric_from_potential(p, z, order=2)
     L = hermgeo.gradient_length_sq(frame)
-    n = frame.dim
     K = p.ricci_constant
-    return float(
-        _exp_factor(p, frame.jet.value()) ** 2 * (K / (n + 1) * L - 1.0) ** 2
-    )
+    # float_power is the C pow that a float's ** calls; an array's ** 2 is
+    # x * x, which can differ from it by an ulp
+    return _per_point(np.float_power(_exp_factor(p, frame.jet.value()), 2)
+                      * np.float_power(K / (frame.dim + 1) * L - 1.0, 2))
 
 
-def level_set_tangency(p, z) -> float:
+def level_set_tangency(p, z):
     """|(Re W) phi| at z with W = i grad(phi): i (phi^a phi_a) - conj(...).
 
     Algebraically zero for every potential since phi^a phi_a is real; the
-    return value is pure floating-point noise.
+    return value is pure floating-point noise.  ``z`` is a point (a float
+    back) or an (N, n) stack (an array of N back).
     """
-    z = as_point(z)
     frame, phi_z, phi_up = _gradient_parts(p, z)
-    a = complex(np.sum(phi_up * phi_z))
-    return float(abs(1j * a - 1j * np.conj(a)))
+    a = np.sum(phi_up * phi_z, axis=-1)
+    return _per_point(np.abs(1j * a - 1j * np.conj(a)))
 
 
 # ---------------------------------------------------------------------------

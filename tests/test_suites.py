@@ -210,3 +210,23 @@ def test_table1_fails_when_ball_is_not_type1_1n(monkeypatch):
     assert coincidence == {"kind": "ball(n) = type1(1,n)",
                            "residuals": {"mismatch": 1.0}}
     assert all(row["residuals"]["mismatch"] == 0.0 for row in table)
+
+
+@pytest.mark.parametrize("name", ["einstein", "delta-identity", "key-equation",
+                                  "constant-length", "dbar-defect"])
+def test_frame_count_does_not_grow_with_samples(name, monkeypatch):
+    """Each of these suites builds its frames once per sample stack."""
+    real = hermgeo.metric_from_potential
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hermgeo, "metric_from_potential", spy)
+    counts = []
+    for samples in (2, 20):
+        calls.clear()
+        assert run_suite(name, {"samples": samples}).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from kelab import domains, hermgeo, potentials, vfield
-from kelab.errors import CertificateError, FlowExitError
+from kelab.errors import (CertificateError, DegenerateMetricError,
+                          EvaluationError, FlowExitError)
 from kelab.field import PotentialField
+from kelab.jets import Jet
 from kelab.sampling import sample_interior
 from kelab.suites import run_suite
 
@@ -68,16 +70,67 @@ def test_dbar_defect_certified(certified):
         assert abs(defect - law) <= 1e-8
 
 
-def test_dbar_defect_fd_path():
-    """The nested-FD route stays within its looser 1e-3 budget."""
+def _fd_copy():
+    """An FD-only copy of the certified n = 2 rescaled ball potential."""
     base = potentials.rescaled_ball_potential(2, 3.0)
-    fd_only = PotentialField(
+    return PotentialField(
         domain=base.domain, ricci_constant=3.0, parts=None,
         analytic_order=0, label="fd-copy", fn=base,
     )
+
+
+def test_dbar_defect_fd_path():
+    """The nested-FD route stays within its looser 1e-3 budget."""
+    fd_only = _fd_copy()
     rng = np.random.default_rng(13)
-    for z in sample_interior(base.domain, rng, 5, shrink=0.8):
+    for z in sample_interior(fd_only.domain, rng, 5, shrink=0.8):
         assert vfield.dbar_defect(fd_only, z) <= 1e-3
+
+
+#: (potential, sample count, shrink, seed) for the point-or-stack checks
+STACK_CASES = {
+    "rescaled-ball(2)": (lambda: potentials.rescaled_ball_potential(2, 3.0),
+                         20, 0.95, 0),
+    "rescaled-ball(3)": (lambda: potentials.rescaled_ball_potential(3, 3.0),
+                         20, 0.95, 1),
+    "ke-ball(2)": (lambda: domains.ke_potential(domains.ball(2), 3.0),
+                   20, 0.95, 2),
+    "bergman-polydisc(2)": (
+        lambda: domains.bergman_potential(domains.polydisc(2)), 20, 0.95, 3),
+    "fd-copy": (_fd_copy, 5, 0.8, 13),
+}
+POINT_OR_STACK = (vfield.dbar_defect, vfield.dbar_defect_closed_form,
+                  vfield.level_set_tangency)
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stack_equals_per_point_calls(case, monkeypatch):
+    make, count, shrink, seed = STACK_CASES[case]
+    p = make()
+    zs = np.array(sample_interior(p.domain, np.random.default_rng(seed),
+                                  count, shrink=shrink))
+    stacked_jets = []
+    real_stack = Jet.stack
+    monkeypatch.setattr(Jet, "stack", staticmethod(
+        lambda jets: stacked_jets.append(len(jets)) or real_stack(jets)))
+    for f in POINT_OR_STACK:
+        stacked = f(p, zs)
+        assert stacked.shape == (count,)
+        per_point = [f(p, z) for z in zs]
+        assert all(type(v) is float for v in per_point)
+        assert np.array_equal(stacked, per_point), f.__name__
+    # the FD-only copy has no closed form; its stack is N FD jets stacked
+    assert (count in stacked_jets) == (p.parts is None)
+
+
+def test_stack_with_a_point_outside_fails_closed():
+    p = potentials.rescaled_ball_potential(2, 3.0)
+    outside = np.array([0.9 + 0.3j, 0.5 + 0j])
+    zs = np.array([[0.1 + 0j, 0.2j], outside, [0.0, -0.3 + 0j]])
+    for f in POINT_OR_STACK:
+        with pytest.raises((EvaluationError, DegenerateMetricError)) as err:
+            f(p, zs)
+        assert repr(outside) in str(err.value), f.__name__
 
 
 def test_dbar_defect_matches_brute_force():
