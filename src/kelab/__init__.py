@@ -22,7 +22,7 @@ from .domains import (
     type_iv,
 )
 from .field import PotentialField
-from .jets import Jet, analytic_jet, fd_jet
+from .jets import Jet, fd_jet
 from .potentials import (
     ConstantLengthCertificate,
     ball_minimality_report,
@@ -42,7 +42,6 @@ __all__ = [
     "Jet",
     "PotentialField",
     "VerificationReport",
-    "analytic_jet",
     "ball",
     "ball_minimality_report",
     "bergman_potential",

@@ -104,7 +104,6 @@ def closed_form_field(n: int, K: float) -> PotentialField:
         domain=ball(n),
         ricci_constant=K,
         parts=[(1.0, RadialBlock(range(n), LogProfile(A, offset=B)))],
-        analytic_order=4,
         label=f"radial-closed-form[n={n},K={K:g}]",
     )
 

@@ -356,12 +356,10 @@ def bergman_potential(d: DomainModel) -> PotentialField:
     if d.kind == BALL:
         n = d.n
         parts = [(1.0, RadialBlock(range(n), LogProfile(float(n + 1))))]
-        order = 4
     elif d.kind == POLYDISC:
         parts = [
             (1.0, RadialBlock((a,), LogProfile(2.0))) for a in range(d.n)
         ]
-        order = 4
     elif d.kind in (TYPE_I, TYPE_II, TYPE_III):
         p, q, lifts = _matrix_lifts(d)
         kappa = {
@@ -370,27 +368,22 @@ def bergman_potential(d: DomainModel) -> PotentialField:
             TYPE_III: float(d.params[0] + 1),
         }[d.kind]
         parts = [(1.0, MatrixLogDetPart(p, q, kappa, lifts))]
-        order = 4
     elif d.kind == TYPE_IV:
         parts = [(1.0, LogOfInnerPart(TypeIVNorm(), float(d.params[0])))]
-        order = 4
     elif d.kind == HALFPLANE_PRODUCT:
         # log prod 2 (w + wbar)^-2 = sum (log 2 - 2 log(-(w^a + wbar^a)))
         parts = []
         for a in range(d.n):
             parts.append((-2.0, RealLinearLog(0.0, {a: -1.0})))
             parts.append((1.0, ConstantPart(np.log(2.0))))
-        order = 4
     elif d.kind == PRODUCT:
         parts = []
-        order = 4
         off = 0
         for f in d.factors:
             sub = bergman_potential(f)
             parts.extend(
                 (c, _OffsetPart(part, off, f.n)) for c, part in sub.parts
             )
-            order = min(order, sub.analytic_order)
             off += f.n
     else:
         raise UnsupportedDomainError(f"no kernel potential for {d.kind!r}")
@@ -398,7 +391,6 @@ def bergman_potential(d: DomainModel) -> PotentialField:
         domain=d,
         ricci_constant=1.0,
         parts=parts,
-        analytic_order=order,
         label=f"log-kernel[{d.label}]",
     )
 

@@ -1,8 +1,10 @@
 """Scalar potentials with closed-form derivative access.
 
-A ``PotentialField`` is a real scalar function on a domain together with an
-optional analytic jet: a list of (coefficient, part) summands whose mixed
-Wirtinger derivatives are known exactly.  A part maps a stack Z of N points,
+A ``PotentialField`` is a real scalar function on a domain.  Its
+``parts``, a list of (coefficient, part) summands whose mixed Wirtinger
+derivatives are known exactly to order ``jets.MAX_ORDER``, pick the
+derivative path: with parts, ``PotentialField.jet`` is the closed form;
+without, it is ``fd_jet`` of ``fn``.  A part maps a stack Z of N points,
 shape (N, n), and an order to its dense jet tensors
 {(m, l): array of shape (N,) + (n,)*(m+l)} for m >= l, leaving out the
 bidegrees that vanish identically; the potential is real, so the (l, m)
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, UnsupportedOrderError
-from .jets import Jet, as_points, bidegrees, fd_jet
+from .jets import MAX_ORDER, Jet, as_points, bidegrees, fd_jet
 
 _FACT = [1, 1, 2, 6, 24]
 
@@ -401,20 +403,19 @@ class LogOfInnerPart:
 
 @dataclass
 class PotentialField:
-    """A real potential on a domain, with analytic and/or FD derivatives.
+    """A real potential on a domain, with analytic or FD derivatives.
 
     ``parts`` is a list of (coefficient, part) summands defining both the
-    value and the closed-form jet; FD-only potentials set ``parts=None``
-    and provide ``fn``.  ``ricci_constant`` is the K > 0 the associated
-    metric is normalized to (Ric = -K g); constructions that have no
-    Einstein normalization use nan.  Values and jets are taken at a point
+    value and the closed-form jet to order ``MAX_ORDER``; FD-only
+    potentials set ``parts=None`` and provide ``fn``.  ``ricci_constant``
+    is the K > 0 the associated metric is normalized to (Ric = -K g);
+    constructions that have no Einstein normalization use nan.  Values and jets are taken at a point
     (n,) or at a stack of points (N, n).
     """
 
     domain: object
     ricci_constant: float
     parts: list | None
-    analytic_order: int
     label: str
     fn: object = None
 
@@ -438,7 +439,7 @@ class PotentialField:
         return float(values[0]) if z.ndim == 1 else values
 
     def analytic_jet(self, z, order: int) -> Jet:
-        if order > self.analytic_order or self.parts is None:
+        if self.parts is None or not 0 <= order <= MAX_ORDER:
             raise UnsupportedOrderError(
                 f"{self.label}: no closed-form derivatives at order {order}"
             )
@@ -448,16 +449,17 @@ class PotentialField:
         jet = Jet(point=Z, order=order, tensors=tensors)
         return jet if z.ndim == 2 else jet.at(0)
 
-    def jet(self, z, order: int, step: float | None = None) -> Jet:
-        """Closed form when available, finite differences otherwise."""
-        if self.parts is not None and order <= self.analytic_order:
+    def jet(self, z, order: int) -> Jet:
+        """The closed form when ``parts`` is set, finite differences of
+        ``fn`` otherwise."""
+        if self.parts is not None:
             return self.analytic_jet(z, order)
         z = as_points(z)
         if z.ndim == 2:
-            return Jet.stack([self.jet(w, order, step=step) for w in z])
+            return Jet.stack([self.jet(w, order) for w in z])
         if order == 0:
             return Jet(point=z, order=0, tensors={(0, 0): np.array(self(z))})
-        return fd_jet(self, z, order, step=step)
+        return fd_jet(self, z, order)
 
     def scaled(self, factor: float, label: str | None = None) -> "PotentialField":
         """The potential c*phi; its metric is c*g, so K becomes K/c."""
@@ -474,7 +476,6 @@ class PotentialField:
             domain=self.domain,
             ricci_constant=self.ricci_constant / factor,
             parts=new_parts,
-            analytic_order=self.analytic_order,
             label=label or f"{factor:g}*{self.label}",
             fn=fn,
         )
@@ -482,21 +483,3 @@ class PotentialField:
     def __repr__(self):  # keep frames and reports readable
         return f"PotentialField({self.label}, K={self.ricci_constant:g})"
 
-
-def combine(domain, ricci_constant, weighted, analytic_order, label):
-    """Sum of (coefficient, PotentialField) pairs sharing a domain."""
-    parts = []
-    for c, p in weighted:
-        if p.parts is None:
-            raise UnsupportedOrderError(
-                f"cannot combine FD-only potential {p.label} analytically"
-            )
-        parts.extend((c * pc, part) for pc, part in p.parts)
-    order = min([analytic_order] + [p.analytic_order for _, p in weighted])
-    return PotentialField(
-        domain=domain,
-        ricci_constant=ricci_constant,
-        parts=parts,
-        analytic_order=order,
-        label=label,
-    )

@@ -13,11 +13,11 @@ Conventions, with G the matrix G[a, b] = g_{a bbar} = d^2 phi / dz^a dzbar^b:
 * Laplacian on scalars  Delta f = g^{a bbar} d_a dbar_b f = tr(F g_inv).
 * Ricci tensor      Ric = -d dbar log det G.
 
-Curvature takes one of two paths, chosen in one place,
-``closed_form_curvature``:
+Curvature takes the potential's derivative path, chosen by its ``parts``
+(``closed_form_curvature``):
 
-* closed form, for potentials with closed-form parts to order 4 (every
-  kernel potential of the catalog): one order-4 frame of a whole stack
+* closed form, for potentials with parts (all but the FD-only ones such
+  as ``canonical_potential``): one order-4 frame of a whole stack
   gives Ric = -g^{i jbar} phi_{i jbar a bbar} + g^{i lbar} g^{k jbar}
   phi_{i jbar a} phi_{k lbar bbar} (``ricci_from_frame``) and
   Delta |dphi|_half^2 by the product rule (``length_laplacian_from_frame``);
@@ -43,7 +43,6 @@ which forces |dphi|_half^2 >= (n+1)/K.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +52,10 @@ from .jets import Jet, as_point, as_points, fd_jet, stack_capable
 
 _PD_TOL = 1e-12
 _HERMITIAN_TOL = 1e-8
+
+#: outer stencil step of a difference over FD frames (``ricci`` and the
+#: Laplacian of ``delta_identity_residual`` on FD-only potentials)
+NESTED_FD_STEP = 4e-3
 
 
 @dataclass(frozen=True)
@@ -145,11 +148,6 @@ def gradient_length_sq(frame: MetricFrame):
     return _per_point(np.real(np.sum(np.conj(phi_z) * raised, axis=-1)))
 
 
-def d_length_sq(frame: MetricFrame) -> float:
-    """Full squared length of the 1-form d(phi): twice the half norm."""
-    return 2.0 * gradient_length_sq(frame)
-
-
 def covariant_hessian(frame: MetricFrame) -> np.ndarray:
     """phi_{a;b} = d_b d_a phi - Gamma^l_{ab} phi_l (symmetric)."""
     if frame.christoffel is None:
@@ -174,13 +172,12 @@ def _transpose(m):
 def laplacian(f, frame: MetricFrame, step: float | None = None):
     """Laplace-Beltrami of a scalar field at the frame's point, by FD.
 
-    ``f`` may be a plain callable (finite differences) or anything exposing
-    ``jet`` (closed form when available).  On scalars the covariant mixed
-    second derivative equals the partial one.  A stacked frame takes one
-    stencil per point.
+    ``f`` is any callable of a point; its mixed Hessian is always
+    ``fd_jet``'s, so this oracle reads only values of ``f``.  On scalars
+    the covariant mixed second derivative equals the partial one.  A
+    stacked frame takes one stencil per point.
     """
-    jet = f.jet if hasattr(f, "jet") else functools.partial(fd_jet, f)
-    F = np.reshape([jet(z, 2, step=step).mixed_hessian()
+    F = np.reshape([fd_jet(f, z, 2, step=step).mixed_hessian()
                     for z in frame.point.reshape(-1, frame.dim)],
                    frame.g_inv.shape)
     return _per_point(np.real(np.trace(F @ frame.g_inv, axis1=-2, axis2=-1)))
@@ -200,22 +197,21 @@ def gradient_length_field(p, order: int = 2):
     return field
 
 
-def ricci(p, z, step: float | None = None) -> np.ndarray:
+def ricci(p, z) -> np.ndarray:
     """Ricci tensor -d dbar log det g via an outer central difference.
 
     The nested-FD path, for potentials without closed-form curvature, and
     the oracle of ``ricci_from_frame``.  The inner evaluation
     z -> log det g uses the potential's analytic second derivatives when
-    declared, which keeps the outer stencil noise near machine level;
-    FD-only potentials fall back to nested differences with a larger
-    outer step.
+    it has parts, which keeps the outer stencil noise near machine level;
+    FD-only potentials take nested differences with the larger outer step
+    ``NESTED_FD_STEP``.
     """
     z = as_point(z)
-    if step is None:
-        # the inner log-det carries ~1e-14 noise on the analytic path and
-        # ~1e-10 on the nested-FD path; these steps keep noise/h^2 small
-        # while h^4 truncation stays below the respective targets
-        step = 2e-3 if p.analytic_order >= 2 else 4e-3
+    # the inner log-det carries ~1e-14 noise on the analytic path and
+    # ~1e-10 on the nested-FD path; these steps keep noise/h^2 small while
+    # h^4 truncation stays below the respective targets
+    step = 2e-3 if p.parts is not None else NESTED_FD_STEP
 
     @stack_capable
     def log_det(w):
@@ -231,13 +227,13 @@ def ricci(p, z, step: float | None = None) -> np.ndarray:
 def closed_form_curvature(p) -> bool:
     """Whether ``p``'s curvature comes in closed form from an order-4 frame.
 
-    The one switch between the two paths: potentials with closed-form
-    parts to order 4 use ``ricci_from_frame`` and
-    ``length_laplacian_from_frame``; every other potential (FD-only ones
-    such as ``canonical_potential``) uses the nested-FD ``ricci`` and the
-    FD ``laplacian`` of ``gradient_length_field``.
+    It does when ``p`` has parts, which are exact to ``jets.MAX_ORDER``:
+    those potentials use ``ricci_from_frame`` and
+    ``length_laplacian_from_frame``; FD-only ones (such as
+    ``canonical_potential``) use the nested-FD ``ricci`` and the FD
+    ``laplacian`` of ``gradient_length_field``.
     """
-    return p.parts is not None and p.analytic_order >= 4
+    return p.parts is not None
 
 
 def _order_four(frame: MetricFrame):
@@ -296,19 +292,15 @@ def length_laplacian_from_frame(frame: MetricFrame):
 # identity residuals (shared by tests and the verification suites); each
 # takes a point (a float back) or an (N, n) stack (an array of N back)
 
-def einstein_residual(p, z, K: float | None = None,
-                      step: float | None = None):
-    """max entrywise |Ric + K g| at z.
-
-    ``step`` is the outer stencil step of the nested-FD path.
-    """
+def einstein_residual(p, z, K: float | None = None):
+    """max entrywise |Ric + K g| at z."""
     K = p.ricci_constant if K is None else K
     if closed_form_curvature(p):
         frame = metric_from_potential(p, z, order=4)
         ric = ricci_from_frame(frame)
     else:
         frame = metric_from_potential(p, z, order=2)
-        ric = np.reshape([ricci(p, w, step=step)
+        ric = np.reshape([ricci(p, w)
                           for w in frame.point.reshape(-1, frame.dim)],
                          frame.g.shape)
     return _per_point(np.max(np.abs(ric + K * frame.g), axis=(-2, -1)))
@@ -324,17 +316,19 @@ def key_equation_residual(p, z):
     return _per_point(np.max(np.abs(contraction + phi_z), axis=-1))
 
 
-def delta_identity_residual(p, z, step: float | None = None):
+def delta_identity_residual(p, z):
     """|Delta |dphi|^2_half - |Hess phi|^2 - n + K |dphi|^2_half| at z.
 
-    ``step`` is the Laplacian's stencil step on the nested-FD path.
+    On the nested-FD path the Laplacian differences FD frames, whose
+    ~1e-10 noise it divides by h^2 once more, so it takes the outer step
+    ``NESTED_FD_STEP`` of ``ricci``.
     """
     if closed_form_curvature(p):
         frame = metric_from_potential(p, z, order=4)
         lap = length_laplacian_from_frame(frame)
     else:
         frame = metric_from_potential(p, z)
-        lap = laplacian(gradient_length_field(p), frame, step=step)
+        lap = laplacian(gradient_length_field(p), frame, step=NESTED_FD_STEP)
     K = p.ricci_constant
     L = gradient_length_sq(frame)
     H2 = hessian_norm_sq(frame)

@@ -7,15 +7,15 @@ A ``Jet`` holds the value and all partial derivatives
 up to a requested total order (at most 4), as one dense array per
 bidegree (|a|, |b|): ``tensors[(m, l)][..., a1..am, b1..bl]``.  A jet of a
 single point has arrays of shape (n,)*(m+l); a jet of a stack of N points
-carries a leading axis of N.  Two evaluation paths exist:
+carries a leading axis of N.
 
-* ``fd_jet`` -- a finite-difference oracle valid for any smooth real
-  function, built from tensor-product central stencils in the underlying
-  real coordinates with one Richardson extrapolation (steps h and h/2).
-  It reads only values of the function; a callable whose ``takes_stack``
-  attribute is true (see ``stack_capable``) gets the whole stencil at once.
-* ``analytic_jet`` -- exact derivatives for potentials that declare a
-  closed form (see ``field.PotentialField``).
+``fd_jet`` is the finite-difference oracle, valid for any smooth real
+function: tensor-product central stencils in the underlying real
+coordinates with one Richardson extrapolation (steps h and h/2).  It reads
+only values of the function; a callable whose ``takes_stack`` attribute is
+true (see ``stack_capable``) gets the whole stencil at once.  Closed-form
+jets live with the potentials' parts, and ``field.PotentialField.jet`` is
+the one place that picks between the two paths.
 
 Wirtinger convention: d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2.
 Each tensor is symmetric within its holomorphic and within its
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, UnsupportedOrderError
+from .errors import EvaluationError
 
 MAX_ORDER = 4
 
@@ -260,18 +260,3 @@ def fd_jet(f, z, order: int, step: float | None = None) -> Jet:
                for (m, l), index in plan.layout}
     return Jet(point=z, order=order, tensors=tensors)
 
-
-def analytic_jet(p, z, order: int) -> Jet:
-    """Closed-form jet of a potential field at a point or a stack of points.
-
-    Requires ``p.analytic_order >= order``; agreement with ``fd_jet`` is the
-    oracle check exercised by the test suite.
-    """
-    if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
-    if order > p.analytic_order:
-        raise UnsupportedOrderError(
-            f"{p!r} implements closed-form derivatives to order "
-            f"{p.analytic_order}, requested {order}"
-        )
-    return p.analytic_jet(as_points(z), order)

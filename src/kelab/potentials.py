@@ -143,7 +143,6 @@ def canonical_potential(source, K: float, validate: bool = True,
         domain=d,
         ricci_constant=K,
         parts=None,
-        analytic_order=0,
         label=f"canonical[{d.label},K={K:g}]",
         fn=fn,
     )
@@ -201,7 +200,6 @@ def rescaled_ball_potential(n: int, K: float,
         domain=ball(n),
         ricci_constant=K,
         parts=parts,
-        analytic_order=4,
         label=f"rescaled-ball[n={n},K={K:g}]",
     )
 
@@ -230,7 +228,6 @@ def product_potential(p1: PotentialField, p2: PotentialField) -> PotentialField:
         domain=dom,
         ricci_constant=p1.ricci_constant,
         parts=parts,
-        analytic_order=min(p1.analytic_order, p2.analytic_order),
         label=f"({p1.label}) (+) ({p2.label})",
     )
 
@@ -241,7 +238,6 @@ def quadratic_fixture(n: int) -> PotentialField:
         domain=ball(n),
         ricci_constant=np.nan,
         parts=[(1.0, RadialBlock(range(n), LinearProfile(1.0)))],
-        analytic_order=4,
         label=f"flat-quadratic[n={n}]",
     )
 
@@ -270,7 +266,7 @@ def kai_ohsawa_potential(d: DomainModel) -> PotentialField:
             parts.append((2.0, LinearLog(1.0, {a: 1.0})))
             parts.append((1.0, ConstantPart(-np.log(2.0))))
         return PotentialField(
-            domain=d, ricci_constant=1.0, parts=parts, analytic_order=4,
+            domain=d, ricci_constant=1.0, parts=parts,
             label=f"siegel-pullback[{d.label}]",
         )
     if d.kind == BALL:

@@ -49,7 +49,7 @@ def test_degenerate_metric_rejected():
     # the real part of z^2 is pluriharmonic: complex Hessian identically 0
     p = PotentialField(
         domain=domains.ball(1), ricci_constant=np.nan, parts=None,
-        analytic_order=0, label="pluriharmonic", fn=lambda z: float(z[0].real ** 2 - z[0].imag ** 2),
+        label="pluriharmonic", fn=lambda z: float(z[0].real ** 2 - z[0].imag ** 2),
     )
     with pytest.raises(DegenerateMetricError):
         hermgeo.metric_from_potential(p, np.array([0.1 + 0.2j]))
@@ -69,14 +69,14 @@ def test_ball_gradient_length_law(n):
 def test_gradient_length_at_critical_point(phi_rho_2):
     frame = hermgeo.metric_from_potential(phi_rho_2, np.zeros(2, complex))
     assert hermgeo.gradient_length_sq(frame) == 0.0
-    assert hermgeo.d_length_sq(frame) == 0.0
+    assert 2 * hermgeo.gradient_length_sq(frame) == 0.0
 
 
 def test_rescaled_gradient_length_point(rescaled_23):
     z = np.array([0.3, 0.4], dtype=complex)
     frame = hermgeo.metric_from_potential(rescaled_23, z)
     assert hermgeo.gradient_length_sq(frame) == pytest.approx(1.0, abs=1e-12)
-    assert hermgeo.d_length_sq(frame) == pytest.approx(2.0, abs=1e-12)
+    assert 2 * hermgeo.gradient_length_sq(frame) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_covariant_hessian_examples(rescaled_23):
@@ -218,24 +218,26 @@ def _fd_jet_spy(monkeypatch):
 
 
 def test_einstein_residual_nested_fd_path(monkeypatch):
-    """An FD-only copy of a kernel potential takes the nested-FD stencils
-    and still verifies to 1e-3."""
-    base = domains.bergman_potential(domains.ball(2))
-    fd_only = PotentialField(
-        domain=base.domain, ricci_constant=1.0, parts=None,
-        analytic_order=0, label="fd-kernel", fn=base,
-    )
-    assert not hermgeo.closed_form_curvature(fd_only)
+    """FD-only copies of kernel potentials take the nested-FD stencils
+    and still verify both identities to 1e-3."""
     calls = _fd_jet_spy(monkeypatch)
-    rng = np.random.default_rng(59)
-    for z in sample_interior(base.domain, rng, 3, shrink=0.7):
-        assert hermgeo.einstein_residual(fd_only, z) <= 1e-3
-    assert calls
-    # the Laplacian over FD frames holds to a few 1e-3 at this point
-    calls.clear()
-    z = np.array([0.2 + 0.1j, -0.3j])
-    assert hermgeo.delta_identity_residual(fd_only, z) <= 1e-2
-    assert calls
+    for d in (domains.ball(2), domains.polydisc(2)):
+        base = domains.bergman_potential(d)
+        fd_only = PotentialField(
+            domain=d, ricci_constant=1.0, parts=None, label="fd-kernel",
+            fn=base,
+        )
+        assert not hermgeo.closed_form_curvature(fd_only)
+        rng = np.random.default_rng(59)
+        zs = sample_interior(d, rng, 3, shrink=0.7)
+        for z in zs:
+            assert hermgeo.einstein_residual(fd_only, z) <= 1e-3
+        assert calls
+        calls.clear()
+        for z in [np.array([0.2 + 0.1j, -0.3j])] + list(zs):
+            assert hermgeo.delta_identity_residual(fd_only, z) <= 1e-3
+        assert calls
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +265,11 @@ def test_stacked_frames_match_per_point(kind):
     p = STACKED_KINDS[kind]()
     zs = np.array(sample_interior(p.domain, np.random.default_rng(61), 9,
                                   shrink=0.9))
-    order = min(3, p.analytic_order)
-    stacked = hermgeo.metric_from_potential(p, zs, order=order)
+    stacked = hermgeo.metric_from_potential(p, zs, order=3)
     lengths = hermgeo.gradient_length_sq(stacked)
     assert stacked.log_det_g.shape == lengths.shape == (len(zs),)
     for i, z in enumerate(zs):
-        one = hermgeo.metric_from_potential(p, z, order=order)
+        one = hermgeo.metric_from_potential(p, z, order=3)
         pairs = [(stacked.g[i], one.g), (stacked.g_inv[i], one.g_inv),
                  (stacked.christoffel[i], one.christoffel),
                  (stacked.log_det_g[i], one.log_det_g),
@@ -299,7 +300,7 @@ def test_stacked_degenerate_metric_names_the_point():
     from kelab.field import LinearProfile, LogProfile, RadialBlock
 
     p = PotentialField(
-        domain=domains.ball(2), ricci_constant=np.nan, analytic_order=4,
+        domain=domains.ball(2), ricci_constant=np.nan,
         label="degenerate-rim", parts=[
             (1.0, RadialBlock((0,), LinearProfile(2.0))),
             (1.0, RadialBlock((0,), LogProfile(-1.0))),

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from kelab import domains, hermgeo, potentials
+from kelab import chengyau, domains, hermgeo, potentials
 from kelab.errors import EvaluationError, UnsupportedOrderError
 from kelab.field import PotentialField
-from kelab.jets import analytic_jet, as_point, fd_jet, stack_capable
+from kelab.jets import as_point, fd_jet, stack_capable
 from kelab.sampling import sample_interior
 
 
@@ -101,36 +101,41 @@ def test_stacked_stencil_errors_match_scalar():
 
 def test_analytic_ball_gradient():
     p = domains.ke_potential(domains.ball(2), 3.0)  # phi_rho for n = 2
-    jet = analytic_jet(p, np.array([0.3, 0.4], dtype=complex), 1)
+    jet = p.analytic_jet(np.array([0.3, 0.4], dtype=complex), 1)
     assert jet.holo_gradient()[0] == pytest.approx(0.3 / 0.75, abs=1e-14)
     assert jet.holo_gradient()[1] == pytest.approx(8.0 / 15.0, abs=1e-14)
 
 
-def test_analytic_order_zero_is_value():
+def test_analytic_jet_order_zero_is_value():
     p = potentials.rescaled_ball_potential(2, 3.0)
     z = np.array([0.2 + 0.1j, -0.3j])
-    assert analytic_jet(p, z, 0).value() == pytest.approx(p(z), abs=0)
+    assert p.analytic_jet(z, 0).value() == pytest.approx(p(z), abs=0)
 
 
 def test_type_i_metric_at_origin_is_exponent_times_identity():
     d = domains.type_i(2, 2)
     p = domains.bergman_potential(d)
-    jet = analytic_jet(p, np.zeros(4, complex), 2)
+    jet = p.analytic_jet(np.zeros(4, complex), 2)
     np.testing.assert_allclose(jet.mixed_hessian(), 4.0 * np.eye(4), atol=1e-14)
 
 
-def _order_three_kernel():
-    """The type1(2,2) kernel potential, declaring closed forms to order 3."""
-    from kelab.field import combine
-
-    base = domains.bergman_potential(domains.type_i(2, 2))
-    return combine(base.domain, 1.0, [(1.0, base)], 3, "kernel-to-order-3")
+def _fd_only(p):
+    """An FD-only copy of ``p``: no parts, values from ``p``."""
+    return PotentialField(domain=p.domain, ricci_constant=p.ricci_constant,
+                          parts=None, label=f"fd-only[{p.label}]", fn=p)
 
 
 def test_unsupported_order_raises():
-    p = _order_three_kernel()  # closed form to 3
+    """Parts give closed forms to order 4 and no further; an FD-only
+    potential has none at any order."""
+    p = domains.bergman_potential(domains.type_i(2, 2))
+    z = np.zeros(4, complex)
     with pytest.raises(UnsupportedOrderError):
-        analytic_jet(p, np.zeros(4, complex), 4)
+        p.analytic_jet(z, 5)
+    fd_only = _fd_only(p)
+    for order in range(5):
+        with pytest.raises(UnsupportedOrderError):
+            fd_only.analytic_jet(z, order)
 
 
 def _closed_form_potentials():
@@ -146,6 +151,14 @@ def _closed_form_potentials():
         potentials.rescaled_ball_potential(3, 4.0),
         potentials.kai_ohsawa_potential(domains.polydisc(2)),
         potentials.quadratic_fixture(2),
+        domains.bergman_potential(domains.halfplane_product(2)),
+        domains.bergman_potential(
+            domains.product(domains.ball(1), domains.type_iv(3))),
+        potentials.product_potential(
+            potentials.rescaled_ball_potential(1, 2.0),
+            potentials.rescaled_ball_potential(2, 2.0)),
+        chengyau.closed_form_field(2, 3.0),
+        domains.ke_potential(domains.type_iii(2), 2.0),
     ]
 
 
@@ -169,14 +182,14 @@ def test_oracle_agreement_low_orders(p):
 
 @pytest.mark.parametrize("p", _closed_form_potentials(), ids=lambda p: p.label)
 def test_oracle_agreement_high_orders(p):
-    """Orders 3-4 agree to 1e-3 at moderate interior points."""
+    """Orders 3-4 agree to 1e-3 at moderate interior points: every
+    potential with parts is exact to order 4."""
     rng = np.random.default_rng(12)
     pts = sample_interior(p.domain, rng, 20, shrink=0.55)
     worst = 0.0
     for z in pts:
-        order = min(4, p.analytic_order)
-        ja = p.analytic_jet(z, order)
-        jf = fd_jet(p, z, order)
+        ja = p.analytic_jet(z, 4)
+        jf = fd_jet(p, z, 4)
         worst = max(worst, jet_gap(ja, jf))
     assert worst <= 1e-3
 
@@ -196,10 +209,11 @@ def test_linearity_of_analytic_jets():
     d = domains.ball(2)
     p1 = domains.bergman_potential(d)
     p2 = potentials.rescaled_ball_potential(2, 3.0)
-    from kelab.field import combine
-
     c1, c2 = 0.7, -1.3
-    combo = combine(d, np.nan, [(c1, p1), (c2, p2)], 4, "combo")
+    combo = PotentialField(
+        domain=d, ricci_constant=np.nan, label="combo",
+        parts=[(c1 * c, part) for c, part in p1.parts]
+        + [(c2 * c, part) for c, part in p2.parts])
     z = np.array([0.25 + 0.05j, -0.3 + 0.2j])
     j1, j2, jc = p1.analytic_jet(z, 3), p2.analytic_jet(z, 3), combo.analytic_jet(z, 3)
     for key in jc.tensors:
@@ -241,22 +255,9 @@ def test_as_point_validation():
     assert z.dtype == complex and len(z) == 2
 
 
-def test_jet_dispatch_above_analytic_order_uses_fd():
-    p = _order_three_kernel()  # closed form to 3
-    z = np.array([0.2 + 0.1j, 0.05, -0.1j, 0.15 - 0.05j])
-    jet = p.jet(z, 4)  # silently served by the FD oracle
-    assert jet.order == 4
-    ja = p.analytic_jet(z, 3)
-    shared = jet_gap(ja, jet)
-    assert shared <= 1e-3
-
-
 def test_fd_only_potential_falls_back():
     base = potentials.rescaled_ball_potential(2, 3.0)
-    fd_only = PotentialField(
-        domain=base.domain, ricci_constant=3.0, parts=None,
-        analytic_order=0, label="fd-only", fn=base,
-    )
+    fd_only = _fd_only(base)
     z = np.array([0.2 + 0.1j, 0.1 - 0.2j])
     ja = base.analytic_jet(z, 2)
     jf = fd_only.jet(z, 2)
@@ -270,7 +271,6 @@ def test_matrix_order_four_matches_oracle(d):
     """The order-4 trace formulas of ``MatrixLogDetPart`` against fd_jet
     (1e-3, as the other orders 3-4 at moderate interior points)."""
     p = domains.bergman_potential(d)
-    assert p.analytic_order == 4
     z = sample_interior(d, np.random.default_rng(13), 1, shrink=0.55)[0]
     ja, jf = p.analytic_jet(z, 4), fd_jet(p, z, 4)
     assert {k for k in ja.tensors if sum(k) == 4} == {

@@ -81,7 +81,7 @@ def test_rescaled_constant_length_sweep_analytic_and_fd():
     n, K = 2, 3.0
     p = potentials.rescaled_ball_potential(n, K)
     fd_only = PotentialField(
-        domain=p.domain, ricci_constant=K, parts=None, analytic_order=0,
+        domain=p.domain, ricci_constant=K, parts=None,
         label="fd-copy", fn=p,
     )
     rng = np.random.default_rng(7)
@@ -146,7 +146,7 @@ def _lengths_one_frame_per_point(p, points):
 
 def _fd_copy(p):
     return PotentialField(domain=p.domain, ricci_constant=p.ricci_constant,
-                          parts=None, analytic_order=0, label="fd-copy", fn=p)
+                          parts=None, label="fd-copy", fn=p)
 
 
 @pytest.mark.parametrize("make", [

@@ -75,7 +75,7 @@ def _fd_copy():
     base = potentials.rescaled_ball_potential(2, 3.0)
     return PotentialField(
         domain=base.domain, ricci_constant=3.0, parts=None,
-        analytic_order=0, label="fd-copy", fn=base,
+        label="fd-copy", fn=base,
     )
 
 
@@ -232,7 +232,7 @@ def _off_center():
     # leaves the unit disc from z0 = 0.5
     return PotentialField(
         domain=domains.ball(1), ricci_constant=2.0, parts=None,
-        analytic_order=0, label="off-center",
+        label="off-center",
         fn=lambda z: float(np.sum(np.abs(z) ** 2) + 2 * np.real(0.8 * z[0])),
     )
 
