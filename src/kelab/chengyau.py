@@ -18,10 +18,10 @@ closed form is
 and the radial gradient length t phi'^2 / (phi' + t phi'') equals A t,
 so its boundary limit is (n+1)/K.
 
-Integration runs in tau = -log(1 - t): the grid is geometric in (1 - t),
-which both resolves the logarithmic blow-up and keeps the independent
-finite-difference check of the ODE residual at ~dtau^2 accuracy all the
-way to the boundary.
+RK4 runs in tau = -log(1 - t), from the centre series to t^4 at t = 2e-3:
+the grid is geometric in (1 - t), which resolves the logarithmic blow-up.
+The search window ends at tau = 4.  The independent check of the ODE
+residual is a five-point stencil in tau, ~dtau^4 up to the boundary.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from .domains import ball
 from .field import LogProfile, PotentialField, RadialBlock
 
 BLOWUP_THRESHOLD = 1e8
-_SERIES_START = 1e-4     # switch from the t ~ 0 series to RK4
-_SEARCH_DTAU = 5e-4      # search-phase step
-_FINE_DTAU = 5e-5        # returned-solution step
+_SERIES_START = 2e-3     # switch from the t ~ 0 series to RK4
+_SEARCH_DTAU = 5e-4      # the step of the search and the returned solution
 _FINAL_EDGE = 2e-4       # returned grid reaches t = 1 - _FINAL_EDGE
-_SEARCH_TAU = -math.log(_FINAL_EDGE)   # the search integrates this far
+_SEARCH_TAU = 4.0        # the search integrates this far
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,17 @@ class RadialPotential:
     phi: np.ndarray
     dphi: np.ndarray
 
-    def index_of(self, t: float) -> int:
-        i = int(np.searchsorted(self.grid, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.grid) and abs(self.grid[j] - t) <= 1e-12:
-                return j
-        raise ValueError(f"t={t!r} is not a grid point")
+    def index_of(self, t):
+        """The grid index of ``t`` (an int back), or of each point of an
+        array ``t`` (an index array back); all from one searchsorted."""
+        t = np.asarray(t, dtype=float)
+        j = np.minimum(np.searchsorted(self.grid, t - 1e-12),
+                       len(self.grid) - 1)
+        off = ~(abs(self.grid[j] - t) <= 1e-12)
+        if off.any():
+            raise ValueError(f"t={float(np.extract(off, t)[0])!r} is not a "
+                             "grid point")
+        return int(j) if t.ndim == 0 else j
 
     @property
     def amplitude_target(self) -> float:
@@ -89,7 +93,8 @@ def ball_closed_form(n: int, K: float, grid=None) -> RadialPotential:
     A = ball_amplitude(n, K)
     B = ball_center_value(n, K)
     if grid is None:
-        grid = np.concatenate(([0.0], _geometric_grid(_FINAL_EDGE, _FINE_DTAU)))
+        grid = np.concatenate(([0.0],
+                               _geometric_grid(_FINAL_EDGE, _SEARCH_DTAU)))
     grid = np.asarray(grid, dtype=float)
     phi = -A * np.log1p(-grid) + B
     dphi = A / (1.0 - grid)
@@ -109,60 +114,63 @@ def closed_form_field(n: int, K: float) -> PotentialField:
 
 
 # ---------------------------------------------------------------------------
-# derivatives on the (non-uniform) grid
+# derivatives on the grid, uniform in tau after t = 0
+
+#: row r: five-point first-derivative weights (times dtau) at stencil point r
+_FIVE_POINT = np.array([[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1],
+                        [1, -8, 0, 8, -1], [-1, 6, -18, 10, 3],
+                        [3, -16, 36, -48, 25]]) / 12.0
+
 
 def _dphi_dt(rp: RadialPotential, i):
     """phi''(t_i) at grid indices ``i`` (an index array) by differentiating
     the stored phi' grid (independent of the ODE, so residuals below are
-    genuine checks): the three-point formula on the stencil centred at i,
-    one-sided at the two ends of the grid."""
-    t, f = rp.grid, rp.dphi
-    m = len(t)
-    if m < 3:
-        raise ResolutionError("need at least 3 grid points for derivatives")
-    c = np.clip(i, 1, m - 2)
-    h1, h2 = t[c] - t[c - 1], t[c + 1] - t[c]
-    f0, f1, f2 = f[c - 1], f[c], f[c + 1]
-    first = (
-        -(2 * h1 + h2) / (h1 * (h1 + h2)) * f0
-        + (h1 + h2) / (h1 * h2) * f1
-        - h1 / (h2 * (h1 + h2)) * f2
-    )
-    centred = (
-        -h2 / (h1 * (h1 + h2)) * f0
-        + (h2 - h1) / (h1 * h2) * f1
-        + h1 / (h2 * (h1 + h2)) * f2
-    )
-    last = (
-        h2 / (h1 * (h1 + h2)) * f0
-        - (h1 + h2) / (h1 * h2) * f1
-        + (h1 + 2 * h2) / (h2 * (h1 + h2)) * f2
-    )
-    return np.where(i < c, first, np.where(i > c, last, centred))
+    genuine checks): phi'' = (dphi'/dtau) / (1-t), with the five-point
+    stencil in tau centred at i, one-sided at the two ends of the grid.
+
+    The grid must be t = 0 followed by points uniform in tau; index 0 only
+    enters multiplied by t = 0, so its phi'' is 0.
+    """
+    tau = -np.log1p(-rp.grid[1:])
+    if len(tau) < 5:
+        raise ResolutionError("the stencil needs t = 0 and 5 more points")
+    h = (tau[-1] - tau[0]) / (len(tau) - 1)
+    if rp.grid[0] != 0.0 or np.max(abs(np.diff(tau) - h)) > 1e-6 * h:
+        raise ResolutionError("grid is not t = 0, then uniform in tau")
+    j = np.maximum(i - 1, 0)
+    start = np.clip(j - 2, 0, len(tau) - 5)
+    window = rp.dphi[1:][start[:, None] + np.arange(5)]
+    dpsi = np.sum(_FIVE_POINT[j - start] * window, axis=1) / h
+    return np.where(i > 0, dpsi / (1.0 - rp.grid[i]), 0.0)
+
+
+def _require_positive(t, values, name):
+    bad = np.flatnonzero(values <= 0)
+    if len(bad):
+        j = bad[0]
+        raise DegenerateMetricError(
+            f"radial metric degenerate at t={t[j]}: {name}={values[j]}")
 
 
 def _radial_eigenvalues(rp: RadialPotential, i):
     """(phi', phi' + t phi'') at grid indices ``i``, the eigenvalues of the
-    complex Hessian; both must be positive."""
+    complex Hessian; both must be positive.  phi' is checked first, so a
+    degenerate grid too short for the stencil still reports degeneracy."""
     t, dp = rp.grid[i], rp.dphi[i]
+    _require_positive(t, dp, "phi'")
     radial_dir = dp + t * _dphi_dt(rp, i)
-    bad = np.flatnonzero((dp <= 0) | (radial_dir <= 0))
-    if len(bad):
-        j = bad[0]
-        raise DegenerateMetricError(
-            f"radial metric degenerate at t={t[j]}: phi'={dp[j]}, "
-            f"phi'+t phi''={radial_dir[j]}"
-        )
+    _require_positive(t, radial_dir, "phi'+t phi''")
     return dp, radial_dir
 
 
-def radial_ode_residual(rp: RadialPotential, t: float) -> float:
-    """(n-1) log phi' + log(phi' + t phi'') - K phi at a grid point."""
-    i = rp.index_of(t)
-    (dp,), (radial_dir,) = _radial_eigenvalues(rp, np.array([i]))
-    return float(
-        (rp.n - 1) * math.log(dp) + math.log(radial_dir) - rp.K * rp.phi[i]
-    )
+def radial_ode_residual(rp: RadialPotential, t):
+    """(n-1) log phi' + log(phi' + t phi'') - K phi at a grid point ``t``
+    (a float back) or an array of grid points (an array back, from one
+    stencil call)."""
+    i = np.atleast_1d(rp.index_of(t))
+    dp, radial_dir = _radial_eigenvalues(rp, i)
+    r = (rp.n - 1) * np.log(dp) + np.log(radial_dir) - rp.K * rp.phi[i]
+    return float(r[0]) if np.ndim(t) == 0 else r
 
 
 def _gradient_lengths(rp: RadialPotential, i) -> np.ndarray:
@@ -193,8 +201,7 @@ def boundary_limit_estimate(rp: RadialPotential) -> tuple[float, float]:
     if i1 >= i2 or i2 >= len(rp.grid):
         raise ResolutionError("too few grid points in the last decade")
     t1, t2 = rp.grid[i1], rp.grid[i2]
-    L1 = radial_gradient_length(rp, t1)
-    L2 = radial_gradient_length(rp, t2)
+    L1, L2 = _gradient_lengths(rp, np.array([i1, i2]))
     u1, u2 = 1.0 - t1, 1.0 - t2
     # linear model L(1-u) = L* - c u through the two samples
     limit = (L2 * u1 - L1 * u2) / (u1 - u2)
@@ -205,11 +212,17 @@ def boundary_limit_estimate(rp: RadialPotential) -> tuple[float, float]:
 # shooting
 
 def _series_start(n, K, phi0):
-    """phi, phi' at t = _SERIES_START from the center expansion."""
+    """phi, phi' at t = d = _SERIES_START from the centre series to t^4.
+
+    The ODE gives p_k = p1 q^(k-1)/k for t^k, p1 = e^(K phi0/n), q =
+    K p1/(n+1): the Taylor coefficients of phi0 - A' log(1 - p1 t/A'),
+    A' = (n+1)/K, which solves the ODE for every phi0.  x = q d below.
+    """
     p1 = math.exp(K * phi0 / n)
-    p2 = K * p1 * p1 / (2.0 * (n + 1))
     d = _SERIES_START
-    return phi0 + p1 * d + p2 * d * d, p1 + 2.0 * p2 * d
+    x = K * p1 / (n + 1) * d
+    return (phi0 + p1 * d * (1.0 + x * (0.5 + x * (1.0 / 3.0 + 0.25 * x))),
+            p1 * (1.0 + x * (1.0 + x * (1.0 + x))))
 
 
 def _integrate(n, K, phi0, dtau, tau_end, watch=math.inf, record=None):
@@ -305,7 +318,7 @@ def _boundary_growth(n, K, phi0):
 
 
 def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
-          tol: float = 1e-11) -> RadialPotential:
+          tol: float = 1e-12) -> RadialPotential:
     """Find the complete radial solution by bracketing regula falsi on phi(0).
 
     A candidate phi(0) is super-critical when phi' crosses the blow-up
@@ -315,7 +328,8 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     ``_boundary_growth`` g > 0.  w tends to the finite amplitude (n+1)/K
     on the complete solution, decays for sub-critical starts and grows
     for super-critical ones, so the root of g is the solution whose
-    blow-up converges to t = 1.
+    blow-up converges to t = 1.  On it w is exactly (n+1)/K, so the sign
+    of g does not depend on the window's length.
 
     The bracket lo < hi with g(lo) <= 0 < g(hi) shrinks by regula falsi
     in its Illinois form (Dowell & Jarratt, 1971): the next candidate is
@@ -324,8 +338,9 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     bracket; an end that stays through two secant steps in a row has its
     g halved.  Near the root g is smooth and almost linear in phi(0), so
     few candidates integrate the whole window.  The search stops at
-    hi - lo <= tol and returns the midpoint.  Recorded blow-up times must
-    decrease strictly with phi(0).
+    hi - lo <= tol and returns the midpoint; the boundary amplifies its
+    distance from the root about 7000-fold in phi, hence the default tol
+    of 1e-12.  Recorded blow-up times must decrease strictly with phi(0).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -377,9 +392,9 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
 
     _assert_monotone(history)
 
-    # float arrays, not lists: a third of the memory at the 170k-step grid
+    # float arrays, not lists: a third of the memory of the 17k-step grid
     taus, phis, psis = array("d"), array("d"), array("d")
-    _integrate(n, K, phi0, _FINE_DTAU, -math.log(_FINAL_EDGE),
+    _integrate(n, K, phi0, _SEARCH_DTAU, -math.log(_FINAL_EDGE),
                record=(taus, phis, psis))
     grid = 1.0 - np.exp(-np.asarray(taus))
     grid = np.concatenate(([0.0], grid))

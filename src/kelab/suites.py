@@ -341,14 +341,16 @@ def _dbar_defect(cfg):
 @_suite("flow", "Re W conserves phi; the Re V flow acts by isometries",
         ["potentials.certify_constant_length", "vfield.run_flows",
          "vfield.pullback_check", "vfield.reparametrization_check",
-         "vfield.level_set_tangency"],
+         "vfield.level_set_tangency", "vfield.exact_re_v_flow"],
         tol=1.0, n=2, ricci=3.0, horizon=5.0, dt=1e-3, trajectory_csv=None)
 def _flow(cfg):
-    """Level-set conservation, isometry pullback and reparametrization.
+    """Level-set conservation, isometry pullback, reparametrization and
+    the distance of the trajectory and the reparametrization endpoints
+    from ``vfield.exact_re_v_flow``.
 
     The level-set trajectory and the rows of both fixed-time checks run
     as one RK4 stack.  Residuals are normalized by their native
-    thresholds (1e-6 / 1e-4 / 1e-5 / 1e-10); the suite passes at 1.0.
+    thresholds (1e-6 / 1e-4 / 1e-5 / 1e-10 / 1e-8); the suite passes at 1.0.
     """
     n, dt = cfg["n"], cfg["dt"]
     p = potentials.rescaled_ball_potential(n, cfg["ricci"])
@@ -357,23 +359,32 @@ def _flow(cfg):
     rng = np.random.default_rng(cfg["seed"])
     z0 = sample_interior(p.domain, rng, 1, shrink=0.5)[0]
 
-    traj, (pullback, reparametrization) = vfield.run_flows(
+    repar = vfield.reparametrization_check(p, z0, 0.8)
+    exact_end = vfield.exact_re_v_flow(z0, 0.8)
+    traj, (pullback, (reparametrization, end_deviation)) = vfield.run_flows(
         p, (z0, cfg["horizon"], "re_w"),
         [vfield.pullback_check(p, np.zeros(n, dtype=complex), 0.5),
-         vfield.reparametrization_check(p, z0, 0.8)],
+         repar._replace(residual=lambda ends: (
+             repar.residual(ends), np.max(np.abs(ends - exact_end))))],
         dt=dt, record_every=200)
+    # Re W runs the Re V map slower by e^(K phi(z0)/(n+1))
+    exact_traj = vfield.exact_re_v_flow(
+        z0, traj["times"] * math.exp(-cfg["ricci"] * p(z0) / (n + 1)))
     raw = {
         "conservation": float(np.max(np.abs(traj["values"] - p(z0)))),
         "pullback_metric": pullback,
         "reparametrization": reparametrization,
         "tangency": _worst(vfield.level_set_tangency(
             p, np.array(sample_interior(p.domain, rng, 10)))),
+        "exact_flow": _worst([end_deviation, np.max(np.abs(
+            np.array(traj["points"]) - exact_traj))]),
     }
     if cfg["trajectory_csv"]:
         vfield.trajectory_to_csv(traj, cfg["trajectory_csv"])
 
     thresholds = {"conservation": 1e-6, "pullback_metric": 1e-4,
-                  "reparametrization": 1e-5, "tangency": 1e-10}
+                  "reparametrization": 1e-5, "tangency": 1e-10,
+                  "exact_flow": 1e-8}
     residuals = {k: raw[k] / thresholds[k] for k in raw}
     params = {"n": n, "ricci": cfg["ricci"], "horizon": cfg["horizon"],
               "dt": dt, "thresholds": thresholds}
@@ -487,8 +498,7 @@ def _cheng_yau(cfg):
         chengyau.solution_to_csv(sol, cfg["solution_csv"])
     raw = {
         "grid_deviation": float(np.max(np.abs(sol.phi - exact.phi))),
-        "ode_residual": _worst(abs(chengyau.radial_ode_residual(sol, t))
-                               for t in sel),
+        "ode_residual": _worst(abs(chengyau.radial_ode_residual(sol, sel))),
         "boundary_limit": abs(gap),
     }
     thresholds = {"grid_deviation": 1e-5, "ode_residual": 1e-8,

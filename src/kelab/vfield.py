@@ -309,6 +309,20 @@ def trajectory_to_csv(traj: dict, path) -> None:
             writer.writerow(row)
 
 
+def exact_re_v_flow(z0, t) -> np.ndarray:
+    """The Re V flow of ``rescaled_ball_potential`` (default q = -e_1) in
+    closed form: V = i w (z + e_1), w = 1 + z^1, so w(t) = w0/(1 - i w0 t)
+    and z^a(t) = z^a_0 w(t)/w0.  The Re W flow is this map at time
+    t e^(-K phi(z0)/(n+1)).  ``t`` is a time ((n,) back) or T times
+    ((T, n) back)."""
+    z0 = as_point(z0)
+    iwt = 1j * (1.0 + z0[0]) * np.asarray(t, dtype=float)
+    ratio = 1.0 / (1.0 - iwt)  # w(t)/w0
+    z = ratio[..., None] * z0
+    z[..., 0] = (z0[0] + iwt) * ratio  # w(t) - 1 without cancellation
+    return z
+
+
 def pullback_check(p, z0, t: float, jac_step: float = 1e-4) -> FlowCheck:
     """Isometry at z0: max entrywise |(flow_t)^* g - g| for the Re V flow.
 

@@ -82,8 +82,56 @@ def test_shoot_recovers_ball_solution(n, K, solutions):
     assert abs(sol.phi[0] - ball_center_value(n, K)) <= 1e-6
     exact = ball_closed_form(n, K, grid=sol.grid)
     assert np.max(np.abs(sol.phi - exact.phi)) <= 1e-5
-    sel = sol.grid[2:-2:4000]
-    assert max(abs(radial_ode_residual(sol, t)) for t in sel) <= 1e-8
+    sel = sol.grid[2:-2][::len(sol.grid) // 200]  # the suite's selection
+    assert np.max(np.abs(radial_ode_residual(sol, sel))) <= 1e-8
+
+
+def test_stacked_ode_residual_equals_per_point(solutions):
+    sol = solutions[(2, 3.0)]
+    sel = np.concatenate((sol.grid[:3], sol.grid[2:-2][::len(sol.grid) // 200],
+                          sol.grid[-3:]))
+    stacked = radial_ode_residual(sol, sel)
+    assert stacked.shape == sel.shape
+    assert stacked.tolist() == [radial_ode_residual(sol, t) for t in sel]
+    assert sol.index_of(sel).tolist() == [sol.index_of(t) for t in sel]
+    between = 0.5 * (sol.grid[7] + sol.grid[8])
+    with pytest.raises(ValueError):
+        radial_ode_residual(sol, np.append(sel, between))
+
+
+def test_residual_vanishes_at_every_closed_form_grid_point():
+    """Every row of the stencil, the one-sided ones at both ends too."""
+    for (n, K) in [(2, 3.0), (1, 2.0)]:
+        rp = ball_closed_form(n, K)
+        assert np.max(np.abs(radial_ode_residual(rp, rp.grid))) <= 1e-8
+
+
+def test_stencil_needs_t0_then_a_grid_uniform_in_tau():
+    rp = ball_closed_form(2, 3.0)
+    for grid, dphi in [(np.linspace(0.0, 0.5, 8), np.ones(8)),
+                       (rp.grid[:5], rp.dphi[:5]),
+                       (rp.grid[1:], rp.dphi[1:])]:
+        bad = RadialPotential(n=2, K=3.0, grid=grid, phi=np.ones(len(grid)),
+                              dphi=dphi)
+        with pytest.raises(ResolutionError):
+            radial_ode_residual(bad, grid[2])
+
+
+@pytest.mark.parametrize("offset", [-0.3, 0.3])
+@pytest.mark.parametrize("n,K", AGREEMENT_CASES)
+def test_series_start_is_the_closed_family(n, K, offset):
+    """phi0 - A' log(1 - p1 t/A') with psi = p1 / (1 - p1 t/A'), A' =
+    (n+1)/K, solves the radial ODE for every phi0; the centre series is its
+    Taylor polynomial to t^4, so the two differ by the family's tail."""
+    A = (n + 1) / K
+    phi0 = ball_center_value(n, K) + offset
+    p1 = math.exp(K * phi0 / n)
+    x = p1 * chengyau._SERIES_START / A
+    phi, psi = chengyau._series_start(n, K, phi0)
+    phi_tail = A * sum(x ** k / k for k in range(5, 30))
+    psi_tail = p1 * x ** 4 / (1.0 - x)
+    assert abs(phi0 - A * math.log1p(-x) - phi - phi_tail) <= 1e-13
+    assert abs(p1 / (1.0 - x) - psi - psi_tail) <= 1e-13
 
 
 def _super_critical(n, K, phi0):
@@ -169,8 +217,8 @@ def test_radial_gradient_length_examples():
 
 def test_boundary_limit_closed_form():
     limit, gap = boundary_limit_estimate(ball_closed_form(2, 3.0))
-    assert limit == pytest.approx(1.0, abs=1e-6)
-    assert abs(gap) <= 1e-6
+    assert limit == pytest.approx(1.0, abs=1e-9)
+    assert abs(gap) <= 1e-9
 
 
 def test_boundary_limit_from_solver(solutions):

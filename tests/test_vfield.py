@@ -227,6 +227,37 @@ def test_flow_reparametrization(certified):
     assert vfield.reparametrization_deviation(certified, z0, 0.8) <= 1e-5
 
 
+@pytest.mark.parametrize("n, K", [(2, 3.0), (3, 1.0)])
+def test_exact_re_v_flow_is_the_rk4_flow(n, K):
+    """The closed-form map against RK4 at dt 4e-3: Re V at t 0.8, and Re W
+    at t 1.0 as the map at t e^(-K phi(z0)/(n+1))."""
+    p = potentials.rescaled_ball_potential(n, K)
+    z0 = np.array([0.15 + 0.1j, -0.1 + 0.2j, 0.05j][:n])
+    slow = np.exp(-K * p(z0) / (n + 1))
+    exact = vfield.exact_re_v_flow(z0, [0.0, 0.8, slow])
+    assert exact.shape == (3, n)
+    np.testing.assert_array_equal(exact[0], z0)
+    np.testing.assert_array_equal(exact[1], vfield.exact_re_v_flow(z0, 0.8))
+    ends = vfield.integrate_flow(p, np.stack([z0, z0]), [0.8, 1.0], dt=4e-3,
+                                 generator=["re_v", "re_w"])
+    assert np.max(np.abs(ends - exact[1:])) <= 1e-10
+    # a one-parameter group: flowing 0.3 then 0.5 is flowing 0.8
+    half = vfield.exact_re_v_flow(vfield.exact_re_v_flow(z0, 0.3), 0.5)
+    assert np.max(np.abs(half - exact[1])) <= 1e-14
+
+
+def test_flow_suite_exact_flow_tracks_the_step():
+    """The exact_flow residual is RK4's global error: halving dt divides it
+    by about 2^4."""
+    def exact_flow(dt):
+        report = run_suite("flow", {"horizon": 1.0, "dt": dt, "seed": 1})
+        return report.samples[0]["residuals"]["exact_flow"]
+
+    coarse, fine = exact_flow(8e-3), exact_flow(4e-3)
+    assert fine < 0.01
+    assert 8.0 < coarse / fine < 32.0
+
+
 def _off_center():
     # an off-center rotation: W = i (z + 0.8), circles around -0.8 and
     # leaves the unit disc from z0 = 0.5
