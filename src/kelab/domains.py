@@ -18,12 +18,14 @@ triangular, type III upper triangular).  Generic norms are normalized to 1
 at the origin and vanish on the boundary; the exponent pairing each norm
 with the Bergman kernel is validated numerically by the Einstein suite
 (Ricci of dd^c log K equals -1).  Membership in a bounded kind is one
-Minkowski gauge, ``gauge``; the sampler uses the same gauge.
+Minkowski gauge, ``gauge``; the sampler uses the same gauge.  Both
+``gauge`` and ``DomainModel.contains`` take a point or an (N, n) stack.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,7 @@ from .field import (
     RealLinearLog,
     TypeIVNorm,
 )
-from .jets import as_point
+from .jets import as_point, as_points
 
 BALL = "ball"
 POLYDISC = "polydisc"
@@ -93,11 +95,15 @@ class DomainModel:
     factors: tuple = ()
 
     # -- membership -------------------------------------------------------
-    def contains(self, z) -> bool:
-        z = as_point(z)
-        if len(z) != self.n:
-            raise ValueError(f"{self.label} expects {self.n} coordinates, got {len(z)}")
-        return _contains(self, z)
+    def contains(self, z):
+        """Membership of a point (a bool back) or of each row of an (N, n)
+        stack (a bool array back); a point is a stack of one."""
+        z = as_points(z)
+        if z.shape[-1] != self.n:
+            raise ValueError(
+                f"{self.label} expects {self.n} coordinates, got {z.shape[-1]}")
+        inside = _contains(self, np.atleast_2d(z))
+        return bool(inside[0]) if z.ndim == 1 else inside
 
     def require_member(self, z) -> np.ndarray:
         z = as_point(z)
@@ -260,51 +266,72 @@ def _matrix_plan(d: DomainModel):
 
 
 def as_matrix(d: DomainModel, z) -> np.ndarray:
-    """Assemble the matrix realization of a flattened coordinate vector."""
-    z = as_point(z)
+    """The matrix realization of a flattened coordinate vector, (p, q), or
+    of each row of an (N, n) stack, (N, p, q)."""
+    z = as_points(z)
     shape, cells, alpha, w = _matrix_plan(d)
-    Z = np.zeros(shape[0] * shape[1], dtype=complex)
-    Z[cells] = w * z[alpha]
-    return Z.reshape(shape)
+    Z = np.zeros(z.shape[:-1] + (shape[0] * shape[1],), dtype=complex)
+    Z[..., cells] = w * z[..., alpha]
+    return Z.reshape(z.shape[:-1] + shape)
 
 
 # ---------------------------------------------------------------------------
 # membership and generic norms
 
-def gauge(d: DomainModel, z) -> float:
+def gauge(d: DomainModel, z):
     """The Minkowski gauge of a bounded kind: d = {z : gauge(d, z) < 1}.
 
     Every bounded kind is circled and convex, so this one homogeneous
     norm carries its whole shape: |z| for the ball, max |z^a| for the
     polydisc, the operator norm of the matrix realization for types I-III
-    and the Lie norm sqrt(|z|^2 + sqrt(|z|^4 - |z.z|^2)) for type IV.
+    and the Lie norm sqrt(|z|^2 + sqrt(|z|^4 - |z.z|^2)) for type IV; a
+    product takes the largest of its factors' gauges.  Takes a point (a
+    float back) or an (N, n) stack (an array of N back); a point is a
+    stack of one, so both give the same bits.
     """
-    z = as_point(z)
+    z = as_points(z)
+    g = _gauge(d, np.atleast_2d(z))
+    return float(g[0]) if z.ndim == 1 else g
+
+
+def _gauge(d: DomainModel, z: np.ndarray) -> np.ndarray:
+    """``gauge`` of a validated (N, n) stack."""
     if d.kind == BALL:
-        return float(np.linalg.norm(z))
+        # the row-wise form of np.linalg.norm's re.re + im.im
+        re, im = z.real, z.imag
+        sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+        return np.sqrt(sq[:, 0, 0])
     if d.kind == POLYDISC:
-        return float(np.max(np.abs(z)))
+        return np.max(np.abs(z), axis=-1)
     if d.kind in (TYPE_I, TYPE_II, TYPE_III):
-        return float(np.linalg.norm(as_matrix(d, z), 2))
+        return np.linalg.norm(as_matrix(d, z), 2, axis=(-2, -1))
     if d.kind == TYPE_IV:
-        s = float(np.vdot(z, z).real)
-        u = abs(complex(np.sum(z * z)))
+        # the row-wise forms of np.vdot(z, z).real and abs(np.sum(z * z))
+        s = (z.conj()[:, None, :] @ z[:, :, None])[:, 0, 0].real
+        zz = np.sum(z * z, axis=-1)
+        u = np.hypot(zz.real, zz.imag)
         # |z.z| <= |z|^2; the max absorbs rounding in the difference
-        return float(np.sqrt(s + np.sqrt(max(s * s - u * u, 0.0))))
+        return np.sqrt(s + np.sqrt(np.maximum(s * s - u * u, 0.0)))
+    if d.kind == PRODUCT:
+        return np.max([_gauge(f, block) for f, block in _blocks(d, z)],
+                      axis=0)
     raise UnsupportedDomainError(f"{d.label} has no Minkowski gauge")
 
 
-def _contains(d: DomainModel, z: np.ndarray) -> bool:
+def _blocks(d: DomainModel, z: np.ndarray):
+    """(factor, its columns of z) for each factor of a product."""
+    off = np.cumsum([0] + [f.n for f in d.factors])
+    return [(f, z[..., a:b]) for f, a, b in zip(d.factors, off, off[1:])]
+
+
+def _contains(d: DomainModel, z: np.ndarray) -> np.ndarray:
+    """Membership of each row of a validated (N, n) stack."""
     if d.kind == HALFPLANE_PRODUCT:
-        return bool(np.all(np.real(z) < 0.0))
+        return np.all(z.real < 0.0, axis=-1)
     if d.kind == PRODUCT:
-        off = 0
-        for f in d.factors:
-            if not _contains(f, z[off:off + f.n]):
-                return False
-            off += f.n
-        return True
-    return gauge(d, z) < 1.0
+        return np.all([_contains(f, block) for f, block in _blocks(d, z)],
+                      axis=0)
+    return _gauge(d, z) < 1.0
 
 
 def generic_norm(d: DomainModel, z) -> float:
@@ -334,12 +361,7 @@ def generic_norm(d: DomainModel, z) -> float:
     if d.kind == HALFPLANE_PRODUCT:
         return float(np.prod(-2.0 * np.real(z)))
     if d.kind == PRODUCT:
-        off = 0
-        out = 1.0
-        for f in d.factors:
-            out *= generic_norm(f, z[off:off + f.n])
-            off += f.n
-        return out
+        return math.prod(generic_norm(f, block) for f, block in _blocks(d, z))
     raise UnsupportedDomainError(f"generic norm undefined for {d.kind!r}")
 
 

@@ -13,6 +13,10 @@ near the centre than under the volume measure.  Products sample factor by
 factor and concatenate; half-plane factors draw from a fixed compact
 window.  The default shrink of 0.95 keeps finite-difference stencils
 strictly interior.
+
+The seeded stream is read one point at a time, factor by factor, and
+each factor's directions then take one stacked ``gauge`` call, which
+gives the per-point gauge's bits.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ def sample_interior(domain: DomainModel, rng, count: int,
     """
     if not 0.0 < shrink <= 1.0:
         raise ValueError("shrink must be in (0, 1]")
+    leaves = _leaves(domain)
+    draws = [[_draw(f, rng) for f in leaves] for _ in range(count)]
+    blocks = [_place(f, [row[i] for row in draws], shrink)
+              for i, f in enumerate(leaves)]
     out = []
-    for _ in range(count):
-        z = _draw(domain, rng, shrink)
+    for z in np.concatenate(blocks, axis=1):
         if not domain.contains(z / shrink):
             raise MembershipError(
                 f"sampled {z!r} is not in {shrink:g} * {domain.label}"
@@ -45,13 +52,28 @@ def sample_interior(domain: DomainModel, rng, count: int,
     return out
 
 
-def _draw(d: DomainModel, rng, shrink: float) -> np.ndarray:
+def _leaves(d: DomainModel) -> list:
+    """The non-product factors of ``d``, in coordinate order."""
     if d.kind == PRODUCT:
-        return np.concatenate([_draw(f, rng, shrink) for f in d.factors])
+        return [leaf for f in d.factors for leaf in _leaves(f)]
+    return [d]
+
+
+def _draw(d: DomainModel, rng):
+    """One point's draws on a non-product kind: (direction, rho), or a
+    half-plane point and None."""
     if d.kind == HALFPLANE_PRODUCT:
         re = rng.uniform(-2.5, -0.2, d.n)
         im = rng.uniform(-1.5, 1.5, d.n)
-        return re + 1j * im
+        return re + 1j * im, None
     re, im = rng.standard_normal((2, d.n))
-    u = re + 1j * im
-    return shrink * rng.uniform() * u / gauge(d, u)
+    return re + 1j * im, rng.uniform()
+
+
+def _place(d: DomainModel, draws: list, shrink: float) -> np.ndarray:
+    """The (count, d.n) block of one factor's points from its draws."""
+    u = np.array([u for u, _ in draws], dtype=complex).reshape(-1, d.n)
+    if d.kind == HALFPLANE_PRODUCT:
+        return u
+    rho = np.array([rho for _, rho in draws])
+    return (shrink * rho)[:, None] * u / gauge(d, u)[:, None]

@@ -5,8 +5,8 @@ tolerance, its config keys with their defaults (its schema) and a body
 that returns the domain, its own params and the sample rows.  One runner,
 ``run_suite``, checks the config, times the body, folds every residual of
 every row into ``max_residual`` and builds the ``VerificationReport``.
-Reports serialize to strict JSON; identical (suite, config, seed) inputs
-reproduce the report byte-for-byte apart from ``runtime_ms``.
+Reports serialize to strict JSON on one line; identical (suite, config,
+seed) inputs reproduce the report byte-for-byte apart from ``runtime_ms``.
 
 Residual semantics: single-identity suites (einstein, delta-identity,
 key-equation, constant-length, dbar-defect, ball-minimality) report the
@@ -71,9 +71,19 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        """Strict JSON: a non-finite float is written as a string."""
-        return json.dumps(_finite_json(self.to_dict()), sort_keys=True,
-                          indent=2, allow_nan=False)
+        """Strict JSON on one line: a non-finite float is written as a
+        string.
+
+        Without an indent ``json.dumps`` takes CPython's C encoder; the
+        ``_finite_json`` walk runs only when that dump meets a non-finite
+        float.
+        """
+        data = self.to_dict()
+        try:
+            return json.dumps(data, sort_keys=True, allow_nan=False)
+        except ValueError:
+            return json.dumps(_finite_json(data), sort_keys=True,
+                              allow_nan=False)
 
 
 def _finite_json(value):

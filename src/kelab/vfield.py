@@ -172,7 +172,8 @@ def _rk4(p, z0, t, dt, generator, record_every=0):
     ``record_every``-th of its own steps and after its last
     (``record_every=0`` records the start and the end only).
 
-    Every accepted step is checked for membership.  Rows that leave the
+    Every accepted step is checked for membership, in one stacked
+    ``contains`` call over the running rows.  Rows that leave the
     domain stop; the others run on while they could still leave earlier,
     and the earliest exit (the lowest row on ties) is raised as a
     ``FlowExitError`` carrying that row's exit time.
@@ -189,9 +190,10 @@ def _rk4(p, z0, t, dt, generator, record_every=0):
         if g not in ("re_w", "re_v"):
             raise ValueError(f"unknown generator {g!r}; use re_w or re_v")
     d = p.domain
-    for zi in z0:
-        if not d.contains(zi):
-            raise FlowExitError(f"initial point {zi!r} outside {d.label}", 0.0)
+    outside = np.flatnonzero(~d.contains(z0))
+    if outside.size:
+        raise FlowExitError(
+            f"initial point {z0[outside[0]]!r} outside {d.label}", 0.0)
     steps = np.array([int(round(abs(ti) / dt)) for ti in t])
     h = np.array([ti / s if s else 0.0 for ti, s in zip(t, steps)])
     abs_h = np.abs(h)
@@ -213,12 +215,11 @@ def _rk4(p, z0, t, dt, generator, record_every=0):
         k3 = _velocity(p, zr + 0.5 * hr * k2, rv)
         k4 = _velocity(p, zr + hr * k3, rv)
         z[run] = zr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        for i in run:
-            if not d.contains(z[i]):
-                tk = float(k * h[i])
-                exits.append((abs(tk), i, tk))
-                earliest = min(earliest, abs(tk))
-                left[i] = True
+        for i in run[~d.contains(z[run])]:
+            tk = float(k * h[i])
+            exits.append((abs(tk), i, tk))
+            earliest = min(earliest, abs(tk))
+            left[i] = True
         if k == steps[0] or (k < steps[0] and record_every
                              and k % record_every == 0):
             record.append((k * h[0], z[0].copy()))

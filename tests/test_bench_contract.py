@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer patches must exist in kelab.
+"""The names the benchmark's tracer patches must exist in kelab, and
+the calls it counts must happen.
 
 ``perfbench/tracer.py`` rebinds public functions and methods of kelab to
 timing wrappers.  A deletion of one of them breaks traced bench runs;
@@ -7,6 +8,10 @@ this test makes it fail here instead.
 
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from kelab import domains, sampling
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,3 +30,22 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
     assert tracer._patches == []
     for owner, attr, original in patches:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+def test_sampler_checks_each_returned_point_once(monkeypatch):
+    """The bench counts ``sampling.draws`` from the ``DomainModel.contains``
+    spans under ``sample_interior``: one per returned point."""
+    real, calls = domains.DomainModel.contains, []
+
+    def spy(self, z):
+        calls.append(np.shape(z))
+        return real(self, z)
+
+    monkeypatch.setattr(domains.DomainModel, "contains", spy)
+    for d, count in ((domains.type_i(2, 3), 16), (domains.ball(2), 7),
+                     (domains.product(domains.halfplane_product(1),
+                                      domains.type_iv(3)), 5)):
+        calls.clear()
+        points = sampling.sample_interior(d, np.random.default_rng(1), count)
+        assert len(points) == count
+        assert calls == [(d.n,)] * count

@@ -1,6 +1,7 @@
 """Radial Monge-Ampere solver: closed forms, shooting, boundary limits."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -380,10 +381,11 @@ def test_non_monotone_blow_up_history_is_rejected():
     _assert_monotone([(1.0, 3.0), (0.0, 5.0), (-1.0, None)])
 
 
-def _report_text(name, config):
-    text = run_suite(name, config).to_json()
-    return [line for line in text.splitlines() if '"runtime_ms"' not in line]
+def _report_data(name, config):
+    data = json.loads(run_suite(name, config).to_json())
+    data.pop("runtime_ms")
+    return data
 
 
 def test_cheng_yau_report_is_deterministic():
-    assert _report_text("cheng-yau", {}) == _report_text("cheng-yau", {})
+    assert _report_data("cheng-yau", {}) == _report_data("cheng-yau", {})

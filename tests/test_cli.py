@@ -18,6 +18,26 @@ def test_run_suite_exit_zero(tmp_path, capsys):
     assert report["suite"] == "table1"
 
 
+def _strict(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _one_json_line(text):
+    """``text`` is one strict-JSON line in the report layout."""
+    assert "\n" not in text.rstrip("\n")
+    data = json.loads(text, parse_constant=_strict)
+    assert text.rstrip("\n") == json.dumps(data, sort_keys=True,
+                                            allow_nan=False)
+    return data
+
+
+def test_run_prints_one_json_line(capsys):
+    assert cli.main(["run", "key-equation", "--samples", "3"]) == 0
+    report = _one_json_line(capsys.readouterr().out)
+    assert report["suite"] == "key-equation"
+    assert len(report["samples"]) == 3
+
+
 def test_run_with_domain_flags(tmp_path):
     out = tmp_path / "cl.json"
     code = cli.main([
@@ -70,8 +90,11 @@ def test_run_all_with_config(tmp_path):
     assert set(summary["suites"]) == {"table1", "ball-minimality",
                                       "key-equation"}
     for name in summary["suites"]:
-        assert (out / f"{name}.json").exists()
+        report = _one_json_line((out / f"{name}.json").read_text())
+        assert report["suite"] == name
         assert summary["suites"][name]["operations"]
+    assert (out / "summary.json").read_text() == json.dumps(
+        summary, sort_keys=True, indent=2) + "\n"
 
 
 def test_run_all_rejects_unknown_suite_in_config(tmp_path):

@@ -142,6 +142,9 @@ def test_as_matrix_equals_the_entrywise_loop(d):
     Z = domains.as_matrix(d, z)
     Z[0, 0] = 7.0  # the result is a fresh array, not the cached plan
     assert np.array_equal(domains.as_matrix(d, z), _as_matrix_entrywise(d, z))
+    zs = rng.standard_normal((4, d.n)) + 1j * rng.standard_normal((4, d.n))
+    assert np.array_equal(domains.as_matrix(d, zs),
+                          [_as_matrix_entrywise(d, z) for z in zs])
 
 
 @pytest.mark.parametrize("d", [
@@ -189,6 +192,102 @@ def test_sampler_reaches_every_kind(d):
         assert d.contains(z / shrink)
     again = sample_interior(d, np.random.default_rng(11), 40, shrink=shrink)
     np.testing.assert_array_equal(np.array(points), np.array(again))
+
+
+def _point_gauge(d, z):
+    """The per-point gauge formulas, one numpy reduction each."""
+    if d.kind == "ball":
+        return float(np.linalg.norm(z))
+    if d.kind == "polydisc":
+        return float(np.max(np.abs(z)))
+    if d.kind == "type4":
+        s = float(np.vdot(z, z).real)
+        u = abs(complex(np.sum(z * z)))
+        return float(np.sqrt(s + np.sqrt(max(s * s - u * u, 0.0))))
+    return float(np.linalg.norm(domains.as_matrix(d, z), 2))
+
+
+def _point_draw(d, rng, shrink):
+    """One point of the per-point sampler: draw, then scale by its gauge."""
+    if d.kind == "product":
+        return np.concatenate([_point_draw(f, rng, shrink) for f in d.factors])
+    if d.kind == "halfplane-product":
+        re = rng.uniform(-2.5, -0.2, d.n)
+        im = rng.uniform(-1.5, 1.5, d.n)
+        return re + 1j * im
+    re, im = rng.standard_normal((2, d.n))
+    u = re + 1j * im
+    return shrink * rng.uniform() * u / _point_gauge(d, u)
+
+
+@pytest.mark.parametrize("d", [
+    ball(1), ball(2), ball(9), polydisc(1), polydisc(3), type_i(1, 3),
+    type_i(2, 2), type_i(2, 3), type_i(3, 3), type_ii(3), type_ii(5),
+    type_ii(6), type_iii(1), type_iii(2), type_iii(3), type_iv(3),
+    type_iv(5), type_iv(9),
+], ids=lambda d: d.label)
+def test_stacked_gauge_is_the_point_gauge(d):
+    rng = np.random.default_rng(5)
+    zs = rng.standard_normal((300, d.n)) + 1j * rng.standard_normal((300, d.n))
+    g = domains.gauge(d, zs)
+    assert g.shape == (300,)
+    assert np.array_equal(g, [domains.gauge(d, z) for z in zs])
+    assert np.array_equal(g, [_point_gauge(d, z) for z in zs])
+
+
+def test_product_gauge_is_the_largest_factor_gauge():
+    d = product(type_i(2, 2), ball(1), product(polydisc(2), type_iv(3)))
+    rng = np.random.default_rng(6)
+    zs = rng.standard_normal((200, d.n)) + 1j * rng.standard_normal((200, d.n))
+    g = domains.gauge(d, zs)
+    blocks = np.split(zs, [4, 5, 7], axis=1)
+    factors = (type_i(2, 2), ball(1), polydisc(2), type_iv(3))
+    assert np.array_equal(g, np.max([[_point_gauge(f, z) for z in block]
+                                     for f, block in zip(factors, blocks)],
+                                    axis=0))
+    assert np.array_equal(g, [domains.gauge(d, z) for z in zs])
+    for half in (halfplane_product(2), product(ball(1), halfplane_product(1))):
+        with pytest.raises(UnsupportedDomainError):
+            domains.gauge(half, [-1.0, -0.5])
+        with pytest.raises(UnsupportedDomainError):
+            domains.gauge(half, [[-1.0, -0.5], [-0.2, 0.1]])
+
+
+@pytest.mark.parametrize("d", [
+    ball(2), polydisc(2), type_i(2, 3), type_ii(4), type_iii(2), type_iv(3),
+    halfplane_product(2), product(halfplane_product(1), ball(2)),
+    product(type_iii(2), polydisc(1)),
+], ids=lambda d: d.label)
+def test_stacked_membership_is_the_point_membership(d):
+    rng = np.random.default_rng(9)
+    zs = rng.standard_normal((300, d.n)) + 1j * rng.standard_normal((300, d.n))
+    zs *= rng.uniform(0.1, 1.2, (300, 1))
+    inside = d.contains(zs)
+    assert inside.dtype == bool and inside.shape == (300,)
+    assert list(inside) == [d.contains(z) for z in zs]
+    assert 10 < inside.sum() < 290
+    with pytest.raises(ValueError):
+        d.contains(np.vstack([zs[:2], np.full(d.n, np.nan)]))
+
+
+@pytest.mark.parametrize("d", [
+    ball(2), polydisc(3), type_i(2, 2), type_i(2, 3), type_i(3, 3),
+    type_ii(5), type_ii(6), type_iii(2), type_iii(3), type_iv(3), type_iv(5),
+    halfplane_product(2), product(type_i(2, 2), ball(1)),
+    product(halfplane_product(1), ball(1)),
+    product(ball(2), product(polydisc(2), type_iv(3))),
+], ids=lambda d: d.label)
+def test_sampler_returns_the_per_point_samplers_points(d):
+    """The same seeded stream and the same bits as drawing and scaling
+    one point at a time; the generator is left in the same state."""
+    for seed in range(3):
+        for shrink in (0.95, 0.6):
+            rng, oracle = (np.random.default_rng(seed) for _ in range(2))
+            points = sample_interior(d, rng, 25, shrink=shrink)
+            expected = [_point_draw(d, oracle, shrink) for _ in range(25)]
+            assert np.array_equal(np.array(points), np.array(expected))
+            assert rng.uniform() == oracle.uniform()
+    assert sample_interior(d, np.random.default_rng(0), 0) == []
 
 
 def test_sampler_fails_closed(monkeypatch):

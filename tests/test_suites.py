@@ -37,6 +37,11 @@ def _raise_on_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _compact(data):
+    """The report layout: one line, sorted keys, strict JSON."""
+    return json.dumps(data, sort_keys=True, allow_nan=False)
+
+
 @pytest.mark.parametrize("name", list(MINIMAL))
 def test_suite_folds_and_echoes_every_key(name, tmp_path):
     schema = SUITES[name].schema
@@ -167,7 +172,9 @@ def test_nan_report_is_strict_json_and_fails(monkeypatch):
 
     monkeypatch.setattr(hermgeo, "key_equation_residual", one_nan)
     report = run_suite("key-equation", {"samples": 3, "seed": 1})
-    data = json.loads(report.to_json(), parse_constant=_raise_on_constant)
+    text = report.to_json()
+    data = json.loads(text, parse_constant=_raise_on_constant)
+    assert text == _compact(data)
     assert data["pass"] is False
     assert data["max_residual"] == "NaN"
     assert data["samples"][1]["residuals"]["key_equation"] == "NaN"
@@ -180,7 +187,9 @@ def test_infinities_are_written_as_strings():
         samples=[{"residuals": {"a": float("inf"), "b": -float("inf"),
                                 "c": 1.5}}],
         max_residual=float("inf"), passed=False, runtime_ms=0)
-    data = json.loads(report.to_json(), parse_constant=_raise_on_constant)
+    text = report.to_json()
+    data = json.loads(text, parse_constant=_raise_on_constant)
+    assert text == _compact(data)
     assert data["samples"][0]["residuals"] == {
         "a": "Infinity", "b": "-Infinity", "c": 1.5}
     assert float(data["max_residual"]) == float("inf")

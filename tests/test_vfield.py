@@ -1,6 +1,7 @@
 """Holomorphic vector field construction and its flows."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -217,6 +218,24 @@ def test_flow_horizon_cap(certified):
         vfield.integrate_flow(certified, np.zeros(2, complex), 20.0)
 
 
+def test_non_finite_flow_row_raises(certified, monkeypatch):
+    """The stacked membership check validates the rows it checks."""
+    real, calls = vfield._velocity, []
+
+    def last_stage_nan(p, z, re_v):
+        v = real(p, z, re_v)
+        calls.append(None)
+        if len(calls) % 4 == 0:  # the fourth RK4 stage feeds no frame
+            v[-1] = np.nan
+        return v
+
+    monkeypatch.setattr(vfield, "_velocity", last_stage_nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        vfield.integrate_flow(certified, np.array([[0.1, 0.0], [0.0, 0.1j]]),
+                              0.1, dt=0.05)
+    assert len(calls) == 4
+
+
 def test_flow_pullback_preserves_metric(certified):
     dev = vfield.pullback_metric_deviation(certified, np.zeros(2, complex), 0.5)
     assert dev <= 1e-4
@@ -379,15 +398,16 @@ def test_stacked_flow_exit_is_the_earliest():
     assert "row 1" in str(err.value)
 
 
-def _report_text(name, config):
-    text = run_suite(name, config).to_json()
-    return [line for line in text.splitlines() if '"runtime_ms"' not in line]
+def _report_data(name, config):
+    data = json.loads(run_suite(name, config).to_json())
+    data.pop("runtime_ms")
+    return data
 
 
 @pytest.mark.parametrize("seed", [1, 3])
 def test_flow_report_is_deterministic(seed):
     config = {"horizon": 1.0, "dt": 4e-3, "seed": seed}
-    assert _report_text("flow", config) == _report_text("flow", config)
+    assert _report_data("flow", config) == _report_data("flow", config)
 
 
 # ---------------------------------------------------------------------------
