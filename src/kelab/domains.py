@@ -8,18 +8,19 @@ matrix domains
     type III (symmetric m x m,  I - Z Z* > 0),        n = m(m+1)/2, rank m
     type IV  (z in C^m, Lie norm < 1),                n = m,        rank 2
 
-plus products, the unbounded half-plane product used as the image of the
-Cayley transform, and two exceptional invariant records that exist only as
-(c, n, rank) data.
+plus their products, and two exceptional invariant records that exist
+only as (c, n, rank) data.  Every kind is bounded; the unbounded Cayley
+images of the ball and polydisc enter only through the Siegel-side
+functions at the end (``cayley``, ``siegel_contains``, the slice kernel).
 
 Matrix coordinates are flattened row-major; the symmetry-constrained kinds
 are parametrized by their independent entries (type II strictly upper
 triangular, type III upper triangular).  Generic norms are normalized to 1
 at the origin and vanish on the boundary; the exponent pairing each norm
 with the Bergman kernel is validated numerically by the Einstein suite
-(Ricci of dd^c log K equals -1).  Membership in a bounded kind is one
-Minkowski gauge, ``gauge``; the sampler uses the same gauge.  Both
-``gauge`` and ``DomainModel.contains`` take a point or an (N, n) stack.
+(Ricci of dd^c log K equals -1).  Membership is one Minkowski gauge,
+``gauge`` < 1; the sampler uses the same gauge.  Both ``gauge`` and
+``DomainModel.contains`` take a point or an (N, n) stack.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ from .errors import (
     UnsupportedPointError,
 )
 from .field import (
-    ConstantPart,
     LogOfInnerPart,
     LogProfile,
     MatrixLogDetPart,
     PotentialField,
     RadialBlock,
-    RealLinearLog,
     TypeIVNorm,
 )
 from .jets import as_point, as_points
@@ -54,8 +53,17 @@ TYPE_I = "type1"
 TYPE_II = "type2"
 TYPE_III = "type3"
 TYPE_IV = "type4"
-HALFPLANE_PRODUCT = "halfplane-product"
 PRODUCT = "product"
+
+#: each kind's parameter names, in constructor order: the keys of its JSON
+#: record; its label is kind(values joined by ",").
+PARAMETERS = {BALL: ("n",), POLYDISC: ("r",), TYPE_I: ("p", "q"),
+              TYPE_II: ("m",), TYPE_III: ("m",), TYPE_IV: ("m",)}
+
+#: the power of det(I - Z Z*) (type IV: of its Lie-norm polynomial) that is
+#: the generic norm N, K ~ N^(-c); type II's is the square root, as the
+#: eigenvalues of Z Z* pair up for antisymmetric Z.
+NORM_EXPONENTS = {TYPE_I: 1.0, TYPE_II: 0.5, TYPE_III: 1.0, TYPE_IV: 1.0}
 
 #: minimum matrix sizes; smaller parameters coincide with other kinds
 #: (type II with m<=2 and type IV with m<=2 are ball/disc products) and the
@@ -102,7 +110,7 @@ class DomainModel:
         if z.shape[-1] != self.n:
             raise ValueError(
                 f"{self.label} expects {self.n} coordinates, got {z.shape[-1]}")
-        inside = _contains(self, np.atleast_2d(z))
+        inside = _gauge(self, np.atleast_2d(z)) < 1.0
         return bool(inside[0]) if z.ndim == 1 else inside
 
     def require_member(self, z) -> np.ndarray:
@@ -114,13 +122,9 @@ class DomainModel:
     # -- descriptive ------------------------------------------------------
     @property
     def label(self) -> str:
-        if self.kind == TYPE_I:
-            return f"type1({self.params[0]},{self.params[1]})"
-        if self.kind in (TYPE_II, TYPE_III, TYPE_IV):
-            return f"{self.kind}({self.params[0]})"
         if self.kind == PRODUCT:
             return " x ".join(f.label for f in self.factors)
-        return f"{self.kind}({self.n})"
+        return f"{self.kind}({','.join(map(str, self.params))})"
 
     def invariants(self) -> InvariantsRecord:
         if self.c is None:
@@ -135,11 +139,8 @@ class DomainModel:
                 "kind": PRODUCT,
                 "factors": [f.to_json() for f in self.factors],
             }
-        keys = {BALL: "n", POLYDISC: "r", TYPE_II: "m", TYPE_III: "m",
-                TYPE_IV: "m", HALFPLANE_PRODUCT: "r"}
-        if self.kind == TYPE_I:
-            return {"kind": TYPE_I, "p": self.params[0], "q": self.params[1]}
-        return {"kind": self.kind, keys[self.kind]: self.params[0]}
+        return {"kind": self.kind,
+                **dict(zip(PARAMETERS[self.kind], self.params))}
 
     def __repr__(self):
         return f"DomainModel({self.label})"
@@ -186,13 +187,6 @@ def type_iv(m: int) -> DomainModel:
     return DomainModel(TYPE_IV, (m,), n=m, rank=2, c=float(m))
 
 
-def halfplane_product(r: int) -> DomainModel:
-    """Product of r left half-planes Re w < 0 (unbounded Cayley image)."""
-    if r < 1:
-        raise ValueError("half-plane product rank must be >= 1")
-    return DomainModel(HALFPLANE_PRODUCT, (r,), n=r, rank=r, c=2.0)
-
-
 def product(*factors: DomainModel) -> DomainModel:
     factors = tuple(factors)
     if not factors:
@@ -205,24 +199,28 @@ def product(*factors: DomainModel) -> DomainModel:
 
 
 def from_json(obj: dict) -> DomainModel:
+    """The domain of a ``to_json`` record.  A parameter takes an integral
+    value such as 3, 3.0 or "3" (see ``as_integer``)."""
     kind = obj.get("kind")
-    if kind == BALL:
-        return ball(int(obj["n"]))
-    if kind == POLYDISC:
-        return polydisc(int(obj["r"]))
-    if kind == TYPE_I:
-        return type_i(int(obj["p"]), int(obj["q"]))
-    if kind == TYPE_II:
-        return type_ii(int(obj["m"]))
-    if kind == TYPE_III:
-        return type_iii(int(obj["m"]))
-    if kind == TYPE_IV:
-        return type_iv(int(obj["m"]))
-    if kind == HALFPLANE_PRODUCT:
-        return halfplane_product(int(obj["r"]))
     if kind == PRODUCT:
         return product(*[from_json(f) for f in obj["factors"]])
-    raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
+    if kind not in PARAMETERS:
+        raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
+    build = {BALL: ball, POLYDISC: polydisc, TYPE_I: type_i, TYPE_II: type_ii,
+             TYPE_III: type_iii, TYPE_IV: type_iv}[kind]
+    return build(*(as_integer(obj[key], key) for key in PARAMETERS[kind]))
+
+
+def as_integer(value, name: str = "value") -> int:
+    """``value`` as an int: 3, 3.0 and "3" pass; 2.9, None and a bool raise
+    ValueError, naming ``name``, instead of being truncated or read as 1."""
+    try:
+        if not isinstance(value, bool) and (isinstance(value, str)
+                                            or int(value) == value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,42 +322,25 @@ def _blocks(d: DomainModel, z: np.ndarray):
     return [(f, z[..., a:b]) for f, a, b in zip(d.factors, off, off[1:])]
 
 
-def _contains(d: DomainModel, z: np.ndarray) -> np.ndarray:
-    """Membership of each row of a validated (N, n) stack."""
-    if d.kind == HALFPLANE_PRODUCT:
-        return np.all(z.real < 0.0, axis=-1)
-    if d.kind == PRODUCT:
-        return np.all([_contains(f, block) for f, block in _blocks(d, z)],
-                      axis=0)
-    return _gauge(d, z) < 1.0
-
-
 def generic_norm(d: DomainModel, z) -> float:
     """The boundary-vanishing polynomial norm N with K = const * N^(-c).
 
-    N(0) = 1 on bounded kinds.  Type II uses det(I - Z Z*)^(1/2): the
-    eigenvalues of Z Z* pair up for antisymmetric Z, so the square root is
-    the polynomial norm matching the exponent 2(m-1).
+    N(0) = 1.  A matrix kind's N is det(I - Z Z*) to its ``NORM_EXPONENTS``
+    power.
     """
     z = d.require_member(z)
     if d.kind == BALL:
         return 1.0 - float(np.sum(np.abs(z) ** 2))
     if d.kind == POLYDISC:
         return float(np.prod(1.0 - np.abs(z) ** 2))
-    if d.kind in (TYPE_I, TYPE_III):
+    if d.kind in (TYPE_I, TYPE_II, TYPE_III):
         Z = as_matrix(d, z)
         det = np.linalg.det(np.eye(Z.shape[0]) - Z @ Z.conj().T)
-        return float(det.real)
-    if d.kind == TYPE_II:
-        Z = as_matrix(d, z)
-        det = np.linalg.det(np.eye(Z.shape[0]) - Z @ Z.conj().T)
-        return float(np.sqrt(det.real))
+        return float(det.real ** NORM_EXPONENTS[d.kind])
     if d.kind == TYPE_IV:
         s = float(np.sum(np.abs(z) ** 2))
         u = complex(np.sum(z * z))
         return 1.0 - 2.0 * s + abs(u) ** 2
-    if d.kind == HALFPLANE_PRODUCT:
-        return float(np.prod(-2.0 * np.real(z)))
     if d.kind == PRODUCT:
         return math.prod(generic_norm(f, block) for f, block in _blocks(d, z))
     raise UnsupportedDomainError(f"generic norm undefined for {d.kind!r}")
@@ -376,28 +357,18 @@ def bergman_potential(d: DomainModel) -> PotentialField:
     formula above.
     """
     if d.kind == BALL:
-        n = d.n
-        parts = [(1.0, RadialBlock(range(n), LogProfile(float(n + 1))))]
+        parts = [(1.0, RadialBlock(range(d.n), LogProfile(d.c)))]
     elif d.kind == POLYDISC:
         parts = [
-            (1.0, RadialBlock((a,), LogProfile(2.0))) for a in range(d.n)
+            (1.0, RadialBlock((a,), LogProfile(d.c))) for a in range(d.n)
         ]
     elif d.kind in (TYPE_I, TYPE_II, TYPE_III):
         p, q, lifts = _matrix_lifts(d)
-        kappa = {
-            TYPE_I: float(sum(d.params)),
-            TYPE_II: float(d.params[0] - 1),
-            TYPE_III: float(d.params[0] + 1),
-        }[d.kind]
+        kappa = d.c * NORM_EXPONENTS[d.kind]
         parts = [(1.0, MatrixLogDetPart(p, q, kappa, lifts))]
     elif d.kind == TYPE_IV:
-        parts = [(1.0, LogOfInnerPart(TypeIVNorm(), float(d.params[0])))]
-    elif d.kind == HALFPLANE_PRODUCT:
-        # log prod 2 (w + wbar)^-2 = sum (log 2 - 2 log(-(w^a + wbar^a)))
-        parts = []
-        for a in range(d.n):
-            parts.append((-2.0, RealLinearLog(0.0, {a: -1.0})))
-            parts.append((1.0, ConstantPart(np.log(2.0))))
+        kappa = d.c * NORM_EXPONENTS[d.kind]
+        parts = [(1.0, LogOfInnerPart(TypeIVNorm(), kappa))]
     elif d.kind == PRODUCT:
         parts = []
         off = 0

@@ -15,7 +15,6 @@ potential the package constructs:
                           (unit-ball logs, flat quadratics, per-factor disks)
 * ``LinearLog``        -- 2 log|c0 + c.z| for a holomorphic affine form
                           (the pluriharmonic rescaling term)
-* ``RealLinearLog``    -- log(c0 + 2 Re(c.z)) (half-plane kernel logs)
 * ``MatrixLogDetPart`` -- -kappa log det(I - Z Z*) on matrix balls, with a
                           linear parametrization for symmetry-constrained Z
                           (traces of matrix words, closed form to order 4)
@@ -23,10 +22,10 @@ potential the package constructs:
                           finite jet (the type-IV generic norm)
 * ``ConstantPart``     -- additive constants
 
-``RadialBlock``, ``RealLinearLog`` and ``LogOfInnerPart`` are a profile
-composed with an inner function whose jet is finite; one tensor chain rule
-(Faa di Bruno over the set partitions of the derivative slots, at most 15
-at order 4) serves all three.
+``RadialBlock`` and ``LogOfInnerPart`` are a profile composed with an inner
+function whose jet is finite; one tensor chain rule (Faa di Bruno over the
+set partitions of the derivative slots, at most 15 at order 4) serves
+both.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def _check(ok, Z, what, values):
         raise EvaluationError(f"{what} {values[i]} at z={Z[i]!r}")
 
 
-def _log_derivs(u, order, scale=1.0):
+def _log_derivs(u, order, scale):
     """scale * d^k/du^k log u for k = 0..order."""
     return [scale * np.log(u)] + [
         scale * (-1.0) ** (k - 1) * _FACT[k - 1] / u ** k
@@ -249,21 +248,6 @@ class LinearLog:
             dw = (-1.0) ** (k - 1) * _FACT[k - 1] / w ** k
             out[(k, 0)] = dw.reshape((-1,) + (1,) * k) * ck
         return out
-
-
-class RealLinearLog:
-    """log(c0 + 2 Re(c.z)) -- the real-linear logs of half-plane kernels."""
-
-    def __init__(self, c0, coeffs):
-        self.c0 = float(c0)
-        self.coeffs = tuple((int(k), complex(v)) for k, v in coeffs.items())
-
-    def jet(self, Z, order):
-        c = _coefficients(self.coeffs, Z.shape[1])
-        u = self.c0 + 2.0 * np.real(Z @ c)
-        _check(u > 0, Z, "log of non-positive argument u =", u)
-        inner = {(1, 0): c[None], (0, 1): np.conj(c)[None]}
-        return _compose(_log_derivs(u, order), inner, order, Z.shape[1])
 
 
 class MatrixLogDetPart:

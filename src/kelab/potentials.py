@@ -270,20 +270,12 @@ def kai_ohsawa_potential(d: DomainModel) -> PotentialField:
             label=f"siegel-pullback[{d.label}]",
         )
     if d.kind == BALL:
-        return rescaled_ball_potential(
-            d.n, 1.0, boundary_point=_first_axis(d.n)
-        )
+        return rescaled_ball_potential(d.n, 1.0)
     raise UnsupportedDomainError(
         f"Siegel pullback implemented for ball and polydisc, not {d.label}; "
         f"only the lower bound rank*c = {d.rank * (d.c or np.nan):g} is "
         f"available"
     )
-
-
-def _first_axis(n):
-    q = np.zeros(n, dtype=complex)
-    q[0] = -1.0
-    return q
 
 
 def kai_ohsawa_constant(d: DomainModel, spot_checks: int = 20,

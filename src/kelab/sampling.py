@@ -10,9 +10,8 @@ their own realization), moved to a seeded radius of shrink * Omega:
 
 The distribution is not uniform: rho is uniform, so points are denser
 near the centre than under the volume measure.  Products sample factor by
-factor and concatenate; half-plane factors draw from a fixed compact
-window.  The default shrink of 0.95 keeps finite-difference stencils
-strictly interior.
+factor and concatenate.  The default shrink of 0.95 keeps
+finite-difference stencils strictly interior.
 
 The seeded stream is read one point at a time, factor by factor, and
 each factor's directions then take one stacked ``gauge`` call, which
@@ -24,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MembershipError
-from .domains import HALFPLANE_PRODUCT, PRODUCT, DomainModel, gauge
+from .domains import PRODUCT, DomainModel, gauge
 
 DEFAULT_SHRINK = 0.95
 
@@ -60,12 +59,7 @@ def _leaves(d: DomainModel) -> list:
 
 
 def _draw(d: DomainModel, rng):
-    """One point's draws on a non-product kind: (direction, rho), or a
-    half-plane point and None."""
-    if d.kind == HALFPLANE_PRODUCT:
-        re = rng.uniform(-2.5, -0.2, d.n)
-        im = rng.uniform(-1.5, 1.5, d.n)
-        return re + 1j * im, None
+    """One point's draws on a non-product kind: (direction, rho)."""
     re, im = rng.standard_normal((2, d.n))
     return re + 1j * im, rng.uniform()
 
@@ -73,7 +67,5 @@ def _draw(d: DomainModel, rng):
 def _place(d: DomainModel, draws: list, shrink: float) -> np.ndarray:
     """The (count, d.n) block of one factor's points from its draws."""
     u = np.array([u for u, _ in draws], dtype=complex).reshape(-1, d.n)
-    if d.kind == HALFPLANE_PRODUCT:
-        return u
     rho = np.array([rho for _, rho in draws])
     return (shrink * rho)[:, None] * u / gauge(d, u)[:, None]

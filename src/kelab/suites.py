@@ -30,6 +30,8 @@ from .domains import (
     BALL,
     DomainModel,
     EXCEPTIONAL_INVARIANTS,
+    NORM_EXPONENTS,
+    as_integer,
     ball,
     bergman_potential,
     from_json,
@@ -43,8 +45,6 @@ from .domains import (
 )
 from .errors import ConfigError
 from .sampling import sample_interior
-
-_NORM_EXPONENTS = {"type1": 1.0, "type2": 0.5, "type3": 1.0, "type4": 1.0}
 
 
 @dataclass
@@ -159,24 +159,38 @@ def _suite(name, checks, operations, tol, **keys):
 
 
 def _number(name, key, value, kind):
-    """``value`` as ``kind`` (int or float).  An int key takes an integral
-    value such as 2.0 but rejects 2.9 instead of truncating it."""
+    """``value`` as ``kind`` (int or float).  An int key takes the integral
+    values of ``domains.as_integer``: 2.0 but not 2.9, which is not
+    truncated."""
     try:
-        number = kind(value)
+        return as_integer(value) if kind is int else float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name}: {key} must be a number, "
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name}: {key} must be {what}, "
                           f"got {value!r}") from None
-    _require(kind is not int or isinstance(value, str) or number == value,
-             f"{name}: {key} must be an integer, got {value!r}")
-    return number
+
+
+#: the values the suite bodies take, per config key: a test and its words
+_RANGES = {
+    "tol": (lambda v: v > 0, "positive"),
+    "samples": (lambda v: v >= 0, "nonnegative"),
+    "ricci": (lambda v: v > 0, "positive"),
+    "n": (lambda v: v >= 1, ">= 1"),
+    "shrink": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "dt": (lambda v: v > 0, "positive"),
+    "horizon": (lambda v: abs(v) <= vfield.MAX_HORIZON,
+                f"at most {vfield.MAX_HORIZON} in absolute value"),
+    "domains": (lambda v: isinstance(v, list), "a list"),
+}
 
 
 def _resolve_config(name: str, config: dict) -> dict:
     """``config`` checked against the suite's schema, defaults filled in.
 
     A missing or ``None`` value takes the default; numbers are converted
-    to the type of their default (see ``_number``).  ``samples`` 0 means
-    the default.
+    to the type of their default (see ``_number``), and ``n`` to an int.
+    A value outside ``_RANGES`` is a config error here, before a body
+    runs.  ``samples`` 0 means the default.
     """
     if name not in SUITES:
         raise ConfigError(
@@ -190,18 +204,17 @@ def _resolve_config(name: str, config: dict) -> dict:
     cfg = {}
     for key, default in schema.items():
         value = config.get(key)
+        kind = int if key == "n" else type(default)
         if value is None:
             value = default
-        elif isinstance(default, (int, float)):
-            value = _number(name, key, value, type(default))
+        elif kind in (int, float):
+            value = _number(name, key, value, kind)
         cfg[key] = value
-    _require(cfg["tol"] > 0, f"tolerance must be positive, got {cfg['tol']}")
+    for key, (ok, what) in _RANGES.items():
+        _require(cfg.get(key) is None or ok(cfg[key]),
+                 f"{name}: {key} must be {what}, got {cfg.get(key)!r}")
     if "samples" in cfg:
-        _require(cfg["samples"] >= 0, "sample count must be nonnegative")
         cfg["samples"] = cfg["samples"] or schema["samples"]
-    if "ricci" in cfg:
-        _require(cfg["ricci"] > 0,
-                 f"Ricci constant must be positive, got {cfg['ricci']}")
     return cfg
 
 
@@ -249,7 +262,7 @@ def _einstein(cfg):
                 "residuals": {"einstein": float(r)},
             })
     params = {"shrink": cfg["shrink"], "ricci_constant": 1.0,
-              "norm_exponents": _NORM_EXPONENTS}
+              "norm_exponents": NORM_EXPONENTS}
     return [d.to_json() for d in models], params, rows
 
 
@@ -305,8 +318,6 @@ def _constant_length(cfg):
     error.
     """
     n = cfg["n"]
-    if n is not None:
-        n = _number("constant-length", "n", n, int)
     if cfg["domain"] is None:
         d = ball(2 if n is None else n)
     else:
@@ -564,7 +575,7 @@ def _table1(cfg):
     rows.append({"kind": "ball(n) = type1(1,n)",
                  "residuals": {"mismatch": 0.0 if coincide else 1.0}})
     params = {"ball_is_type1_1n": bool(coincide),
-              "norm_exponents": _NORM_EXPONENTS}
+              "norm_exponents": NORM_EXPONENTS}
     return None, params, rows
 
 

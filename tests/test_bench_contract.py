@@ -43,7 +43,7 @@ def test_sampler_checks_each_returned_point_once(monkeypatch):
 
     monkeypatch.setattr(domains.DomainModel, "contains", spy)
     for d, count in ((domains.type_i(2, 3), 16), (domains.ball(2), 7),
-                     (domains.product(domains.halfplane_product(1),
+                     (domains.product(domains.polydisc(1),
                                       domains.type_iv(3)), 5)):
         calls.clear()
         points = sampling.sample_interior(d, np.random.default_rng(1), count)

@@ -64,6 +64,12 @@ def test_missing_config_is_usage_error(tmp_path):
     assert code == 2
 
 
+def test_out_of_range_value_is_usage_error(capsys):
+    """Exit 2 (a config error), not 1 (a failed verification)."""
+    assert cli.main(["run", "key-equation", "--n", "0"]) == 2
+    assert "n must be >= 1" in capsys.readouterr().err
+
+
 def test_invalid_tolerance_is_config_error():
     with pytest.raises(ConfigError):
         run_suite("constant-length", {"tol": 0.0, "samples": 5})

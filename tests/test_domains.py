@@ -13,7 +13,6 @@ from kelab.domains import (
     from_json,
     generic_norm,
     halfplane_kernel,
-    halfplane_product,
     ke_potential,
     polydisc,
     product,
@@ -175,13 +174,11 @@ def test_gauge_is_the_minkowski_gauge():
             pytest.approx(2.5 * g, rel=1e-12)
         assert d.contains(z / g * (1 - 1e-9))
         assert not d.contains(z / g * (1 + 1e-9))
-    with pytest.raises(UnsupportedDomainError):
-        domains.gauge(halfplane_product(1), [-1.0])
 
 
 @pytest.mark.parametrize("d", [
     type_i(3, 3), type_ii(5), type_ii(6), type_iii(3), type_iv(5),
-    product(type_i(2, 2), ball(1)), product(halfplane_product(1), ball(1)),
+    product(type_i(2, 2), ball(1)), product(polydisc(1), ball(2)),
 ], ids=lambda d: d.label)
 def test_sampler_reaches_every_kind(d):
     shrink = 0.8
@@ -211,10 +208,6 @@ def _point_draw(d, rng, shrink):
     """One point of the per-point sampler: draw, then scale by its gauge."""
     if d.kind == "product":
         return np.concatenate([_point_draw(f, rng, shrink) for f in d.factors])
-    if d.kind == "halfplane-product":
-        re = rng.uniform(-2.5, -0.2, d.n)
-        im = rng.uniform(-1.5, 1.5, d.n)
-        return re + 1j * im
     re, im = rng.standard_normal((2, d.n))
     u = re + 1j * im
     return shrink * rng.uniform() * u / _point_gauge(d, u)
@@ -246,17 +239,11 @@ def test_product_gauge_is_the_largest_factor_gauge():
                                      for f, block in zip(factors, blocks)],
                                     axis=0))
     assert np.array_equal(g, [domains.gauge(d, z) for z in zs])
-    for half in (halfplane_product(2), product(ball(1), halfplane_product(1))):
-        with pytest.raises(UnsupportedDomainError):
-            domains.gauge(half, [-1.0, -0.5])
-        with pytest.raises(UnsupportedDomainError):
-            domains.gauge(half, [[-1.0, -0.5], [-0.2, 0.1]])
 
 
 @pytest.mark.parametrize("d", [
     ball(2), polydisc(2), type_i(2, 3), type_ii(4), type_iii(2), type_iv(3),
-    halfplane_product(2), product(halfplane_product(1), ball(2)),
-    product(type_iii(2), polydisc(1)),
+    product(polydisc(1), ball(2)), product(type_iii(2), polydisc(1)),
 ], ids=lambda d: d.label)
 def test_stacked_membership_is_the_point_membership(d):
     rng = np.random.default_rng(9)
@@ -273,8 +260,7 @@ def test_stacked_membership_is_the_point_membership(d):
 @pytest.mark.parametrize("d", [
     ball(2), polydisc(3), type_i(2, 2), type_i(2, 3), type_i(3, 3),
     type_ii(5), type_ii(6), type_iii(2), type_iii(3), type_iv(3), type_iv(5),
-    halfplane_product(2), product(type_i(2, 2), ball(1)),
-    product(halfplane_product(1), ball(1)),
+    product(type_i(2, 2), ball(1)), product(polydisc(1), ball(2)),
     product(ball(2), product(polydisc(2), type_iv(3))),
 ], ids=lambda d: d.label)
 def test_sampler_returns_the_per_point_samplers_points(d):
@@ -424,21 +410,36 @@ def test_product_invariants():
 
 
 def test_serialization_round_trip():
-    for d in (ball(3), polydisc(2), type_i(2, 3), type_ii(4), type_iii(2),
-              type_iv(4), halfplane_product(2), product(ball(1), ball(2))):
+    """Every kind of the parameter table, and nested products, come back
+    from their JSON records equal, with labels kind(params)."""
+    kinds = [from_json({"kind": kind, **{key: 3 + i for i, key in
+                                         enumerate(keys)}})
+             for kind, keys in domains.PARAMETERS.items()]
+    assert [d.label for d in kinds] == ["ball(3)", "polydisc(3)",
+                                        "type1(3,4)", "type2(3)", "type3(3)",
+                                        "type4(3)"]
+    nested = [product(ball(1), ball(2)),
+              product(type_i(2, 3), product(polydisc(2), type_iv(4)))]
+    for d in kinds + nested:
         again = from_json(d.to_json())
-        assert again.label == d.label
-        assert (again.n, again.rank, again.c) == (d.n, d.rank, d.c)
+        assert again == d and again.label == d.label
+        assert again.to_json() == d.to_json()
+    assert nested[1].label == "type1(2,3) x polydisc(2) x type4(4)"
     with pytest.raises(UnsupportedDomainError):
         from_json({"kind": "dodecahedron"})
+    with pytest.raises(UnsupportedDomainError):
+        from_json({"kind": "halfplane-product", "r": 2})
 
 
-def test_halfplane_product_potential_is_einstein():
-    d = halfplane_product(2)
-    p = bergman_potential(d)
-    rng = np.random.default_rng(2)
-    for w in sample_interior(d, rng, 3):
-        assert hermgeo.einstein_residual(p, w) <= 1e-6
+def test_from_json_takes_integral_parameters_only():
+    for value in (3, 3.0, "3"):
+        assert from_json({"kind": "ball", "n": value}) == ball(3)
+    assert from_json({"kind": "type1", "p": 2.0, "q": "3"}) == type_i(2, 3)
+    for value in (2.9, None, True, "three", float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            from_json({"kind": "ball", "n": value})
+    with pytest.raises(ValueError):
+        from_json({"kind": "type1", "p": 2.5, "q": 2})
 
 
 def test_product_kernel_potential_is_einstein():

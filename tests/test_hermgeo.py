@@ -250,8 +250,6 @@ STACKED_KINDS = {
     "type1(2,3)": lambda: domains.bergman_potential(domains.type_i(2, 3)),
     "type3(2)": lambda: domains.bergman_potential(domains.type_iii(2)),
     "type4(3)": lambda: domains.bergman_potential(domains.type_iv(3)),
-    "halfplane(2)": lambda: domains.bergman_potential(
-        domains.halfplane_product(2)),
     "ball(2) x type4(3)": lambda: domains.bergman_potential(
         domains.product(domains.ball(2), domains.type_iv(3))),
     "rescaled-ball": lambda: potentials.rescaled_ball_potential(2, 3.0),
@@ -320,7 +318,7 @@ CURVATURE_KINDS = [
     domains.ball(2), domains.polydisc(3), domains.type_i(2, 2),
     domains.type_i(2, 3), domains.type_i(3, 3), domains.type_ii(5),
     domains.type_iii(2), domains.type_iii(3), domains.type_iv(3),
-    domains.type_iv(5), domains.halfplane_product(2),
+    domains.type_iv(5),
     domains.product(domains.type_i(2, 2), domains.ball(1)),
 ]
 

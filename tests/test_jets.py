@@ -151,7 +151,6 @@ def _closed_form_potentials():
         potentials.rescaled_ball_potential(3, 4.0),
         potentials.kai_ohsawa_potential(domains.polydisc(2)),
         potentials.quadratic_fixture(2),
-        domains.bergman_potential(domains.halfplane_product(2)),
         domains.bergman_potential(
             domains.product(domains.ball(1), domains.type_iv(3))),
         potentials.product_potential(

@@ -94,22 +94,41 @@ def test_keys_a_suite_does_not_read_are_rejected(name, config):
 
 
 def test_bad_values_are_config_errors():
-    with pytest.raises(ConfigError):
-        run_suite("key-equation", {"samples": -1})
-    with pytest.raises(ConfigError):
-        run_suite("key-equation", {"ricci": 0.0})
-    with pytest.raises(ConfigError):
-        run_suite("key-equation", {"n": "two"})
-    with pytest.raises(ConfigError):
-        run_suite("einstein", {"domains": []})
+    """Values a suite body cannot take fail as config errors before it
+    runs, in ``run_suite`` and in ``run_all``'s up-front check."""
+    bad = [
+        ("key-equation", {"samples": -1}), ("key-equation", {"ricci": 0.0}),
+        ("key-equation", {"n": "two"}), ("key-equation", {"n": True}),
+        ("einstein", {"domains": []}),
+        ("key-equation", {"n": 0}), ("dbar-defect", {"n": 0}),
+        ("cheng-yau", {"n": 0}), ("constant-length", {"n": 0}),
+        ("einstein", {"shrink": 0}), ("einstein", {"shrink": 2}),
+        ("delta-identity", {"shrink": 1.5}),
+        ("flow", {"dt": -1}), ("flow", {"horizon": 20}),
+        ("einstein", {"domains": 5}),
+        ("einstein", {"domains": [{"kind": "ball", "n": None}]}),
+    ]
+    for name, config in bad:
+        with pytest.raises(ConfigError):
+            run_suite(name, config)
+        with pytest.raises(ConfigError):
+            run_all({"suites": {name: config}})
 
 
-@pytest.mark.parametrize("key", ["n", "samples"])
+FRACTIONAL = {
+    "n": ("key-equation", {"n": 2.5, "samples": 2}),
+    "samples": ("key-equation", {"n": 2, "samples": 2.5}),
+    "p": ("einstein", {"samples": 1,
+                       "domains": [{"kind": "type1", "p": 2.5, "q": 2}]}),
+}
+
+
+@pytest.mark.parametrize("key", list(FRACTIONAL))
 def test_fractional_value_of_an_integer_key_is_config_error(key):
-    config = {"n": 2, "samples": 2}
-    config[key] += 0.5
+    """Suite keys and domain parameters alike: 2.5 is not truncated."""
+    name, config = FRACTIONAL[key]
     with pytest.raises(ConfigError, match=f"{key} must be an integer"):
-        run_suite("key-equation", config)
+        run_suite(name, config)
 
 
 def test_integral_float_of_an_integer_key_is_accepted():
