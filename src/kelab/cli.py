@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .errors import KelabError
-from .suites import SUITES, default_config, run_all, run_suite, summary_dict
+from .suites import SUITES, run_all, run_suite, summary_dict
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -80,11 +80,11 @@ def _domain_config(args) -> dict | None:
     raise KelabError(f"unknown domain kind {args.domain!r}")
 
 
-def _seed_of(args) -> int | None:
+def _seed_of(args):
+    """--seed, else KELAB_SEED as given; the suite config checks it."""
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("KELAB_SEED")
-    return int(env) if env else None
+    return os.environ.get("KELAB_SEED") or None
 
 
 def _cmd_run(args) -> int:
@@ -114,6 +114,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
+    config = {}
     if args.config is not None:
         if not args.config.exists():
             raise KelabError(f"config file {args.config} not found")
@@ -121,11 +122,9 @@ def _cmd_run_all(args) -> int:
             config = json.loads(args.config.read_text())
         except json.JSONDecodeError as exc:
             raise KelabError(f"config file {args.config} is not valid JSON: {exc}")
-    else:
-        config = default_config()
     env_seed = os.environ.get("KELAB_SEED")
     if env_seed and "seed" not in config:
-        config["seed"] = int(env_seed)
+        config["seed"] = env_seed
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     reports, ok = run_all(config, out_dir=out_dir)

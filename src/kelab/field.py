@@ -4,8 +4,9 @@ A ``PotentialField`` is a real scalar function on a domain.  Its
 ``parts``, a list of (coefficient, part) summands whose mixed Wirtinger
 derivatives are known exactly to order ``jets.MAX_ORDER``, pick the
 derivative path: with parts, ``PotentialField.jet`` is the closed form;
-without, it is ``fd_jet`` of ``fn``.  A part maps a stack Z of N points,
-shape (N, n), and an order to its dense jet tensors
+without, it is ``fd_jet`` of ``fn``, which maps an (M, n) stack of points
+to M values.  A part maps a stack Z of N points, shape (N, n), and an
+order to its dense jet tensors
 {(m, l): array of shape (N,) + (n,)*(m+l)} for m >= l, leaving out the
 bidegrees that vanish identically; the potential is real, so the (l, m)
 tensors are the conjugates.  The parts implemented here cover every
@@ -393,8 +394,9 @@ class PotentialField:
     value and the closed-form jet to order ``MAX_ORDER``; FD-only
     potentials set ``parts=None`` and provide ``fn``.  ``ricci_constant``
     is the K > 0 the associated metric is normalized to (Ric = -K g);
-    constructions that have no Einstein normalization use nan.  Values and jets are taken at a point
-    (n,) or at a stack of points (N, n).
+    constructions that have no Einstein normalization use nan.  ``fn``
+    maps an (M, n) stack to M values.  Values and jets are taken at a
+    point (n,) or at a stack of points (N, n).
     """
 
     domain: object
@@ -402,9 +404,6 @@ class PotentialField:
     parts: list | None
     label: str
     fn: object = None
-
-    #: ``fd_jet`` evaluates a whole stencil of this field in one call
-    takes_stack = True
 
     def _sum(self, Z, order):
         total = {(0, 0): np.zeros(len(Z))}
@@ -417,7 +416,7 @@ class PotentialField:
         z = as_points(z)
         Z = z.reshape(-1, z.shape[-1])
         if self.fn is not None:
-            values = np.array([float(self.fn(w)) for w in Z])
+            values = np.asarray(self.fn(Z), dtype=float).reshape(len(Z))
         else:
             values = self._sum(Z, 0)[(0, 0)]
         return float(values[0]) if z.ndim == 1 else values
@@ -438,10 +437,8 @@ class PotentialField:
         ``fn`` otherwise."""
         if self.parts is not None:
             return self.analytic_jet(z, order)
-        z = as_points(z)
-        if z.ndim == 2:
-            return Jet.stack([self.jet(w, order) for w in z])
         if order == 0:
+            z = as_points(z)
             return Jet(point=z, order=0, tensors={(0, 0): np.array(self(z))})
         return fd_jet(self, z, order)
 
@@ -455,7 +452,7 @@ class PotentialField:
             new_parts = [(c * factor, part) for c, part in self.parts]
         else:
             base = self.fn
-            fn = lambda z: factor * float(base(z))  # noqa: E731
+            fn = lambda Z: factor * np.asarray(base(Z), dtype=float)  # noqa: E731
         return PotentialField(
             domain=self.domain,
             ricci_constant=self.ricci_constant / factor,

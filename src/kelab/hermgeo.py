@@ -13,18 +13,14 @@ Conventions, with G the matrix G[a, b] = g_{a bbar} = d^2 phi / dz^a dzbar^b:
 * Laplacian on scalars  Delta f = g^{a bbar} d_a dbar_b f = tr(F g_inv).
 * Ricci tensor      Ric = -d dbar log det G.
 
-Curvature takes the potential's derivative path, chosen by its ``parts``
-(``closed_form_curvature``):
-
-* closed form, for potentials with parts (all but the FD-only ones such
-  as ``canonical_potential``): one order-4 frame of a whole stack
-  gives Ric = -g^{i jbar} phi_{i jbar a bbar} + g^{i lbar} g^{k jbar}
-  phi_{i jbar a} phi_{k lbar bbar} (``ricci_from_frame``) and
-  Delta |dphi|_half^2 by the product rule (``length_laplacian_from_frame``);
-* nested finite differences, for FD-only potentials: ``ricci`` takes an
-  outer central difference of log det g over stacked inner frames, and
-  ``laplacian`` differences ``gradient_length_field``.  Both stay the
-  oracle the closed forms are tested against.
+Curvature comes from one order-4 frame of a whole stack, whatever the
+potential: Ric = -g^{i jbar} phi_{i jbar a bbar} + g^{i lbar} g^{k jbar}
+phi_{i jbar a} phi_{k lbar bbar} (``ricci_from_frame``) and
+Delta |dphi|_half^2 by the product rule (``length_laplacian_from_frame``).
+The frame's jet is closed form or FD as ``PotentialField.jet`` picks.
+``ricci`` (an outer central difference of log det g over order-2 frames)
+and ``laplacian`` (FD of a scalar field such as ``gradient_length_field``)
+read only values; they are the oracle the contractions are tested against.
 
 The identity residuals take a point (a float back) or an (N, n) stack (an
 array of N back).
@@ -48,14 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import Jet, as_point, as_points, fd_jet, stack_capable
+from .jets import Jet, as_points, fd_jet
 
 _PD_TOL = 1e-12
 _HERMITIAN_TOL = 1e-8
-
-#: outer stencil step of a difference over FD frames (``ricci`` and the
-#: Laplacian of ``delta_identity_residual`` on FD-only potentials)
-NESTED_FD_STEP = 4e-3
 
 
 @dataclass(frozen=True)
@@ -169,17 +161,15 @@ def _transpose(m):
     return np.swapaxes(m, -1, -2)
 
 
-def laplacian(f, frame: MetricFrame, step: float | None = None):
-    """Laplace-Beltrami of a scalar field at the frame's point, by FD.
+def laplacian(f, frame: MetricFrame):
+    """Laplace-Beltrami of a scalar field at the frame's points, by FD.
 
-    ``f`` is any callable of a point; its mixed Hessian is always
-    ``fd_jet``'s, so this oracle reads only values of ``f``.  On scalars
-    the covariant mixed second derivative equals the partial one.  A
-    stacked frame takes one stencil per point.
+    ``f`` maps an (M, n) stack of points to M values; its mixed Hessian is
+    one ``fd_jet`` over the frame's points, so this oracle reads only
+    values of ``f``.  On scalars the covariant mixed second derivative
+    equals the partial one.
     """
-    F = np.reshape([fd_jet(f, z, 2, step=step).mixed_hessian()
-                    for z in frame.point.reshape(-1, frame.dim)],
-                   frame.g_inv.shape)
+    F = fd_jet(f, frame.point, 2).mixed_hessian()
     return _per_point(np.real(np.trace(F @ frame.g_inv, axis1=-2, axis2=-1)))
 
 
@@ -189,7 +179,6 @@ def gradient_length_field(p, order: int = 2):
     It takes a point or a stack of points.
     """
 
-    @stack_capable
     def field(z):
         frame = metric_from_potential(p, z, order=order)
         return gradient_length_sq(frame)
@@ -200,45 +189,23 @@ def gradient_length_field(p, order: int = 2):
 def ricci(p, z) -> np.ndarray:
     """Ricci tensor -d dbar log det g via an outer central difference.
 
-    The nested-FD path, for potentials without closed-form curvature, and
-    the oracle of ``ricci_from_frame``.  The inner evaluation
-    z -> log det g uses the potential's analytic second derivatives when
-    it has parts, which keeps the outer stencil noise near machine level;
-    FD-only potentials take nested differences with the larger outer step
-    ``NESTED_FD_STEP``.
+    The oracle of ``ricci_from_frame``: one ``fd_jet`` of z -> log det g
+    of order-2 frames over a point or a stack.  With closed-form inner
+    jets the log-det carries ~1e-14 noise; the step 2e-3 keeps both
+    noise/h^2 and the h^4 truncation small.
     """
-    z = as_point(z)
-    # the inner log-det carries ~1e-14 noise on the analytic path and
-    # ~1e-10 on the nested-FD path; these steps keep noise/h^2 small while
-    # h^4 truncation stays below the respective targets
-    step = 2e-3 if p.parts is not None else NESTED_FD_STEP
-
-    @stack_capable
     def log_det(w):
         return metric_from_potential(p, w, order=2).log_det_g
 
-    jet = fd_jet(log_det, z, 2, step=step)
-    return -jet.mixed_hessian()
+    return -fd_jet(log_det, z, 2, step=2e-3).mixed_hessian()
 
 
 # ---------------------------------------------------------------------------
-# closed-form curvature from an order-4 frame
-
-def closed_form_curvature(p) -> bool:
-    """Whether ``p``'s curvature comes in closed form from an order-4 frame.
-
-    It does when ``p`` has parts, which are exact to ``jets.MAX_ORDER``:
-    those potentials use ``ricci_from_frame`` and
-    ``length_laplacian_from_frame``; FD-only ones (such as
-    ``canonical_potential``) use the nested-FD ``ricci`` and the FD
-    ``laplacian`` of ``gradient_length_field``.
-    """
-    return p.parts is not None
-
+# curvature from an order-4 frame
 
 def _order_four(frame: MetricFrame):
     if frame.jet.order < 4:
-        raise ValueError("closed-form curvature needs an order-4 frame")
+        raise ValueError("curvature needs an order-4 frame")
     t = frame.jet.tensors
     return t[(2, 0)], t[(2, 1)], t[(2, 2)]
 
@@ -247,8 +214,9 @@ def ricci_from_frame(frame: MetricFrame) -> np.ndarray:
     """Ric_{a bbar} = -g^{i jbar} phi_{i jbar a bbar}
                       + g^{i lbar} g^{k jbar} phi_{i jbar a} phi_{k lbar bbar}.
 
-    Exact from the potential's fourth derivatives; g_inv[j, i] = g^{jbar i}
-    is contracted with the third-derivative tensor first.
+    From the frame's fourth derivatives, exact for a closed-form jet;
+    g_inv[j, i] = g^{jbar i} is contracted with the third-derivative
+    tensor first.
     """
     _, T21, T22 = _order_four(frame)
     gi = frame.g_inv
@@ -295,14 +263,8 @@ def length_laplacian_from_frame(frame: MetricFrame):
 def einstein_residual(p, z, K: float | None = None):
     """max entrywise |Ric + K g| at z."""
     K = p.ricci_constant if K is None else K
-    if closed_form_curvature(p):
-        frame = metric_from_potential(p, z, order=4)
-        ric = ricci_from_frame(frame)
-    else:
-        frame = metric_from_potential(p, z, order=2)
-        ric = np.reshape([ricci(p, w)
-                          for w in frame.point.reshape(-1, frame.dim)],
-                         frame.g.shape)
+    frame = metric_from_potential(p, z, order=4)
+    ric = ricci_from_frame(frame)
     return _per_point(np.max(np.abs(ric + K * frame.g), axis=(-2, -1)))
 
 
@@ -317,18 +279,9 @@ def key_equation_residual(p, z):
 
 
 def delta_identity_residual(p, z):
-    """|Delta |dphi|^2_half - |Hess phi|^2 - n + K |dphi|^2_half| at z.
-
-    On the nested-FD path the Laplacian differences FD frames, whose
-    ~1e-10 noise it divides by h^2 once more, so it takes the outer step
-    ``NESTED_FD_STEP`` of ``ricci``.
-    """
-    if closed_form_curvature(p):
-        frame = metric_from_potential(p, z, order=4)
-        lap = length_laplacian_from_frame(frame)
-    else:
-        frame = metric_from_potential(p, z)
-        lap = laplacian(gradient_length_field(p), frame, step=NESTED_FD_STEP)
+    """|Delta |dphi|^2_half - |Hess phi|^2 - n + K |dphi|^2_half| at z."""
+    frame = metric_from_potential(p, z, order=4)
+    lap = length_laplacian_from_frame(frame)
     K = p.ricci_constant
     L = gradient_length_sq(frame)
     H2 = hessian_norm_sq(frame)

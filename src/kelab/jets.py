@@ -12,10 +12,11 @@ carries a leading axis of N.
 ``fd_jet`` is the finite-difference oracle, valid for any smooth real
 function: tensor-product central stencils in the underlying real
 coordinates with one Richardson extrapolation (steps h and h/2).  It reads
-only values of the function; a callable whose ``takes_stack`` attribute is
-true (see ``stack_capable``) gets the whole stencil at once.  Closed-form
-jets live with the potentials' parts, and ``field.PotentialField.jet`` is
-the one place that picks between the two paths.
+only values of the function, which maps an (M, n) stack of points to M
+values; the stencils of a whole stack of base points go to it in one
+call.  Closed-form jets live with the potentials' parts, and
+``field.PotentialField.jet`` is the one place that picks between the two
+paths.
 
 Wirtinger convention: d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2.
 Each tensor is symmetric within its holomorphic and within its
@@ -68,12 +69,6 @@ def as_points(coords) -> np.ndarray:
     return z
 
 
-def stack_capable(f):
-    """Mark ``f`` as mapping an (N, n) stack of points to N values."""
-    f.takes_stack = True
-    return f
-
-
 @functools.lru_cache(maxsize=None)
 def bidegrees(order: int) -> tuple:
     """All (m, l) with m + l <= order."""
@@ -92,13 +87,6 @@ class Jet:
         """The single-point jet of row ``i`` of a stacked jet."""
         return Jet(self.point[i], self.order,
                    {k: t[i] for k, t in self.tensors.items()})
-
-    @staticmethod
-    def stack(jets) -> "Jet":
-        """One jet of N points from N single-point jets."""
-        return Jet(np.stack([j.point for j in jets]), jets[0].order,
-                   {k: np.stack([j.tensors[k] for j in jets])
-                    for k in jets[0].tensors})
 
     def value(self):
         v = np.real(self.tensors[(0, 0)])
@@ -220,43 +208,54 @@ def _stencil_plan(n: int, order: int) -> _StencilPlan:
     )
 
 
+def _row_sums(bins, weights, size):
+    """``np.bincount(bins, w, size)`` of every row w of ``weights``, in one
+    call: row i's bins are offset by i * size, so each row sums in the
+    order it would alone."""
+    N = len(weights)
+    offset = size * np.arange(N)[:, None]
+    return np.bincount((bins + offset).ravel(), weights.ravel(),
+                       N * size).reshape(N, size)
+
+
 def fd_jet(f, z, order: int, step: float | None = None) -> Jet:
     """Finite-difference jet of a real scalar function.
 
     Central differences at steps h and h/2 combined by one Richardson
-    extrapolation, giving O(h^4) truncation on smooth functions.  The
-    stencil of each (n, order) is planned once; a callable whose
-    ``takes_stack`` attribute is true is evaluated on all stencil points
-    in one call, any other callable point by point.
+    extrapolation, giving O(h^4) truncation on smooth functions.  ``z`` is
+    a point (n,) or a stack of N points (N, n); ``f`` maps an (M, n) stack
+    to M values and is called once, on the stencils of all N points.  The
+    stencil of each (n, order) is planned once, and a stacked jet equals
+    its points' jets bit for bit.
     """
-    z = as_point(z)
+    z = as_points(z)
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     h = default_step(order) if step is None else float(step)
     if h <= 0:
         raise ValueError("step must be positive")
-    n = len(z)
+    Z = z.reshape(-1, z.shape[-1])
+    N, n = Z.shape
     plan = _stencil_plan(n, order)
-    stencil = z + (h / 2) * plan.offsets
-    if getattr(f, "takes_stack", False):
-        values = np.asarray(f(stencil), dtype=float).reshape(len(stencil))
-    else:
-        values = np.array([float(f(w)) for w in stencil])
+    P = len(plan.offsets)
+    stencil = (Z[:, None, :] + (h / 2) * plan.offsets).reshape(N * P, n)
+    values = np.asarray(f(stencil), dtype=float).reshape(N * P)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise EvaluationError(
-            f"non-finite value at stencil point {stencil[bad[0]]!r} (base {z!r})"
-        )
+        raise EvaluationError(f"non-finite value at stencil point "
+                              f"{stencil[bad[0]]!r} (base {Z[bad[0] // P]!r})")
     R = len(plan.real_order)
-    acc = np.bincount(plan.rows, plan.weights * values[plan.cols], 2 * R)
-    coarse = acc[:R] * h ** -plan.real_order
-    fine = acc[R:] * (h / 2) ** -plan.real_order
+    values = values.reshape(N, P)
+    acc = _row_sums(plan.rows, plan.weights * values[:, plan.cols], 2 * R)
+    coarse = acc[:, :R] * h ** -plan.real_order
+    fine = acc[:, R:] * (h / 2) ** -plan.real_order
     # Richardson: leading error of every stencil above is O(h^2).
     partials = (4.0 * fine - coarse) / 3.0
     e, r, c = plan.wirtinger
-    flat = (np.bincount(e, c.real * partials[r])
-            + 1j * np.bincount(e, c.imag * partials[r]))
-    tensors = {(m, l): flat[index].reshape((n,) * (m + l))
+    E = e.max() + 1
+    flat = (_row_sums(e, c.real * partials[:, r], E)
+            + 1j * _row_sums(e, c.imag * partials[:, r], E))
+    tensors = {(m, l): flat[:, index].reshape((N,) + (n,) * (m + l))
                for (m, l), index in plan.layout}
-    return Jet(point=z, order=order, tensors=tensors)
-
+    jet = Jet(point=Z, order=order, tensors=tensors)
+    return jet if z.ndim == 2 else jet.at(0)

@@ -161,13 +161,14 @@ def _suite(name, checks, operations, tol, **keys):
 def _number(name, key, value, kind):
     """``value`` as ``kind`` (int or float).  An int key takes the integral
     values of ``domains.as_integer``: 2.0 but not 2.9, which is not
-    truncated."""
+    truncated.  Neither kind takes a bool."""
     try:
-        return as_integer(value) if kind is int else float(value)
+        if not isinstance(value, bool):
+            return as_integer(value) if kind is int else float(value)
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name}: {key} must be {what}, "
-                          f"got {value!r}") from None
+        pass
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{name}: {key} must be {what}, got {value!r}")
 
 
 #: the values the suite bodies take, per config key: a test and its words
@@ -579,20 +580,18 @@ def _table1(cfg):
     return None, params, rows
 
 
-def default_config() -> dict:
-    return {"seed": 0, "suites": {name: {} for name in SUITES}}
-
-
 def run_all(config: dict, out_dir=None):
     """Run every configured suite in order; returns (reports, all_passed).
 
-    Every suite's config is checked before the first suite runs.
+    Without ``suites`` every suite runs at its defaults, and ``seed``
+    defaults to 0.  Every suite's config is checked before the first suite
+    runs.
     """
     unknown = sorted(set(config) - {"seed", "suites"})
     _require(not unknown, f"unknown config key(s) {', '.join(unknown)}; "
                           "accepted: seed, suites")
     suite_cfgs = config.get("suites") or {name: {} for name in SUITES}
-    seed = int(config.get("seed", 0))
+    seed = _number("run-all", "seed", config.get("seed", 0), int)
     for name in suite_cfgs:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r} in config")

@@ -49,7 +49,7 @@ def test_degenerate_metric_rejected():
     # the real part of z^2 is pluriharmonic: complex Hessian identically 0
     p = PotentialField(
         domain=domains.ball(1), ricci_constant=np.nan, parts=None,
-        label="pluriharmonic", fn=lambda z: float(z[0].real ** 2 - z[0].imag ** 2),
+        label="pluriharmonic", fn=lambda z: z[:, 0].real ** 2 - z[:, 0].imag ** 2,
     )
     with pytest.raises(DegenerateMetricError):
         hermgeo.metric_from_potential(p, np.array([0.1 + 0.2j]))
@@ -125,7 +125,7 @@ def test_hessian_norm_lower_bound_at_constant_length():
 def test_laplacian_flat_quadratic():
     p = potentials.quadratic_fixture(3)
     frame = hermgeo.metric_from_potential(p, np.array([0.1, 0.2j, 0.0]))
-    val = hermgeo.laplacian(lambda z: float(np.sum(np.abs(z) ** 2)), frame)
+    val = hermgeo.laplacian(lambda z: np.sum(np.abs(z) ** 2, axis=-1), frame)
     assert val == pytest.approx(3.0, abs=1e-8)
 
 
@@ -202,42 +202,60 @@ def test_einstein_residual_analytic_path_tight():
 
 
 def _fd_jet_spy(monkeypatch):
-    """Count every fd_jet call, through each module's alias."""
+    """Record (number of base points, order) of every fd_jet call, through
+    each module's alias."""
     import kelab
     from kelab import field, jets
 
     real, calls = jets.fd_jet, []
 
-    def spy(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def spy(f, z, order, **kwargs):
+        calls.append((np.size(z) // np.shape(z)[-1], order))
+        return real(f, z, order, **kwargs)
 
     for module in (jets, hermgeo, field, kelab):
         monkeypatch.setattr(module, "fd_jet", spy)
     return calls
 
 
+def _fd_only(p):
+    """An FD-only copy of ``p``: no parts, values from ``p``."""
+    return PotentialField(domain=p.domain, ricci_constant=p.ricci_constant,
+                          parts=None, label=f"fd-only[{p.label}]", fn=p)
+
+
 def test_einstein_residual_nested_fd_path(monkeypatch):
-    """FD-only copies of kernel potentials take the nested-FD stencils
-    and still verify both identities to 1e-3."""
+    """FD-only copies of kernel potentials take one order-4 FD frame per
+    call, a point or a whole stack, and verify both identities to 1e-3."""
     calls = _fd_jet_spy(monkeypatch)
     for d in (domains.ball(2), domains.polydisc(2)):
-        base = domains.bergman_potential(d)
-        fd_only = PotentialField(
-            domain=d, ricci_constant=1.0, parts=None, label="fd-kernel",
-            fn=base,
-        )
-        assert not hermgeo.closed_form_curvature(fd_only)
-        rng = np.random.default_rng(59)
-        zs = sample_interior(d, rng, 3, shrink=0.7)
-        for z in zs:
-            assert hermgeo.einstein_residual(fd_only, z) <= 1e-3
-        assert calls
-        calls.clear()
-        for z in [np.array([0.2 + 0.1j, -0.3j])] + list(zs):
-            assert hermgeo.delta_identity_residual(fd_only, z) <= 1e-3
-        assert calls
-        calls.clear()
+        fd_only = _fd_only(domains.bergman_potential(d))
+        zs = np.array(sample_interior(d, np.random.default_rng(59), 3,
+                                      shrink=0.7))
+        for residual in (hermgeo.einstein_residual,
+                         hermgeo.delta_identity_residual):
+            assert np.all(residual(fd_only, zs) <= 1e-3)
+            assert calls == [(len(zs), 4)]
+            calls.clear()
+            assert residual(fd_only, np.array([0.2 + 0.1j, -0.3j])) <= 1e-3
+            assert calls == [(1, 4)]
+            calls.clear()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _fd_only(domains.bergman_potential(domains.type_i(2, 2))),
+    lambda: potentials.canonical_potential(domains.ball(2), 3.0),
+    lambda: potentials.canonical_potential(domains.type_i(2, 2), 1.0),
+], ids=["fd-only-type1(2,2)", "canonical-ball(2)", "canonical-type1(2,2)"])
+def test_fd_only_curvature_verifies_both_identities(make):
+    """Potentials without parts, the canonical (1/K) log det g among them,
+    verify Ric = -K g and the Delta identity to 1e-3 from order-4 FD
+    frames."""
+    p = make()
+    zs = np.array(sample_interior(p.domain, np.random.default_rng(59), 3,
+                                  shrink=0.7))
+    assert np.max(hermgeo.einstein_residual(p, zs)) <= 1e-3
+    assert np.max(hermgeo.delta_identity_residual(p, zs)) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +297,7 @@ def test_stacked_frames_match_per_point(kind):
 
 
 def test_stacked_ricci_equals_scalar_stencil():
-    """ricci's stacked inner log det matches a point-by-point stencil."""
+    """ricci is -d dbar of the order-2 log det g at step 2e-3."""
     from kelab.jets import fd_jet
 
     p = domains.bergman_potential(domains.type_i(2, 2))
@@ -325,10 +343,9 @@ CURVATURE_KINDS = [
 
 @pytest.mark.parametrize("d", CURVATURE_KINDS, ids=lambda d: d.label)
 def test_closed_form_curvature_matches_fd_oracle(d):
-    """Ricci and Delta|dphi|^2 from one order-4 frame against the nested-FD
-    ``ricci`` and the FD ``laplacian``; one point per kind when n >= 9."""
+    """Ricci and Delta|dphi|^2 from one order-4 frame against the FD
+    ``ricci`` and ``laplacian``; one point per kind when n >= 9."""
     p = domains.bergman_potential(d)
-    assert hermgeo.closed_form_curvature(p)
     zs = np.array(sample_interior(d, np.random.default_rng(67),
                                   1 if d.n >= 9 else 2, shrink=0.6))
     frame = hermgeo.metric_from_potential(p, zs, order=4)
@@ -337,9 +354,10 @@ def test_closed_form_curvature_matches_fd_oracle(d):
     assert np.max(np.abs(ric + frame.g)) <= 1e-12
     fd_lap = hermgeo.laplacian(hermgeo.gradient_length_field(p),
                                hermgeo.metric_from_potential(p, zs))
-    for i, z in enumerate(zs):
+    fd_ric = hermgeo.ricci(p, zs)
+    for i in range(len(zs)):
         scale = max(1.0, np.max(np.abs(frame.g[i])))
-        assert np.max(np.abs(ric[i] - hermgeo.ricci(p, z))) <= 1e-8 * scale
+        assert np.max(np.abs(ric[i] - fd_ric[i])) <= 1e-8 * scale
     np.testing.assert_allclose(lap, fd_lap, rtol=0, atol=1e-6)
 
 
@@ -373,9 +391,11 @@ def test_closed_form_path_fails_closed(d, outside):
 
 
 def test_curvature_suites_take_the_closed_form_path(monkeypatch):
-    from kelab.suites import run_suite
+    """No suite reaches fd_jet at its defaults: every potential the suites
+    build has parts.  ``flow`` runs at a short horizon."""
+    from kelab.suites import SUITES, run_suite
 
     calls = _fd_jet_spy(monkeypatch)
-    for name in ("einstein", "delta-identity"):
-        assert run_suite(name).passed
-    assert calls == []
+    for name in SUITES:
+        assert run_suite(name, {"horizon": 0.1} if name == "flow" else {}).passed
+        assert calls == [], name

@@ -8,12 +8,12 @@ import pytest
 from kelab import chengyau, domains, hermgeo, potentials
 from kelab.errors import EvaluationError, UnsupportedOrderError
 from kelab.field import PotentialField
-from kelab.jets import as_point, fd_jet, stack_capable
+from kelab.jets import as_point, fd_jet
 from kelab.sampling import sample_interior
 
 
 def quadratic(z):
-    return float(np.sum(np.abs(z) ** 2))
+    return np.sum(np.abs(z) ** 2, axis=-1)
 
 
 def jet_gap(ja, jb):
@@ -34,14 +34,14 @@ def test_fd_jet_quadratic_center():
 def test_fd_jet_ball_log_first_derivative():
     # d/dz1 of -log(1-|z|^2) at (0.5, 0) is zbar1/(1-|z|^2) = 0.5/0.75
     def f(z):
-        return -float(np.log(1.0 - np.sum(np.abs(z) ** 2)))
+        return -np.log(1.0 - np.sum(np.abs(z) ** 2, axis=-1))
 
     jet = fd_jet(f, np.array([0.5, 0.0], dtype=complex), 1)
     assert jet.holo_gradient()[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_fd_jet_constant_function():
-    jet = fd_jet(lambda z: 4.25, np.array([0.1 + 0.2j]), 3)
+    jet = fd_jet(lambda z: np.full(len(z), 4.25), np.array([0.1 + 0.2j]), 3)
     for (m, l), val in jet.tensors.items():
         if m or l:
             assert np.max(np.abs(val)) < 1e-10
@@ -56,47 +56,51 @@ def test_fd_jet_rejects_bad_order_and_step():
         fd_jet(quadratic, np.zeros(2, complex), 2, step=0.0)
 
 
-def test_fd_jet_reports_bad_stencil_point():
-    def f(z):
-        v = 0.09 - abs(z[0]) ** 2
-        if v <= 0:
-            return float("nan")
-        return -float(np.log(v))
+def _log_inside(w):
+    """-log(0.09 - |w_1|^2) on a stack, NaN outside the disc of radius 0.3."""
+    v = 0.09 - np.abs(w[:, 0]) ** 2
+    return np.where(v > 0, -np.log(np.abs(v)), np.nan)
 
+
+def test_fd_jet_reports_bad_stencil_point():
     with pytest.raises(EvaluationError):
-        fd_jet(f, np.array([0.29999 + 0.0j]), 2, step=1e-3)
+        fd_jet(_log_inside, np.array([0.29999 + 0.0j]), 2, step=1e-3)
 
 
 @pytest.mark.parametrize("d", [domains.ball(2), domains.type_i(2, 2),
                                domains.type_iv(3)], ids=lambda d: d.label)
-def test_fd_jet_of_stacked_field_equals_scalar_lambda(d):
-    """A field that takes a stack is evaluated in one call; the same
-    function wrapped as a plain scalar lambda is evaluated point by point.
-    The values, hence the jets, are the same."""
+def test_stacked_fd_jet_equals_its_points(d):
+    """fd_jet of a stack evaluates every stencil in one call and sums each
+    row in its own order, so it equals its points' jets bit for bit, at
+    every order; so does ``hermgeo.ricci``, which differences a stack."""
     p = domains.bergman_potential(d)
-    z = sample_interior(d, np.random.default_rng(7), 1, shrink=0.8)[0]
-    for f in (p, hermgeo.gradient_length_field(p)):
-        assert f.takes_stack
-        assert jet_gap(fd_jet(f, z, 2), fd_jet(lambda w: f(w), z, 2)) == 0.0
+    zs = np.array(sample_interior(d, np.random.default_rng(7), 3, shrink=0.55))
+    for order in (1, 2, 4):
+        for f in (p, hermgeo.gradient_length_field(p)):
+            stacked = fd_jet(f, zs, order)
+            for i, z in enumerate(zs):
+                one = fd_jet(f, z, order)
+                for k, t in one.tensors.items():
+                    assert np.array_equal(stacked.tensors[k][i], t), (order, k)
+    ric = hermgeo.ricci(p, zs)
+    for i, z in enumerate(zs):
+        assert np.array_equal(ric[i], hermgeo.ricci(p, z))
 
 
 def test_stacked_stencil_errors_match_scalar():
-    """Off the domain and at a NaN value both paths raise EvaluationError."""
+    """Off the domain and at a NaN value, a stack raises the same
+    EvaluationError as its failing point alone."""
     p = domains.bergman_potential(domains.ball(1))
     rim = np.array([0.9999999 + 0j])
     for f in (p, hermgeo.gradient_length_field(p)):
-        for g in (f, lambda w: f(w)):
+        for z in (rim, np.array([[0.1 + 0j], rim])):
             with pytest.raises(EvaluationError, match="at z="):
-                fd_jet(g, rim, 2)
+                fd_jet(f, z, 2)
 
-    @stack_capable
-    def stacked(w):
-        v = 0.09 - np.abs(w[:, 0]) ** 2
-        return np.where(v > 0, -np.log(np.abs(v)), np.nan)
-
-    for g in (stacked, lambda w: stacked(w[None])[0]):
-        with pytest.raises(EvaluationError, match="stencil point"):
-            fd_jet(g, np.array([0.29999 + 0.0j]), 2, step=1e-3)
+    edge = np.array([0.29999 + 0.0j])
+    for z in (edge, np.array([[0.0j], edge])):
+        with pytest.raises(EvaluationError, match=r"base array\(\[0\.29999"):
+            fd_jet(_log_inside, z, 2, step=1e-3)
 
 
 def test_analytic_ball_gradient():

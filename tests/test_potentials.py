@@ -1,5 +1,7 @@
 """Potential constructions: canonical, rescaled, products, Siegel pullback."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,12 @@ def test_canonical_ball_matches_closed_form():
 
 
 def test_canonical_rejects_non_einstein_metric():
+    """The check runs on one stack of seeded points and names the first
+    that fails (here every point does)."""
     flat = potentials.quadratic_fixture(2)
-    with pytest.raises(NormalizationError):
+    first = sample_interior(flat.domain, np.random.default_rng(0), 1,
+                            shrink=0.6)[0]
+    with pytest.raises(NormalizationError, match=re.escape(repr(first))):
         potentials.canonical_potential(flat, 1.0)
 
 

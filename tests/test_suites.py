@@ -107,12 +107,17 @@ def test_bad_values_are_config_errors():
         ("flow", {"dt": -1}), ("flow", {"horizon": 20}),
         ("einstein", {"domains": 5}),
         ("einstein", {"domains": [{"kind": "ball", "n": None}]}),
+        ("key-equation", {"tol": True}), ("einstein", {"shrink": True}),
     ]
     for name, config in bad:
         with pytest.raises(ConfigError):
             run_suite(name, config)
         with pytest.raises(ConfigError):
             run_all({"suites": {name: config}})
+    # the top-level seed is neither truncated nor read as 1
+    for seed in (2.9, True):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            run_all({"seed": seed})
 
 
 FRACTIONAL = {

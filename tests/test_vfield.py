@@ -6,11 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from kelab import domains, hermgeo, potentials, vfield
+from kelab import domains, field, hermgeo, potentials, vfield
 from kelab.errors import (CertificateError, DegenerateMetricError,
                           EvaluationError, FlowExitError)
 from kelab.field import PotentialField
-from kelab.jets import Jet
 from kelab.sampling import sample_interior
 from kelab.suites import run_suite
 
@@ -81,7 +80,8 @@ def _fd_copy():
 
 
 def test_dbar_defect_fd_path():
-    """The nested-FD route stays within its looser 1e-3 budget."""
+    """The FD route, an order-3 FD frame, stays within its looser 1e-3
+    budget."""
     fd_only = _fd_copy()
     rng = np.random.default_rng(13)
     for z in sample_interior(fd_only.domain, rng, 5, shrink=0.8):
@@ -110,18 +110,19 @@ def test_stack_equals_per_point_calls(case, monkeypatch):
     p = make()
     zs = np.array(sample_interior(p.domain, np.random.default_rng(seed),
                                   count, shrink=shrink))
-    stacked_jets = []
-    real_stack = Jet.stack
-    monkeypatch.setattr(Jet, "stack", staticmethod(
-        lambda jets: stacked_jets.append(len(jets)) or real_stack(jets)))
+    fd_calls = []
+    real_fd_jet = field.fd_jet
+    monkeypatch.setattr(field, "fd_jet", lambda f, z, order: (
+        fd_calls.append(len(z)) or real_fd_jet(f, z, order)))
     for f in POINT_OR_STACK:
+        fd_calls.clear()
         stacked = f(p, zs)
+        # the FD-only copy has no closed form: one fd_jet of the stack
+        assert fd_calls == ([count] if p.parts is None else []), f.__name__
         assert stacked.shape == (count,)
         per_point = [f(p, z) for z in zs]
         assert all(type(v) is float for v in per_point)
         assert np.array_equal(stacked, per_point), f.__name__
-    # the FD-only copy has no closed form; its stack is N FD jets stacked
-    assert (count in stacked_jets) == (p.parts is None)
 
 
 def test_stack_with_a_point_outside_fails_closed():
@@ -283,7 +284,7 @@ def _off_center():
     return PotentialField(
         domain=domains.ball(1), ricci_constant=2.0, parts=None,
         label="off-center",
-        fn=lambda z: float(np.sum(np.abs(z) ** 2) + 2 * np.real(0.8 * z[0])),
+        fn=lambda z: np.sum(np.abs(z) ** 2, axis=-1) + 2 * np.real(0.8 * z[:, 0]),
     )
 
 
