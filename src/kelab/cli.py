@@ -20,6 +20,7 @@ import os
 import sys
 from pathlib import Path
 
+from .domains import PARAMETERS
 from .errors import KelabError
 from .suites import SUITES, run_all, run_suite, summary_dict
 
@@ -38,8 +39,8 @@ def _build_parser():
 
     run = sub.add_parser("run", help="run one named suite")
     run.add_argument("suite", choices=sorted(SUITES))
-    run.add_argument("--domain", help="domain kind (ball, polydisc, type1, "
-                                      "type2, type3, type4)")
+    run.add_argument("--domain",
+                     help=f"domain kind ({', '.join(PARAMETERS)})")
     run.add_argument("--p", type=int)
     run.add_argument("--q", type=int)
     run.add_argument("--m", type=int)
@@ -62,22 +63,20 @@ def _build_parser():
 
 
 def _domain_config(args) -> dict | None:
+    """The ``--domain`` record, with each kind's ``PARAMETERS`` from the
+    flag of the same name; ``n`` and ``r`` come from ``--n`` (default 2)."""
     if args.domain is None:
         return None
     kind = args.domain.lower()
-    if kind == "ball":
-        return {"kind": "ball", "n": args.n or 2}
-    if kind == "polydisc":
-        return {"kind": "polydisc", "r": args.n or 2}
-    if kind == "type1":
-        if args.p is None or args.q is None:
-            raise KelabError("type1 needs --p and --q")
-        return {"kind": "type1", "p": args.p, "q": args.q}
-    if kind in ("type2", "type3", "type4"):
-        if args.m is None:
-            raise KelabError(f"{kind} needs --m")
-        return {"kind": kind, "m": args.m}
-    raise KelabError(f"unknown domain kind {args.domain!r}")
+    if kind not in PARAMETERS:
+        raise KelabError(f"unknown domain kind {args.domain!r}")
+    names = PARAMETERS[kind]
+    if names in (("n",), ("r",)):
+        return {"kind": kind, names[0]: args.n or 2}
+    if any(getattr(args, name) is None for name in names):
+        flags = " and ".join(f"--{name}" for name in names)
+        raise KelabError(f"{kind} needs {flags}")
+    return {"kind": kind, **{name: getattr(args, name) for name in names}}
 
 
 def _seed_of(args):

@@ -11,7 +11,7 @@ matrix domains
 plus their products, and two exceptional invariant records that exist
 only as (c, n, rank) data.  Every kind is bounded; the unbounded Cayley
 images of the ball and polydisc enter only through the Siegel-side
-functions at the end (``cayley``, ``siegel_contains``, the slice kernel).
+functions at the end (``cayley``, the half-plane kernel and its slice).
 
 Matrix coordinates are flattened row-major; the symmetry-constrained kinds
 are parametrized by their independent entries (type II strictly upper
@@ -422,103 +422,57 @@ def cayley(d: DomainModel, z) -> np.ndarray:
 
     Polydisc: componentwise z -> (z-1)/(z+1) onto the product of left
     half-planes.  Ball: (z1, z') -> ((z1-1)/(z1+1), sqrt(2) z'/(z1+1)) onto
-    {Re w1 + ||w'||^2 / 2 < 0}.
+    {Re w1 + ||w'||^2 / 2 < 0}.  ``z`` is a point or an (N, n) stack.
     """
-    z = d.require_member(z)
+    z = as_points(z)
+    if d.kind not in (BALL, POLYDISC):
+        raise UnsupportedDomainError(
+            f"explicit Cayley transform implemented for ball and polydisc, "
+            f"not {d.label}")
+    if not np.all(d.contains(z)):
+        raise MembershipError(f"{z!r} is not in {d.label}")
     if d.kind == POLYDISC:
         if np.any(np.abs(z + 1.0) < 1e-14):
             raise SingularTransformError("Cayley transform singular at z = -1")
         return (z - 1.0) / (z + 1.0)
-    if d.kind == BALL:
-        if abs(z[0] + 1.0) < 1e-14:
-            raise SingularTransformError("Cayley transform singular at z1 = -1")
-        w = np.empty_like(z)
-        w[0] = (z[0] - 1.0) / (z[0] + 1.0)
-        w[1:] = np.sqrt(2.0) * z[1:] / (z[0] + 1.0)
-        return w
-    raise UnsupportedDomainError(
-        f"explicit Cayley transform implemented for ball and polydisc, not {d.label}"
-    )
+    z1 = z[..., :1]
+    if np.any(np.abs(z1 + 1.0) < 1e-14):
+        raise SingularTransformError("Cayley transform singular at z1 = -1")
+    return np.concatenate([(z1 - 1.0) / (z1 + 1.0),
+                           np.sqrt(2.0) * z[..., 1:] / (z1 + 1.0)], axis=-1)
 
 
-def cayley_inverse(d: DomainModel, w) -> np.ndarray:
-    w = as_point(w)
-    if d.kind == POLYDISC:
-        if np.any(np.abs(1.0 - w) < 1e-14):
-            raise SingularTransformError("inverse Cayley singular at w = 1")
-        return (1.0 + w) / (1.0 - w)
-    if d.kind == BALL:
-        if abs(1.0 - w[0]) < 1e-14:
-            raise SingularTransformError("inverse Cayley singular at w1 = 1")
-        z = np.empty_like(w)
-        z[0] = (1.0 + w[0]) / (1.0 - w[0])
-        z[1:] = np.sqrt(2.0) * w[1:] / (1.0 - w[0])
-        return z
-    raise UnsupportedDomainError(
-        f"explicit Cayley transform implemented for ball and polydisc, not {d.label}"
-    )
-
-
-def siegel_contains(d: DomainModel, w) -> bool:
-    """Membership in the Cayley image of a ball or polydisc."""
-    w = as_point(w)
-    if d.kind == POLYDISC:
-        return bool(np.all(np.real(w) < 0.0))
-    if d.kind == BALL:
-        return float(np.real(w[0]) + 0.5 * np.sum(np.abs(w[1:]) ** 2)) < 0.0
-    raise UnsupportedDomainError(f"no Siegel model wired up for {d.label}")
-
-
-def halfplane_kernel(w) -> float:
-    """Reproducing kernel of the left half-plane: 2 / (w + wbar)^2."""
-    w = complex(w)
-    if w.real >= 0:
+def halfplane_kernel(w):
+    """Reproducing kernel of the left half-plane: 2 / (w + wbar)^2, of a
+    value (a float back) or an array (an array back)."""
+    w = np.asarray(w, dtype=complex)
+    if not np.all(w.real < 0):
         raise MembershipError(f"{w} is not in the left half-plane")
-    return 2.0 / (w + w.conjugate()).real ** 2
+    k = 2.0 / (w + np.conj(w)).real ** 2
+    return float(k) if k.ndim == 0 else k
 
 
-def siegel_log_kernel_on_polydisc_slice(d: DomainModel, w) -> float:
+def siegel_log_kernel_on_polydisc_slice(d: DomainModel, w):
     """(c/2) sum_a log K_H(w^a) on the embedded half-plane slice.
 
-    ``w`` must have its first ``rank`` coordinates in the left half-plane
-    and the remaining ones exactly zero.  The multiplicative kernel
-    constant is dropped.
+    ``w`` is a point or an (N, n) stack; each must have its first ``rank``
+    coordinates in the left half-plane and the remaining ones exactly
+    zero.  The multiplicative kernel constant is dropped.
     """
-    w = as_point(w)
+    w = as_points(w)
     r = d.rank
     if d.kind not in (BALL, POLYDISC):
         raise UnsupportedDomainError(
             f"slice kernel implemented for ball and polydisc, not {d.label}"
         )
-    if len(w) != d.n:
+    if w.shape[-1] != d.n:
         raise UnsupportedPointError(
-            f"expected {d.n} coordinates for {d.label}, got {len(w)}"
+            f"expected {d.n} coordinates for {d.label}, got {w.shape[-1]}"
         )
-    if np.any(w[r:] != 0):
+    if np.any(w[..., r:] != 0):
         raise UnsupportedPointError(
             f"point {w!r} leaves the rank-{r} half-plane slice"
         )
-    total = 0.0
-    for a in range(r):
-        total += np.log(halfplane_kernel(w[a]))
-    return float(d.c / 2.0 * total)
-
-
-def siegel_pullback_slice_derivative(d: DomainModel, alpha: int = 0) -> complex:
-    """d/dz^alpha at 0 of the pulled-back Siegel log-kernel, closed form.
-
-    log K_H has derivative -2/(w + wbar), the Cayley factor contributes
-    sigma'(0) = 2, so each slice direction gives (c/2) * 1 * 2 = c.
-    """
-    if d.kind not in (BALL, POLYDISC):
-        raise UnsupportedDomainError(
-            f"slice derivative implemented for ball and polydisc, not {d.label}"
-        )
-    if not 0 <= alpha < d.rank:
-        raise UnsupportedPointError(
-            f"direction {alpha} leaves the rank-{d.rank} slice"
-        )
-    sigma0 = -1.0 + 0.0j
-    dlog_kh = -2.0 / (sigma0 + np.conj(sigma0))
-    sigma_prime = 2.0 / (0.0 + 1.0) ** 2
-    return complex(d.c / 2.0 * dlog_kh * sigma_prime)
+    total = np.sum(np.log(halfplane_kernel(w[..., :r])), axis=-1)
+    value = d.c / 2.0 * total
+    return float(value) if w.ndim == 1 else value

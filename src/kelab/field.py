@@ -21,7 +21,6 @@ potential the package constructs:
                           (traces of matrix words, closed form to order 4)
 * ``LogOfInnerPart``   -- -kappa log w(z) for an inner function with a known
                           finite jet (the type-IV generic norm)
-* ``ConstantPart``     -- additive constants
 
 ``RadialBlock`` and ``LogOfInnerPart`` are a profile composed with an inner
 function whose jet is finite; one tensor chain rule (Faa di Bruno over the
@@ -208,14 +207,6 @@ def _block_mask(indices, n):
     mask = np.zeros(n)
     mask[sorted(indices)] = 1.0
     return mask, np.diag(mask)[None]
-
-
-class ConstantPart:
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def jet(self, Z, order):
-        return {(0, 0): np.full(len(Z), self.value)}
 
 
 @functools.lru_cache(maxsize=None)

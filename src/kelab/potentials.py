@@ -3,8 +3,10 @@
 * the canonical potential (1/K) log det g of a Kaehler-Einstein metric,
 * the rescaled ball potential with identically constant gradient length,
 * sums over product domains,
-* the pulled-back Siegel log-kernel behind the Kai-Ohsawa constant,
-* constant-gradient-length certificates and the ball-minimality table.
+* the pulled-back Siegel log-kernel behind the Kai-Ohsawa constant, one
+  formula on every kind of ``SIEGEL_KINDS``,
+* constant-gradient-length certificates (the Kai-Ohsawa constant is one)
+  and the ball-minimality table.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .domains import (
     DomainModel,
     InvariantsRecord,
     ball,
+    bergman_potential,
     ke_potential,
     product,
 )
@@ -29,7 +32,6 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .field import (
-    ConstantPart,
     LinearLog,
     LinearProfile,
     LogProfile,
@@ -71,15 +73,6 @@ class ConstantLengthCertificate:
             )
 
 
-def _center_and_sampled_lengths(p: PotentialField, points):
-    """|dphi|_half^2 at the origin (a float) and at ``points`` (an array),
-    from one stacked frame."""
-    stack = np.array([np.zeros(p.domain.n, dtype=complex), *points])
-    lengths = hermgeo.gradient_length_sq(
-        hermgeo.metric_from_potential(p, stack, order=2))
-    return float(lengths[0]), lengths[1:]
-
-
 def certify_constant_length(p: PotentialField, samples: int = 200,
                             seed: int = 0, tolerance: float = 1e-8,
                             shrink: float = 0.95) -> ConstantLengthCertificate:
@@ -90,11 +83,14 @@ def certify_constant_length(p: PotentialField, samples: int = 200,
     constant K.
     """
     d = p.domain
-    rng = np.random.default_rng(seed)
-    constant, lengths = _center_and_sampled_lengths(
-        p, sample_interior(d, rng, samples, shrink=shrink))
+    points = sample_interior(d, np.random.default_rng(seed), samples,
+                             shrink=shrink)
+    # |dphi|_half^2 at the origin and the points, from one stacked frame
+    lengths = hermgeo.gradient_length_sq(hermgeo.metric_from_potential(
+        p, np.array([np.zeros(d.n, dtype=complex), *points]), order=2))
+    constant = float(lengths[0])
     # np.max keeps a NaN deviation, so the certificate fails
-    worst = float(np.max(np.abs(lengths - constant), initial=0.0))
+    worst = float(np.max(np.abs(lengths[1:] - constant), initial=0.0))
     cert = ConstantLengthCertificate(
         label=p.label, constant=constant, max_deviation=worst,
         sample_count=samples, tolerance=tolerance, seed=seed,
@@ -247,58 +243,45 @@ def quadratic_fixture(n: int) -> PotentialField:
 # ---------------------------------------------------------------------------
 # the Kai-Ohsawa constant
 
+#: the kinds with a Siegel pullback; the others have only the lower bound
+#: rank*c on the constant.
+SIEGEL_KINDS = (BALL, POLYDISC)
+
+
 def kai_ohsawa_potential(d: DomainModel) -> PotentialField:
-    """The pullback under the Cayley transform of the Siegel log-kernel.
+    """log K + c log|N(z, e)|^2, the Siegel log-kernel pulled back by the
+    Cayley map.
 
-    On the polydisc the Siegel image is the half-plane product and the
-    kernel factorizes, so per factor
-
-        log K_H(sigma(z)) = 2 (-log(1-|z|^2) + 2 log|1+z|) - log 2.
-
-    On the ball the kernel transformation law turns the pullback into the
-    kernel potential plus twice the log modulus of the (holomorphic)
-    Jacobian of sigma, i.e. (n+1) (-log(1-|z|^2) + 2 log|1+z^1|) up to an
-    additive constant.  Either way the result is a potential of the
-    Bergman metric (Ricci constant 1).
+    The kernel potential plus c * 2 log|1 + z^a| for each a < rank: the
+    generic norm N(z, e) = prod_a (1 + z^a) at the tripotent
+    e = -(e_1 + ... + e_rank).  The log term is pluriharmonic, so this is
+    again a potential of the Bergman metric (Ricci constant 1); its
+    gradient length is the constant rank*c.
     """
-    if d.kind == POLYDISC:
-        parts = []
-        for a in range(d.n):
-            parts.append((2.0, RadialBlock((a,), LogProfile(1.0))))
-            parts.append((2.0, LinearLog(1.0, {a: 1.0})))
-            parts.append((1.0, ConstantPart(-np.log(2.0))))
-        return PotentialField(
-            domain=d, ricci_constant=1.0, parts=parts,
-            label=f"siegel-pullback[{d.label}]",
+    if d.kind not in SIEGEL_KINDS:
+        raise UnsupportedDomainError(
+            f"Siegel pullback implemented for ball and polydisc, not "
+            f"{d.label}; only the lower bound rank*c = "
+            f"{d.rank * (d.c or np.nan):g} is available"
         )
-    if d.kind == BALL:
-        return rescaled_ball_potential(d.n, 1.0)
-    raise UnsupportedDomainError(
-        f"Siegel pullback implemented for ball and polydisc, not {d.label}; "
-        f"only the lower bound rank*c = {d.rank * (d.c or np.nan):g} is "
-        f"available"
+    parts = bergman_potential(d).parts + [
+        (d.c, LinearLog(1.0, {a: 1.0})) for a in range(d.rank)]
+    return PotentialField(
+        domain=d, ricci_constant=1.0, parts=parts,
+        label=f"siegel-pullback[{d.label}]",
     )
 
 
 def kai_ohsawa_constant(d: DomainModel, spot_checks: int = 20,
                         seed: int = 0, tol: float = 1e-6) -> float:
-    """The constant gradient length of the pulled-back Siegel potential.
-
-    Evaluated at the origin with the Bergman metric and spot-checked for
-    constancy at ``spot_checks`` further interior points.
-    """
-    p = kai_ohsawa_potential(d)
-    rng = np.random.default_rng(seed)
-    points = sample_interior(d, rng, spot_checks)
-    L, lengths = _center_and_sampled_lengths(p, points)
-    bad = np.flatnonzero(~(np.abs(lengths - L) <= tol))  # NaN fails too
-    if bad.size:
-        i = bad[0]
-        raise NormalizationError(
-            f"gradient length of {p.label} is not constant: "
-            f"{lengths[i]:.12f} vs {L:.12f} at {points[i]!r}"
-        )
-    return L
+    """The constant gradient length of the pulled-back Siegel potential:
+    its value at the origin, certified at ``spot_checks`` interior points
+    (``certify_constant_length``; ``CertificateError`` if it deviates)."""
+    cert = certify_constant_length(kai_ohsawa_potential(d),
+                                   samples=spot_checks, seed=seed,
+                                   tolerance=tol)
+    cert.require()
+    return cert.constant
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +328,7 @@ def ball_minimality_report(entries, K: float = 1.0) -> list[MinimalityRow]:
             computable = False
         else:
             rec = entry.invariants()
-            computable = entry.kind in (BALL, POLYDISC)
+            computable = entry.kind in SIEGEL_KINDS
         rc = rec.rc / K
         bound = (rec.n + 1) / K
         rows.append(

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import chengyau, hermgeo, potentials, vfield
+from . import chengyau, hermgeo, jets, potentials, vfield
 from .domains import (
     BALL,
     DomainModel,
@@ -34,10 +34,11 @@ from .domains import (
     as_integer,
     ball,
     bergman_potential,
+    cayley,
     from_json,
     ke_potential,
     polydisc,
-    siegel_pullback_slice_derivative,
+    siegel_log_kernel_on_polydisc_slice,
     type_i,
     type_ii,
     type_iii,
@@ -422,8 +423,9 @@ def _kai_ohsawa(cfg):
     """Constant gradient length of the Siegel pullback on balls/polydiscs.
 
     Checks L against its closed-form value (n+1 resp. 2r), the lower bound
-    rank*c, and the slice derivative of the pulled-back log-kernel at 0.
-    Residuals normalized by (1e-6, 1e-9, 1e-8); passes at 1.0.
+    rank*c, and the potential's slice derivative at 0 against c and the FD
+    jet of the slice kernel through the Cayley map.  Residuals normalized
+    by (1e-6, 1e-9, 1e-8); passes at 1.0.
     """
     nmax = cfg["max_dimension"]
     thresholds = {"length_vs_expected": 1e-6, "lower_bound": 1e-9,
@@ -451,34 +453,31 @@ def _kai_ohsawa(cfg):
 
 
 def _slice_derivative_residual(d) -> float:
-    """|d/dz^a at 0 of the pulled-back slice kernel - c|, worst direction.
+    """Worst |d phi/dz^a (0) - c| over the slice directions a < rank.
 
-    Cross-checks the closed form against a central difference of the
-    honest composition through the Cayley map and half-plane kernels.
+    Reads d phi/dz^a from the closed-form jet of the potential whose
+    constant the suite reports, and from ``fd_jet`` of the Siegel
+    log-kernel pulled back through ``cayley`` onto the rank-dimensional
+    slice (one call on the stack of its stencil); both must equal the
+    kernel exponent c.
     """
-    from .domains import cayley, siegel_log_kernel_on_polydisc_slice
+    r = d.rank
 
-    h = 1e-5
-    worst = 0.0
-    for alpha in range(d.rank):
-        closed = siegel_pullback_slice_derivative(d, alpha)
+    def pulled_back(Z):
+        z = np.zeros((len(Z), d.n), dtype=complex)
+        z[:, :r] = Z
+        return siegel_log_kernel_on_polydisc_slice(d, cayley(d, z))
 
-        def slice_value(c):
-            z = np.zeros(d.n, dtype=complex)
-            z[alpha] = c
-            return siegel_log_kernel_on_polydisc_slice(d, cayley(d, z))
-
-        dx = (slice_value(h) - slice_value(-h)) / (2 * h)
-        dy = (slice_value(1j * h) - slice_value(-1j * h)) / (2 * h)
-        fd = 0.5 * (dx - 1j * dy)
-        worst = _worst([worst, abs(closed - d.c), abs(fd - d.c)])
-    return worst
+    closed = potentials.kai_ohsawa_potential(d).jet(
+        np.zeros(d.n), 1).holo_gradient()[:r]
+    fd = jets.fd_jet(pulled_back, np.zeros(r), 1).holo_gradient()
+    return _worst(np.abs(np.concatenate([closed, fd]) - d.c))
 
 
 @_suite("ball-minimality", "rank*c exceeds n+1 except for the ball",
         ["potentials.ball_minimality_report"], tol=1e-9, ricci=1.0)
 def _ball_minimality(cfg):
-    """rank*c vs n+1 across the catalog: strict except for type1(1,n)."""
+    """rank*c vs n+1 across the catalog: strict except on rank 1 (the balls)."""
     entries = [
         type_i(1, 1), type_i(1, 2), type_i(1, 3), type_i(1, 5),
         type_i(2, 2), type_i(2, 3), type_i(3, 3),
@@ -489,10 +488,9 @@ def _ball_minimality(cfg):
     rows_raw = potentials.ball_minimality_report(
         entries + list(EXCEPTIONAL_INVARIANTS), K=cfg["ricci"]
     )
-    ball_like = {f"type1(1,{q})" for q in range(1, 40)}
     rows = []
     for row in rows_raw:
-        if row.label in ball_like:
+        if row.rank == 1:
             r = abs(row.rc_over_K - row.bound_over_K)
         else:
             r = max(0.0, row.bound_over_K - row.rc_over_K + 1e-12)
@@ -556,9 +554,8 @@ def _table1(cfg):
     rows = []
     for rec, c, n, rank in expected:
         ok = (rec.c == c and rec.n == n and rec.rank == rank)
-        irreducible_nonball = not (rec.label.startswith("type1(1,")
-                                   or rec.label.startswith("ball"))
-        bound_ok = (rec.rc > rec.n + 1) if irreducible_nonball else \
+        # the irreducible rank-1 domains are exactly the balls
+        bound_ok = (rec.rc > rec.n + 1) if rec.rank > 1 else \
             (abs(rec.rc - (rec.n + 1)) < 1e-12)
         rows.append({
             "kind": rec.label,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kelab import domains, sampling
+from kelab import domains, potentials, sampling, suites
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,3 +49,25 @@ def test_sampler_checks_each_returned_point_once(monkeypatch):
         points = sampling.sample_interior(d, np.random.default_rng(1), count)
         assert len(points) == count
         assert calls == [(d.n,)] * count
+
+
+def test_kai_ohsawa_certifies_once_per_domain(monkeypatch):
+    """The bench times ``potentials.kai_ohsawa_constant`` and
+    ``certify_constant_length`` spans: one of each per kai-ohsawa domain."""
+    calls = []
+    for attr in ("kai_ohsawa_constant", "certify_constant_length"):
+        real = getattr(potentials, attr)
+
+        def spy(*args, _real=real, _attr=attr, **kwargs):
+            calls.append((_attr, args[0]))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, attr, spy)
+    report = suites.run_suite("kai-ohsawa", {})
+    labels = [row["domain"] for row in report.samples]
+    assert len(labels) == 6
+    assert [(a, getattr(x, "label", None)) for a, x in calls] == [
+        pair for label in labels
+        for pair in (("kai_ohsawa_constant", label),
+                     ("certify_constant_length",
+                      f"siegel-pullback[{label}]"))]

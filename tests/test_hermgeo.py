@@ -391,11 +391,15 @@ def test_closed_form_path_fails_closed(d, outside):
 
 
 def test_curvature_suites_take_the_closed_form_path(monkeypatch):
-    """No suite reaches fd_jet at its defaults: every potential the suites
-    build has parts.  ``flow`` runs at a short horizon."""
+    """Every potential the suites build has parts, so at their defaults the
+    one fd_jet call per domain is kai-ohsawa's order-1 oracle of the Cayley
+    composition at the origin.  ``flow`` runs at a short horizon."""
     from kelab.suites import SUITES, run_suite
 
     calls = _fd_jet_spy(monkeypatch)
     for name in SUITES:
-        assert run_suite(name, {"horizon": 0.1} if name == "flow" else {}).passed
-        assert calls == [], name
+        calls.clear()
+        report = run_suite(name, {"horizon": 0.1} if name == "flow" else {})
+        assert report.passed
+        oracle = [(1, 1)] * len(report.samples) if name == "kai-ohsawa" else []
+        assert calls == oracle, name

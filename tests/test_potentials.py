@@ -193,7 +193,7 @@ def test_kai_ohsawa_constant_equals_one_frame_per_point(d):
         p, [np.zeros(d.n, dtype=complex)] + points)
     assert potentials.kai_ohsawa_constant(d) == center
     assert max(abs(v - center) for v in lengths) <= 1e-6
-    with pytest.raises(NormalizationError, match="not constant"):
+    with pytest.raises(CertificateError, match="deviates"):
         potentials.kai_ohsawa_constant(d, tol=-1.0)
 
 

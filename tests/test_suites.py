@@ -8,9 +8,17 @@ import math
 import pytest
 
 import kelab
-from kelab import cli, hermgeo, suites
-from kelab.domains import DomainModel
+from kelab import cli, hermgeo, potentials, suites
+from kelab.domains import (
+    DomainModel,
+    ball,
+    bergman_potential,
+    type_i,
+    type_ii,
+    type_iii,
+)
 from kelab.errors import ConfigError
+from kelab.field import LinearLog, PotentialField
 from kelab.suites import SUITES, VerificationReport, run_all, run_suite
 
 #: every suite at a size that runs in about a second (cheng-yau has no size
@@ -243,6 +251,42 @@ def test_table1_fails_when_ball_is_not_type1_1n(monkeypatch):
     assert coincidence == {"kind": "ball(n) = type1(1,n)",
                            "residuals": {"mismatch": 1.0}}
     assert all(row["residuals"]["mismatch"] == 0.0 for row in table)
+
+
+def test_ball_minimality_reads_every_rank_one_kind_as_a_ball(monkeypatch):
+    """type2(3), type3(1) and type1(1,45) are balls: rank 1, rc = n+1."""
+    real = potentials.ball_minimality_report
+
+    def with_more_balls(entries, K=1.0):
+        extra = [type_ii(3), type_iii(1), type_i(1, 45)]
+        return real(list(entries) + extra, K=K)
+
+    monkeypatch.setattr(potentials, "ball_minimality_report", with_more_balls)
+    report = run_suite("ball-minimality", {})
+    kinds = {row["kind"] for row in report.samples}
+    assert {"type2(3)", "type3(1)", "type1(1,45)"} <= kinds
+    assert report.passed is True
+    assert report.max_residual == 0.0
+
+
+def test_kai_ohsawa_reads_the_potential_it_measures(monkeypatch):
+    """The pullback under the other Cayley map, with log|1 - z^a|^2, also
+    has a constant gradient length, but its slice derivative is -c."""
+
+    def other_cayley(d):
+        parts = bergman_potential(d).parts + [
+            (d.c, LinearLog(1.0, {a: -1.0})) for a in range(d.rank)]
+        return PotentialField(domain=d, ricci_constant=1.0, parts=parts,
+                              label=f"other-cayley[{d.label}]")
+
+    monkeypatch.setattr(potentials, "kai_ohsawa_potential", other_cayley)
+    assert potentials.kai_ohsawa_constant(ball(2)) == pytest.approx(
+        3.0, abs=1e-10)
+    report = run_suite("kai-ohsawa", {"max_dimension": 2})
+    assert report.passed is False
+    row = next(r for r in report.samples if r["domain"] == "ball(2)")
+    assert row["residuals"]["length_vs_expected"] <= 1.0
+    assert row["residuals"]["slice_derivative"] * 1e-8 == pytest.approx(6.0)
 
 
 @pytest.mark.parametrize("name", ["einstein", "delta-identity", "key-equation",
