@@ -280,7 +280,7 @@ class MatrixLogDetPart:
 
     def jet(self, Z, order):
         k, L = self.kappa, self.L
-        Zm = np.tensordot(Z, L, axes=1)
+        Zm = (Z @ L.reshape(len(L), -1)).reshape(len(Z), self.p, self.q)
         Zh = np.conj(Zm.transpose(0, 2, 1))
         M = np.eye(self.p) - Zm @ Zh
         eigs = np.linalg.eigvalsh(M)

@@ -13,9 +13,11 @@ near the centre than under the volume measure.  Products sample factor by
 factor and concatenate.  The default shrink of 0.95 keeps
 finite-difference stencils strictly interior.
 
-The seeded stream is read one point at a time, factor by factor, and
-each factor's directions then take one stacked ``gauge`` call, which
-gives the per-point gauge's bits.
+The seeded stream is read one point at a time, factor by factor.  Each
+factor then builds its directions from one stacked array of its normals
+and takes one stacked ``gauge`` call, and the returned points take one
+stacked ``contains`` check; a point is a stack of one, so the points
+keep the bits of a per-point sampler.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ def sample_interior(domain: DomainModel, rng, count: int,
                     shrink: float = DEFAULT_SHRINK) -> list[np.ndarray]:
     """``count`` points of shrink * domain, reproducible from ``rng``.
 
-    Each point is checked once with ``domain.contains(z / shrink)`` and a
-    point that fails raises ``MembershipError``.
+    All returned points are checked in one ``domain.contains(points /
+    shrink)`` call; if any fails, ``MembershipError`` names the first
+    failing point.
     """
     if not 0.0 < shrink <= 1.0:
         raise ValueError("shrink must be in (0, 1]")
@@ -41,14 +44,15 @@ def sample_interior(domain: DomainModel, rng, count: int,
     draws = [[_draw(f, rng) for f in leaves] for _ in range(count)]
     blocks = [_place(f, [row[i] for row in draws], shrink)
               for i, f in enumerate(leaves)]
-    out = []
-    for z in np.concatenate(blocks, axis=1):
-        if not domain.contains(z / shrink):
-            raise MembershipError(
-                f"sampled {z!r} is not in {shrink:g} * {domain.label}"
-            )
-        out.append(z)
-    return out
+    points = np.concatenate(blocks, axis=1)
+    inside = np.asarray(domain.contains(points / shrink), dtype=bool)
+    outside = np.flatnonzero(np.logical_not(inside))
+    if outside.size:
+        raise MembershipError(
+            f"sampled {points[outside[0]]!r} is not in "
+            f"{shrink:g} * {domain.label}"
+        )
+    return list(points)
 
 
 def _leaves(d: DomainModel) -> list:
@@ -59,13 +63,13 @@ def _leaves(d: DomainModel) -> list:
 
 
 def _draw(d: DomainModel, rng):
-    """One point's draws on a non-product kind: (direction, rho)."""
-    re, im = rng.standard_normal((2, d.n))
-    return re + 1j * im, rng.uniform()
+    """One point's draws on a non-product kind: (its normals, rho)."""
+    return rng.standard_normal((2, d.n)), rng.uniform()
 
 
 def _place(d: DomainModel, draws: list, shrink: float) -> np.ndarray:
     """The (count, d.n) block of one factor's points from its draws."""
-    u = np.array([u for u, _ in draws], dtype=complex).reshape(-1, d.n)
+    normals = np.array([g for g, _ in draws]).reshape(-1, 2, d.n)
+    u = normals[:, 0] + 1j * normals[:, 1]
     rho = np.array([rho for _, rho in draws])
     return (shrink * rho)[:, None] * u / gauge(d, u)[:, None]

@@ -102,8 +102,10 @@ def _finite_json(value):
     return value
 
 
-def _point_json(z) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.atleast_1d(z)]
+def _points_json(z) -> list:
+    """A point as its [re, im] pairs, or a stack as a list of those, in
+    one conversion."""
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
 def _worst(residuals) -> float:
@@ -256,13 +258,12 @@ def _einstein(cfg):
     for d in models:
         p = bergman_potential(d)
         rng = np.random.default_rng(cfg["seed"])
-        zs = sample_interior(d, rng, cfg["samples"], shrink=cfg["shrink"])
-        for z, r in zip(zs, hermgeo.einstein_residual(p, np.array(zs))):
-            rows.append({
-                "domain": d.label,
-                "point": _point_json(z),
-                "residuals": {"einstein": float(r)},
-            })
+        zs = np.array(sample_interior(d, rng, cfg["samples"],
+                                      shrink=cfg["shrink"]))
+        residuals = hermgeo.einstein_residual(p, zs).tolist()
+        rows += [{"domain": d.label, "point": point,
+                  "residuals": {"einstein": r}}
+                 for point, r in zip(_points_json(zs), residuals)]
     params = {"shrink": cfg["shrink"], "ricci_constant": 1.0,
               "norm_exponents": NORM_EXPONENTS}
     return [d.to_json() for d in models], params, rows
@@ -285,14 +286,12 @@ def _delta_identity(cfg):
     rows = []
     for p, d in targets:
         rng = np.random.default_rng(cfg["seed"])
-        zs = sample_interior(d, rng, cfg["samples"], shrink=cfg["shrink"])
-        for z, r in zip(zs, hermgeo.delta_identity_residual(p, np.array(zs))):
-            rows.append({
-                "domain": d.label,
-                "potential": p.label,
-                "point": _point_json(z),
-                "residuals": {"delta_identity": float(r)},
-            })
+        zs = np.array(sample_interior(d, rng, cfg["samples"],
+                                      shrink=cfg["shrink"]))
+        residuals = hermgeo.delta_identity_residual(p, zs).tolist()
+        rows += [{"domain": d.label, "potential": p.label, "point": point,
+                  "residuals": {"delta_identity": r}}
+                 for point, r in zip(_points_json(zs), residuals)]
     return [d.to_json() for _, d in targets], {"shrink": cfg["shrink"]}, rows
 
 
@@ -302,10 +301,10 @@ def _key_equation(cfg):
     """Componentwise |phi_{a;b} phi^a + phi_b| for a constant-length potential."""
     p = potentials.rescaled_ball_potential(cfg["n"], cfg["ricci"])
     rng = np.random.default_rng(cfg["seed"])
-    zs = sample_interior(p.domain, rng, cfg["samples"])
-    residuals = hermgeo.key_equation_residual(p, np.array(zs))
-    rows = [{"point": _point_json(z), "residuals": {"key_equation": float(r)}}
-            for z, r in zip(zs, residuals)]
+    zs = np.array(sample_interior(p.domain, rng, cfg["samples"]))
+    residuals = hermgeo.key_equation_residual(p, zs).tolist()
+    rows = [{"point": point, "residuals": {"key_equation": r}}
+            for point, r in zip(_points_json(zs), residuals)]
     return p.domain.to_json(), {"n": cfg["n"], "ricci": cfg["ricci"]}, rows
 
 
@@ -331,12 +330,11 @@ def _constant_length(cfg):
     p = potentials.rescaled_ball_potential(d.n, K)
     target = (d.n + 1) / K
     rng = np.random.default_rng(cfg["seed"])
-    zs = sample_interior(d, rng, cfg["samples"])
-    frame = hermgeo.metric_from_potential(p, np.array(zs), order=2)
-    deviations = np.abs(hermgeo.gradient_length_sq(frame) - target)
-    rows = [{"point": _point_json(z),
-             "residuals": {"length_deviation": float(r)}}
-            for z, r in zip(zs, deviations)]
+    zs = np.array(sample_interior(d, rng, cfg["samples"]))
+    frame = hermgeo.metric_from_potential(p, zs, order=2)
+    deviations = np.abs(hermgeo.gradient_length_sq(frame) - target).tolist()
+    rows = [{"point": point, "residuals": {"length_deviation": r}}
+            for point, r in zip(_points_json(zs), deviations)]
     return d.to_json(), {"n": d.n, "ricci": K, "target": target}, rows
 
 
@@ -350,14 +348,13 @@ def _dbar_defect(cfg):
     """
     p = potentials.rescaled_ball_potential(cfg["n"], cfg["ricci"])
     rng = np.random.default_rng(cfg["seed"])
-    zs = sample_interior(p.domain, rng, cfg["samples"])
-    stack = np.array(zs)
-    defects = vfield.dbar_defect(p, stack)
-    laws = vfield.dbar_defect_closed_form(p, stack)
-    rows = [{"point": _point_json(z),
-             "residuals": {"defect": float(defect),
-                           "defect_vs_closed_form": float(abs(defect - law))}}
-            for z, defect, law in zip(zs, defects, laws)]
+    zs = np.array(sample_interior(p.domain, rng, cfg["samples"]))
+    defects = vfield.dbar_defect(p, zs)
+    gaps = np.abs(defects - vfield.dbar_defect_closed_form(p, zs))
+    rows = [{"point": point,
+             "residuals": {"defect": defect, "defect_vs_closed_form": gap}}
+            for point, defect, gap in zip(_points_json(zs), defects.tolist(),
+                                          gaps.tolist())]
     return p.domain.to_json(), {"n": cfg["n"], "ricci": cfg["ricci"]}, rows
 
 
@@ -411,7 +408,7 @@ def _flow(cfg):
     residuals = {k: raw[k] / thresholds[k] for k in raw}
     params = {"n": n, "ricci": cfg["ricci"], "horizon": cfg["horizon"],
               "dt": dt, "thresholds": thresholds}
-    return p.domain.to_json(), params, [{"point": _point_json(z0),
+    return p.domain.to_json(), params, [{"point": _points_json(z0),
                                          "residuals": residuals}]
 
 

@@ -32,13 +32,13 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
         assert vars(owner)[attr] is original, (owner, attr)
 
 
-def test_sampler_checks_each_returned_point_once(monkeypatch):
-    """The bench counts ``sampling.draws`` from the ``DomainModel.contains``
-    spans under ``sample_interior``: one per returned point."""
+def test_sampler_checks_its_points_in_one_call(monkeypatch):
+    """``sample_interior`` checks its returned points with one
+    ``DomainModel.contains`` call on their (count, n) stack."""
     real, calls = domains.DomainModel.contains, []
 
     def spy(self, z):
-        calls.append(np.shape(z))
+        calls.append(np.array(z))
         return real(self, z)
 
     monkeypatch.setattr(domains.DomainModel, "contains", spy)
@@ -48,7 +48,9 @@ def test_sampler_checks_each_returned_point_once(monkeypatch):
         calls.clear()
         points = sampling.sample_interior(d, np.random.default_rng(1), count)
         assert len(points) == count
-        assert calls == [(d.n,)] * count
+        assert [c.shape for c in calls] == [(count, d.n)]
+        assert np.array_equal(calls[0],
+                              np.array(points) / sampling.DEFAULT_SHRINK)
 
 
 def test_kai_ohsawa_certifies_once_per_domain(monkeypatch):

@@ -280,6 +280,24 @@ def test_sampler_fails_closed(monkeypatch):
         sample_interior(ball(2), np.random.default_rng(0), 1)
 
 
+def test_sampler_names_the_row_its_stacked_check_rejects(monkeypatch):
+    """One False row in the middle of the stacked check raises, and the
+    error names that row's point."""
+    points = sample_interior(ball(2), np.random.default_rng(0), 7)
+    real = domains.DomainModel.contains
+
+    def one_row_outside(self, z):
+        inside = real(self, z)
+        inside[3] = False
+        return inside
+
+    monkeypatch.setattr(domains.DomainModel, "contains", one_row_outside)
+    with pytest.raises(MembershipError) as info:
+        sample_interior(ball(2), np.random.default_rng(0), 7)
+    named = [i for i, z in enumerate(points) if repr(z) in str(info.value)]
+    assert named == [3]
+
+
 def test_einstein_on_the_kinds_only_the_gauge_sampler_reaches():
     report = run_suite("einstein", {
         "domains": [type_i(3, 3), type_ii(5), type_iii(3), type_iv(5)],
