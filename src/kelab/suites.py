@@ -369,8 +369,9 @@ def _flow(cfg):
     from ``vfield.exact_re_v_flow``.
 
     The level-set trajectory and the rows of both fixed-time checks run
-    as one RK4 stack.  Residuals are normalized by their native
-    thresholds (1e-6 / 1e-4 / 1e-5 / 1e-10 / 1e-8); the suite passes at 1.0.
+    as one lockstep stack of ``vfield.run_flows``.  Residuals are
+    normalized by their native thresholds (1e-6 / 1e-4 / 1e-5 / 1e-10 /
+    1e-8); the suite passes at 1.0.
     """
     n, dt = cfg["n"], cfg["dt"]
     p = potentials.rescaled_ball_potential(n, cfg["ricci"])

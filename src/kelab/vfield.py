@@ -15,9 +15,10 @@ stack).  ``integrate_flow`` follows the real fields
     Re W:  dz/dt = i phi^a(z)          (tangent to the level sets of phi)
     Re V:  dz/dt = i e^(K phi/(n+1)) phi^a(z)
 
-with fixed-step RK4.  One integrator serves every flow: it advances an
-(M, n) stack of start points in lockstep, each row with its own time and
-generator, and builds each RK4 stage's frames in one stacked call.  A
+with a fixed-step sixth-order Adams–Bashforth method, started by five RK4
+steps.  One integrator serves every flow: it advances an (M, n) stack of
+start points in lockstep, each row with its own time and generator, and
+builds one stacked frame per multistep step (four per RK4 step).  A
 fixed-time check (``pullback_check``, ``reparametrization_check``) is
 its start rows plus the reduction of their endpoints to a residual, so
 ``run_flows`` can integrate a recorded trajectory and several checks as
@@ -161,16 +162,31 @@ def _velocity(p, z, re_v):
     return (1j * factor)[:, None] * phi_up
 
 
-def _rk4(p, z0, t, dt, generator, record_every=0):
-    """Lockstep RK4 of an (M, n) stack of start points.
+#: Adams–Bashforth weights of order 6, beta_j = AB6_NUMERATORS[j] / 1440
+#: for the velocity j steps back (Hairer, Nørsett and Wanner, *Solving
+#: ODEs I*, §III.1)
+AB6_NUMERATORS = (4277, -7923, 9982, -7298, 2877, -475)
+AB6_DENOMINATOR = 1440
+_AB6 = [b / AB6_DENOMINATOR for b in AB6_NUMERATORS]
+_HISTORY = len(_AB6)
 
-    Row i runs round(|t_i|/dt) steps of h_i = t_i/steps_i under its own
-    generator and then freezes; each RK4 stage is one stacked frame over
-    the rows still running.  ``t`` and ``generator`` are one value for all
-    rows or one per row.  Returns the (M, n) endpoints and the trajectory
-    of row 0 as [(time, point)]: its start, the point after every
-    ``record_every``-th of its own steps and after its last
-    (``record_every=0`` records the start and the end only).
+
+def _lockstep(p, z0, t, dt, generator, record_every=0):
+    """Lockstep sixth-order Adams–Bashforth of an (M, n) stack of start
+    points.
+
+    Row i runs steps_i = round(|t_i|/dt) steps of h_i = t_i/steps_i under
+    its own generator and then freezes; a row with t_i != 0 runs at least
+    one step.  Step k >= 6 is z_k = z_{k-1} + h sum_j beta_j f_{k-1-j}
+    with one stacked frame, f_{k-1}, over the rows still running; steps 1
+    to 5 are RK4 (four frames each), and their first stage fills the
+    history of velocities.  The weights are summed elementwise in a fixed
+    order, so a row's result does not depend on the stack it runs in.
+    ``t`` and ``generator`` are one value for all rows or one per row.
+    Returns the (M, n) endpoints and the trajectory of row 0 as
+    [(time, point)]: its start, the point after every ``record_every``-th
+    of its own steps and after its last (``record_every=0`` records the
+    start and the end only).
 
     Every accepted step is checked for membership, in one stacked
     ``contains`` call over the running rows.  Rows that leave the
@@ -194,12 +210,15 @@ def _rk4(p, z0, t, dt, generator, record_every=0):
     if outside.size:
         raise FlowExitError(
             f"initial point {z0[outside[0]]!r} outside {d.label}", 0.0)
-    steps = np.array([int(round(abs(ti) / dt)) for ti in t])
+    steps = np.array([max(int(round(abs(ti) / dt)), 1) if ti else 0
+                      for ti in t])
     h = np.array([ti / s if s else 0.0 for ti, s in zip(t, steps)])
     abs_h = np.abs(h)
     re_v = generator == "re_v"
 
     z = z0.copy()
+    # history[(k - 1) % 6] holds f_{k-1}, the velocity at the start of step k
+    history = np.zeros((_HISTORY,) + z.shape, dtype=complex)
     record = [(0.0, z[0].copy())]
     exits = []  # (|exit time|, row, exit time)
     earliest = np.inf
@@ -211,10 +230,18 @@ def _rk4(p, z0, t, dt, generator, record_every=0):
             break
         zr, hr, rv = z[run], h[run, None], re_v[run]
         k1 = _velocity(p, zr, rv)
-        k2 = _velocity(p, zr + 0.5 * hr * k1, rv)
-        k3 = _velocity(p, zr + 0.5 * hr * k2, rv)
-        k4 = _velocity(p, zr + hr * k3, rv)
-        z[run] = zr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        history[(k - 1) % _HISTORY, run] = k1
+        if k < _HISTORY:
+            k2 = _velocity(p, zr + 0.5 * hr * k1, rv)
+            k3 = _velocity(p, zr + 0.5 * hr * k2, rv)
+            k4 = _velocity(p, zr + hr * k3, rv)
+            z[run] = zr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        else:
+            past = history[:, run]
+            step = _AB6[0] * k1
+            for j in range(1, _HISTORY):
+                step += _AB6[j] * past[(k - 1 - j) % _HISTORY]
+            z[run] = zr + hr * step
         for i in run[~d.contains(z[run])]:
             tk = float(k * h[i])
             exits.append((abs(tk), i, tk))
@@ -232,15 +259,16 @@ def _rk4(p, z0, t, dt, generator, record_every=0):
 
 
 def integrate_flow(p, z0, t, dt: float = 1e-3, generator="re_w") -> np.ndarray:
-    """Endpoint of the RK4 trajectory of Re W or Re V from z0.
+    """Endpoint of the integrated trajectory of Re W or Re V from z0.
 
     ``z0`` is a point (n,) or a stack (M, n) of start points, integrated
     in lockstep; ``t`` and ``generator`` are one value for every row or
     one per row.  Leaving the domain raises ``FlowExitError`` with the
-    exit time (the earliest one in a stack).
+    exit time (the earliest one in a stack).  ``dt`` is the step; a
+    nonzero ``t`` takes at least one.
     """
     z = as_points(z0)
-    ends, _ = _rk4(p, np.atleast_2d(z), t, dt, generator)
+    ends, _ = _lockstep(p, np.atleast_2d(z), t, dt, generator)
     return ends if z.ndim == 2 else ends[0]
 
 
@@ -257,7 +285,7 @@ class FlowCheck(NamedTuple):
 
 def run_flows(p, trajectory, checks, dt: float = 1e-3,
               record_every: int = 1):
-    """A recorded trajectory and fixed-time checks in one RK4 stack.
+    """A recorded trajectory and fixed-time checks in one lockstep stack.
 
     ``trajectory`` is (z0, t, generator) of the recorded row, row 0 of the
     stack; the rows of every ``FlowCheck`` in ``checks`` follow it.
@@ -272,7 +300,7 @@ def run_flows(p, trajectory, checks, dt: float = 1e-3,
                          for s, t, _ in rows])
     generators = np.concatenate([np.broadcast_to(np.asarray(g), len(s))
                                  for s, _, g in rows])
-    ends, record = _rk4(p, starts, ts, dt, generators, record_every)
+    ends, record = _lockstep(p, starts, ts, dt, generators, record_every)
     bounds = np.cumsum([len(s) for s, _, _ in rows])
     points = [z for _, z in record]
     traj = {"times": np.array([time for time, _ in record]),

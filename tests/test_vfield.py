@@ -2,6 +2,7 @@
 
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -219,22 +220,61 @@ def test_flow_horizon_cap(certified):
         vfield.integrate_flow(certified, np.zeros(2, complex), 20.0)
 
 
-def test_non_finite_flow_row_raises(certified, monkeypatch):
-    """The stacked membership check validates the rows it checks."""
+def _nan_velocity_at(monkeypatch, call):
+    """Make the ``call``-th ``_velocity`` call's last row NaN; return the
+    list that counts the calls."""
     real, calls = vfield._velocity, []
 
-    def last_stage_nan(p, z, re_v):
+    def nan_row(p, z, re_v):
         v = real(p, z, re_v)
         calls.append(None)
-        if len(calls) % 4 == 0:  # the fourth RK4 stage feeds no frame
+        if len(calls) == call:
             v[-1] = np.nan
         return v
 
-    monkeypatch.setattr(vfield, "_velocity", last_stage_nan)
+    monkeypatch.setattr(vfield, "_velocity", nan_row)
+    return calls
+
+
+def test_non_finite_flow_row_raises(certified, monkeypatch):
+    """The stacked membership check validates the rows it checks."""
+    # the fourth RK4 stage of the first step feeds no frame
+    calls = _nan_velocity_at(monkeypatch, 4)
     with pytest.raises(ValueError, match="non-finite"):
         vfield.integrate_flow(certified, np.array([[0.1, 0.0], [0.0, 0.1j]]),
                               0.1, dt=0.05)
     assert len(calls) == 4
+
+
+def test_non_finite_multistep_row_raises(certified, monkeypatch):
+    """A NaN velocity in a multistep step reaches the membership check:
+    steps 1 to 5 take four frames each, step 7 takes the 22nd."""
+    calls = _nan_velocity_at(monkeypatch, 22)
+    with pytest.raises(ValueError, match="non-finite"):
+        vfield.integrate_flow(certified, np.array([[0.1, 0.0], [0.0, 0.1j]]),
+                              0.5, dt=0.05)
+    assert len(calls) == 22
+
+
+def test_ab6_weights_have_order_six():
+    """sum_j beta_j (-j)^k = 1/(k+1) for k = 0..5, in exact arithmetic:
+    the step integrates a polynomial velocity of degree 5 exactly."""
+    beta = [Fraction(b, vfield.AB6_DENOMINATOR)
+            for b in vfield.AB6_NUMERATORS]
+    assert len(beta) == 6
+    for k in range(6):
+        assert sum(b * (-j) ** k for j, b in enumerate(beta)) == \
+            Fraction(1, k + 1)
+
+
+@pytest.mark.parametrize("t", [4e-4, -4e-4, 6e-4])
+def test_flow_shorter_than_a_step_takes_one(certified, t):
+    """A nonzero time below dt takes one step of length t, also below
+    dt/2, where round(|t|/dt) is 0."""
+    z0 = np.array([0.15 + 0.1j, -0.1 + 0.2j])
+    end = vfield.integrate_flow(certified, z0, t, dt=1e-3, generator="re_v")
+    assert not np.array_equal(end, z0)
+    assert np.max(np.abs(end - vfield.exact_re_v_flow(z0, t))) <= 1e-15
 
 
 def test_flow_pullback_preserves_metric(certified):
@@ -248,9 +288,9 @@ def test_flow_reparametrization(certified):
 
 
 @pytest.mark.parametrize("n, K", [(2, 3.0), (3, 1.0)])
-def test_exact_re_v_flow_is_the_rk4_flow(n, K):
-    """The closed-form map against RK4 at dt 4e-3: Re V at t 0.8, and Re W
-    at t 1.0 as the map at t e^(-K phi(z0)/(n+1))."""
+def test_exact_re_v_flow_is_the_integrated_flow(n, K):
+    """The closed-form map against the integrator at dt 4e-3: Re V at t
+    0.8, and Re W at t 1.0 as the map at t e^(-K phi(z0)/(n+1))."""
     p = potentials.rescaled_ball_potential(n, K)
     z0 = np.array([0.15 + 0.1j, -0.1 + 0.2j, 0.05j][:n])
     slow = np.exp(-K * p(z0) / (n + 1))
@@ -267,15 +307,15 @@ def test_exact_re_v_flow_is_the_rk4_flow(n, K):
 
 
 def test_flow_suite_exact_flow_tracks_the_step():
-    """The exact_flow residual is RK4's global error: halving dt divides it
-    by about 2^4."""
+    """The exact_flow residual is the integrator's global error: halving
+    dt divides it by about 2^6, the order of the Adams–Bashforth step."""
     def exact_flow(dt):
         report = run_suite("flow", {"horizon": 1.0, "dt": dt, "seed": 1})
         return report.samples[0]["residuals"]["exact_flow"]
 
     coarse, fine = exact_flow(8e-3), exact_flow(4e-3)
     assert fine < 0.01
-    assert 8.0 < coarse / fine < 32.0
+    assert 32.0 < coarse / fine < 128.0
 
 
 def _off_center():
@@ -361,10 +401,15 @@ def test_reparametrization_flows_batched_equal_single_rows(certified,
 
 
 def test_stacked_flow_rows_of_different_lengths(certified):
+    """Rows whose step counts sit below, at and above the five RK4 steps
+    that start the multistep history equal their lone runs bit for bit."""
     starts = np.array([[0.1 + 0.05j, -0.2j], [0.0, 0.3], [0.2j, 0.1],
-                       [-0.1, 0.1 - 0.1j]])
-    t = [0.3, -0.2, 0.0, 0.12]
-    generator = ["re_v", "re_w", "re_v", "re_w"]
+                       [-0.1, 0.1 - 0.1j], [0.05, 0.1j], [-0.2j, 0.1],
+                       [0.1, -0.1j], [0.3j, 0.0]])
+    t = [0.3, -0.2, 0.0, 0.12, 0.012, -0.02, 0.024, 0.028]
+    generator = ["re_v", "re_w", "re_v", "re_w", "re_v", "re_v", "re_w",
+                 "re_v"]
+    assert [round(abs(ti) / 4e-3) for ti in t] == [75, 50, 0, 30, 3, 5, 6, 7]
     ends = vfield.integrate_flow(certified, starts, t, dt=4e-3,
                                  generator=generator)
     assert ends.shape == starts.shape
