@@ -16,9 +16,12 @@ functions at the end (``cayley``, the half-plane kernel and its slice).
 Matrix coordinates are flattened row-major; the symmetry-constrained kinds
 are parametrized by their independent entries (type II strictly upper
 triangular, type III upper triangular).  Generic norms are normalized to 1
-at the origin and vanish on the boundary; the exponent pairing each norm
-with the Bergman kernel is validated numerically by the Einstein suite
-(Ricci of dd^c log K equals -1).  Membership is one Minkowski gauge,
+at the origin and vanish on the boundary, and K ~ N^(-c) with the kind's
+c; the Einstein suite validates each pairing numerically (Ricci of
+dd^c log K equals -1).  The norm of type I-IV is one signed Hermitian form
+in holomorphic polynomials of degree at most the rank (``norm_form``), and
+its kernel potential is one ``field.HermitianNormPart``; the ball and the
+polydisc keep their radial parts.  Membership is one Minkowski gauge,
 ``gauge`` < 1; the sampler uses the same gauge.  Both ``gauge`` and
 ``DomainModel.contains`` take a point or an (N, n) stack.
 """
@@ -26,6 +29,7 @@ with the Bergman kernel is validated numerically by the Einstein suite
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,14 +41,7 @@ from .errors import (
     UnsupportedDomainError,
     UnsupportedPointError,
 )
-from .field import (
-    LogOfInnerPart,
-    LogProfile,
-    MatrixLogDetPart,
-    PotentialField,
-    RadialBlock,
-    TypeIVNorm,
-)
+from .field import HermitianNormPart, LogProfile, PotentialField, RadialBlock
 from .jets import as_point, as_points
 
 BALL = "ball"
@@ -59,11 +56,6 @@ PRODUCT = "product"
 #: record; its label is kind(values joined by ",").
 PARAMETERS = {BALL: ("n",), POLYDISC: ("r",), TYPE_I: ("p", "q"),
               TYPE_II: ("m",), TYPE_III: ("m",), TYPE_IV: ("m",)}
-
-#: the power of det(I - Z Z*) (type IV: of its Lie-norm polynomial) that is
-#: the generic norm N, K ~ N^(-c); type II's is the square root, as the
-#: eigenvalues of Z Z* pair up for antisymmetric Z.
-NORM_EXPONENTS = {TYPE_I: 1.0, TYPE_II: 0.5, TYPE_III: 1.0, TYPE_IV: 1.0}
 
 #: minimum matrix sizes; smaller parameters coincide with other kinds
 #: (type II with m<=2 and type IV with m<=2 are ball/disc products) and the
@@ -325,25 +317,92 @@ def _blocks(d: DomainModel, z: np.ndarray):
 def generic_norm(d: DomainModel, z) -> float:
     """The boundary-vanishing polynomial norm N with K = const * N^(-c).
 
-    N(0) = 1.  A matrix kind's N is det(I - Z Z*) to its ``NORM_EXPONENTS``
-    power.
+    N(0) = 1.  Types I-IV give the value of their ``norm_form``; a product
+    gives the product of its factors' norms.
     """
     z = d.require_member(z)
     if d.kind == BALL:
         return 1.0 - float(np.sum(np.abs(z) ** 2))
     if d.kind == POLYDISC:
         return float(np.prod(1.0 - np.abs(z) ** 2))
-    if d.kind in (TYPE_I, TYPE_II, TYPE_III):
-        Z = as_matrix(d, z)
-        det = np.linalg.det(np.eye(Z.shape[0]) - Z @ Z.conj().T)
-        return float(det.real ** NORM_EXPONENTS[d.kind])
-    if d.kind == TYPE_IV:
-        s = float(np.sum(np.abs(z) ** 2))
-        u = complex(np.sum(z * z))
-        return 1.0 - 2.0 * s + abs(u) ** 2
+    if d.kind in (TYPE_I, TYPE_II, TYPE_III, TYPE_IV):
+        return float(HermitianNormPart(norm_form(d), d.c).norm(z[None])[0])
     if d.kind == PRODUCT:
         return math.prod(generic_norm(f, block) for f, block in _blocks(d, z))
     raise UnsupportedDomainError(f"generic norm undefined for {d.kind!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def norm_form(d: DomainModel) -> tuple:
+    """The generic norm of type I-IV as a signed Hermitian form.
+
+    N(z, zbar) = sum_k w_k sum_j |h_j(z)|^2 over holomorphic polynomials
+    h_j homogeneous of degree k = 0..rank (Loos, *Bounded Symmetric
+    Domains and Jordan Pairs*, 1977; Faraut-Koranyi, *Analysis on
+    Symmetric Cones*, 1994):
+
+    * types I and III: the k x k minors of Z, w_k = (-1)^k (Cauchy-Binet
+      on det(I - Z Z*));
+    * type II: the Pfaffians of the 2k x 2k principal blocks of Z,
+      w_k = (-1)^k, which sum to det(I - Z Z*)^(1/2);
+    * type IV: 1, the coordinates z^a and z.z, with w = (1, -2, 1).
+
+    One (w_k, D_k) pair per degree k, where D_k[j] = d^k h_j is the
+    constant symmetric k-th derivative tensor, shape (J_k,) + (n,)*k, so
+    h_j = D_k[j].z^k / k!.
+    """
+    if d.kind == TYPE_IV:
+        eye = np.eye(d.n)
+        form = ((1.0, np.ones(1)), (-2.0, eye), (1.0, 2.0 * eye[None]))
+    elif d.kind in (TYPE_I, TYPE_II, TYPE_III):
+        L = as_matrix(d, np.eye(d.n)).real  # Z = sum_a z^a L_a
+        p, q = L.shape[1:]
+        sets = itertools.combinations
+        form = []
+        for k in range(d.rank + 1):
+            if d.kind == TYPE_II:
+                polys = [_matchings(I) for I in sets(range(p), 2 * k)]
+            else:
+                polys = [_leibniz(I, J) for I in sets(range(p), k)
+                         for J in sets(range(q), k)]
+            form.append(((-1.0) ** k, np.array([_derivative(L, terms)
+                                                for terms in polys])))
+    else:
+        raise UnsupportedDomainError(f"{d.label} has no norm form")
+    for _, D in form:
+        D.setflags(write=False)
+    return tuple(form)
+
+
+def _leibniz(rows, cols):
+    """det Z[rows, cols] as (sign, cells) terms, along its first row."""
+    if not rows:
+        return [(1, ())]
+    return [((-1) ** t * sign, ((rows[0], cols[t]),) + cells)
+            for t in range(len(cols))
+            for sign, cells in _leibniz(rows[1:], cols[:t] + cols[t + 1:])]
+
+
+def _matchings(idx):
+    """Pf Z[idx, idx] as (sign, cells) terms, along its first row."""
+    if not idx:
+        return [(1, ())]
+    return [((-1) ** (t - 1) * sign, ((idx[0], idx[t]),) + cells)
+            for t in range(1, len(idx))
+            for sign, cells in _matchings(idx[1:t] + idx[t + 1:])]
+
+
+def _derivative(L, terms):
+    """The constant k-th derivative tensor of sum sign * prod of the k
+    cells of Z = sum_a z^a L_a: each term's k! orderings of its cells."""
+    k = len(terms[0][1])
+    D = np.zeros((len(L),) * k)
+    for sign, cells in terms:
+        for order in itertools.permutations(cells):
+            D += sign * functools.reduce(np.multiply.outer,
+                                         [L[:, i, j] for i, j in order],
+                                         np.ones(()))
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +421,8 @@ def bergman_potential(d: DomainModel) -> PotentialField:
         parts = [
             (1.0, RadialBlock((a,), LogProfile(d.c))) for a in range(d.n)
         ]
-    elif d.kind in (TYPE_I, TYPE_II, TYPE_III):
-        p, q, lifts = _matrix_lifts(d)
-        kappa = d.c * NORM_EXPONENTS[d.kind]
-        parts = [(1.0, MatrixLogDetPart(p, q, kappa, lifts))]
-    elif d.kind == TYPE_IV:
-        kappa = d.c * NORM_EXPONENTS[d.kind]
-        parts = [(1.0, LogOfInnerPart(TypeIVNorm(), kappa))]
+    elif d.kind in (TYPE_I, TYPE_II, TYPE_III, TYPE_IV):
+        parts = [(1.0, HermitianNormPart(norm_form(d), d.c))]
     elif d.kind == PRODUCT:
         parts = []
         off = 0

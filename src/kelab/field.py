@@ -12,25 +12,26 @@ bidegrees that vanish identically; the potential is real, so the (l, m)
 tensors are the conjugates.  The parts implemented here cover every
 potential the package constructs:
 
-* ``RadialBlock``      -- f(s) with s = sum of |z^a|^2 over a coordinate set
-                          (unit-ball logs, flat quadratics, per-factor disks)
-* ``LinearLog``        -- 2 log|c0 + c.z| for a holomorphic affine form
-                          (the pluriharmonic rescaling term)
-* ``MatrixLogDetPart`` -- -kappa log det(I - Z Z*) on matrix balls, with a
-                          linear parametrization for symmetry-constrained Z
-                          (traces of matrix words, closed form to order 4)
-* ``LogOfInnerPart``   -- -kappa log w(z) for an inner function with a known
-                          finite jet (the type-IV generic norm)
+* ``RadialBlock``       -- f(s) with s = sum of |z^a|^2 over a coordinate set
+                           (unit-ball logs, flat quadratics, per-factor disks)
+* ``LinearLog``         -- 2 log|c0 + c.z| for a holomorphic affine form
+                           (the pluriharmonic rescaling term)
+* ``HermitianNormPart`` -- -kappa log N for a signed Hermitian form
+                           N = sum_j w_j |h_j(z)|^2 in holomorphic polynomials
+                           (the type I-IV generic norms)
 
-``RadialBlock`` and ``LogOfInnerPart`` are a profile composed with an inner
-function whose jet is finite; one tensor chain rule (Faa di Bruno over the
-set partitions of the derivative slots, at most 15 at order 4) serves
-both.
+A log part, ``RadialBlock``'s log profile or ``HermitianNormPart``, takes
+the log of a positive function N whose jet is finite; one recursion,
+``_log_jet``, serves both: differentiating N dF = dN gives each tensor of
+F = log N from N's tensors and lower ones of F, at most 7 products per
+bidegree of order 4.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +47,6 @@ def _check(ok, Z, what, values):
     if not ok.all():
         i = np.flatnonzero(~ok)[0]
         raise EvaluationError(f"{what} {values[i]} at z={Z[i]!r}")
-
-
-def _log_derivs(u, order, scale):
-    """scale * d^k/du^k log u for k = 0..order."""
-    return [scale * np.log(u)] + [
-        scale * (-1.0) ** (k - 1) * _FACT[k - 1] / u ** k
-        for k in range(1, order + 1)
-    ]
 
 
 def _mirror(t, m, l):
@@ -97,58 +90,66 @@ def _sorted_index(n, m, l):
 
 
 # ---------------------------------------------------------------------------
-# the tensor chain rule
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
+# the log-jet recursion
 
 @functools.lru_cache(maxsize=None)
-def _chain_terms(m, l, n):
-    """Faa di Bruno terms of bidegree (m, l) on C^n: per set partition of
-    the slots (holomorphic 0..m-1, then antiholomorphic; each block comes
-    sorted), the number of blocks and, per block, its bidegree and the
-    shape that broadcasts its tensor onto its slots."""
-    return tuple(
-        (len(part), tuple(
-            ((sum(i < m for i in b), sum(i >= m for i in b)),
-             (-1,) + tuple(n if i in b else 1 for i in range(m + l)))
-            for b in part))
-        for part in _set_partitions(list(range(m + l)))
-    )
+def _log_terms(m, l, n):
+    """The terms of ``_log_jet`` at bidegree (m, l) on C^n: per nonempty
+    subset B of the slots after the first (holomorphic 0..m-1, then
+    antiholomorphic), the bidegrees of B and of the slots left, and the
+    shapes that broadcast their tensors onto their slots."""
+    terms = []
+    for size in range(1, m + l):
+        for B in itertools.combinations(range(1, m + l), size):
+            b = (sum(i < m for i in B), sum(i >= m for i in B))
+            terms.append((b, (m - b[0], l - b[1]),
+                          (-1,) + tuple(n if i in B else 1
+                                        for i in range(m + l)),
+                          (-1,) + tuple(1 if i in B else n
+                                        for i in range(m + l))))
+    return tuple(terms)
 
 
-def _compose(dg, inner, order, n):
-    """Jet (m >= l half) of g(w(z)) from dg[k] = g^(k)(w) and the jet of w.
+def _either(jet, key):
+    """jet[key], or for l > m the mirror of jet[(l, m)], which is then
+    kept in ``jet``; None where both are absent."""
+    if key not in jet:
+        m, l = key
+        if m >= l or (l, m) not in jet:
+            return None
+        jet[key] = _mirror(jet[(l, m)], l, m)
+    return jet[key]
 
-    ``inner`` maps bidegrees of both halves to w's tensors (leading axis N
-    or 1), absent ones vanishing; ``dg[k]`` is None where g^(k) vanishes.
+
+def _log_jet(inner, order, n, scale):
+    """Jet (m >= l half) of scale * log N from the jet of a positive N.
+
+    ``inner`` maps bidegrees to N's tensors (leading axis N or 1); absent
+    ones vanish, and an (l, m) one with l > m may be left to the mirror of
+    its (m, l) one.  With s0 the first holomorphic slot of a slot set S,
+    differentiating N d_s0 F = d_s0 N over the other slots of S gives
+
+        N F_S = N_S - sum over nonempty B in S - {s0} of N_B F_(S - B),
+
+    so each bidegree of order k takes 2^(k-1) - 1 products of tensors
+    already known: 7 at order 4.
     """
-    out = {(0, 0): dg[0]}
+    N0 = inner[(0, 0)]
+    inner = dict(inner)
+    out = {(0, 0): scale * np.log(N0)}
     for m, l in bidegrees(order):
         if m < l or m + l == 0:
             continue
-        total = None
-        for k, blocks in _chain_terms(m, l, n):
-            if dg[k] is None:
+        total = scale * inner[(m, l)] if (m, l) in inner else None
+        for b, rest, b_shape, rest_shape in _log_terms(m, l, n):
+            nb, f = _either(inner, b), _either(out, rest)
+            if nb is None or f is None:
                 continue
-            term = dg[k].reshape((-1,) + (1,) * (m + l))
-            for kind, shape in blocks:
-                if kind not in inner:
-                    break
-                term = term * inner[kind].reshape(shape)
-            else:
-                total = term if total is None else total + term
+            term = nb.reshape(b_shape) * f.reshape(rest_shape)
+            total = -term if total is None else total - term
         if total is not None:
-            out[(m, l)] = total
-    return out
+            out[(m, l)] = total / N0.reshape((-1,) + (1,) * (m + l))
+    return {key: t for key, t in out.items() if key[0] >= key[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +162,14 @@ class LogProfile:
         self.amplitude = float(amplitude)
         self.offset = float(offset)
 
-    def derivs(self, s, order, Z):
+    def jet(self, s, ds, order, Z):
+        """The jet of f(s) from s and the jet ``ds`` of s."""
         _check(s < 1.0, Z, "log profile evaluated at s >= 1: s =", s)
-        return [-self.amplitude * np.log1p(-s) + self.offset] + [
-            self.amplitude * _FACT[k - 1] / (1.0 - s) ** k
-            for k in range(1, order + 1)
-        ]
+        u = {key: -t for key, t in ds.items()}
+        u[(0, 0)] = 1.0 - s
+        out = _log_jet(u, order, Z.shape[1], -self.amplitude)
+        out[(0, 0)] = -self.amplitude * np.log1p(-s) + self.offset
+        return out
 
 
 class LinearProfile:
@@ -175,8 +178,13 @@ class LinearProfile:
     def __init__(self, slope: float = 1.0):
         self.slope = float(slope)
 
-    def derivs(self, s, order, Z):
-        return [self.slope * s, np.full_like(s, self.slope)] + [None] * 3
+    def jet(self, s, ds, order, Z):
+        """s's own jet, scaled; its constant (1, 1) tensor gets N rows."""
+        delta = ds[(1, 1)]
+        out = {(0, 0): s, (1, 0): ds[(1, 0)],
+               (1, 1): np.broadcast_to(delta, (len(s),) + delta.shape[1:])}
+        return {key: self.slope * t for key, t in out.items()
+                if sum(key) <= order}
 
 
 class RadialBlock:
@@ -194,11 +202,8 @@ class RadialBlock:
         mask, delta = _block_mask(self.indices, Z.shape[1])
         u = Z * mask
         s = (np.abs(u) ** 2).sum(axis=1)
-        dg = self.profile.derivs(s, order, Z)
-        if order == 0:
-            return {(0, 0): dg[0]}
-        inner = {(1, 0): np.conj(u), (0, 1): u, (1, 1): delta}
-        return _compose(dg, inner, order, Z.shape[1])
+        ds = {(1, 0): np.conj(u), (0, 1): u, (1, 1): delta}
+        return self.profile.jet(s, ds, order, Z)
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,136 +247,77 @@ class LinearLog:
         return out
 
 
-class MatrixLogDetPart:
-    """-kappa log det(I_p - Z Z*) with Z = sum_a z^a L_a linear.
+# ---------------------------------------------------------------------------
+# signed Hermitian forms
 
-    ``lifts[a]`` lists (i, j, weight) triples: L_a = sum weight * E_ij.
-    With A = (I - Z Z*)^-1, P = Z* A and Q = I + P Z, the letters
+class HermitianNormPart:
+    """-kappa log N for the signed Hermitian form N = sum_j w_j |h_j(z)|^2.
 
-        X_a = L_a P,    G_ad = L_a Q L_d* A,    R_d = Z L_d* A
+    ``form`` holds, for each degree k = 0..r, the weight w_k of its
+    homogeneous polynomials h_j and their constant k-th derivatives
+    D_k[j] = d^k h_j, shape (J_k,) + (n,)*k, so h_j = D_k[j].z^k / k!
+    (``domains.norm_form``).  The h_j are holomorphic, so N's jet is
+    N_(m,l) = sum_j w_j d^m h_j (x) conj(d^l h_j), one batched product per
+    bidegree, and ``_log_jet`` takes its log.
 
-    differentiate as d_c X_a = X_a X_c, dbar_d X_a = G_ad,
-    d_c G_ad = X_a G_cd + G_ad X_c and dbar_e G_ad = G_ae R_d + G_ad R_e,
-    so every derivative is kappa times a sum of traces of words:
-
-        d_a            =  tr X_a
-        d_a dbar_d     =  tr G_ad
-        d_a d_b        =  tr(X_a X_b)
-        d_a d_c dbar_d =  tr(X_a G_cd) + tr(G_ad X_c)
-        d_a d_b d_c    =  tr(X_a X_c X_b) + tr(X_a X_b X_c)
-        d_a d_b d_c d_e        =  sum over the orderings s of (b, c, e)
-                                  of tr(X_a X_s1 X_s2 X_s3)
-        d_a d_b d_c dbar_d     =  dbar_d of the two (3, 0) words, each X
-                                  in turn replaced by its G (6 terms)
-        d_a d_c dbar_d dbar_e  =  tr((G_ae R_d + G_ad R_e) X_c + G_ad G_ce
-                                     + G_ae G_cd + X_a (G_ce R_d + G_cd R_e))
-
-    plus conjugates; exact to order 4.
+    Membership needs no gauge.  With P_k the sum of |h_j|^2 over degree
+    k, q(s) = N(sqrt(s) z, sqrt(s) zbar) = sum_k w_k P_k s^k is
+    prod_i (1 - s sigma_i^2) for the spectral values sigma_i of z, with
+    real roots; so z is inside exactly when q(1 - v) has a positive
+    constant term and no negative coefficient.
     """
 
-    def __init__(self, p, q, kappa, lifts):
-        self.p = int(p)
-        self.q = int(q)
+    def __init__(self, form, kappa):
+        self.form = form
         self.kappa = float(kappa)
-        self.L = np.zeros((len(lifts), self.p, self.q), dtype=complex)
-        for a, lift in enumerate(lifts):
-            for i, j, w in lift:
-                self.L[a, i, j] += w
+        r = len(form) - 1
+        # q(1 - v) = sum_m v^m sum_k (-1)^m binom(k, m) w_k P_k
+        self.taylor = np.array([[(-1) ** m * math.comb(k, m) * w
+                                 for k, (w, _) in enumerate(form)]
+                                for m in range(r + 1)])
+        self.weights = np.concatenate([np.full(len(D), w) for w, D in form])
+        self.start = np.cumsum([0] + [len(D) for _, D in form])
+
+    def _derivatives(self, Z, order):
+        """H[m] = d^m h of the degrees k >= m, stacked, (N, J_(k>=m), n^m)
+        for m <= order, and the coefficients of q(1 - v), (N, r + 1),
+        after checking them."""
+        N, n = Z.shape
+        # contraction i takes z / i, so after i of them t = D.z^i / i!
+        steps = [Z[:, :, None] / i for i in range(1, len(self.form))]
+        dh = [[] for _ in range(min(order, len(self.form) - 1) + 1)]
+        for k, (_, D) in enumerate(self.form):
+            t = D.reshape(1, len(D), -1).repeat(N, axis=0)
+            for i in range(k + 1):
+                if i:
+                    # row by row, so a stacked point gets its lone bits
+                    t = t.reshape(N, -1, n) @ steps[i - 1]
+                if k - i < len(dh):
+                    dh[k - i].append(t.reshape(N, len(D), -1))
+        H = [np.concatenate(hs, axis=1) for hs in dh]
+        P = np.add.reduceat(H[0].real[..., 0] ** 2 + H[0].imag[..., 0] ** 2,
+                            self.start[:-1], axis=1)
+        coeffs = (P[:, None, :] * self.taylor).sum(axis=2)
+        _check((coeffs[:, 0] > 0) & (coeffs[:, 1:] >= 0).all(axis=1), Z,
+               "outside the domain: q(1 - v) has coefficients", coeffs)
+        return H, coeffs
+
+    def norm(self, Z):
+        """N at each row of an (N, n) stack inside the domain."""
+        return self._derivatives(Z, 0)[1][:, 0]
 
     def jet(self, Z, order):
-        k, L = self.kappa, self.L
-        Zm = (Z @ L.reshape(len(L), -1)).reshape(len(Z), self.p, self.q)
-        Zh = np.conj(Zm.transpose(0, 2, 1))
-        M = np.eye(self.p) - Zm @ Zh
-        eigs = np.linalg.eigvalsh(M)
-        # the domain is I - Z Z* > 0; det > 0 alone admits points far outside
-        _check(eigs[:, 0] > 0, Z, "I - Z Z* not positive: min eigenvalue",
-               eigs[:, 0])
-        out = {(0, 0): -k * np.log(eigs).sum(axis=1)}
-        if order == 0:
-            return out
-        A = np.linalg.inv(M)
-        P = Zh @ A
-        LP = L @ P[:, None]
-        out[(1, 0)] = k * np.trace(LP, axis1=2, axis2=3)
-        if order >= 2:
-            IQ = np.eye(self.q) + P @ Zm
-            LhA = np.conj(L.transpose(0, 2, 1)) @ A[:, None]
-            G = np.einsum("Naij,Nbjk->Nabik", L @ IQ[:, None], LhA)
-            out[(1, 1)] = k * np.einsum("Nabii->Nab", G)
-            out[(2, 0)] = k * np.einsum("Naik,Nbki->Nab", LP, LP)
-        if order >= 3:
-            out[(2, 1)] = k * (np.einsum("Naik,Ncbki->Nacb", LP, G)
-                               + np.einsum("Nabik,Ncki->Nacb", G, LP))
-            LPLP = np.einsum("Naik,Nbkj->Nabij", LP, LP)
-            out[(3, 0)] = k * (np.einsum("Nacij,Nbji->Nabc", LPLP, LP)
-                               + np.einsum("Nabij,Ncji->Nabc", LPLP, LP))
-        if order >= 4:
-            out.update(_matrix_order_four(k, LP, LPLP, G, Zm[:, None] @ LhA))
-        return out
-
-
-def _matrix_order_four(k, X, XX, G, R):
-    """The (4, 0), (3, 1) and (2, 2) tensors of ``MatrixLogDetPart``.
-
-    X[N, a] = X_a, XX[N, a, b] = X_a X_b, G[N, a, d] = G_ad and
-    R[N, d] = R_d.  A trace of four letters is the trace of a product of
-    two two-letter words; each tensor sums such traces over index orders.
-    """
-    def orders(t, labels, out):
-        return k * sum(np.einsum(f"N{s}->N{out}", t) for s in labels)
-
-    W = np.einsum("Nabij,Nceji->Nabce", XX, XX)  # tr(X_a X_b X_c X_e)
-    V = np.einsum("Ngdij,Nxyji->Ngdxy", G, XX)   # tr(G_gd X_x X_y)
-    V = V + np.einsum("Ngdyx->Ngdxy", V)
-    U = np.einsum("Naeij,Ndcji->Naedc", G,       # tr(G_ae R_d X_c)
-                  np.einsum("Ndij,Ncjk->Ndcik", R, X))
-    Y = np.einsum("Nadij,Nceji->Nadce", G, G)    # tr(G_ad G_ce)
-    return {
-        (4, 0): orders(W, ("abce", "abec", "acbe", "aceb", "aebc", "aecb"),
-                       "abce"),
-        (3, 1): orders(V, ("adbc", "bdac", "cdab"), "abcd"),
-        (2, 2): orders(U, ("aedc", "adec", "ceda", "cdea"), "acde")
-                + orders(Y, ("adce", "aecd"), "acde"),
-    }
-
-
-class TypeIVNorm:
-    """The degree-(2,2) polynomial 1 - 2 z.zbar + |z.z|^2 and its jet.
-
-    ``jet`` gives every bidegree of both halves; those above (2, 2) vanish.
-    """
-
-    def jet(self, Z):
-        zb = np.conj(Z)
-        ub = np.conj(np.sum(Z * Z, axis=1))
-        eye = np.eye(Z.shape[1])[None]
-        out = {
-            (0, 0): 1.0 - 2.0 * np.sum(np.abs(Z) ** 2, axis=1) + np.abs(ub) ** 2,
-            (1, 0): -2.0 * zb + 2.0 * Z * ub[:, None],
-            (1, 1): -2.0 * eye + 4.0 * Z[:, :, None] * zb[:, None, :],
-            (2, 0): 2.0 * eye * ub[:, None, None],
-            (2, 1): 4.0 * eye[..., None] * zb[:, None, None, :],
-            (2, 2): 4.0 * eye[:, :, :, None, None] * eye[:, None, None, :, :],
-        }
-        for m, l in ((1, 0), (2, 0), (2, 1)):
-            out[(l, m)] = _mirror(out[(m, l)], m, l)
-        return out
-
-
-class LogOfInnerPart:
-    """-kappa log w(z) for an inner function with a known finite jet."""
-
-    def __init__(self, inner, kappa):
-        self.inner = inner
-        self.kappa = float(kappa)
-
-    def jet(self, Z, order):
-        inner = self.inner.jet(Z)
-        w = np.real(inner[(0, 0)])
-        _check(w > 0, Z, "inner norm not positive:", w)
-        return _compose(_log_derivs(w, order, -self.kappa), inner, order,
-                        Z.shape[1])
+        N, n = Z.shape
+        H, coeffs = self._derivatives(Z, order)
+        inner = {(0, 0): coeffs[:, 0]}
+        conj = [np.conj(h) for h in H[:order // 2 + 1]]  # l <= order - m
+        for m in range(1, len(H)):
+            first = self.start[m]
+            A = (H[m] * self.weights[first:, None]).swapaxes(1, 2)
+            for l in range(min(m, order - m) + 1):
+                B = conj[l][:, first - self.start[l]:]
+                inner[(m, l)] = (A @ B).reshape((N,) + (n,) * (m + l))
+        return _log_jet(inner, order, n, -self.kappa)
 
 
 # ---------------------------------------------------------------------------

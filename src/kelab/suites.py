@@ -30,7 +30,6 @@ from .domains import (
     BALL,
     DomainModel,
     EXCEPTIONAL_INVARIANTS,
-    NORM_EXPONENTS,
     as_integer,
     ball,
     bergman_potential,
@@ -264,8 +263,7 @@ def _einstein(cfg):
         rows += [{"domain": d.label, "point": point,
                   "residuals": {"einstein": r}}
                  for point, r in zip(_points_json(zs), residuals)]
-    params = {"shrink": cfg["shrink"], "ricci_constant": 1.0,
-              "norm_exponents": NORM_EXPONENTS}
+    params = {"shrink": cfg["shrink"], "ricci_constant": 1.0}
     return [d.to_json() for d in models], params, rows
 
 
@@ -570,8 +568,7 @@ def _table1(cfg):
                    for n in (1, 2, 3, 5))
     rows.append({"kind": "ball(n) = type1(1,n)",
                  "residuals": {"mismatch": 0.0 if coincide else 1.0}})
-    params = {"ball_is_type1_1n": bool(coincide),
-              "norm_exponents": NORM_EXPONENTS}
+    params = {"ball_is_type1_1n": bool(coincide)}
     return None, params, rows
 
 

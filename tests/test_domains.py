@@ -1,5 +1,7 @@
 """Domain catalog: invariants, norms, membership, Cayley transform."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,42 @@ def test_generic_norm_examples():
     # type IV with |z|^2 = 0.25 and |z.z| = 0.25
     z = np.array([0.5, 0.0, 0.0], dtype=complex)
     assert generic_norm(type_iv(3), z) == pytest.approx(0.5625, abs=1e-15)
+
+
+def _form_value(form, z):
+    """sum_k w_k sum_j |D_k[j].z^k / k!|^2, contracting one axis at a time."""
+    total = 0.0
+    for k, (w, D) in enumerate(form):
+        h = D
+        for _ in range(k):
+            h = h @ z
+        total += w * np.sum(np.abs(h / math.factorial(k)) ** 2)
+    return total
+
+
+def _generic_norm_oracle(d, z):
+    """det(I - Z Z*), its square root for type II, and type IV's
+    1 - 2|z|^2 + |z.z|^2."""
+    if d.kind == "type4":
+        return 1.0 - 2.0 * np.sum(np.abs(z) ** 2) + abs(np.sum(z * z)) ** 2
+    Z = domains.as_matrix(d, z)
+    det = np.linalg.det(np.eye(len(Z)) - Z @ Z.conj().T).real
+    return math.sqrt(det) if d.kind == "type2" else det
+
+
+@pytest.mark.parametrize("d", [
+    type_i(2, 2), type_i(2, 3), type_i(3, 3), type_ii(4), type_ii(5),
+    type_ii(6), type_iii(2), type_iii(3), type_iv(3), type_iv(5),
+], ids=lambda d: d.label)
+def test_norm_form_is_the_generic_norm(d):
+    """The form's value, and ``generic_norm``, against the determinant
+    oracle at seeded interior points (1e-13 relative)."""
+    form = domains.norm_form(d)
+    assert len(form) == d.rank + 1
+    for z in sample_interior(d, np.random.default_rng(21), 10, shrink=0.9):
+        expected = _generic_norm_oracle(d, z)
+        assert abs(_form_value(form, z) - expected) <= 1e-13 * expected
+        assert abs(generic_norm(d, z) - expected) <= 1e-13 * expected
 
 
 @pytest.mark.parametrize("d", [

@@ -376,7 +376,8 @@ def test_stacked_residuals_match_per_point():
 @pytest.mark.parametrize("d, outside", [
     (domains.ball(1), [1.2 + 0j]),
     (domains.type_i(2, 2), [1.5, 0.0, 0.0, 1.5j]),
-], ids=["ball(1)", "type1(2,2)"])
+    (domains.type_iv(3), [2.0, 0.0, 0.0]),
+], ids=["ball(1)", "type1(2,2)", "type4(3)"])
 def test_closed_form_path_fails_closed(d, outside):
     """A point outside the domain raises, alone or inside a stack."""
     from kelab.errors import EvaluationError

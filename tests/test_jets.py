@@ -269,10 +269,11 @@ def test_fd_only_potential_falls_back():
 
 
 @pytest.mark.parametrize("d", [domains.type_i(2, 3), domains.type_ii(5),
-                               domains.type_iii(3)], ids=lambda d: d.label)
-def test_matrix_order_four_matches_oracle(d):
-    """The order-4 trace formulas of ``MatrixLogDetPart`` against fd_jet
-    (1e-3, as the other orders 3-4 at moderate interior points)."""
+                               domains.type_iii(3), domains.type_iv(5)],
+                         ids=lambda d: d.label)
+def test_norm_form_part_order_four_matches_fd_jet(d):
+    """The order-4 jet of ``HermitianNormPart`` over ``norm_form`` against
+    fd_jet (1e-3, as the other orders 3-4 at moderate interior points)."""
     p = domains.bergman_potential(d)
     z = sample_interior(d, np.random.default_rng(13), 1, shrink=0.55)[0]
     ja, jf = p.analytic_jet(z, 4), fd_jet(p, z, 4)

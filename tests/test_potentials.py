@@ -161,12 +161,13 @@ def _fd_copy(p):
     lambda: domains.ke_potential(domains.ball(2), 3.0),
     lambda: domains.bergman_potential(domains.polydisc(3)),
     lambda: domains.bergman_potential(domains.type_i(2, 2)),
+    lambda: domains.bergman_potential(domains.type_i(3, 3)),
     lambda: domains.bergman_potential(domains.type_ii(5)),
     lambda: domains.bergman_potential(domains.type_iii(2)),
     lambda: domains.bergman_potential(domains.type_iv(3)),
     lambda: _fd_copy(potentials.rescaled_ball_potential(2, 3.0)),
 ], ids=["rescaled-ball2", "rescaled-ball3", "ke-ball2", "polydisc3",
-        "type1-2-2", "type2-5", "type3-2", "type4-3", "fd-rescaled-ball2"])
+        "type1-2-2", "type1-3-3", "type2-5", "type3-2", "type4-3", "fd-rescaled-ball2"])
 def test_certificate_equals_one_frame_per_point(make):
     """The stacked certificate reproduces the per-point loop bit for bit."""
     p = make()
