@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BracketingError, DegenerateMetricError, ResolutionError
 from .domains import ball
-from .field import LogProfile, PotentialField, RadialBlock
+from .field import BallLog, PotentialField
 
 BLOWUP_THRESHOLD = 1e8
 _SERIES_START = 2e-3     # switch from the t ~ 0 series to RK4
@@ -108,7 +108,7 @@ def closed_form_field(n: int, K: float) -> PotentialField:
     return PotentialField(
         domain=ball(n),
         ricci_constant=K,
-        parts=[(1.0, RadialBlock(range(n), LogProfile(A, offset=B)))],
+        parts=[(1.0, BallLog(A, offset=B))],
         label=f"radial-closed-form[n={n},K={K:g}]",
     )
 

@@ -18,12 +18,13 @@ are parametrized by their independent entries (type II strictly upper
 triangular, type III upper triangular).  Generic norms are normalized to 1
 at the origin and vanish on the boundary, and K ~ N^(-c) with the kind's
 c; the Einstein suite validates each pairing numerically (Ricci of
-dd^c log K equals -1).  The norm of type I-IV is one signed Hermitian form
-in holomorphic polynomials of degree at most the rank (``norm_form``), and
-its kernel potential is one ``field.HermitianNormPart``; the ball and the
-polydisc keep their radial parts.  Membership is one Minkowski gauge,
-``gauge`` < 1; the sampler uses the same gauge.  Both ``gauge`` and
-``DomainModel.contains`` take a point or an (N, n) stack.
+dd^c log K equals -1).  The norm of the polydisc and of type I-IV is one
+signed Hermitian form in holomorphic polynomials of degree at most the
+rank (``norm_form``), and its kernel potential is one
+``field.HermitianNormPart``; the ball keeps its own ``field.BallLog``.
+Membership is one Minkowski gauge, ``gauge`` < 1; the sampler uses the
+same gauge.  Both ``gauge`` and ``DomainModel.contains`` take a point or
+an (N, n) stack.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     UnsupportedDomainError,
     UnsupportedPointError,
 )
-from .field import HermitianNormPart, LogProfile, PotentialField, RadialBlock
+from .field import BallLog, HermitianNormPart, PotentialField
 from .jets import as_point, as_points
 
 BALL = "ball"
@@ -220,6 +221,9 @@ def as_integer(value, name: str = "value") -> int:
 
 def _matrix_lifts(d: DomainModel):
     """Per-coordinate (i, j, weight) lifts into the full matrix space."""
+    if d.kind == POLYDISC:
+        r = d.params[0]
+        return r, r, tuple(((a, a, 1.0),) for a in range(r))
     if d.kind == TYPE_I:
         p, q = d.params
         return p, q, tuple(
@@ -317,15 +321,13 @@ def _blocks(d: DomainModel, z: np.ndarray):
 def generic_norm(d: DomainModel, z) -> float:
     """The boundary-vanishing polynomial norm N with K = const * N^(-c).
 
-    N(0) = 1.  Types I-IV give the value of their ``norm_form``; a product
-    gives the product of its factors' norms.
+    N(0) = 1.  The polydisc and types I-IV give the value of their
+    ``norm_form``; a product gives the product of its factors' norms.
     """
     z = d.require_member(z)
     if d.kind == BALL:
         return 1.0 - float(np.sum(np.abs(z) ** 2))
-    if d.kind == POLYDISC:
-        return float(np.prod(1.0 - np.abs(z) ** 2))
-    if d.kind in (TYPE_I, TYPE_II, TYPE_III, TYPE_IV):
+    if d.kind in (POLYDISC, TYPE_I, TYPE_II, TYPE_III, TYPE_IV):
         return float(HermitianNormPart(norm_form(d), d.c).norm(z[None])[0])
     if d.kind == PRODUCT:
         return math.prod(generic_norm(f, block) for f, block in _blocks(d, z))
@@ -334,7 +336,8 @@ def generic_norm(d: DomainModel, z) -> float:
 
 @functools.lru_cache(maxsize=None)
 def norm_form(d: DomainModel) -> tuple:
-    """The generic norm of type I-IV as a signed Hermitian form.
+    """The generic norm of the polydisc or of type I-IV as a signed
+    Hermitian form.
 
     N(z, zbar) = sum_k w_k sum_j |h_j(z)|^2 over holomorphic polynomials
     h_j homogeneous of degree k = 0..rank (Loos, *Bounded Symmetric
@@ -343,6 +346,9 @@ def norm_form(d: DomainModel) -> tuple:
 
     * types I and III: the k x k minors of Z, w_k = (-1)^k (Cauchy-Binet
       on det(I - Z Z*));
+    * the polydisc: the same on Z = diag(z), whose nonzero minors are the
+      principal ones, the monomials z_S over k-sets S, so
+      N = prod_a (1 - |z^a|^2);
     * type II: the Pfaffians of the 2k x 2k principal blocks of Z,
       w_k = (-1)^k, which sum to det(I - Z Z*)^(1/2);
     * type IV: 1, the coordinates z^a and z.z, with w = (1, -2, 1).
@@ -354,7 +360,7 @@ def norm_form(d: DomainModel) -> tuple:
     if d.kind == TYPE_IV:
         eye = np.eye(d.n)
         form = ((1.0, np.ones(1)), (-2.0, eye), (1.0, 2.0 * eye[None]))
-    elif d.kind in (TYPE_I, TYPE_II, TYPE_III):
+    elif d.kind in (POLYDISC, TYPE_I, TYPE_II, TYPE_III):
         L = as_matrix(d, np.eye(d.n)).real  # Z = sum_a z^a L_a
         p, q = L.shape[1:]
         sets = itertools.combinations
@@ -362,6 +368,8 @@ def norm_form(d: DomainModel) -> tuple:
         for k in range(d.rank + 1):
             if d.kind == TYPE_II:
                 polys = [_matchings(I) for I in sets(range(p), 2 * k)]
+            elif d.kind == POLYDISC:
+                polys = [_leibniz(I, I) for I in sets(range(p), k)]
             else:
                 polys = [_leibniz(I, J) for I in sets(range(p), k)
                          for J in sets(range(q), k)]
@@ -416,22 +424,11 @@ def bergman_potential(d: DomainModel) -> PotentialField:
     formula above.
     """
     if d.kind == BALL:
-        parts = [(1.0, RadialBlock(range(d.n), LogProfile(d.c)))]
-    elif d.kind == POLYDISC:
-        parts = [
-            (1.0, RadialBlock((a,), LogProfile(d.c))) for a in range(d.n)
-        ]
-    elif d.kind in (TYPE_I, TYPE_II, TYPE_III, TYPE_IV):
+        parts = [(1.0, BallLog(d.c))]
+    elif d.kind in (POLYDISC, TYPE_I, TYPE_II, TYPE_III, TYPE_IV):
         parts = [(1.0, HermitianNormPart(norm_form(d), d.c))]
     elif d.kind == PRODUCT:
-        parts = []
-        off = 0
-        for f in d.factors:
-            sub = bergman_potential(f)
-            parts.extend(
-                (c, _OffsetPart(part, off, f.n)) for c, part in sub.parts
-            )
-            off += f.n
+        parts = product_parts([bergman_potential(f) for f in d.factors])
     else:
         raise UnsupportedDomainError(f"no kernel potential for {d.kind!r}")
     return PotentialField(
@@ -448,6 +445,18 @@ def ke_potential(d: DomainModel, K: float) -> PotentialField:
         raise ValueError("Ricci constant must be positive")
     p = bergman_potential(d).scaled(1.0 / K, label=f"ke[{d.label},K={K:g}]")
     return p
+
+
+def product_parts(potentials) -> list:
+    """The parts of pi_1^* phi_1 + pi_2^* phi_2 + ... on the product of
+    the potentials' domains: each one's parts re-indexed into its
+    consecutive coordinate block."""
+    parts, off = [], 0
+    for p in potentials:
+        width = p.domain.n
+        parts += [(c, _OffsetPart(part, off, width)) for c, part in p.parts]
+        off += width
+    return parts
 
 
 class _OffsetPart:

@@ -12,19 +12,20 @@ bidegrees that vanish identically; the potential is real, so the (l, m)
 tensors are the conjugates.  The parts implemented here cover every
 potential the package constructs:
 
-* ``RadialBlock``       -- f(s) with s = sum of |z^a|^2 over a coordinate set
-                           (unit-ball logs, flat quadratics, per-factor disks)
+* ``BallLog``           -- -A log(1 - |z|^2) + offset on the unit ball
+                           (the ball kernel and its Einstein rescalings)
+* ``SquaredNorm``       -- |z|^2 (the flat test quadratic)
 * ``LinearLog``         -- 2 log|c0 + c.z| for a holomorphic affine form
                            (the pluriharmonic rescaling term)
 * ``HermitianNormPart`` -- -kappa log N for a signed Hermitian form
                            N = sum_j w_j |h_j(z)|^2 in holomorphic polynomials
-                           (the type I-IV generic norms)
+                           (the polydisc and type I-IV generic norms)
 
-A log part, ``RadialBlock``'s log profile or ``HermitianNormPart``, takes
-the log of a positive function N whose jet is finite; one recursion,
-``_log_jet``, serves both: differentiating N dF = dN gives each tensor of
-F = log N from N's tensors and lower ones of F, at most 7 products per
-bidegree of order 4.
+A log part, ``BallLog`` or ``HermitianNormPart``, takes the log of a
+positive function N whose jet is finite; one recursion, ``_log_jet``,
+serves both: differentiating N dF = dN gives each tensor of F = log N
+from N's tensors and lower ones of F, at most 7 products per bidegree of
+order 4.  The ball is the rank-1 form too, but its own part is cheaper.
 """
 
 from __future__ import annotations
@@ -153,65 +154,43 @@ def _log_jet(inner, order, n, scale):
 
 
 # ---------------------------------------------------------------------------
-# radial profiles
+# the unit ball's log and the flat quadratic
 
-class LogProfile:
-    """f(s) = -A log(1 - s) + offset, the model-domain log profile."""
+class BallLog:
+    """-A log(1 - |z|^2) + offset on the unit ball, the ball kernel's log.
+
+    1 - |z|^2 has first derivatives -zbar_a / -z_b and the constant mixed
+    second derivative -delta_ab, and ``_log_jet`` takes its log.
+    """
 
     def __init__(self, amplitude: float, offset: float = 0.0):
         self.amplitude = float(amplitude)
         self.offset = float(offset)
 
-    def jet(self, s, ds, order, Z):
-        """The jet of f(s) from s and the jet ``ds`` of s."""
-        _check(s < 1.0, Z, "log profile evaluated at s >= 1: s =", s)
-        u = {key: -t for key, t in ds.items()}
-        u[(0, 0)] = 1.0 - s
-        out = _log_jet(u, order, Z.shape[1], -self.amplitude)
+    def jet(self, Z, order):
+        s = (np.abs(Z) ** 2).sum(axis=1)
+        _check(s < 1.0, Z, "ball log evaluated at |z|^2 >= 1: |z|^2 =", s)
+        inner = {(0, 0): 1.0 - s, (1, 0): -np.conj(Z), (0, 1): -Z,
+                 (1, 1): -_eye(Z.shape[1])}
+        out = _log_jet(inner, order, Z.shape[1], -self.amplitude)
         out[(0, 0)] = -self.amplitude * np.log1p(-s) + self.offset
         return out
 
 
-class LinearProfile:
-    """f(s) = slope * s (flat quadratic fixture)."""
-
-    def __init__(self, slope: float = 1.0):
-        self.slope = float(slope)
-
-    def jet(self, s, ds, order, Z):
-        """s's own jet, scaled; its constant (1, 1) tensor gets N rows."""
-        delta = ds[(1, 1)]
-        out = {(0, 0): s, (1, 0): ds[(1, 0)],
-               (1, 1): np.broadcast_to(delta, (len(s),) + delta.shape[1:])}
-        return {key: self.slope * t for key, t in out.items()
-                if sum(key) <= order}
-
-
-class RadialBlock:
-    """f(s) with s = sum_{a in indices} |z^a|^2.
-
-    Within the block s has first derivatives zbar_a / z_b and the constant
-    mixed second derivative delta_ab; indices outside the block see 0.
-    """
-
-    def __init__(self, indices, profile):
-        self.indices = frozenset(indices)
-        self.profile = profile
+class SquaredNorm:
+    """|z|^2, the flat quadratic: its own jet, zbar_a / z_b and delta_ab."""
 
     def jet(self, Z, order):
-        mask, delta = _block_mask(self.indices, Z.shape[1])
-        u = Z * mask
-        s = (np.abs(u) ** 2).sum(axis=1)
-        ds = {(1, 0): np.conj(u), (0, 1): u, (1, 1): delta}
-        return self.profile.jet(s, ds, order, Z)
+        N, n = Z.shape
+        out = {(0, 0): (np.abs(Z) ** 2).sum(axis=1), (1, 0): np.conj(Z),
+               (1, 1): np.broadcast_to(_eye(n), (N, n, n))}
+        return {key: t for key, t in out.items() if sum(key) <= order}
 
 
 @functools.lru_cache(maxsize=None)
-def _block_mask(indices, n):
-    """The 0/1 mask of a coordinate block in C^n and its diagonal matrix."""
-    mask = np.zeros(n)
-    mask[sorted(indices)] = 1.0
-    return mask, np.diag(mask)[None]
+def _eye(n):
+    """The identity of C^n as one (1, n, n) row."""
+    return np.eye(n)[None]
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,19 +25,14 @@ from .domains import (
     bergman_potential,
     ke_potential,
     product,
+    product_parts,
 )
 from .errors import (
     CertificateError,
     NormalizationError,
     UnsupportedDomainError,
 )
-from .field import (
-    LinearLog,
-    LinearProfile,
-    LogProfile,
-    PotentialField,
-    RadialBlock,
-)
+from .field import BallLog, LinearLog, PotentialField, SquaredNorm
 from .jets import as_point
 from .sampling import sample_interior
 
@@ -191,7 +186,7 @@ def rescaled_ball_potential(n: int, K: float,
     # 2 log|1 - <z, q>| with <z, q> = sum z^a conj(q^a)
     coeffs = {a: -np.conj(q[a]) for a in range(n) if q[a] != 0}
     parts = [
-        (scale, RadialBlock(range(n), LogProfile(1.0))),
+        (scale, BallLog(1.0)),
         (scale, LinearLog(1.0, coeffs)),
     ]
     return PotentialField(
@@ -208,24 +203,18 @@ def product_potential(p1: PotentialField, p2: PotentialField) -> PotentialField:
     Requires matching Ricci constants; the product metric is then Einstein
     with the same constant and gradient lengths add pointwise.
     """
-    d1, d2 = p1.domain, p2.domain
     if not np.isclose(p1.ricci_constant, p2.ricci_constant, rtol=0, atol=1e-12):
         raise NormalizationError(
             f"Ricci constants differ: {p1.ricci_constant} vs {p2.ricci_constant}"
         )
-    dom = product(d1, d2)
-    from .domains import _OffsetPart  # shared re-indexing helper
-
     if p1.parts is None or p2.parts is None:
         raise UnsupportedDomainError(
             "product potentials need analytic summands on both factors"
         )
-    parts = [(c, _OffsetPart(part, 0, d1.n)) for c, part in p1.parts]
-    parts += [(c, _OffsetPart(part, d1.n, d2.n)) for c, part in p2.parts]
     return PotentialField(
-        domain=dom,
+        domain=product(p1.domain, p2.domain),
         ricci_constant=p1.ricci_constant,
-        parts=parts,
+        parts=product_parts([p1, p2]),
         label=f"({p1.label}) (+) ({p2.label})",
     )
 
@@ -235,7 +224,7 @@ def quadratic_fixture(n: int) -> PotentialField:
     return PotentialField(
         domain=ball(n),
         ricci_constant=np.nan,
-        parts=[(1.0, RadialBlock(range(n), LinearProfile(1.0)))],
+        parts=[(1.0, SquaredNorm())],
         label=f"flat-quadratic[n={n}]",
     )
 

@@ -38,6 +38,8 @@ def sample_interior(domain: DomainModel, rng, count: int,
     shrink)`` call; if any fails, ``MembershipError`` names the first
     failing point.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     if not 0.0 < shrink <= 1.0:
         raise ValueError("shrink must be in (0, 1]")
     leaves = _leaves(domain)

@@ -184,6 +184,8 @@ _RANGES = {
     "horizon": (lambda v: abs(v) <= vfield.MAX_HORIZON,
                 f"at most {vfield.MAX_HORIZON} in absolute value"),
     "domains": (lambda v: isinstance(v, list), "a list"),
+    "trajectory_csv": (lambda v: isinstance(v, str), "a path string or null"),
+    "solution_csv": (lambda v: isinstance(v, str), "a path string or null"),
 }
 
 

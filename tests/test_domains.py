@@ -29,7 +29,7 @@ from kelab.errors import (
     UnsupportedDomainError,
     UnsupportedPointError,
 )
-from kelab import hermgeo
+from kelab import hermgeo, potentials
 from kelab.sampling import sample_interior
 from kelab.suites import run_suite
 
@@ -102,8 +102,9 @@ def _generic_norm_oracle(d, z):
 
 
 @pytest.mark.parametrize("d", [
-    type_i(2, 2), type_i(2, 3), type_i(3, 3), type_ii(4), type_ii(5),
-    type_ii(6), type_iii(2), type_iii(3), type_iv(3), type_iv(5),
+    polydisc(2), polydisc(3), type_i(2, 2), type_i(2, 3), type_i(3, 3),
+    type_ii(4), type_ii(5), type_ii(6), type_iii(2), type_iii(3), type_iv(3),
+    type_iv(5),
 ], ids=lambda d: d.label)
 def test_norm_form_is_the_generic_norm(d):
     """The form's value, and ``generic_norm``, against the determinant
@@ -309,6 +310,16 @@ def test_sampler_returns_the_per_point_samplers_points(d):
             assert np.array_equal(np.array(points), np.array(expected))
             assert rng.uniform() == oracle.uniform()
     assert sample_interior(d, np.random.default_rng(0), 0) == []
+
+
+def test_sampler_rejects_a_negative_count():
+    """A negative count is an error, not an empty sample that a
+    certificate would then pass."""
+    with pytest.raises(ValueError, match="count"):
+        sample_interior(ball(2), np.random.default_rng(0), -3)
+    with pytest.raises(ValueError, match="count"):
+        potentials.certify_constant_length(
+            potentials.rescaled_ball_potential(2, 3.0), samples=-3)
 
 
 def test_sampler_fails_closed(monkeypatch):

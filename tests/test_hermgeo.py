@@ -55,6 +55,14 @@ def test_degenerate_metric_rejected():
         hermgeo.metric_from_potential(p, np.array([0.1 + 0.2j]))
 
 
+def test_metric_frame_needs_order_two(rescaled_23):
+    """A frame needs the mixed Hessian, so order 0 or 1 is an argument
+    error, as a bad order of ``fd_jet``, not a missing tensor."""
+    for order in (0, 1):
+        with pytest.raises(ValueError, match="order"):
+            hermgeo.metric_from_potential(rescaled_23, np.zeros(2), order)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ball_gradient_length_law(n):
     p = domains.ke_potential(domains.ball(n), float(n + 1))
@@ -311,16 +319,16 @@ def test_stacked_ricci_equals_scalar_stencil():
 
 
 def test_stacked_degenerate_metric_names_the_point():
-    """2|z1|^2 + log(1 - |z1|^2) + |z2|^2 has g_11 = 2 - (1 - |z1|^2)^-2,
-    positive only for |z1|^2 < 1 - 2^-1/2; the second point lies beyond."""
-    from kelab.field import LinearProfile, LogProfile, RadialBlock
+    """2|z|^2 + log(1 - |z|^2) has the radial eigenvalue
+    2 - (1 - |z|^2)^-2 of g, positive only for |z|^2 < 1 - 2^-1/2; the
+    second point lies beyond."""
+    from kelab.field import BallLog, SquaredNorm
 
     p = PotentialField(
         domain=domains.ball(2), ricci_constant=np.nan,
         label="degenerate-rim", parts=[
-            (1.0, RadialBlock((0,), LinearProfile(2.0))),
-            (1.0, RadialBlock((0,), LogProfile(-1.0))),
-            (1.0, RadialBlock((1,), LinearProfile(1.0))),
+            (2.0, SquaredNorm()),
+            (-1.0, BallLog(1.0)),
         ],
     )
     zs = np.array([[0.1, 0.2j], [0.7, -0.1]])
@@ -377,7 +385,8 @@ def test_stacked_residuals_match_per_point():
     (domains.ball(1), [1.2 + 0j]),
     (domains.type_i(2, 2), [1.5, 0.0, 0.0, 1.5j]),
     (domains.type_iv(3), [2.0, 0.0, 0.0]),
-], ids=["ball(1)", "type1(2,2)", "type4(3)"])
+    (domains.polydisc(2), [0.5, 1.1j]),
+], ids=["ball(1)", "type1(2,2)", "type4(3)", "polydisc(2)"])
 def test_closed_form_path_fails_closed(d, outside):
     """A point outside the domain raises, alone or inside a stack."""
     from kelab.errors import EvaluationError

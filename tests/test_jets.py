@@ -268,8 +268,9 @@ def test_fd_only_potential_falls_back():
     assert worst <= 1e-6
 
 
-@pytest.mark.parametrize("d", [domains.type_i(2, 3), domains.type_ii(5),
-                               domains.type_iii(3), domains.type_iv(5)],
+@pytest.mark.parametrize("d", [domains.polydisc(3), domains.type_i(2, 3),
+                               domains.type_ii(5), domains.type_iii(3),
+                               domains.type_iv(5)],
                          ids=lambda d: d.label)
 def test_norm_form_part_order_four_matches_fd_jet(d):
     """The order-4 jet of ``HermitianNormPart`` over ``norm_form`` against

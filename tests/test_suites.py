@@ -128,6 +128,18 @@ def test_bad_values_are_config_errors():
             run_all({"seed": seed})
 
 
+@pytest.mark.parametrize("name, key", [("flow", "trajectory_csv"),
+                                       ("cheng-yau", "solution_csv")])
+@pytest.mark.parametrize("value", [2 ** 20, False])
+def test_csv_path_keys_take_a_path_or_null(name, key, value):
+    """An int would reach ``open`` as a file descriptor."""
+    config = {key: value, **MINIMAL[name]}
+    with pytest.raises(ConfigError, match=f"{key} must be a path string"):
+        run_suite(name, config)
+    with pytest.raises(ConfigError, match=f"{key} must be a path string"):
+        run_all({"suites": {name: config}})
+
+
 FRACTIONAL = {
     "n": ("key-equation", {"n": 2.5, "samples": 2}),
     "samples": ("key-equation", {"n": 2, "samples": 2.5}),
