@@ -18,10 +18,12 @@ are parametrized by their independent entries (type II strictly upper
 triangular, type III upper triangular).  Generic norms are normalized to 1
 at the origin and vanish on the boundary, and K ~ N^(-c) with the kind's
 c; the Einstein suite validates each pairing numerically (Ricci of
-dd^c log K equals -1).  The norm of the polydisc and of type I-IV is one
+dd^c log K equals -1).  The norm of every non-product kind is one
 signed Hermitian form in holomorphic polynomials of degree at most the
 rank (``norm_form``), and its kernel potential is one
 ``field.HermitianNormPart``; the ball keeps its own ``field.BallLog``.
+The form at a maximal tripotent (``tripotent``) gives the Siegel term
+N(z, e) of ``potentials.kai_ohsawa_potential``.
 Membership is one Minkowski gauge, ``gauge`` < 1; the sampler uses the
 same gauge.  Both ``gauge`` and ``DomainModel.contains`` take a point or
 an (N, n) stack.
@@ -224,8 +226,8 @@ def _matrix_lifts(d: DomainModel):
     if d.kind == POLYDISC:
         r = d.params[0]
         return r, r, tuple(((a, a, 1.0),) for a in range(r))
-    if d.kind == TYPE_I:
-        p, q = d.params
+    if d.kind in (BALL, TYPE_I):  # the ball is type1(1, n)
+        p, q = (1, d.n) if d.kind == BALL else d.params
         return p, q, tuple(
             ((i, j, 1.0),) for i in range(p) for j in range(q)
         )
@@ -321,23 +323,18 @@ def _blocks(d: DomainModel, z: np.ndarray):
 def generic_norm(d: DomainModel, z) -> float:
     """The boundary-vanishing polynomial norm N with K = const * N^(-c).
 
-    N(0) = 1.  The polydisc and types I-IV give the value of their
-    ``norm_form``; a product gives the product of its factors' norms.
+    N(0) = 1.  A non-product kind gives the value of its ``norm_form``;
+    a product gives the product of its factors' norms.
     """
     z = d.require_member(z)
-    if d.kind == BALL:
-        return 1.0 - float(np.sum(np.abs(z) ** 2))
-    if d.kind in (POLYDISC, TYPE_I, TYPE_II, TYPE_III, TYPE_IV):
-        return float(HermitianNormPart(norm_form(d), d.c).norm(z[None])[0])
     if d.kind == PRODUCT:
         return math.prod(generic_norm(f, block) for f, block in _blocks(d, z))
-    raise UnsupportedDomainError(f"generic norm undefined for {d.kind!r}")
+    return float(HermitianNormPart(norm_form(d), d.c).norm(z[None])[0])
 
 
 @functools.lru_cache(maxsize=None)
 def norm_form(d: DomainModel) -> tuple:
-    """The generic norm of the polydisc or of type I-IV as a signed
-    Hermitian form.
+    """The generic norm of a non-product kind as a signed Hermitian form.
 
     N(z, zbar) = sum_k w_k sum_j |h_j(z)|^2 over holomorphic polynomials
     h_j homogeneous of degree k = 0..rank (Loos, *Bounded Symmetric
@@ -345,7 +342,8 @@ def norm_form(d: DomainModel) -> tuple:
     Symmetric Cones*, 1994):
 
     * types I and III: the k x k minors of Z, w_k = (-1)^k (Cauchy-Binet
-      on det(I - Z Z*));
+      on det(I - Z Z*)); the ball is type1(1, n), N = 1 - |z|^2, though
+      its kernel potential keeps ``field.BallLog``;
     * the polydisc: the same on Z = diag(z), whose nonzero minors are the
       principal ones, the monomials z_S over k-sets S, so
       N = prod_a (1 - |z^a|^2);
@@ -360,7 +358,7 @@ def norm_form(d: DomainModel) -> tuple:
     if d.kind == TYPE_IV:
         eye = np.eye(d.n)
         form = ((1.0, np.ones(1)), (-2.0, eye), (1.0, 2.0 * eye[None]))
-    elif d.kind in (POLYDISC, TYPE_I, TYPE_II, TYPE_III):
+    else:  # a matrix kind, or UnsupportedDomainError from _matrix_lifts
         L = as_matrix(d, np.eye(d.n)).real  # Z = sum_a z^a L_a
         p, q = L.shape[1:]
         sets = itertools.combinations
@@ -375,8 +373,6 @@ def norm_form(d: DomainModel) -> tuple:
                          for J in sets(range(q), k)]
             form.append(((-1.0) ** k, np.array([_derivative(L, terms)
                                                 for terms in polys])))
-    else:
-        raise UnsupportedDomainError(f"{d.label} has no norm form")
     for _, D in form:
         D.setflags(write=False)
     return tuple(form)
@@ -411,6 +407,18 @@ def _derivative(L, terms):
                                          [L[:, i, j] for i, j in order],
                                          np.ones(()))
     return D
+
+
+def tripotent(d: DomainModel) -> np.ndarray:
+    """A maximal tripotent e of a non-product kind, a boundary point with
+    N(z, e) != 0 on the domain: [I | 0] for the ball, the polydisc and
+    types I and III, the [[0, 1], [-1, 0]] blocks for type II and e_1 for
+    type IV, in flattened coordinates."""
+    if d.kind == TYPE_IV:
+        return np.eye(d.n)[0]
+    step = 2 if d.kind == TYPE_II else 1  # type II: the cells (2i, 2i + 1)
+    return np.array([float(i % step == 0 and j == i + step - 1)
+                     for (i, j, _), *_ in _matrix_lifts(d)[2]])
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,18 @@ potential the package constructs:
 * ``BallLog``           -- -A log(1 - |z|^2) + offset on the unit ball
                            (the ball kernel and its Einstein rescalings)
 * ``SquaredNorm``       -- |z|^2 (the flat test quadratic)
-* ``LinearLog``         -- 2 log|c0 + c.z| for a holomorphic affine form
-                           (the pluriharmonic rescaling term)
 * ``HermitianNormPart`` -- -kappa log N for a signed Hermitian form
                            N = sum_j w_j |h_j(z)|^2 in holomorphic polynomials
                            (the polydisc and type I-IV generic norms)
+* ``BoundaryLog``       -- 2 log|N(z, e)| for the same form at a point e,
+                           holomorphic in z (the Siegel term on every kind)
 
-A log part, ``BallLog`` or ``HermitianNormPart``, takes the log of a
-positive function N whose jet is finite; one recursion, ``_log_jet``,
-serves both: differentiating N dF = dN gives each tensor of F = log N
-from N's tensors and lower ones of F, at most 7 products per bidegree of
-order 4.  The ball is the rank-1 form too, but its own part is cheaper.
+A log part takes the log of a function N whose jet is finite; one
+recursion, ``_log_jet``, serves all three: differentiating N dF = dN
+gives each tensor of F = log N from N's tensors and lower ones of F, at
+most 7 products per bidegree of order 4.  The two form parts share one
+contraction, ``_contract``, for the derivatives of the h_j.  The ball is
+the rank-1 form too, but its own part is cheaper.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ import numpy as np
 
 from .errors import EvaluationError, UnsupportedOrderError
 from .jets import MAX_ORDER, Jet, as_points, bidegrees, fd_jet
-
-_FACT = [1, 1, 2, 6, 24]
-
 
 def _check(ok, Z, what, values):
     """Raise EvaluationError naming the first point of Z where ``ok`` fails."""
@@ -123,11 +121,11 @@ def _either(jet, key):
 
 
 def _log_jet(inner, order, n, scale):
-    """Jet (m >= l half) of scale * log N from the jet of a positive N.
+    """Jet (m >= l half, no value) of scale * log N from a nonzero N's jet.
 
-    ``inner`` maps bidegrees to N's tensors (leading axis N or 1); absent
-    ones vanish, and an (l, m) one with l > m may be left to the mirror of
-    its (m, l) one.  With s0 the first holomorphic slot of a slot set S,
+    ``inner`` maps bidegrees to N's tensors (leading axis N or 1); None or
+    absent ones vanish, but an absent (l, m) with l > m mirrors (m, l), as
+    a real N's does.  With s0 the first holomorphic slot of a slot set S,
     differentiating N d_s0 F = d_s0 N over the other slots of S gives
 
         N F_S = N_S - sum over nonempty B in S - {s0} of N_B F_(S - B),
@@ -137,7 +135,7 @@ def _log_jet(inner, order, n, scale):
     """
     N0 = inner[(0, 0)]
     inner = dict(inner)
-    out = {(0, 0): scale * np.log(N0)}
+    out = {}
     for m, l in bidegrees(order):
         if m < l or m + l == 0:
             continue
@@ -193,41 +191,26 @@ def _eye(n):
     return np.eye(n)[None]
 
 
-@functools.lru_cache(maxsize=None)
-def _coefficients(coeffs, n):
-    """The vector c in C^n of a linear form given as (index, value) pairs."""
-    c = np.zeros(n, dtype=complex)
-    for a, v in coeffs:
-        c[a] = v
-    return c
-
-
-class LinearLog:
-    """2 log |w(z)| for the holomorphic affine form w = c0 + sum c_a z^a.
-
-    Pluriharmonic: mixed derivatives vanish; the pure ones are the
-    derivatives of log w, c^{(x)k} (-1)^(k-1) (k-1)! / w^k, and conjugates.
-    """
-
-    def __init__(self, c0, coeffs):
-        self.c0 = complex(c0)
-        self.coeffs = tuple((int(k), complex(v)) for k, v in coeffs.items())
-
-    def jet(self, Z, order):
-        c = _coefficients(self.coeffs, Z.shape[1])
-        w = self.c0 + Z @ c
-        _check(np.abs(w) >= 1e-300, Z, "log|w| singular: w(z) =", w)
-        out = {(0, 0): 2.0 * np.log(np.abs(w))}
-        ck = np.ones(())
-        for k in range(1, order + 1):
-            ck = np.multiply.outer(ck, c)
-            dw = (-1.0) ** (k - 1) * _FACT[k - 1] / w ** k
-            out[(k, 0)] = dw.reshape((-1,) + (1,) * k) * ck
-        return out
-
-
 # ---------------------------------------------------------------------------
 # signed Hermitian forms
+
+def _contract(form, Z, order):
+    """H[m] = d^m h of the form's degrees k >= m, stacked, (N, J_(k>=m), n^m),
+    at each row of Z for m <= order (and m <= the form's top degree)."""
+    N, n = Z.shape
+    # contraction i takes z / i, so after i of them t = D.z^i / i!
+    steps = [Z[:, :, None] / i for i in range(1, len(form))]
+    dh = [[] for _ in range(min(order, len(form) - 1) + 1)]
+    for k, (_, D) in enumerate(form):
+        t = D.reshape(1, len(D), -1).repeat(N, axis=0)
+        for i in range(k + 1):
+            if i:
+                # row by row, so a stacked point gets its lone bits
+                t = t.reshape(N, -1, n) @ steps[i - 1]
+            if k - i < len(dh):
+                dh[k - i].append(t.reshape(N, len(D), -1))
+    return [np.concatenate(hs, axis=1) for hs in dh]
+
 
 class HermitianNormPart:
     """-kappa log N for the signed Hermitian form N = sum_j w_j |h_j(z)|^2.
@@ -258,22 +241,8 @@ class HermitianNormPart:
         self.start = np.cumsum([0] + [len(D) for _, D in form])
 
     def _derivatives(self, Z, order):
-        """H[m] = d^m h of the degrees k >= m, stacked, (N, J_(k>=m), n^m)
-        for m <= order, and the coefficients of q(1 - v), (N, r + 1),
-        after checking them."""
-        N, n = Z.shape
-        # contraction i takes z / i, so after i of them t = D.z^i / i!
-        steps = [Z[:, :, None] / i for i in range(1, len(self.form))]
-        dh = [[] for _ in range(min(order, len(self.form) - 1) + 1)]
-        for k, (_, D) in enumerate(self.form):
-            t = D.reshape(1, len(D), -1).repeat(N, axis=0)
-            for i in range(k + 1):
-                if i:
-                    # row by row, so a stacked point gets its lone bits
-                    t = t.reshape(N, -1, n) @ steps[i - 1]
-                if k - i < len(dh):
-                    dh[k - i].append(t.reshape(N, len(D), -1))
-        H = [np.concatenate(hs, axis=1) for hs in dh]
+        """H from ``_contract`` and q(1 - v)'s checked coefficients."""
+        H = _contract(self.form, Z, order)
         P = np.add.reduceat(H[0].real[..., 0] ** 2 + H[0].imag[..., 0] ** 2,
                             self.start[:-1], axis=1)
         coeffs = (P[:, None, :] * self.taylor).sum(axis=2)
@@ -296,7 +265,39 @@ class HermitianNormPart:
             for l in range(min(m, order - m) + 1):
                 B = conj[l][:, first - self.start[l]:]
                 inner[(m, l)] = (A @ B).reshape((N,) + (n,) * (m + l))
-        return _log_jet(inner, order, n, -self.kappa)
+        out = _log_jet(inner, order, n, -self.kappa)
+        out[(0, 0)] = -self.kappa * np.log(coeffs[:, 0])
+        return out
+
+
+class BoundaryLog:
+    """2 log|N(z, e)| for a signed Hermitian form N and a point e.
+
+    N(z, e) = sum_j w_j conj(h_j(e)) h_j(z) is holomorphic in z, with
+    derivatives v . H[m] over ``_contract``'s H, v = w conj(h(e)); v is
+    folded into the form, one flat tensor per degree.  ``_log_jet`` takes
+    the log with the antiholomorphic inner tensors absent, so only the
+    (m, 0) tensors, those of log N(., e), come out: it is pluriharmonic.
+    """
+
+    def __init__(self, form, e):
+        start = np.cumsum([0] + [len(D) for _, D in form])
+        v = np.conj(_contract(form, np.array([e], complex), 0)[0][0, :, 0])
+        self.form = tuple((1.0, w * (v[a:b] @ D.reshape(b - a, -1))[None])
+                          for (w, D), a, b in zip(form, start, start[1:]))
+
+    def jet(self, Z, order):
+        N, n = Z.shape
+        H = [h.sum(axis=1) for h in _contract(self.form, Z, order)]
+        value = H[0][:, 0]
+        _check(np.abs(value) > 0, Z, "log|N(z, e)| singular: N =", value)
+        inner = {(0, 0): value}
+        for m in range(1, len(H)):
+            inner[(m, 0)] = H[m].reshape((N,) + (n,) * m)
+            inner[(0, m)] = None  # holomorphic: not the mirror of (m, 0)
+        out = _log_jet(inner, order, n, 1.0)
+        out[(0, 0)] = 2.0 * np.log(np.abs(value))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,35 +4,36 @@
 * the rescaled ball potential with identically constant gradient length,
 * sums over product domains,
 * the pulled-back Siegel log-kernel behind the Kai-Ohsawa constant, one
-  formula on every kind of ``SIEGEL_KINDS``,
+  formula, the kernel potential plus c log|N(z, e)|^2, on every kind,
 * constant-gradient-length certificates (the Kai-Ohsawa constant is one)
   and the ball-minimality table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hermgeo
 from .domains import (
-    BALL,
-    POLYDISC,
+    PRODUCT,
     DomainModel,
-    InvariantsRecord,
     ball,
     bergman_potential,
     ke_potential,
+    norm_form,
     product,
     product_parts,
+    tripotent,
 )
 from .errors import (
     CertificateError,
     NormalizationError,
     UnsupportedDomainError,
 )
-from .field import BallLog, LinearLog, PotentialField, SquaredNorm
+from .field import BallLog, BoundaryLog, PotentialField, SquaredNorm
 from .jets import as_point
 from .sampling import sample_interior
 
@@ -75,8 +76,10 @@ def certify_constant_length(p: PotentialField, samples: int = 200,
 
     The certified constant must also satisfy the lower bound (n+1)/K that
     holds for every constant-length potential of a metric with Ricci
-    constant K.
+    constant K; fewer than 1 sample is a ValueError.
     """
+    if samples < 1:
+        raise ValueError(f"sample count must be at least 1, got {samples}")
     d = p.domain
     points = sample_interior(d, np.random.default_rng(seed), samples,
                              shrink=shrink)
@@ -175,20 +178,14 @@ def rescaled_ball_potential(n: int, K: float,
         raise ValueError("dimension must be >= 1")
     if K <= 0:
         raise ValueError("Ricci constant must be positive")
-    if boundary_point is None:
-        q = np.zeros(n, dtype=complex)
-        q[0] = -1.0
-    else:
-        q = as_point(boundary_point)
-        if len(q) != n or abs(np.linalg.norm(q) - 1.0) > 1e-12:
-            raise ValueError("boundary point must be a unit vector in C^n")
+    q = as_point(-tripotent(ball(n)) if boundary_point is None
+                 else boundary_point)
+    if len(q) != n or abs(np.linalg.norm(q) - 1.0) > 1e-12:
+        raise ValueError("boundary point must be a unit vector in C^n")
     scale = (n + 1) / K
-    # 2 log|1 - <z, q>| with <z, q> = sum z^a conj(q^a)
-    coeffs = {a: -np.conj(q[a]) for a in range(n) if q[a] != 0}
-    parts = [
-        (scale, BallLog(1.0)),
-        (scale, LinearLog(1.0, coeffs)),
-    ]
+    # 2 log|N(z, q)| with N(z, q) = 1 - <z, q> on the ball
+    parts = [(scale, BallLog(1.0)),
+             (scale, BoundaryLog(norm_form(ball(n)), q))]
     return PotentialField(
         domain=ball(n),
         ricci_constant=K,
@@ -232,33 +229,30 @@ def quadratic_fixture(n: int) -> PotentialField:
 # ---------------------------------------------------------------------------
 # the Kai-Ohsawa constant
 
-#: the kinds with a Siegel pullback; the others have only the lower bound
-#: rank*c on the constant.
-SIEGEL_KINDS = (BALL, POLYDISC)
-
-
 def kai_ohsawa_potential(d: DomainModel) -> PotentialField:
     """log K + c log|N(z, e)|^2, the Siegel log-kernel pulled back by the
     Cayley map.
 
-    The kernel potential plus c * 2 log|1 + z^a| for each a < rank: the
-    generic norm N(z, e) = prod_a (1 + z^a) at the tripotent
-    e = -(e_1 + ... + e_rank).  The log term is pluriharmonic, so this is
-    again a potential of the Bergman metric (Ricci constant 1); its
-    gradient length is the constant rank*c.
+    The kernel potential plus c * 2 log|N(z, e)| from the kind's
+    ``norm_form`` at e = -``tripotent(d)`` (N(z, e) = prod_a (1 + z^a) on
+    the polydisc).  The log term is pluriharmonic, so this is again a
+    potential of the Bergman metric (Ricci constant 1), with the constant
+    gradient length rank*c; a product takes the sum over its factors of both.
     """
-    if d.kind not in SIEGEL_KINDS:
-        raise UnsupportedDomainError(
-            f"Siegel pullback implemented for ball and polydisc, not "
-            f"{d.label}; only the lower bound rank*c = "
-            f"{d.rank * (d.c or np.nan):g} is available"
-        )
-    parts = bergman_potential(d).parts + [
-        (d.c, LinearLog(1.0, {a: 1.0})) for a in range(d.rank)]
+    if d.kind == PRODUCT:
+        parts = product_parts([kai_ohsawa_potential(f) for f in d.factors])
+    else:
+        parts = bergman_potential(d).parts + [(d.c, _siegel_log(d))]
     return PotentialField(
         domain=d, ricci_constant=1.0, parts=parts,
         label=f"siegel-pullback[{d.label}]",
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _siegel_log(d: DomainModel) -> BoundaryLog:
+    """2 log|N(z, e)| at e = -tripotent(d), built once per kind."""
+    return BoundaryLog(norm_form(d), -tripotent(d))
 
 
 def kai_ohsawa_constant(d: DomainModel, spot_checks: int = 20,
@@ -304,20 +298,16 @@ def ball_minimality_report(entries, K: float = 1.0) -> list[MinimalityRow]:
     """Compare rank*c against n+1 (both rescaled by K) across the catalog.
 
     ``entries`` may mix DomainModel instances and InvariantsRecord data
-    rows (the exceptional domains).  Kinds without an explicit Siegel
-    pullback are flagged ``lower_bound_only``: for them rank*c bounds the
-    constant gradient length from below rather than computing it.
+    rows (the exceptional domains).  The records are flagged
+    ``lower_bound_only``: with no Siegel pullback computed, rank*c only
+    bounds their constant gradient length from below.
     """
     if K <= 0:
         raise ValueError("Ricci constant must be positive")
     rows = []
     for entry in entries:
-        if isinstance(entry, InvariantsRecord):
-            rec = entry
-            computable = False
-        else:
-            rec = entry.invariants()
-            computable = entry.kind in SIEGEL_KINDS
+        computable = isinstance(entry, DomainModel)
+        rec = entry.invariants() if computable else entry
         rc = rec.rc / K
         bound = (rec.n + 1) / K
         rows.append(

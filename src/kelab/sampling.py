@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MembershipError
-from .domains import PRODUCT, DomainModel, gauge
+from .domains import PRODUCT, DomainModel, as_integer, gauge
 
 DEFAULT_SHRINK = 0.95
 
@@ -34,10 +34,11 @@ def sample_interior(domain: DomainModel, rng, count: int,
                     shrink: float = DEFAULT_SHRINK) -> list[np.ndarray]:
     """``count`` points of shrink * domain, reproducible from ``rng``.
 
-    All returned points are checked in one ``domain.contains(points /
-    shrink)`` call; if any fails, ``MembershipError`` names the first
-    failing point.
+    ``count`` is integral (``as_integer``).  All returned points are checked
+    in one ``domain.contains(points / shrink)`` call; if any fails,
+    ``MembershipError`` names the first failing point.
     """
+    count = as_integer(count, "count")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if not 0.0 < shrink <= 1.0:

@@ -420,10 +420,10 @@ def _flow(cfg):
 def _kai_ohsawa(cfg):
     """Constant gradient length of the Siegel pullback on balls/polydiscs.
 
-    Checks L against its closed-form value (n+1 resp. 2r), the lower bound
-    rank*c, and the potential's slice derivative at 0 against c and the FD
-    jet of the slice kernel through the Cayley map.  Residuals normalized
-    by (1e-6, 1e-9, 1e-8); passes at 1.0.
+    Checks L against its closed-form value and lower bound rank*c (n+1 on
+    the ball, 2r on the polydisc) and the slice derivative at 0 against c
+    and the FD jet of the slice kernel through the Cayley map.  Residuals
+    normalized by (1e-6, 1e-9, 1e-8); passes at 1.0.
     """
     nmax = cfg["max_dimension"]
     thresholds = {"length_vs_expected": 1e-6, "lower_bound": 1e-9,
@@ -432,7 +432,7 @@ def _kai_ohsawa(cfg):
     for d in [ball(n) for n in range(1, nmax + 1)] + \
              [polydisc(r) for r in range(1, nmax + 1)]:
         L = potentials.kai_ohsawa_constant(d, seed=cfg["seed"])
-        expected = float(d.n + 1 if d.kind == BALL else 2 * d.rank)
+        expected = d.rank * d.c
         raw = {
             "length_vs_expected": abs(L - expected),
             "lower_bound": max(0.0, d.rank * d.c - L),

@@ -322,6 +322,17 @@ def test_sampler_rejects_a_negative_count():
             potentials.rescaled_ball_potential(2, 3.0), samples=-3)
 
 
+def test_sampler_takes_an_integral_count():
+    """``count`` passes through ``as_integer``: a bool or a fraction is a
+    ValueError naming it, and "3" is 3, as the suites' keys are."""
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="count"):
+            sample_interior(ball(2), np.random.default_rng(0), bad)
+    points = sample_interior(ball(2), np.random.default_rng(0), "3")
+    assert np.array_equal(points, sample_interior(
+        ball(2), np.random.default_rng(0), 3))
+
+
 def test_sampler_fails_closed(monkeypatch):
     """A drawn point that leaves shrink * domain raises, never passes."""
     monkeypatch.setattr(domains.DomainModel, "contains", lambda self, z: False)

@@ -154,6 +154,9 @@ def _closed_form_potentials():
         potentials.rescaled_ball_potential(2, 3.0),
         potentials.rescaled_ball_potential(3, 4.0),
         potentials.kai_ohsawa_potential(domains.polydisc(2)),
+        potentials.kai_ohsawa_potential(domains.type_i(2, 2)),
+        potentials.kai_ohsawa_potential(domains.type_ii(4)),
+        potentials.kai_ohsawa_potential(domains.type_iv(3)),
         potentials.quadratic_fixture(2),
         domains.bergman_potential(
             domains.product(domains.ball(1), domains.type_iv(3))),

@@ -10,9 +10,8 @@ from kelab.errors import (
     CertificateError,
     EvaluationError,
     NormalizationError,
-    UnsupportedDomainError,
 )
-from kelab.field import PotentialField
+from kelab.field import BoundaryLog, PotentialField
 from kelab.sampling import sample_interior
 
 
@@ -257,9 +256,58 @@ def test_kai_ohsawa_lower_bound():
         assert L >= d.rank * d.c - 1e-9
 
 
-def test_kai_ohsawa_unsupported_kind():
-    with pytest.raises(UnsupportedDomainError):
-        potentials.kai_ohsawa_constant(domains.type_i(2, 2))
+_SIEGEL_KINDS = (
+    [domains.ball(n) for n in (1, 2, 3)]
+    + [domains.polydisc(r) for r in (1, 2, 3)]
+    + [domains.type_i(p, q) for p, q in ((2, 2), (2, 3), (3, 3))]
+    + [domains.type_ii(m) for m in (4, 5, 6)]
+    + [domains.type_iii(m) for m in (2, 3)]
+    + [domains.type_iv(m) for m in (3, 5)]
+    + [domains.product(domains.ball(2), domains.type_iv(3))]
+)
+
+
+def _flipped_siegel(d):
+    """The kernel potential minus, not plus, c log|N(z, e)|^2."""
+    if d.kind == domains.PRODUCT:
+        parts = domains.product_parts([_flipped_siegel(f) for f in d.factors])
+    else:
+        parts = domains.bergman_potential(d).parts + [
+            (-d.c, BoundaryLog(domains.norm_form(d), -domains.tripotent(d)))]
+    return PotentialField(domain=d, ricci_constant=1.0, parts=parts,
+                          label=f"flipped[{d.label}]")
+
+
+@pytest.mark.parametrize("d", _SIEGEL_KINDS, ids=lambda d: d.label)
+def test_kai_ohsawa_on_every_kind(d):
+    """One formula on every constructed kind: L = rank*c (a product's, the
+    sum over its factors), the key equation, |Hess phi|^2 = L - n (above
+    1, the paper's strict inequality, off the balls), and a sign flip of
+    the log term that the length check sees."""
+    expected = sum(f.rank * f.c for f in d.factors or (d,))
+    assert abs(potentials.kai_ohsawa_constant(d) - expected) <= 1e-9
+    p = potentials.kai_ohsawa_potential(d)
+    zs = np.array(sample_interior(d, np.random.default_rng(7), 6, shrink=0.8))
+    assert np.max(hermgeo.key_equation_residual(p, zs)) <= 1e-12
+    hess = hermgeo.hessian_norm_sq(hermgeo.metric_from_potential(p, zs))
+    assert np.max(np.abs(hess - (expected - d.n))) <= 1e-9
+    if d.rank == 1:  # the balls, the disc among them
+        assert np.max(np.abs(hess - 1.0)) <= 1e-9
+    else:
+        assert np.min(hess) > 1.0
+    flipped = hermgeo.gradient_length_sq(hermgeo.metric_from_potential(
+        _flipped_siegel(d), zs, order=2))
+    assert np.ptp(flipped) > 1.0
+
+
+def test_certificates_need_a_sample():
+    """Zero samples is an error, not a certificate that checked nothing."""
+    p = potentials.rescaled_ball_potential(2, 3.0)
+    with pytest.raises(ValueError, match="count"):
+        potentials.certify_constant_length(p, samples=0)
+    with pytest.raises(ValueError, match="count"):
+        potentials.kai_ohsawa_constant(domains.ball(2), spot_checks=0)
+    assert potentials.certify_constant_length(p, samples=1).sample_count == 1
 
 
 def test_constant_independent_of_boundary_point():
@@ -286,6 +334,7 @@ def test_minimality_rows():
     assert rows["type1(2,2)"].rc_over_K == pytest.approx(8.0)
     assert not rows["type1(1,3)"].strict
     assert rows["type1(1,3)"].rc_over_K == pytest.approx(4.0)
+    assert not any(row.lower_bound_only for row in rows.values())
 
 
 def test_minimality_respects_ricci_rescaling():

@@ -13,12 +13,14 @@ from kelab.domains import (
     DomainModel,
     ball,
     bergman_potential,
+    norm_form,
+    tripotent,
     type_i,
     type_ii,
     type_iii,
 )
 from kelab.errors import ConfigError
-from kelab.field import LinearLog, PotentialField
+from kelab.field import BoundaryLog, PotentialField
 from kelab.suites import SUITES, VerificationReport, run_all, run_suite
 
 #: every suite at a size that runs in about a second (cheng-yau has no size
@@ -282,12 +284,13 @@ def test_ball_minimality_reads_every_rank_one_kind_as_a_ball(monkeypatch):
 
 
 def test_kai_ohsawa_reads_the_potential_it_measures(monkeypatch):
-    """The pullback under the other Cayley map, with log|1 - z^a|^2, also
-    has a constant gradient length, but its slice derivative is -c."""
+    """The pullback under the other Cayley map, with log|N(z, +e)|^2 =
+    log|1 - z^a|^2, also has a constant gradient length, but its slice
+    derivative is -c."""
 
     def other_cayley(d):
         parts = bergman_potential(d).parts + [
-            (d.c, LinearLog(1.0, {a: -1.0})) for a in range(d.rank)]
+            (d.c, BoundaryLog(norm_form(d), tripotent(d)))]
         return PotentialField(domain=d, ricci_constant=1.0, parts=parts,
                               label=f"other-cayley[{d.label}]")
 
