@@ -121,6 +121,14 @@ class DomainModel:
             return " x ".join(f.label for f in self.factors)
         return f"{self.kind}({','.join(map(str, self.params))})"
 
+    @property
+    def rc(self) -> float:
+        """rank*c, a product's summed over its factors: the constant
+        gradient length of the Siegel potential."""
+        if self.kind == PRODUCT:
+            return sum(f.rc for f in self.factors)
+        return self.rank * self.c
+
     def invariants(self) -> InvariantsRecord:
         if self.c is None:
             raise UnsupportedDomainError(

@@ -7,10 +7,11 @@ derivative path: with parts, ``PotentialField.jet`` is the closed form;
 without, it is ``fd_jet`` of ``fn``, which maps an (M, n) stack of points
 to M values.  A part maps a stack Z of N points, shape (N, n), and an
 order to its dense jet tensors
-{(m, l): array of shape (N,) + (n,)*(m+l)} for m >= l, leaving out the
-bidegrees that vanish identically; the potential is real, so the (l, m)
-tensors are the conjugates.  The parts implemented here cover every
-potential the package constructs:
+{(m, l): array of shape (N,) + (n,)*(m+l)} for m >= l over
+``jets.bidegrees`` (m + l <= order and m, l <= 2: what a frame reads),
+leaving out the bidegrees that vanish identically; the potential is real,
+so the (l, m) tensors are the conjugates.  The parts implemented here
+cover every potential the package constructs:
 
 * ``BallLog``           -- -A log(1 - |z|^2) + offset on the unit ball
                            (the ball kernel and its Einstein rescalings)
@@ -23,10 +24,11 @@ potential the package constructs:
 
 A log part takes the log of a function N whose jet is finite; one
 recursion, ``_log_jet``, serves all three: differentiating N dF = dN
-gives each tensor of F = log N from N's tensors and lower ones of F, at
-most 7 products per bidegree of order 4.  The two form parts share one
-contraction, ``_contract``, for the derivatives of the h_j.  The ball is
-the rank-1 form too, but its own part is cheaper.
+gives each tensor of F = log N from N's tensors and lower ones of F: 7
+products for (2, 2), the one bidegree of order 4, and 3 for (2, 1).  It
+needs N's tensors to (2, 2) only, so the two form parts share one
+contraction, ``_contract``, for the derivatives of the h_j to degree 2.
+The ball is the rank-1 form too, but its own part is cheaper.
 """
 
 from __future__ import annotations
@@ -131,7 +133,8 @@ def _log_jet(inner, order, n, scale):
         N F_S = N_S - sum over nonempty B in S - {s0} of N_B F_(S - B),
 
     so each bidegree of order k takes 2^(k-1) - 1 products of tensors
-    already known: 7 at order 4.
+    already known: 7 for (2, 2).  S - B keeps s0, so F's tensors stay
+    within ``bidegrees``, and N's within (2, 2).
     """
     N0 = inner[(0, 0)]
     inner = dict(inner)
@@ -256,7 +259,7 @@ class HermitianNormPart:
 
     def jet(self, Z, order):
         N, n = Z.shape
-        H, coeffs = self._derivatives(Z, order)
+        H, coeffs = self._derivatives(Z, min(order, 2))
         inner = {(0, 0): coeffs[:, 0]}
         conj = [np.conj(h) for h in H[:order // 2 + 1]]  # l <= order - m
         for m in range(1, len(H)):
@@ -277,7 +280,8 @@ class BoundaryLog:
     derivatives v . H[m] over ``_contract``'s H, v = w conj(h(e)); v is
     folded into the form, one flat tensor per degree.  ``_log_jet`` takes
     the log with the antiholomorphic inner tensors absent, so only the
-    (m, 0) tensors, those of log N(., e), come out: it is pluriharmonic.
+    (m, 0) tensors, those of log N(., e), come out: it is pluriharmonic,
+    and past order 2 its jet has nothing more.
     """
 
     def __init__(self, form, e):
@@ -288,7 +292,7 @@ class BoundaryLog:
 
     def jet(self, Z, order):
         N, n = Z.shape
-        H = [h.sum(axis=1) for h in _contract(self.form, Z, order)]
+        H = [h.sum(axis=1) for h in _contract(self.form, Z, min(order, 2))]
         value = H[0][:, 0]
         _check(np.abs(value) > 0, Z, "log|N(z, e)| singular: N =", value)
         inner = {(0, 0): value}

@@ -1,13 +1,15 @@
 """Mixed Wirtinger derivatives of real scalar functions on C^n.
 
-A ``Jet`` holds the value and all partial derivatives
+A ``Jet`` holds the value and the partial derivatives
 
     d(a, b) = (prod_{alpha in a} d/dz^alpha) (prod_{beta in b} d/dzbar^beta) f
 
-up to a requested total order (at most 4), as one dense array per
-bidegree (|a|, |b|): ``tensors[(m, l)][..., a1..am, b1..bl]``.  A jet of a
-single point has arrays of shape (n,)*(m+l); a jet of a stack of N points
-carries a leading axis of N.
+of the bidegrees (m, l) = (|a|, |b|) with m + l <= order (at most 4) and
+m, l <= 2 (``bidegrees``), as one dense array per bidegree:
+``tensors[(m, l)][..., a1..am, b1..bl]``.  A frame reads no more: the
+metric (1, 1), the Christoffels (2, 1), the curvature (2, 2) and the
+unbarred Hessian (2, 0).  A jet of a single point has arrays of shape
+(n,)*(m+l); a jet of a stack of N points carries a leading axis of N.
 
 ``fd_jet`` is the finite-difference oracle, valid for any smooth real
 function: tensor-product central stencils in the underlying real
@@ -71,8 +73,11 @@ def as_points(coords) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def bidegrees(order: int) -> tuple:
-    """All (m, l) with m + l <= order."""
-    return tuple((m, k - m) for k in range(order + 1) for m in range(k, -1, -1))
+    """The (m, l) with m + l <= order and m, l <= 2: all a frame reads.
+    ``field._log_jet`` builds them from these alone, since each of its
+    terms keeps the first holomorphic slot."""
+    return tuple((m, k - m) for k in range(order + 1)
+                 for m in range(min(k, 2), max(k - 2, 0) - 1, -1))
 
 
 @dataclass(frozen=True)

@@ -275,7 +275,7 @@ class MinimalityRow:
     label: str
     n: int
     rank: int
-    c: float
+    c: float | None  # None for a product of factors with different c
     rc_over_K: float
     bound_over_K: float  # (n+1)/K
     strict: bool
@@ -298,24 +298,23 @@ def ball_minimality_report(entries, K: float = 1.0) -> list[MinimalityRow]:
     """Compare rank*c against n+1 (both rescaled by K) across the catalog.
 
     ``entries`` may mix DomainModel instances and InvariantsRecord data
-    rows (the exceptional domains).  The records are flagged
-    ``lower_bound_only``: with no Siegel pullback computed, rank*c only
-    bounds their constant gradient length from below.
+    rows (the exceptional domains).  A product's rank*c is the sum over
+    its factors, and its c is None when they differ.  The records are
+    flagged ``lower_bound_only``: with no Siegel pullback computed, rank*c
+    only bounds their constant gradient length from below.
     """
     if K <= 0:
         raise ValueError("Ricci constant must be positive")
     rows = []
     for entry in entries:
-        computable = isinstance(entry, DomainModel)
-        rec = entry.invariants() if computable else entry
-        rc = rec.rc / K
-        bound = (rec.n + 1) / K
+        rc = entry.rc / K
+        bound = (entry.n + 1) / K
         rows.append(
             MinimalityRow(
-                label=rec.label, n=rec.n, rank=rec.rank, c=rec.c,
+                label=entry.label, n=entry.n, rank=entry.rank, c=entry.c,
                 rc_over_K=rc, bound_over_K=bound,
                 strict=rc > bound + 1e-12,
-                lower_bound_only=not computable,
+                lower_bound_only=not isinstance(entry, DomainModel),
             )
         )
     return rows

@@ -175,6 +175,7 @@ def _number(name, key, value, kind):
 
 #: the values the suite bodies take, per config key: a test and its words
 _RANGES = {
+    "seed": (lambda v: v >= 0, "nonnegative"),
     "tol": (lambda v: v > 0, "positive"),
     "samples": (lambda v: v >= 0, "nonnegative"),
     "ricci": (lambda v: v > 0, "positive"),
@@ -432,18 +433,18 @@ def _kai_ohsawa(cfg):
     for d in [ball(n) for n in range(1, nmax + 1)] + \
              [polydisc(r) for r in range(1, nmax + 1)]:
         L = potentials.kai_ohsawa_constant(d, seed=cfg["seed"])
-        expected = d.rank * d.c
+        expected = d.rc
         raw = {
             "length_vs_expected": abs(L - expected),
-            "lower_bound": max(0.0, d.rank * d.c - L),
+            "lower_bound": max(0.0, expected - L),
             "slice_derivative": _slice_derivative_residual(d),
         }
         rows.append({
             "domain": d.label,
             "constant": L,
             "expected": expected,
-            "rank_times_c": d.rank * d.c,
-            "equality_with_bound": bool(abs(L - d.rank * d.c) <= 1e-9),
+            "rank_times_c": expected,
+            "equality_with_bound": bool(abs(L - expected) <= 1e-9),
             "residuals": {k: raw[k] / thresholds[k] for k in raw},
         })
     params = {"max_dimension": nmax, "thresholds": thresholds}

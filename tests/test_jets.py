@@ -8,7 +8,7 @@ import pytest
 from kelab import chengyau, domains, hermgeo, potentials
 from kelab.errors import EvaluationError, UnsupportedOrderError
 from kelab.field import PotentialField
-from kelab.jets import as_point, fd_jet
+from kelab.jets import as_point, bidegrees, fd_jet
 from kelab.sampling import sample_interior
 
 
@@ -182,6 +182,7 @@ def test_oracle_agreement_low_orders(p):
     for z in pts:
         ja = p.analytic_jet(z, 2)
         jf = fd_jet(p, z, 2)
+        assert set(ja.tensors) == set(jf.tensors) == set(bidegrees(2))
         worst = max(worst, jet_gap(ja, jf))
     assert worst <= 1e-6
 
@@ -189,13 +190,15 @@ def test_oracle_agreement_low_orders(p):
 @pytest.mark.parametrize("p", _closed_form_potentials(), ids=lambda p: p.label)
 def test_oracle_agreement_high_orders(p):
     """Orders 3-4 agree to 1e-3 at moderate interior points: every
-    potential with parts is exact to order 4."""
+    potential with parts is exact to order 4, and both paths hold the
+    same bidegrees, none with more than two indices of one type."""
     rng = np.random.default_rng(12)
     pts = sample_interior(p.domain, rng, 20, shrink=0.55)
     worst = 0.0
     for z in pts:
         ja = p.analytic_jet(z, 4)
         jf = fd_jet(p, z, 4)
+        assert set(ja.tensors) == set(jf.tensors) == set(bidegrees(4))
         worst = max(worst, jet_gap(ja, jf))
     assert worst <= 1e-3
 
@@ -231,7 +234,7 @@ def test_multi_indices_stored_sorted():
     """Each dense tensor is exactly symmetric in its holomorphic and in its
     antiholomorphic indices, as when entries were keyed by sorted indices."""
     p = domains.bergman_potential(domains.ball(2))
-    jet = p.analytic_jet(np.array([0.1, 0.2j]), 3)
+    jet = p.analytic_jet(np.array([0.1, 0.2j]), 4)
     for (m, l), t in jet.tensors.items():
         for hol in itertools.permutations(range(m)):
             for anti in itertools.permutations(range(m, m + l)):
@@ -277,10 +280,11 @@ def test_fd_only_potential_falls_back():
                          ids=lambda d: d.label)
 def test_norm_form_part_order_four_matches_fd_jet(d):
     """The order-4 jet of ``HermitianNormPart`` over ``norm_form`` against
-    fd_jet (1e-3, as the other orders 3-4 at moderate interior points)."""
+    fd_jet (1e-3, as the other orders 3-4 at moderate interior points);
+    (2, 2) is its one order-4 bidegree."""
     p = domains.bergman_potential(d)
     z = sample_interior(d, np.random.default_rng(13), 1, shrink=0.55)[0]
     ja, jf = p.analytic_jet(z, 4), fd_jet(p, z, 4)
-    assert {k for k in ja.tensors if sum(k) == 4} == {
-        (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)}
+    assert set(ja.tensors) == set(jf.tensors) == set(bidegrees(4))
+    assert {k for k in ja.tensors if sum(k) == 4} == {(2, 2)}
     assert jet_gap(ja, jf) <= 1e-3

@@ -337,6 +337,21 @@ def test_minimality_rows():
     assert not any(row.lower_bound_only for row in rows.values())
 
 
+def test_minimality_of_products_sums_the_factors():
+    """A product's row reads the sum of its factors' rank*c, the constant
+    of its Siegel potential, whether or not the factors share c."""
+    mixed = domains.product(domains.ball(1), domains.type_iv(3))
+    shared = domains.product(domains.ball(2), domains.type_iv(3))
+    rows = potentials.ball_minimality_report([mixed, shared], K=2.0)
+    assert rows[0].rc_over_K == pytest.approx(
+        potentials.kai_ohsawa_constant(mixed) / 2.0, abs=1e-9)
+    assert (rows[0].rc_over_K, rows[0].c, rows[0].strict) == (4.0, None, True)
+    assert rows[1].as_dict() == {
+        "kind": "ball(2) x type4(3)", "n": 5, "rank": 3, "c": 3.0,
+        "rc_over_K": 4.5, "(n+1)_over_K": 3.0, "strict": True,
+        "lower_bound_only": False}
+
+
 def test_minimality_respects_ricci_rescaling():
     row = potentials.ball_minimality_report([domains.type_iv(3)], K=2.0)[0]
     assert row.rc_over_K == pytest.approx(3.0)
