@@ -20,8 +20,9 @@ so its boundary limit is (n+1)/K.
 
 RK4 runs in tau = -log(1 - t), from the centre series to t^4 at t = 2e-3:
 the grid is geometric in (1 - t), which resolves the logarithmic blow-up.
-The search window ends at tau = 4.  The independent check of the ODE
-residual is a five-point stencil in tau, ~dtau^4 up to the boundary.
+The search window ends at tau = 2, with the watched step at tau = 1.
+The independent check of the ODE residual is a five-point stencil in
+tau, ~dtau^4 up to the boundary.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ BLOWUP_THRESHOLD = 1e8
 _SERIES_START = 2e-3     # switch from the t ~ 0 series to RK4
 _SEARCH_DTAU = 5e-4      # the step of the search and the returned solution
 _FINAL_EDGE = 2e-4       # returned grid reaches t = 1 - _FINAL_EDGE
-_SEARCH_TAU = 4.0        # the search integrates this far
+_SEARCH_TAU = 2.0        # the search integrates this far
 
 
 @dataclass(frozen=True)
@@ -329,7 +330,10 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     on the complete solution, decays for sub-critical starts and grows
     for super-critical ones, so the root of g is the solution whose
     blow-up converges to t = 1.  On it w is exactly (n+1)/K, so the sign
-    of g does not depend on the window's length.
+    of g does not depend on the window's length; the window only has to
+    be long enough for g to resolve tol.  At tau <= 2 it is: at phi(0)
+    1e-12 off the root g still reads about 7e-12 (at (n, K) = (2, 3)).
+    At tau <= 1 it is not, and the root moves by several times tol.
 
     The bracket lo < hi with g(lo) <= 0 < g(hi) shrinks by regula falsi
     in its Illinois form (Dowell & Jarratt, 1971): the next candidate is
@@ -344,10 +348,10 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if K <= 0:
-        raise ValueError("Ricci constant must be positive")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < K < math.inf:
+        raise ValueError("Ricci constant must be positive and finite")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     lo, hi = float(phi0_bracket[0]), float(phi0_bracket[1])
     if not lo < hi:
         raise BracketingError(f"empty bracket {phi0_bracket!r}")

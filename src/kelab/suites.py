@@ -176,12 +176,12 @@ def _number(name, key, value, kind):
 #: the values the suite bodies take, per config key: a test and its words
 _RANGES = {
     "seed": (lambda v: v >= 0, "nonnegative"),
-    "tol": (lambda v: v > 0, "positive"),
+    "tol": (lambda v: 0 < v < math.inf, "positive and finite"),
     "samples": (lambda v: v >= 0, "nonnegative"),
-    "ricci": (lambda v: v > 0, "positive"),
+    "ricci": (lambda v: 0 < v < math.inf, "positive and finite"),
     "n": (lambda v: v >= 1, ">= 1"),
     "shrink": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "dt": (lambda v: v > 0, "positive"),
+    "dt": (lambda v: 0 < v < math.inf, "positive and finite"),
     "horizon": (lambda v: abs(v) <= vfield.MAX_HORIZON,
                 f"at most {vfield.MAX_HORIZON} in absolute value"),
     "domains": (lambda v: isinstance(v, list), "a list"),

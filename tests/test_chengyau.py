@@ -55,26 +55,40 @@ AGREEMENT_CASES = [(1, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (2, 1.0)]
 @pytest.fixture(scope="module")
 def searches():
     """shoot at every AGREEMENT_CASES entry, with the (phi0, g, blow-up tau)
-    of every candidate its search classified, in order."""
-    real = chengyau._boundary_growth
+    of every candidate its search classified, in order, and the number of
+    RK4 steps the search took (the runs that record nothing), counted
+    from each run's blow-up tau or end tau."""
+    real_growth, real_integrate = chengyau._boundary_growth, _integrate
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         for n, K in AGREEMENT_CASES:
-            seen = []
+            seen, steps = [], []
 
-            def spy(n, K, phi0, seen=seen):
-                g, tau_star = real(n, K, phi0)
+            def growth_spy(n, K, phi0, seen=seen):
+                g, tau_star = real_growth(n, K, phi0)
                 seen.append((phi0, g, tau_star))
                 return g, tau_star
 
-            mp.setattr(chengyau, "_boundary_growth", spy)
-            out[(n, K)] = (shoot(n, K), seen)
+            def integrate_spy(n, K, phi0, dtau, tau_end, watch=math.inf,
+                              record=None, steps=steps):
+                result = real_integrate(n, K, phi0, dtau, tau_end, watch,
+                                        record)
+                if record is None:
+                    blow_up, (tau, _, _), _ = result
+                    start = -math.log1p(-chengyau._SERIES_START)
+                    stop = tau if blow_up is None else blow_up
+                    steps.append(round((stop - start) / dtau))
+                return result
+
+            mp.setattr(chengyau, "_boundary_growth", growth_spy)
+            mp.setattr(chengyau, "_integrate", integrate_spy)
+            out[(n, K)] = (shoot(n, K), seen, sum(steps))
     return out
 
 
 @pytest.fixture(scope="module")
 def solutions(searches):
-    return {case: sol for case, (sol, _) in searches.items()}
+    return {case: sol for case, (sol, _, _) in searches.items()}
 
 
 @pytest.mark.parametrize("n,K", AGREEMENT_CASES)
@@ -135,13 +149,14 @@ def test_series_start_is_the_closed_family(n, K, offset):
     assert abs(p1 / (1.0 - x) - psi - psi_tail) <= 1e-13
 
 
-def _super_critical(n, K, phi0):
-    """The classification rule of the search: a blow-up inside the search
-    window, or a boundary weight psi e^(-tau) that still grows over its
-    last unit of tau."""
+def _super_critical(n, K, phi0, tau_end=None):
+    """The classification rule of the search: a blow-up inside the window
+    tau <= tau_end (default: the search window), or a boundary weight
+    psi e^(-tau) that still grows over its last unit of tau."""
+    if tau_end is None:
+        tau_end = chengyau._SEARCH_TAU
     tau_star, (tau, _, psi), (tau_w, psi_w) = _integrate(
-        n, K, phi0, chengyau._SEARCH_DTAU, chengyau._SEARCH_TAU,
-        watch=chengyau._SEARCH_TAU - 1.0)
+        n, K, phi0, chengyau._SEARCH_DTAU, tau_end, watch=tau_end - 1.0)
     if tau_star is not None:
         return True
     return psi * math.exp(-tau) > psi_w * math.exp(-tau_w)
@@ -161,7 +176,7 @@ def _bisection_phi0(n, K, lo=-1.0, hi=3.0, tol=1e-11):
 
 @pytest.mark.parametrize("n,K", AGREEMENT_CASES)
 def test_search_agrees_with_bisection(n, K, searches):
-    sol, seen = searches[(n, K)]
+    sol, seen, _ = searches[(n, K)]
     assert abs(sol.phi[0] - _bisection_phi0(n, K)) <= 1e-11
     for phi0, g, tau_star in seen:
         assert (g > 0) == _super_critical(n, K, phi0)
@@ -171,9 +186,21 @@ def test_search_agrees_with_bisection(n, K, searches):
     assert all(-1.0 < phi0 < 3.0 for phi0, _, _ in seen[2:])
 
 
+@pytest.mark.parametrize("n,K", AGREEMENT_CASES)
+def test_search_root_is_the_long_window_root(n, K, solutions):
+    """The search window is short, but its root is the root of the same
+    classification on the window tau <= 4, watched at tau = 3, to within
+    2e-12: on the complete solution the boundary weight is constant, so the
+    window only has to be long enough for g to resolve the tolerance."""
+    phi0 = float(solutions[(n, K)].phi[0])
+    assert not _super_critical(n, K, phi0 - 2e-12, tau_end=4.0)
+    assert _super_critical(n, K, phi0 + 2e-12, tau_end=4.0)
+
+
 def test_search_classifies_few_candidates(searches):
-    _, seen = searches[(2, 3.0)]
+    _, seen, steps = searches[(2, 3.0)]
     assert len(seen) <= 24
+    assert steps <= 26_000
 
 
 def test_search_bracket_within_tol_runs_no_iteration(monkeypatch):
@@ -198,8 +225,12 @@ def test_coarse_search_of_the_benchmark_probe():
 
 
 def test_shoot_input_validation():
-    with pytest.raises(ValueError):
-        shoot(2, 3.0, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            shoot(2, 3.0, tol=tol)
+    for K in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="Ricci constant"):
+            shoot(2, K)
     with pytest.raises(ValueError):
         shoot(0, 1.0)
     with pytest.raises(BracketingError):

@@ -92,10 +92,21 @@ def test_missing_config_is_usage_error(tmp_path):
     assert code == 2
 
 
-def test_out_of_range_value_is_usage_error(capsys):
-    """Exit 2 (a config error), not 1 (a failed verification)."""
-    assert cli.main(["run", "key-equation", "--n", "0"]) == 2
-    assert "n must be >= 1" in capsys.readouterr().err
+def test_out_of_range_value_is_usage_error(tmp_path, capsys):
+    """Exit 2 (a config error), not 1 (a failed verification); an infinite
+    tol would otherwise pass."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"suites": {"flow": {"dt": float("inf")}}}))
+    for argv, message in [
+        (["run", "key-equation", "--n", "0"], "n must be >= 1"),
+        (["run", "einstein", "--tol", "inf"], "tol must be positive and"),
+        (["run", "key-equation", "--ricci", "inf"], "ricci must be positive"),
+        (["run", "cheng-yau", "--ricci", "inf"], "ricci must be positive"),
+        (["run-all", "--config", str(cfg), "--out", str(tmp_path / "r")],
+         "dt must be positive and finite"),
+    ]:
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_invalid_tolerance_is_config_error():

@@ -118,6 +118,10 @@ def test_bad_values_are_config_errors():
         ("einstein", {"domains": 5}),
         ("einstein", {"domains": [{"kind": "ball", "n": None}]}),
         ("key-equation", {"tol": True}), ("einstein", {"shrink": True}),
+        # infinite: tol would pass any residual, ricci and dt would fail
+        # inside the body with errors that name neither
+        ("einstein", {"tol": math.inf}), ("key-equation", {"ricci": math.inf}),
+        ("cheng-yau", {"ricci": math.inf}), ("flow", {"dt": math.inf}),
     ]
     for name, config in bad:
         with pytest.raises(ConfigError):
