@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, DegenerateMetricError, ResolutionError
-from .domains import ball
+from .domains import as_integer, ball
 from .field import BallLog, PotentialField
 
 BLOWUP_THRESHOLD = 1e8
@@ -421,10 +421,12 @@ def solution_to_csv(rp: RadialPotential, path, stride: int | None = None) -> Non
     """Write (t, phi, dphi, gradient length) rows.
 
     ``stride=None`` thins the fine solver grid to roughly 2000 rows; pass
-    1 to dump every point.
+    1 to dump every point.  A stride is an integer >= 1 (``as_integer``).
     """
-    if stride is None:
-        stride = max(1, len(rp.grid) // 2000)
+    stride = (max(1, len(rp.grid) // 2000) if stride is None
+              else as_integer(stride, "stride"))
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     idx = np.arange(0, len(rp.grid), stride)
     if idx[-1] != len(rp.grid) - 1:
         idx = np.append(idx, len(rp.grid) - 1)

@@ -122,7 +122,7 @@ def _cmd_run_all(args) -> int:
         except json.JSONDecodeError as exc:
             raise KelabError(f"config file {args.config} is not valid JSON: {exc}")
     env_seed = os.environ.get("KELAB_SEED")
-    if env_seed and "seed" not in config:
+    if env_seed and isinstance(config, dict) and "seed" not in config:
         config["seed"] = env_seed
     out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)

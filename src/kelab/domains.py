@@ -204,9 +204,14 @@ def product(*factors: DomainModel) -> DomainModel:
 def from_json(obj: dict) -> DomainModel:
     """The domain of a ``to_json`` record.  A parameter takes an integral
     value such as 3, 3.0 or "3" (see ``as_integer``)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a domain record is an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == PRODUCT:
-        return product(*[from_json(f) for f in obj["factors"]])
+        factors = obj.get("factors")
+        if not isinstance(factors, list):
+            raise ValueError(f"product factors must be a list, got {factors!r}")
+        return product(*[from_json(f) for f in factors])
     if kind not in PARAMETERS:
         raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
     build = {BALL: ball, POLYDISC: polydisc, TYPE_I: type_i, TYPE_II: type_ii,

@@ -7,11 +7,11 @@ derivative path: with parts, ``PotentialField.jet`` is the closed form;
 without, it is ``fd_jet`` of ``fn``, which maps an (M, n) stack of points
 to M values.  A part maps a stack Z of N points, shape (N, n), and an
 order to its dense jet tensors
-{(m, l): array of shape (N,) + (n,)*(m+l)} for m >= l over
-``jets.bidegrees`` (m + l <= order and m, l <= 2: what a frame reads),
-leaving out the bidegrees that vanish identically; the potential is real,
-so the (l, m) tensors are the conjugates.  The parts implemented here
-cover every potential the package constructs:
+{(m, l): array of shape (N,) + (n,)*(m+l)} over ``jets.bidegrees``
+(m + l <= order and 2 >= m >= l: what a frame reads), leaving out the
+bidegrees that vanish identically; the potential is real, so no part nor
+jet holds the (l, m) tensors, the mirrors of these.  The parts
+implemented here cover every potential the package constructs:
 
 * ``BallLog``           -- -A log(1 - |z|^2) + offset on the unit ball
                            (the ball kernel and its Einstein rescalings)
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, UnsupportedOrderError
-from .jets import MAX_ORDER, Jet, as_points, bidegrees, fd_jet
+from .jets import MAX_ORDER, Jet, as_points, bidegrees, fd_jet, mirror
 
 def _check(ok, Z, what, values):
     """Raise EvaluationError naming the first point of Z where ``ok`` fails."""
@@ -50,14 +50,8 @@ def _check(ok, Z, what, values):
         raise EvaluationError(f"{what} {values[i]} at z={Z[i]!r}")
 
 
-def _mirror(t, m, l):
-    """The (l, m) tensor conj(d(b, a)) of a real function from its (m, l) one."""
-    axes = (0,) + tuple(range(1 + m, 1 + m + l)) + tuple(range(1, 1 + m))
-    return np.conj(t.transpose(axes))
-
-
 def _complete(total, order, N, n):
-    """Both halves of a real jet of N points from its m >= l half.
+    """The jet tensors of N points over ``bidegrees`` from the parts' sum.
 
     Absent tensors are zero.  Entries equal by symmetry are copied from the
     one with sorted indices, and (m, m) tensors are made Hermitian, so both
@@ -65,17 +59,13 @@ def _complete(total, order, N, n):
     """
     out = {}
     for m, l in bidegrees(order):
-        if m < l:
-            continue
         t = total.get((m, l))
         if t is None:
             t = np.zeros((N,) + (n,) * (m + l), dtype=complex)
         if m > 1 or l > 1:
             t = t.reshape(N, -1)[:, _sorted_index(n, m, l)].reshape(t.shape)
         if 0 < m == l:
-            t = 0.5 * (t + _mirror(t, m, l))
-        elif m > l:
-            out[(l, m)] = _mirror(t, m, l)
+            t = 0.5 * (t + mirror(t, m, l))
         out[(m, l)] = t
     return out
 
@@ -118,7 +108,7 @@ def _either(jet, key):
         m, l = key
         if m >= l or (l, m) not in jet:
             return None
-        jet[key] = _mirror(jet[(l, m)], l, m)
+        jet[key] = mirror(jet[(l, m)], l, m)
     return jet[key]
 
 
@@ -134,13 +124,13 @@ def _log_jet(inner, order, n, scale):
 
     so each bidegree of order k takes 2^(k-1) - 1 products of tensors
     already known: 7 for (2, 2).  S - B keeps s0, so F's tensors stay
-    within ``bidegrees``, and N's within (2, 2).
+    within ``bidegrees`` and F_(1, 2), a mirror like N's l > m ones.
     """
     N0 = inner[(0, 0)]
     inner = dict(inner)
     out = {}
     for m, l in bidegrees(order):
-        if m < l or m + l == 0:
+        if m + l == 0:
             continue
         total = scale * inner[(m, l)] if (m, l) in inner else None
         for b, rest, b_shape, rest_shape in _log_terms(m, l, n):
@@ -171,7 +161,7 @@ class BallLog:
     def jet(self, Z, order):
         s = (np.abs(Z) ** 2).sum(axis=1)
         _check(s < 1.0, Z, "ball log evaluated at |z|^2 >= 1: |z|^2 =", s)
-        inner = {(0, 0): 1.0 - s, (1, 0): -np.conj(Z), (0, 1): -Z,
+        inner = {(0, 0): 1.0 - s, (1, 0): -np.conj(Z),
                  (1, 1): -_eye(Z.shape[1])}
         out = _log_jet(inner, order, Z.shape[1], -self.amplitude)
         out[(0, 0)] = -self.amplitude * np.log1p(-s) + self.offset

@@ -5,11 +5,13 @@ A ``Jet`` holds the value and the partial derivatives
     d(a, b) = (prod_{alpha in a} d/dz^alpha) (prod_{beta in b} d/dzbar^beta) f
 
 of the bidegrees (m, l) = (|a|, |b|) with m + l <= order (at most 4) and
-m, l <= 2 (``bidegrees``), as one dense array per bidegree:
+2 >= m >= l (``bidegrees``), as one dense array per bidegree:
 ``tensors[(m, l)][..., a1..am, b1..bl]``.  A frame reads no more: the
 metric (1, 1), the Christoffels (2, 1), the curvature (2, 2) and the
-unbarred Hessian (2, 0).  A jet of a single point has arrays of shape
-(n,)*(m+l); a jet of a stack of N points carries a leading axis of N.
+unbarred Hessian (2, 0).  The function is real, so the (l, m) tensor is
+the conjugate transpose of the (m, l) one (``mirror``) and is not stored.
+A jet of a single point has arrays of shape (n,)*(m+l); a jet of a stack
+of N points carries a leading axis of N.
 
 ``fd_jet`` is the finite-difference oracle, valid for any smooth real
 function: tensor-product central stencils in the underlying real
@@ -73,11 +75,18 @@ def as_points(coords) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def bidegrees(order: int) -> tuple:
-    """The (m, l) with m + l <= order and m, l <= 2: all a frame reads.
-    ``field._log_jet`` builds them from these alone, since each of its
-    terms keeps the first holomorphic slot."""
+    """The (m, l) with m + l <= order and 2 >= m >= l: all a frame reads,
+    the (l, m) tensors being their mirrors.  ``field._log_jet`` builds
+    them from these alone, since each of its terms keeps the first
+    holomorphic slot."""
     return tuple((m, k - m) for k in range(order + 1)
-                 for m in range(min(k, 2), max(k - 2, 0) - 1, -1))
+                 for m in range(min(k, 2), (k + 1) // 2 - 1, -1))
+
+
+def mirror(t, m, l):
+    """A real function's stacked (l, m) tensor from its (m, l) one."""
+    axes = (0,) + tuple(range(1 + m, 1 + m + l)) + tuple(range(1, 1 + m))
+    return np.conj(t.transpose(axes))
 
 
 @dataclass(frozen=True)
@@ -114,15 +123,16 @@ class Jet:
         return self.tensors[(2, 1)]
 
     def conjugation_defect(self) -> float:
-        """max |d(a,b) - conj(d(b,a))|; zero for derivatives of real functions."""
-        lead = self.point.ndim - 1
-        worst = 0.0
+        """max |d(a, b) - conj(d(b, a))| over the (m, m) tensors, their
+        Hermitian defect; zero for derivatives of real functions, NaN
+        where a tensor holds one."""
+        n = self.point.shape[-1]
+        worst = []
         for (m, l), t in self.tensors.items():
-            mirror = np.moveaxis(self.tensors[(l, m)],
-                                 list(range(lead, lead + l)),
-                                 list(range(lead + m, lead + m + l)))
-            worst = max(worst, float(np.max(np.abs(t - np.conj(mirror)))))
-        return worst
+            if m == l:
+                t = t.reshape((-1,) + (n,) * (2 * m))
+                worst.append(np.max(np.abs(t - mirror(t, m, m))))
+        return float(np.max(worst))
 
 
 # 1-d central stencils with O(h^2) truncation, as {offset: coefficient};
@@ -237,8 +247,8 @@ def fd_jet(f, z, order: int, step: float | None = None) -> Jet:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     h = default_step(order) if step is None else float(step)
-    if h <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, got {h}")
     Z = z.reshape(-1, z.shape[-1])
     N, n = Z.shape
     plan = _stencil_plan(n, order)

@@ -76,10 +76,12 @@ def certify_constant_length(p: PotentialField, samples: int = 200,
 
     The certified constant must also satisfy the lower bound (n+1)/K that
     holds for every constant-length potential of a metric with Ricci
-    constant K; fewer than 1 sample is a ValueError.
+    constant K.  Under 1 sample or a non-finite tolerance is a ValueError.
     """
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
+    if not np.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     d = p.domain
     points = sample_interior(d, np.random.default_rng(seed), samples,
                              shrink=shrink)

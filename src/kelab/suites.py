@@ -124,12 +124,10 @@ def _require(cond, message):
 def _domain(raw) -> DomainModel:
     if isinstance(raw, DomainModel):
         return raw
-    if isinstance(raw, dict):
-        try:
-            return from_json(raw)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"invalid domain parameters {raw!r}: {exc}")
-    raise ConfigError(f"cannot interpret domain {raw!r}")
+    try:
+        return from_json(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"invalid domain {raw!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -578,18 +576,24 @@ def _table1(cfg):
 def run_all(config: dict, out_dir=None):
     """Run every configured suite in order; returns (reports, all_passed).
 
+    ``config`` and ``suites`` are objects, each suite's entry one or null.
     Without ``suites`` every suite runs at its defaults, and ``seed``
-    defaults to 0.  Every suite's config is checked before the first suite
-    runs.
+    defaults to 0.  Every config is checked before the first suite runs.
     """
+    _require(isinstance(config, dict),
+             f"run-all config must be an object, got {config!r}")
     unknown = sorted(set(config) - {"seed", "suites"})
     _require(not unknown, f"unknown config key(s) {', '.join(unknown)}; "
                           "accepted: seed, suites")
-    suite_cfgs = config.get("suites") or {name: {} for name in SUITES}
+    suite_cfgs = config.get("suites")
+    _require(suite_cfgs is None or isinstance(suite_cfgs, dict),
+             f"run-all suites must be an object, got {suite_cfgs!r}")
+    suite_cfgs = suite_cfgs or {name: {} for name in SUITES}
     seed = _number("run-all", "seed", config.get("seed", 0), int)
-    for name in suite_cfgs:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r} in config")
+    for name, cfg in suite_cfgs.items():
+        _require(name in SUITES, f"unknown suite {name!r} in config")
+        _require(isinstance(cfg, (dict, type(None))),
+                 f"run-all: {name}'s config must be an object or null")
     cfgs = {}
     for name in SUITES:
         if name not in suite_cfgs:

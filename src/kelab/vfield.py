@@ -197,11 +197,14 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
     m = len(z0)
     t = np.broadcast_to(np.asarray(t, dtype=float), (m,))
     generator = np.broadcast_to(np.asarray(generator), (m,))
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if record_every < 0:
+        raise ValueError(f"record_every must be >= 0, got {record_every}")
     for ti in t:
-        if abs(ti) > MAX_HORIZON:
-            raise ValueError(f"|t| capped at {MAX_HORIZON} (requested {ti})")
+        if not abs(ti) <= MAX_HORIZON:
+            raise ValueError(f"t must be finite with |t| <= {MAX_HORIZON}, "
+                             f"got {ti}")
     for g in generator:
         if g not in ("re_w", "re_v"):
             raise ValueError(f"unknown generator {g!r}; use re_w or re_v")

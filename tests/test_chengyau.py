@@ -315,6 +315,9 @@ def test_solution_csv(tmp_path):
         thin_rows = list(csv.reader(fh))
     assert 3 <= len(thin_rows) <= 2500
     assert float(thin_rows[-1][0]) == pytest.approx(rp.grid[-1], abs=1e-15)
+    for stride in (0, -1, 1.5, True):
+        with pytest.raises(ValueError, match="stride"):
+            chengyau.solution_to_csv(rp, tmp_path / "bad.csv", stride=stride)
 
 
 def test_solution_csv_column_matches_per_row(tmp_path):

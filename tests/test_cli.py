@@ -150,6 +150,18 @@ def test_run_all_rejects_unknown_suite_in_config(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("config", [[1, 2], {"suites": ["table1"]},
+                                    {"suites": {"table1": 5}}])
+def test_run_all_rejects_malformed_config(tmp_path, monkeypatch, config):
+    """Exit 2, not 1 (a failed verification), with or without KELAB_SEED."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["run-all", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 2
+    monkeypatch.setenv("KELAB_SEED", "3")
+    assert cli.main(argv) == 2
+
+
 def test_run_all_rejects_zero_tolerance_config(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"suites": {"key-equation": {"tol": 0,

@@ -8,7 +8,7 @@ import pytest
 from kelab import chengyau, domains, hermgeo, potentials
 from kelab.errors import EvaluationError, UnsupportedOrderError
 from kelab.field import PotentialField
-from kelab.jets import as_point, bidegrees, fd_jet
+from kelab.jets import _stencil_plan, as_point, bidegrees, fd_jet
 from kelab.sampling import sample_interior
 
 
@@ -52,8 +52,18 @@ def test_fd_jet_rejects_bad_order_and_step():
         fd_jet(quadratic, np.zeros(2, complex), 0)
     with pytest.raises(ValueError):
         fd_jet(quadratic, np.zeros(2, complex), 5)
-    with pytest.raises(ValueError):
-        fd_jet(quadratic, np.zeros(2, complex), 2, step=0.0)
+    for step in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="step must be positive"):
+            fd_jet(quadratic, np.zeros(2, complex), 2, step=step)
+
+
+def test_jets_hold_the_m_ge_l_half():
+    """A jet keeps the (m, l) with m >= l; its (l, m) are their mirrors."""
+    assert bidegrees(2) == ((0, 0), (1, 0), (2, 0), (1, 1))
+    assert bidegrees(4) == ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
+    plan = _stencil_plan(3, 4)
+    assert plan.wirtinger[0].max() + 1 == 73
+    assert len(plan.offsets) == 1197
 
 
 def _log_inside(w):
@@ -212,6 +222,14 @@ def test_conjugation_symmetry():
     q = domains.bergman_potential(domains.type_iv(3))
     z = sample_interior(q.domain, np.random.default_rng(5), 1)[0]
     assert q.analytic_jet(z, 4).conjugation_defect() == 0.0
+    # a stacked order-4 FD jet: the Hermitian check reaches (2, 2)
+    zs = np.array(sample_interior(p.domain, rng, 3, shrink=0.55))
+    jet = fd_jet(p, zs, 4)
+    assert (2, 2) in jet.tensors
+    assert jet.conjugation_defect() <= 1e-10
+    # a NaN entry is a NaN defect, not a zero one
+    jet.tensors[(1, 1)][1, 0, 1] = np.nan
+    assert np.isnan(jet.conjugation_defect())
 
 
 def test_linearity_of_analytic_jets():

@@ -1,5 +1,6 @@
 """Potential constructions: canonical, rescaled, products, Siegel pullback."""
 
+import math
 import re
 
 import numpy as np
@@ -308,6 +309,14 @@ def test_certificates_need_a_sample():
     with pytest.raises(ValueError, match="count"):
         potentials.kai_ohsawa_constant(domains.ball(2), spot_checks=0)
     assert potentials.certify_constant_length(p, samples=1).sample_count == 1
+    # an infinite tolerance would certify the flat quadratic, whose
+    # gradient length is not constant
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            potentials.certify_constant_length(
+                potentials.quadratic_fixture(2), tolerance=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            potentials.kai_ohsawa_constant(domains.ball(2), tol=tol)
 
 
 def test_constant_independent_of_boundary_point():

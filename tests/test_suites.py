@@ -116,6 +116,9 @@ def test_bad_values_are_config_errors():
         ("delta-identity", {"shrink": 1.5}),
         ("flow", {"dt": -1}), ("flow", {"horizon": 20}),
         ("einstein", {"domains": 5}),
+        ("einstein", {"domains": [5]}),
+        ("einstein", {"domains": [{"kind": "product", "factors": 5}]}),
+        ("einstein", {"domains": [{"kind": "product", "factors": [5]}]}),
         ("einstein", {"domains": [{"kind": "ball", "n": None}]}),
         ("key-equation", {"tol": True}), ("einstein", {"shrink": True}),
         # infinite: tol would pass any residual, ricci and dt would fail
@@ -128,6 +131,10 @@ def test_bad_values_are_config_errors():
             run_suite(name, config)
         with pytest.raises(ConfigError):
             run_all({"suites": {name: config}})
+    # the config, its suites and each suite's entry are objects
+    for config in ([1, 2], {"suites": ["table1"]}, {"suites": {"table1": 5}}):
+        with pytest.raises(ConfigError, match="object"):
+            run_all(config)
     # the top-level seed is neither truncated nor read as 1
     for seed in (2.9, True):
         with pytest.raises(ConfigError, match="seed must be an integer"):

@@ -218,6 +218,15 @@ def test_flow_long_horizon_conservation(certified):
 def test_flow_horizon_cap(certified):
     with pytest.raises(ValueError):
         vfield.integrate_flow(certified, np.zeros(2, complex), 20.0)
+    # an infinite dt is not one step of size t, and NaN is not a bare
+    # conversion error
+    z0 = np.array([0.1, 0.0], complex)
+    for t, dt in ((0.5, np.inf), (0.5, np.nan), (np.nan, 1e-3),
+                  (np.inf, 1e-3)):
+        with pytest.raises(ValueError, match="finite"):
+            vfield.integrate_flow(certified, z0, t, dt=dt)
+    with pytest.raises(ValueError, match="record_every"):
+        vfield.flow_trajectory(certified, z0, 0.1, record_every=-1)
 
 
 def _nan_velocity_at(monkeypatch, call):
