@@ -21,6 +21,9 @@ so its boundary limit is (n+1)/K.
 RK4 runs in tau = -log(1 - t), from the centre series to t^4 at t = 2e-3:
 the grid is geometric in (1 - t), which resolves the logarithmic blow-up.
 The search window ends at tau = 2, with the watched step at tau = 1.
+Every candidate and the returned run step through the same tau grid, so
+tau and t at each step's middle and end come from one table
+(``_tau_steps``), built once per step size.
 The independent check of the ODE residual is a five-point stencil in
 tau, ~dtau^4 up to the boundary.
 """
@@ -28,14 +31,16 @@ tau, ~dtau^4 up to the boundary.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import BracketingError, DegenerateMetricError, ResolutionError
-from .domains import as_integer, ball
+from .domains import as_integer, ball, check_ricci_constant
 from .field import BallLog, PotentialField
 
 BLOWUP_THRESHOLD = 1e8
@@ -226,6 +231,27 @@ def _series_start(n, K, phi0):
             p1 * (1.0 + x * (1.0 + x * (1.0 + x))))
 
 
+@functools.lru_cache(maxsize=None)
+def _tau_steps(dtau):
+    """The step table of every RK4 run at step ``dtau``, from the series
+    start to tau = -log(_FINAL_EDGE): per step, 1 - t and t at the
+    mid-step, then tau, t and 1 - t at its end, five float arrays.
+
+    The search and the returned solution all step through this one tau
+    grid.  tau accumulates by the loop's own adds (a cumulative sum adds
+    in order), and t = 1 - e^(-tau) takes math.exp, since np.exp differs
+    from it in the last bit at some steps.
+    """
+    tau0 = -math.log1p(-_SERIES_START)
+    steps = math.ceil((-math.log(_FINAL_EDGE) - tau0) / dtau)
+    taus = np.cumsum(np.concatenate(([tau0], np.full(steps, dtau))))
+    t_mid = 1.0 - np.fromiter(map(math.exp, -(taus[:-1] + 0.5 * dtau)),
+                              float, steps)
+    t_end = 1.0 - np.fromiter(map(math.exp, -taus[1:]), float, steps)
+    return tuple(array("d", c.tobytes()) for c in
+                 (1.0 - t_mid, t_mid, taus[1:], t_end, 1.0 - t_end))
+
+
 def _integrate(n, K, phi0, dtau, tau_end, watch=math.inf, record=None):
     """RK4 in tau = -log(1-t) for the state y = (phi, psi), psi = phi'.
 
@@ -235,73 +261,84 @@ def _integrate(n, K, phi0, dtau, tau_end, watch=math.inf, record=None):
 
     Returns (blow-up tau or None, (tau, phi, psi) at the last step,
     (tau, psi) at the step whose tau is nearest ``watch``, the first on
-    ties).  ``record``, a triple of lists or float arrays, receives tau,
-    phi and psi at the start and after every step.  The loop is written
-    out by hand: t = 1 - e^(-tau) at tau + dtau serves stage 4 and the
-    next step's stage 1, since the accumulated tau is the same float.
+    ties, of the steps before any blow-up).  ``record``, a triple of lists
+    or float arrays, receives tau, phi and psi at the start and after
+    every step.  The loop is written out by hand and reads tau and t from
+    ``_tau_steps``; a ``tau_end`` past that table is a ValueError.
     """
+    table = _tau_steps(dtau)
+    tau_col = table[2]
     tau = -math.log1p(-_SERIES_START)
+    steps = max(int(math.ceil((tau_end - tau) / dtau)), 0)
+    if steps > len(tau_col):
+        raise ValueError(f"tau_end={tau_end!r} is past the step table, "
+                         f"which ends at tau={tau_col[-1]!r}")
     phi, psi = _series_start(n, K, phi0)
     if record is not None:
         taus, phis, psis = record
         taus.append(tau)
         phis.append(phi)
         psis.append(psi)
-    nearest, tau_w, psi_w = abs(tau - watch), tau, psi
+    # each step up to the watched one is nearer ``watch`` than the one
+    # before, so a run that stops short watches its last kept step
+    run = np.concatenate(([tau], np.frombuffer(tau_col, count=steps)))
+    tau_watch = float(run[np.argmin(np.abs(run - watch))])
+    tau_w, psi_w = tau, psi
     e = 1.0 - n
     half = 0.5 * dtau
     sixth = dtau / 6.0
     t = 1.0 - math.exp(-tau)
     om = 1.0 - t
     blow_up = None
-    steps = int(math.ceil((tau_end - tau) / dtau))
     try:
-        for _ in range(steps):
-            if K * phi > 690.0 or psi <= 0.0:
+        for om_m, t_m, tau_next, t_next, om_next in islice(zip(*table),
+                                                           steps):
+            kp = K * phi
+            if kp > 690.0 or psi <= 0.0:
                 blow_up = tau
                 break
             a1 = om * psi
-            b1 = om * ((math.exp(K * phi) * psi ** e - psi) / t)
-            t_mid = 1.0 - math.exp(-(tau + half))
-            om_mid = 1.0 - t_mid
+            b1 = om * ((math.exp(kp) * psi ** e - psi) / t)
             phi_s = phi + half * a1
             psi_s = psi + half * b1
-            if K * phi_s > 690.0 or psi_s <= 0.0:
+            kp = K * phi_s
+            if kp > 690.0 or psi_s <= 0.0:
                 blow_up = tau
                 break
-            a2 = om_mid * psi_s
-            b2 = om_mid * ((math.exp(K * phi_s) * psi_s ** e - psi_s) / t_mid)
+            a2 = om_m * psi_s
+            b2 = om_m * ((math.exp(kp) * psi_s ** e - psi_s) / t_m)
             phi_s = phi + half * a2
             psi_s = psi + half * b2
-            if K * phi_s > 690.0 or psi_s <= 0.0:
+            kp = K * phi_s
+            if kp > 690.0 or psi_s <= 0.0:
                 blow_up = tau
                 break
-            a3 = om_mid * psi_s
-            b3 = om_mid * ((math.exp(K * phi_s) * psi_s ** e - psi_s) / t_mid)
-            tau_next = tau + dtau
-            t = 1.0 - math.exp(-tau_next)
-            om = 1.0 - t
+            a3 = om_m * psi_s
+            b3 = om_m * ((math.exp(kp) * psi_s ** e - psi_s) / t_m)
+            t, om = t_next, om_next
             phi_s = phi + dtau * a3
             psi_s = psi + dtau * b3
-            if K * phi_s > 690.0 or psi_s <= 0.0:
+            kp = K * phi_s
+            if kp > 690.0 or psi_s <= 0.0:
                 blow_up = tau
                 break
             a4 = om * psi_s
-            b4 = om * ((math.exp(K * phi_s) * psi_s ** e - psi_s) / t)
+            b4 = om * ((math.exp(kp) * psi_s ** e - psi_s) / t)
             phi += sixth * (a1 + 2 * a2 + 2 * a3 + a4)
             psi += sixth * (b1 + 2 * b2 + 2 * b3 + b4)
             tau = tau_next
             if record is not None:
-                taus.append(tau)
                 phis.append(phi)
                 psis.append(psi)
             if not math.isfinite(psi) or psi > BLOWUP_THRESHOLD:
                 blow_up = tau
                 break
-            if abs(tau - watch) < nearest:
-                nearest, tau_w, psi_w = abs(tau - watch), tau, psi
+            if tau <= tau_watch:
+                tau_w, psi_w = tau, psi
     except OverflowError:
         blow_up = tau
+    if record is not None:
+        taus.extend(tau_col[:len(phis) - len(taus)])
     return blow_up, (tau, phi, psi), (tau_w, psi_w)
 
 
@@ -348,8 +385,7 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if not 0 < K < math.inf:
-        raise ValueError("Ricci constant must be positive and finite")
+    check_ricci_constant(K)
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     lo, hi = float(phi0_bracket[0]), float(phi0_bracket[1])

@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedPointError,
 )
 from .field import BallLog, HermitianNormPart, PotentialField
-from .jets import as_point, as_points
+from .jets import as_integer, as_point, as_points
 
 BALL = "ball"
 POLYDISC = "polydisc"
@@ -219,16 +219,12 @@ def from_json(obj: dict) -> DomainModel:
     return build(*(as_integer(obj[key], key) for key in PARAMETERS[kind]))
 
 
-def as_integer(value, name: str = "value") -> int:
-    """``value`` as an int: 3, 3.0 and "3" pass; 2.9, None and a bool raise
-    ValueError, naming ``name``, instead of being truncated or read as 1."""
-    try:
-        if not isinstance(value, bool) and (isinstance(value, str)
-                                            or int(value) == value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_ricci_constant(K) -> None:
+    """A ValueError naming K unless 0 < K < inf, the Ricci constant of an
+    Einstein metric Ric = -K g."""
+    if not 0 < K < math.inf:
+        raise ValueError(f"Ricci constant K must be positive and finite, "
+                         f"got {K!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +458,7 @@ def bergman_potential(d: DomainModel) -> PotentialField:
 
 def ke_potential(d: DomainModel, K: float) -> PotentialField:
     """Rescale the kernel potential so its metric has Ricci constant K."""
-    if K <= 0:
-        raise ValueError("Ricci constant must be positive")
+    check_ricci_constant(K)
     p = bergman_potential(d).scaled(1.0 / K, label=f"ke[{d.label},K={K:g}]")
     return p
 

@@ -8,10 +8,11 @@ without, it is ``fd_jet`` of ``fn``, which maps an (M, n) stack of points
 to M values.  A part maps a stack Z of N points, shape (N, n), and an
 order to its dense jet tensors
 {(m, l): array of shape (N,) + (n,)*(m+l)} over ``jets.bidegrees``
-(m + l <= order and 2 >= m >= l: what a frame reads), leaving out the
-bidegrees that vanish identically; the potential is real, so no part nor
-jet holds the (l, m) tensors, the mirrors of these.  The parts
-implemented here cover every potential the package constructs:
+(m + l <= order and 2 >= m >= l, (2, 0) from order 3: what a frame
+reads), leaving out the bidegrees that vanish identically; the potential
+is real, so no part nor jet holds the (l, m) tensors, the mirrors of
+these.  The parts implemented here cover every potential the package
+constructs:
 
 * ``BallLog``           -- -A log(1 - |z|^2) + offset on the unit ball
                            (the ball kernel and its Einstein rescalings)
@@ -27,7 +28,8 @@ recursion, ``_log_jet``, serves all three: differentiating N dF = dN
 gives each tensor of F = log N from N's tensors and lower ones of F: 7
 products for (2, 2), the one bidegree of order 4, and 3 for (2, 1).  It
 needs N's tensors to (2, 2) only, so the two form parts share one
-contraction, ``_contract``, for the derivatives of the h_j to degree 2.
+contraction, ``_contract``, for the derivatives of the h_j to the top
+holomorphic degree of the jet's bidegrees: 2 from order 3, 1 at order 2.
 The ball is the rank-1 form too, but its own part is cheaper.
 """
 
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, UnsupportedOrderError
-from .jets import MAX_ORDER, Jet, as_points, bidegrees, fd_jet, mirror
+from .jets import (MAX_ORDER, Jet, as_integer, as_points, bidegrees,
+                   fd_jet, mirror)
 
 def _check(ok, Z, what, values):
     """Raise EvaluationError naming the first point of Z where ``ok`` fails."""
@@ -187,6 +190,13 @@ def _eye(n):
 # ---------------------------------------------------------------------------
 # signed Hermitian forms
 
+@functools.lru_cache(maxsize=None)
+def _top_degree(order):
+    """The top holomorphic degree m of ``bidegrees(order)``: the form
+    parts contract their polynomials that far (1 at order 2)."""
+    return max(m for m, _ in bidegrees(order))
+
+
 def _contract(form, Z, order):
     """H[m] = d^m h of the form's degrees k >= m, stacked, (N, J_(k>=m), n^m),
     at each row of Z for m <= order (and m <= the form's top degree)."""
@@ -249,7 +259,7 @@ class HermitianNormPart:
 
     def jet(self, Z, order):
         N, n = Z.shape
-        H, coeffs = self._derivatives(Z, min(order, 2))
+        H, coeffs = self._derivatives(Z, _top_degree(order))
         inner = {(0, 0): coeffs[:, 0]}
         conj = [np.conj(h) for h in H[:order // 2 + 1]]  # l <= order - m
         for m in range(1, len(H)):
@@ -282,7 +292,8 @@ class BoundaryLog:
 
     def jet(self, Z, order):
         N, n = Z.shape
-        H = [h.sum(axis=1) for h in _contract(self.form, Z, min(order, 2))]
+        H = [h.sum(axis=1)
+             for h in _contract(self.form, Z, _top_degree(order))]
         value = H[0][:, 0]
         _check(np.abs(value) > 0, Z, "log|N(z, e)| singular: N =", value)
         inner = {(0, 0): value}
@@ -333,6 +344,7 @@ class PotentialField:
         return float(values[0]) if z.ndim == 1 else values
 
     def analytic_jet(self, z, order: int) -> Jet:
+        order = as_integer(order, "order")
         if self.parts is None or not 0 <= order <= MAX_ORDER:
             raise UnsupportedOrderError(
                 f"{self.label}: no closed-form derivatives at order {order}"

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import MAX_ORDER, Jet, as_points, fd_jet
+from .jets import MAX_ORDER, Jet, as_integer, as_points, fd_jet
 
 _PD_TOL = 1e-12
 _HERMITIAN_TOL = 1e-8
@@ -91,8 +91,9 @@ def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
     to each point.  Raises ``DegenerateMetricError`` naming the point where
     the complex Hessian of the potential fails to be Hermitian or positive
     definite.  ``order`` is that of the jet taken, 2..``MAX_ORDER``; the
-    Christoffels need 3.
+    Christoffels need 3, and so does the unbarred Hessian (2, 0).
     """
+    order = as_integer(order, "order")
     if not 2 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 2..{MAX_ORDER}, got {order}")
     z = as_points(z)

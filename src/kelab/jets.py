@@ -8,10 +8,12 @@ of the bidegrees (m, l) = (|a|, |b|) with m + l <= order (at most 4) and
 2 >= m >= l (``bidegrees``), as one dense array per bidegree:
 ``tensors[(m, l)][..., a1..am, b1..bl]``.  A frame reads no more: the
 metric (1, 1), the Christoffels (2, 1), the curvature (2, 2) and the
-unbarred Hessian (2, 0).  The function is real, so the (l, m) tensor is
-the conjugate transpose of the (m, l) one (``mirror``) and is not stored.
-A jet of a single point has arrays of shape (n,)*(m+l); a jet of a stack
-of N points carries a leading axis of N.
+unbarred Hessian (2, 0), which only the covariant Hessian and the
+curvature read, both from order 3 up; so an order-2 jet leaves (2, 0)
+out.  The function is real, so the (l, m) tensor is the conjugate
+transpose of the (m, l) one (``mirror``) and is not stored.  A jet of a
+single point has arrays of shape (n,)*(m+l); a jet of a stack of N
+points carries a leading axis of N.
 
 ``fd_jet`` is the finite-difference oracle, valid for any smooth real
 function: tensor-product central stencils in the underlying real
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, UnsupportedOrderError
 
 MAX_ORDER = 4
 
@@ -73,14 +75,28 @@ def as_points(coords) -> np.ndarray:
     return z
 
 
+def as_integer(value, name: str = "value") -> int:
+    """``value`` as an int: 3, 3.0 and "3" pass; 2.9, None and a bool raise
+    ValueError, naming ``name``, instead of being truncated or read as 1."""
+    try:
+        if not isinstance(value, bool) and (isinstance(value, str)
+                                            or int(value) == value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @functools.lru_cache(maxsize=None)
 def bidegrees(order: int) -> tuple:
-    """The (m, l) with m + l <= order and 2 >= m >= l: all a frame reads,
-    the (l, m) tensors being their mirrors.  ``field._log_jet`` builds
-    them from these alone, since each of its terms keeps the first
-    holomorphic slot."""
+    """The (m, l) with m + l <= order and 2 >= m >= l that a frame of this
+    order reads, the (l, m) tensors being their mirrors; (2, 0) only from
+    order 3 up, where the covariant Hessian and the curvature read it.
+    ``field._log_jet`` builds them from these alone, since each of its
+    terms keeps the first holomorphic slot."""
     return tuple((m, k - m) for k in range(order + 1)
-                 for m in range(min(k, 2), (k + 1) // 2 - 1, -1))
+                 for m in range(min(k, 2), (k + 1) // 2 - 1, -1)
+                 if order > 2 or (m, k - m) != (2, 0))
 
 
 def mirror(t, m, l):
@@ -102,25 +118,36 @@ class Jet:
         return Jet(self.point[i], self.order,
                    {k: t[i] for k, t in self.tensors.items()})
 
+    def _tensor(self, key):
+        """tensors[key], or UnsupportedOrderError naming the bidegree and
+        the order it needs when this jet's order leaves it out."""
+        try:
+            return self.tensors[key]
+        except KeyError:
+            need = next(k for k in range(MAX_ORDER + 1) if key in bidegrees(k))
+            raise UnsupportedOrderError(
+                f"an order-{self.order} jet holds no {key} derivatives; "
+                f"they need order >= {need}") from None
+
     def value(self):
         v = np.real(self.tensors[(0, 0)])
         return float(v) if v.ndim == 0 else v
 
     def holo_gradient(self) -> np.ndarray:
         """(d f / dz^alpha), shape [..., n]."""
-        return self.tensors[(1, 0)]
+        return self._tensor((1, 0))
 
     def mixed_hessian(self) -> np.ndarray:
         """H[a, b] = d^2 f / dz^a dzbar^b (the metric candidate)."""
-        return self.tensors[(1, 1)]
+        return self._tensor((1, 1))
 
     def pure_hessian(self) -> np.ndarray:
-        """Unbarred second derivatives d^2 f / dz^a dz^b."""
-        return self.tensors[(2, 0)]
+        """Unbarred second derivatives d^2 f / dz^a dz^b (order >= 3)."""
+        return self._tensor((2, 0))
 
     def third_tensor(self) -> np.ndarray:
         """T[a, b, m] = d^3 f / dz^a dz^b dzbar^m (source of Christoffels)."""
-        return self.tensors[(2, 1)]
+        return self._tensor((2, 1))
 
     def conjugation_defect(self) -> float:
         """max |d(a, b) - conj(d(b, a))| over the (m, m) tensors, their
@@ -244,6 +271,7 @@ def fd_jet(f, z, order: int, step: float | None = None) -> Jet:
     its points' jets bit for bit.
     """
     z = as_points(z)
+    order = as_integer(order, "order")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     h = default_step(order) if step is None else float(step)

@@ -22,6 +22,7 @@ from .domains import (
     DomainModel,
     ball,
     bergman_potential,
+    check_ricci_constant,
     ke_potential,
     norm_form,
     product,
@@ -122,8 +123,7 @@ def canonical_potential(source, K: float, validate: bool = True,
     the same metric only when that metric is Einstein, which is validated
     on a few seeded interior points unless ``validate=False``.
     """
-    if K <= 0:
-        raise ValueError("Ricci constant must be positive")
+    check_ricci_constant(K)
     if isinstance(source, DomainModel):
         base = ke_potential(source, K)
     else:
@@ -178,8 +178,7 @@ def rescaled_ball_potential(n: int, K: float,
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if K <= 0:
-        raise ValueError("Ricci constant must be positive")
+    check_ricci_constant(K)
     q = as_point(-tripotent(ball(n)) if boundary_point is None
                  else boundary_point)
     if len(q) != n or abs(np.linalg.norm(q) - 1.0) > 1e-12:
@@ -305,8 +304,7 @@ def ball_minimality_report(entries, K: float = 1.0) -> list[MinimalityRow]:
     flagged ``lower_bound_only``: with no Siegel pullback computed, rank*c
     only bounds their constant gradient length from below.
     """
-    if K <= 0:
-        raise ValueError("Ricci constant must be positive")
+    check_ricci_constant(K)
     rows = []
     for entry in entries:
         rc = entry.rc / K

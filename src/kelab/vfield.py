@@ -28,6 +28,7 @@ one stack, and each check's public wrapper integrates it alone.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -361,8 +362,12 @@ def pullback_check(p, z0, t: float, jac_step: float = 1e-4) -> FlowCheck:
     The flow of a holomorphic field is holomorphic in the initial point,
     so its complex Jacobian J (by central differences) suffices:
     (flow^* g)_{a bbar} = J^T g(flow(z)) conj(J).  Rows 2b and 2b+1 start
-    at z0 + and - jac_step e_b, row 2n at z0.
+    at z0 + and - jac_step e_b, row 2n at z0; ``jac_step`` is positive and
+    finite.
     """
+    if not 0 < jac_step < math.inf:
+        raise ValueError(f"jac_step must be positive and finite, "
+                         f"got {jac_step!r}")
     z0 = as_point(z0)
     n = len(z0)
     starts = np.repeat(z0[None], 2 * n + 1, axis=0)

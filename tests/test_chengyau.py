@@ -382,29 +382,61 @@ def _reference_integrate(n, K, phi0, dtau, tau_end):
 @pytest.mark.parametrize("offset, blows_up", [
     (0.5, True), (-0.5, False), (1e-9, None)])
 def test_search_integration_records_nothing_and_agrees(offset, blows_up):
-    """Super-, sub- and near-critical starts: the non-recording run keeps
-    the recording run's final state, watched step and blow-up tau."""
+    """Super-, sub- and near-critical starts, on the search window and on
+    the returned solution's run, which reads the step table past the
+    search's prefix: the non-recording run keeps the recording run's
+    final state, watched step and blow-up tau, and both match the
+    reference loop bit for bit.  The watched step is the nearest of the
+    steps before any blow-up (at offset 0.5 the run blows up at tau ~
+    0.64, before the watch at tau = 1)."""
     n, K = 2, 3.0
     phi0 = ball_center_value(n, K) + offset
-    dtau, tau_end = chengyau._SEARCH_DTAU, chengyau._SEARCH_TAU
-    watch = tau_end - 1.0
-    record = ([], [], [])
-    recorded = _integrate(n, K, phi0, dtau, tau_end, watch=watch,
-                          record=record)
-    blow_up, end, watched = _integrate(n, K, phi0, dtau, tau_end,
-                                       watch=watch)
-    taus, phis, psis = record
-    if blows_up is not None:
-        assert (blow_up is not None) == blows_up
-    assert recorded == (blow_up, end, watched)
-    assert end == (taus[-1], phis[-1], psis[-1])
-    if blow_up is None:
-        i = min(range(len(taus)), key=lambda i: abs(taus[i] - watch))
+    dtau, watch = chengyau._SEARCH_DTAU, chengyau._SEARCH_TAU - 1.0
+    for tau_end in (chengyau._SEARCH_TAU, -math.log(chengyau._FINAL_EDGE)):
+        record = ([], [], [])
+        recorded = _integrate(n, K, phi0, dtau, tau_end, watch=watch,
+                              record=record)
+        blow_up, end, watched = _integrate(n, K, phi0, dtau, tau_end,
+                                           watch=watch)
+        taus, phis, psis = record
+        if blows_up is not None:
+            assert (blow_up is not None) == blows_up
+        assert recorded == (blow_up, end, watched)
+        assert end == (taus[-1], phis[-1], psis[-1])
+        # a step past the blow-up threshold is recorded but never watched
+        kept = [i for i, psi in enumerate(psis)
+                if math.isfinite(psi) and psi <= chengyau.BLOWUP_THRESHOLD]
+        i = min(kept, key=lambda i: abs(taus[i] - watch))
         assert watched == (taus[i], psis[i])
 
-    ref_blow_up, *ref = _reference_integrate(n, K, phi0, dtau, tau_end)
-    assert ref_blow_up == blow_up
-    assert [taus, phis, psis] == ref
+        ref_blow_up, *ref = _reference_integrate(n, K, phi0, dtau, tau_end)
+        assert ref_blow_up == blow_up
+        assert [taus, phis, psis] == ref
+
+
+def test_integration_reads_one_step_table():
+    """Every run steps through the one tau table of its dtau, which holds
+    what the RK4 loop would compute step by step, to the returned grid's
+    edge: a longer run is a ValueError.  Without a watch the watched step
+    is the start."""
+    n, K, dtau = 2, 3.0, chengyau._SEARCH_DTAU
+    tau, loop = -math.log1p(-chengyau._SERIES_START), []
+    for _ in range(len(chengyau._tau_steps(dtau)[2])):
+        t_mid = 1.0 - math.exp(-(tau + 0.5 * dtau))
+        tau = tau + dtau
+        t = 1.0 - math.exp(-tau)
+        loop.append((1.0 - t_mid, t_mid, tau, t, 1.0 - t))
+    assert list(zip(*chengyau._tau_steps(dtau))) == loop
+    assert tau >= -math.log(chengyau._FINAL_EDGE)
+    phi0 = ball_center_value(n, K) - 0.5
+    tau_end = -math.log(chengyau._FINAL_EDGE)
+    with pytest.raises(ValueError, match="past the step table"):
+        _integrate(n, K, phi0, dtau, tau_end + 1.0)
+    blow_up, end, watched = _integrate(n, K, phi0, dtau, tau_end)
+    assert blow_up is None
+    assert end[0] == chengyau._tau_steps(dtau)[2][-1]
+    assert watched == (-math.log1p(-chengyau._SERIES_START),
+                       chengyau._series_start(n, K, phi0)[1])
 
 
 def test_non_monotone_blow_up_history_is_rejected():

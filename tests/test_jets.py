@@ -23,7 +23,7 @@ def jet_gap(ja, jb):
 
 
 def test_fd_jet_quadratic_center():
-    jet = fd_jet(quadratic, np.zeros(2, complex), 2)
+    jet = fd_jet(quadratic, np.zeros(2, complex), 3)
     for a in range(2):
         for b in range(2):
             expected = 1.0 if a == b else 0.0
@@ -52,18 +52,66 @@ def test_fd_jet_rejects_bad_order_and_step():
         fd_jet(quadratic, np.zeros(2, complex), 0)
     with pytest.raises(ValueError):
         fd_jet(quadratic, np.zeros(2, complex), 5)
+    for order in (2.5, True, "2.5", None, np.nan):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            fd_jet(quadratic, np.zeros(2, complex), order)
     for step in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="step must be positive"):
             fd_jet(quadratic, np.zeros(2, complex), 2, step=step)
 
 
 def test_jets_hold_the_m_ge_l_half():
-    """A jet keeps the (m, l) with m >= l; its (l, m) are their mirrors."""
-    assert bidegrees(2) == ((0, 0), (1, 0), (2, 0), (1, 1))
+    """A jet keeps the (m, l) with m >= l; its (l, m) are their mirrors.
+    (2, 0) only from order 3 up, where the covariant Hessian and the
+    curvature read it."""
+    assert bidegrees(2) == ((0, 0), (1, 0), (1, 1))
+    assert bidegrees(3) == ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1))
     assert bidegrees(4) == ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
+    plan = _stencil_plan(3, 2)
+    assert plan.wirtinger[0].max() + 1 == 13
+    assert len(plan.offsets) == 145
     plan = _stencil_plan(3, 4)
     assert plan.wirtinger[0].max() + 1 == 73
     assert len(plan.offsets) == 1197
+
+
+def test_missing_bidegree_is_a_typed_error():
+    """An accessor names the bidegree and the order it needs when the
+    jet's order leaves it out, on the closed-form and the FD path."""
+    p = domains.bergman_potential(domains.ball(2))
+    z = np.array([0.1 + 0.2j, -0.3j])
+    for jet in (p.analytic_jet(z, 2), fd_jet(p, z, 2)):
+        with pytest.raises(UnsupportedOrderError, match=r"order-2 .*\(2, 0\)"
+                           r".*order >= 3"):
+            jet.pure_hessian()
+        with pytest.raises(UnsupportedOrderError, match=r"\(2, 1\)"):
+            jet.third_tensor()
+    with pytest.raises(UnsupportedOrderError, match=r"\(1, 1\).*order >= 2"):
+        fd_jet(p, z, 1).mixed_hessian()
+    with pytest.raises(UnsupportedOrderError, match=r"\(1, 0\).*order >= 1"):
+        p.jet(z, 0).holo_gradient()
+
+
+def test_integral_order_only():
+    """An integral order such as 3.0 or "2" is that integer (``as_integer``);
+    any other order is a ValueError naming ``order``, not a TypeError from
+    ``range``."""
+    p = domains.bergman_potential(domains.ball(2))
+    z = np.array([0.1 + 0.2j, -0.3j])
+    for got, want in ((p.jet(z, 3.0), p.jet(z, 3)),
+                      (fd_jet(p, z, "2"), fd_jet(p, z, 2)),
+                      (hermgeo.metric_from_potential(p, z, order=3.0).jet,
+                       hermgeo.metric_from_potential(p, z, order=3).jet)):
+        assert got.order == want.order and type(got.order) is int
+        assert all(np.array_equal(got.tensors[k], t)
+                   for k, t in want.tensors.items())
+    fd_only = _fd_only(p)
+    for order in (2.5, True, "3.5", None):
+        for call in (lambda: p.jet(z, order), lambda: fd_only.jet(z, order),
+                     lambda: fd_jet(p, z, order),
+                     lambda: hermgeo.metric_from_potential(p, z, order=order)):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                call()
 
 
 def _log_inside(w):

@@ -39,8 +39,19 @@ def test_canonical_rejects_non_einstein_metric():
 
 
 def test_canonical_requires_positive_constant():
-    with pytest.raises(ValueError):
-        potentials.canonical_potential(domains.ball(2), 0.0)
+    """Every constructor that takes a Ricci constant K needs 0 < K < inf,
+    and names K when it is not."""
+    for K in (0.0, -1.0, np.nan, np.inf):
+        for build in (
+                lambda: potentials.canonical_potential(domains.ball(2), K),
+                lambda: potentials.canonical_potential(
+                    domains.bergman_potential(domains.ball(2)), K),
+                lambda: domains.ke_potential(domains.ball(2), K),
+                lambda: potentials.rescaled_ball_potential(2, K),
+                lambda: potentials.ball_minimality_report([domains.ball(2)],
+                                                          K)):
+            with pytest.raises(ValueError, match="Ricci constant K"):
+                build()
 
 
 # ---------------------------------------------------------------------------

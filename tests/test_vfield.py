@@ -229,6 +229,18 @@ def test_flow_horizon_cap(certified):
         vfield.flow_trajectory(certified, z0, 0.1, record_every=-1)
 
 
+def test_pullback_check_needs_a_positive_finite_jac_step(certified):
+    """A zero step would divide by zero in the Jacobian, and inf or NaN
+    would fail later as non-finite start rows."""
+    z0 = np.array([0.1, 0.0], complex)
+    for step in (0.0, -1e-4, np.inf, np.nan):
+        with pytest.raises(ValueError, match="jac_step"):
+            vfield.pullback_check(certified, z0, 0.1, jac_step=step)
+        with pytest.raises(ValueError, match="jac_step"):
+            vfield.pullback_metric_deviation(certified, z0, 0.1,
+                                             jac_step=step)
+
+
 def _nan_velocity_at(monkeypatch, call):
     """Make the ``call``-th ``_velocity`` call's last row NaN; return the
     list that counts the calls."""
