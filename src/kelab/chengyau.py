@@ -40,8 +40,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import BracketingError, DegenerateMetricError, ResolutionError
-from .domains import as_integer, ball, check_ricci_constant
+from .domains import ball, check_ricci_constant
 from .field import BallLog, PotentialField
+from .jets import as_integer
 
 BLOWUP_THRESHOLD = 1e8
 _SERIES_START = 2e-3     # switch from the t ~ 0 series to RK4
@@ -95,7 +96,9 @@ def _geometric_grid(edge: float, dtau: float) -> np.ndarray:
 
 
 def ball_closed_form(n: int, K: float, grid=None) -> RadialPotential:
-    """The exact solution sampled on a grid (default: the solver's grid)."""
+    """The exact solution sampled on a grid (default: the solver's grid).
+    ``n`` is an integer (``as_integer``)."""
+    n = as_integer(n, "n")
     A = ball_amplitude(n, K)
     B = ball_center_value(n, K)
     if grid is None:
@@ -108,7 +111,9 @@ def ball_closed_form(n: int, K: float, grid=None) -> RadialPotential:
 
 
 def closed_form_field(n: int, K: float) -> PotentialField:
-    """The radial solution as an analytic potential on the ball in C^n."""
+    """The radial solution as an analytic potential on the ball in C^n;
+    ``n`` is an integer (``as_integer``)."""
+    n = as_integer(n, "n")
     A = ball_amplitude(n, K)
     B = ball_center_value(n, K)
     return PotentialField(
@@ -382,7 +387,15 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     hi - lo <= tol and returns the midpoint; the boundary amplifies its
     distance from the root about 7000-fold in phi, hence the default tol
     of 1e-12.  Recorded blow-up times must decrease strictly with phi(0).
+
+    hi is classified first, and the given lo only when a secant step
+    reads g(lo) or the search ends on it: the midpoint steps read neither
+    end's g, and a candidate that replaces lo first leaves it unread (at
+    (2, 3), the 3,996-step run from -1).  A lo with g > 0 still raises
+    ``BracketingError``, once a secant step reads it or the midpoints
+    collapse onto it.  ``n`` is an integer (``as_integer``).
     """
+    n = as_integer(n, "n")
     if n < 1:
         raise ValueError("dimension must be >= 1")
     check_ricci_constant(K)
@@ -399,20 +412,29 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
         history.append((phi0, tau_star))
         return g
 
-    g_lo = growth(lo)
-    if g_lo > 0:
-        raise BracketingError(
-            f"phi(0)={lo} already blows up before t=1; lower the bracket"
-        )
     g_hi = growth(hi)
     if not g_hi > 0:
         raise BracketingError(
             f"phi(0)={hi} stays complete past t=1; raise the bracket"
         )
+
+    def lower_growth():
+        # only while lo is the bracket's own end: a candidate that
+        # replaces it has been classified
+        g = growth(lo)
+        if g > 0:
+            raise BracketingError(
+                f"phi(0)={lo} already blows up before t=1; lower the bracket"
+            )
+        return g
+
+    g_lo = None  # read by secant steps only
     kept = 0  # +1 (-1) after a secant step that kept lo (hi)
     while hi - lo > tol:
         secant = g_hi < math.inf
         if secant:
+            if g_lo is None:
+                g_lo = lower_growth()
             x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
         else:
             x = 0.5 * (lo + hi)
@@ -428,6 +450,8 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
             if secant and kept < 0:
                 g_hi *= 0.5
             kept = -1 if secant else 0
+    if g_lo is None:
+        lower_growth()
     phi0 = 0.5 * (lo + hi)
 
     _assert_monotone(history)

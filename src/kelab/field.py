@@ -366,9 +366,11 @@ class PotentialField:
         return fd_jet(self, z, order)
 
     def scaled(self, factor: float, label: str | None = None) -> "PotentialField":
-        """The potential c*phi; its metric is c*g, so K becomes K/c."""
-        if factor <= 0:
-            raise ValueError("scaling factor must be positive")
+        """The potential c*phi; its metric is c*g, so K becomes K/c.  The
+        factor c is positive and finite, else a ValueError names it."""
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scaling factor must be positive and finite, "
+                             f"got {factor!r}")
         new_parts = None
         fn = None
         if self.parts is not None:

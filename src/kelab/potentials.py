@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .field import BallLog, BoundaryLog, PotentialField, SquaredNorm
-from .jets import as_point
+from .jets import as_integer, as_point
 from .sampling import sample_interior
 
 
@@ -175,7 +175,9 @@ def rescaled_ball_potential(n: int, K: float,
     The pluriharmonic log term re-centers the potential at the boundary
     point q; the result is again a potential of the Ricci -K metric and
     its gradient length is identically (n+1)/K.  Default q = (-1, 0, ...).
+    ``n`` is an integer (``as_integer``).
     """
+    n = as_integer(n, "n")
     if n < 1:
         raise ValueError("dimension must be >= 1")
     check_ricci_constant(K)

@@ -183,6 +183,9 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
     to 5 are RK4 (four frames each), and their first stage fills the
     history of velocities.  The weights are summed elementwise in a fixed
     order, so a row's result does not depend on the stack it runs in.
+    The running rows and their history step as one compacted stack; rows
+    only ever drop, and only at a step after some row's last step or after
+    an exit, so the stack is gathered again only then.
     ``t`` and ``generator`` are one value for all rows or one per row.
     Returns the (M, n) endpoints and the trajectory of row 0 as
     [(time, point)]: its start, the point after every ``record_every``-th
@@ -220,40 +223,51 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
     abs_h = np.abs(h)
     re_v = generator == "re_v"
 
+    drops = set(steps.tolist())  # the running set changes after these
     z = z0.copy()
+    # the running rows, their points, steps, generators and velocities;
     # history[(k - 1) % 6] holds f_{k-1}, the velocity at the start of step k
+    run = np.arange(m)
+    zr, hr, rv = z, h[:, None], re_v
     history = np.zeros((_HISTORY,) + z.shape, dtype=complex)
     record = [(0.0, z[0].copy())]
     exits = []  # (|exit time|, row, exit time)
     earliest = np.inf
     left = np.zeros(m, dtype=bool)
     for k in range(1, int(steps.max()) + 1):
-        run = np.flatnonzero((steps >= k) & ~left
-                             & (k * abs_h <= earliest))
-        if not run.size:
-            break
-        zr, hr, rv = z[run], h[run, None], re_v[run]
+        if k - 1 in drops or exits:
+            new = np.flatnonzero((steps >= k) & ~left
+                                 & (k * abs_h <= earliest))
+            if new.size < run.size:
+                z[run] = zr
+                keep = np.searchsorted(run, new)
+                run, zr, hr, rv = new, zr[keep], hr[keep], rv[keep]
+                history = history[:, keep]
+                if not run.size:
+                    break
         k1 = _velocity(p, zr, rv)
-        history[(k - 1) % _HISTORY, run] = k1
+        history[(k - 1) % _HISTORY] = k1
         if k < _HISTORY:
             k2 = _velocity(p, zr + 0.5 * hr * k1, rv)
             k3 = _velocity(p, zr + 0.5 * hr * k2, rv)
             k4 = _velocity(p, zr + hr * k3, rv)
-            z[run] = zr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            zr = zr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         else:
-            past = history[:, run]
+            # one add at a time: a sum over the history axis takes numpy's
+            # pairwise path on a lone row in C^1, which rounds differently
             step = _AB6[0] * k1
             for j in range(1, _HISTORY):
-                step += _AB6[j] * past[(k - 1 - j) % _HISTORY]
-            z[run] = zr + hr * step
-        for i in run[~d.contains(z[run])]:
+                step += _AB6[j] * history[(k - 1 - j) % _HISTORY]
+            zr = zr + hr * step
+        for i in run[~d.contains(zr)]:
             tk = float(k * h[i])
             exits.append((abs(tk), i, tk))
             earliest = min(earliest, abs(tk))
             left[i] = True
-        if k == steps[0] or (k < steps[0] and record_every
-                             and k % record_every == 0):
-            record.append((k * h[0], z[0].copy()))
+        if run[0] == 0 and (k == steps[0] or (
+                k < steps[0] and record_every and k % record_every == 0)):
+            record.append((k * h[0], zr[0].copy()))
+    z[run] = zr
     if exits:
         _, i, tk = min(exits)
         row = f" (row {i})" if m > 1 else ""

@@ -7,11 +7,12 @@ this test makes it fail here instead.
 """
 
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
 
-from kelab import domains, potentials, sampling, suites
+from kelab import chengyau, domains, potentials, sampling, suites, vfield
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -73,3 +74,37 @@ def test_kai_ohsawa_certifies_once_per_domain(monkeypatch):
         for pair in (("kai_ohsawa_constant", label),
                      ("certify_constant_length",
                       f"siegel-pullback[{label}]"))]
+
+
+def test_dynamics_work_counts(monkeypatch):
+    """The dynamics workload's work as counts, so that an extra frame or
+    RK4 step fails here and not only in the bench: the flow suite at the
+    bench's config builds 265 stacked frames, and shoot at (n, K) = (2, 3)
+    classifies 8 candidates in 19,632 search steps (the runs that record
+    nothing, counted from each run's blow-up or end tau)."""
+    real_velocity, frames = vfield._velocity, []
+
+    def velocity_spy(p, z, re_v):
+        frames.append(None)
+        return real_velocity(p, z, re_v)
+
+    monkeypatch.setattr(vfield, "_velocity", velocity_spy)
+    suites.run_suite("flow", {"horizon": 1.0, "dt": 4e-3, "seed": 3})
+    assert len(frames) == 265
+
+    real_integrate, runs = chengyau._integrate, []
+
+    def integrate_spy(n, K, phi0, dtau, tau_end, watch=math.inf,
+                      record=None):
+        result = real_integrate(n, K, phi0, dtau, tau_end, watch, record)
+        if record is None:
+            blow_up, (tau, _, _), _ = result
+            start = -math.log1p(-chengyau._SERIES_START)
+            stop = tau if blow_up is None else blow_up
+            runs.append(round((stop - start) / dtau))
+        return result
+
+    monkeypatch.setattr(chengyau, "_integrate", integrate_spy)
+    chengyau.shoot(2, 3.0)
+    assert len(runs) == 8
+    assert sum(runs) == 19_632

@@ -181,9 +181,19 @@ def test_search_agrees_with_bisection(n, K, searches):
     for phi0, g, tau_star in seen:
         assert (g > 0) == _super_critical(n, K, phi0)
         assert (g == math.inf) == (tau_star is not None)
-    # every candidate after the two bracket ends lies inside the bracket
-    assert [phi0 for phi0, _, _ in seen[:2]] == [-1.0, 3.0]
-    assert all(-1.0 < phi0 < 3.0 for phi0, _, _ in seen[2:])
+    # the upper end is classified first; the lower end at most once, when
+    # a secant step reads it; every other candidate lies inside the bracket
+    assert seen[0][0] == 3.0
+    later = [phi0 for phi0, _, _ in seen[1:]]
+    assert later.count(-1.0) <= 1
+    assert all(-1.0 < phi0 < 3.0 for phi0 in later if phi0 != -1.0)
+
+
+def test_search_never_classifies_an_unread_lower_end(searches):
+    """At (2, 3) the bisection replaces the lower end before any secant
+    step reads g there, so phi(0) = -1 is never integrated."""
+    _, seen, _ = searches[(2, 3.0)]
+    assert -1.0 not in [phi0 for phi0, _, _ in seen]
 
 
 @pytest.mark.parametrize("n,K", AGREEMENT_CASES)
@@ -200,7 +210,7 @@ def test_search_root_is_the_long_window_root(n, K, solutions):
 def test_search_classifies_few_candidates(searches):
     _, seen, steps = searches[(2, 3.0)]
     assert len(seen) <= 24
-    assert steps <= 26_000
+    assert steps <= 20_000
 
 
 def test_search_bracket_within_tol_runs_no_iteration(monkeypatch):
@@ -213,8 +223,20 @@ def test_search_bracket_within_tol_runs_no_iteration(monkeypatch):
 
     monkeypatch.setattr(chengyau, "_boundary_growth", spy)
     sol = shoot(2, 3.0, phi0_bracket=(-0.01, 0.01), tol=0.05)
-    assert calls == [-0.01, 0.01]
+    # the upper end first; the loop ends on the lower one, still unread
+    assert calls == [0.01, -0.01]
     assert sol.phi[0] == 0.0
+
+
+def test_bracket_ends_are_still_classified():
+    """A bracket within tol classifies both ends; a super-critical lower
+    end fails once the midpoints collapse onto it."""
+    with pytest.raises(BracketingError, match="lower the bracket"):
+        shoot(2, 3.0, phi0_bracket=(1.0, 1.01), tol=0.05)
+    with pytest.raises(BracketingError, match="phi\\(0\\)=1.0 already"):
+        shoot(2, 3.0, phi0_bracket=(1.0, 3.0))
+    with pytest.raises(BracketingError, match="raise the bracket"):
+        shoot(2, 3.0, phi0_bracket=(-1.01, -1.0), tol=0.05)
 
 
 def test_coarse_search_of_the_benchmark_probe():
@@ -237,6 +259,21 @@ def test_shoot_input_validation():
         shoot(2, 3.0, phi0_bracket=(1.0, 3.0))  # both ends super-critical
     with pytest.raises(BracketingError):
         shoot(2, 3.0, phi0_bracket=(-3.0, -1.0))  # both ends sub-critical
+
+
+def test_dimension_is_an_integer():
+    """True would run as n = 1 and 2.5 would be truncated or fail late;
+    3.0 reads as 3."""
+    for build in (lambda n: shoot(n, 3.0), lambda n: ball_closed_form(n, 3.0),
+                  lambda n: closed_form_field(n, 3.0)):
+        for n in (True, 2.5):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                build(n)
+    rp = ball_closed_form(3.0, 3.0)
+    assert rp.n == 3 and type(rp.n) is int
+    assert np.array_equal(rp.phi, ball_closed_form(3, 3.0).phi)
+    assert closed_form_field(3.0, 3.0).label == closed_form_field(3, 3.0).label
+    assert shoot(3.0, 4.0, tol=1e-3).n == 3
 
 
 def test_radial_gradient_length_examples():

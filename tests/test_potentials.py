@@ -54,8 +54,25 @@ def test_canonical_requires_positive_constant():
                 build()
 
 
+def test_scaled_requires_positive_finite_factor():
+    """nan would give K = nan and inf K = 0; the error names the factor."""
+    p = domains.bergman_potential(domains.ball(2))
+    for factor in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"scaling factor.*{factor!r}"):
+            p.scaled(factor)
+    assert p.scaled(2.0).ricci_constant == p.ricci_constant / 2.0
+
+
 # ---------------------------------------------------------------------------
 # rescaled ball potential
+
+def test_rescaled_dimension_is_an_integer():
+    for n in (True, 2.5):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            potentials.rescaled_ball_potential(n, 3.0)
+    p = potentials.rescaled_ball_potential(3.0, 3.0)
+    assert p.domain.n == 3 and p.label == "rescaled-ball[n=3,K=3]"
+
 
 def test_rescaled_center_values():
     p = potentials.rescaled_ball_potential(2, 3.0)

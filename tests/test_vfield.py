@@ -465,6 +465,84 @@ def test_stacked_flow_exit_is_the_earliest():
     assert "row 1" in str(err.value)
 
 
+def _lockstep_checks(monkeypatch, p, starts, t, dt, generator,
+                     record_every=0):
+    """``_lockstep``'s outcome, (ends, record) or its FlowExitError, and the
+    points of its membership checks: the start rows, then the running rows
+    after each step."""
+    real, checks = domains.DomainModel.contains, []
+
+    def spy(self, z):
+        checks.append(np.array(z))
+        return real(self, z)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(domains.DomainModel, "contains", spy)
+        try:
+            outcome = vfield._lockstep(p, starts, t, dt, generator,
+                                       record_every)
+        except FlowExitError as err:
+            outcome = err
+    return outcome, checks
+
+
+def _assert_steps_match_lone_runs(monkeypatch, p, starts, t, dt, generator,
+                                  record_every):
+    """Each row of the stack takes, step by step, the points of its lone run
+    bit for bit; the stack checks the rows still running at every step.
+    Returns the stack's outcome, each row's lone one and the stack's number
+    of steps."""
+    stack, checks = _lockstep_checks(monkeypatch, p, starts, t, dt,
+                                     generator, record_every)
+    lone = [_lockstep_checks(monkeypatch, p, z[None], ti, dt, g,
+                             record_every)
+            for z, ti, g in zip(starts, t, generator)]
+    assert np.array_equal(checks[0], starts)
+    for k, points in enumerate(checks[1:], 1):
+        expected = [c[k] for _, c in lone if k < len(c)]
+        assert np.array_equal(points, np.concatenate(expected)), k
+    return stack, [outcome for outcome, _ in lone], len(checks) - 1
+
+
+@pytest.mark.parametrize("n, K, starts", [
+    (2, 3.0, [[0.1 + 0.05j, -0.2j], [0.3, 0.1j], [-0.1j, 0.2]]),
+    # in C^1 a lone row's multistep sum must add as a stack's does
+    (1, 2.0, [[0.3 + 0.1j], [-0.2 + 0.4j], [0.1j]])])
+def test_lockstep_rows_ending_inside_and_after_the_rk4_start(n, K, starts,
+                                                             monkeypatch):
+    """Rows of 3, 7 and 12 steps: row 0, recorded every 2nd step, ends
+    first, and its record stops at its own last step."""
+    p = potentials.rescaled_ball_potential(n, K)
+    dt, starts = 4e-3, np.array(starts)
+    t, generator = [0.012, -0.028, 0.048], ["re_v", "re_w", "re_v"]
+    (ends, record), lone, steps = _assert_steps_match_lone_runs(
+        monkeypatch, p, starts, t, dt, generator, record_every=2)
+    assert steps == 12
+    for end, (one, _) in zip(ends, lone):
+        assert np.array_equal(end, one[0])
+    h = t[0] / 3
+    assert [time for time, _ in record] == [0.0, 2 * h, 3 * h]
+    assert len(record) == len(lone[0][1])
+    for (time, z), (one_time, one_z) in zip(record, lone[0][1]):
+        assert time == one_time and np.array_equal(z, one_z)
+    assert np.array_equal(record[-1][1], ends[0])
+
+
+def test_lockstep_row_leaving_while_others_run(monkeypatch):
+    """Row 1 leaves the disc at its 11th step; the rows of 3 and 7 steps
+    end before that, and the row of 12 steps stops with the exit."""
+    p, dt = _off_center(), 0.02
+    starts = np.array([[-0.7 + 0j], [0.97 + 0j], [-0.75 + 0j],
+                       [-0.65 + 0.05j]])
+    t, generator = [0.06, 1.0, -0.14, 0.24], ["re_v", "re_w", "re_w", "re_v"]
+    err, lone, steps = _assert_steps_match_lone_runs(
+        monkeypatch, p, starts, t, dt, generator, record_every=1)
+    assert steps == 11
+    assert isinstance(err, FlowExitError) and "row 1" in str(err)
+    assert err.time == lone[1].time == 11 * dt
+    assert not isinstance(lone[3], FlowExitError)
+
+
 def _report_data(name, config):
     data = json.loads(run_suite(name, config).to_json())
     data.pop("runtime_ms")
