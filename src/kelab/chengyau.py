@@ -79,6 +79,8 @@ class RadialPotential:
 
 
 def ball_amplitude(n: int, K: float) -> float:
+    """(n+1)/K, for a K that ``check_ricci_constant`` accepts."""
+    check_ricci_constant(K)
     return (n + 1) / K
 
 
@@ -97,7 +99,7 @@ def _geometric_grid(edge: float, dtau: float) -> np.ndarray:
 
 def ball_closed_form(n: int, K: float, grid=None) -> RadialPotential:
     """The exact solution sampled on a grid (default: the solver's grid).
-    ``n`` is an integer (``as_integer``)."""
+    ``n`` is an integer (``as_integer``) and K positive and finite."""
     n = as_integer(n, "n")
     A = ball_amplitude(n, K)
     B = ball_center_value(n, K)
@@ -112,7 +114,7 @@ def ball_closed_form(n: int, K: float, grid=None) -> RadialPotential:
 
 def closed_form_field(n: int, K: float) -> PotentialField:
     """The radial solution as an analytic potential on the ball in C^n;
-    ``n`` is an integer (``as_integer``)."""
+    ``n`` is an integer (``as_integer``) and K positive and finite."""
     n = as_integer(n, "n")
     A = ball_amplitude(n, K)
     B = ball_center_value(n, K)
@@ -477,17 +479,10 @@ def _assert_monotone(history):
             )
 
 
-def solution_to_csv(rp: RadialPotential, path, stride: int | None = None) -> None:
-    """Write (t, phi, dphi, gradient length) rows.
-
-    ``stride=None`` thins the fine solver grid to roughly 2000 rows; pass
-    1 to dump every point.  A stride is an integer >= 1 (``as_integer``).
-    """
-    stride = (max(1, len(rp.grid) // 2000) if stride is None
-              else as_integer(stride, "stride"))
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
-    idx = np.arange(0, len(rp.grid), stride)
+def solution_to_csv(rp: RadialPotential, path) -> None:
+    """Write (t, phi, dphi, gradient length) rows, the fine solver grid
+    thinned to roughly 2000 rows; the last grid point is always kept."""
+    idx = np.arange(0, len(rp.grid), max(1, len(rp.grid) // 2000))
     if idx[-1] != len(rp.grid) - 1:
         idx = np.append(idx, len(rp.grid) - 1)
     if len(rp.grid) >= 3:

@@ -177,15 +177,14 @@ def laplacian(f, frame: MetricFrame):
     return _per_point(np.real(np.trace(F @ frame.g_inv, axis1=-2, axis2=-1)))
 
 
-def gradient_length_field(p, order: int = 2):
+def gradient_length_field(p):
     """The scalar field z -> |dphi|_half^2(z), for use under ``laplacian``.
 
-    It takes a point or a stack of points.
+    It takes a point or a stack of points, and builds order-2 frames.
     """
 
     def field(z):
-        frame = metric_from_potential(p, z, order=order)
-        return gradient_length_sq(frame)
+        return gradient_length_sq(metric_from_potential(p, z, order=2))
 
     return field
 
@@ -264,12 +263,12 @@ def length_laplacian_from_frame(frame: MetricFrame):
 # identity residuals (shared by tests and the verification suites); each
 # takes a point (a float back) or an (N, n) stack (an array of N back)
 
-def einstein_residual(p, z, K: float | None = None):
-    """max entrywise |Ric + K g| at z."""
-    K = p.ricci_constant if K is None else K
+def einstein_residual(p, z):
+    """max entrywise |Ric + K g| at z, K the potential's Ricci constant."""
     frame = metric_from_potential(p, z, order=4)
     ric = ricci_from_frame(frame)
-    return _per_point(np.max(np.abs(ric + K * frame.g), axis=(-2, -1)))
+    return _per_point(np.max(np.abs(ric + p.ricci_constant * frame.g),
+                             axis=(-2, -1)))
 
 
 def key_equation_residual(p, z):

@@ -71,9 +71,10 @@ class ConstantLengthCertificate:
 
 
 def certify_constant_length(p: PotentialField, samples: int = 200,
-                            seed: int = 0, tolerance: float = 1e-8,
-                            shrink: float = 0.95) -> ConstantLengthCertificate:
-    """Sample the gradient length and certify its constancy.
+                            seed: int = 0, tolerance: float = 1e-8
+                            ) -> ConstantLengthCertificate:
+    """Sample the gradient length at ``samples`` seeded points (the
+    sampler's default shrink) and certify its constancy.
 
     The certified constant must also satisfy the lower bound (n+1)/K that
     holds for every constant-length potential of a metric with Ricci
@@ -84,8 +85,7 @@ def certify_constant_length(p: PotentialField, samples: int = 200,
     if not np.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance}")
     d = p.domain
-    points = sample_interior(d, np.random.default_rng(seed), samples,
-                             shrink=shrink)
+    points = sample_interior(d, np.random.default_rng(seed), samples)
     # |dphi|_half^2 at the origin and the points, from one stacked frame
     lengths = hermgeo.gradient_length_sq(hermgeo.metric_from_potential(
         p, np.array([np.zeros(d.n, dtype=complex), *points]), order=2))
@@ -112,8 +112,7 @@ _CANONICAL_CHECK_SAMPLES = 4
 _CANONICAL_CHECK_TOL = 1e-4
 
 
-def canonical_potential(source, K: float, validate: bool = True,
-                        seed: int = 0) -> PotentialField:
+def canonical_potential(source, K: float) -> PotentialField:
     """(1/K) log det g for the Einstein metric with Ricci constant K.
 
     ``source`` is a domain from the catalog (its kernel potential is
@@ -121,7 +120,7 @@ def canonical_potential(source, K: float, validate: bool = True,
     whose metric is taken as is.  The result is evaluated honestly from
     second derivatives of the base potential; it is itself a potential of
     the same metric only when that metric is Einstein, which is validated
-    on a few seeded interior points unless ``validate=False``.
+    on a few interior points of seed 0.
     """
     check_ricci_constant(K)
     if isinstance(source, DomainModel):
@@ -142,16 +141,9 @@ def canonical_potential(source, K: float, validate: bool = True,
         label=f"canonical[{d.label},K={K:g}]",
         fn=fn,
     )
-    if validate:
-        _validate_canonical(p, base, K, seed)
-    return p
-
-
-def _validate_canonical(p, base, K, seed):
-    """dd^c of the candidate must reproduce the base metric."""
-    rng = np.random.default_rng(seed)
-    zs = np.array(sample_interior(base.domain, rng, _CANONICAL_CHECK_SAMPLES,
-                                  shrink=0.6))
+    # dd^c of the candidate must reproduce the base metric
+    zs = np.array(sample_interior(d, np.random.default_rng(0),
+                                  _CANONICAL_CHECK_SAMPLES, shrink=0.6))
     g_base = hermgeo.metric_from_potential(base, zs, order=2).g
     g_cand = p.jet(zs, 2).mixed_hessian()
     worst = np.max(np.abs(g_cand - g_base), axis=(1, 2))
@@ -163,6 +155,7 @@ def _validate_canonical(p, base, K, seed):
             f"(residual {worst[i]:.3e} at {zs[i]!r}); the metric is not "
             f"Einstein with Ricci constant {K:g}"
         )
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +251,18 @@ def _siegel_log(d: DomainModel) -> BoundaryLog:
     return BoundaryLog(norm_form(d), -tripotent(d))
 
 
-def kai_ohsawa_constant(d: DomainModel, spot_checks: int = 20,
-                        seed: int = 0, tol: float = 1e-6) -> float:
+_KAI_OHSAWA_SPOT_CHECKS = 20
+_KAI_OHSAWA_TOL = 1e-6
+
+
+def kai_ohsawa_constant(d: DomainModel, seed: int = 0) -> float:
     """The constant gradient length of the pulled-back Siegel potential:
-    its value at the origin, certified at ``spot_checks`` interior points
-    (``certify_constant_length``; ``CertificateError`` if it deviates)."""
+    its value at the origin, certified to 1e-6 at 20 seeded interior
+    points (``certify_constant_length``; ``CertificateError`` if it
+    deviates)."""
     cert = certify_constant_length(kai_ohsawa_potential(d),
-                                   samples=spot_checks, seed=seed,
-                                   tolerance=tol)
+                                   samples=_KAI_OHSAWA_SPOT_CHECKS, seed=seed,
+                                   tolerance=_KAI_OHSAWA_TOL)
     cert.require()
     return cert.constant
 

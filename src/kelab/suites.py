@@ -44,7 +44,7 @@ from .domains import (
     type_iv,
 )
 from .errors import ConfigError
-from .sampling import sample_interior
+from .sampling import DEFAULT_SHRINK, sample_interior
 
 
 @dataclass
@@ -243,6 +243,23 @@ def run_suite(name: str, config: dict | None = None) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # suites
 
+def _stack(d, cfg, shrink=DEFAULT_SHRINK):
+    """``cfg["samples"]`` points of shrink * ``d`` as one (N, n) array, from
+    a fresh ``default_rng(cfg["seed"])``, so every stack of a report starts
+    the same seeded stream."""
+    rng = np.random.default_rng(cfg["seed"])
+    return np.array(sample_interior(d, rng, cfg["samples"], shrink=shrink))
+
+
+def _point_rows(zs, residuals, **labels) -> list:
+    """One row per point of the stack ``zs``: the ``labels``, the point and
+    its entry of each array in ``residuals`` (a name -> array map)."""
+    columns = zip(*(r.tolist() for r in residuals.values()))
+    return [{**labels, "point": point,
+             "residuals": dict(zip(residuals, values))}
+            for point, values in zip(_points_json(zs), columns)]
+
+
 @_suite("einstein", "Ricci of dd^c log-kernel equals -1 on the catalog",
         ["hermgeo.ricci_from_frame", "domains.bergman_potential"], tol=1e-3,
         samples=20, shrink=0.8,
@@ -257,13 +274,9 @@ def _einstein(cfg):
     rows = []
     for d in models:
         p = bergman_potential(d)
-        rng = np.random.default_rng(cfg["seed"])
-        zs = np.array(sample_interior(d, rng, cfg["samples"],
-                                      shrink=cfg["shrink"]))
-        residuals = hermgeo.einstein_residual(p, zs).tolist()
-        rows += [{"domain": d.label, "point": point,
-                  "residuals": {"einstein": r}}
-                 for point, r in zip(_points_json(zs), residuals)]
+        zs = _stack(d, cfg, cfg["shrink"])
+        rows += _point_rows(zs, {"einstein": hermgeo.einstein_residual(p, zs)},
+                            domain=d.label)
     params = {"shrink": cfg["shrink"], "ricci_constant": 1.0}
     return [d.to_json() for d in models], params, rows
 
@@ -276,22 +289,16 @@ def _delta_identity(cfg):
 
     Each target's sample stack is one ``delta_identity_residual`` call.
     """
-    b2 = ball(2)
-    targets = [
-        (ke_potential(b2, float(b2.n + 1)), b2),
-        (bergman_potential(polydisc(2)), polydisc(2)),
-        (bergman_potential(type_i(2, 2)), type_i(2, 2)),
-    ]
+    targets = [ke_potential(ball(2), 3.0), bergman_potential(polydisc(2)),
+               bergman_potential(type_i(2, 2))]
     rows = []
-    for p, d in targets:
-        rng = np.random.default_rng(cfg["seed"])
-        zs = np.array(sample_interior(d, rng, cfg["samples"],
-                                      shrink=cfg["shrink"]))
-        residuals = hermgeo.delta_identity_residual(p, zs).tolist()
-        rows += [{"domain": d.label, "potential": p.label, "point": point,
-                  "residuals": {"delta_identity": r}}
-                 for point, r in zip(_points_json(zs), residuals)]
-    return [d.to_json() for _, d in targets], {"shrink": cfg["shrink"]}, rows
+    for p in targets:
+        zs = _stack(p.domain, cfg, cfg["shrink"])
+        rows += _point_rows(
+            zs, {"delta_identity": hermgeo.delta_identity_residual(p, zs)},
+            domain=p.domain.label, potential=p.label)
+    domains = [p.domain.to_json() for p in targets]
+    return domains, {"shrink": cfg["shrink"]}, rows
 
 
 @_suite("key-equation", "phi_{a;b} phi^a = -phi_b at constant gradient length",
@@ -299,11 +306,9 @@ def _delta_identity(cfg):
 def _key_equation(cfg):
     """Componentwise |phi_{a;b} phi^a + phi_b| for a constant-length potential."""
     p = potentials.rescaled_ball_potential(cfg["n"], cfg["ricci"])
-    rng = np.random.default_rng(cfg["seed"])
-    zs = np.array(sample_interior(p.domain, rng, cfg["samples"]))
-    residuals = hermgeo.key_equation_residual(p, zs).tolist()
-    rows = [{"point": point, "residuals": {"key_equation": r}}
-            for point, r in zip(_points_json(zs), residuals)]
+    zs = _stack(p.domain, cfg)
+    rows = _point_rows(
+        zs, {"key_equation": hermgeo.key_equation_residual(p, zs)})
     return p.domain.to_json(), {"n": cfg["n"], "ricci": cfg["ricci"]}, rows
 
 
@@ -328,12 +333,10 @@ def _constant_length(cfg):
     K = cfg["ricci"]
     p = potentials.rescaled_ball_potential(d.n, K)
     target = (d.n + 1) / K
-    rng = np.random.default_rng(cfg["seed"])
-    zs = np.array(sample_interior(d, rng, cfg["samples"]))
-    frame = hermgeo.metric_from_potential(p, zs, order=2)
-    deviations = np.abs(hermgeo.gradient_length_sq(frame) - target).tolist()
-    rows = [{"point": point, "residuals": {"length_deviation": r}}
-            for point, r in zip(_points_json(zs), deviations)]
+    zs = _stack(d, cfg)
+    lengths = hermgeo.gradient_length_sq(
+        hermgeo.metric_from_potential(p, zs, order=2))
+    rows = _point_rows(zs, {"length_deviation": np.abs(lengths - target)})
     return d.to_json(), {"n": d.n, "ricci": K, "target": target}, rows
 
 
@@ -346,14 +349,11 @@ def _dbar_defect(cfg):
     The sample stack is one call of each.
     """
     p = potentials.rescaled_ball_potential(cfg["n"], cfg["ricci"])
-    rng = np.random.default_rng(cfg["seed"])
-    zs = np.array(sample_interior(p.domain, rng, cfg["samples"]))
+    zs = _stack(p.domain, cfg)
     defects = vfield.dbar_defect(p, zs)
     gaps = np.abs(defects - vfield.dbar_defect_closed_form(p, zs))
-    rows = [{"point": point,
-             "residuals": {"defect": defect, "defect_vs_closed_form": gap}}
-            for point, defect, gap in zip(_points_json(zs), defects.tolist(),
-                                          gaps.tolist())]
+    rows = _point_rows(zs, {"defect": defects,
+                            "defect_vs_closed_form": gaps})
     return p.domain.to_json(), {"n": cfg["n"], "ricci": cfg["ricci"]}, rows
 
 

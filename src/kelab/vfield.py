@@ -28,7 +28,6 @@ one stack, and each check's public wrapper integrates it alone.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,7 +36,7 @@ import numpy as np
 from . import hermgeo
 from .errors import CertificateError, FlowExitError
 from .hermgeo import _per_point, _transpose
-from .jets import as_point, as_points
+from .jets import as_integer, as_point, as_points
 
 MAX_HORIZON = 10.0
 
@@ -189,8 +188,8 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
     ``t`` and ``generator`` are one value for all rows or one per row.
     Returns the (M, n) endpoints and the trajectory of row 0 as
     [(time, point)]: its start, the point after every ``record_every``-th
-    of its own steps and after its last (``record_every=0`` records the
-    start and the end only).
+    of its own steps and after its last (``record_every`` is an integer,
+    ``as_integer``; 0 records the start and the end only).
 
     Every accepted step is checked for membership, in one stacked
     ``contains`` call over the running rows.  Rows that leave the
@@ -203,13 +202,14 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
     generator = np.broadcast_to(np.asarray(generator), (m,))
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    record_every = as_integer(record_every, "record_every")
     if record_every < 0:
         raise ValueError(f"record_every must be >= 0, got {record_every}")
     for ti in t:
         if not abs(ti) <= MAX_HORIZON:
             raise ValueError(f"t must be finite with |t| <= {MAX_HORIZON}, "
                              f"got {ti}")
-    for g in generator:
+    for g in generator.tolist():
         if g not in ("re_w", "re_v"):
             raise ValueError(f"unknown generator {g!r}; use re_w or re_v")
     d = p.domain
@@ -370,29 +370,29 @@ def exact_re_v_flow(z0, t) -> np.ndarray:
     return z
 
 
-def pullback_check(p, z0, t: float, jac_step: float = 1e-4) -> FlowCheck:
+#: the central-difference step of ``pullback_check``'s Jacobian
+JAC_STEP = 1e-4
+
+
+def pullback_check(p, z0, t: float) -> FlowCheck:
     """Isometry at z0: max entrywise |(flow_t)^* g - g| for the Re V flow.
 
     The flow of a holomorphic field is holomorphic in the initial point,
     so its complex Jacobian J (by central differences) suffices:
     (flow^* g)_{a bbar} = J^T g(flow(z)) conj(J).  Rows 2b and 2b+1 start
-    at z0 + and - jac_step e_b, row 2n at z0; ``jac_step`` is positive and
-    finite.
+    at z0 + and - ``JAC_STEP`` e_b, row 2n at z0.
     """
-    if not 0 < jac_step < math.inf:
-        raise ValueError(f"jac_step must be positive and finite, "
-                         f"got {jac_step!r}")
     z0 = as_point(z0)
     n = len(z0)
     starts = np.repeat(z0[None], 2 * n + 1, axis=0)
     for b in range(n):
-        starts[2 * b, b] += jac_step
-        starts[2 * b + 1, b] -= jac_step
+        starts[2 * b, b] += JAC_STEP
+        starts[2 * b + 1, b] -= JAC_STEP
 
     def residual(ends):
         J = np.zeros((n, n), dtype=complex)
         for b in range(n):
-            J[:, b] = (ends[2 * b] - ends[2 * b + 1]) / (2.0 * jac_step)
+            J[:, b] = (ends[2 * b] - ends[2 * b + 1]) / (2.0 * JAC_STEP)
         g0 = hermgeo.metric_from_potential(p, z0, order=2).g
         g1 = hermgeo.metric_from_potential(p, ends[2 * n], order=2).g
         pulled = J.T @ g1 @ np.conj(J)
@@ -419,10 +419,9 @@ def _single_check(p, check: FlowCheck, dt: float) -> float:
                                          generator=check.generator))
 
 
-def pullback_metric_deviation(p, z0, t: float, dt: float = 1e-3,
-                              jac_step: float = 1e-4) -> float:
+def pullback_metric_deviation(p, z0, t: float, dt: float = 1e-3) -> float:
     """The ``pullback_check`` residual, integrated on its own."""
-    return _single_check(p, pullback_check(p, z0, t, jac_step), dt)
+    return _single_check(p, pullback_check(p, z0, t), dt)
 
 
 def reparametrization_deviation(p, z0, t: float, dt: float = 1e-3) -> float:

@@ -33,6 +33,28 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
         assert vars(owner)[attr] is original, (owner, attr)
 
 
+def test_tracer_rebinds_the_suites_sampler_alias(monkeypatch):
+    """The frame suites draw their stacks through ``suites.sample_interior``
+    (``suites._stack``), so the bench's sampler spans see them only if the
+    tracer rebinds that alias as well as ``sampling.sample_interior``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_module = importlib.import_module("tracer")
+    tracer = tracer_module.Tracer()
+    original = suites.sample_interior
+    tracer.install()
+    try:
+        assert (suites, "sample_interior", original) in tracer._patches
+        assert suites.sample_interior is sampling.sample_interior
+        assert suites.sample_interior is not original
+        suites.run_suite("key-equation", {"samples": 2})
+    finally:
+        tracer.uninstall()
+    assert suites.sample_interior is original
+    tags = [span[tracer_module.TAG] for span in tracer.spans
+            if span[tracer_module.NAME] == "sampling.sample_interior"]
+    assert tags == [{"kind": "ball(2)", "accepted": 2}]
+
+
 def test_sampler_checks_its_points_in_one_call(monkeypatch):
     """``sample_interior`` checks its returned points with one
     ``DomainModel.contains`` call on their (count, n) stack."""

@@ -239,6 +239,31 @@ def test_bracket_ends_are_still_classified():
         shoot(2, 3.0, phi0_bracket=(-1.01, -1.0), tol=0.05)
 
 
+def test_first_secant_step_reads_the_given_lower_end(monkeypatch):
+    """With g(hi) finite the first step is a secant step, and it reads
+    g(lo) of the given lower end inside the loop: that end is the second
+    candidate classified, and a super-critical one fails right there."""
+    calls = []
+    real = chengyau._boundary_growth
+
+    def spy(n, K, phi0):
+        g, tau_star = real(n, K, phi0)
+        calls.append((phi0, g))
+        return g, tau_star
+
+    monkeypatch.setattr(chengyau, "_boundary_growth", spy)
+    sol = shoot(2, 3.0, phi0_bracket=(-0.5, 0.05))
+    assert [phi0 for phi0, _ in calls[:2]] == [0.05, -0.5]
+    assert 0 < calls[0][1] < math.inf and calls[1][1] <= 0
+    assert len(calls) == 15
+    assert abs(sol.phi[0] - ball_center_value(2, 3.0)) <= 1e-12
+    calls.clear()
+    with pytest.raises(BracketingError, match="phi\\(0\\)=0.01 already"):
+        shoot(2, 3.0, phi0_bracket=(0.01, 0.05))
+    assert [phi0 for phi0, _ in calls] == [0.05, 0.01]
+    assert calls[1][1] > 0
+
+
 def test_coarse_search_of_the_benchmark_probe():
     sol = shoot(2, 3.0, tol=1e-3)
     assert abs(sol.phi[0] - ball_center_value(2, 3.0)) <= 1e-3
@@ -336,32 +361,25 @@ def test_canonical_potential_round_trip(solutions):
 def test_solution_csv(tmp_path):
     rp = ball_closed_form(1, 2.0)
     path = tmp_path / "radial.csv"
-    chengyau.solution_to_csv(rp, path, stride=1)
+    chengyau.solution_to_csv(rp, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "phi", "dphi", "gradient_length"]
-    assert len(rows) == len(rp.grid) + 1
     mid = len(rows) // 2
     t, phi, dphi, grad = (float(x) for x in rows[mid])
     assert phi == pytest.approx(-np.log1p(-t), abs=1e-12)
     assert grad == pytest.approx(t, abs=1e-6)
-    # default thinning keeps the endpoints and a manageable row count
-    thin = tmp_path / "thin.csv"
-    chengyau.solution_to_csv(rp, thin)
-    with open(thin) as fh:
-        thin_rows = list(csv.reader(fh))
-    assert 3 <= len(thin_rows) <= 2500
-    assert float(thin_rows[-1][0]) == pytest.approx(rp.grid[-1], abs=1e-15)
-    for stride in (0, -1, 1.5, True):
-        with pytest.raises(ValueError, match="stride"):
-            chengyau.solution_to_csv(rp, tmp_path / "bad.csv", stride=stride)
+    # the thinning keeps the endpoints and a manageable row count
+    assert 3 <= len(rows) <= 2500
+    assert float(rows[1][0]) == 0.0
+    assert float(rows[-1][0]) == pytest.approx(rp.grid[-1], abs=1e-15)
 
 
 def test_solution_csv_column_matches_per_row(tmp_path):
     """The vectorized gradient-length column is the per-row value."""
     rp = ball_closed_form(2, 3.0)
     path = tmp_path / "radial.csv"
-    chengyau.solution_to_csv(rp, path, stride=97)
+    chengyau.solution_to_csv(rp, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))[1:]
     assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == rp.grid[-1]

@@ -243,6 +243,17 @@ def test_verification_failure_exit_code(tmp_path):
     assert json.loads(out.read_text())["pass"] is False
 
 
+def test_run_all_names_its_failing_suites(tmp_path, capsys):
+    config = {"suites": {"table1": {}, "key-equation": {"samples": 5,
+                                                        "tol": 1e-30}}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main(["run-all", "--config", str(cfg),
+                     "--out", str(tmp_path / "reports")])
+    assert code == 1
+    assert capsys.readouterr().err == "failing suites: key-equation\n"
+
+
 def test_nan_residual_fails_suite(monkeypatch):
     """One NaN sample fails the suite: max(0.0, nan) would drop it."""
     from kelab import hermgeo

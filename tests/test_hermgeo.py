@@ -63,6 +63,18 @@ def test_metric_frame_needs_order_two(rescaled_23):
             hermgeo.metric_from_potential(rescaled_23, np.zeros(2), order)
 
 
+def test_frame_readers_need_their_order(rescaled_23):
+    """The covariant Hessian reads an order-3 frame's Christoffels, and
+    curvature the order-4 tensors; a lower order is a ValueError."""
+    z = np.zeros(2)
+    with pytest.raises(ValueError, match="order >= 3"):
+        hermgeo.covariant_hessian(
+            hermgeo.metric_from_potential(rescaled_23, z, order=2))
+    with pytest.raises(ValueError, match="order-4 frame"):
+        hermgeo.ricci_from_frame(
+            hermgeo.metric_from_potential(rescaled_23, z, order=3))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ball_gradient_length_law(n):
     p = domains.ke_potential(domains.ball(n), float(n + 1))

@@ -49,7 +49,9 @@ def test_canonical_requires_positive_constant():
                 lambda: domains.ke_potential(domains.ball(2), K),
                 lambda: potentials.rescaled_ball_potential(2, K),
                 lambda: potentials.ball_minimality_report([domains.ball(2)],
-                                                          K)):
+                                                          K),
+                lambda: chengyau.ball_closed_form(2, K),
+                lambda: chengyau.closed_form_field(2, K)):
             with pytest.raises(ValueError, match="Ricci constant K"):
                 build()
 
@@ -215,15 +217,18 @@ def test_certificate_equals_one_frame_per_point(make):
                                domains.ball(3), domains.polydisc(1),
                                domains.polydisc(2), domains.polydisc(3)],
                          ids=lambda d: d.label)
-def test_kai_ohsawa_constant_equals_one_frame_per_point(d):
+def test_kai_ohsawa_constant_equals_one_frame_per_point(d, monkeypatch):
     p = potentials.kai_ohsawa_potential(d)
     points = sample_interior(d, np.random.default_rng(0), 20)
     center, *lengths = _lengths_one_frame_per_point(
         p, [np.zeros(d.n, dtype=complex)] + points)
     assert potentials.kai_ohsawa_constant(d) == center
     assert max(abs(v - center) for v in lengths) <= 1e-6
+    # the kernel potential's gradient length is not constant
+    monkeypatch.setattr(potentials, "kai_ohsawa_potential",
+                        domains.bergman_potential)
     with pytest.raises(CertificateError, match="deviates"):
-        potentials.kai_ohsawa_constant(d, tol=-1.0)
+        potentials.kai_ohsawa_constant(d)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +339,6 @@ def test_certificates_need_a_sample():
     p = potentials.rescaled_ball_potential(2, 3.0)
     with pytest.raises(ValueError, match="count"):
         potentials.certify_constant_length(p, samples=0)
-    with pytest.raises(ValueError, match="count"):
-        potentials.kai_ohsawa_constant(domains.ball(2), spot_checks=0)
     assert potentials.certify_constant_length(p, samples=1).sample_count == 1
     # an infinite tolerance would certify the flat quadratic, whose
     # gradient length is not constant
@@ -343,8 +346,6 @@ def test_certificates_need_a_sample():
         with pytest.raises(ValueError, match="tolerance"):
             potentials.certify_constant_length(
                 potentials.quadratic_fixture(2), tolerance=tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            potentials.kai_ohsawa_constant(domains.ball(2), tol=tol)
 
 
 def test_constant_independent_of_boundary_point():

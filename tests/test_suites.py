@@ -8,9 +8,10 @@ import math
 import pytest
 
 import kelab
-from kelab import cli, hermgeo, potentials, suites
+from kelab import cli, hermgeo, potentials, suites, vfield
 from kelab.domains import (
     DomainModel,
+    InvariantsRecord,
     ball,
     bergman_potential,
     norm_form,
@@ -217,24 +218,36 @@ def test_run_all_checks_every_suite_before_running_one(monkeypatch):
     assert ran == []
 
 
-def test_nan_report_is_strict_json_and_fails(monkeypatch):
-    real = hermgeo.key_equation_residual
-    calls = []
+#: each frame suite, the module and name of the function its rows'
+#: residual is read from, and that residual's name in the rows
+FRAME_RESIDUALS = [
+    ("einstein", hermgeo, "einstein_residual", "einstein"),
+    ("delta-identity", hermgeo, "delta_identity_residual", "delta_identity"),
+    ("key-equation", hermgeo, "key_equation_residual", "key_equation"),
+    ("constant-length", hermgeo, "gradient_length_sq", "length_deviation"),
+    ("dbar-defect", vfield, "dbar_defect", "defect"),
+]
 
-    def one_nan(p, zs):  # the suite evaluates its sample stack in one call
-        calls.extend(zs)
-        out = real(p, zs)
+
+@pytest.mark.parametrize("name, module, attr, residual", FRAME_RESIDUALS,
+                         ids=[case[0] for case in FRAME_RESIDUALS])
+def test_nan_report_is_strict_json_and_fails(monkeypatch, name, module, attr,
+                                             residual):
+    real = getattr(module, attr)
+
+    def one_nan(*args):  # the suite evaluates each sample stack in one call
+        out = real(*args)
         out[1] = float("nan")
         return out
 
-    monkeypatch.setattr(hermgeo, "key_equation_residual", one_nan)
-    report = run_suite("key-equation", {"samples": 3, "seed": 1})
+    monkeypatch.setattr(module, attr, one_nan)
+    report = run_suite(name, {"samples": 3, "seed": 1})
     text = report.to_json()
     data = json.loads(text, parse_constant=_raise_on_constant)
     assert text == _compact(data)
     assert data["pass"] is False
     assert data["max_residual"] == "NaN"
-    assert data["samples"][1]["residuals"]["key_equation"] == "NaN"
+    assert data["samples"][1]["residuals"][residual] == "NaN"
     assert math.isnan(float(data["max_residual"]))
 
 
@@ -292,6 +305,23 @@ def test_ball_minimality_reads_every_rank_one_kind_as_a_ball(monkeypatch):
     assert {"type2(3)", "type3(1)", "type1(1,45)"} <= kinds
     assert report.passed is True
     assert report.max_residual == 0.0
+
+
+def test_ball_minimality_fails_a_rank_two_equality(monkeypatch):
+    """rank*c = n+1 at rank 2 is not strict, so its row reads 1.0."""
+    real = potentials.ball_minimality_report
+    tight = InvariantsRecord("rank-2-tight", c=8.5, n=16, rank=2)
+
+    def with_tight(entries, K=1.0):
+        return real(list(entries) + [tight], K=K)
+
+    monkeypatch.setattr(potentials, "ball_minimality_report", with_tight)
+    report = run_suite("ball-minimality", {})
+    row = report.samples[-1]
+    assert row["kind"] == "rank-2-tight" and row["strict"] is False
+    assert row["residuals"] == {"classification": 1.0}
+    assert report.max_residual == 1.0
+    assert report.passed is False
 
 
 def test_kai_ohsawa_reads_the_potential_it_measures(monkeypatch):

@@ -229,16 +229,23 @@ def test_flow_horizon_cap(certified):
         vfield.flow_trajectory(certified, z0, 0.1, record_every=-1)
 
 
-def test_pullback_check_needs_a_positive_finite_jac_step(certified):
-    """A zero step would divide by zero in the Jacobian, and inf or NaN
-    would fail later as non-finite start rows."""
+def test_record_every_is_an_integer(certified):
+    """2.5 would record every 5th step and True every step; 2.0 is 2."""
     z0 = np.array([0.1, 0.0], complex)
-    for step in (0.0, -1e-4, np.inf, np.nan):
-        with pytest.raises(ValueError, match="jac_step"):
-            vfield.pullback_check(certified, z0, 0.1, jac_step=step)
-        with pytest.raises(ValueError, match="jac_step"):
-            vfield.pullback_metric_deviation(certified, z0, 0.1,
-                                             jac_step=step)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="record_every"):
+            vfield.flow_trajectory(certified, z0, 0.02, record_every=bad)
+    two = vfield.flow_trajectory(certified, z0, 0.02, record_every=2)
+    two_float = vfield.flow_trajectory(certified, z0, 0.02, record_every=2.0)
+    assert len(two["times"]) == 11  # the start and every 2nd of 20 steps
+    np.testing.assert_array_equal(two_float["times"], two["times"])
+    np.testing.assert_array_equal(two_float["points"], two["points"])
+
+
+def test_unknown_generator_is_rejected(certified):
+    with pytest.raises(ValueError, match="unknown generator 're_x'"):
+        vfield.integrate_flow(certified, np.zeros(2, complex), 0.1,
+                              generator="re_x")
 
 
 def _nan_velocity_at(monkeypatch, call):
