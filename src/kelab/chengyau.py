@@ -89,24 +89,13 @@ def ball_center_value(n: int, K: float) -> float:
     return (n / K) * math.log(ball_amplitude(n, K))
 
 
-def _geometric_grid(edge: float, dtau: float) -> np.ndarray:
-    """t-grid 1 - exp(-tau), tau uniform from the series start to -log(edge)."""
-    tau0 = -math.log1p(-_SERIES_START)
-    tau_max = -math.log(edge)
-    taus = np.arange(tau0, tau_max + dtau, dtau)
-    return 1.0 - np.exp(-taus)
-
-
 def ball_closed_form(n: int, K: float, grid=None) -> RadialPotential:
     """The exact solution sampled on a grid (default: the solver's grid).
     ``n`` is an integer (``as_integer``) and K positive and finite."""
     n = as_integer(n, "n")
     A = ball_amplitude(n, K)
     B = ball_center_value(n, K)
-    if grid is None:
-        grid = np.concatenate(([0.0],
-                               _geometric_grid(_FINAL_EDGE, _SEARCH_DTAU)))
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(_solver_grid() if grid is None else grid, dtype=float)
     phi = -A * np.log1p(-grid) + B
     dphi = A / (1.0 - grid)
     return RadialPotential(n=n, K=K, grid=grid, phi=phi, dphi=dphi)
@@ -259,6 +248,15 @@ def _tau_steps(dtau):
                  (1.0 - t_mid, t_mid, taus[1:], t_end, 1.0 - t_end))
 
 
+def _solver_grid() -> np.ndarray:
+    """The t-grid of the returned solution: t = 0, then 1 - e^(-tau) over
+    the series start and every step of ``_tau_steps(_SEARCH_DTAU)``, up to
+    t = 1 - ``_FINAL_EDGE``."""
+    taus = np.concatenate(([-math.log1p(-_SERIES_START)],
+                           _tau_steps(_SEARCH_DTAU)[2]))
+    return np.concatenate(([0.0], 1.0 - np.exp(-taus)))
+
+
 def _integrate(n, K, phi0, dtau, tau_end, watch=math.inf, record=None):
     """RK4 in tau = -log(1-t) for the state y = (phi, psi), psi = phi'.
 
@@ -404,6 +402,8 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     lo, hi = float(phi0_bracket[0]), float(phi0_bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"phi0_bracket must be finite, got {phi0_bracket!r}")
     if not lo < hi:
         raise BracketingError(f"empty bracket {phi0_bracket!r}")
 
@@ -462,8 +462,7 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     taus, phis, psis = array("d"), array("d"), array("d")
     _integrate(n, K, phi0, _SEARCH_DTAU, -math.log(_FINAL_EDGE),
                record=(taus, phis, psis))
-    grid = 1.0 - np.exp(-np.asarray(taus))
-    grid = np.concatenate(([0.0], grid))
+    grid = _solver_grid()[:len(taus) + 1]  # short after a blow-up
     phi = np.concatenate(([phi0], phis))
     dphi = np.concatenate(([math.exp(K * phi0 / n)], psis))
     return RadialPotential(n=n, K=K, grid=grid, phi=phi, dphi=dphi)

@@ -13,8 +13,9 @@ only as (c, n, rank) data.  Every kind is bounded; the unbounded Cayley
 images of the ball and polydisc enter only through the Siegel-side
 functions at the end (``cayley``, the half-plane kernel and its slice).
 
-Matrix coordinates are flattened row-major; the symmetry-constrained kinds
-are parametrized by their independent entries (type II strictly upper
+A matrix kind's coordinates are those of one basis of its matrix space
+(``_basis``): the cells in row-major order, and for the symmetry-
+constrained kinds their independent entries (type II strictly upper
 triangular, type III upper triangular).  Generic norms are normalized to 1
 at the origin and vanish on the boundary, and K ~ N^(-c) with the kind's
 c; the Einstein suite validates each pairing numerically (Ricci of
@@ -153,6 +154,7 @@ class DomainModel:
 # constructors
 
 def ball(n: int) -> DomainModel:
+    n = as_integer(n, "n")
     if n < 1:
         raise ValueError("ball dimension must be >= 1")
     return DomainModel(BALL, (n,), n=n, rank=1, c=float(n + 1))
@@ -160,18 +162,21 @@ def ball(n: int) -> DomainModel:
 
 def polydisc(r: int) -> DomainModel:
     """Product of r unit discs; the per-factor kernel exponent is 2."""
+    r = as_integer(r, "r")
     if r < 1:
         raise ValueError("polydisc rank must be >= 1")
     return DomainModel(POLYDISC, (r,), n=r, rank=r, c=2.0)
 
 
 def type_i(p: int, q: int) -> DomainModel:
+    p, q = as_integer(p, "p"), as_integer(q, "q")
     if not 1 <= p <= q:
         raise ValueError("type I requires 1 <= p <= q")
     return DomainModel(TYPE_I, (p, q), n=p * q, rank=p, c=float(p + q))
 
 
 def type_ii(m: int) -> DomainModel:
+    m = as_integer(m, "m")
     if m < MIN_TYPE_II:
         raise ValueError(f"type II restricted to m >= {MIN_TYPE_II}")
     return DomainModel(TYPE_II, (m,), n=m * (m - 1) // 2, rank=m // 2,
@@ -179,12 +184,14 @@ def type_ii(m: int) -> DomainModel:
 
 
 def type_iii(m: int) -> DomainModel:
+    m = as_integer(m, "m")
     if m < 1:
         raise ValueError("type III requires m >= 1")
     return DomainModel(TYPE_III, (m,), n=m * (m + 1) // 2, rank=m, c=float(m + 1))
 
 
 def type_iv(m: int) -> DomainModel:
+    m = as_integer(m, "m")
     if m < MIN_TYPE_IV:
         raise ValueError(f"type IV restricted to m >= {MIN_TYPE_IV}")
     return DomainModel(TYPE_IV, (m,), n=m, rank=2, c=float(m))
@@ -203,7 +210,8 @@ def product(*factors: DomainModel) -> DomainModel:
 
 def from_json(obj: dict) -> DomainModel:
     """The domain of a ``to_json`` record.  A parameter takes an integral
-    value such as 3, 3.0 or "3" (see ``as_integer``)."""
+    value such as 3, 3.0 or "3", as every constructor does (see
+    ``as_integer``)."""
     if not isinstance(obj, dict):
         raise ValueError(f"a domain record is an object, got {obj!r}")
     kind = obj.get("kind")
@@ -216,7 +224,7 @@ def from_json(obj: dict) -> DomainModel:
         raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
     build = {BALL: ball, POLYDISC: polydisc, TYPE_I: type_i, TYPE_II: type_ii,
              TYPE_III: type_iii, TYPE_IV: type_iv}[kind]
-    return build(*(as_integer(obj[key], key) for key in PARAMETERS[kind]))
+    return build(*(obj[key] for key in PARAMETERS[kind]))
 
 
 def check_ricci_constant(K) -> None:
@@ -230,54 +238,39 @@ def check_ricci_constant(K) -> None:
 # ---------------------------------------------------------------------------
 # matrix embeddings
 
-def _matrix_lifts(d: DomainModel):
-    """Per-coordinate (i, j, weight) lifts into the full matrix space."""
-    if d.kind == POLYDISC:
-        r = d.params[0]
-        return r, r, tuple(((a, a, 1.0),) for a in range(r))
-    if d.kind in (BALL, TYPE_I):  # the ball is type1(1, n)
-        p, q = (1, d.n) if d.kind == BALL else d.params
-        return p, q, tuple(
-            ((i, j, 1.0),) for i in range(p) for j in range(q)
-        )
-    if d.kind == TYPE_III:
-        m = d.params[0]
-        lifts = []
-        for i in range(m):
-            for j in range(i, m):
-                if i == j:
-                    lifts.append(((i, i, 1.0),))
-                else:
-                    lifts.append(((i, j, 1.0), (j, i, 1.0)))
-        return m, m, tuple(lifts)
-    if d.kind == TYPE_II:
-        m = d.params[0]
-        lifts = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                lifts.append(((i, j, 1.0), (j, i, -1.0)))
-        return m, m, tuple(lifts)
-    raise UnsupportedDomainError(f"{d.label} is not a matrix kind")
-
-
 @functools.lru_cache(maxsize=None)
-def _matrix_plan(d: DomainModel):
-    """The lifts as one scatter: (shape, flat cells, coordinate index,
-    weight), one entry per matrix cell a coordinate reaches."""
-    p, q, lifts = _matrix_lifts(d)
-    cells, alpha, w = zip(*[(i * q + j, a, w) for a, lift in enumerate(lifts)
-                            for i, j, w in lift])
-    return (p, q), np.array(cells), np.array(alpha), np.array(w)
+def _basis(d: DomainModel) -> np.ndarray:
+    """The matrix realization of a matrix kind as one read-only basis L,
+    shape (n, p, q), with Z = sum_a z^a L[a]: E_ij over the row-major
+    cells for type I and the ball (type1(1, n)), E_aa for the polydisc,
+    E_ij + E_ji over i <= j for type III and E_ij - E_ji over i < j for
+    type II."""
+    if d.kind == POLYDISC:
+        p = q = d.n
+        i = j = np.arange(d.n)
+    elif d.kind in (BALL, TYPE_I):
+        p, q = (1, d.n) if d.kind == BALL else d.params
+        i, j = np.divmod(np.arange(d.n), q)
+    elif d.kind in (TYPE_II, TYPE_III):
+        p = q = d.params[0]
+        i, j = np.triu_indices(p, 1 if d.kind == TYPE_II else 0)
+    else:
+        raise UnsupportedDomainError(f"{d.label} is not a matrix kind")
+    a = np.arange(d.n)
+    L = np.zeros((d.n, p, q))
+    if d.kind in (TYPE_II, TYPE_III):
+        L[a, j, i] = -1.0 if d.kind == TYPE_II else 1.0
+    L[a, i, j] = 1.0
+    L.setflags(write=False)
+    return L
 
 
 def as_matrix(d: DomainModel, z) -> np.ndarray:
     """The matrix realization of a flattened coordinate vector, (p, q), or
     of each row of an (N, n) stack, (N, p, q)."""
     z = as_points(z)
-    shape, cells, alpha, w = _matrix_plan(d)
-    Z = np.zeros(z.shape[:-1] + (shape[0] * shape[1],), dtype=complex)
-    Z[..., cells] = w * z[..., alpha]
-    return Z.reshape(z.shape[:-1] + shape)
+    L = _basis(d)
+    return (z @ L.reshape(len(L), -1)).reshape(z.shape[:-1] + L.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +360,8 @@ def norm_form(d: DomainModel) -> tuple:
     if d.kind == TYPE_IV:
         eye = np.eye(d.n)
         form = ((1.0, np.ones(1)), (-2.0, eye), (1.0, 2.0 * eye[None]))
-    else:  # a matrix kind, or UnsupportedDomainError from _matrix_lifts
-        L = as_matrix(d, np.eye(d.n)).real  # Z = sum_a z^a L_a
+    else:  # a matrix kind, or UnsupportedDomainError from _basis
+        L = _basis(d)
         p, q = L.shape[1:]
         sets = itertools.combinations
         form = []
@@ -420,14 +413,18 @@ def _derivative(L, terms):
 
 def tripotent(d: DomainModel) -> np.ndarray:
     """A maximal tripotent e of a non-product kind, a boundary point with
-    N(z, e) != 0 on the domain: [I | 0] for the ball, the polydisc and
-    types I and III, the [[0, 1], [-1, 0]] blocks for type II and e_1 for
-    type IV, in flattened coordinates."""
+    N(z, e) != 0 on the domain, in flattened coordinates: e_1 for type IV,
+    and for a matrix kind the coordinates <L[a], E> / <L[a], L[a]> of the
+    matrix E = [I | 0] (the ball, the polydisc, types I and III) or E =
+    the [[0, 1], [-1, 0]] blocks down the diagonal (type II)."""
     if d.kind == TYPE_IV:
         return np.eye(d.n)[0]
-    step = 2 if d.kind == TYPE_II else 1  # type II: the cells (2i, 2i + 1)
-    return np.array([float(i % step == 0 and j == i + step - 1)
-                     for (i, j, _), *_ in _matrix_lifts(d)[2]])
+    L = _basis(d)
+    E = np.eye(*L.shape[1:])
+    if d.kind == TYPE_II:  # 1 at (i, i + 1) for even i, mirrored to -1
+        E = np.eye(len(E), k=1) * (np.arange(len(E)) % 2 == 0)[:, None]
+        E = E - E.T
+    return np.sum(L * E, axis=(1, 2)) / np.sum(L * L, axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ Conventions, with G the matrix G[a, b] = g_{a bbar} = d^2 phi / dz^a dzbar^b:
 * gradient length   |dphi|_half^2 := phi_a g^{a bbar} phi_bbar
                                    = phi_z^H g_inv phi_z   (real, >= 0);
   the full 1-form length is twice that.
-* Christoffels      Gamma^l_{ab} = g^{l mbar} d_a g_{b mbar}, built from the
-  potential's third derivatives, hence exactly symmetric in (a, b).
+* Christoffels      Gamma^l_{ab} = g^{l mbar} d_a g_{b mbar}, from the
+  potential's third derivatives, hence exactly symmetric in (a, b); only
+  ``covariant_hessian`` reads them, and builds them itself.
 * covariant Hessian phi_{a;b} = d_b d_a phi - Gamma^l_{ab} phi_l.
 * Laplacian on scalars  Delta f = g^{a bbar} d_a dbar_b f = tr(F g_inv).
 * Ricci tensor      Ric = -d dbar log det G.
@@ -52,18 +53,18 @@ _HERMITIAN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MetricFrame:
-    """Metric data derived from a potential at one point or a stack.
+    """Metric data derived from a potential at one point or a stack: the
+    metric, its inverse and log-det, and the jet they came from.
 
-    ``christoffel`` is present only when the frame was built to order >= 3;
-    metric-only consumers (lengths, Laplacians, Ricci stencils) request
-    order 2 and skip it.  A frame of a stack of N points carries a leading
-    axis of N on every field (``log_det_g`` is then an array).
+    Metric-only consumers (lengths, Laplacians, Ricci stencils) request
+    order 2; the covariant Hessian needs order 3 and curvature order 4.
+    A frame of a stack of N points carries a leading axis of N on every
+    field (``log_det_g`` is then an array).
     """
 
     point: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
-    christoffel: np.ndarray | None  # [l, a, b] = Gamma^l_{ab}, sym in (a, b)
     log_det_g: float
     jet: Jet
 
@@ -85,13 +86,14 @@ def _reject(bad, z, message):
 
 
 def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
-    """Build the metric, inverse, Christoffels and log-det at ``z``.
+    """Build the metric, inverse and log-det at ``z``.
 
     ``z`` is a point (n,) or a stack of points (N, n); every check applies
     to each point.  Raises ``DegenerateMetricError`` naming the point where
     the complex Hessian of the potential fails to be Hermitian or positive
     definite.  ``order`` is that of the jet taken, 2..``MAX_ORDER``; the
-    Christoffels need 3, and so does the unbarred Hessian (2, 0).
+    covariant Hessian needs 3, for the third derivatives and the unbarred
+    Hessian (2, 0).
     """
     order = as_integer(order, "order")
     if not 2 <= order <= MAX_ORDER:
@@ -111,22 +113,11 @@ def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
         f"metric not positive definite at {point!r}: "
         f"min eigenvalue {eigs[i, 0]:.3e}"))
     g_inv = (vecs / eigs[:, None, :]) @ np.conj(vecs.transpose(0, 2, 1))
-    christoffel = None
-    if order >= 3:
-        third = jet.third_tensor()  # [a, b, m] = phi_{a b mbar}
-        # Gamma^l_{ab} = g^{l mbar} phi_{a b mbar};  g^{l mbar} = g_inv[m, l]
-        christoffel = np.einsum("Nml,Nabm->Nlab", g_inv, third)
     log_det = np.log(eigs).sum(axis=1)
     if z.ndim == 1:
-        return MetricFrame(
-            point=z, g=g[0], g_inv=g_inv[0],
-            christoffel=None if christoffel is None else christoffel[0],
-            log_det_g=float(log_det[0]), jet=jet.at(0),
-        )
-    return MetricFrame(
-        point=z, g=g, g_inv=g_inv, christoffel=christoffel,
-        log_det_g=log_det, jet=jet,
-    )
+        return MetricFrame(point=z, g=g[0], g_inv=g_inv[0],
+                           log_det_g=float(log_det[0]), jet=jet.at(0))
+    return MetricFrame(point=z, g=g, g_inv=g_inv, log_det_g=log_det, jet=jet)
 
 
 def _per_point(val):
@@ -145,12 +136,16 @@ def gradient_length_sq(frame: MetricFrame):
 
 
 def covariant_hessian(frame: MetricFrame) -> np.ndarray:
-    """phi_{a;b} = d_b d_a phi - Gamma^l_{ab} phi_l (symmetric)."""
-    if frame.christoffel is None:
+    """phi_{a;b} = d_b d_a phi - Gamma^l_{ab} phi_l (symmetric), with the
+    Christoffels Gamma^l_{ab} = g^{l mbar} phi_{a b mbar} built here from
+    the frame's third derivatives."""
+    jet = frame.jet
+    if jet.order < 3:
         raise ValueError("covariant Hessian needs a frame built to order >= 3")
-    phi_z = frame.jet.holo_gradient()
-    pure = frame.jet.pure_hessian()
-    return pure - np.einsum("...lab,...l->...ab", frame.christoffel, phi_z)
+    # third_tensor()[a, b, m] = phi_{a b mbar} and g^{l mbar} = g_inv[m, l]
+    gamma = np.einsum("...ml,...abm->...lab", frame.g_inv, jet.third_tensor())
+    return jet.pure_hessian() - np.einsum("...lab,...l->...ab", gamma,
+                                          jet.holo_gradient())
 
 
 def hessian_norm_sq(frame: MetricFrame):

@@ -286,6 +286,28 @@ def test_shoot_input_validation():
         shoot(2, 3.0, phi0_bracket=(-3.0, -1.0))  # both ends sub-critical
 
 
+@pytest.mark.parametrize("bracket", [
+    (-1.0, math.inf), (-math.inf, 3.0), (math.nan, 3.0), (-1.0, math.nan),
+    (-math.inf, math.inf)])
+def test_shoot_rejects_a_non_finite_bracket_end(bracket, monkeypatch):
+    """The midpoint of an infinite bracket is infinite, so such a search
+    never ends; each end is checked before any integration."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a non-finite bracket")
+
+    monkeypatch.setattr(chengyau, "_integrate", no_integration)
+    with pytest.raises(ValueError, match="phi0_bracket"):
+        shoot(2, 3.0, phi0_bracket=bracket)
+
+
+def test_closed_form_default_grid_is_the_solver_grid(solutions):
+    """ball_closed_form's default grid is the grid shoot returns, bit for
+    bit: one expression over the one step table."""
+    grid = ball_closed_form(2, 3.0).grid
+    assert grid.tobytes() == solutions[(2, 3.0)].grid.tobytes()
+    assert grid.tobytes() == chengyau._solver_grid().tobytes()
+
+
 def test_dimension_is_an_integer():
     """True would run as n = 1 and 2.5 would be truncated or fail late;
     3.0 reads as 3."""

@@ -155,9 +155,27 @@ def _inside_by_inequality(d, z):
     return bool(eigs[0] > 0)
 
 
+def _lifts(d):
+    """(p, q) and each coordinate's (i, j, weight) cells, kind by kind:
+    type I and the ball (type1(1, n)) take the row-major cells, the
+    polydisc the diagonal, type III (i, j) and (j, i) over i <= j, and
+    type II (i, j) and -1 at (j, i) over i < j."""
+    if d.kind == "polydisc":
+        return d.n, d.n, [[(a, a, 1.0)] for a in range(d.n)]
+    if d.kind in ("ball", "type1"):
+        p, q = (1, d.n) if d.kind == "ball" else d.params
+        return p, q, [[(i, j, 1.0)] for i in range(p) for j in range(q)]
+    m = d.params[0]
+    if d.kind == "type3":
+        return m, m, [[(i, j, 1.0)] + [(j, i, 1.0)] * (i < j)
+                      for i in range(m) for j in range(i, m)]
+    return m, m, [[(i, j, 1.0), (j, i, -1.0)]
+                  for i in range(m) for j in range(i + 1, m)]
+
+
 def _as_matrix_entrywise(d, z):
     """Each coordinate's lifts added into the matrix one entry at a time."""
-    p, q, lifts = domains._matrix_lifts(d)
+    p, q, lifts = _lifts(d)
     Z = np.zeros((p, q), dtype=complex)
     for alpha, lift in enumerate(lifts):
         for i, j, w in lift:
@@ -165,8 +183,14 @@ def _as_matrix_entrywise(d, z):
     return Z
 
 
+MATRIX_KINDS = [ball(3), polydisc(3), type_i(2, 2), type_i(2, 3),
+                type_i(3, 3), type_ii(4), type_ii(5), type_ii(6),
+                type_iii(2), type_iii(3)]
+
+
 @pytest.mark.parametrize("d", [
-    type_i(2, 3), type_i(3, 3), type_ii(5), type_ii(6), type_iii(3),
+    ball(3), polydisc(3), type_i(2, 3), type_i(3, 3), type_ii(5), type_ii(6),
+    type_iii(3),
 ], ids=lambda d: d.label)
 def test_as_matrix_equals_the_entrywise_loop(d):
     rng = np.random.default_rng(12)
@@ -175,11 +199,38 @@ def test_as_matrix_equals_the_entrywise_loop(d):
         assert np.array_equal(domains.as_matrix(d, z),
                               _as_matrix_entrywise(d, z))
     Z = domains.as_matrix(d, z)
-    Z[0, 0] = 7.0  # the result is a fresh array, not the cached plan
+    Z[0, 0] = 7.0  # the result is a fresh array, not the cached basis
     assert np.array_equal(domains.as_matrix(d, z), _as_matrix_entrywise(d, z))
     zs = rng.standard_normal((4, d.n)) + 1j * rng.standard_normal((4, d.n))
-    assert np.array_equal(domains.as_matrix(d, zs),
-                          [_as_matrix_entrywise(d, z) for z in zs])
+    Zs = domains.as_matrix(d, zs)
+    assert np.array_equal(Zs, [_as_matrix_entrywise(d, z) for z in zs])
+    Zs[:, 0, 0] = 7.0
+    assert np.array_equal(domains.as_matrix(d, zs)[0],
+                          _as_matrix_entrywise(d, zs[0]))
+
+
+@pytest.mark.parametrize("d", MATRIX_KINDS, ids=lambda d: d.label)
+def test_basis_is_read_only_and_gives_the_cell_tripotent(d):
+    """The cached basis cannot be written through, and ``tripotent`` is 1
+    exactly on the coordinates whose first cell is (i, i), or (2i, 2i + 1)
+    on type II, as the matrix tripotent [I | 0] or its type II blocks
+    [[0, 1], [-1, 0]] read."""
+    L = domains._basis(d)
+    assert L.shape[0] == d.n and not L.flags.writeable
+    with pytest.raises(ValueError):
+        L[0, 0, 0] = 2.0
+    step = 2 if d.kind == "type2" else 1
+    cells = [lift[0][:2] for lift in _lifts(d)[2]]
+    expected = [float(i % step == 0 and j == i + step - 1) for i, j in cells]
+    assert np.array_equal(domains.tripotent(d), expected)
+    assert domains.tripotent(d).dtype == float
+
+
+def test_tripotent_off_the_matrix_kinds():
+    """Type IV keeps e_1; a product has no basis and no tripotent."""
+    assert domains.tripotent(type_iv(4)).tolist() == [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(UnsupportedDomainError):
+        domains.tripotent(product(ball(1), ball(1)))
 
 
 @pytest.mark.parametrize("d", [
@@ -506,6 +557,28 @@ def test_serialization_round_trip():
         from_json({"kind": "dodecahedron"})
     with pytest.raises(UnsupportedDomainError):
         from_json({"kind": "halfplane-product", "r": 2})
+
+
+CONSTRUCTORS = [(ball, (2,)), (polydisc, (2,)), (type_i, (2, 3)),
+                (type_ii, (4,)), (type_iii, (2,)), (type_iv, (3,))]
+
+
+@pytest.mark.parametrize("build, args", CONSTRUCTORS,
+                         ids=lambda x: getattr(x, "__name__", None))
+def test_constructors_take_integral_parameters_only(build, args):
+    """2.5 and True raise a ValueError naming the parameter; an integral
+    float builds the same domain, label and record as the int."""
+    names = domains.PARAMETERS[build(*args).kind]
+    for k, name in enumerate(names):
+        for bad in (args[k] + 0.5, True):
+            wrong = args[:k] + (bad,) + args[k + 1:]
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                build(*wrong)
+        as_float = args[:k] + (float(args[k]),) + args[k + 1:]
+        d = build(*as_float)
+        assert d == build(*args) and d.label == build(*args).label
+        assert d.to_json() == build(*args).to_json()
+        assert all(type(v) is int for v in d.params) and type(d.n) is int
 
 
 def test_from_json_takes_integral_parameters_only():

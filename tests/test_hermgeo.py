@@ -23,7 +23,8 @@ def rescaled_23():
 def test_ball_frame_at_center(phi_rho_2):
     frame = hermgeo.metric_from_potential(phi_rho_2, np.zeros(2, complex))
     np.testing.assert_allclose(frame.g, np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(frame.christoffel, 0.0, atol=1e-14)
+    # the Christoffels g^{l mbar} phi_{a b mbar} vanish with the third tensor
+    np.testing.assert_allclose(frame.jet.third_tensor(), 0.0, atol=1e-14)
     assert frame.log_det_g == pytest.approx(0.0, abs=1e-14)
 
 
@@ -40,9 +41,8 @@ def test_frame_invariants_at_random_points():
         frame = hermgeo.metric_from_potential(p, z)
         assert np.linalg.eigvalsh(frame.g)[0] > 0
         np.testing.assert_allclose(frame.g @ frame.g_inv, np.eye(3), atol=1e-10)
-        np.testing.assert_allclose(
-            frame.christoffel, np.swapaxes(frame.christoffel, 1, 2), atol=1e-10
-        )
+        H = hermgeo.covariant_hessian(frame)
+        np.testing.assert_allclose(H, H.T, atol=1e-10)
 
 
 def test_degenerate_metric_rejected():
@@ -303,11 +303,12 @@ def test_stacked_frames_match_per_point(kind):
                                   shrink=0.9))
     stacked = hermgeo.metric_from_potential(p, zs, order=3)
     lengths = hermgeo.gradient_length_sq(stacked)
+    hessians = hermgeo.covariant_hessian(stacked)
     assert stacked.log_det_g.shape == lengths.shape == (len(zs),)
     for i, z in enumerate(zs):
         one = hermgeo.metric_from_potential(p, z, order=3)
         pairs = [(stacked.g[i], one.g), (stacked.g_inv[i], one.g_inv),
-                 (stacked.christoffel[i], one.christoffel),
+                 (hessians[i], hermgeo.covariant_hessian(one)),
                  (stacked.log_det_g[i], one.log_det_g),
                  (lengths[i], hermgeo.gradient_length_sq(one))]
         pairs += [(t[i], one.jet.tensors[k])

@@ -1,0 +1,85 @@
+"""Print a baseline of a kelab checkout as one JSON object.
+
+Two parts:
+
+* ``code_lines``: the code lines of each module of ``src/kelab`` and
+  their total.  A line is code unless it is blank, comment-only, or
+  inside a module, class or function docstring (found with ``ast``).
+* ``digests``: the SHA-256 of every suite's report at seeds 0, 1 and 2,
+  each run at its defaults with ``runtime_ms`` dropped and the JSON
+  re-dumped with sorted keys.
+
+Run it on two checkouts and diff the output; a refactor that claims the
+same reports shows the same digests:
+
+    python tools/baseline.py              # this checkout
+    python tools/baseline.py OTHER_REPO   # another checkout's src/kelab
+
+The digests are those of the machine that runs it.  Standard library and
+kelab only.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import json
+import pathlib
+import sys
+
+SEEDS = (0, 1, 2)
+
+
+def code_lines(source: str) -> int:
+    """The code lines of one module's ``source``, by the rule above."""
+    skip = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                skip.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for i, line in enumerate(source.splitlines(), 1)
+               if i not in skip and line.strip()
+               and not line.strip().startswith("#"))
+
+
+def count_package(package: pathlib.Path) -> dict:
+    modules = {path.name: code_lines(path.read_text())
+               for path in sorted(package.glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
+def report_digests() -> dict:
+    from kelab.suites import SUITES, run_suite
+
+    digests = {}
+    for name in sorted(SUITES):
+        for seed in SEEDS:
+            report = json.loads(run_suite(name, {"seed": seed}).to_json())
+            del report["runtime_ms"]
+            text = json.dumps(report, sort_keys=True)
+            digests[f"{name} seed={seed}"] = hashlib.sha256(
+                text.encode()).hexdigest()
+    return digests
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1:
+        print("usage: baseline.py [REPO]", file=sys.stderr)
+        return 2
+    repo = pathlib.Path(argv[0] if argv else
+                        pathlib.Path(__file__).resolve().parents[1])
+    src = repo.resolve() / "src"
+    sys.path.insert(0, str(src))
+    out = {"code_lines": count_package(src / "kelab"),
+           "digests": report_digests()}
+    print(json.dumps(out, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
