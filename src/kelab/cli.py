@@ -1,8 +1,7 @@
 """Command-line harness.
 
-    kelab run <suite> [--domain KIND] [--p P --q Q | --m M | --n N]
-                      [--ricci K] [--samples N] [--seed S] [--tol T]
-                      [--out PATH]
+    kelab run <suite> [--n N] [--ricci K] [--samples N] [--seed S]
+                      [--tol T] [--out PATH]
     kelab run-all [--config PATH] [--out DIR]
     kelab list
 
@@ -20,7 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-from .domains import PARAMETERS
 from .errors import KelabError
 from .suites import SUITES, run_all, run_suite, summary_dict
 
@@ -39,11 +37,6 @@ def _build_parser():
 
     run = sub.add_parser("run", help="run one named suite")
     run.add_argument("suite", choices=sorted(SUITES))
-    run.add_argument("--domain",
-                     help=f"domain kind ({', '.join(PARAMETERS)})")
-    run.add_argument("--p", type=int)
-    run.add_argument("--q", type=int)
-    run.add_argument("--m", type=int)
     run.add_argument("--n", type=int)
     run.add_argument("--ricci", type=float, help="Ricci constant K")
     run.add_argument("--samples", type=int)
@@ -62,44 +55,12 @@ def _build_parser():
     return parser
 
 
-def _domain_config(args) -> dict | None:
-    """The ``--domain`` record, with each kind's ``PARAMETERS`` from the
-    flag of the same name; ``n`` and ``r`` come from ``--n`` (default 2)."""
-    if args.domain is None:
-        return None
-    kind = args.domain.lower()
-    if kind not in PARAMETERS:
-        raise KelabError(f"unknown domain kind {args.domain!r}")
-    names = PARAMETERS[kind]
-    if names in (("n",), ("r",)):
-        return {"kind": kind, names[0]: args.n or 2}
-    if any(getattr(args, name) is None for name in names):
-        flags = " and ".join(f"--{name}" for name in names)
-        raise KelabError(f"{kind} needs {flags}")
-    return {"kind": kind, **{name: getattr(args, name) for name in names}}
-
-
-def _seed_of(args):
-    """--seed, else KELAB_SEED as given; the suite config checks it."""
-    if args.seed is not None:
-        return args.seed
-    return os.environ.get("KELAB_SEED") or None
-
-
 def _cmd_run(args) -> int:
-    config = {}
-    dom = _domain_config(args)
-    if dom:
-        config["domain"] = dom
-    seed = _seed_of(args)
-    if seed is not None:
-        config["seed"] = seed
-    for key, val in (("samples", args.samples), ("tol", args.tol),
-                     ("ricci", args.ricci)):
-        if val is not None:
-            config[key] = val
-    if args.n is not None:
-        config["n"] = args.n
+    # KELAB_SEED as given unless --seed is; the suite config checks it
+    config = {"seed": os.environ.get("KELAB_SEED") or None}
+    for key in ("seed", "samples", "tol", "ricci", "n"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     report = run_suite(args.suite, config)
     text = report.to_json()
     if args.out:

@@ -356,34 +356,27 @@ class PotentialField:
         return jet if z.ndim == 2 else jet.at(0)
 
     def jet(self, z, order: int) -> Jet:
-        """The closed form when ``parts`` is set, finite differences of
-        ``fn`` otherwise."""
+        """The closed form when ``parts`` is set, else ``fd_jet`` of
+        ``fn``, which takes orders 1..MAX_ORDER."""
         if self.parts is not None:
             return self.analytic_jet(z, order)
-        if order == 0:
-            z = as_points(z)
-            return Jet(point=z, order=0, tensors={(0, 0): np.array(self(z))})
         return fd_jet(self, z, order)
 
     def scaled(self, factor: float, label: str | None = None) -> "PotentialField":
         """The potential c*phi; its metric is c*g, so K becomes K/c.  The
-        factor c is positive and finite, else a ValueError names it."""
+        factor c is positive and finite, and the potential has ``parts``;
+        else a ValueError names what is wrong."""
         if not 0 < factor < math.inf:
             raise ValueError(f"scaling factor must be positive and finite, "
                              f"got {factor!r}")
-        new_parts = None
-        fn = None
-        if self.parts is not None:
-            new_parts = [(c * factor, part) for c, part in self.parts]
-        else:
-            base = self.fn
-            fn = lambda Z: factor * np.asarray(base(Z), dtype=float)  # noqa: E731
+        if self.parts is None:
+            raise ValueError(f"{self.label}: only a potential with parts "
+                             f"can be scaled")
         return PotentialField(
             domain=self.domain,
             ricci_constant=self.ricci_constant / factor,
-            parts=new_parts,
+            parts=[(c * factor, part) for c, part in self.parts],
             label=label or f"{factor:g}*{self.label}",
-            fn=fn,
         )
 
     def __repr__(self):  # keep frames and reports readable

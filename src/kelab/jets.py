@@ -64,10 +64,14 @@ def as_point(coords) -> np.ndarray:
 
 
 def as_points(coords) -> np.ndarray:
-    """A point as a 1-d complex vector, or a stack of N points as (N, n)."""
+    """A point as a 1-d complex vector, or a stack of N points as (N, n);
+    a scalar is a one-coordinate point, and more axes a ValueError."""
     z = np.asarray(coords, dtype=complex)
-    if z.ndim != 1 and z.ndim != 2:
-        return as_point(z)
+    if z.ndim == 0:
+        z = z.reshape(1)
+    if z.ndim > 2:
+        raise ValueError(f"points must be a point (n,) or a stack (N, n), "
+                         f"got shape {z.shape}")
     if z.shape[-1] < 1:
         raise ValueError(f"points need at least one coordinate, got {z.shape}")
     if not np.isfinite(z).all():

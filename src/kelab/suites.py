@@ -27,7 +27,6 @@ import numpy as np
 
 from . import chengyau, hermgeo, jets, potentials, vfield
 from .domains import (
-    BALL,
     DomainModel,
     EXCEPTIONAL_INVARIANTS,
     as_integer,
@@ -314,30 +313,17 @@ def _key_equation(cfg):
 
 @_suite("constant-length", "rescaled ball potential has |dphi|^2 = (n+1)/K",
         ["potentials.rescaled_ball_potential", "hermgeo.gradient_length_sq"],
-        tol=1e-8, samples=200, n=None, ricci=3.0, domain=None)
+        tol=1e-8, samples=200, n=2, ricci=3.0)
 def _constant_length(cfg):
-    """|L - (n+1)/K| for the rescaled ball potential on ``domain``.
-
-    ``domain`` defaults to ball(n) and ``n`` to the domain's dimension (2
-    when neither is given); an ``n`` the domain disagrees with is a config
-    error.
-    """
-    n = cfg["n"]
-    if cfg["domain"] is None:
-        d = ball(2 if n is None else n)
-    else:
-        d = _domain(cfg["domain"])
-        _require(n is None or n == d.n,
-                 f"constant-length: n = {n} disagrees with {d.label}")
-    _require(d.kind == BALL, "constant-length suite runs on ball domains")
-    K = cfg["ricci"]
-    p = potentials.rescaled_ball_potential(d.n, K)
-    target = (d.n + 1) / K
-    zs = _stack(d, cfg)
+    """|L - (n+1)/K| for the rescaled ball potential on ball(n)."""
+    n, K = cfg["n"], cfg["ricci"]
+    p = potentials.rescaled_ball_potential(n, K)
+    target = (n + 1) / K
+    zs = _stack(p.domain, cfg)
     lengths = hermgeo.gradient_length_sq(
         hermgeo.metric_from_potential(p, zs, order=2))
     rows = _point_rows(zs, {"length_deviation": np.abs(lengths - target)})
-    return d.to_json(), {"n": d.n, "ricci": K, "target": target}, rows
+    return p.domain.to_json(), {"n": n, "ricci": K, "target": target}, rows
 
 
 @_suite("dbar-defect", "|nabla'' V|^2 vanishes for certified potentials",

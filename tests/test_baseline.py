@@ -1,4 +1,5 @@
-"""tools/baseline.py: the code-line rule it counts by."""
+"""tools/baseline.py: the code-line rule it counts by, and its option
+count."""
 
 import importlib.util
 import pathlib
@@ -52,3 +53,13 @@ def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
     assert baseline.code_lines(SOURCE) == 11
     assert baseline.count_package(tmp_path) == {"modules": {"small.py": 11},
                                                 "total": 11}
+
+
+def test_options_total_is_the_sum_of_suite_keys_and_command_flags():
+    options = _baseline().count_options()
+    assert options["total"] == (
+        sum(len(keys) for keys in options["suites"].values())
+        + sum(len(flags) for flags in options["commands"].values()))
+    assert options["suites"]["constant-length"] == ["n", "ricci", "samples",
+                                                    "seed", "tol"]
+    assert "-h" not in options["commands"]["run"]

@@ -419,6 +419,18 @@ def test_solution_csv_column_matches_per_row(tmp_path):
         assert [r[3] for r in list(csv.reader(fh))[1:]] == ["", ""]
 
 
+def test_solution_csv_keeps_the_last_point_a_stride_misses(tmp_path):
+    """5,000 grid points thin at stride 2 to indices 0, 2, ..., 4,998, so
+    the last point, 4,999, is appended."""
+    rp = ball_closed_form(2, 3.0, grid=chengyau._solver_grid()[:5000])
+    path = tmp_path / "radial.csv"
+    chengyau.solution_to_csv(rp, path)
+    with open(path) as fh:
+        ts = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+    assert len(ts) == 2501
+    assert ts[-2:] == [rp.grid[4998], rp.grid[4999]]
+
+
 def _reference_integrate(n, K, phi0, dtau, tau_end):
     """The RK4 loop written with a stage function: (blow-up tau, taus, phis,
     psis).  The solver's hand-written loop must reproduce it bit for bit."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kelab import cli, domains
+from kelab import cli
 from kelab.errors import ConfigError
 from kelab.suites import run_suite, summary_dict, SUITES
 
@@ -38,10 +38,10 @@ def test_run_prints_one_json_line(capsys):
     assert len(report["samples"]) == 3
 
 
-def test_run_with_domain_flags(tmp_path):
+def test_run_with_n_flag(tmp_path):
     out = tmp_path / "cl.json"
     code = cli.main([
-        "run", "constant-length", "--domain", "ball", "--n", "2",
+        "run", "constant-length", "--n", "2",
         "--ricci", "3", "--samples", "25", "--seed", "7",
         "--out", str(out),
     ])
@@ -51,34 +51,6 @@ def test_run_with_domain_flags(tmp_path):
     assert report["params"]["ricci"] == 3.0
     assert len(report["samples"]) == 25
     assert report["max_residual"] <= 1e-8
-
-
-#: the --domain flags of every kind and the record they build
-DOMAIN_FLAGS = {
-    "ball": (["--domain", "ball"], {"kind": "ball", "n": 2}),
-    "polydisc": (["--domain", "Polydisc", "--n", "3"],
-                 {"kind": "polydisc", "r": 3}),
-    "type1": (["--domain", "type1", "--p", "2", "--q", "3"],
-              {"kind": "type1", "p": 2, "q": 3}),
-    "type2": (["--domain", "type2", "--m", "5"], {"kind": "type2", "m": 5}),
-    "type3": (["--domain", "TYPE3", "--m", "2"], {"kind": "type3", "m": 2}),
-    "type4": (["--domain", "type4", "--m", "3", "--p", "7"],
-              {"kind": "type4", "m": 3}),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(domains.PARAMETERS))
-def test_domain_flags_build_each_kinds_record(kind):
-    argv, record = DOMAIN_FLAGS[kind]
-    args = cli._build_parser().parse_args(["run", "einstein", *argv])
-    assert cli._domain_config(args) == record
-    assert domains.from_json(record).kind == kind
-
-
-def test_domain_missing_a_flag_is_usage_error(capsys):
-    code = cli.main(["run", "constant-length", "--domain", "type1", "--p", "2"])
-    assert code == 2
-    assert "type1 needs --p and --q" in capsys.readouterr().err
 
 
 def test_unknown_suite_is_usage_error():

@@ -8,7 +8,7 @@ import pytest
 from kelab import chengyau, domains, hermgeo, potentials
 from kelab.errors import EvaluationError, UnsupportedOrderError
 from kelab.field import PotentialField
-from kelab.jets import _stencil_plan, as_point, bidegrees, fd_jet
+from kelab.jets import _stencil_plan, as_point, as_points, bidegrees, fd_jet
 from kelab.sampling import sample_interior
 
 
@@ -354,3 +354,28 @@ def test_norm_form_part_order_four_matches_fd_jet(d):
     assert set(ja.tensors) == set(jf.tensors) == set(bidegrees(4))
     assert {k for k in ja.tensors if sum(k) == 4} == {(2, 2)}
     assert jet_gap(ja, jf) <= 1e-3
+
+
+def _ball8_kernel():
+    return domains.bergman_potential(domains.ball(8))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda z: domains.ball(8).contains(z), id="contains"),
+    pytest.param(lambda z: domains.gauge(domains.ball(8), z), id="gauge"),
+    pytest.param(lambda z: _ball8_kernel()(z), id="potential"),
+    pytest.param(lambda z: hermgeo.metric_from_potential(_ball8_kernel(), z),
+                 id="metric_from_potential"),
+    pytest.param(lambda z: fd_jet(_ball8_kernel(), z, 1), id="fd_jet"),
+])
+def test_two_stacks_are_not_one_point(call):
+    """A (2, 2, 2) array is not read as one point of C^8."""
+    with pytest.raises(ValueError, match=r"got shape \(2, 2, 2\)"):
+        call(np.zeros((2, 2, 2)))
+
+
+def test_a_scalar_is_a_one_coordinate_point():
+    assert as_points(0.5).shape == (1,)
+    assert domains.ball(1).contains(0.5) is True
+    kernel = domains.bergman_potential(domains.ball(1))
+    assert kernel(0.5) == kernel([0.5])

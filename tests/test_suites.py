@@ -8,7 +8,7 @@ import math
 import pytest
 
 import kelab
-from kelab import cli, hermgeo, potentials, suites, vfield
+from kelab import chengyau, cli, hermgeo, potentials, suites, vfield
 from kelab.domains import (
     DomainModel,
     InvariantsRecord,
@@ -30,7 +30,7 @@ MINIMAL = {
     "einstein": {"samples": 1, "domains": [{"kind": "ball", "n": 2}]},
     "delta-identity": {"samples": 1},
     "key-equation": {"samples": 2},
-    "constant-length": {"samples": 2, "domain": {"kind": "ball", "n": 2}},
+    "constant-length": {"samples": 2},
     "dbar-defect": {"samples": 2},
     "flow": {"horizon": 0.04, "dt": 0.04},
     "kai-ohsawa": {"max_dimension": 1},
@@ -178,17 +178,13 @@ def test_integral_float_of_an_integer_key_is_accepted():
 
 
 def test_constant_length_n_disagreeing_with_domain_is_config_error():
-    with pytest.raises(ConfigError, match="ball"):
-        run_suite("constant-length",
-                  {"domain": {"kind": "ball", "n": 3}, "n": 2, "samples": 2})
-
-
-def test_constant_length_runs_on_the_given_domain_alone():
-    report = run_suite("constant-length",
-                       {"domain": {"kind": "ball", "n": 3}, "samples": 2})
-    assert report.domain == {"kind": "ball", "n": 3}
-    assert report.params["n"] == 3
-    assert report.params["target"] == pytest.approx(4 / 3.0)
+    """constant-length runs on ball(n), which ``n`` names, so it takes no
+    ``domain`` key, agreeing with ``n`` or not."""
+    for domain_n in (2, 3):
+        with pytest.raises(ConfigError, match="does not take 'domain'"):
+            run_suite("constant-length",
+                      {"domain": {"kind": "ball", "n": domain_n}, "n": 2,
+                       "samples": 2})
 
 
 def test_constant_length_echoes_the_n_it_used():
@@ -198,12 +194,21 @@ def test_constant_length_echoes_the_n_it_used():
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "einstein", "--domain", "type1", "--p", "2", "--q", "3"],
+    ["run", "einstein", "--n", "3"],
     ["run", "table1", "--n", "3"],
 ])
 def test_cli_rejects_keys_the_suite_does_not_take(argv, capsys):
     assert cli.main(argv) == 2
     assert "accepted keys" in capsys.readouterr().err
+
+
+def test_run_all_writes_the_cheng_yau_solution_beside_its_reports(tmp_path):
+    reports, ok = run_all({"suites": {"cheng-yau": {}}}, out_dir=tmp_path)
+    assert ok and [r.suite for r in reports] == ["cheng-yau"]
+    expected = tmp_path / "expected.csv"
+    chengyau.solution_to_csv(chengyau.shoot(2, 3.0), expected)
+    assert ((tmp_path / "cheng_yau_solution.csv").read_bytes()
+            == expected.read_bytes())
 
 
 def test_run_all_checks_every_suite_before_running_one(monkeypatch):

@@ -1,10 +1,13 @@
 """Print a baseline of a kelab checkout as one JSON object.
 
-Two parts:
+Three parts:
 
 * ``code_lines``: the code lines of each module of ``src/kelab`` and
   their total.  A line is code unless it is blank, comment-only, or
   inside a module, class or function docstring (found with ``ast``).
+* ``options``: the settable options, each suite's config keys (its
+  schema) and each ``kelab`` command's flags (``-h`` left out), and
+  their total.
 * ``digests``: the SHA-256 of every suite's report at seeds 0, 1 and 2,
   each run at its defaults with ``runtime_ms`` dropped and the JSON
   re-dumped with sorted keys.
@@ -21,6 +24,7 @@ kelab only.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
 import json
@@ -52,6 +56,22 @@ def count_package(package: pathlib.Path) -> dict:
     return {"modules": modules, "total": sum(modules.values())}
 
 
+def count_options() -> dict:
+    from kelab import cli
+    from kelab.suites import SUITES
+
+    suites = {name: sorted(SUITES[name].schema) for name in sorted(SUITES)}
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    commands = {name: sorted(action.option_strings[-1]
+                             for action in parser._actions
+                             if action.option_strings
+                             and not isinstance(action, argparse._HelpAction))
+                for name, parser in sorted(sub.choices.items())}
+    total = sum(map(len, suites.values())) + sum(map(len, commands.values()))
+    return {"suites": suites, "commands": commands, "total": total}
+
+
 def report_digests() -> dict:
     from kelab.suites import SUITES, run_suite
 
@@ -76,6 +96,7 @@ def main(argv=None) -> int:
     src = repo.resolve() / "src"
     sys.path.insert(0, str(src))
     out = {"code_lines": count_package(src / "kelab"),
+           "options": count_options(),
            "digests": report_digests()}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
