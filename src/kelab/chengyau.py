@@ -23,7 +23,7 @@ the grid is geometric in (1 - t), which resolves the logarithmic blow-up.
 The search window ends at tau = 2, with the watched step at tau = 1.
 Every candidate and the returned run step through the same tau grid, so
 tau and t at each step's middle and end come from one table
-(``_tau_steps``), built once per step size.
+(``_tau_steps``), built once.
 The independent check of the ODE residual is a five-point stencil in
 tau, ~dtau^4 up to the boundary.
 """
@@ -228,9 +228,9 @@ def _series_start(n, K, phi0):
 
 
 @functools.lru_cache(maxsize=None)
-def _tau_steps(dtau):
-    """The step table of every RK4 run at step ``dtau``, from the series
-    start to tau = -log(_FINAL_EDGE): per step, 1 - t and t at the
+def _tau_steps():
+    """The step table of every RK4 run, at step ``_SEARCH_DTAU`` from the
+    series start to tau = -log(_FINAL_EDGE): per step, 1 - t and t at the
     mid-step, then tau, t and 1 - t at its end, five float arrays.
 
     The search and the returned solution all step through this one tau
@@ -238,7 +238,7 @@ def _tau_steps(dtau):
     in order), and t = 1 - e^(-tau) takes math.exp, since np.exp differs
     from it in the last bit at some steps.
     """
-    tau0 = -math.log1p(-_SERIES_START)
+    tau0, dtau = -math.log1p(-_SERIES_START), _SEARCH_DTAU
     steps = math.ceil((-math.log(_FINAL_EDGE) - tau0) / dtau)
     taus = np.cumsum(np.concatenate(([tau0], np.full(steps, dtau))))
     t_mid = 1.0 - np.fromiter(map(math.exp, -(taus[:-1] + 0.5 * dtau)),
@@ -250,15 +250,15 @@ def _tau_steps(dtau):
 
 def _solver_grid() -> np.ndarray:
     """The t-grid of the returned solution: t = 0, then 1 - e^(-tau) over
-    the series start and every step of ``_tau_steps(_SEARCH_DTAU)``, up to
+    the series start and every step of ``_tau_steps()``, up to
     t = 1 - ``_FINAL_EDGE``."""
-    taus = np.concatenate(([-math.log1p(-_SERIES_START)],
-                           _tau_steps(_SEARCH_DTAU)[2]))
+    taus = np.concatenate(([-math.log1p(-_SERIES_START)], _tau_steps()[2]))
     return np.concatenate(([0.0], 1.0 - np.exp(-taus)))
 
 
-def _integrate(n, K, phi0, dtau, tau_end, watch=math.inf, record=None):
-    """RK4 in tau = -log(1-t) for the state y = (phi, psi), psi = phi'.
+def _integrate(n, K, phi0, tau_end, watch=math.inf, record=None):
+    """RK4 in tau = -log(1-t) for the state y = (phi, psi), psi = phi', at
+    step ``_SEARCH_DTAU``.
 
     dy/dtau = (1-t) (psi, phi'') with phi'' = (e^(K phi) psi^(1-n) - psi)/t
     from the ODE.  A stage with K phi > 690 or psi <= 0, an overflow, or
@@ -266,13 +266,13 @@ def _integrate(n, K, phi0, dtau, tau_end, watch=math.inf, record=None):
 
     Returns (blow-up tau or None, (tau, phi, psi) at the last step,
     (tau, psi) at the step whose tau is nearest ``watch``, the first on
-    ties, of the steps before any blow-up).  ``record``, a triple of lists
-    or float arrays, receives tau, phi and psi at the start and after
-    every step.  The loop is written out by hand and reads tau and t from
+    ties, of the steps before any blow-up).  ``record``, a pair of lists
+    or float arrays, receives phi and psi at the start and after every
+    step.  The loop is written out by hand and reads tau and t from
     ``_tau_steps``; a ``tau_end`` past that table is a ValueError.
     """
-    table = _tau_steps(dtau)
-    tau_col = table[2]
+    table = _tau_steps()
+    tau_col, dtau = table[2], _SEARCH_DTAU
     tau = -math.log1p(-_SERIES_START)
     steps = max(int(math.ceil((tau_end - tau) / dtau)), 0)
     if steps > len(tau_col):
@@ -280,8 +280,7 @@ def _integrate(n, K, phi0, dtau, tau_end, watch=math.inf, record=None):
                          f"which ends at tau={tau_col[-1]!r}")
     phi, psi = _series_start(n, K, phi0)
     if record is not None:
-        taus, phis, psis = record
-        taus.append(tau)
+        phis, psis = record
         phis.append(phi)
         psis.append(psi)
     # each step up to the watched one is nearer ``watch`` than the one
@@ -342,8 +341,6 @@ def _integrate(n, K, phi0, dtau, tau_end, watch=math.inf, record=None):
                 tau_w, psi_w = tau, psi
     except OverflowError:
         blow_up = tau
-    if record is not None:
-        taus.extend(tau_col[:len(phis) - len(taus)])
     return blow_up, (tau, phi, psi), (tau_w, psi_w)
 
 
@@ -353,8 +350,7 @@ def _boundary_growth(n, K, phi0):
     one unit of tau before the end; +inf when the run blows up.  Returns
     (g, blow-up tau or None)."""
     tau_star, (tau, _, psi), (tau_w, psi_w) = _integrate(
-        n, K, phi0, _SEARCH_DTAU, _SEARCH_TAU, watch=_SEARCH_TAU - 1.0
-    )
+        n, K, phi0, _SEARCH_TAU, watch=_SEARCH_TAU - 1.0)
     if tau_star is not None:
         return math.inf, tau_star
     return psi * math.exp(-tau) - psi_w * math.exp(-tau_w), None
@@ -458,14 +454,13 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
 
     _assert_monotone(history)
 
-    # float arrays, not lists: a third of the memory of the 17k-step grid
-    taus, phis, psis = array("d"), array("d"), array("d")
-    _integrate(n, K, phi0, _SEARCH_DTAU, -math.log(_FINAL_EDGE),
-               record=(taus, phis, psis))
-    grid = _solver_grid()[:len(taus) + 1]  # short after a blow-up
-    phi = np.concatenate(([phi0], phis))
-    dphi = np.concatenate(([math.exp(K * phi0 / n)], psis))
-    return RadialPotential(n=n, K=K, grid=grid, phi=phi, dphi=dphi)
+    # float arrays, not lists: a third of the memory of the 17k-step grid;
+    # each starts at t = 0, with phi(0) and phi'(0)
+    phis, psis = array("d", [phi0]), array("d", [math.exp(K * phi0 / n)])
+    _integrate(n, K, phi0, -math.log(_FINAL_EDGE), record=(phis, psis))
+    grid = _solver_grid()[:len(phis)]  # short after a blow-up
+    return RadialPotential(n=n, K=K, grid=grid, phi=np.array(phis),
+                           dphi=np.array(psis))
 
 
 def _assert_monotone(history):

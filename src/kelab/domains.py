@@ -130,13 +130,6 @@ class DomainModel:
             return sum(f.rc for f in self.factors)
         return self.rank * self.c
 
-    def invariants(self) -> InvariantsRecord:
-        if self.c is None:
-            raise UnsupportedDomainError(
-                f"{self.label} has no single kernel exponent"
-            )
-        return InvariantsRecord(self.label, c=self.c, n=self.n, rank=self.rank)
-
     def to_json(self) -> dict:
         if self.kind == PRODUCT:
             return {

@@ -53,16 +53,6 @@ def default_step(order: int) -> float:
     return DEFAULT_STEP_LOW if order <= 2 else DEFAULT_STEP_HIGH
 
 
-def as_point(coords) -> np.ndarray:
-    """Coerce to a 1-d complex coordinate vector, validating finiteness."""
-    z = np.atleast_1d(np.asarray(coords, dtype=complex)).reshape(-1)
-    if z.size < 1:
-        raise ValueError("a point needs at least one coordinate")
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"non-finite coordinates: {z}")
-    return z
-
-
 def as_points(coords) -> np.ndarray:
     """A point as a 1-d complex vector, or a stack of N points as (N, n);
     a scalar is a one-coordinate point, and more axes a ValueError."""
@@ -76,6 +66,14 @@ def as_points(coords) -> np.ndarray:
         raise ValueError(f"points need at least one coordinate, got {z.shape}")
     if not np.isfinite(z).all():
         raise ValueError(f"non-finite coordinates: {z}")
+    return z
+
+
+def as_point(coords) -> np.ndarray:
+    """``as_points`` of a single point: a stack is a ValueError."""
+    z = as_points(coords)
+    if z.ndim != 1:
+        raise ValueError(f"a point has shape (n,), got {z.shape}")
     return z
 
 

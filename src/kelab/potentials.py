@@ -301,18 +301,17 @@ def ball_minimality_report(entries, K: float = 1.0) -> list[MinimalityRow]:
     rows (the exceptional domains).  A product's rank*c is the sum over
     its factors, and its c is None when they differ.  The records are
     flagged ``lower_bound_only``: with no Siegel pullback computed, rank*c
-    only bounds their constant gradient length from below.
+    only bounds their constant gradient length from below.  ``strict``
+    compares the unscaled numbers, so it does not depend on K.
     """
     check_ricci_constant(K)
     rows = []
     for entry in entries:
-        rc = entry.rc / K
-        bound = (entry.n + 1) / K
         rows.append(
             MinimalityRow(
                 label=entry.label, n=entry.n, rank=entry.rank, c=entry.c,
-                rc_over_K=rc, bound_over_K=bound,
-                strict=rc > bound + 1e-12,
+                rc_over_K=entry.rc / K, bound_over_K=(entry.n + 1) / K,
+                strict=entry.rc > entry.n + 1 + 1e-12,
                 lower_bound_only=not isinstance(entry, DomainModel),
             )
         )

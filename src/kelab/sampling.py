@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MembershipError
-from .domains import PRODUCT, DomainModel, as_integer, gauge
+from .domains import PRODUCT, DomainModel, gauge
+from .jets import as_integer
 
 DEFAULT_SHRINK = 0.95
 

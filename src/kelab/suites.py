@@ -29,7 +29,6 @@ from . import chengyau, hermgeo, jets, potentials, vfield
 from .domains import (
     DomainModel,
     EXCEPTIONAL_INVARIANTS,
-    as_integer,
     ball,
     bergman_potential,
     cayley,
@@ -159,11 +158,11 @@ def _suite(name, checks, operations, tol, **keys):
 
 def _number(name, key, value, kind):
     """``value`` as ``kind`` (int or float).  An int key takes the integral
-    values of ``domains.as_integer``: 2.0 but not 2.9, which is not
+    values of ``jets.as_integer``: 2.0 but not 2.9, which is not
     truncated.  Neither kind takes a bool."""
     try:
         if not isinstance(value, bool):
-            return as_integer(value) if kind is int else float(value)
+            return jets.as_integer(value) if kind is int else float(value)
     except (TypeError, ValueError, OverflowError):
         pass
     what = "an integer" if kind is int else "a number"
@@ -476,9 +475,8 @@ def _ball_minimality(cfg):
         if row.rank == 1:
             r = abs(row.rc_over_K - row.bound_over_K)
         else:
-            r = max(0.0, row.bound_over_K - row.rc_over_K + 1e-12)
-            if not row.strict:
-                r = max(r, 1.0)
+            r = 0.0 if row.strict else \
+                max(1.0, row.bound_over_K - row.rc_over_K)
         rows.append({**row.as_dict(), "residuals": {"classification": r}})
     return None, {"ricci": cfg["ricci"]}, rows
 
@@ -513,7 +511,8 @@ def _cheng_yau(cfg):
 
 
 @_suite("table1", "catalog invariants match their closed forms",
-        ["domains.DomainModel.invariants"], tol=0.5)
+        ["domains.type_i", "domains.type_ii", "domains.type_iii",
+         "domains.type_iv", "domains.ball"], tol=0.5)
 def _table1(cfg):
     """Invariants (c, n, rank) of every kind against their closed forms.
 
@@ -521,18 +520,18 @@ def _table1(cfg):
     """
     exceptional = {rec.label: rec for rec in EXCEPTIONAL_INVARIANTS}
     expected = [
-        (type_i(2, 2).invariants(), 4.0, 4, 2),
-        (type_i(2, 3).invariants(), 5.0, 6, 2),
-        (type_i(1, 4).invariants(), 5.0, 4, 1),
-        (type_ii(5).invariants(), 8.0, 10, 2),
-        (type_ii(6).invariants(), 10.0, 15, 3),
-        (type_iii(2).invariants(), 3.0, 3, 2),
-        (type_iii(4).invariants(), 5.0, 10, 4),
-        (type_iv(3).invariants(), 3.0, 3, 2),
-        (type_iv(6).invariants(), 6.0, 6, 2),
+        (type_i(2, 2), 4.0, 4, 2),
+        (type_i(2, 3), 5.0, 6, 2),
+        (type_i(1, 4), 5.0, 4, 1),
+        (type_ii(5), 8.0, 10, 2),
+        (type_ii(6), 10.0, 15, 3),
+        (type_iii(2), 3.0, 3, 2),
+        (type_iii(4), 5.0, 10, 4),
+        (type_iv(3), 3.0, 3, 2),
+        (type_iv(6), 6.0, 6, 2),
         (exceptional["exceptional-16"], 12.0, 16, 2),
         (exceptional["exceptional-27"], 18.0, 27, 3),
-        (ball(4).invariants(), 5.0, 4, 1),
+        (ball(4), 5.0, 4, 1),
     ]
     rows = []
     for rec, c, n, rank in expected:
@@ -548,8 +547,7 @@ def _table1(cfg):
         })
 
     def invariants(d):
-        rec = d.invariants()
-        return (rec.c, rec.n, rec.rank)
+        return (d.c, d.n, d.rank)
 
     coincide = all(invariants(ball(n)) == invariants(type_i(1, n))
                    for n in (1, 2, 3, 5))

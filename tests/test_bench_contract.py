@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+import kelab
 from kelab import chengyau, domains, potentials, sampling, suites, vfield
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -31,6 +32,13 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
     assert tracer._patches == []
     for owner, attr, original in patches:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+def test_package_fd_jet_is_the_jets_one():
+    """perfbench's tracer test checks that patching ``jets.fd_jet`` also
+    rebinds ``kelab.fd_jet``, the one name the package binds besides its
+    modules; it is the same function."""
+    assert kelab.fd_jet is kelab.jets.fd_jet
 
 
 def test_tracer_rebinds_the_suites_sampler_alias(monkeypatch):
@@ -116,14 +124,13 @@ def test_dynamics_work_counts(monkeypatch):
 
     real_integrate, runs = chengyau._integrate, []
 
-    def integrate_spy(n, K, phi0, dtau, tau_end, watch=math.inf,
-                      record=None):
-        result = real_integrate(n, K, phi0, dtau, tau_end, watch, record)
+    def integrate_spy(n, K, phi0, tau_end, watch=math.inf, record=None):
+        result = real_integrate(n, K, phi0, tau_end, watch, record)
         if record is None:
             blow_up, (tau, _, _), _ = result
             start = -math.log1p(-chengyau._SERIES_START)
             stop = tau if blow_up is None else blow_up
-            runs.append(round((stop - start) / dtau))
+            runs.append(round((stop - start) / chengyau._SEARCH_DTAU))
         return result
 
     monkeypatch.setattr(chengyau, "_integrate", integrate_spy)

@@ -69,15 +69,15 @@ def searches():
                 seen.append((phi0, g, tau_star))
                 return g, tau_star
 
-            def integrate_spy(n, K, phi0, dtau, tau_end, watch=math.inf,
+            def integrate_spy(n, K, phi0, tau_end, watch=math.inf,
                               record=None, steps=steps):
-                result = real_integrate(n, K, phi0, dtau, tau_end, watch,
-                                        record)
+                result = real_integrate(n, K, phi0, tau_end, watch, record)
                 if record is None:
                     blow_up, (tau, _, _), _ = result
                     start = -math.log1p(-chengyau._SERIES_START)
                     stop = tau if blow_up is None else blow_up
-                    steps.append(round((stop - start) / dtau))
+                    steps.append(round((stop - start)
+                                       / chengyau._SEARCH_DTAU))
                 return result
 
             mp.setattr(chengyau, "_boundary_growth", growth_spy)
@@ -156,7 +156,7 @@ def _super_critical(n, K, phi0, tau_end=None):
     if tau_end is None:
         tau_end = chengyau._SEARCH_TAU
     tau_star, (tau, _, psi), (tau_w, psi_w) = _integrate(
-        n, K, phi0, chengyau._SEARCH_DTAU, tau_end, watch=tau_end - 1.0)
+        n, K, phi0, tau_end, watch=tau_end - 1.0)
     if tau_star is not None:
         return True
     return psi * math.exp(-tau) > psi_w * math.exp(-tau_w)
@@ -475,19 +475,20 @@ def test_search_integration_records_nothing_and_agrees(offset, blows_up):
     the returned solution's run, which reads the step table past the
     search's prefix: the non-recording run keeps the recording run's
     final state, watched step and blow-up tau, and both match the
-    reference loop bit for bit.  The watched step is the nearest of the
-    steps before any blow-up (at offset 0.5 the run blows up at tau ~
-    0.64, before the watch at tau = 1)."""
+    reference loop bit for bit, the recorded steps' tau read from the
+    step table.  The watched step is the nearest of the steps before any
+    blow-up (at offset 0.5 the run blows up at tau ~ 0.64, before the
+    watch at tau = 1)."""
     n, K = 2, 3.0
     phi0 = ball_center_value(n, K) + offset
     dtau, watch = chengyau._SEARCH_DTAU, chengyau._SEARCH_TAU - 1.0
     for tau_end in (chengyau._SEARCH_TAU, -math.log(chengyau._FINAL_EDGE)):
-        record = ([], [], [])
-        recorded = _integrate(n, K, phi0, dtau, tau_end, watch=watch,
-                              record=record)
-        blow_up, end, watched = _integrate(n, K, phi0, dtau, tau_end,
-                                           watch=watch)
-        taus, phis, psis = record
+        phis, psis = [], []
+        recorded = _integrate(n, K, phi0, tau_end, watch=watch,
+                              record=(phis, psis))
+        blow_up, end, watched = _integrate(n, K, phi0, tau_end, watch=watch)
+        taus = ([-math.log1p(-chengyau._SERIES_START)]
+                + list(chengyau._tau_steps()[2][:len(phis) - 1]))
         if blows_up is not None:
             assert (blow_up is not None) == blows_up
         assert recorded == (blow_up, end, watched)
@@ -504,26 +505,26 @@ def test_search_integration_records_nothing_and_agrees(offset, blows_up):
 
 
 def test_integration_reads_one_step_table():
-    """Every run steps through the one tau table of its dtau, which holds
-    what the RK4 loop would compute step by step, to the returned grid's
+    """Every run steps through the one tau table, at ``_SEARCH_DTAU``,
+    which holds what the RK4 loop would compute step by step, to the returned grid's
     edge: a longer run is a ValueError.  Without a watch the watched step
     is the start."""
     n, K, dtau = 2, 3.0, chengyau._SEARCH_DTAU
     tau, loop = -math.log1p(-chengyau._SERIES_START), []
-    for _ in range(len(chengyau._tau_steps(dtau)[2])):
+    for _ in range(len(chengyau._tau_steps()[2])):
         t_mid = 1.0 - math.exp(-(tau + 0.5 * dtau))
         tau = tau + dtau
         t = 1.0 - math.exp(-tau)
         loop.append((1.0 - t_mid, t_mid, tau, t, 1.0 - t))
-    assert list(zip(*chengyau._tau_steps(dtau))) == loop
+    assert list(zip(*chengyau._tau_steps())) == loop
     assert tau >= -math.log(chengyau._FINAL_EDGE)
     phi0 = ball_center_value(n, K) - 0.5
     tau_end = -math.log(chengyau._FINAL_EDGE)
     with pytest.raises(ValueError, match="past the step table"):
-        _integrate(n, K, phi0, dtau, tau_end + 1.0)
-    blow_up, end, watched = _integrate(n, K, phi0, dtau, tau_end)
+        _integrate(n, K, phi0, tau_end + 1.0)
+    blow_up, end, watched = _integrate(n, K, phi0, tau_end)
     assert blow_up is None
-    assert end[0] == chengyau._tau_steps(dtau)[2][-1]
+    assert end[0] == chengyau._tau_steps()[2][-1]
     assert watched == (-math.log1p(-chengyau._SERIES_START),
                        chengyau._series_start(n, K, phi0)[1])
 

@@ -53,6 +53,19 @@ def test_run_with_n_flag(tmp_path):
     assert report["max_residual"] <= 1e-8
 
 
+def test_ball_minimality_passes_at_a_large_ricci_constant(tmp_path):
+    """At --ricci 1e13 every rank > 1 row is still strict, so the run
+    passes with every rank > 1 residual 0.0."""
+    out = tmp_path / "bm.json"
+    code = cli.main(["run", "ball-minimality", "--ricci", "1e13",
+                     "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["pass"] is True and report["max_residual"] == 0.0
+    assert all(row["strict"] for row in report["samples"]
+               if row["rank"] > 1)
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "no-such-suite"])
@@ -202,7 +215,9 @@ def test_list_prints_all_suites(capsys):
 def test_summary_lists_operation_mapping():
     reports = [run_suite("table1", {}), run_suite("ball-minimality", {})]
     summary = summary_dict(reports)
-    assert summary["suites"]["table1"]["operations"] == ["domains.DomainModel.invariants"]
+    assert summary["suites"]["table1"]["operations"] == [
+        "domains.type_i", "domains.type_ii", "domains.type_iii",
+        "domains.type_iv", "domains.ball"]
     assert summary["pass"] is True
 
 

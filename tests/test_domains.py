@@ -47,8 +47,7 @@ from kelab.suites import run_suite
     (ball(3), 4.0, 3, 1),
 ])
 def test_invariant_table(d, c, n, r):
-    rec = d.invariants()
-    assert (rec.c, rec.n, rec.rank) == (c, n, r)
+    assert (d.c, d.n, d.rank) == (c, n, r)
 
 
 def test_exceptional_rows_have_strict_bound():
@@ -60,7 +59,7 @@ def test_exceptional_rows_have_strict_bound():
 
 def test_ball_coincides_with_thin_type_i():
     for n in (1, 2, 3, 7):
-        a, b = ball(n).invariants(), type_i(1, n).invariants()
+        a, b = ball(n), type_i(1, n)
         assert (a.c, a.n, a.rank) == (b.c, b.n, b.rank)
 
 

@@ -65,9 +65,6 @@ NEAR_MINUS_ONE = -(1 - 1e-15)
                  id="slice-coordinates"),
     pytest.param(lambda: ball(2).contains([0, 0, 0]), ValueError,
                  "expects 2 coordinates", id="contains-coordinates"),
-    pytest.param(lambda: product(ball(1), type_iv(3)).invariants(),
-                 UnsupportedDomainError, "no single kernel exponent",
-                 id="product-invariants"),
     pytest.param(lambda: rescaled_ball_potential(0, 3.0), ValueError,
                  "dimension must be >= 1", id="rescaled-dimension"),
     pytest.param(lambda: rescaled_ball_potential(

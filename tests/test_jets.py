@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kelab import chengyau, domains, hermgeo, potentials
+from kelab import chengyau, domains, hermgeo, potentials, vfield
 from kelab.errors import EvaluationError, UnsupportedOrderError
 from kelab.field import PotentialField
 from kelab.jets import _stencil_plan, as_point, as_points, bidegrees, fd_jet
@@ -376,6 +376,38 @@ def test_two_stacks_are_not_one_point(call):
 
 def test_a_scalar_is_a_one_coordinate_point():
     assert as_points(0.5).shape == (1,)
+    assert as_point(0.5).shape == (1,)
     assert domains.ball(1).contains(0.5) is True
+    assert domains.ball(1).require_member(0.5).shape == (1,)
+    assert vfield.exact_re_v_flow(0.5, 0.1).shape == (1,)
     kernel = domains.bergman_potential(domains.ball(1))
     assert kernel(0.5) == kernel([0.5])
+
+
+def _ball4():
+    return potentials.rescaled_ball_potential(4, 3.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda z: vfield.vector_field(_ball4(), z, None),
+                 id="vector_field"),
+    pytest.param(lambda z: vfield.exact_re_v_flow(z, 0.1),
+                 id="exact_re_v_flow"),
+    pytest.param(lambda z: vfield.pullback_check(_ball4(), z, 0.1),
+                 id="pullback_check"),
+    pytest.param(lambda z: vfield.reparametrization_check(_ball4(), z, 0.1),
+                 id="reparametrization_check"),
+    pytest.param(lambda z: vfield.flow_trajectory(_ball4(), z, 0.01),
+                 id="flow_trajectory"),
+    pytest.param(lambda z: potentials.rescaled_ball_potential(
+                     4, 3.0, boundary_point=z), id="boundary_point"),
+    pytest.param(lambda z: domains.generic_norm(domains.ball(4), z),
+                 id="require_member"),
+])
+def test_a_stack_is_not_one_point(call):
+    """A (2, 2) array is two points of C^2, not one point of C^4; the unit
+    rows of eye(2)/sqrt(2) would also flatten to a unit vector of C^4."""
+    for z in (np.zeros((2, 2)), np.eye(2) / np.sqrt(2)):
+        with pytest.raises(ValueError,
+                           match=r"a point has shape \(n,\), got \(2, 2\)"):
+            call(z)

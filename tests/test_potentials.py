@@ -397,6 +397,19 @@ def test_minimality_respects_ricci_rescaling():
     assert row.strict
 
 
+@pytest.mark.parametrize("K", [1e13, 1e300])
+def test_minimality_strictness_does_not_depend_on_k(K):
+    """``strict`` compares rank*c with n+1 unscaled: at K = 1e13,
+    type1(2,2)'s rc/K = 8e-13 and (n+1)/K = 5e-13 sit less than an
+    absolute 1e-12 apart, yet the row is as strict as at K = 1."""
+    entries = [domains.type_i(2, 2), domains.type_iv(3), domains.ball(3),
+               *domains.EXCEPTIONAL_INVARIANTS]
+    rows = potentials.ball_minimality_report(entries, K=K)
+    assert [row.strict for row in rows] == [True, True, False, True, True]
+    assert rows[0].rc_over_K == 8.0 / K
+    assert rows[0].bound_over_K == 5.0 / K
+
+
 def test_minimality_includes_exceptional_data():
     rows = potentials.ball_minimality_report(
         list(domains.EXCEPTIONAL_INVARIANTS), K=1.0

@@ -10,7 +10,6 @@ import pytest
 import kelab
 from kelab import chengyau, cli, hermgeo, potentials, suites, vfield
 from kelab.domains import (
-    DomainModel,
     InvariantsRecord,
     ball,
     bergman_potential,
@@ -277,15 +276,15 @@ def test_operations_name_kelab_attributes(name):
 
 
 def test_table1_fails_when_ball_is_not_type1_1n(monkeypatch):
-    real = DomainModel.invariants
+    real = suites.type_i
 
-    def off_by_one(self):
-        rec = real(self)
-        if self.label == "type1(1,5)":
-            return dataclasses.replace(rec, c=rec.c + 1)
-        return rec
+    def off_by_one(p, q):
+        d = real(p, q)
+        if d.label == "type1(1,5)":
+            return dataclasses.replace(d, c=d.c + 1)
+        return d
 
-    monkeypatch.setattr(DomainModel, "invariants", off_by_one)
+    monkeypatch.setattr(suites, "type_i", off_by_one)
     report = run_suite("table1", {})
     assert report.passed is False
     assert report.max_residual == 1.0

@@ -1,6 +1,6 @@
 """Print a baseline of a kelab checkout as one JSON object.
 
-Three parts:
+Four parts:
 
 * ``code_lines``: the code lines of each module of ``src/kelab`` and
   their total.  A line is code unless it is blank, comment-only, or
@@ -11,6 +11,9 @@ Three parts:
 * ``digests``: the SHA-256 of every suite's report at seeds 0, 1 and 2,
   each run at its defaults with ``runtime_ms`` dropped and the JSON
   re-dumped with sorted keys.
+* ``side_files``: the SHA-256 of the two files ``run_all`` writes beside
+  its reports at seed 0, ``flow_trajectory.csv`` and
+  ``cheng_yau_solution.csv``.
 
 Run it on two checkouts and diff the output; a refactor that claims the
 same reports shows the same digests:
@@ -30,8 +33,10 @@ import hashlib
 import json
 import pathlib
 import sys
+import tempfile
 
 SEEDS = (0, 1, 2)
+SIDE_FILES = ("flow_trajectory.csv", "cheng_yau_solution.csv")
 
 
 def code_lines(source: str) -> int:
@@ -86,6 +91,19 @@ def report_digests() -> dict:
     return digests
 
 
+def side_file_digests() -> dict:
+    """The SHA-256 of each of ``SIDE_FILES`` as ``run_all`` writes them at
+    seed 0; only the two suites that write them run."""
+    from kelab import suites
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
+        suites.run_all({"seed": 0, "suites": {"flow": None,
+                                              "cheng-yau": None}}, out)
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in SIDE_FILES}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) > 1:
@@ -97,7 +115,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     out = {"code_lines": count_package(src / "kelab"),
            "options": count_options(),
-           "digests": report_digests()}
+           "digests": report_digests(),
+           "side_files": side_file_digests()}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
