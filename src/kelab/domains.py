@@ -9,9 +9,16 @@ matrix domains
     type IV  (z in C^m, Lie norm < 1),                n = m,        rank 2
 
 plus their products, and two exceptional invariant records that exist
-only as (c, n, rank) data.  Every kind is bounded; the unbounded Cayley
+only as (rank, a, b) data.  Every kind is bounded; the unbounded Cayley
 images of the ball and polydisc enter only through the Siegel-side
 functions at the end (``cayley``, the half-plane kernel and its slice).
+
+An irreducible kind's invariants are its rank r and multiplicities a
+and b alone: the ball(n) is (1, 2, n-1), the polydisc(r) (r, 0, 0),
+type I(p, q) (p, 2, q-p), type II(m) ([m/2], 4, 2 (m mod 2)), type
+III(m) (m, 1, 0) and type IV(m) (2, m-2, 0).  ``_Invariants`` derives n,
+c, rank*c and the integer gap rank*c - (n+1) from them, and a product
+from its factors'.
 
 A matrix kind's coordinates are those of one basis of its matrix space
 (``_basis``): the cells in row-major order, and for the symmetry-
@@ -61,42 +68,82 @@ PRODUCT = "product"
 PARAMETERS = {BALL: ("n",), POLYDISC: ("r",), TYPE_I: ("p", "q"),
               TYPE_II: ("m",), TYPE_III: ("m",), TYPE_IV: ("m",)}
 
-#: minimum matrix sizes; smaller parameters coincide with other kinds
-#: (type II with m<=2 and type IV with m<=2 are ball/disc products) and the
-#: invariant table does not apply to them.
+#: minimum matrix sizes.  Smaller ones coincide with other kinds: type2(2)
+#: is (1, 4, 0), the disc, and type4(2) is (2, 0, 0), the bidisc.  They
+#: fit the invariant formulas, but the catalog builds them as ball(1) and
+#: polydisc(2).
 MIN_TYPE_II = 3
 MIN_TYPE_IV = 3
 
 
+class _Invariants:
+    """n, c, ``rc`` = rank*c (the constant gradient length of the Siegel
+    potential) and ``gap`` = rank*c - (n+1) of a kind of
+    rank r and multiplicities a and b (Loos, *Bounded Symmetric Domains
+    and Jordan Pairs*, 1977; Faraut-Koranyi, *Analysis on Symmetric
+    Cones*, 1994), set once at construction:
+
+        n = r + a r(r-1)/2 + b r,   c = 2 + a(r-1) + b,
+        gap = (r-1)(2 + a r)/2.
+
+    ``gap`` is an integer, 0 exactly when r = 1: the paper's rank*c >=
+    n+1, with equality only on the balls, decided without a float
+    comparison.  ``c`` and ``rc`` are floats.
+    """
+
+    def __post_init__(self):
+        for key in ("rank", "a", "b"):
+            object.__setattr__(self, key, as_integer(getattr(self, key), key))
+        r, a, b = self.rank, self.a, self.b
+        self._derive(n=r + a * r * (r - 1) // 2 + b * r,
+                     c=float(2 + a * (r - 1) + b),
+                     gap=(r - 1) * (2 + a * r) // 2)
+
+    def _derive(self, n, c, gap):
+        for key, value in (("n", n), ("c", c), ("gap", gap),
+                           ("rc", float(n + 1 + gap))):
+            object.__setattr__(self, key, value)
+
+
 @dataclass(frozen=True)
-class InvariantsRecord:
-    """Row of the invariant table: kernel exponent c, dimension, rank."""
+class InvariantsRecord(_Invariants):
+    """A kind that enters only through its invariants."""
 
     label: str
-    c: float
-    n: int
     rank: int
-
-    @property
-    def rc(self) -> float:
-        return self.rank * self.c
+    a: int
+    b: int
 
 
-#: exceptional domains enter only through their invariants.
+#: exceptional domains enter only through their invariants: E6 gives
+#: (n, c, rank) = (16, 12, 2), E7 (27, 18, 3).
 EXCEPTIONAL_INVARIANTS = (
-    InvariantsRecord("exceptional-16", c=12.0, n=16, rank=2),
-    InvariantsRecord("exceptional-27", c=18.0, n=27, rank=3),
+    InvariantsRecord("exceptional-16", rank=2, a=6, b=4),
+    InvariantsRecord("exceptional-27", rank=3, a=8, b=0),
 )
 
 
 @dataclass(frozen=True)
-class DomainModel:
+class DomainModel(_Invariants):
+    """A constructed kind: an irreducible one of rank r and multiplicities
+    a and b, or a product of ``factors`` (rank their sum, a and b None).
+    A product's n is its factors' sum, its c their common c or None, and
+    its gap sum(gap_i + 1) - 1, so its rc is the sum of their rank*c."""
+
     kind: str
     params: tuple
-    n: int
     rank: int
-    c: float | None
+    a: int | None = None
+    b: int | None = None
     factors: tuple = ()
+
+    def __post_init__(self):
+        if self.kind != PRODUCT:
+            return super().__post_init__()
+        cs = {f.c for f in self.factors}
+        self._derive(n=sum(f.n for f in self.factors),
+                     c=cs.pop() if len(cs) == 1 else None,
+                     gap=sum(f.gap + 1 for f in self.factors) - 1)
 
     # -- membership -------------------------------------------------------
     def contains(self, z):
@@ -122,14 +169,6 @@ class DomainModel:
             return " x ".join(f.label for f in self.factors)
         return f"{self.kind}({','.join(map(str, self.params))})"
 
-    @property
-    def rc(self) -> float:
-        """rank*c, a product's summed over its factors: the constant
-        gradient length of the Siegel potential."""
-        if self.kind == PRODUCT:
-            return sum(f.rc for f in self.factors)
-        return self.rank * self.c
-
     def to_json(self) -> dict:
         if self.kind == PRODUCT:
             return {
@@ -150,7 +189,7 @@ def ball(n: int) -> DomainModel:
     n = as_integer(n, "n")
     if n < 1:
         raise ValueError("ball dimension must be >= 1")
-    return DomainModel(BALL, (n,), n=n, rank=1, c=float(n + 1))
+    return DomainModel(BALL, (n,), rank=1, a=2, b=n - 1)
 
 
 def polydisc(r: int) -> DomainModel:
@@ -158,66 +197,69 @@ def polydisc(r: int) -> DomainModel:
     r = as_integer(r, "r")
     if r < 1:
         raise ValueError("polydisc rank must be >= 1")
-    return DomainModel(POLYDISC, (r,), n=r, rank=r, c=2.0)
+    return DomainModel(POLYDISC, (r,), rank=r, a=0, b=0)
 
 
 def type_i(p: int, q: int) -> DomainModel:
     p, q = as_integer(p, "p"), as_integer(q, "q")
     if not 1 <= p <= q:
         raise ValueError("type I requires 1 <= p <= q")
-    return DomainModel(TYPE_I, (p, q), n=p * q, rank=p, c=float(p + q))
+    return DomainModel(TYPE_I, (p, q), rank=p, a=2, b=q - p)
 
 
 def type_ii(m: int) -> DomainModel:
     m = as_integer(m, "m")
     if m < MIN_TYPE_II:
         raise ValueError(f"type II restricted to m >= {MIN_TYPE_II}")
-    return DomainModel(TYPE_II, (m,), n=m * (m - 1) // 2, rank=m // 2,
-                       c=float(2 * (m - 1)))
+    return DomainModel(TYPE_II, (m,), rank=m // 2, a=4, b=2 * (m % 2))
 
 
 def type_iii(m: int) -> DomainModel:
     m = as_integer(m, "m")
     if m < 1:
         raise ValueError("type III requires m >= 1")
-    return DomainModel(TYPE_III, (m,), n=m * (m + 1) // 2, rank=m, c=float(m + 1))
+    return DomainModel(TYPE_III, (m,), rank=m, a=1, b=0)
 
 
 def type_iv(m: int) -> DomainModel:
     m = as_integer(m, "m")
     if m < MIN_TYPE_IV:
         raise ValueError(f"type IV restricted to m >= {MIN_TYPE_IV}")
-    return DomainModel(TYPE_IV, (m,), n=m, rank=2, c=float(m))
+    return DomainModel(TYPE_IV, (m,), rank=2, a=m - 2, b=0)
 
 
 def product(*factors: DomainModel) -> DomainModel:
     factors = tuple(factors)
     if not factors:
         raise ValueError("product needs at least one factor")
-    n = sum(f.n for f in factors)
-    rank = sum(f.rank for f in factors)
-    cs = {f.c for f in factors}
-    c = cs.pop() if len(cs) == 1 else None
-    return DomainModel(PRODUCT, (), n=n, rank=rank, c=c, factors=factors)
+    return DomainModel(PRODUCT, (), rank=sum(f.rank for f in factors),
+                       factors=factors)
 
 
 def from_json(obj: dict) -> DomainModel:
-    """The domain of a ``to_json`` record.  A parameter takes an integral
-    value such as 3, 3.0 or "3", as every constructor does (see
-    ``as_integer``)."""
+    """The domain of a ``to_json`` record, which holds "kind" and exactly
+    its kind's keys ("factors" for a product); a missing or unknown key is
+    a ValueError that names the keys taken and given.  A parameter takes
+    an integral value such as 3, 3.0 or "3", as every constructor does
+    (see ``as_integer``)."""
     if not isinstance(obj, dict):
         raise ValueError(f"a domain record is an object, got {obj!r}")
     kind = obj.get("kind")
+    if kind != PRODUCT and kind not in PARAMETERS:
+        raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
+    keys = ("factors",) if kind == PRODUCT else PARAMETERS[kind]
+    if set(obj) != {"kind", *keys}:
+        raise ValueError(f"a {kind} record takes the keys kind, "
+                         f"{', '.join(keys)}; got "
+                         f"{', '.join(sorted(map(str, obj)))}")
     if kind == PRODUCT:
-        factors = obj.get("factors")
+        factors = obj["factors"]
         if not isinstance(factors, list):
             raise ValueError(f"product factors must be a list, got {factors!r}")
         return product(*[from_json(f) for f in factors])
-    if kind not in PARAMETERS:
-        raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
     build = {BALL: ball, POLYDISC: polydisc, TYPE_I: type_i, TYPE_II: type_ii,
              TYPE_III: type_iii, TYPE_IV: type_iv}[kind]
-    return build(*(obj[key] for key in PARAMETERS[kind]))
+    return build(*(obj[key] for key in keys))
 
 
 def check_ricci_constant(K) -> None:
@@ -237,20 +279,21 @@ def _basis(d: DomainModel) -> np.ndarray:
     shape (n, p, q), with Z = sum_a z^a L[a]: E_ij over the row-major
     cells for type I and the ball (type1(1, n)), E_aa for the polydisc,
     E_ij + E_ji over i <= j for type III and E_ij - E_ji over i < j for
-    type II."""
+    type II.  The cells come from ``params``, so ``len(L)`` checks the n
+    derived from the kind's (rank, a, b)."""
     if d.kind == POLYDISC:
-        p = q = d.n
-        i = j = np.arange(d.n)
+        p = q = d.params[0]
+        i = j = np.arange(p)
     elif d.kind in (BALL, TYPE_I):
-        p, q = (1, d.n) if d.kind == BALL else d.params
-        i, j = np.divmod(np.arange(d.n), q)
+        p, q = (1,) + d.params if d.kind == BALL else d.params
+        i, j = np.divmod(np.arange(p * q), q)
     elif d.kind in (TYPE_II, TYPE_III):
         p = q = d.params[0]
         i, j = np.triu_indices(p, 1 if d.kind == TYPE_II else 0)
     else:
         raise UnsupportedDomainError(f"{d.label} is not a matrix kind")
-    a = np.arange(d.n)
-    L = np.zeros((d.n, p, q))
+    a = np.arange(len(i))
+    L = np.zeros((len(i), p, q))
     if d.kind in (TYPE_II, TYPE_III):
         L[a, j, i] = -1.0 if d.kind == TYPE_II else 1.0
     L[a, i, j] = 1.0
@@ -348,7 +391,9 @@ def norm_form(d: DomainModel) -> tuple:
 
     One (w_k, D_k) pair per degree k, where D_k[j] = d^k h_j is the
     constant symmetric k-th derivative tensor, shape (J_k,) + (n,)*k, so
-    h_j = D_k[j].z^k / k!.
+    h_j = D_k[j].z^k / k!.  A matrix kind reads its top degree from the
+    shape of Z, min(p, q), halved for type II, so the form's length checks
+    the derived rank.
     """
     if d.kind == TYPE_IV:
         eye = np.eye(d.n)
@@ -356,9 +401,10 @@ def norm_form(d: DomainModel) -> tuple:
     else:  # a matrix kind, or UnsupportedDomainError from _basis
         L = _basis(d)
         p, q = L.shape[1:]
+        top = min(p, q) // 2 if d.kind == TYPE_II else min(p, q)
         sets = itertools.combinations
         form = []
-        for k in range(d.rank + 1):
+        for k in range(top + 1):
             if d.kind == TYPE_II:
                 polys = [_matchings(I) for I in sets(range(p), 2 * k)]
             elif d.kind == POLYDISC:

