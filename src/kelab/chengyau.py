@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BracketingError, DegenerateMetricError, ResolutionError
 from .domains import ball, check_ricci_constant
-from .field import BallLog, PotentialField
+from .field import BallLog, Constant, PotentialField
 from .jets import as_integer
 
 BLOWUP_THRESHOLD = 1e8
@@ -110,7 +110,7 @@ def closed_form_field(n: int, K: float) -> PotentialField:
     return PotentialField(
         domain=ball(n),
         ricci_constant=K,
-        parts=[(1.0, BallLog(A, offset=B))],
+        parts=[(1.0, BallLog(A)), (B, Constant())],
         label=f"radial-closed-form[n={n},K={K:g}]",
     )
 

@@ -44,7 +44,7 @@ class DegenerateMetricError(KelabError):
 
 class NormalizationError(KelabError):
     """Two objects that must share a normalization (e.g. the Ricci constant)
-    do not, or a claimed normalization failed a numerical check."""
+    do not."""
 
 
 class CertificateError(KelabError):

@@ -14,8 +14,9 @@ is real, so no part nor jet holds the (l, m) tensors, the mirrors of
 these.  The parts implemented here cover every potential the package
 constructs:
 
-* ``BallLog``           -- -A log(1 - |z|^2) + offset on the unit ball
+* ``BallLog``           -- -A log(1 - |z|^2) on the unit ball
                            (the ball kernel and its Einstein rescalings)
+* ``Constant``          -- 1, the one way to add a constant to a potential
 * ``SquaredNorm``       -- |z|^2 (the flat test quadratic)
 * ``HermitianNormPart`` -- -kappa log N for a signed Hermitian form
                            N = sum_j w_j |h_j(z)|^2 in holomorphic polynomials
@@ -148,18 +149,17 @@ def _log_jet(inner, order, n, scale):
 
 
 # ---------------------------------------------------------------------------
-# the unit ball's log and the flat quadratic
+# the unit ball's log, the constant and the flat quadratic
 
 class BallLog:
-    """-A log(1 - |z|^2) + offset on the unit ball, the ball kernel's log.
+    """-A log(1 - |z|^2) on the unit ball, the ball kernel's log.
 
     1 - |z|^2 has first derivatives -zbar_a / -z_b and the constant mixed
     second derivative -delta_ab, and ``_log_jet`` takes its log.
     """
 
-    def __init__(self, amplitude: float, offset: float = 0.0):
+    def __init__(self, amplitude: float):
         self.amplitude = float(amplitude)
-        self.offset = float(offset)
 
     def jet(self, Z, order):
         s = (np.abs(Z) ** 2).sum(axis=1)
@@ -167,8 +167,16 @@ class BallLog:
         inner = {(0, 0): 1.0 - s, (1, 0): -np.conj(Z),
                  (1, 1): -_eye(Z.shape[1])}
         out = _log_jet(inner, order, Z.shape[1], -self.amplitude)
-        out[(0, 0)] = -self.amplitude * np.log1p(-s) + self.offset
+        out[(0, 0)] = -self.amplitude * np.log1p(-s)
         return out
+
+
+class Constant:
+    """1: its value, with every derivative absent (``_complete`` fills
+    zeros).  A coefficient c on it adds the constant c to a potential."""
+
+    def jet(self, Z, order):
+        return {(0, 0): np.ones(len(Z))}
 
 
 class SquaredNorm:

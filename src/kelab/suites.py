@@ -2,17 +2,20 @@
 
 Each suite is a ``Suite`` in ``SUITES``: what it checks, its default
 tolerance, its config keys with their defaults (its schema) and a body
-that returns the domain, its own params and the sample rows.  One runner,
-``run_suite``, checks the config, times the body, folds every residual of
-every row into ``max_residual`` and builds the ``VerificationReport``.
+that returns the domain, the params it derives and the sample rows.  One
+runner, ``run_suite``, checks the config, times the body, folds every
+residual of every row into ``max_residual`` and builds the
+``VerificationReport``, whose params echo every numeric config key.
 Reports serialize to strict JSON on one line; identical (suite, config,
 seed) inputs reproduce the report byte-for-byte apart from ``runtime_ms``.
 
 Residual semantics: single-identity suites (einstein, delta-identity,
-key-equation, constant-length, dbar-defect, ball-minimality) report the
-raw residual against a physical tolerance; suites that aggregate checks
-with different native tolerances (flow, kai-ohsawa, cheng-yau, table1)
-report each residual divided by its own threshold and pass at 1.0.
+dbar-defect, ball-minimality) report the raw residual against a physical
+tolerance, and key-equation and constant-length the residual relative to
+its scale (n+1)/K, so their tolerances hold at every K; suites that
+aggregate checks with different native tolerances (flow, kai-ohsawa,
+cheng-yau, table1) report each residual divided by its own threshold and
+pass at 1.0.
 """
 
 from __future__ import annotations
@@ -229,7 +232,8 @@ def run_suite(name: str, config: dict | None = None) -> VerificationReport:
     domain, params, rows = SUITES[name].body(cfg)
     _require(rows, f"{name}: the config leaves nothing to check")
     worst = _worst(r for row in rows for r in row["residuals"].values())
-    echo = {key: cfg[key] for key in ("seed", "tol", "samples") if key in cfg}
+    echo = {key: value for key, value in cfg.items()
+            if isinstance(value, (int, float))}
     return VerificationReport(
         suite=name,
         domain=domain,
@@ -278,8 +282,7 @@ def _einstein(cfg):
         zs = _stack(d, cfg, cfg["shrink"])
         rows += _point_rows(zs, {"einstein": hermgeo.einstein_residual(p, zs)},
                             domain=d.label)
-    params = {"shrink": cfg["shrink"], "ricci_constant": 1.0}
-    return [d.to_json() for d in models], params, rows
+    return [d.to_json() for d in models], {"ricci_constant": 1.0}, rows
 
 
 @_suite("delta-identity", "Delta|dphi|^2 = |Hess phi|^2 + n - K|dphi|^2",
@@ -299,33 +302,37 @@ def _delta_identity(cfg):
             zs, {"delta_identity": hermgeo.delta_identity_residual(p, zs)},
             domain=p.domain.label, potential=p.label)
     domains = [p.domain.to_json() for p in targets]
-    return domains, {"shrink": cfg["shrink"]}, rows
+    return domains, {}, rows
 
 
 @_suite("key-equation", "phi_{a;b} phi^a = -phi_b at constant gradient length",
         ["hermgeo.covariant_hessian"], tol=1e-6, samples=100, n=2, ricci=3.0)
 def _key_equation(cfg):
-    """Componentwise |phi_{a;b} phi^a + phi_b| for a constant-length potential."""
-    p = potentials.rescaled_ball_potential(cfg["n"], cfg["ricci"])
+    """Componentwise |phi_{a;b} phi^a + phi_b| for a constant-length
+    potential, divided by the scale (n+1)/K of phi_b, so the tolerance is
+    relative at every K."""
+    n, K = cfg["n"], cfg["ricci"]
+    p = potentials.rescaled_ball_potential(n, K)
     zs = _stack(p.domain, cfg)
-    rows = _point_rows(
-        zs, {"key_equation": hermgeo.key_equation_residual(p, zs)})
-    return p.domain.to_json(), {"n": cfg["n"], "ricci": cfg["ricci"]}, rows
+    residuals = hermgeo.key_equation_residual(p, zs) / ((n + 1) / K)
+    return p.domain.to_json(), {}, _point_rows(zs, {"key_equation": residuals})
 
 
 @_suite("constant-length", "rescaled ball potential has |dphi|^2 = (n+1)/K",
         ["potentials.rescaled_ball_potential", "hermgeo.gradient_length_sq"],
         tol=1e-8, samples=200, n=2, ricci=3.0)
 def _constant_length(cfg):
-    """|L - (n+1)/K| for the rescaled ball potential on ball(n)."""
+    """|L/target - 1| for the rescaled ball potential on ball(n), target
+    (n+1)/K: a relative deviation, so the tolerance means the same at
+    every K."""
     n, K = cfg["n"], cfg["ricci"]
     p = potentials.rescaled_ball_potential(n, K)
     target = (n + 1) / K
     zs = _stack(p.domain, cfg)
     lengths = hermgeo.gradient_length_sq(
         hermgeo.metric_from_potential(p, zs, order=2))
-    rows = _point_rows(zs, {"length_deviation": np.abs(lengths - target)})
-    return p.domain.to_json(), {"n": n, "ricci": K, "target": target}, rows
+    rows = _point_rows(zs, {"length_deviation": np.abs(lengths / target - 1)})
+    return p.domain.to_json(), {"target": target}, rows
 
 
 @_suite("dbar-defect", "|nabla'' V|^2 vanishes for certified potentials",
@@ -342,7 +349,7 @@ def _dbar_defect(cfg):
     gaps = np.abs(defects - vfield.dbar_defect_closed_form(p, zs))
     rows = _point_rows(zs, {"defect": defects,
                             "defect_vs_closed_form": gaps})
-    return p.domain.to_json(), {"n": cfg["n"], "ricci": cfg["ricci"]}, rows
+    return p.domain.to_json(), {}, rows
 
 
 @_suite("flow", "Re W conserves phi; the Re V flow acts by isometries",
@@ -394,10 +401,8 @@ def _flow(cfg):
                   "reparametrization": 1e-5, "tangency": 1e-10,
                   "exact_flow": 1e-8}
     residuals = {k: raw[k] / thresholds[k] for k in raw}
-    params = {"n": n, "ricci": cfg["ricci"], "horizon": cfg["horizon"],
-              "dt": dt, "thresholds": thresholds}
-    return p.domain.to_json(), params, [{"point": _points_json(z0),
-                                         "residuals": residuals}]
+    return p.domain.to_json(), {"thresholds": thresholds}, [
+        {"point": _points_json(z0), "residuals": residuals}]
 
 
 @_suite("kai-ohsawa", "constant length of the Siegel pullback; bound rank*c",
@@ -433,8 +438,7 @@ def _kai_ohsawa(cfg):
             "equality_with_bound": bool(abs(L - expected) <= 1e-9),
             "residuals": {k: raw[k] / thresholds[k] for k in raw},
         })
-    params = {"max_dimension": nmax, "thresholds": thresholds}
-    return [r["domain"] for r in rows], params, rows
+    return [r["domain"] for r in rows], {"thresholds": thresholds}, rows
 
 
 def _slice_derivative_residual(d) -> float:
@@ -478,7 +482,7 @@ def _ball_minimality(cfg):
     rows = [{**row.as_dict(), "residuals": {
         "classification": 0.0 if row.strict == (row.rank > 1) else 1.0}}
         for row in rows_raw]
-    return None, {"ricci": cfg["ricci"]}, rows
+    return None, {}, rows
 
 
 @_suite("cheng-yau", "radial solver matches the closed ball solution",
@@ -504,8 +508,8 @@ def _cheng_yau(cfg):
     }
     thresholds = {"grid_deviation": 1e-5, "ode_residual": 1e-8,
                   "boundary_limit": 0.02 * ((n + 1) / K)}
-    params = {"n": n, "ricci": K, "center_value": sol.phi[0],
-              "boundary_limit": limit, "thresholds": thresholds}
+    params = {"center_value": sol.phi[0], "boundary_limit": limit,
+              "thresholds": thresholds}
     return ball(n).to_json(), params, [
         {"residuals": {k: raw[k] / thresholds[k] for k in raw}}]
 

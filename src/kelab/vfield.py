@@ -22,7 +22,8 @@ builds one stacked frame per multistep step (four per RK4 step).  A
 fixed-time check (``pullback_check``, ``reparametrization_check``) is
 its start rows plus the reduction of their endpoints to a residual, so
 ``run_flows`` can integrate a recorded trajectory and several checks as
-one stack, and each check's public wrapper integrates it alone.
+one stack; ``pullback_metric_deviation`` integrates the pullback check
+alone.
 """
 
 from __future__ import annotations
@@ -414,16 +415,8 @@ def reparametrization_check(p, z0, t: float) -> FlowCheck:
                      lambda ends: float(np.max(np.abs(ends[0] - ends[1]))))
 
 
-def _single_check(p, check: FlowCheck, dt: float) -> float:
-    return check.residual(integrate_flow(p, check.starts, check.t, dt=dt,
-                                         generator=check.generator))
-
-
 def pullback_metric_deviation(p, z0, t: float, dt: float = 1e-3) -> float:
     """The ``pullback_check`` residual, integrated on its own."""
-    return _single_check(p, pullback_check(p, z0, t), dt)
-
-
-def reparametrization_deviation(p, z0, t: float, dt: float = 1e-3) -> float:
-    """The ``reparametrization_check`` residual, integrated on its own."""
-    return _single_check(p, reparametrization_check(p, z0, t), dt)
+    check = pullback_check(p, z0, t)
+    return check.residual(integrate_flow(p, check.starts, t, dt=dt,
+                                         generator=check.generator))

@@ -66,6 +66,15 @@ def test_ball_minimality_passes_at_a_large_ricci_constant(tmp_path):
                if row["rank"] > 1)
 
 
+@pytest.mark.parametrize("name", ["constant-length", "key-equation"])
+def test_relative_residuals_pass_at_a_small_ricci_constant(tmp_path, name):
+    """Both residuals are divided by their scale (n+1)/K = 3e9, so the true
+    statement passes at --ricci 1e-9 on roundoff-sized residuals."""
+    out = tmp_path / "r.json"
+    assert cli.main(["run", name, "--ricci", "1e-9", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["max_residual"] <= 1e-12
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "no-such-suite"])

@@ -264,12 +264,13 @@ def test_einstein_residual_nested_fd_path(monkeypatch):
 
 @pytest.mark.parametrize("make", [
     lambda: _fd_only(domains.bergman_potential(domains.type_i(2, 2))),
-    lambda: potentials.canonical_potential(domains.ball(2), 3.0),
-    lambda: potentials.canonical_potential(domains.type_i(2, 2), 1.0),
+    lambda: _fd_only(potentials.canonical_potential(domains.ball(2), 3.0)),
+    lambda: _fd_only(potentials.canonical_potential(domains.type_i(2, 2),
+                                                    1.0)),
 ], ids=["fd-only-type1(2,2)", "canonical-ball(2)", "canonical-type1(2,2)"])
 def test_fd_only_curvature_verifies_both_identities(make):
-    """Potentials without parts, the canonical (1/K) log det g among them,
-    verify Ric = -K g and the Delta identity to 1e-3 from order-4 FD
+    """FD-only copies of potentials, the canonical (1/K) log det g among
+    them, verify Ric = -K g and the Delta identity to 1e-3 from order-4 FD
     frames."""
     p = make()
     zs = np.array(sample_interior(p.domain, np.random.default_rng(59), 3,

@@ -186,6 +186,20 @@ def test_constant_length_n_disagreeing_with_domain_is_config_error():
                        "samples": 2})
 
 
+def test_constant_length_sees_a_scaled_potential_at_a_large_ricci_constant(
+        monkeypatch):
+    """At K = 1e9 the target (n+1)/K = 3e-9 is below the tolerance 1e-8, so
+    only the deviation relative to it sees phi scaled by 1 + 1e-6, whose
+    length is the target times 1 + 1e-6."""
+    assert run_suite("constant-length", {"ricci": 1e9}).passed
+    real = potentials.rescaled_ball_potential
+    monkeypatch.setattr(potentials, "rescaled_ball_potential",
+                        lambda n, K: real(n, K).scaled(1 + 1e-6))
+    report = run_suite("constant-length", {"ricci": 1e9})
+    assert not report.passed
+    assert report.max_residual == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_constant_length_echoes_the_n_it_used():
     report = run_suite("constant-length", {"n": 3, "samples": 2})
     assert report.params["n"] == 3 and report.domain["n"] == 3
