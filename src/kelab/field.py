@@ -62,16 +62,26 @@ def _complete(total, order, N, n):
     symmetries hold exactly.
     """
     out = {}
-    for m, l in bidegrees(order):
-        t = total.get((m, l))
+    for key, shape, index, hermitian in _complete_plan(order, n):
+        t = total.get(key)
         if t is None:
-            t = np.zeros((N,) + (n,) * (m + l), dtype=complex)
-        if m > 1 or l > 1:
-            t = t.reshape(N, -1)[:, _sorted_index(n, m, l)].reshape(t.shape)
-        if 0 < m == l:
-            t = 0.5 * (t + mirror(t, m, l))
-        out[(m, l)] = t
+            t = np.zeros((N,) + shape, dtype=complex)
+        if index is not None:
+            t = t.reshape(N, -1).take(index, axis=1).reshape(t.shape)
+        if hermitian:
+            t = 0.5 * (t + mirror(t, *key))
+        out[key] = t
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _complete_plan(order, n):
+    """Per bidegree (m, l) of ``bidegrees(order)``: the key, the shape
+    after the point axis, the ``_sorted_index`` copying its symmetric
+    entries (None below degree 2 on both sides) and whether it is (m, m)."""
+    return tuple(((m, l), (n,) * (m + l),
+                  _sorted_index(n, m, l) if m > 1 or l > 1 else None,
+                  0 < m == l) for m, l in bidegrees(order))
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,19 +143,25 @@ def _log_jet(inner, order, n, scale):
     N0 = inner[(0, 0)]
     inner = dict(inner)
     out = {}
-    for m, l in bidegrees(order):
-        if m + l == 0:
-            continue
-        total = scale * inner[(m, l)] if (m, l) in inner else None
-        for b, rest, b_shape, rest_shape in _log_terms(m, l, n):
+    for key, terms, lead in _log_plan(order, n):
+        total = scale * inner[key] if key in inner else None
+        for b, rest, b_shape, rest_shape in terms:
             nb, f = _either(inner, b), _either(out, rest)
             if nb is None or f is None:
                 continue
             term = nb.reshape(b_shape) * f.reshape(rest_shape)
             total = -term if total is None else total - term
         if total is not None:
-            out[(m, l)] = total / N0.reshape((-1,) + (1,) * (m + l))
+            out[key] = total / N0.reshape(lead)
     return {key: t for key, t in out.items() if key[0] >= key[1]}
+
+
+@functools.lru_cache(maxsize=None)
+def _log_plan(order, n):
+    """Per bidegree (m, l) of ``bidegrees(order)`` but (0, 0): the key, its
+    ``_log_terms`` and the shape that puts N's value on its point axis."""
+    return tuple(((m, l), _log_terms(m, l, n), (-1,) + (1,) * (m + l))
+                 for m, l in bidegrees(order) if m + l)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +229,9 @@ def _contract(form, Z, order):
     steps = [Z[:, :, None] / i for i in range(1, len(form))]
     dh = [[] for _ in range(min(order, len(form) - 1) + 1)]
     for k, (_, D) in enumerate(form):
-        t = D.reshape(1, len(D), -1).repeat(N, axis=0)
+        t = D.reshape(1, len(D), -1)
+        if N > 1:
+            t = t.repeat(N, axis=0)
         for i in range(k + 1):
             if i:
                 # row by row, so a stacked point gets its lone bits
@@ -248,8 +266,10 @@ class HermitianNormPart:
         self.taylor = np.array([[(-1) ** m * math.comb(k, m) * w
                                  for k, (w, _) in enumerate(form)]
                                 for m in range(r + 1)])
-        self.weights = np.concatenate([np.full(len(D), w) for w, D in form])
+        weights = np.concatenate([np.full(len(D), w) for w, D in form])
         self.start = np.cumsum([0] + [len(D) for _, D in form])
+        # per degree m >= 1: the weights of the degrees k >= m, as a column
+        self.weights = [weights[first:, None] for first in self.start[:-1]]
 
     def _derivatives(self, Z, order):
         """H from ``_contract`` and q(1 - v)'s checked coefficients."""
@@ -272,7 +292,7 @@ class HermitianNormPart:
         conj = [np.conj(h) for h in H[:order // 2 + 1]]  # l <= order - m
         for m in range(1, len(H)):
             first = self.start[m]
-            A = (H[m] * self.weights[first:, None]).swapaxes(1, 2)
+            A = (H[m] * self.weights[m]).swapaxes(1, 2)
             for l in range(min(m, order - m) + 1):
                 B = conj[l][:, first - self.start[l]:]
                 inner[(m, l)] = (A @ B).reshape((N,) + (n,) * (m + l))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import MAX_ORDER, Jet, as_integer, as_points, fd_jet
+from .jets import MAX_ORDER, Jet, as_integer, fd_jet
 
 _PD_TOL = 1e-12
 _HERMITIAN_TOL = 1e-8
@@ -94,29 +94,40 @@ def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
     definite.  ``order`` is that of the jet taken, 2..``MAX_ORDER``; the
     covariant Hessian needs 3, for the third derivatives and the unbarred
     Hessian (2, 0).
+
+    ``p.jet`` checks the points, and each point is checked once.  A
+    closed-form (1, 1) tensor is exactly Hermitian (``field._complete``
+    averages it with its mirror), so the tolerance test and the average
+    0.5 (g + g^H) run only where g differs from g^H: the average of an
+    exactly Hermitian g is g bit for bit.  FD jets and NaN take them.
     """
     order = as_integer(order, "order")
     if not 2 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 2..{MAX_ORDER}, got {order}")
-    z = as_points(z)
-    Z = z.reshape(-1, z.shape[-1])
-    jet = p.jet(Z, order)
+    jet = p.jet(z, order)
+    z = jet.point
     g = jet.mixed_hessian()
+    if z.ndim == 1:
+        g = g[None]
     gh = np.conj(g.transpose(0, 2, 1))
-    herm_defect = np.abs(g - gh).max(axis=(1, 2))
-    _reject(~(herm_defect <= _HERMITIAN_TOL), z, lambda i, point: (
-        f"complex Hessian not Hermitian at {point!r} "
-        f"(defect {herm_defect[i]:.2e})"))
-    g = 0.5 * (g + gh)
+    defect = g - gh
+    if defect.any():
+        herm_defect = np.abs(defect).max(axis=(1, 2))
+        _reject(~(herm_defect <= _HERMITIAN_TOL), z, lambda i, point: (
+            f"complex Hessian not Hermitian at {point!r} "
+            f"(defect {herm_defect[i]:.2e})"))
+        g = 0.5 * (g + gh)
     eigs, vecs = np.linalg.eigh(g)
-    _reject(~(eigs[:, 0] > _PD_TOL), z, lambda i, point: (
-        f"metric not positive definite at {point!r}: "
-        f"min eigenvalue {eigs[i, 0]:.3e}"))
+    definite = eigs[:, 0] > _PD_TOL
+    if not definite.all():
+        _reject(~definite, z, lambda i, point: (
+            f"metric not positive definite at {point!r}: "
+            f"min eigenvalue {eigs[i, 0]:.3e}"))
     g_inv = (vecs / eigs[:, None, :]) @ np.conj(vecs.transpose(0, 2, 1))
     log_det = np.log(eigs).sum(axis=1)
     if z.ndim == 1:
         return MetricFrame(point=z, g=g[0], g_inv=g_inv[0],
-                           log_det_g=float(log_det[0]), jet=jet.at(0))
+                           log_det_g=float(log_det[0]), jet=jet)
     return MetricFrame(point=z, g=g, g_inv=g_inv, log_det_g=log_det, jet=jet)
 
 

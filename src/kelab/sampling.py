@@ -13,14 +13,20 @@ near the centre than under the volume measure.  Products sample factor by
 factor and concatenate.  The default shrink of 0.95 keeps
 finite-difference stencils strictly interior.
 
-The seeded stream is read one point at a time, factor by factor.  Each
-factor then builds its directions from one stacked array of its normals
-and takes one stacked ``gauge`` call, and the returned points take one
-stacked ``contains`` check; a point is a stack of one, so the points
-keep the bits of a per-point sampler.
+The seeded stream is read one point at a time, factor by factor: each
+factor's 2n normals go straight into its row of a preallocated
+(count, 2, n) buffer, then its rho.  ``rng`` is a
+``numpy.random.Generator``, whose ``random()`` reads the same double
+``uniform()`` does, so the stream is that of a per-point sampler.  Each
+factor then builds its directions from its buffers and takes one stacked
+``gauge`` call, and the returned points take one stacked ``contains``
+check; a point is a stack of one, so the points keep the bits of a
+per-point sampler.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -35,19 +41,31 @@ def sample_interior(domain: DomainModel, rng, count: int,
                     shrink: float = DEFAULT_SHRINK) -> list[np.ndarray]:
     """``count`` points of shrink * domain, reproducible from ``rng``.
 
+    ``rng`` is a ``numpy.random.Generator`` (``np.random.default_rng``);
+    anything else, a legacy ``RandomState`` included, is a TypeError.
     ``count`` is integral (``as_integer``).  All returned points are checked
     in one ``domain.contains(points / shrink)`` call; if any fails,
     ``MembershipError`` names the first failing point.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, "
+                        f"got {type(rng).__name__}")
     count = as_integer(count, "count")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if not 0.0 < shrink <= 1.0:
         raise ValueError("shrink must be in (0, 1]")
     leaves = _leaves(domain)
-    draws = [[_draw(f, rng) for f in leaves] for _ in range(count)]
-    blocks = [_place(f, [row[i] for row in draws], shrink)
-              for i, f in enumerate(leaves)]
+    normals = [np.empty((count, 2, f.n)) for f in leaves]
+    rho = [0.0] * (count * len(leaves))
+    normal, uniform = rng.standard_normal, rng.random
+    # the rows in draw order: point by point, factor by factor
+    for j, row in enumerate(itertools.chain.from_iterable(zip(*normals))):
+        normal(out=row)
+        rho[j] = uniform()
+    radii = np.reshape(rho, (count, len(leaves))).T
+    blocks = [_place(f, g, r, shrink)
+              for f, g, r in zip(leaves, normals, radii)]
     points = np.concatenate(blocks, axis=1)
     inside = np.asarray(domain.contains(points / shrink), dtype=bool)
     outside = np.flatnonzero(np.logical_not(inside))
@@ -66,14 +84,8 @@ def _leaves(d: DomainModel) -> list:
     return [d]
 
 
-def _draw(d: DomainModel, rng):
-    """One point's draws on a non-product kind: (its normals, rho)."""
-    return rng.standard_normal((2, d.n)), rng.uniform()
-
-
-def _place(d: DomainModel, draws: list, shrink: float) -> np.ndarray:
-    """The (count, d.n) block of one factor's points from its draws."""
-    normals = np.array([g for g, _ in draws]).reshape(-1, 2, d.n)
+def _place(d: DomainModel, normals, rho, shrink: float) -> np.ndarray:
+    """The (count, d.n) block of one factor's points from its (count, 2, n)
+    normals and (count,) radii."""
     u = normals[:, 0] + 1j * normals[:, 1]
-    rho = np.array([rho for _, rho in draws])
     return (shrink * rho)[:, None] * u / gauge(d, u)[:, None]

@@ -365,11 +365,16 @@ def _flow(cfg):
     The level-set trajectory and the rows of both fixed-time checks run
     as one lockstep stack of ``vfield.run_flows``.  Residuals are
     normalized by their native thresholds (1e-6 / 1e-4 / 1e-5 / 1e-10 /
-    1e-8); the suite passes at 1.0.
+    1e-8); the suite passes at 1.0.  phi, g and phi_a scale with
+    (n+1)/K, and so do the length certificate's tolerance 1e-8 and the
+    conservation, pullback and tangency thresholds, so they hold at
+    every K.
     """
     n, dt = cfg["n"], cfg["dt"]
+    scale = (n + 1) / cfg["ricci"]
     p = potentials.rescaled_ball_potential(n, cfg["ricci"])
-    cert = potentials.certify_constant_length(p, samples=50, seed=cfg["seed"])
+    cert = potentials.certify_constant_length(p, samples=50, seed=cfg["seed"],
+                                              tolerance=1e-8 * scale)
     cert.require()
     rng = np.random.default_rng(cfg["seed"])
     z0 = sample_interior(p.domain, rng, 1, shrink=0.5)[0]
@@ -397,8 +402,9 @@ def _flow(cfg):
     if cfg["trajectory_csv"]:
         vfield.trajectory_to_csv(traj, cfg["trajectory_csv"])
 
-    thresholds = {"conservation": 1e-6, "pullback_metric": 1e-4,
-                  "reparametrization": 1e-5, "tangency": 1e-10,
+    thresholds = {"conservation": 1e-6 * scale,
+                  "pullback_metric": 1e-4 * scale,
+                  "reparametrization": 1e-5, "tangency": 1e-10 * scale,
                   "exact_flow": 1e-8}
     residuals = {k: raw[k] / thresholds[k] for k in raw}
     return p.domain.to_json(), {"thresholds": thresholds}, [

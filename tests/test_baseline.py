@@ -1,11 +1,16 @@
-"""tools/baseline.py: the code-line rule it counts by, its option count
-and its side-file digests."""
+"""tools/baseline.py: the code-line rule it counts by, its option count,
+its side-file digests and its frame digests."""
 
+import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import pathlib
 
-from kelab import chengyau, suites
+import numpy as np
+import pytest
+
+from kelab import chengyau, domains, hermgeo, sampling, suites
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "baseline.py"
 
@@ -94,3 +99,54 @@ def test_side_file_digests_hash_the_files_run_all_writes(monkeypatch,
     assert digests == {
         "flow_trajectory.csv": _sha256(flow_csv),
         "cheng_yau_solution.csv": _sha256(solution_csv)}
+
+
+def test_frame_digests_cover_the_catalog_kinds_and_a_product(monkeypatch):
+    baseline = _baseline()
+    monkeypatch.setattr(baseline, "frame_digest", lambda d: d.label)
+    labels = list(baseline.frame_digests())
+    assert len(labels) == 14 and labels[-1] == "ball(1) x type4(3)"
+    assert {"type1(3,3)", "type2(6)", "type3(3)", "type4(5)"} <= set(labels)
+
+
+def _one_ulp_up(x):
+    """x with one real entry moved to the next float up."""
+    x = np.array(x, dtype=np.result_type(x, float))
+    flat = x.reshape(-1).view(float)
+    flat[1 % flat.size] = np.nextafter(flat[1 % flat.size], np.inf)
+    return x if x.ndim else float(x)
+
+
+@pytest.mark.parametrize("field", ["draw", "g", "g_inv", "log_det_g",
+                                   "(2, 1)"])
+def test_frame_digest_moves_with_one_ulp_of_one_entry(monkeypatch, field):
+    """One entry of one draw or of one frame, one ulp up, changes the
+    kind's digest; unchanged, the digest repeats."""
+    baseline = _baseline()
+    d = domains.ball(2)
+    before = baseline.frame_digest(d)
+    assert baseline.frame_digest(d) == before
+    if field == "draw":
+        real_draw = sampling.sample_interior
+        monkeypatch.setattr(sampling, "sample_interior", lambda *args: [
+            _one_ulp_up(z) if i == 2 else z
+            for i, z in enumerate(real_draw(*args))])
+    else:
+        real_frame = hermgeo.metric_from_potential
+        calls = itertools.count()
+
+        def nudged(p, z, order=3):
+            frame = real_frame(p, z, order)
+            if next(calls) != 11:  # of the 30 frames: the origin at order 4
+                return frame
+            if field.startswith("("):
+                key = (2, 1)
+                jet = dataclasses.replace(frame.jet, tensors={
+                    **frame.jet.tensors,
+                    key: _one_ulp_up(frame.jet.tensors[key])})
+                return dataclasses.replace(frame, jet=jet)
+            return dataclasses.replace(
+                frame, **{field: _one_ulp_up(getattr(frame, field))})
+
+        monkeypatch.setattr(hermgeo, "metric_from_potential", nudged)
+    assert baseline.frame_digest(d) != before

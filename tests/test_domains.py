@@ -428,6 +428,16 @@ def test_sampler_returns_the_per_point_samplers_points(d):
     assert sample_interior(d, np.random.default_rng(0), 0) == []
 
 
+def test_sampler_takes_a_generator_only():
+    """The draws go into buffers through ``numpy.random.Generator``
+    methods, so a legacy ``RandomState``, a seed or None is a TypeError,
+    even for no points."""
+    for rng in (np.random.RandomState(0), 0, None):
+        for count in (3, 0):
+            with pytest.raises(TypeError, match="Generator"):
+                sample_interior(ball(2), rng, count)
+
+
 def test_sampler_rejects_a_negative_count():
     """A negative count is an error, not an empty sample that a
     certificate would then pass."""

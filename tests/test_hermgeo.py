@@ -1,5 +1,7 @@
 """Metric frames and the tensor identities they satisfy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -298,24 +300,30 @@ STACKED_KINDS = {
 
 @pytest.mark.parametrize("kind", list(STACKED_KINDS))
 def test_stacked_frames_match_per_point(kind):
-    """One frame call on an (N, n) stack equals N one-point frames."""
+    """One frame call on an (N, n) stack equals N one-point frames bit for
+    bit, at orders 2, 3 and 4: g, g_inv, log det and every jet tensor.  A
+    point is a stack of one, and the one-point shortcuts keep that."""
     p = STACKED_KINDS[kind]()
     zs = np.array(sample_interior(p.domain, np.random.default_rng(61), 9,
                                   shrink=0.9))
-    stacked = hermgeo.metric_from_potential(p, zs, order=3)
-    lengths = hermgeo.gradient_length_sq(stacked)
-    hessians = hermgeo.covariant_hessian(stacked)
-    assert stacked.log_det_g.shape == lengths.shape == (len(zs),)
-    for i, z in enumerate(zs):
-        one = hermgeo.metric_from_potential(p, z, order=3)
-        pairs = [(stacked.g[i], one.g), (stacked.g_inv[i], one.g_inv),
-                 (hessians[i], hermgeo.covariant_hessian(one)),
-                 (stacked.log_det_g[i], one.log_det_g),
-                 (lengths[i], hermgeo.gradient_length_sq(one))]
-        pairs += [(t[i], one.jet.tensors[k])
-                  for k, t in stacked.jet.tensors.items()]
-        for a, b in pairs:
-            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+    for order in (2, 3, 4):
+        stacked = hermgeo.metric_from_potential(p, zs, order=order)
+        lengths = hermgeo.gradient_length_sq(stacked)
+        assert stacked.log_det_g.shape == lengths.shape == (len(zs),)
+        if order >= 3:
+            hessians = hermgeo.covariant_hessian(stacked)
+        for i, z in enumerate(zs):
+            one = hermgeo.metric_from_potential(p, z, order=order)
+            assert one.jet.tensors.keys() == stacked.jet.tensors.keys()
+            pairs = [(stacked.g[i], one.g), (stacked.g_inv[i], one.g_inv),
+                     (stacked.log_det_g[i], one.log_det_g),
+                     (lengths[i], hermgeo.gradient_length_sq(one))]
+            pairs += [(t[i], one.jet.tensors[k])
+                      for k, t in stacked.jet.tensors.items()]
+            if order >= 3:
+                pairs.append((hessians[i], hermgeo.covariant_hessian(one)))
+            for a, b in pairs:
+                assert np.array_equal(a, b)
 
 
 def test_stacked_ricci_equals_scalar_stencil():
@@ -330,6 +338,58 @@ def test_stacked_ricci_equals_scalar_stencil():
 
     plain = -fd_jet(log_det, z, 2, step=2e-3).mixed_hessian()
     np.testing.assert_array_equal(hermgeo.ricci(p, z), plain)
+
+
+class _Skewed:
+    """``p`` with ``defect`` added to the (0, 1) entry of its (1, 1)
+    tensor at row ``row`` of a stack (or at a lone point)."""
+
+    def __init__(self, p, defect, row=0):
+        self.p, self.defect, self.row = p, defect, row
+
+    def jet(self, z, order):
+        jet = self.p.jet(z, order)
+        t = jet.tensors[(1, 1)].copy()
+        (t[self.row] if t.ndim == 3 else t)[0, 1] += self.defect
+        return dataclasses.replace(jet, tensors={**jet.tensors, (1, 1): t})
+
+
+def test_non_hermitian_hessian_names_the_point():
+    """A (1, 1) defect of 1e-6 at row 1 of a 3-point stack, or at a lone
+    point, raises and names that point; one of 1e-10 is averaged away."""
+    p = domains.bergman_potential(domains.type_i(2, 2))
+    zs = np.array(sample_interior(p.domain, np.random.default_rng(5), 3))
+    message = "(?s)not Hermitian.*defect 1.00e-06"
+    for z, row in ((zs, 1), (zs[1], 0)):
+        with pytest.raises(DegenerateMetricError, match=message) as info:
+            hermgeo.metric_from_potential(_Skewed(p, 1e-6, row), z)
+        named = [i for i, w in enumerate(zs) if repr(w) in str(info.value)]
+        assert named == [1]
+    frame = hermgeo.metric_from_potential(_Skewed(p, 1e-10, 1), zs)
+    assert np.array_equal(frame.g, np.conj(frame.g.transpose(0, 2, 1)))
+    assert not np.array_equal(frame.g, p.jet(zs, 3).mixed_hessian())
+
+
+HERMITIAN_KINDS = [
+    domains.ball(2), domains.polydisc(2), domains.polydisc(3),
+    domains.type_i(2, 2), domains.type_i(2, 3), domains.type_i(3, 3),
+    domains.type_ii(4), domains.type_ii(5), domains.type_ii(6),
+    domains.type_iii(2), domains.type_iii(3), domains.type_iv(3),
+    domains.type_iv(5), domains.product(domains.ball(1), domains.type_iv(3)),
+]
+
+
+@pytest.mark.parametrize("d", HERMITIAN_KINDS, ids=lambda d: d.label)
+def test_closed_form_metric_is_exactly_hermitian(d):
+    """Every closed-form (1, 1) tensor equals its conjugate transpose bit
+    for bit, the premise on which ``metric_from_potential`` skips its
+    average: the kernel and Kai-Ohsawa potentials, orders 2 to 4."""
+    zs = np.array(sample_interior(d, np.random.default_rng(17), 3))
+    for p in (domains.bergman_potential(d),
+              potentials.kai_ohsawa_potential(d)):
+        for order in (2, 3, 4):
+            g = p.jet(zs, order).mixed_hessian()
+            assert np.array_equal(g, np.conj(g.transpose(0, 2, 1)))
 
 
 def test_stacked_degenerate_metric_names_the_point():

@@ -19,8 +19,8 @@ from kelab.domains import (
     type_ii,
     type_iii,
 )
-from kelab.errors import ConfigError
-from kelab.field import BoundaryLog, PotentialField
+from kelab.errors import CertificateError, ConfigError
+from kelab.field import BoundaryLog, PotentialField, SquaredNorm
 from kelab.suites import SUITES, VerificationReport, run_all, run_suite
 
 #: every suite at a size that runs in about a second (cheng-yau has no size
@@ -198,6 +198,33 @@ def test_constant_length_sees_a_scaled_potential_at_a_large_ricci_constant(
     report = run_suite("constant-length", {"ricci": 1e9})
     assert not report.passed
     assert report.max_residual == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_flow_passes_at_a_small_ricci_constant():
+    """phi, g and phi_a scale with (n+1)/K = 3e9 at K = 1e-9, and so do
+    the length certificate's tolerance and the conservation, pullback and
+    tangency thresholds, so the true statement passes there."""
+    report = run_suite("flow", {"ricci": 1e-9, "horizon": 0.1})
+    assert report.passed and report.max_residual < 1e-3
+    assert report.params["thresholds"]["conservation"] == 1e-6 * 3e9
+
+
+def test_flow_rejects_a_perturbed_potential_at_a_large_ricci_constant(
+        monkeypatch):
+    """At K = 1e9 the scale (n+1)/K is 3e-9, under the certificate's 1e-8;
+    phi + 1e-6 (n+1)/K |z|^2 has a gradient length off by about a relative
+    1e-6, and only the scaled tolerance sees it."""
+    assert run_suite("flow", {"ricci": 1e9, "horizon": 0.1}).passed
+    real = potentials.rescaled_ball_potential
+
+    def perturbed(n, K):
+        p = real(n, K)
+        return dataclasses.replace(
+            p, parts=p.parts + [(1e-6 * (n + 1) / K, SquaredNorm())])
+
+    monkeypatch.setattr(potentials, "rescaled_ball_potential", perturbed)
+    with pytest.raises(CertificateError, match="gradient length deviates"):
+        run_suite("flow", {"ricci": 1e9, "horizon": 0.1})
 
 
 def test_constant_length_echoes_the_n_it_used():

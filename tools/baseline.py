@@ -1,6 +1,6 @@
 """Print a baseline of a kelab checkout as one JSON object.
 
-Four parts:
+Five parts:
 
 * ``code_lines``: the code lines of each module of ``src/kelab`` and
   their total.  A line is code unless it is blank, comment-only, or
@@ -14,6 +14,13 @@ Four parts:
 * ``side_files``: the SHA-256 of the two files ``run_all`` writes beside
   its reports at seed 0, ``flow_trajectory.csv`` and
   ``cheng_yau_solution.csv``.
+* ``frames``: per kind of ``FRAME_KINDS``, the SHA-256 of its seeded
+  draws and of the frames that no report need reach: ``sample_interior``
+  at seeds 0, 1 and 2, then the order-2, 3 and 4 frames of its kernel
+  and Kai-Ohsawa potentials at the origin and the seed-0 draws, one
+  stacked call and one call per point (point, g, g_inv, log det and
+  every jet tensor).  At the origin many entries are zeros, whose signs
+  the digest sees.
 
 Run it on two checkouts and diff the output; a refactor that claims the
 same reports shows the same digests:
@@ -21,8 +28,8 @@ same reports shows the same digests:
     python tools/baseline.py              # this checkout
     python tools/baseline.py OTHER_REPO   # another checkout's src/kelab
 
-The digests are those of the machine that runs it.  Standard library and
-kelab only.
+The digests are those of the machine that runs it.  Standard library,
+numpy and kelab only.
 """
 
 from __future__ import annotations
@@ -37,6 +44,19 @@ import tempfile
 
 SEEDS = (0, 1, 2)
 SIDE_FILES = ("flow_trajectory.csv", "cheng_yau_solution.csv")
+#: the constructed kinds and one product, as ``domains.from_json`` reads them
+FRAME_KINDS = (
+    {"kind": "ball", "n": 2}, {"kind": "polydisc", "r": 2},
+    {"kind": "polydisc", "r": 3}, {"kind": "type1", "p": 2, "q": 2},
+    {"kind": "type1", "p": 2, "q": 3}, {"kind": "type1", "p": 3, "q": 3},
+    {"kind": "type2", "m": 4}, {"kind": "type2", "m": 5},
+    {"kind": "type2", "m": 6}, {"kind": "type3", "m": 2},
+    {"kind": "type3", "m": 3}, {"kind": "type4", "m": 3},
+    {"kind": "type4", "m": 5},
+    {"kind": "product", "factors": [{"kind": "ball", "n": 1},
+                                    {"kind": "type4", "m": 3}]},
+)
+FRAME_POINTS = 3
 
 
 def code_lines(source: str) -> int:
@@ -104,6 +124,38 @@ def side_file_digests() -> dict:
                 for name in SIDE_FILES}
 
 
+def frame_digest(d) -> str:
+    """The SHA-256 of one kind's draws and frames, as ``frames`` says."""
+    import numpy as np
+    from kelab import domains, hermgeo, potentials, sampling
+
+    sha = hashlib.sha256()
+    draws = [np.array(sampling.sample_interior(
+        d, np.random.default_rng(seed), FRAME_POINTS)) for seed in SEEDS]
+    for zs in draws:
+        sha.update(zs.tobytes())
+    zs = np.concatenate([np.zeros((1, d.n), complex), draws[0]])
+    for p in (domains.bergman_potential(d),
+              potentials.kai_ohsawa_potential(d)):
+        for order in (2, 3, 4):
+            for z in (zs, *zs):
+                frame = hermgeo.metric_from_potential(p, z, order)
+                arrays = [frame.point, frame.g, frame.g_inv, frame.log_det_g]
+                arrays += [frame.jet.tensors[key]
+                           for key in sorted(frame.jet.tensors)]
+                for a in arrays:
+                    sha.update(np.ascontiguousarray(a).tobytes())
+    return sha.hexdigest()
+
+
+def frame_digests() -> dict:
+    """``frame_digest`` of each kind of ``FRAME_KINDS``, by its label."""
+    from kelab import domains
+
+    return {d.label: frame_digest(d)
+            for d in map(domains.from_json, FRAME_KINDS)}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) > 1:
@@ -116,7 +168,8 @@ def main(argv=None) -> int:
     out = {"code_lines": count_package(src / "kelab"),
            "options": count_options(),
            "digests": report_digests(),
-           "side_files": side_file_digests()}
+           "side_files": side_file_digests(),
+           "frames": frame_digests()}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
