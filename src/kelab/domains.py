@@ -29,7 +29,8 @@ c; the Einstein suite validates each pairing numerically (Ricci of
 dd^c log K equals -1).  The norm of every non-product kind is one
 signed Hermitian form in holomorphic polynomials of degree at most the
 rank (``norm_form``), and its kernel potential is one
-``field.HermitianNormPart``; the ball keeps its own ``field.BallLog``.
+``field.HermitianNormPart``, built once per kind; the ball keeps its own
+``field.BallLog``.
 The form at a maximal tripotent (``tripotent``) gives the Siegel term
 N(z, e) of ``potentials.kai_ohsawa_potential``.
 Membership is one Minkowski gauge, ``gauge`` < 1; the sampler uses the
@@ -338,7 +339,9 @@ def _gauge(d: DomainModel, z: np.ndarray) -> np.ndarray:
     if d.kind == POLYDISC:
         return np.max(np.abs(z), axis=-1)
     if d.kind in (TYPE_I, TYPE_II, TYPE_III):
-        return np.linalg.norm(as_matrix(d, z), 2, axis=(-2, -1))
+        # the largest singular value, which np.linalg.norm(., 2) takes
+        # from this same svd
+        return np.linalg.svd(as_matrix(d, z), compute_uv=False)[..., 0]
     if d.kind == TYPE_IV:
         # the row-wise forms of np.vdot(z, z).real and abs(np.sum(z * z))
         s = (z.conj()[:, None, :] @ z[:, :, None])[:, 0, 0].real
@@ -367,7 +370,14 @@ def generic_norm(d: DomainModel, z) -> float:
     z = d.require_member(z)
     if d.kind == PRODUCT:
         return math.prod(generic_norm(f, block) for f, block in _blocks(d, z))
-    return float(HermitianNormPart(norm_form(d), d.c).norm(z[None])[0])
+    return float(_norm_part(d).norm(z[None])[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _norm_part(d: DomainModel) -> HermitianNormPart:
+    """-c log N over the ``norm_form`` of a non-product kind, built once
+    per kind: its kernel potential's part, and its ``generic_norm``."""
+    return HermitianNormPart(norm_form(d), d.c)
 
 
 @functools.lru_cache(maxsize=None)
@@ -479,7 +489,7 @@ def bergman_potential(d: DomainModel) -> PotentialField:
     if d.kind == BALL:
         parts = [(1.0, BallLog(d.c))]
     elif d.kind in (POLYDISC, TYPE_I, TYPE_II, TYPE_III, TYPE_IV):
-        parts = [(1.0, HermitianNormPart(norm_form(d), d.c))]
+        parts = [(1.0, _norm_part(d))]
     elif d.kind == PRODUCT:
         parts = product_parts([bergman_potential(f) for f in d.factors])
     else:

@@ -249,7 +249,8 @@ class HermitianNormPart:
     D_k[j] = d^k h_j, shape (J_k,) + (n,)*k, so h_j = D_k[j].z^k / k!
     (``domains.norm_form``).  The h_j are holomorphic, so N's jet is
     N_(m,l) = sum_j w_j d^m h_j (x) conj(d^l h_j), one batched product per
-    bidegree, and ``_log_jet`` takes its log.
+    bidegree, and ``_log_jet`` takes its log.  ``domains`` shares one
+    part per kind, so its arrays are read-only.
 
     Membership needs no gauge.  With P_k the sum of |h_j|^2 over degree
     k, q(s) = N(sqrt(s) z, sqrt(s) zbar) = sum_k w_k P_k s^k is
@@ -268,8 +269,11 @@ class HermitianNormPart:
                                 for m in range(r + 1)])
         weights = np.concatenate([np.full(len(D), w) for w, D in form])
         self.start = np.cumsum([0] + [len(D) for _, D in form])
+        for a in (self.taylor, weights, self.start):
+            a.setflags(write=False)
         # per degree m >= 1: the weights of the degrees k >= m, as a column
-        self.weights = [weights[first:, None] for first in self.start[:-1]]
+        self.weights = tuple(weights[first:, None]
+                             for first in self.start[:-1])
 
     def _derivatives(self, Z, order):
         """H from ``_contract`` and q(1 - v)'s checked coefficients."""
@@ -306,7 +310,8 @@ class BoundaryLog:
 
     N(z, e) = sum_j w_j conj(h_j(e)) h_j(z) is holomorphic in z, with
     derivatives v . H[m] over ``_contract``'s H, v = w conj(h(e)); v is
-    folded into the form, one flat tensor per degree.  ``_log_jet`` takes
+    folded into the form, one read-only flat tensor per degree (a part
+    can be shared, as ``potentials._siegel_log`` does).  ``_log_jet`` takes
     the log with the antiholomorphic inner tensors absent, so only the
     (m, 0) tensors, those of log N(., e), come out: it is pluriharmonic,
     and past order 2 its jet has nothing more.
@@ -317,6 +322,8 @@ class BoundaryLog:
         v = np.conj(_contract(form, np.array([e], complex), 0)[0][0, :, 0])
         self.form = tuple((1.0, w * (v[a:b] @ D.reshape(b - a, -1))[None])
                           for (w, D), a, b in zip(form, start, start[1:]))
+        for _, t in self.form:
+            t.setflags(write=False)
 
     def jet(self, Z, order):
         N, n = Z.shape

@@ -38,8 +38,9 @@ DEFAULT_SHRINK = 0.95
 
 
 def sample_interior(domain: DomainModel, rng, count: int,
-                    shrink: float = DEFAULT_SHRINK) -> list[np.ndarray]:
-    """``count`` points of shrink * domain, reproducible from ``rng``.
+                    shrink: float = DEFAULT_SHRINK) -> np.ndarray:
+    """``count`` points of shrink * domain, reproducible from ``rng``, as
+    the rows of one (count, n) array.
 
     ``rng`` is a ``numpy.random.Generator`` (``np.random.default_rng``);
     anything else, a legacy ``RandomState`` included, is a TypeError.
@@ -74,7 +75,7 @@ def sample_interior(domain: DomainModel, rng, count: int,
             f"sampled {points[outside[0]]!r} is not in "
             f"{shrink:g} * {domain.label}"
         )
-    return list(points)
+    return points
 
 
 def _leaves(d: DomainModel) -> list:

@@ -253,7 +253,7 @@ def _stack(d, cfg, shrink=DEFAULT_SHRINK):
     a fresh ``default_rng(cfg["seed"])``, so every stack of a report starts
     the same seeded stream."""
     rng = np.random.default_rng(cfg["seed"])
-    return np.array(sample_interior(d, rng, cfg["samples"], shrink=shrink))
+    return sample_interior(d, rng, cfg["samples"], shrink=shrink)
 
 
 def _point_rows(zs, residuals, **labels) -> list:
@@ -395,7 +395,7 @@ def _flow(cfg):
         "pullback_metric": pullback,
         "reparametrization": reparametrization,
         "tangency": _worst(vfield.level_set_tangency(
-            p, np.array(sample_interior(p.domain, rng, 10)))),
+            p, sample_interior(p.domain, rng, 10))),
         "exact_flow": _worst([end_deviation, np.max(np.abs(
             np.array(traj["points"]) - exact_traj))]),
     }

@@ -102,11 +102,37 @@ def test_side_file_digests_hash_the_files_run_all_writes(monkeypatch,
 
 
 def test_frame_digests_cover_the_catalog_kinds_and_a_product(monkeypatch):
+    """14 kinds, then the rescaled ball potentials at n = 1, 2 and 3."""
     baseline = _baseline()
     monkeypatch.setattr(baseline, "frame_digest", lambda d: d.label)
-    labels = list(baseline.frame_digests())
-    assert len(labels) == 14 and labels[-1] == "ball(1) x type4(3)"
+    monkeypatch.setattr(baseline, "rescaled_ball_digest", lambda n: n)
+    digests = baseline.frame_digests()
+    labels = list(digests)
+    assert len(labels) == 17 and labels[13] == "ball(1) x type4(3)"
     assert {"type1(3,3)", "type2(6)", "type3(3)", "type4(5)"} <= set(labels)
+    assert {label: digests[label] for label in labels[14:]} == {
+        "rescaled-ball[n=1,K=3]": 1, "rescaled-ball[n=2,K=3]": 2,
+        "rescaled-ball[n=3,K=3]": 3}
+
+
+def test_rescaled_ball_digest_hashes_its_frames(monkeypatch):
+    """The digest repeats, differs per n, and moves when one frame of the
+    rescaled ball potential moves by one ulp."""
+    baseline = _baseline()
+    before = baseline.rescaled_ball_digest(2)
+    assert baseline.rescaled_ball_digest(2) == before
+    assert baseline.rescaled_ball_digest(1) != before
+    real_frame = hermgeo.metric_from_potential
+    calls = itertools.count()
+
+    def nudged(p, z, order=3):
+        frame = real_frame(p, z, order)
+        if next(calls) != 6:  # of the 15 frames: the origin at order 3
+            return frame
+        return dataclasses.replace(frame, g=_one_ulp_up(frame.g))
+
+    monkeypatch.setattr(hermgeo, "metric_from_potential", nudged)
+    assert baseline.rescaled_ball_digest(2) != before
 
 
 def _one_ulp_up(x):

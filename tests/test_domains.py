@@ -32,6 +32,7 @@ from kelab.errors import (
     UnsupportedPointError,
 )
 from kelab import hermgeo, potentials
+from kelab.field import BallLog, HermitianNormPart, PotentialField
 from kelab.sampling import sample_interior
 from kelab.suites import run_suite
 
@@ -380,6 +381,26 @@ def test_stacked_gauge_is_the_point_gauge(d):
     assert np.array_equal(g, [_point_gauge(d, z) for z in zs])
 
 
+@pytest.mark.parametrize("d", [
+    type_i(1, 3), type_i(2, 2), type_i(2, 3), type_i(3, 3), type_ii(3),
+    type_ii(4), type_ii(5), type_iii(1), type_iii(2), type_iii(3),
+], ids=lambda d: d.label)
+def test_matrix_gauge_is_the_operator_norm(d):
+    """The largest singular value keeps the bits of np.linalg.norm(., 2)
+    on a stack: random rows, the origin, its -0 twin and rows with +-0
+    entries among random ones."""
+    rng = np.random.default_rng(8)
+    zs = rng.standard_normal((40, d.n)) + 1j * rng.standard_normal((40, d.n))
+    zeros = rng.integers(0, 2, zs.shape).astype(bool)
+    signs = rng.choice([-0.0, 0.0], zs.shape + (2,))
+    zs[zeros] = signs[zeros, 0] + 1j * signs[zeros, 1]
+    zs = np.concatenate([np.zeros((1, d.n), complex),
+                         np.full((1, d.n), complex(-0.0, -0.0)), zs])
+    oracle = np.linalg.norm(domains.as_matrix(d, zs), 2, axis=(-2, -1))
+    assert domains.gauge(d, zs).tobytes() == oracle.tobytes()
+    assert domains.gauge(d, zs[0]) == 0.0
+
+
 def test_product_gauge_is_the_largest_factor_gauge():
     d = product(type_i(2, 2), ball(1), product(polydisc(2), type_iv(3)))
     rng = np.random.default_rng(6)
@@ -425,7 +446,7 @@ def test_sampler_returns_the_per_point_samplers_points(d):
             expected = [_point_draw(d, oracle, shrink) for _ in range(25)]
             assert np.array_equal(np.array(points), np.array(expected))
             assert rng.uniform() == oracle.uniform()
-    assert sample_interior(d, np.random.default_rng(0), 0) == []
+    assert sample_interior(d, np.random.default_rng(0), 0).shape == (0, d.n)
 
 
 def test_sampler_takes_a_generator_only():
@@ -492,6 +513,69 @@ def test_einstein_on_the_kinds_only_the_gauge_sampler_reaches():
     assert report.passed
     assert report.max_residual <= 1e-3
     assert len(report.samples) == 4
+
+
+#: ROADMAP item 4's 13 kinds and one product
+_PART_KINDS = [ball(2), polydisc(2), polydisc(3), type_i(2, 2), type_i(2, 3),
+               type_i(3, 3), type_ii(4), type_ii(5), type_ii(6), type_iii(2),
+               type_iii(3), type_iv(3), type_iv(5), product(ball(1), type_iv(3))]
+
+
+def _fresh_kernel(d):
+    """The kernel potential of ``d`` with every part built anew."""
+    if d.kind == domains.PRODUCT:
+        parts = domains.product_parts([_fresh_kernel(f) for f in d.factors])
+    elif d.kind == domains.BALL:
+        parts = [(1.0, BallLog(d.c))]
+    else:
+        parts = [(1.0, HermitianNormPart(domains.norm_form(d), d.c))]
+    return PotentialField(domain=d, ricci_constant=1.0, parts=parts,
+                          label=f"fresh[{d.label}]")
+
+
+@pytest.mark.parametrize("d", _PART_KINDS, ids=lambda d: d.label)
+def test_kernel_part_is_built_once_per_kind(d):
+    """A form kind's kernel, KE and Kai-Ohsawa potentials share one
+    part, and the jets at orders 0-4 and the generic norm keep the bits of
+    freshly built parts, at the origin and at seeded points."""
+    p = bergman_potential(d)
+    if d.kind not in (domains.BALL, domains.PRODUCT):
+        part = p.parts[0][1]
+        assert isinstance(part, HermitianNormPart)
+        assert bergman_potential(d).parts[0][1] is part
+        assert ke_potential(d, 3.0).parts[0][1] is part
+        assert potentials.kai_ohsawa_potential(d).parts[0][1] is part
+    fresh = _fresh_kernel(d)
+    zs = np.concatenate([np.zeros((1, d.n), complex), sample_interior(
+        d, np.random.default_rng(9), 2, shrink=0.7)])
+    for order in range(5):
+        got, want = p.jet(zs, order).tensors, fresh.jet(zs, order).tensors
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), (order, key)
+    if d.kind != domains.PRODUCT:
+        for z in zs:
+            assert generic_norm(d, z) == float(HermitianNormPart(
+                domains.norm_form(d), d.c).norm(z[None])[0])
+
+
+def test_shared_parts_are_read_only():
+    """The arrays a shared part holds refuse in-place writes, and its
+    jets keep their bytes after the attempts."""
+    d = type_i(2, 3)
+    kernel = bergman_potential(d).parts[0][1]
+    siegel = potentials._siegel_log(d)
+    z = sample_interior(d, np.random.default_rng(4), 3)
+    before = [part.jet(z, 4) for part in (kernel, siegel)]
+    arrays = [kernel.taylor, kernel.start, kernel.weights[0].base,
+              *kernel.weights, *(D for _, D in siegel.form)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 7
+    after = [part.jet(z, 4) for part in (kernel, siegel)]
+    for old, new in zip(before, after):
+        assert old.keys() == new.keys()
+        assert all(old[key].tobytes() == new[key].tobytes() for key in old)
 
 
 def test_bergman_metric_at_origin():

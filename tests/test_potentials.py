@@ -107,6 +107,34 @@ def test_rescaled_dimension_is_an_integer():
     assert p.domain.n == 3 and p.label == "rescaled-ball[n=3,K=3]"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rescaled_default_boundary_is_the_shared_siegel_log(n):
+    """The default q = -e_1 reuses the ball's Kai-Ohsawa log term, and its
+    jets keep the bits of the explicit q = -e_1 construction, at the
+    origin, at -0 coordinates and at seeded points."""
+    p = potentials.rescaled_ball_potential(n, 3.0)
+    siegel = potentials._siegel_log(domains.ball(n))
+    assert p.parts[1][1] is siegel
+    assert potentials.kai_ohsawa_potential(domains.ball(n)).parts[1][1] \
+        is siegel
+    explicit = potentials.rescaled_ball_potential(
+        n, 3.0, boundary_point=-np.eye(n)[0])
+    assert explicit.parts[1][1] is not siegel
+    zs = np.concatenate([
+        np.zeros((1, n), complex), np.full((1, n), complex(-0.0, -0.0)),
+        sample_interior(domains.ball(n), np.random.default_rng(2), 4)])
+    for order in range(5):
+        for z in (zs, *zs):
+            _assert_same_jet_bits(p.jet(z, order), explicit.jet(z, order))
+
+
+def _assert_same_jet_bits(got, want):
+    """Equal tensors, byte for byte (signed zeros included)."""
+    assert got.tensors.keys() == want.tensors.keys()
+    for key in want.tensors:
+        assert got.tensors[key].tobytes() == want.tensors[key].tobytes(), key
+
+
 def test_rescaled_center_values():
     p = potentials.rescaled_ball_potential(2, 3.0)
     z0 = np.zeros(2, complex)
@@ -174,6 +202,29 @@ def test_certificate_and_lower_bound():
     assert cert.constant >= (3 + 1) / 4.0 - 1e-9
 
 
+def _relabelled(p, K):
+    """``p`` with its Ricci constant K, its parts kept."""
+    return PotentialField(domain=p.domain, ricci_constant=K, parts=p.parts,
+                          label=f"relabelled[K={K:g}]")
+
+
+@pytest.mark.parametrize("K", [3.0, 1e9])
+def test_certificate_lower_bound_is_relative(K):
+    """A constant 0.8 of the bound (n+1)/K is rejected at every K: at
+    K = 1e9 the constant 3e-9 sat within an absolute 1e-9 of the bound
+    3.75e-9, so it passed; while K = 1e-9, where the bound is 3e9, still
+    certifies."""
+    p = potentials.rescaled_ball_potential(2, K)
+    with pytest.raises(CertificateError, match="lower bound"):
+        potentials.certify_constant_length(_relabelled(p, 0.8 * K),
+                                           samples=20)
+    small = potentials.rescaled_ball_potential(2, 1e-9)
+    cert = potentials.certify_constant_length(small, samples=20,
+                                              tolerance=1e-8 * 3e9)
+    cert.require()
+    assert cert.constant == pytest.approx(3e9, rel=1e-12)
+
+
 def test_certificate_rejects_non_constant():
     p = domains.ke_potential(domains.ball(2), 3.0)  # length |z|^2, not constant
     cert = potentials.certify_constant_length(p, samples=50, seed=0)
@@ -236,7 +287,7 @@ def test_certificate_equals_one_frame_per_point(make):
     points = sample_interior(p.domain, np.random.default_rng(0), 50,
                              shrink=0.95)
     constant, *lengths = _lengths_one_frame_per_point(
-        p, [np.zeros(p.domain.n, dtype=complex)] + points)
+        p, [np.zeros(p.domain.n, dtype=complex), *points])
     worst = 0.0
     for val in lengths:
         worst = float(np.maximum(worst, abs(val - constant)))
@@ -252,7 +303,7 @@ def test_kai_ohsawa_constant_equals_one_frame_per_point(d, monkeypatch):
     p = potentials.kai_ohsawa_potential(d)
     points = sample_interior(d, np.random.default_rng(0), 20)
     center, *lengths = _lengths_one_frame_per_point(
-        p, [np.zeros(d.n, dtype=complex)] + points)
+        p, [np.zeros(d.n, dtype=complex), *points])
     assert potentials.kai_ohsawa_constant(d) == center
     assert max(abs(v - center) for v in lengths) <= 1e-6
     # the kernel potential's gradient length is not constant

@@ -20,7 +20,9 @@ Five parts:
   and Kai-Ohsawa potentials at the origin and the seed-0 draws, one
   stacked call and one call per point (point, g, g_inv, log det and
   every jet tensor).  At the origin many entries are zeros, whose signs
-  the digest sees.
+  the digest sees.  Then, per n of ``RESCALED_BALL_DIMENSIONS``, the
+  same frames of ``rescaled_ball_potential(n, 3.0)`` on ball(n), whose
+  draws are not hashed again; reports reach it only at n = 2.
 
 Run it on two checkouts and diff the output; a refactor that claims the
 same reports shows the same digests:
@@ -57,6 +59,7 @@ FRAME_KINDS = (
                                     {"kind": "type4", "m": 3}]},
 )
 FRAME_POINTS = 3
+RESCALED_BALL_DIMENSIONS = (1, 2, 3)
 
 
 def code_lines(source: str) -> int:
@@ -124,19 +127,25 @@ def side_file_digests() -> dict:
                 for name in SIDE_FILES}
 
 
-def frame_digest(d) -> str:
-    """The SHA-256 of one kind's draws and frames, as ``frames`` says."""
+def _draws(d, seed):
+    """``sample_interior``'s FRAME_POINTS draws of ``d`` at ``seed``, as an
+    array (a checkout whose sampler returns a list of rows included)."""
     import numpy as np
-    from kelab import domains, hermgeo, potentials, sampling
+    from kelab import sampling
 
-    sha = hashlib.sha256()
-    draws = [np.array(sampling.sample_interior(
-        d, np.random.default_rng(seed), FRAME_POINTS)) for seed in SEEDS]
-    for zs in draws:
-        sha.update(zs.tobytes())
-    zs = np.concatenate([np.zeros((1, d.n), complex), draws[0]])
-    for p in (domains.bergman_potential(d),
-              potentials.kai_ohsawa_potential(d)):
+    return np.asarray(sampling.sample_interior(
+        d, np.random.default_rng(seed), FRAME_POINTS))
+
+
+def _hash_frames(sha, potentials, points) -> None:
+    """Feed ``sha`` the order-2, 3 and 4 frames of each potential at the
+    origin and ``points``: one stacked call, then one call per point."""
+    import numpy as np
+    from kelab import hermgeo
+
+    n = points.shape[1]
+    zs = np.concatenate([np.zeros((1, n), complex), points])
+    for p in potentials:
         for order in (2, 3, 4):
             for z in (zs, *zs):
                 frame = hermgeo.metric_from_potential(p, z, order)
@@ -145,15 +154,43 @@ def frame_digest(d) -> str:
                            for key in sorted(frame.jet.tensors)]
                 for a in arrays:
                     sha.update(np.ascontiguousarray(a).tobytes())
+
+
+def frame_digest(d) -> str:
+    """The SHA-256 of one kind's draws and frames, as ``frames`` says."""
+    from kelab import domains, potentials
+
+    sha = hashlib.sha256()
+    draws = [_draws(d, seed) for seed in SEEDS]
+    for zs in draws:
+        sha.update(zs.tobytes())
+    _hash_frames(sha, (domains.bergman_potential(d),
+                       potentials.kai_ohsawa_potential(d)), draws[0])
+    return sha.hexdigest()
+
+
+def rescaled_ball_digest(n: int) -> str:
+    """The SHA-256 of the frames of ``rescaled_ball_potential(n, 3.0)`` at
+    the origin and ball(n)'s seed-0 draws."""
+    from kelab import potentials
+
+    p = potentials.rescaled_ball_potential(n, 3.0)
+    sha = hashlib.sha256()
+    _hash_frames(sha, (p,), _draws(p.domain, 0))
     return sha.hexdigest()
 
 
 def frame_digests() -> dict:
-    """``frame_digest`` of each kind of ``FRAME_KINDS``, by its label."""
+    """``frame_digest`` of each kind of ``FRAME_KINDS``, by its label, then
+    ``rescaled_ball_digest`` of each n of ``RESCALED_BALL_DIMENSIONS``, by
+    its potential's label."""
     from kelab import domains
 
-    return {d.label: frame_digest(d)
-            for d in map(domains.from_json, FRAME_KINDS)}
+    out = {d.label: frame_digest(d)
+           for d in map(domains.from_json, FRAME_KINDS)}
+    for n in RESCALED_BALL_DIMENSIONS:
+        out[f"rescaled-ball[n={n},K=3]"] = rescaled_ball_digest(n)
+    return out
 
 
 def main(argv=None) -> int:
