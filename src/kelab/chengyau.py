@@ -45,6 +45,7 @@ from .field import BallLog, Constant, PotentialField
 from .jets import as_integer
 
 BLOWUP_THRESHOLD = 1e8
+_EXP_LIMIT = 690.0       # K phi past this is a blow-up: e^(K phi) nears overflow
 _SERIES_START = 2e-3     # switch from the t ~ 0 series to RK4
 _SEARCH_DTAU = 5e-4      # the step of the search and the returned solution
 _FINAL_EDGE = 2e-4       # returned grid reaches t = 1 - _FINAL_EDGE
@@ -261,87 +262,95 @@ def _integrate(n, K, phi0, tau_end, watch=math.inf, record=None):
     step ``_SEARCH_DTAU``.
 
     dy/dtau = (1-t) (psi, phi'') with phi'' = (e^(K phi) psi^(1-n) - psi)/t
-    from the ODE.  A stage with K phi > 690 or psi <= 0, an overflow, or
-    psi past ``BLOWUP_THRESHOLD`` after a step ends the run as a blow-up.
+    from the ODE.  A start with K phi0/n > ``_EXP_LIMIT`` is a blow-up at
+    the series start: e^(K phi0/n), which overflows past 709.78, is not
+    taken, nothing is recorded, and phi and psi read inf.  A stage with
+    K phi > ``_EXP_LIMIT`` or psi <= 0, an overflow, or psi past
+    ``BLOWUP_THRESHOLD`` after a step ends the run as a blow-up.
 
     Returns (blow-up tau or None, (tau, phi, psi) at the last step,
     (tau, psi) at the step whose tau is nearest ``watch``, the first on
-    ties, of the steps before any blow-up).  ``record``, a pair of lists
-    or float arrays, receives phi and psi at the start and after every
-    step.  The loop is written out by hand and reads tau and t from
-    ``_tau_steps``; a ``tau_end`` past that table is a ValueError.
+    ties, of the steps kept: the start and every step before any blow-up).
+    ``record``, a pair of lists or float arrays, receives phi and psi at
+    the start and after every step, a last step past the threshold
+    included; without it the run records into lists of its own (a list
+    append costs about a quarter of a float array's, and a search run is
+    at most 3,996 steps), and the watched step is read from the record
+    after the loop.  The loop is written out by hand and reads tau and t
+    from ``_tau_steps``; a ``tau_end`` past that table is a ValueError.
     """
     table = _tau_steps()
     tau_col, dtau = table[2], _SEARCH_DTAU
-    tau = -math.log1p(-_SERIES_START)
-    steps = max(int(math.ceil((tau_end - tau) / dtau)), 0)
+    tau0 = -math.log1p(-_SERIES_START)
+    steps = max(int(math.ceil((tau_end - tau0) / dtau)), 0)
     if steps > len(tau_col):
         raise ValueError(f"tau_end={tau_end!r} is past the step table, "
                          f"which ends at tau={tau_col[-1]!r}")
+    if K * phi0 / n > _EXP_LIMIT:
+        return tau0, (tau0, math.inf, math.inf), (tau0, math.inf)
+    phis, psis = ([], []) if record is None else record
+    first = len(psis)
+    add_phi, add_psi = phis.append, psis.append
+    exp, isfinite = math.exp, math.isfinite
+    limit, threshold = _EXP_LIMIT, BLOWUP_THRESHOLD
     phi, psi = _series_start(n, K, phi0)
-    if record is not None:
-        phis, psis = record
-        phis.append(phi)
-        psis.append(psi)
-    # each step up to the watched one is nearer ``watch`` than the one
-    # before, so a run that stops short watches its last kept step
-    run = np.concatenate(([tau], np.frombuffer(tau_col, count=steps)))
-    tau_watch = float(run[np.argmin(np.abs(run - watch))])
-    tau_w, psi_w = tau, psi
+    add_phi(phi)
+    add_psi(psi)
     e = 1.0 - n
     half = 0.5 * dtau
     sixth = dtau / 6.0
-    t = 1.0 - math.exp(-tau)
+    t = 1.0 - exp(-tau0)
     om = 1.0 - t
-    blow_up = None
+    blown, cut = True, 0  # cut: the last step recorded is past the threshold
     try:
-        for om_m, t_m, tau_next, t_next, om_next in islice(zip(*table),
-                                                           steps):
+        for om_m, t_m, t_next, om_next in islice(
+                zip(table[0], table[1], table[3], table[4]), steps):
             kp = K * phi
-            if kp > 690.0 or psi <= 0.0:
-                blow_up = tau
+            if kp > limit or psi <= 0.0:
                 break
             a1 = om * psi
-            b1 = om * ((math.exp(kp) * psi ** e - psi) / t)
+            b1 = om * ((exp(kp) * psi ** e - psi) / t)
             phi_s = phi + half * a1
             psi_s = psi + half * b1
             kp = K * phi_s
-            if kp > 690.0 or psi_s <= 0.0:
-                blow_up = tau
+            if kp > limit or psi_s <= 0.0:
                 break
             a2 = om_m * psi_s
-            b2 = om_m * ((math.exp(kp) * psi_s ** e - psi_s) / t_m)
+            b2 = om_m * ((exp(kp) * psi_s ** e - psi_s) / t_m)
             phi_s = phi + half * a2
             psi_s = psi + half * b2
             kp = K * phi_s
-            if kp > 690.0 or psi_s <= 0.0:
-                blow_up = tau
+            if kp > limit or psi_s <= 0.0:
                 break
             a3 = om_m * psi_s
-            b3 = om_m * ((math.exp(kp) * psi_s ** e - psi_s) / t_m)
+            b3 = om_m * ((exp(kp) * psi_s ** e - psi_s) / t_m)
             t, om = t_next, om_next
             phi_s = phi + dtau * a3
             psi_s = psi + dtau * b3
             kp = K * phi_s
-            if kp > 690.0 or psi_s <= 0.0:
-                blow_up = tau
+            if kp > limit or psi_s <= 0.0:
                 break
             a4 = om * psi_s
-            b4 = om * ((math.exp(kp) * psi_s ** e - psi_s) / t)
-            phi += sixth * (a1 + 2 * a2 + 2 * a3 + a4)
-            psi += sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-            tau = tau_next
-            if record is not None:
-                phis.append(phi)
-                psis.append(psi)
-            if not math.isfinite(psi) or psi > BLOWUP_THRESHOLD:
-                blow_up = tau
+            b4 = om * ((exp(kp) * psi_s ** e - psi_s) / t)
+            # a + a: the bits of 2 * a, without an int-by-float multiply
+            phi += sixth * (a1 + (a2 + a2) + (a3 + a3) + a4)
+            psi += sixth * (b1 + (b2 + b2) + (b3 + b3) + b4)
+            add_phi(phi)
+            add_psi(psi)
+            if not isfinite(psi) or psi > threshold:
+                cut = 1
                 break
-            if tau <= tau_watch:
-                tau_w, psi_w = tau, psi
+        else:
+            blown = False
     except OverflowError:
-        blow_up = tau
-    return blow_up, (tau, phi, psi), (tau_w, psi_w)
+        pass
+    # the run's taus: the start, then one per step recorded
+    run = np.concatenate(([tau0], np.frombuffer(tau_col,
+                                                count=len(psis) - first - 1)))
+    tau = float(run[-1])
+    i = int(np.argmin(np.abs(run[:len(run) - cut] - watch)))
+    return (tau if blown else None, (tau, phi, psi),
+            (float(run[i]), psis[first + i]))
 
 
 def _boundary_growth(n, K, phi0):
@@ -389,7 +398,10 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     end's g, and a candidate that replaces lo first leaves it unread (at
     (2, 3), the 3,996-step run from -1).  A lo with g > 0 still raises
     ``BracketingError``, once a secant step reads it or the midpoints
-    collapse onto it.  ``n`` is an integer (``as_integer``).
+    collapse onto it.  A candidate with K phi(0)/n > 690 blows up at the
+    series start, so at large K the search ends in a ``BracketingError``
+    too, and so does a returned midpoint past that bound.  ``n`` is an
+    integer (``as_integer``).
     """
     n = as_integer(n, "n")
     if n < 1:
@@ -453,6 +465,11 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     phi0 = 0.5 * (lo + hi)
 
     _assert_monotone(history)
+    # lo is classified, so only a tol near the bracket's width returns a
+    # midpoint whose run blows up at the series start
+    if K * phi0 / n > _EXP_LIMIT:
+        raise BracketingError(f"phi(0)={phi0} blows up at the series start; "
+                              f"lower tol")
 
     # float arrays, not lists: a third of the memory of the 17k-step grid;
     # each starts at t = 0, with phi(0) and phi'(0)

@@ -225,8 +225,10 @@ def _contract(form, Z, order):
     """H[m] = d^m h of the form's degrees k >= m, stacked, (N, J_(k>=m), n^m),
     at each row of Z for m <= order (and m <= the form's top degree)."""
     N, n = Z.shape
-    # contraction i takes z / i, so after i of them t = D.z^i / i!
-    steps = [Z[:, :, None] / i for i in range(1, len(form))]
+    # contraction i takes z / i, so after i of them t = D.z^i / i!; the
+    # first takes z itself, as z / 1 is z bit for bit
+    column = Z[:, :, None]
+    steps = [column] + [column / i for i in range(2, len(form))]
     dh = [[] for _ in range(min(order, len(form) - 1) + 1)]
     for k, (_, D) in enumerate(form):
         t = D.reshape(1, len(D), -1)

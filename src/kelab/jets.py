@@ -103,8 +103,14 @@ def bidegrees(order: int) -> tuple:
 
 def mirror(t, m, l):
     """A real function's stacked (l, m) tensor from its (m, l) one."""
-    axes = (0,) + tuple(range(1 + m, 1 + m + l)) + tuple(range(1, 1 + m))
-    return np.conj(t.transpose(axes))
+    return np.conj(t.transpose(_mirror_axes(m, l)))
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_axes(m, l):
+    """The point axis, then the l antiholomorphic and the m holomorphic
+    slots of a stacked (m, l) tensor."""
+    return (0,) + tuple(range(1 + m, 1 + m + l)) + tuple(range(1, 1 + m))
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,13 @@ def _velocity(p, z, re_v):
 #: ODEs I*, §III.1)
 AB6_NUMERATORS = (4277, -7923, 9982, -7298, 2877, -475)
 AB6_DENOMINATOR = 1440
-_AB6 = [b / AB6_DENOMINATOR for b in AB6_NUMERATORS]
+# read-only complex 0-d arrays: a float weight is cast to this complex value
+# before it multiplies a complex array, so the products keep their bits and
+# skip the cast (a numpy scalar would take the slow scalar path)
+_AB6 = tuple(np.array(b / AB6_DENOMINATOR, dtype=complex)
+             for b in AB6_NUMERATORS)
+for _weight in _AB6:
+    _weight.setflags(write=False)
 _HISTORY = len(_AB6)
 
 
@@ -227,11 +233,13 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
     drops = set(steps.tolist())  # the running set changes after these
     z = z0.copy()
     # the running rows, their points, steps, generators and velocities;
-    # history[(k - 1) % 6] holds f_{k-1}, the velocity at the start of step k
+    # history[(k - 1) % 6] is f_{k-1}, the velocity at the start of step k,
+    # a ring of the arrays _velocity returned (None before they exist)
     run = np.arange(m)
     zr, hr, rv = z, h[:, None], re_v
-    history = np.zeros((_HISTORY,) + z.shape, dtype=complex)
+    history = [None] * _HISTORY
     record = [(0.0, z[0].copy())]
+    last = int(steps[0])  # row 0's last step
     exits = []  # (|exit time|, row, exit time)
     earliest = np.inf
     left = np.zeros(m, dtype=bool)
@@ -243,7 +251,7 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
                 z[run] = zr
                 keep = np.searchsorted(run, new)
                 run, zr, hr, rv = new, zr[keep], hr[keep], rv[keep]
-                history = history[:, keep]
+                history = [f if f is None else f[keep] for f in history]
                 if not run.size:
                     break
         k1 = _velocity(p, zr, rv)
@@ -260,13 +268,15 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
             for j in range(1, _HISTORY):
                 step += _AB6[j] * history[(k - 1 - j) % _HISTORY]
             zr = zr + hr * step
-        for i in run[~d.contains(zr)]:
-            tk = float(k * h[i])
-            exits.append((abs(tk), i, tk))
-            earliest = min(earliest, abs(tk))
-            left[i] = True
-        if run[0] == 0 and (k == steps[0] or (
-                k < steps[0] and record_every and k % record_every == 0)):
+        inside = d.contains(zr)
+        if not inside.all():
+            for i in run[~inside]:
+                tk = float(k * h[i])
+                exits.append((abs(tk), i, tk))
+                earliest = min(earliest, abs(tk))
+                left[i] = True
+        if k <= last and run[0] == 0 and (k == last or (
+                record_every and k % record_every == 0)):
             record.append((k * h[0], zr[0].copy()))
     z[run] = zr
     if exits:

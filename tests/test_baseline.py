@@ -1,5 +1,5 @@
 """tools/baseline.py: the code-line rule it counts by, its option count,
-its side-file digests and its frame digests."""
+its side-file digests, its frame digests and its dynamics digests."""
 
 import dataclasses
 import hashlib
@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from kelab import chengyau, domains, hermgeo, sampling, suites
+from kelab import chengyau, domains, hermgeo, sampling, suites, vfield
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "baseline.py"
 
@@ -176,3 +176,51 @@ def test_frame_digest_moves_with_one_ulp_of_one_entry(monkeypatch, field):
 
         monkeypatch.setattr(hermgeo, "metric_from_potential", nudged)
     assert baseline.frame_digest(d) != before
+
+
+def test_dynamics_digests_cover_the_bench_flow_and_four_shoots(monkeypatch):
+    """The flow report at the dynamics workload's config at seeds 0-2,
+    then shoot at (1, 1), (2, 1), (2, 3) and (3, 4)."""
+    baseline = _baseline()
+    monkeypatch.setattr(baseline, "report_digest",
+                        lambda name, config: (name, config))
+    monkeypatch.setattr(baseline, "shoot_digest", lambda n, K: (n, K))
+    assert baseline.dynamics_digests() == {
+        **{f"flow horizon=1 dt=0.004 seed={seed}": (
+            "flow", {"horizon": 1.0, "dt": 4e-3, "seed": seed})
+           for seed in (0, 1, 2)},
+        "shoot n=1 K=1": (1, 1.0), "shoot n=2 K=1": (2, 1.0),
+        "shoot n=2 K=3": (2, 3.0), "shoot n=3 K=4": (3, 4.0)}
+
+
+@pytest.mark.parametrize("field", ["grid", "phi", "dphi"])
+def test_shoot_digest_moves_with_one_ulp_of_one_entry(monkeypatch, field):
+    """One entry of the returned grid, phi or phi', one ulp up, changes
+    the digest; unchanged, the digest repeats and differs per (n, K)."""
+    baseline = _baseline()
+    before = baseline.shoot_digest(1, 1.0)
+    assert baseline.shoot_digest(1, 1.0) == before
+    assert baseline.shoot_digest(2, 1.0) != before
+    sol = chengyau.shoot(1, 1.0)
+    nudged = dataclasses.replace(sol, **{field: _one_ulp_up(getattr(sol,
+                                                                   field))})
+    monkeypatch.setattr(chengyau, "shoot", lambda n, K: nudged)
+    assert baseline.shoot_digest(1, 1.0) != before
+
+
+def test_flow_report_digest_moves_with_one_ulp_of_one_residual(monkeypatch):
+    """The flow report at the bench's config repeats, differs per seed,
+    and moves when the pullback residual moves by one ulp."""
+    baseline = _baseline()
+    config = {"horizon": 1.0, "dt": 4e-3, "seed": 0}
+    before = baseline.report_digest("flow", config)
+    assert baseline.report_digest("flow", config) == before
+    assert baseline.report_digest("flow", {**config, "seed": 1}) != before
+    real_run_flows = vfield.run_flows
+
+    def nudged(*args, **kwargs):
+        traj, (pullback, *rest) = real_run_flows(*args, **kwargs)
+        return traj, [float(np.nextafter(pullback, np.inf)), *rest]
+
+    monkeypatch.setattr(vfield, "run_flows", nudged)
+    assert baseline.report_digest("flow", config) != before

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from kelab import chengyau, domains, hermgeo, potentials
-from kelab.errors import BracketingError, DegenerateMetricError, ResolutionError
+from kelab.errors import (BracketingError, DegenerateMetricError, KelabError,
+                          ResolutionError)
 from kelab.chengyau import (
     RadialPotential,
     _assert_monotone,
@@ -432,20 +433,26 @@ def test_solution_csv_keeps_the_last_point_a_stride_misses(tmp_path):
 
 
 def _reference_integrate(n, K, phi0, dtau, tau_end):
-    """The RK4 loop written with a stage function: (blow-up tau, taus, phis,
-    psis).  The solver's hand-written loop must reproduce it bit for bit."""
+    """The RK4 loop written with a stage function: (exit, blow-up tau,
+    taus, phis, psis), the exit being "end", "series start", "stage guard:
+    K phi", "stage guard: psi", "overflow" or "threshold".  The solver's
+    hand-written loop must reproduce it bit for bit."""
     class BlowUp(Exception):
         pass
 
     def f(tau_c, phi_c, psi_c):
         t = 1.0 - math.exp(-tau_c)
         om = 1.0 - t
-        if K * phi_c > 690.0 or psi_c <= 0.0:
-            raise BlowUp
+        if K * phi_c > 690.0:
+            raise BlowUp("stage guard: K phi")
+        if psi_c <= 0.0:
+            raise BlowUp("stage guard: psi")
         return om * psi_c, om * (
             (math.exp(K * phi_c) * psi_c ** (1.0 - n) - psi_c) / t)
 
     tau = -math.log1p(-chengyau._SERIES_START)
+    if K * phi0 / n > 690.0:
+        return "series start", tau, [], [], []
     phi, psi = chengyau._series_start(n, K, phi0)
     taus, phis, psis = [tau], [phi], [psi]
     for _ in range(int(math.ceil((tau_end - tau) / dtau))):
@@ -455,8 +462,10 @@ def _reference_integrate(n, K, phi0, dtau, tau_end):
             k2 = f(tau + 0.5 * h, phi + 0.5 * h * k1[0], psi + 0.5 * h * k1[1])
             k3 = f(tau + 0.5 * h, phi + 0.5 * h * k2[0], psi + 0.5 * h * k2[1])
             k4 = f(tau + h, phi + h * k3[0], psi + h * k3[1])
-        except (BlowUp, OverflowError):
-            return tau, taus, phis, psis
+        except BlowUp as exc:
+            return str(exc), tau, taus, phis, psis
+        except OverflowError:
+            return "overflow", tau, taus, phis, psis
         phi += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         psi += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         tau += h
@@ -464,43 +473,64 @@ def _reference_integrate(n, K, phi0, dtau, tau_end):
         phis.append(phi)
         psis.append(psi)
         if not math.isfinite(psi) or psi > chengyau.BLOWUP_THRESHOLD:
-            return tau, taus, phis, psis
-    return None, taus, phis, psis
+            return "threshold", tau, taus, phis, psis
+    return "end", None, taus, phis, psis
 
 
-@pytest.mark.parametrize("offset, blows_up", [
-    (0.5, True), (-0.5, False), (1e-9, None)])
-def test_search_integration_records_nothing_and_agrees(offset, blows_up):
-    """Super-, sub- and near-critical starts, on the search window and on
-    the returned solution's run, which reads the step table past the
-    search's prefix: the non-recording run keeps the recording run's
-    final state, watched step and blow-up tau, and both match the
-    reference loop bit for bit, the recorded steps' tau read from the
-    step table.  The watched step is the nearest of the steps before any
-    blow-up (at offset 0.5 the run blows up at tau ~ 0.64, before the
-    watch at tau = 1)."""
-    n, K = 2, 3.0
+@pytest.mark.parametrize("n, K, offset, exit", [
+    pytest.param(2, 3.0, 0.5, "threshold", id="0.5-True"),
+    pytest.param(2, 3.0, -0.5, "end", id="-0.5-False"),
+    pytest.param(2, 3.0, 1e-9, None, id="1e-09-None"),
+    pytest.param(2, 3.0, 1.0, "stage guard: K phi", id="stage-guard-mid-run"),
+    pytest.param(2, 3.0, 10.0, "stage guard: K phi", id="stage-guard-first"),
+    pytest.param(1, 50.0, -50.0, "stage guard: psi", id="stage-guard-psi"),
+    pytest.param(8, 3.0, -300.0, "overflow", id="overflow"),
+    pytest.param(5, 12.0, -72.0, "overflow", id="overflow-mid-run"),
+    pytest.param(2, 1e3, 3.0, "series start", id="series-start"),
+])
+def test_search_integration_records_nothing_and_agrees(n, K, offset, exit):
+    """Every way the RK4 loop stops, on the search window and on the
+    returned solution's run, which reads the step table past the search's
+    prefix: the non-recording run keeps the recording run's final state,
+    watched step and blow-up tau, and both match the reference loop bit
+    for bit, the recorded steps' tau read from the step table.  The
+    watched step is the nearest of the steps kept, the start and the
+    steps before any blow-up, the first on ties (at offset 0.5 the run
+    blows up at tau ~ 0.64, before the watch at tau = 1).
+
+    The exits: the end of the run; a super-critical run past the
+    threshold (0.5), or stopped by the K phi guard mid-run (1.0) or at
+    its first stage (10.0); a series start whose e^(K phi0/n) underflows
+    to psi = 0 (n = 1, K = 50); a start so small that psi^(1-n)
+    overflows at the first stage (n = 8) or, as psi decays, at step 216
+    (n = 5, K = 12); and a start with K phi0/n > 690, which blows up at
+    the series start and records nothing (K = 1e3, the bracket's upper
+    end 3 + phi(0) of the ball)."""
     phi0 = ball_center_value(n, K) + offset
     dtau, watch = chengyau._SEARCH_DTAU, chengyau._SEARCH_TAU - 1.0
+    tau0 = -math.log1p(-chengyau._SERIES_START)
     for tau_end in (chengyau._SEARCH_TAU, -math.log(chengyau._FINAL_EDGE)):
         phis, psis = [], []
         recorded = _integrate(n, K, phi0, tau_end, watch=watch,
                               record=(phis, psis))
         blow_up, end, watched = _integrate(n, K, phi0, tau_end, watch=watch)
-        taus = ([-math.log1p(-chengyau._SERIES_START)]
-                + list(chengyau._tau_steps()[2][:len(phis) - 1]))
-        if blows_up is not None:
-            assert (blow_up is not None) == blows_up
+        ref_exit, ref_blow_up, *ref = _reference_integrate(n, K, phi0, dtau,
+                                                           tau_end)
+        if exit is not None:
+            assert ref_exit == exit
         assert recorded == (blow_up, end, watched)
+        assert ref_blow_up == blow_up
+        if ref_exit == "series start":
+            assert (blow_up, end, watched) == (
+                tau0, (tau0, math.inf, math.inf), (tau0, math.inf))
+            assert phis == psis == ref[1] == []
+            continue
+        taus = [tau0] + list(chengyau._tau_steps()[2][:len(phis) - 1])
         assert end == (taus[-1], phis[-1], psis[-1])
         # a step past the blow-up threshold is recorded but never watched
-        kept = [i for i, psi in enumerate(psis)
-                if math.isfinite(psi) and psi <= chengyau.BLOWUP_THRESHOLD]
-        i = min(kept, key=lambda i: abs(taus[i] - watch))
+        kept = len(psis) - (ref_exit == "threshold")
+        i = min(range(kept), key=lambda i: abs(taus[i] - watch))
         assert watched == (taus[i], psis[i])
-
-        ref_blow_up, *ref = _reference_integrate(n, K, phi0, dtau, tau_end)
-        assert ref_blow_up == blow_up
         assert [taus, phis, psis] == ref
 
 
@@ -527,6 +557,24 @@ def test_integration_reads_one_step_table():
     assert end[0] == chengyau._tau_steps()[2][-1]
     assert watched == (-math.log1p(-chengyau._SERIES_START),
                        chengyau._series_start(n, K, phi0)[1])
+
+
+@pytest.mark.parametrize("K", [1e3, 1e6])
+def test_cheng_yau_at_a_large_ricci_constant_raises_a_typed_error(K):
+    """At K = 1e3 and 1e6 the start K phi(0)/n of the bracket's upper end,
+    1500 and 1.5e6, is past the stage guard's bound; the run is a blow-up
+    at the series start, and the search ends in a ``KelabError``, not in
+    the ``OverflowError`` of e^(K phi(0)/n)."""
+    with pytest.raises(KelabError):
+        run_suite("cheng-yau", {"ricci": K})
+
+
+def test_a_returned_start_past_the_bound_is_a_bracketing_error():
+    """A tol wider than the bracket returns its midpoint unsearched; at
+    phi(0) = 499.5, K phi(0)/n = 749, the returned run would blow up at
+    its series start, so ``shoot`` raises instead of overflowing."""
+    with pytest.raises(BracketingError, match="series start"):
+        shoot(2, 3.0, phi0_bracket=(-1.0, 1000.0), tol=2000.0)
 
 
 def test_non_monotone_blow_up_history_is_rejected():

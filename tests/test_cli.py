@@ -66,6 +66,14 @@ def test_ball_minimality_passes_at_a_large_ricci_constant(tmp_path):
                if row["rank"] > 1)
 
 
+def test_cheng_yau_at_a_large_ricci_constant_is_a_kelab_error(capsys):
+    """At --ricci 1000 the bracket's upper end has K phi(0)/n = 1500, whose
+    series start overflows; the run ends in a typed error, exit code 2,
+    not in a traceback (exit 1 would read as a failed check)."""
+    assert cli.main(["run", "cheng-yau", "--ricci", "1000"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["constant-length", "key-equation"])
 def test_relative_residuals_pass_at_a_small_ricci_constant(tmp_path, name):
     """Both residuals are divided by their scale (n+1)/K = 3e9, so the true

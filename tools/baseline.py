@@ -1,6 +1,6 @@
 """Print a baseline of a kelab checkout as one JSON object.
 
-Five parts:
+Six parts:
 
 * ``code_lines``: the code lines of each module of ``src/kelab`` and
   their total.  A line is code unless it is blank, comment-only, or
@@ -23,6 +23,11 @@ Five parts:
   the digest sees.  Then, per n of ``RESCALED_BALL_DIMENSIONS``, the
   same frames of ``rescaled_ball_potential(n, 3.0)`` on ball(n), whose
   draws are not hashed again; reports reach it only at n = 2.
+* ``dynamics``: the inputs of the benchmark's dynamics workload that no
+  default report reaches: the SHA-256 of the ``flow`` report at
+  ``FLOW_BENCH`` at seeds 0, 1 and 2, digested as in ``digests``, and of
+  the grid, phi and phi' bytes that ``chengyau.shoot`` returns at each
+  (n, K) of ``SHOOT_CASES``, whose searches blow up many times.
 
 Run it on two checkouts and diff the output; a refactor that claims the
 same reports shows the same digests:
@@ -60,6 +65,9 @@ FRAME_KINDS = (
 )
 FRAME_POINTS = 3
 RESCALED_BALL_DIMENSIONS = (1, 2, 3)
+#: the flow config of the benchmark's dynamics workload
+FLOW_BENCH = {"horizon": 1.0, "dt": 4e-3}
+SHOOT_CASES = ((1, 1.0), (2, 1.0), (2, 3.0), (3, 4.0))
 
 
 def code_lines(source: str) -> int:
@@ -100,18 +108,22 @@ def count_options() -> dict:
     return {"suites": suites, "commands": commands, "total": total}
 
 
-def report_digests() -> dict:
-    from kelab.suites import SUITES, run_suite
+def report_digest(name: str, config: dict) -> str:
+    """The SHA-256 of one suite's report, ``runtime_ms`` dropped and the
+    JSON re-dumped with sorted keys."""
+    from kelab import suites
 
-    digests = {}
-    for name in sorted(SUITES):
-        for seed in SEEDS:
-            report = json.loads(run_suite(name, {"seed": seed}).to_json())
-            del report["runtime_ms"]
-            text = json.dumps(report, sort_keys=True)
-            digests[f"{name} seed={seed}"] = hashlib.sha256(
-                text.encode()).hexdigest()
-    return digests
+    report = json.loads(suites.run_suite(name, config).to_json())
+    del report["runtime_ms"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()
+                          ).hexdigest()
+
+
+def report_digests() -> dict:
+    from kelab.suites import SUITES
+
+    return {f"{name} seed={seed}": report_digest(name, {"seed": seed})
+            for name in sorted(SUITES) for seed in SEEDS}
 
 
 def side_file_digests() -> dict:
@@ -193,6 +205,29 @@ def frame_digests() -> dict:
     return out
 
 
+def shoot_digest(n: int, K: float) -> str:
+    """The SHA-256 of the grid, phi and phi' of ``chengyau.shoot(n, K)``."""
+    from kelab import chengyau
+
+    sol = chengyau.shoot(n, K)
+    sha = hashlib.sha256()
+    for a in (sol.grid, sol.phi, sol.dphi):
+        sha.update(a.tobytes())
+    return sha.hexdigest()
+
+
+def dynamics_digests() -> dict:
+    """``report_digest`` of ``flow`` at ``FLOW_BENCH`` and each seed, then
+    ``shoot_digest`` of each (n, K) of ``SHOOT_CASES``."""
+    config = " ".join(f"{key}={value:g}" for key, value in FLOW_BENCH.items())
+    out = {f"flow {config} seed={seed}":
+           report_digest("flow", {**FLOW_BENCH, "seed": seed})
+           for seed in SEEDS}
+    for n, K in SHOOT_CASES:
+        out[f"shoot n={n} K={K:g}"] = shoot_digest(n, K)
+    return out
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) > 1:
@@ -206,7 +241,8 @@ def main(argv=None) -> int:
            "options": count_options(),
            "digests": report_digests(),
            "side_files": side_file_digests(),
-           "frames": frame_digests()}
+           "frames": frame_digests(),
+           "dynamics": dynamics_digests()}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
