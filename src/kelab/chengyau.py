@@ -400,8 +400,10 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
     ``BracketingError``, once a secant step reads it or the midpoints
     collapse onto it.  A candidate with K phi(0)/n > 690 blows up at the
     series start, so at large K the search ends in a ``BracketingError``
-    too, and so does a returned midpoint past that bound.  ``n`` is an
-    integer (``as_integer``).
+    too, and so does a returned midpoint past that bound.  A tol below the
+    float spacing of the bracket, where a candidate kept tol/2 inside
+    rounds onto an end and the bracket stops shrinking, raises
+    ``ResolutionError``.  ``n`` is an integer (``as_integer``).
     """
     n = as_integer(n, "n")
     if n < 1:
@@ -449,6 +451,9 @@ def shoot(n: int, K: float, phi0_bracket=(-1.0, 3.0),
         else:
             x = 0.5 * (lo + hi)
         x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:  # tol/2 rounds away next to lo or hi
+            raise ResolutionError(f"tol={tol!r} is below the float spacing "
+                                  f"of the bracket ({lo!r}, {hi!r})")
         g = growth(x)
         if g > 0:
             hi, g_hi = x, g

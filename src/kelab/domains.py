@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedDomainError,
     UnsupportedPointError,
 )
-from .field import BallLog, HermitianNormPart, PotentialField
+from .field import BallLog, HermitianNormPart, Part, PotentialField
 from .jets import as_integer, as_point, as_points
 
 BALL = "ball"
@@ -521,21 +521,27 @@ def product_parts(potentials) -> list:
     return parts
 
 
-class _OffsetPart:
-    """Re-index a jet part into a product's coordinate block."""
+class _OffsetPart(Part):
+    """Re-index a jet part into a product's coordinate block; offset parts
+    of equal parts share their programs."""
 
     def __init__(self, part, offset, width):
         self.part = part
         self.offset = offset
         self.width = width
+        self.key = (getattr(part, "key", part), offset, width)
 
-    def jet(self, Z, order):
+    def emit(self, P, z, n, order):
         block = slice(self.offset, self.offset + self.width)
         out = {}
-        for (m, l), t in self.part.jet(Z[:, block], order).items():
-            full = np.zeros(Z.shape[:1] + Z.shape[1:] * (m + l), dtype=t.dtype)
-            full[(slice(None),) + (block,) * (m + l)] = t
-            out[(m, l)] = full
+        inner = self.part.emit(P, P("{}[:, {}]", z, P.const(block)),
+                               self.width, order)
+        for (m, l), t in inner.items():
+            full = out[(m, l)] = P("np.zeros((N,) + {}, {})",
+                                   P.const((n,) * (m + l)), P.dtype(t),
+                                   kind=P.dtype(t))
+            P.do("{}[(slice(None),) + {}] = {}", full,
+                 P.const((block,) * (m + l)), t)
         return out
 
 

@@ -5,14 +5,12 @@ A ``PotentialField`` is a real scalar function on a domain.  Its
 derivatives are known exactly to order ``jets.MAX_ORDER``, pick the
 derivative path: with parts, ``PotentialField.jet`` is the closed form;
 without, it is ``fd_jet`` of ``fn``, which maps an (M, n) stack of points
-to M values.  A part maps a stack Z of N points, shape (N, n), and an
-order to its dense jet tensors
-{(m, l): array of shape (N,) + (n,)*(m+l)} over ``jets.bidegrees``
-(m + l <= order and 2 >= m >= l, (2, 0) from order 3: what a frame
-reads), leaving out the bidegrees that vanish identically; the potential
-is real, so no part nor jet holds the (l, m) tensors, the mirrors of
-these.  The parts implemented here cover every potential the package
-constructs:
+to M values.  The closed form of a stack Z of N points, shape (N, n), is
+its dense jet tensors {(m, l): array of shape (N,) + (n,)*(m+l)} over
+``jets.bidegrees`` (m + l <= order and 2 >= m >= l, (2, 0) from order 3:
+what a frame reads); the potential is real, so no jet holds the (l, m)
+tensors, the mirrors of these.  The parts implemented here cover every
+potential the package constructs:
 
 * ``BallLog``           -- -A log(1 - |z|^2) on the unit ball
                            (the ball kernel and its Einstein rescalings)
@@ -24,12 +22,27 @@ constructs:
 * ``BoundaryLog``       -- 2 log|N(z, e)| for the same form at a point e,
                            holomorphic in z (the Siegel term on every kind)
 
+A jet is a straight-line program of numpy operations, planned once per
+(parts, order, n) by ``_build_plan``: each part ``emit``s the operations
+of its jet into a ``_Program``, then come each coefficient's product,
+the sum over the parts and the completion of the symmetric entries, and
+the program compiles into one function of the stack.  Every structural
+choice is made while planning: which bidegrees exist, which terms of the
+log recursion vanish, which tensors are mirrors and which shapes the
+products broadcast to.  An operation on constants alone runs once, then,
+and a scalar constant is cast to the dtype of the array it meets, as
+numpy casts it at every call; so a call runs the operations that choosing
+at every call would run, on the same operands, and its bits are theirs.
+``_PLANS`` keeps the programs by the parts' ``key`` (a shared part
+itself, another by value) and the coefficients' bits, so a potential that
+a suite builds anew for each run plans nothing.
+
 A log part takes the log of a function N whose jet is finite; one
-recursion, ``_log_jet``, serves all three: differentiating N dF = dN
+recursion, ``_emit_log``, serves all three: differentiating N dF = dN
 gives each tensor of F = log N from N's tensors and lower ones of F: 7
 products for (2, 2), the one bidegree of order 4, and 3 for (2, 1).  It
 needs N's tensors to (2, 2) only, so the two form parts share one
-contraction, ``_contract``, for the derivatives of the h_j to the top
+contraction, ``_emit_contract``, for the derivatives of the h_j to the top
 holomorphic degree of the jet's bidegrees: 2 from order 3, 1 at order 2.
 The ball is the rank-1 form too, but its own part is cheaper.
 """
@@ -37,15 +50,16 @@ The ball is the rank-1 form too, but its own part is cheaper.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass
+import re
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import EvaluationError, UnsupportedOrderError
-from .jets import (MAX_ORDER, Jet, as_integer, as_points, bidegrees,
-                   fd_jet, mirror)
+from .jets import MAX_ORDER, Jet, as_integer, as_points, bidegrees, fd_jet
 
 def _check(ok, Z, what, values):
     """Raise EvaluationError naming the first point of Z where ``ok`` fails."""
@@ -54,34 +68,153 @@ def _check(ok, Z, what, values):
         raise EvaluationError(f"{what} {values[i]} at z={Z[i]!r}")
 
 
-def _complete(total, order, N, n):
-    """The jet tensors of N points over ``bidegrees`` from the parts' sum.
+# ---------------------------------------------------------------------------
+# straight-line programs
+
+#: the operand names in a line of a program: temps, constants, the stack
+#: and its length
+_NAME = re.compile(r"\b(?:[tk]\d+|Z|N)\b")
+_RUNTIME = re.compile(r"\b(?:t\d+|Z|N)\b")
+
+
+class _Program:
+    """A straight-line program of numpy operations on a stack ``Z`` of N
+    points.
+
+    ``P(expr, *args)`` formats ``expr`` over operand names and returns the
+    name of its value.  A line that reads constants alone is run once and
+    becomes a constant itself.  A line is complex when it reads a complex
+    operand, unless ``kind`` says otherwise, so that a scalar constant can
+    be cast to the dtype of the array it meets.  Every value that depends
+    on the part or the dimension is a constant, so programs of one
+    structure share their compiled code.
+    """
+
+    def __init__(self):
+        self.lines, self.consts, self.complex = [], [], {"Z"}
+        self.env = {"np": np}
+
+    def __call__(self, expr, *args, kind=None):
+        line = expr.format(*args)
+        names = _NAME.findall(line)
+        if not _RUNTIME.search(line):
+            return self.const(eval(line, self.env))
+        name = f"t{len(self.lines)}"
+        if kind == "complex" or kind is None and self.complex.intersection(
+                names):
+            self.complex.add(name)
+        self.lines.append((name, line, names))
+        return name
+
+    def do(self, statement, *args):
+        """Add a statement, such as a check, or a write into a temp made
+        just before it (compiling moves a line only later, to its reader)."""
+        line = statement.format(*args)
+        self.lines.append((None, line, _NAME.findall(line)))
+
+    def dtype(self, name):
+        return "complex" if name in self.complex else "float"
+
+    def const(self, value, like=None):
+        """The name of a constant: an array becomes a read-only copy, cast
+        to the dtype of the operand named ``like`` when given."""
+        name = f"k{len(self.consts)}"
+        if like is not None or isinstance(value, (np.ndarray, np.generic)):
+            value = np.array(value, like and self.dtype(like))
+            value.setflags(write=False)
+            if value.dtype.kind == "c":
+                self.complex.add(name)
+        self.env[name] = value
+        self.consts.append(value)
+        return name
+
+    def compile(self, result):
+        """The function of Z that runs the lines and returns ``result``, a
+        name or a jet's {(m, l): name}."""
+        if isinstance(result, dict):
+            result = "{%s}" % ", ".join(f"{k}: {t}" for k, t in result.items())
+        # a temp read once joins its reader's line and one never read is
+        # dropped; any other is deleted after its last reader, so that large
+        # stacks reuse memory as the loops that made these lines did
+        keep = set(_NAME.findall(result))
+        reads = Counter()
+        for _, _, names in self.lines:
+            reads.update(names)
+        inline, lines, last = {}, [], {}
+        for name, line, names in self.lines:
+            if inline.keys() & names:  # the names its inlined reads read
+                names = [*names, *(n for t in names if t in inline
+                                   for n in inline[t][1])]
+                line = _NAME.sub(lambda m: inline.pop(m[0], (m[0],))[0], line)
+            if name is None or reads[name] > 1 or name in keep:
+                lines.append(line if name is None else f"{name} = {line}")
+                last.update(dict.fromkeys(names, len(lines) - 1))
+            elif reads[name]:
+                inline[name] = (f"({line})", names)
+        last = {name: i for name, i in last.items()
+                if name[0] == "t" and reads[name] > 1 and name not in keep}
+        dead = {}
+        for name, i in last.items():
+            dead.setdefault(i, []).append(name)
+        body = "".join(f"        {line}\n" + (
+            f"        del {', '.join(dead[i])}\n" if i in dead else "")
+            for i, line in enumerate(lines))
+        names = ", ".join(f"k{i}" for i in range(len(self.consts)))
+        source = (f"def make({names}):\n"
+                  f"    def run(Z):\n        N = len(Z)\n{body}"
+                  f"        return {result}\n    return run\n")
+        if source not in _FACTORIES:
+            env = {"np": np, "_check": _check}
+            exec(source, env)
+            _FACTORIES[source] = env["make"]
+        return _FACTORIES[source](*self.consts)
+
+
+#: the compiled code of each program structure, by its source
+_FACTORIES = {}
+
+
+def _once(Z, emit):
+    """Plan ``emit(P, "Z", n)``, which returns the result, for one call at
+    the (N, n) stack Z and run it."""
+    P = _Program()
+    return P.compile(emit(P, "Z", Z.shape[1]))(Z)
+
+
+def _build_plan(parts, order, n):
+    """The program of the jet of sum c * part over ``parts`` on C^n.
 
     Absent tensors are zero.  Entries equal by symmetry are copied from the
     one with sorted indices, and (m, m) tensors are made Hermitian, so both
-    symmetries hold exactly.
+    symmetries hold exactly; zeros are their own copy and average.
     """
-    out = {}
-    for key, shape, index, hermitian in _complete_plan(order, n):
-        t = total.get(key)
+    P = _Program()
+    total = {(0, 0): P("np.zeros(N)")}
+    for c, part in parts:
+        for key, t in part.emit(P, "Z", n, order).items():
+            t = P("{} * {}", P.const(c, like=t), t)
+            total[key] = P("{} + {}", total[key], t) if key in total else t
+    jet = {}
+    for m, l in bidegrees(order):
+        t = total.get((m, l))
         if t is None:
-            t = np.zeros((N,) + shape, dtype=complex)
-        if index is not None:
-            t = t.reshape(N, -1).take(index, axis=1).reshape(t.shape)
-        if hermitian:
-            t = 0.5 * (t + mirror(t, *key))
-        out[key] = t
-    return out
+            t = P("np.zeros((N,) + {}, complex)", P.const((n,) * (m + l)),
+                  kind="complex")
+        elif m > 1 or l > 1:
+            t = P("{0}.reshape(N, -1).take({1}, axis=1).reshape({0}.shape)",
+                  t, P.const(_sorted_index(n, m, l)))
+        if 0 < m == l and (m, l) in total:
+            t = P("{} * ({} + {})", P.const(0.5, like=t), t,
+                  _emit_mirror(P, t, m, m))
+        jet[(m, l)] = t
+    return P.compile(jet)
 
 
-@functools.lru_cache(maxsize=None)
-def _complete_plan(order, n):
-    """Per bidegree (m, l) of ``bidegrees(order)``: the key, the shape
-    after the point axis, the ``_sorted_index`` copying its symmetric
-    entries (None below degree 2 on both sides) and whether it is (m, m)."""
-    return tuple(((m, l), (n,) * (m + l),
-                  _sorted_index(n, m, l) if m > 1 or l > 1 else None,
-                  0 < m == l) for m, l in bidegrees(order))
+#: the program of each (order, n, parts) planned, a part by its ``key``
+#: (itself by default) and a coefficient by its bits; each holds about
+#: 25 kB, so only the latest ``_MAX_PLANS`` are kept
+_PLANS = {}
+_MAX_PLANS = 512
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,36 +230,22 @@ def _sorted_index(n, m, l):
 # ---------------------------------------------------------------------------
 # the log-jet recursion
 
-@functools.lru_cache(maxsize=None)
-def _log_terms(m, l, n):
-    """The terms of ``_log_jet`` at bidegree (m, l) on C^n: per nonempty
-    subset B of the slots after the first (holomorphic 0..m-1, then
-    antiholomorphic), the bidegrees of B and of the slots left, and the
-    shapes that broadcast their tensors onto their slots."""
-    terms = []
-    for size in range(1, m + l):
-        for B in itertools.combinations(range(1, m + l), size):
-            b = (sum(i < m for i in B), sum(i >= m for i in B))
-            terms.append((b, (m - b[0], l - b[1]),
-                          (-1,) + tuple(n if i in B else 1
-                                        for i in range(m + l)),
-                          (-1,) + tuple(1 if i in B else n
-                                        for i in range(m + l))))
-    return tuple(terms)
+def _emit_mirror(P, t, m, l):
+    """A real function's stacked (l, m) tensor from its (m, l) one."""
+    return P("np.conj({}.transpose({}))", t,
+             (0, *range(1 + m, 1 + m + l), *range(1, 1 + m)))
 
 
-def _either(jet, key):
+def _mirrored(P, jet, key):
     """jet[key], or for l > m the mirror of jet[(l, m)], which is then
     kept in ``jet``; None where both are absent."""
-    if key not in jet:
-        m, l = key
-        if m >= l or (l, m) not in jet:
-            return None
-        jet[key] = mirror(jet[(l, m)], l, m)
-    return jet[key]
+    m, l = key
+    if key not in jet and m < l and (l, m) in jet:
+        jet[key] = _emit_mirror(P, jet[(l, m)], l, m)
+    return jet.get(key)
 
 
-def _log_jet(inner, order, n, scale):
+def _emit_log(P, inner, order, n, scale):
     """Jet (m >= l half, no value) of scale * log N from a nonzero N's jet.
 
     ``inner`` maps bidegrees to N's tensors (leading axis N or 1); None or
@@ -140,110 +259,122 @@ def _log_jet(inner, order, n, scale):
     already known: 7 for (2, 2).  S - B keeps s0, so F's tensors stay
     within ``bidegrees`` and F_(1, 2), a mirror like N's l > m ones.
     """
-    N0 = inner[(0, 0)]
-    inner = dict(inner)
-    out = {}
-    for key, terms, lead in _log_plan(order, n):
-        total = scale * inner[key] if key in inner else None
-        for b, rest, b_shape, rest_shape in terms:
-            nb, f = _either(inner, b), _either(out, rest)
-            if nb is None or f is None:
-                continue
-            term = nb.reshape(b_shape) * f.reshape(rest_shape)
-            total = -term if total is None else total - term
-        if total is not None:
-            out[key] = total / N0.reshape(lead)
+    inner, out = dict(inner), {}
+    for m, l in bidegrees(order)[1:]:
+        t, slots = inner.get((m, l)), range(1, m + l)
+        total = t and P("{} * {}", P.const(scale, like=t), t)
+        for B in chain(*(combinations(slots, size) for size in slots)):
+            b = (sum(i < m for i in B), sum(i >= m for i in B))
+            nb = _mirrored(P, inner, b)
+            f = nb and _mirrored(P, out, (m - b[0], l - b[1]))
+            if f:
+                term = "{}.reshape({}) * {}.reshape({})".format(nb, P.const(
+                    (-1, *(n if i in B else 1 for i in range(m + l)))), f,
+                    P.const((-1, *(1 if i in B else n for i in range(m + l)))))
+                total = P("{} - {}", total, term) if total else P(
+                    "-({})", term)
+        if total:
+            out[(m, l)] = P("{} / {}.reshape({})", total, inner[(0, 0)],
+                            (-1,) + (1,) * (m + l))
     return {key: t for key, t in out.items() if key[0] >= key[1]}
 
 
-@functools.lru_cache(maxsize=None)
-def _log_plan(order, n):
-    """Per bidegree (m, l) of ``bidegrees(order)`` but (0, 0): the key, its
-    ``_log_terms`` and the shape that puts N's value on its point axis."""
-    return tuple(((m, l), _log_terms(m, l, n), (-1,) + (1,) * (m + l))
-                 for m, l in bidegrees(order) if m + l)
+class Part:
+    """A summand of a potential.  ``emit(P, z, n, order)`` adds the
+    operations of its jet at the stack named z on C^n to the program P
+    and returns {(m, l): name} over ``bidegrees(order)``, leaving out the
+    bidegrees that vanish identically."""
+
+    def jet(self, Z, order):
+        """The part's own tensors at an (N, n) stack, planned for this call."""
+        return _once(Z, lambda P, z, n: self.emit(P, z, n, order))
 
 
 # ---------------------------------------------------------------------------
 # the unit ball's log, the constant and the flat quadratic
 
-class BallLog:
+class BallLog(Part):
     """-A log(1 - |z|^2) on the unit ball, the ball kernel's log.
 
     1 - |z|^2 has first derivatives -zbar_a / -z_b and the constant mixed
-    second derivative -delta_ab, and ``_log_jet`` takes its log.
+    second derivative -delta_ab, and ``_emit_log`` takes its log.  Parts
+    with one amplitude share their programs.
     """
 
     def __init__(self, amplitude: float):
         self.amplitude = float(amplitude)
+        self.key = ("BallLog", self.amplitude.hex())
 
-    def jet(self, Z, order):
-        s = (np.abs(Z) ** 2).sum(axis=1)
-        _check(s < 1.0, Z, "ball log evaluated at |z|^2 >= 1: |z|^2 =", s)
-        inner = {(0, 0): 1.0 - s, (1, 0): -np.conj(Z),
-                 (1, 1): -_eye(Z.shape[1])}
-        out = _log_jet(inner, order, Z.shape[1], -self.amplitude)
-        out[(0, 0)] = -self.amplitude * np.log1p(-s)
+    def emit(self, P, z, n, order):
+        s = P("(np.abs({}) ** 2).sum(axis=1)", z, kind="float")
+        one = P.const(1.0, like=s)
+        P.do("_check({0} < {1}, {2}, {3!r}, {0})", s, one, z,
+             "ball log evaluated at |z|^2 >= 1: |z|^2 =")
+        inner = {(0, 0): P("{} - {}", one, s), (1, 0): P("-np.conj({})", z),
+                 (1, 1): P("-{}", P.const(np.eye(n)[None]))}
+        out = _emit_log(P, inner, order, n, -self.amplitude)
+        out[(0, 0)] = P("{} * np.log1p(-{})",
+                        P.const(-self.amplitude, like=s), s)
         return out
 
 
-class Constant:
-    """1: its value, with every derivative absent (``_complete`` fills
-    zeros).  A coefficient c on it adds the constant c to a potential."""
+class Constant(Part):
+    """1: its value, one row that broadcasts over the stack, with every
+    derivative absent (``_build_plan`` fills zeros).  A coefficient c
+    on it adds the constant c to a potential."""
 
-    def jet(self, Z, order):
-        return {(0, 0): np.ones(len(Z))}
+    key = "Constant"
+
+    def emit(self, P, z, n, order):
+        return {(0, 0): P.const(np.ones(1))}
 
 
-class SquaredNorm:
+class SquaredNorm(Part):
     """|z|^2, the flat quadratic: its own jet, zbar_a / z_b and delta_ab."""
 
-    def jet(self, Z, order):
-        N, n = Z.shape
-        out = {(0, 0): (np.abs(Z) ** 2).sum(axis=1), (1, 0): np.conj(Z),
-               (1, 1): np.broadcast_to(_eye(n), (N, n, n))}
-        return {key: t for key, t in out.items() if sum(key) <= order}
+    key = "SquaredNorm"
 
-
-@functools.lru_cache(maxsize=None)
-def _eye(n):
-    """The identity of C^n as one (1, n, n) row."""
-    return np.eye(n)[None]
+    def emit(self, P, z, n, order):
+        out = {(0, 0): P("(np.abs({}) ** 2).sum(axis=1)", z, kind="float")}
+        if order > 0:
+            out[(1, 0)] = P("np.conj({})", z)
+        if order > 1:
+            out[(1, 1)] = P("np.broadcast_to({}, (N,) + {})",
+                            P.const(np.eye(n)[None]), P.const((n, n)))
+        return out
 
 
 # ---------------------------------------------------------------------------
 # signed Hermitian forms
 
-@functools.lru_cache(maxsize=None)
-def _top_degree(order):
-    """The top holomorphic degree m of ``bidegrees(order)``: the form
-    parts contract their polynomials that far (1 at order 2)."""
-    return max(m for m, _ in bidegrees(order))
-
-
-def _contract(form, Z, order):
+def _emit_contract(P, form, z, n, order):
     """H[m] = d^m h of the form's degrees k >= m, stacked, (N, J_(k>=m), n^m),
-    at each row of Z for m <= order (and m <= the form's top degree)."""
-    N, n = Z.shape
+    at each row of z for m up to the top holomorphic degree of
+    ``bidegrees(order)`` (1 at order 2) and the form's top degree."""
     # contraction i takes z / i, so after i of them t = D.z^i / i!; the
     # first takes z itself, as z / 1 is z bit for bit
-    column = Z[:, :, None]
-    steps = [column] + [column / i for i in range(2, len(form))]
-    dh = [[] for _ in range(min(order, len(form) - 1) + 1)]
+    column = P("{}[:, :, None]", z)
+    steps = [column] + [P("{} / {}", column, P.const(i, like=column))
+                        for i in range(2, len(form))]
+    top = max(m for m, _ in bidegrees(order))
+    dh = [[] for _ in range(min(top, len(form) - 1) + 1)]
     for k, (_, D) in enumerate(form):
-        t = D.reshape(1, len(D), -1)
-        if N > 1:
-            t = t.repeat(N, axis=0)
+        t = P("{0}.repeat(N, axis=0) if N > 1 else {0}",
+              P.const(D.reshape(1, len(D), -1)))
         for i in range(k + 1):
             if i:
                 # row by row, so a stacked point gets its lone bits
-                t = t.reshape(N, -1, n) @ steps[i - 1]
-            if k - i < len(dh):
-                dh[k - i].append(t.reshape(N, len(D), -1))
-    return [np.concatenate(hs, axis=1) for hs in dh]
+                t = P("{}.reshape(N, -1, {}) @ {}", t, P.const(n),
+                      steps[i - 1])
+            if k - i < len(dh):  # t is (N, J, n^(k - i)) if i is 0 or k
+                dh[k - i].append(t if i in (0, k) else
+                                 P("{}.reshape(N, {}, -1)", t,
+                                   P.const(len(D))))
+    return [P("np.concatenate([{}], axis=1)", ", ".join(hs))
+            if len(hs) > 1 else hs[0] for hs in dh]
 
 
-class HermitianNormPart:
+class HermitianNormPart(Part):
     """-kappa log N for the signed Hermitian form N = sum_j w_j |h_j(z)|^2.
 
     ``form`` holds, for each degree k = 0..r, the weight w_k of its
@@ -251,7 +382,7 @@ class HermitianNormPart:
     D_k[j] = d^k h_j, shape (J_k,) + (n,)*k, so h_j = D_k[j].z^k / k!
     (``domains.norm_form``).  The h_j are holomorphic, so N's jet is
     N_(m,l) = sum_j w_j d^m h_j (x) conj(d^l h_j), one batched product per
-    bidegree, and ``_log_jet`` takes its log.  ``domains`` shares one
+    bidegree, and ``_emit_log`` takes its log.  ``domains`` shares one
     part per kind, so its arrays are read-only.
 
     Membership needs no gauge.  With P_k the sum of |h_j|^2 over degree
@@ -277,68 +408,77 @@ class HermitianNormPart:
         self.weights = tuple(weights[first:, None]
                              for first in self.start[:-1])
 
-    def _derivatives(self, Z, order):
-        """H from ``_contract`` and q(1 - v)'s checked coefficients."""
-        H = _contract(self.form, Z, order)
-        P = np.add.reduceat(H[0].real[..., 0] ** 2 + H[0].imag[..., 0] ** 2,
-                            self.start[:-1], axis=1)
-        coeffs = (P[:, None, :] * self.taylor).sum(axis=2)
-        _check((coeffs[:, 0] > 0) & (coeffs[:, 1:] >= 0).all(axis=1), Z,
-               "outside the domain: q(1 - v) has coefficients", coeffs)
+    def _emit_derivatives(self, P, z, n, order):
+        """H from ``_emit_contract`` and q(1 - v)'s checked coefficients."""
+        H = _emit_contract(P, self.form, z, n, order)
+        sq = P("np.add.reduceat({0}.real[..., 0] ** 2 + {0}.imag[..., 0] ** 2,"
+               " {1}, axis=1)", H[0], P.const(self.start[:-1]), kind="float")
+        coeffs = P("({}[:, None, :] * {}).sum(axis=2)", sq,
+                   P.const(self.taylor))
+        P.do("_check(({0}[:, 0] > 0) & ({0}[:, 1:] >= 0).all(axis=1), {1}, "
+             "{2!r}, {0})", coeffs, z,
+             "outside the domain: q(1 - v) has coefficients")
         return H, coeffs
 
     def norm(self, Z):
         """N at each row of an (N, n) stack inside the domain."""
-        return self._derivatives(Z, 0)[1][:, 0]
+        return _once(Z, lambda P, z, n:
+                     self._emit_derivatives(P, z, n, 0)[1] + "[:, 0]")
 
-    def jet(self, Z, order):
-        N, n = Z.shape
-        H, coeffs = self._derivatives(Z, _top_degree(order))
-        inner = {(0, 0): coeffs[:, 0]}
-        conj = [np.conj(h) for h in H[:order // 2 + 1]]  # l <= order - m
+    def emit(self, P, z, n, order):
+        H, coeffs = self._emit_derivatives(P, z, n, order)
+        value = P("{}[:, 0]", coeffs)
+        inner = {(0, 0): value}
+        conj = [P("np.conj({})", h) for h in H[:order // 2 + 1]]
         for m in range(1, len(H)):
-            first = self.start[m]
-            A = (H[m] * self.weights[m]).swapaxes(1, 2)
-            for l in range(min(m, order - m) + 1):
-                B = conj[l][:, first - self.start[l]:]
-                inner[(m, l)] = (A @ B).reshape((N,) + (n,) * (m + l))
-        out = _log_jet(inner, order, n, -self.kappa)
-        out[(0, 0)] = -self.kappa * np.log(coeffs[:, 0])
+            A = P("({} * {}).swapaxes(1, 2)", H[m],
+                  P.const(self.weights[m], like=H[m]))
+            for l in range(min(m, order - m) + 1):  # l <= order - m
+                B = P("{}[:, {}:]", conj[l],
+                      P.const(int(self.start[m] - self.start[l])))
+                inner[(m, l)] = P("({} @ {}).reshape((N,) + {})", A, B,
+                                  P.const((n,) * (m + l)))
+        out = _emit_log(P, inner, order, n, -self.kappa)
+        out[(0, 0)] = P("{} * np.log({})", P.const(-self.kappa, like=value),
+                        value)
         return out
 
 
-class BoundaryLog:
+class BoundaryLog(Part):
     """2 log|N(z, e)| for a signed Hermitian form N and a point e.
 
     N(z, e) = sum_j w_j conj(h_j(e)) h_j(z) is holomorphic in z, with
-    derivatives v . H[m] over ``_contract``'s H, v = w conj(h(e)); v is
-    folded into the form, one read-only flat tensor per degree (a part
-    can be shared, as ``potentials._siegel_log`` does).  ``_log_jet`` takes
-    the log with the antiholomorphic inner tensors absent, so only the
-    (m, 0) tensors, those of log N(., e), come out: it is pluriharmonic,
-    and past order 2 its jet has nothing more.
+    derivatives v . H[m] over ``_emit_contract``'s H, v = w conj(h(e)); v
+    is folded into the form, one read-only flat tensor per degree (a part
+    can be shared, as ``potentials._siegel_log`` does).  ``_emit_log``
+    takes the log with the antiholomorphic inner tensors absent, so only
+    the (m, 0) tensors, those of log N(., e), come out: it is
+    pluriharmonic, and past order 2 its jet has nothing more.
     """
 
     def __init__(self, form, e):
         start = np.cumsum([0] + [len(D) for _, D in form])
-        v = np.conj(_contract(form, np.array([e], complex), 0)[0][0, :, 0])
+        v = np.conj(_once(np.array([e], complex), lambda P, z, n:
+                          _emit_contract(P, form, z, n, 0)[0])[0, :, 0])
         self.form = tuple((1.0, w * (v[a:b] @ D.reshape(b - a, -1))[None])
                           for (w, D), a, b in zip(form, start, start[1:]))
         for _, t in self.form:
             t.setflags(write=False)
 
-    def jet(self, Z, order):
-        N, n = Z.shape
-        H = [h.sum(axis=1)
-             for h in _contract(self.form, Z, _top_degree(order))]
-        value = H[0][:, 0]
-        _check(np.abs(value) > 0, Z, "log|N(z, e)| singular: N =", value)
+    def emit(self, P, z, n, order):
+        H = [P("{}.sum(axis=1)", h)
+             for h in _emit_contract(P, self.form, z, n, order)]
+        value = P("{}[:, 0]", H[0])
+        size = P("np.abs({})", value, kind="float")
+        P.do("_check({0} > 0, {1}, {2!r}, {3})", size, z,
+             "log|N(z, e)| singular: N =", value)
         inner = {(0, 0): value}
         for m in range(1, len(H)):
-            inner[(m, 0)] = H[m].reshape((N,) + (n,) * m)
+            inner[(m, 0)] = P("{}.reshape((N,) + {})", H[m],
+                              P.const((n,) * m))
             inner[(0, m)] = None  # holomorphic: not the mirror of (m, 0)
-        out = _log_jet(inner, order, n, 1.0)
-        out[(0, 0)] = 2.0 * np.log(np.abs(value))
+        out = _emit_log(P, inner, order, n, 1.0)
+        out[(0, 0)] = P("{} * np.log({})", P.const(2.0, like=size), size)
         return out
 
 
@@ -363,13 +503,23 @@ class PotentialField:
     parts: list | None
     label: str
     fn: object = None
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
-    def _sum(self, Z, order):
-        total = {(0, 0): np.zeros(len(Z))}
-        for c, part in self.parts:
-            for key, t in part.jet(Z, order).items():
-                total[key] = total[key] + c * t if key in total else c * t
-        return total
+    def _run(self, Z, order):
+        """The completed jet of the parts' sum at the (N, n) stack Z, by
+        the program of (parts, order, n), planned on first use.  The
+        potential keeps the programs it ran, so its parts stay as built."""
+        plan = self._plans.get((order, Z.shape[1]))
+        if plan is None:
+            key = (order, Z.shape[1], *((float(c).hex(), getattr(p, "key", p))
+                                        for c, p in self.parts))
+            if key not in _PLANS:
+                if len(_PLANS) >= _MAX_PLANS:  # the oldest goes
+                    del _PLANS[next(iter(_PLANS))]
+                _PLANS[key] = _build_plan(self.parts, order, Z.shape[1])
+            plan = self._plans[key[:2]] = _PLANS[key]
+        return plan(Z)
 
     def __call__(self, z):
         z = as_points(z)
@@ -377,7 +527,7 @@ class PotentialField:
         if self.fn is not None:
             values = np.asarray(self.fn(Z), dtype=float).reshape(len(Z))
         else:
-            values = self._sum(Z, 0)[(0, 0)]
+            values = self._run(Z, 0)[(0, 0)]
         return float(values[0]) if z.ndim == 1 else values
 
     def analytic_jet(self, z, order: int) -> Jet:
@@ -388,7 +538,9 @@ class PotentialField:
             )
         z = as_points(z)
         Z = z.reshape(-1, z.shape[-1])
-        tensors = _complete(self._sum(Z, order), order, *Z.shape)
+        tensors = self._run(Z, max(order, 2))
+        if order < 2:  # the order-2 program's lower tensors, one plan fewer
+            tensors = {key: tensors[key] for key in bidegrees(order)}
         jet = Jet(point=Z, order=order, tensors=tensors)
         return jet if z.ndim == 2 else jet.at(0)
 
@@ -418,4 +570,3 @@ class PotentialField:
 
     def __repr__(self):  # keep frames and reports readable
         return f"PotentialField({self.label}, K={self.ricci_constant:g})"
-

@@ -11,7 +11,7 @@ metric (1, 1), the Christoffels (2, 1), the curvature (2, 2) and the
 unbarred Hessian (2, 0), which only the covariant Hessian and the
 curvature read, both from order 3 up; so an order-2 jet leaves (2, 0)
 out.  The function is real, so the (l, m) tensor is the conjugate
-transpose of the (m, l) one (``mirror``) and is not stored.  A jet of a
+transpose of the (m, l) one, its mirror, and is not stored.  A jet of a
 single point has arrays of shape (n,)*(m+l); a jet of a stack of N
 points carries a leading axis of N.
 
@@ -94,23 +94,11 @@ def bidegrees(order: int) -> tuple:
     """The (m, l) with m + l <= order and 2 >= m >= l that a frame of this
     order reads, the (l, m) tensors being their mirrors; (2, 0) only from
     order 3 up, where the covariant Hessian and the curvature read it.
-    ``field._log_jet`` builds them from these alone, since each of its
+    ``field._emit_log`` builds them from these alone, since each of its
     terms keeps the first holomorphic slot."""
     return tuple((m, k - m) for k in range(order + 1)
                  for m in range(min(k, 2), (k + 1) // 2 - 1, -1)
                  if order > 2 or (m, k - m) != (2, 0))
-
-
-def mirror(t, m, l):
-    """A real function's stacked (l, m) tensor from its (m, l) one."""
-    return np.conj(t.transpose(_mirror_axes(m, l)))
-
-
-@functools.lru_cache(maxsize=None)
-def _mirror_axes(m, l):
-    """The point axis, then the l antiholomorphic and the m holomorphic
-    slots of a stacked (m, l) tensor."""
-    return (0,) + tuple(range(1 + m, 1 + m + l)) + tuple(range(1, 1 + m))
 
 
 @dataclass(frozen=True)
@@ -164,9 +152,9 @@ class Jet:
         n = self.point.shape[-1]
         worst = []
         for (m, l), t in self.tensors.items():
-            if m == l:
-                t = t.reshape((-1,) + (n,) * (2 * m))
-                worst.append(np.max(np.abs(t - mirror(t, m, m))))
+            if m == l:  # as n^m x n^m matrices, whose mirror is t^H
+                t = t.reshape(-1, n ** m, n ** m)
+                worst.append(np.max(np.abs(t - np.conj(t.swapaxes(1, 2)))))
         return float(np.max(worst))
 
 

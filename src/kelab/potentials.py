@@ -35,8 +35,7 @@ from .errors import (
     NormalizationError,
     UnsupportedDomainError,
 )
-from .field import (BallLog, BoundaryLog, Constant, PotentialField,
-                    SquaredNorm)
+from .field import BallLog, BoundaryLog, Constant, PotentialField
 from .jets import as_integer, as_point
 from .sampling import sample_interior
 
@@ -189,16 +188,6 @@ def product_potential(p1: PotentialField, p2: PotentialField) -> PotentialField:
         ricci_constant=p1.ricci_constant,
         parts=product_parts([p1, p2]),
         label=f"({p1.label}) (+) ({p2.label})",
-    )
-
-
-def quadratic_fixture(n: int) -> PotentialField:
-    """|z|^2 on the unit ball: the flat test metric (Ricci = 0)."""
-    return PotentialField(
-        domain=ball(n),
-        ricci_constant=np.nan,
-        parts=[(1.0, SquaredNorm())],
-        label=f"flat-quadratic[n={n}]",
     )
 
 

@@ -102,17 +102,48 @@ def test_side_file_digests_hash_the_files_run_all_writes(monkeypatch,
 
 
 def test_frame_digests_cover_the_catalog_kinds_and_a_product(monkeypatch):
-    """14 kinds, then the rescaled ball potentials at n = 1, 2 and 3."""
+    """14 kinds, then the rescaled ball potentials at n = 1, 2 and 3, then
+    the canonical potential at K = 3 on each of the 14 kinds."""
     baseline = _baseline()
     monkeypatch.setattr(baseline, "frame_digest", lambda d: d.label)
     monkeypatch.setattr(baseline, "rescaled_ball_digest", lambda n: n)
+    monkeypatch.setattr(baseline, "canonical_digest", lambda d: d.label)
     digests = baseline.frame_digests()
     labels = list(digests)
-    assert len(labels) == 17 and labels[13] == "ball(1) x type4(3)"
+    assert len(labels) == 31 and labels[13] == "ball(1) x type4(3)"
     assert {"type1(3,3)", "type2(6)", "type3(3)", "type4(5)"} <= set(labels)
-    assert {label: digests[label] for label in labels[14:]} == {
+    assert {label: digests[label] for label in labels[14:17]} == {
         "rescaled-ball[n=1,K=3]": 1, "rescaled-ball[n=2,K=3]": 2,
         "rescaled-ball[n=3,K=3]": 3}
+    assert {label: digests[label] for label in labels[17:]} == {
+        f"canonical[{kind},K=3]": kind for kind in labels[:14]}
+
+
+def test_canonical_digest_hashes_its_frames(monkeypatch):
+    """The digest repeats, differs per kind, reaches the ``Constant`` part
+    and moves when one frame moves by one ulp."""
+    baseline = _baseline()
+    d = domains.ball(2)
+    before = baseline.canonical_digest(d)
+    assert baseline.canonical_digest(d) == before
+    assert baseline.canonical_digest(domains.type_iv(3)) != before
+    real_frame = hermgeo.metric_from_potential
+    calls = itertools.count()
+    added = []
+
+    def nudged(p, z, order=3):
+        added.extend(type(part).__name__ for _, part in p.parts[1:])
+        frame = real_frame(p, z, order)
+        # the constant's frame at the origin, then the 15 hashed frames:
+        # call 6 is the stacked one at order 3
+        if next(calls) != 6:
+            return frame
+        return dataclasses.replace(frame, log_det_g=_one_ulp_up(
+            frame.log_det_g))
+
+    monkeypatch.setattr(hermgeo, "metric_from_potential", nudged)
+    assert baseline.canonical_digest(d) != before
+    assert set(added) == {"Constant"}
 
 
 def test_rescaled_ball_digest_hashes_its_frames(monkeypatch):

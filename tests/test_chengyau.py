@@ -229,6 +229,27 @@ def test_search_bracket_within_tol_runs_no_iteration(monkeypatch):
     assert sol.phi[0] == 0.0
 
 
+@pytest.mark.parametrize("args", [
+    dict(n=1, K=1.0, tol=1e-17),
+    dict(n=2, K=1e-6, phi0_bracket=(2e7, 4e7))])
+def test_shoot_ends_when_tol_is_below_the_float_spacing(args, monkeypatch):
+    """A candidate kept tol/2 inside the bracket rounds onto an end when
+    tol is below the float spacing there, so the bracket stops shrinking:
+    the search raises ResolutionError instead of running on."""
+    calls = []
+    real = chengyau._boundary_growth
+
+    def spy(n, K, phi0):
+        calls.append(phi0)
+        if len(calls) > 200:
+            raise AssertionError("still searching after 200 candidates")
+        return real(n, K, phi0)
+
+    monkeypatch.setattr(chengyau, "_boundary_growth", spy)
+    with pytest.raises(ResolutionError, match="below the float spacing"):
+        shoot(**args)
+
+
 def test_bracket_ends_are_still_classified():
     """A bracket within tol classifies both ends; a super-critical lower
     end fails once the midpoints collapse onto it."""

@@ -10,6 +10,8 @@ from kelab.errors import DegenerateMetricError
 from kelab.field import PotentialField
 from kelab.sampling import sample_interior
 
+from flat_fixture import quadratic_fixture
+
 
 @pytest.fixture(scope="module")
 def phi_rho_2():
@@ -119,7 +121,7 @@ def test_covariant_hessian_examples(rescaled_23):
 
 
 def test_flat_fixture_hessian_vanishes():
-    p = potentials.quadratic_fixture(2)
+    p = quadratic_fixture(2)
     z = np.array([0.3 + 0.1j, -0.2j])
     frame = hermgeo.metric_from_potential(p, z)
     np.testing.assert_allclose(
@@ -145,7 +147,7 @@ def test_hessian_norm_lower_bound_at_constant_length():
 
 
 def test_laplacian_flat_quadratic():
-    p = potentials.quadratic_fixture(3)
+    p = quadratic_fixture(3)
     frame = hermgeo.metric_from_potential(p, np.array([0.1, 0.2j, 0.0]))
     val = hermgeo.laplacian(lambda z: np.sum(np.abs(z) ** 2, axis=-1), frame)
     assert val == pytest.approx(3.0, abs=1e-8)
@@ -191,7 +193,7 @@ def test_ricci_type_i():
 
 
 def test_ricci_flat_fixture():
-    p = potentials.quadratic_fixture(2)
+    p = quadratic_fixture(2)
     ric = hermgeo.ricci(p, np.array([0.2, 0.1j]))
     np.testing.assert_allclose(ric, 0.0, atol=1e-8)
 

@@ -11,6 +11,8 @@ from kelab.field import PotentialField
 from kelab.jets import _stencil_plan, as_point, as_points, bidegrees, fd_jet
 from kelab.sampling import sample_interior
 
+from flat_fixture import quadratic_fixture
+
 
 def quadratic(z):
     return np.sum(np.abs(z) ** 2, axis=-1)
@@ -215,7 +217,7 @@ def _closed_form_potentials():
         potentials.kai_ohsawa_potential(domains.type_i(2, 2)),
         potentials.kai_ohsawa_potential(domains.type_ii(4)),
         potentials.kai_ohsawa_potential(domains.type_iv(3)),
-        potentials.quadratic_fixture(2),
+        quadratic_fixture(2),
         domains.bergman_potential(
             domains.product(domains.ball(1), domains.type_iv(3))),
         potentials.product_potential(
@@ -309,7 +311,7 @@ def test_multi_indices_stored_sorted():
 
 
 def test_sorted_index_equals_per_element_loop():
-    """The vectorized index table of ``field._complete`` against sorting
+    """The vectorized index table of ``field._build_plan`` against sorting
     each element's indices one at a time."""
     from kelab.field import _sorted_index
 
@@ -319,6 +321,64 @@ def test_sorted_index_equals_per_element_loop():
                                      + tuple(sorted(ix[m:])), shape)
                 for ix in np.ndindex(shape)]
         assert np.array_equal(_sorted_index(n, m, l), loop)
+
+
+def _fail_closed_potentials():
+    return [domains.bergman_potential(domains.ball(2)),
+            domains.bergman_potential(domains.type_i(2, 2)),
+            potentials.kai_ohsawa_potential(domains.type_i(2, 2)),
+            potentials.rescaled_ball_potential(2, 3.0)]
+
+
+@pytest.mark.parametrize("order", [0, 2, 3, 4])
+@pytest.mark.parametrize("p", _fail_closed_potentials(),
+                         ids=lambda p: p.label)
+def test_a_point_outside_fails_closed_and_is_named(p, order):
+    """A point outside the domain raises the check of the part that sees
+    it first, naming the point, alone and as row 1 of a stack: the value
+    (order 0) and every jet order run each check once per point."""
+    n = p.domain.n
+    far = np.full(n, 0.9 + 0.5j)
+    inside = 0.1 * np.ones(n)
+
+    def evaluate(z):
+        return p(z) if order == 0 else p.jet(z, order)
+
+    messages = []
+    for z in (far, np.stack([inside, far, inside])):
+        with pytest.raises(EvaluationError) as caught:
+            evaluate(z)
+        messages.append(str(caught.value))
+    check = ("ball log evaluated at |z|^2 >= 1" if p.domain.kind == "ball"
+             else "outside the domain: q(1 - v) has coefficients")
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(check)
+    assert messages[0].endswith(f" at z={far!r}")
+
+
+@pytest.mark.parametrize("suite", ["flow", "key-equation"])
+def test_a_suite_run_again_plans_nothing(suite, monkeypatch):
+    """Each suite builds its potentials anew, yet a second run finds every
+    program of (parts, order, n) planned by the first."""
+    from kelab import field
+    from kelab.suites import run_suite
+
+    config = {"horizon": 1.0, "dt": 4e-3} if suite == "flow" else {}
+    builds = []
+    real = field._build_plan
+
+    def spy(parts, order, n):
+        builds.append((order, n))
+        return real(parts, order, n)
+
+    monkeypatch.setattr(field, "_PLANS", {})
+    monkeypatch.setattr(field, "_build_plan", spy)
+    first = run_suite(suite, config)
+    assert builds
+    builds.clear()
+    second = run_suite(suite, config)
+    assert builds == []
+    assert second.passed and second.samples == first.samples
 
 
 def test_as_point_validation():

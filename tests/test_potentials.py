@@ -14,6 +14,8 @@ from kelab.errors import (
 from kelab.field import BoundaryLog, PotentialField
 from kelab.sampling import sample_interior
 
+from flat_fixture import quadratic_fixture
+
 
 # ---------------------------------------------------------------------------
 # canonical potential
@@ -427,7 +429,7 @@ def test_certificates_need_a_sample():
     for tol in (math.inf, math.nan):
         with pytest.raises(ValueError, match="tolerance"):
             potentials.certify_constant_length(
-                potentials.quadratic_fixture(2), tolerance=tol)
+                quadratic_fixture(2), tolerance=tol)
 
 
 def test_constant_independent_of_boundary_point():

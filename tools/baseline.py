@@ -22,7 +22,10 @@ Six parts:
   every jet tensor).  At the origin many entries are zeros, whose signs
   the digest sees.  Then, per n of ``RESCALED_BALL_DIMENSIONS``, the
   same frames of ``rescaled_ball_potential(n, 3.0)`` on ball(n), whose
-  draws are not hashed again; reports reach it only at n = 2.
+  draws are not hashed again; reports reach it only at n = 2.  Last, per
+  kind, those of ``canonical_potential(d, 3.0)``: its kernel part scaled
+  by 1/3 plus a ``Constant``, so that every part kind is hashed under a
+  coefficient other than 1.
 * ``dynamics``: the inputs of the benchmark's dynamics workload that no
   default report reaches: the SHA-256 of the ``flow`` report at
   ``FLOW_BENCH`` at seeds 0, 1 and 2, digested as in ``digests``, and of
@@ -192,16 +195,28 @@ def rescaled_ball_digest(n: int) -> str:
     return sha.hexdigest()
 
 
+def canonical_digest(d) -> str:
+    """The SHA-256 of the frames of ``canonical_potential(d, 3.0)`` at the
+    origin and the kind's seed-0 draws."""
+    from kelab import potentials
+
+    sha = hashlib.sha256()
+    _hash_frames(sha, (potentials.canonical_potential(d, 3.0),), _draws(d, 0))
+    return sha.hexdigest()
+
+
 def frame_digests() -> dict:
     """``frame_digest`` of each kind of ``FRAME_KINDS``, by its label, then
-    ``rescaled_ball_digest`` of each n of ``RESCALED_BALL_DIMENSIONS``, by
-    its potential's label."""
+    ``rescaled_ball_digest`` of each n of ``RESCALED_BALL_DIMENSIONS`` and
+    ``canonical_digest`` of each kind, by the potential's label."""
     from kelab import domains
 
-    out = {d.label: frame_digest(d)
-           for d in map(domains.from_json, FRAME_KINDS)}
+    kinds = list(map(domains.from_json, FRAME_KINDS))
+    out = {d.label: frame_digest(d) for d in kinds}
     for n in RESCALED_BALL_DIMENSIONS:
         out[f"rescaled-ball[n={n},K=3]"] = rescaled_ball_digest(n)
+    for d in kinds:
+        out[f"canonical[{d.label},K=3]"] = canonical_digest(d)
     return out
 
 
