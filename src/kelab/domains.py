@@ -522,26 +522,28 @@ def product_parts(potentials) -> list:
 
 
 class _OffsetPart(Part):
-    """Re-index a jet part into a product's coordinate block; offset parts
-    of equal parts share their programs."""
+    """Re-index a jet part into a product's coordinate block."""
 
     def __init__(self, part, offset, width):
         self.part = part
         self.offset = offset
         self.width = width
-        self.key = (getattr(part, "key", part), offset, width)
 
-    def emit(self, P, z, n, order):
-        block = slice(self.offset, self.offset + self.width)
+    def layout(self, order):
+        return (type(self), self.part.layout(order))
+
+    @staticmethod
+    def emit(P, layout, me, z, n, order):
+        block = P.const(f"slice({me}.offset, {me}.offset + {me}.width)")
+        inner = layout[1][0].emit(P, layout[1], f"{me}.part",
+                                  P("{}[:, {}]", z, block),
+                                  P.const(f"{me}.width"), order)
         out = {}
-        inner = self.part.emit(P, P("{}[:, {}]", z, P.const(block)),
-                               self.width, order)
         for (m, l), t in inner.items():
-            full = out[(m, l)] = P("np.zeros((N,) + {}, {})",
-                                   P.const((n,) * (m + l)), P.dtype(t),
-                                   kind=P.dtype(t))
-            P.do("{}[(slice(None),) + {}] = {}", full,
-                 P.const((block,) * (m + l)), t)
+            kind = P.dtype(t)
+            full = out[(m, l)] = P("np.zeros((N, %s), %s)" % (
+                ", ".join([n] * (m + l)), kind), kind=kind)
+            P.do("{}[:, %s] = {}" % ", ".join([block] * (m + l)), full, t)
         return out
 
 

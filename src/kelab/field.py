@@ -22,28 +22,32 @@ potential the package constructs:
 * ``BoundaryLog``       -- 2 log|N(z, e)| for the same form at a point e,
                            holomorphic in z (the Siegel term on every kind)
 
-A jet is a straight-line program of numpy operations, planned once per
-(parts, order, n) by ``_build_plan``: each part ``emit``s the operations
-of its jet into a ``_Program``, then come each coefficient's product,
-the sum over the parts and the completion of the symmetric entries, and
-the program compiles into one function of the stack.  Every structural
-choice is made while planning: which bidegrees exist, which terms of the
-log recursion vanish, which tensors are mirrors and which shapes the
-products broadcast to.  An operation on constants alone runs once, then,
-and a scalar constant is cast to the dtype of the array it meets, as
-numpy casts it at every call; so a call runs the operations that choosing
-at every call would run, on the same operands, and its bits are theirs.
-``_PLANS`` keeps the programs by the parts' ``key`` (a shared part
-itself, another by value) and the coefficients' bits, so a potential that
-a suite builds anew for each run plans nothing.
+A jet is a straight-line program of numpy operations.  A part's
+``layout(order)`` is its structure at that order: its class and, for a
+form part, the dtype of each derivative tensor of the form that its jet
+reads.  ``_emit_jet`` plans the program of the layouts of a potential's
+parts at an order once per process (``_PLANS``): each part ``emit``s the
+operations of its jet, then come each coefficient's product, the sum
+over the parts and the completion of the symmetric entries.  Every
+structural choice is made while planning: which bidegrees exist, which
+terms of the log recursion vanish, which tensors are mirrors.  Every
+value of a part, its coefficient or the dimension is a constant that the
+program computes when it is bound to a potential, together with the
+operations on constants alone; a scalar constant is cast to the dtype of
+the array it meets, as numpy casts it at every call.  So a call runs the
+operations that choosing at every call would run, on the same operands,
+and its bits are theirs.  A potential keeps the programs bound to it;
+one built anew, even with parts built anew, plans nothing.
 
 A log part takes the log of a function N whose jet is finite; one
 recursion, ``_emit_log``, serves all three: differentiating N dF = dN
 gives each tensor of F = log N from N's tensors and lower ones of F: 7
 products for (2, 2), the one bidegree of order 4, and 3 for (2, 1).  It
 needs N's tensors to (2, 2) only, so the two form parts share one
-contraction, ``_emit_contract``, for the derivatives of the h_j to the top
-holomorphic degree of the jet's bidegrees: 2 from order 3, 1 at order 2.
+contraction, ``_contraction``, for the derivatives of the h_j to the top
+holomorphic degree of the jet's bidegrees: 2 from order 3, 1 at order 2;
+it is a program of its own per form length, bound to each form part when
+the part is built.
 The ball is the rank-1 form too, but its own part is cheaper.
 """
 
@@ -71,150 +75,151 @@ def _check(ok, Z, what, values):
 # ---------------------------------------------------------------------------
 # straight-line programs
 
-#: the operand names in a line of a program: temps, constants, the stack
-#: and its length
-_NAME = re.compile(r"\b(?:[tk]\d+|Z|N)\b")
-_RUNTIME = re.compile(r"\b(?:t\d+|Z|N)\b")
+#: a template that names N, the stack's length, runs at every call
+_STACK = re.compile(r"\bN\b")
 
 
 class _Program:
     """A straight-line program of numpy operations on a stack ``Z`` of N
-    points.
+    points, compiled into ``make(n, c, p)``: bound to the dimension n, the
+    coefficients c and the parts p, it returns the function of Z.
 
-    ``P(expr, *args)`` formats ``expr`` over operand names and returns the
-    name of its value.  A line that reads constants alone is run once and
-    becomes a constant itself.  A line is complex when it reads a complex
-    operand, unless ``kind`` says otherwise, so that a scalar constant can
-    be cast to the dtype of the array it meets.  Every value that depends
-    on the part or the dimension is a constant, so programs of one
-    structure share their compiled code.
+    ``P(template, *args)`` fills each ``{}`` of the template with an
+    argument and returns the name of its value; a str argument is the
+    name of an earlier value (``Z``, a temp ``t#`` or a constant ``k#``),
+    any other is written as it prints.  A line that reads only constants,
+    and not N, is a constant itself.  A value is complex when it reads a
+    complex one, unless ``kind`` says otherwise.
     """
 
     def __init__(self):
-        self.lines, self.consts, self.complex = [], [], {"Z"}
-        self.env = {"np": np}
+        self.consts, self.lines, self.complex = {}, [], {"Z"}
+        self.env = {"np": np, "_check": _check, "_sorted_index": _sorted_index}
 
-    def __call__(self, expr, *args, kind=None):
-        line = expr.format(*args)
-        names = _NAME.findall(line)
-        if not _RUNTIME.search(line):
-            return self.const(eval(line, self.env))
-        name = f"t{len(self.lines)}"
-        if kind == "complex" or kind is None and self.complex.intersection(
-                names):
+    def __call__(self, template, *args, kind=None):
+        names = [a for a in args if isinstance(a, str)]
+        if kind is None:
+            kind = "complex" if self.complex.intersection(names) else "float"
+        if _STACK.search(template) or any(a[0] != "k" for a in names):
+            name = f"t{len(self.lines)}"
+            self.lines.append((name, template, args))
+        else:
+            name = self.const(template.format(*args))
+        if kind == "complex":
             self.complex.add(name)
-        self.lines.append((name, line, names))
         return name
 
     def do(self, statement, *args):
-        """Add a statement, such as a check, or a write into a temp made
-        just before it (compiling moves a line only later, to its reader)."""
-        line = statement.format(*args)
-        self.lines.append((None, line, _NAME.findall(line)))
+        """Add a statement that names no value, such as a check."""
+        self.lines.append((None, statement, args))
 
     def dtype(self, name):
         return "complex" if name in self.complex else "float"
 
-    def const(self, value, like=None):
-        """The name of a constant: an array becomes a read-only copy, cast
-        to the dtype of the operand named ``like`` when given."""
-        name = f"k{len(self.consts)}"
-        if like is not None or isinstance(value, (np.ndarray, np.generic)):
-            value = np.array(value, like and self.dtype(like))
-            value.setflags(write=False)
-            if value.dtype.kind == "c":
-                self.complex.add(name)
-        self.env[name] = value
-        self.consts.append(value)
+    def const(self, source, like=None, kind=None):
+        """The name of a constant: a source that reads n, c, p and earlier
+        constants, computed when the program is bound, or a number, made
+        now; cast to the dtype of ``like`` if given.  Equal constants share
+        one name."""
+        if like is not None:
+            kind = self.dtype(like)
+            if isinstance(source, str):
+                source = f"np.array({source}, {kind})"
+        key = source if isinstance(source, str) else (source, kind)
+        name = self.consts.setdefault(key, f"k{len(self.consts)}")
+        if not isinstance(source, str):
+            self.env[name] = np.array(source, kind)
+        if kind == "complex":
+            self.complex.add(name)
         return name
 
     def compile(self, result):
-        """The function of Z that runs the lines and returns ``result``, a
-        name or a jet's {(m, l): name}."""
-        if isinstance(result, dict):
-            result = "{%s}" % ", ".join(f"{k}: {t}" for k, t in result.items())
-        # a temp read once joins its reader's line and one never read is
-        # dropped; any other is deleted after its last reader, so that large
-        # stacks reuse memory as the loops that made these lines did
-        keep = set(_NAME.findall(result))
-        reads = Counter()
-        for _, _, names in self.lines:
-            reads.update(names)
+        """``make`` for the program that returns ``result``, {key: name};
+        ``make.kinds`` holds each result's dtype.  A temp read once joins
+        its reader's line, one never read is dropped, and any other is
+        deleted after its last reader, so that large stacks reuse memory."""
+        reads = Counter(a for *_, args in self.lines for a in args
+                        if isinstance(a, str))
         inline, lines, last = {}, [], {}
-        for name, line, names in self.lines:
-            if inline.keys() & names:  # the names its inlined reads read
-                names = [*names, *(n for t in names if t in inline
-                                   for n in inline[t][1])]
-                line = _NAME.sub(lambda m: inline.pop(m[0], (m[0],))[0], line)
-            if name is None or reads[name] > 1 or name in keep:
+        for name, template, args in self.lines:
+            read = [b for a in args if isinstance(a, str)
+                    for b in (inline[a][1] if a in inline else [a])]
+            line = template.format(*(inline.pop(a, (a,))[0] for a in args))
+            if name is None or reads[name] > 1 or name in result.values():
                 lines.append(line if name is None else f"{name} = {line}")
-                last.update(dict.fromkeys(names, len(lines) - 1))
+                last.update(dict.fromkeys(read, len(lines) - 1))
             elif reads[name]:
-                inline[name] = (f"({line})", names)
-        last = {name: i for name, i in last.items()
-                if name[0] == "t" and reads[name] > 1 and name not in keep}
+                inline[name] = (f"({line})", read)
         dead = {}
         for name, i in last.items():
-            dead.setdefault(i, []).append(name)
+            if name[0] == "t" and name not in result.values():
+                dead.setdefault(i, []).append(name)
         body = "".join(f"        {line}\n" + (
             f"        del {', '.join(dead[i])}\n" if i in dead else "")
             for i, line in enumerate(lines))
-        names = ", ".join(f"k{i}" for i in range(len(self.consts)))
-        source = (f"def make({names}):\n"
-                  f"    def run(Z):\n        N = len(Z)\n{body}"
-                  f"        return {result}\n    return run\n")
-        if source not in _FACTORIES:
-            env = {"np": np, "_check": _check}
-            exec(source, env)
-            _FACTORIES[source] = env["make"]
-        return _FACTORIES[source](*self.consts)
+        source = ("def make(n, c, p):\n" + "".join(
+            f"    {k} = {key}\n" for key, k in self.consts.items()
+            if isinstance(key, str))
+                  + f"    def run(Z):\n        N = len(Z)\n{body}"
+                  "        return {%s}\n    return run\n" % ", ".join(
+                      f"{key!r}: {t}" for key, t in result.items()))
+        exec(source, self.env)
+        make = self.env["make"]
+        make.kinds = {key: self.dtype(t) for key, t in result.items()}
+        return make
 
 
-#: the compiled code of each program structure, by its source
-_FACTORIES = {}
-
-
-def _once(Z, emit):
-    """Plan ``emit(P, "Z", n)``, which returns the result, for one call at
-    the (N, n) stack Z and run it."""
+def _build_plan(emit):
+    """Plan the program whose results ``emit(P)`` returns: its ``make``."""
     P = _Program()
-    return P.compile(emit(P, "Z", Z.shape[1]))(Z)
+    return P.compile(emit(P))
 
 
-def _build_plan(parts, order, n):
-    """The program of the jet of sum c * part over ``parts`` on C^n.
+#: the ``make`` of each program planned, by its structure
+_PLANS = {}
+
+
+def _plan(key, emit):
+    """The ``make`` of the program of structure ``key``, planned by
+    ``emit`` on its first use in this process."""
+    if key not in _PLANS:
+        _PLANS[key] = _build_plan(emit)
+    return _PLANS[key]
+
+
+def _dims(n, k):
+    """k axes of length n, the name of a constant, as a template's text."""
+    return ", ".join([n] * k)
+
+
+def _emit_jet(P, layouts, order):
+    """The jet of sum c[i] * p[i] on C^n, the parts of these ``layouts``.
 
     Absent tensors are zero.  Entries equal by symmetry are copied from the
     one with sorted indices, and (m, m) tensors are made Hermitian, so both
     symmetries hold exactly; zeros are their own copy and average.
     """
-    P = _Program()
+    n = P.const("n")
     total = {(0, 0): P("np.zeros(N)")}
-    for c, part in parts:
-        for key, t in part.emit(P, "Z", n, order).items():
-            t = P("{} * {}", P.const(c, like=t), t)
+    for i, layout in enumerate(layouts):
+        for key, t in layout[0].emit(P, layout, f"p[{i}]", "Z", n,
+                                     order).items():
+            t = P("{} * {}", P.const(f"c[{i}]", like=t), t)
             total[key] = P("{} + {}", total[key], t) if key in total else t
     jet = {}
     for m, l in bidegrees(order):
         t = total.get((m, l))
         if t is None:
-            t = P("np.zeros((N,) + {}, complex)", P.const((n,) * (m + l)),
+            t = P("np.zeros((N, %s), complex)" % _dims(n, m + l),
                   kind="complex")
         elif m > 1 or l > 1:
-            t = P("{0}.reshape(N, -1).take({1}, axis=1).reshape({0}.shape)",
-                  t, P.const(_sorted_index(n, m, l)))
+            t = P("{}.reshape(N, -1).take({}, axis=1).reshape({}.shape)",
+                  t, P.const(f"_sorted_index(n, {m}, {l})"), t)
         if 0 < m == l and (m, l) in total:
             t = P("{} * ({} + {})", P.const(0.5, like=t), t,
                   _emit_mirror(P, t, m, m))
         jet[(m, l)] = t
-    return P.compile(jet)
-
-
-#: the program of each (order, n, parts) planned, a part by its ``key``
-#: (itself by default) and a coefficient by its bits; each holds about
-#: 25 kB, so only the latest ``_MAX_PLANS`` are kept
-_PLANS = {}
-_MAX_PLANS = 512
+    return jet
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,7 +251,8 @@ def _mirrored(P, jet, key):
 
 
 def _emit_log(P, inner, order, n, scale):
-    """Jet (m >= l half, no value) of scale * log N from a nonzero N's jet.
+    """Jet (m >= l half, no value) of scale * log N from a nonzero N's jet
+    on C^n, scale being a source.
 
     ``inner`` maps bidegrees to N's tensors (leading axis N or 1); None or
     absent ones vanish, but an absent (l, m) with l > m mirrors (m, l), as
@@ -268,11 +274,12 @@ def _emit_log(P, inner, order, n, scale):
             nb = _mirrored(P, inner, b)
             f = nb and _mirrored(P, out, (m - b[0], l - b[1]))
             if f:
-                term = "{}.reshape({}) * {}.reshape({})".format(nb, P.const(
-                    (-1, *(n if i in B else 1 for i in range(m + l)))), f,
-                    P.const((-1, *(1 if i in B else n for i in range(m + l)))))
-                total = P("{} - {}", total, term) if total else P(
-                    "-({})", term)
+                shapes = [", ".join(n if (i in B) == side else "1"
+                                    for i in range(m + l))
+                          for side in (True, False)]
+                term = P("{}.reshape(-1, %s) * {}.reshape(-1, %s)"
+                         % tuple(shapes), nb, f)
+                total = P("{} - {}", total, term) if total else P("-{}", term)
         if total:
             out[(m, l)] = P("{} / {}.reshape({})", total, inner[(0, 0)],
                             (-1,) + (1,) * (m + l))
@@ -280,14 +287,17 @@ def _emit_log(P, inner, order, n, scale):
 
 
 class Part:
-    """A summand of a potential.  ``emit(P, z, n, order)`` adds the
-    operations of its jet at the stack named z on C^n to the program P
-    and returns {(m, l): name} over ``bidegrees(order)``, leaving out the
-    bidegrees that vanish identically."""
+    """A summand of a potential.  ``layout()`` is its structure, and
+    ``emit(P, layout, me, z, n, order)`` adds the operations of the jet of
+    the part named ``me`` at the stack named z on C^n, n the name of a
+    constant, to the program P and returns {(m, l): name} over
+    ``bidegrees(order)``, leaving out the bidegrees that vanish
+    identically.  It reads the layout, never the part: every value of the
+    part is a constant whose source reads ``me``.
+    """
 
-    def jet(self, Z, order):
-        """The part's own tensors at an (N, n) stack, planned for this call."""
-        return _once(Z, lambda P, z, n: self.emit(P, z, n, order))
+    def layout(self, order):
+        return (type(self),)
 
 
 # ---------------------------------------------------------------------------
@@ -297,81 +307,106 @@ class BallLog(Part):
     """-A log(1 - |z|^2) on the unit ball, the ball kernel's log.
 
     1 - |z|^2 has first derivatives -zbar_a / -z_b and the constant mixed
-    second derivative -delta_ab, and ``_emit_log`` takes its log.  Parts
-    with one amplitude share their programs.
+    second derivative -delta_ab, and ``_emit_log`` takes its log.
     """
 
     def __init__(self, amplitude: float):
         self.amplitude = float(amplitude)
-        self.key = ("BallLog", self.amplitude.hex())
 
-    def emit(self, P, z, n, order):
+    @staticmethod
+    def emit(P, layout, me, z, n, order):
         s = P("(np.abs({}) ** 2).sum(axis=1)", z, kind="float")
         one = P.const(1.0, like=s)
-        P.do("_check({0} < {1}, {2}, {3!r}, {0})", s, one, z,
-             "ball log evaluated at |z|^2 >= 1: |z|^2 =")
+        P.do("_check({} < {}, {}, %r, {})"
+             % "ball log evaluated at |z|^2 >= 1: |z|^2 =", s, one, z, s)
         inner = {(0, 0): P("{} - {}", one, s), (1, 0): P("-np.conj({})", z),
-                 (1, 1): P("-{}", P.const(np.eye(n)[None]))}
-        out = _emit_log(P, inner, order, n, -self.amplitude)
+                 (1, 1): P("-np.eye(%s)[None]" % n)}
+        out = _emit_log(P, inner, order, n, f"-{me}.amplitude")
         out[(0, 0)] = P("{} * np.log1p(-{})",
-                        P.const(-self.amplitude, like=s), s)
+                        P.const(f"-{me}.amplitude", like=s), s)
         return out
 
 
 class Constant(Part):
     """1: its value, one row that broadcasts over the stack, with every
-    derivative absent (``_build_plan`` fills zeros).  A coefficient c
-    on it adds the constant c to a potential."""
+    derivative absent (``_emit_jet`` fills zeros).  A coefficient c on it
+    adds the constant c to a potential."""
 
-    key = "Constant"
-
-    def emit(self, P, z, n, order):
-        return {(0, 0): P.const(np.ones(1))}
+    @staticmethod
+    def emit(P, layout, me, z, n, order):
+        return {(0, 0): P("np.ones(1)")}
 
 
 class SquaredNorm(Part):
     """|z|^2, the flat quadratic: its own jet, zbar_a / z_b and delta_ab."""
 
-    key = "SquaredNorm"
-
-    def emit(self, P, z, n, order):
+    @staticmethod
+    def emit(P, layout, me, z, n, order):
         out = {(0, 0): P("(np.abs({}) ** 2).sum(axis=1)", z, kind="float")}
         if order > 0:
             out[(1, 0)] = P("np.conj({})", z)
         if order > 1:
-            out[(1, 1)] = P("np.broadcast_to({}, (N,) + {})",
-                            P.const(np.eye(n)[None]), P.const((n, n)))
+            out[(1, 1)] = P("np.broadcast_to({}, (N, %s, %s))" % (n, n),
+                            P("np.eye(%s)[None]" % n))
         return out
 
 
 # ---------------------------------------------------------------------------
 # signed Hermitian forms
 
-def _emit_contract(P, form, z, n, order):
+def _h_kinds(form, order):
+    """A form part's structure at ``order``: the dtype of each H[m] of
+    ``_contraction`` that its jet reads, to the top holomorphic degree of
+    ``bidegrees(order)`` (1 at order 2); H[m] is complex where z or a
+    complex tensor reaches it.  Forms of any length share it."""
+    top = min(max(m for m, _ in bidegrees(order)), len(form) - 1)
+    return tuple("complex" if form[m][1].dtype.kind == "c" or m < len(form) - 1
+                 else "float" for m in range(top + 1))
+
+
+def _contraction(form):
     """H[m] = d^m h of the form's degrees k >= m, stacked, (N, J_(k>=m), n^m),
-    at each row of z for m up to the top holomorphic degree of
-    ``bidegrees(order)`` (1 at order 2) and the form's top degree."""
+    at each row of a stack Z for m up to 2, the top holomorphic degree of
+    any jet, and the form's top degree: a program bound to the form, on
+    C^n for n the last axis of its degree-1 tensor.  Forms of one length
+    share the program.  A jet of a lower order reads fewer of the H, and
+    the others cost at most a reshape per degree and a concatenation:
+    every tensor they stack is on the way to H[0]."""
+    make = _plan(("contract", len(form)), lambda P: _emit_contraction(
+        P, len(form), min(2, len(form) - 1)))
+    return make(form[1][1].shape[-1], (), (form,))
+
+
+def _emit_contraction(P, degrees, top):
+    """``_contraction``'s H, {m: name}."""
+    n = P.const("n")
     # contraction i takes z / i, so after i of them t = D.z^i / i!; the
     # first takes z itself, as z / 1 is z bit for bit
-    column = P("{}[:, :, None]", z)
+    column = P("{}[:, :, None]", "Z")
     steps = [column] + [P("{} / {}", column, P.const(i, like=column))
-                        for i in range(2, len(form))]
-    top = max(m for m, _ in bidegrees(order))
-    dh = [[] for _ in range(min(top, len(form) - 1) + 1)]
-    for k, (_, D) in enumerate(form):
-        t = P("{0}.repeat(N, axis=0) if N > 1 else {0}",
-              P.const(D.reshape(1, len(D), -1)))
+                        for i in range(2, degrees)]
+    dh = [[] for _ in range(top + 1)]
+    for k in range(degrees):
+        D = P.const(f"p[0][{k}][1]")
+        J = P.const(f"len({D})")
+        t = P("{}.reshape(1, {}, -1)", D, J)
+        t = P("{}.repeat(N, axis=0) if N > 1 else {}", t, t)
         for i in range(k + 1):
             if i:
                 # row by row, so a stacked point gets its lone bits
-                t = P("{}.reshape(N, -1, {}) @ {}", t, P.const(n),
-                      steps[i - 1])
-            if k - i < len(dh):  # t is (N, J, n^(k - i)) if i is 0 or k
+                t = P("{}.reshape(N, -1, %s) @ {}" % n, t, steps[i - 1])
+            if k - i <= top:  # t is (N, J, n^(k - i)) if i is 0 or k
                 dh[k - i].append(t if i in (0, k) else
-                                 P("{}.reshape(N, {}, -1)", t,
-                                   P.const(len(D))))
-    return [P("np.concatenate([{}], axis=1)", ", ".join(hs))
-            if len(hs) > 1 else hs[0] for hs in dh]
+                                 P("{}.reshape(N, {}, -1)", t, J))
+    return {m: P("np.concatenate([%s], axis=1)" % ", ".join(["{}"] * len(hs)),
+                 *hs) if len(hs) > 1 else hs[0] for m, hs in enumerate(dh)}
+
+
+def _emit_contract(P, h_kinds, part, z):
+    """The H, of ``h_kinds``, of the form part named ``part`` at the
+    stack z, by the contraction it holds."""
+    H = P("{}({})", P.const(f"{part}.contract"), z)
+    return [P("{}[{}]", H, m, kind=kind) for m, kind in enumerate(h_kinds)]
 
 
 class HermitianNormPart(Part):
@@ -407,40 +442,52 @@ class HermitianNormPart(Part):
         # per degree m >= 1: the weights of the degrees k >= m, as a column
         self.weights = tuple(weights[first:, None]
                              for first in self.start[:-1])
+        self.contract, self._norm = _contraction(form), None
 
-    def _emit_derivatives(self, P, z, n, order):
+    def layout(self, order):
+        return (type(self), _h_kinds(self.form, order))
+
+    @staticmethod
+    def _emit_derivatives(P, layout, me, z):
         """H from ``_emit_contract`` and q(1 - v)'s checked coefficients."""
-        H = _emit_contract(P, self.form, z, n, order)
-        sq = P("np.add.reduceat({0}.real[..., 0] ** 2 + {0}.imag[..., 0] ** 2,"
-               " {1}, axis=1)", H[0], P.const(self.start[:-1]), kind="float")
+        H = _emit_contract(P, layout[1], me, z)
+        sq = P("np.add.reduceat({}.real[..., 0] ** 2 + {}.imag[..., 0] ** 2,"
+               " {}, axis=1)", H[0], H[0], P.const(f"{me}.start[:-1]"),
+               kind="float")
         coeffs = P("({}[:, None, :] * {}).sum(axis=2)", sq,
-                   P.const(self.taylor))
-        P.do("_check(({0}[:, 0] > 0) & ({0}[:, 1:] >= 0).all(axis=1), {1}, "
-             "{2!r}, {0})", coeffs, z,
-             "outside the domain: q(1 - v) has coefficients")
+                   P.const(f"{me}.taylor"))
+        P.do("_check(({}[:, 0] > 0) & ({}[:, 1:] >= 0).all(axis=1), {}, %r, "
+             "{})" % "outside the domain: q(1 - v) has coefficients",
+             coeffs, coeffs, z, coeffs)
         return H, coeffs
 
     def norm(self, Z):
-        """N at each row of an (N, n) stack inside the domain."""
-        return _once(Z, lambda P, z, n:
-                     self._emit_derivatives(P, z, n, 0)[1] + "[:, 0]")
+        """N at each row of an (N, n) stack inside the domain; the program
+        is bound to the part on its first call."""
+        if self._norm is None:
+            layout = self.layout(0)
+            self._norm = _plan(("norm", layout), lambda P: {0: P(
+                "{}[:, 0]", self._emit_derivatives(
+                    P, layout, "p[0]", "Z")[1])})(Z.shape[1], (), (self,))
+        return self._norm(Z)[0]
 
-    def emit(self, P, z, n, order):
-        H, coeffs = self._emit_derivatives(P, z, n, order)
+    @staticmethod
+    def emit(P, layout, me, z, n, order):
+        H, coeffs = HermitianNormPart._emit_derivatives(P, layout, me, z)
         value = P("{}[:, 0]", coeffs)
         inner = {(0, 0): value}
         conj = [P("np.conj({})", h) for h in H[:order // 2 + 1]]
         for m in range(1, len(H)):
             A = P("({} * {}).swapaxes(1, 2)", H[m],
-                  P.const(self.weights[m], like=H[m]))
+                  P.const(f"{me}.weights[{m}]", like=H[m]))
             for l in range(min(m, order - m) + 1):  # l <= order - m
                 B = P("{}[:, {}:]", conj[l],
-                      P.const(int(self.start[m] - self.start[l])))
-                inner[(m, l)] = P("({} @ {}).reshape((N,) + {})", A, B,
-                                  P.const((n,) * (m + l)))
-        out = _emit_log(P, inner, order, n, -self.kappa)
-        out[(0, 0)] = P("{} * np.log({})", P.const(-self.kappa, like=value),
-                        value)
+                      P.const(f"int({me}.start[{m}] - {me}.start[{l}])"))
+                inner[(m, l)] = P("({} @ {}).reshape(N, %s)"
+                                  % _dims(n, m + l), A, B)
+        out = _emit_log(P, inner, order, n, f"-{me}.kappa")
+        out[(0, 0)] = P("{} * np.log({})", P.const(f"-{me}.kappa",
+                                                   like=value), value)
         return out
 
 
@@ -448,7 +495,7 @@ class BoundaryLog(Part):
     """2 log|N(z, e)| for a signed Hermitian form N and a point e.
 
     N(z, e) = sum_j w_j conj(h_j(e)) h_j(z) is holomorphic in z, with
-    derivatives v . H[m] over ``_emit_contract``'s H, v = w conj(h(e)); v
+    derivatives v . H[m] over ``_contraction``'s H, v = w conj(h(e)); v
     is folded into the form, one read-only flat tensor per degree (a part
     can be shared, as ``potentials._siegel_log`` does).  ``_emit_log``
     takes the log with the antiholomorphic inner tensors absent, so only
@@ -458,26 +505,30 @@ class BoundaryLog(Part):
 
     def __init__(self, form, e):
         start = np.cumsum([0] + [len(D) for _, D in form])
-        v = np.conj(_once(np.array([e], complex), lambda P, z, n:
-                          _emit_contract(P, form, z, n, 0)[0])[0, :, 0])
+        h = _contraction(form)(np.array([e], complex))[0]  # H[0] at e
+        v = np.conj(h[0, :, 0])
         self.form = tuple((1.0, w * (v[a:b] @ D.reshape(b - a, -1))[None])
                           for (w, D), a, b in zip(form, start, start[1:]))
         for _, t in self.form:
             t.setflags(write=False)
+        self.contract = _contraction(self.form)
 
-    def emit(self, P, z, n, order):
+    def layout(self, order):
+        return (type(self), _h_kinds(self.form, order))
+
+    @staticmethod
+    def emit(P, layout, me, z, n, order):
         H = [P("{}.sum(axis=1)", h)
-             for h in _emit_contract(P, self.form, z, n, order)]
+             for h in _emit_contract(P, layout[1], me, z)]
         value = P("{}[:, 0]", H[0])
         size = P("np.abs({})", value, kind="float")
-        P.do("_check({0} > 0, {1}, {2!r}, {3})", size, z,
-             "log|N(z, e)| singular: N =", value)
+        P.do("_check({} > 0, {}, %r, {})" % "log|N(z, e)| singular: N =",
+             size, z, value)
         inner = {(0, 0): value}
         for m in range(1, len(H)):
-            inner[(m, 0)] = P("{}.reshape((N,) + {})", H[m],
-                              P.const((n,) * m))
+            inner[(m, 0)] = P("{}.reshape(N, %s)" % _dims(n, m), H[m])
             inner[(0, m)] = None  # holomorphic: not the mirror of (m, 0)
-        out = _emit_log(P, inner, order, n, 1.0)
+        out = _emit_log(P, inner, order, n, "1.0")
         out[(0, 0)] = P("{} * np.log({})", P.const(2.0, like=size), size)
         return out
 
@@ -503,23 +554,23 @@ class PotentialField:
     parts: list | None
     label: str
     fn: object = None
-    _plans: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _runs: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def _run(self, Z, order):
-        """The completed jet of the parts' sum at the (N, n) stack Z, by
-        the program of (parts, order, n), planned on first use.  The
-        potential keeps the programs it ran, so its parts stay as built."""
-        plan = self._plans.get((order, Z.shape[1]))
-        if plan is None:
-            key = (order, Z.shape[1], *((float(c).hex(), getattr(p, "key", p))
-                                        for c, p in self.parts))
-            if key not in _PLANS:
-                if len(_PLANS) >= _MAX_PLANS:  # the oldest goes
-                    del _PLANS[next(iter(_PLANS))]
-                _PLANS[key] = _build_plan(self.parts, order, Z.shape[1])
-            plan = self._plans[key[:2]] = _PLANS[key]
-        return plan(Z)
+        """The completed jet of the parts' sum at the (N, n) stack Z: the
+        program of the parts' layouts and the order, planned once per
+        process, bound to this potential on its first use at (order, n),
+        so the parts stay as built."""
+        run = self._runs.get((order, Z.shape[1]))
+        if run is None:
+            layouts = tuple(part.layout(order) for _, part in self.parts)
+            make = _plan((order, layouts),
+                         lambda P: _emit_jet(P, layouts, order))
+            run = self._runs[(order, Z.shape[1])] = make(
+                Z.shape[1], tuple(c for c, _ in self.parts),
+                tuple(part for _, part in self.parts))
+        return run(Z)
 
     def __call__(self, z):
         z = as_points(z)

@@ -96,7 +96,7 @@ def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
     Hessian (2, 0).
 
     ``p.jet`` checks the points, and each point is checked once.  A
-    closed-form (1, 1) tensor is exactly Hermitian (``field._build_plan``
+    closed-form (1, 1) tensor is exactly Hermitian (``field._emit_jet``
     averages it with its mirror), so the tolerance test and the average
     0.5 (g + g^H) run only where g differs from g^H: the average of an
     exactly Hermitian g is g bit for bit.  FD jets and NaN take them.

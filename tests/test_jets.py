@@ -359,26 +359,69 @@ def test_a_point_outside_fails_closed_and_is_named(p, order):
 @pytest.mark.parametrize("suite", ["flow", "key-equation"])
 def test_a_suite_run_again_plans_nothing(suite, monkeypatch):
     """Each suite builds its potentials anew, yet a second run finds every
-    program of (parts, order, n) planned by the first."""
-    from kelab import field
+    program planned by the first."""
     from kelab.suites import run_suite
 
     config = {"horizon": 1.0, "dt": 4e-3} if suite == "flow" else {}
-    builds = []
-    real = field._build_plan
-
-    def spy(parts, order, n):
-        builds.append((order, n))
-        return real(parts, order, n)
-
-    monkeypatch.setattr(field, "_PLANS", {})
-    monkeypatch.setattr(field, "_build_plan", spy)
+    builds = _spy_plans(monkeypatch)
     first = run_suite(suite, config)
     assert builds
     builds.clear()
     second = run_suite(suite, config)
     assert builds == []
     assert second.passed and second.samples == first.samples
+
+
+def _spy_plans(monkeypatch):
+    """A list that each program planned from now on appends to."""
+    from kelab import field
+
+    builds, real = [], field._build_plan
+
+    def spy(emit):
+        builds.append(emit)
+        return real(emit)
+
+    monkeypatch.setattr(field, "_PLANS", {})
+    monkeypatch.setattr(field, "_build_plan", spy)
+    return builds
+
+
+def test_new_parts_of_one_structure_plan_nothing(monkeypatch):
+    """Plans are keyed by structure, not by part: a boundary point new at
+    each call, another amplitude or coefficient, a form part built anew
+    and the generic norm of a fresh part plan nothing once their structure
+    is planned, and each keeps the bits of its own values."""
+    from kelab.field import BallLog, HermitianNormPart, PotentialField
+
+    builds = _spy_plans(monkeypatch)
+    d = domains.type_i(2, 2)
+    z = sample_interior(d, np.random.default_rng(3), 3, shrink=0.6)
+    w = np.array([[0.3, 0.1j], [0.0, 0.0], [-0.2j, 0.4]])
+    first = [potentials.rescaled_ball_potential(2, 3.0, boundary_point=q)
+             .jet(w, 3) for q in ([1, 0], [0, 1j])]
+    kernel = domains.bergman_potential(d).jet(z, 3)
+    norm = HermitianNormPart(domains.norm_form(d), d.c).norm(z)
+    ball_jet = PotentialField(domains.ball(2), 1.0, [(1.0, BallLog(2.0))],
+                              "ball").jet(w, 2)
+    count = len(builds)
+    again = [potentials.rescaled_ball_potential(2, 3.0, boundary_point=q)
+             .jet(w, 3) for q in ([0.6, 0.8], [0, 1j])]
+    fresh = PotentialField(d, 1.0, [(1.0, HermitianNormPart(
+        domains.norm_form(d), d.c))], "fresh").jet(z, 3)
+    other = PotentialField(domains.ball(2), 1.0, [(0.5, BallLog(3.0))],
+                           "other").jet(w, 2)
+    assert HermitianNormPart(domains.norm_form(d), d.c).norm(z).tobytes() \
+        == norm.tobytes()
+    assert len(builds) == count
+    assert all(again[1].tensors[k].tobytes() == first[1].tensors[k].tobytes()
+               for k in first[1].tensors)
+    assert not np.array_equal(again[0].tensors[(1, 0)],
+                              first[0].tensors[(1, 0)])
+    assert all(fresh.tensors[k].tobytes() == kernel.tensors[k].tobytes()
+               for k in kernel.tensors)
+    assert np.allclose(other.mixed_hessian(), 0.75 * ball_jet.mixed_hessian(),
+                       rtol=1e-14, atol=0)
 
 
 def test_as_point_validation():
