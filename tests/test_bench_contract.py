@@ -8,6 +8,9 @@ this test makes it fail here instead.
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -153,3 +156,35 @@ def test_bench_suites_exist_with_the_gates_tolerance(monkeypatch):
     for name in sorted(names):
         assert name in suites.SUITES, name
         assert gate.SUITE_TOL[name] == suites.SUITES[name].tol, name
+
+
+def test_bench_imports_numpy_with_one_blas_thread():
+    """``perfbench/run.py`` imports numpy first through ``load_kelab()``,
+    in its main process and in each ``--probe`` one, so kelab's default of
+    one OpenBLAS thread holds there and ``setup_s`` pays for no worker
+    thread.  Prints (numpy imported before load_kelab, after, the thread
+    variable, the thread count or -1 where /proc/self/status is missing)."""
+    code = f"""
+import os, sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+import run
+before = "numpy" in sys.modules
+run.load_kelab()
+try:
+    with open("/proc/self/status") as fh:
+        threads = next(int(line.split()[1]) for line in fh
+                       if line.startswith("Threads:"))
+except OSError:
+    threads = -1
+print(before, "numpy" in sys.modules,
+      os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "PYTHONPATH")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    before, after, value, threads = proc.stdout.split()
+    assert (before, after, value) == ("False", "True", "1")
+    assert threads in ("1", "-1")

@@ -1,6 +1,7 @@
 """Derivative engine: finite-difference oracle vs closed forms."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from kelab import chengyau, domains, hermgeo, potentials, vfield
 from kelab.errors import EvaluationError, UnsupportedOrderError
 from kelab.field import PotentialField
-from kelab.jets import _stencil_plan, as_point, as_points, bidegrees, fd_jet
+from kelab.jets import (_STENCILS, _stencil_plan, as_point, as_points,
+                        bidegrees, fd_jet)
 from kelab.sampling import sample_interior
 
 from flat_fixture import quadratic_fixture
@@ -75,6 +77,72 @@ def test_jets_hold_the_m_ge_l_half():
     plan = _stencil_plan(3, 4)
     assert plan.wirtinger[0].max() + 1 == 73
     assert len(plan.offsets) == 1197
+
+
+def _reference_stencil_plan(n, order):
+    """``_stencil_plan`` as loops over every jet entry, real partial and
+    stencil point, numbering each in order of first appearance."""
+    entries, layout = {}, []
+    for m, l in bidegrees(order):
+        index = []
+        for a in itertools.product(range(n), repeat=m):
+            for b in itertools.product(range(n), repeat=l):
+                key = (tuple(sorted(a)), tuple(sorted(b)))
+                index.append(entries.setdefault(key, len(entries)))
+        layout.append(((m, l), np.array(index)))
+    partials, wirtinger = {}, []
+    for (a, b), e in entries.items():
+        # prod d/dz^a prod d/dzbar^b in real partials, keyed by their
+        # multi-index over Re z^k (2k) and Im z^k (2k + 1)
+        factors = [((2 * i, 0.5), (2 * i + 1, -0.5j)) for i in a]
+        factors += [((2 * i, 0.5), (2 * i + 1, 0.5j)) for i in b]
+        terms = {}
+        for combo in itertools.product(*factors):
+            midx = [0] * (2 * n)
+            coeff = 1.0 + 0.0j
+            for dim, c in combo:
+                midx[dim] += 1
+                coeff *= c
+            terms[tuple(midx)] = terms.get(tuple(midx), 0.0 + 0.0j) + coeff
+        for midx, c in terms.items():
+            wirtinger.append((e, partials.setdefault(midx, len(partials)), c))
+    points, stencil = {}, []
+    for midx, r in partials.items():
+        dims = [d for d in range(2 * n) if midx[d] > 0]
+        for combo in itertools.product(*[_STENCILS[midx[d]].items()
+                                         for d in dims]):
+            coeff = math.prod(c for _, c in combo)
+            for row, unit in ((r, 2), (len(partials) + r, 1)):
+                off = [0] * (2 * n)
+                for d, (o, _) in zip(dims, combo):
+                    off[d] = unit * o
+                stencil.append((row, points.setdefault(tuple(off),
+                                                       len(points)), coeff))
+    offsets = np.array(list(points), dtype=float).reshape(len(points), 2 * n)
+    rows, cols, weights = (np.array(col) for col in zip(*stencil))
+    e, r, c = (np.array(col) for col in zip(*wirtinger))
+    return {"offsets": offsets[:, 0::2] + 1j * offsets[:, 1::2],
+            "rows": rows, "cols": cols, "weights": weights,
+            "real_order": np.array([sum(m) for m in partials], float),
+            "wirtinger": (e, r, c), "layout": tuple(layout)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_stencil_plan_equals_the_loops(n, order):
+    """The vectorized planner gives the loops' arrays exactly, in their
+    order and dtypes, so every ``fd_jet`` sums each row in the same order
+    and keeps its bits."""
+    plan, ref = _stencil_plan(n, order), _reference_stencil_plan(n, order)
+    pairs = [(getattr(plan, name), ref[name]) for name in
+             ("offsets", "rows", "cols", "weights", "real_order")]
+    pairs += list(zip(plan.wirtinger, ref["wirtinger"]))
+    assert [key for key, _ in plan.layout] == [key for key, _ in ref["layout"]]
+    pairs += [(a, b) for (_, a), (_, b) in zip(plan.layout, ref["layout"])]
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_missing_bidegree_is_a_typed_error():
