@@ -67,7 +67,7 @@ from .jets import MAX_ORDER, Jet, as_integer, as_points, bidegrees, fd_jet
 
 def _check(ok, Z, what, values):
     """Raise EvaluationError naming the first point of Z where ``ok`` fails."""
-    if not ok.all():
+    if not np.logical_and.reduce(ok, axis=None):
         i = np.flatnonzero(~ok)[0]
         raise EvaluationError(f"{what} {values[i]} at z={Z[i]!r}")
 
@@ -89,7 +89,10 @@ class _Program:
     name of an earlier value (``Z``, a temp ``t#`` or a constant ``k#``),
     any other is written as it prints.  A line that reads only constants,
     and not N, is a constant itself.  A value is complex when it reads a
-    complex one, unless ``kind`` says otherwise.
+    complex one, unless ``kind`` says otherwise.  Templates reduce with
+    the ufuncs that ``ndarray.sum`` and ``ndarray.all`` call
+    (``np.add.reduce``, ``np.logical_and.reduce``), past the methods'
+    wrappers, as ``_check`` does.
     """
 
     def __init__(self):
@@ -315,7 +318,7 @@ class BallLog(Part):
 
     @staticmethod
     def emit(P, layout, me, z, n, order):
-        s = P("(np.abs({}) ** 2).sum(axis=1)", z, kind="float")
+        s = P("np.add.reduce(np.abs({}) ** 2, axis=1)", z, kind="float")
         one = P.const(1.0, like=s)
         P.do("_check({} < {}, {}, %r, {})"
              % "ball log evaluated at |z|^2 >= 1: |z|^2 =", s, one, z, s)
@@ -342,7 +345,8 @@ class SquaredNorm(Part):
 
     @staticmethod
     def emit(P, layout, me, z, n, order):
-        out = {(0, 0): P("(np.abs({}) ** 2).sum(axis=1)", z, kind="float")}
+        out = {(0, 0): P("np.add.reduce(np.abs({}) ** 2, axis=1)", z,
+                         kind="float")}
         if order > 0:
             out[(1, 0)] = P("np.conj({})", z)
         if order > 1:
@@ -454,10 +458,11 @@ class HermitianNormPart(Part):
         sq = P("np.add.reduceat({}.real[..., 0] ** 2 + {}.imag[..., 0] ** 2,"
                " {}, axis=1)", H[0], H[0], P.const(f"{me}.start[:-1]"),
                kind="float")
-        coeffs = P("({}[:, None, :] * {}).sum(axis=2)", sq,
+        coeffs = P("np.add.reduce({}[:, None, :] * {}, axis=2)", sq,
                    P.const(f"{me}.taylor"))
-        P.do("_check(({}[:, 0] > 0) & ({}[:, 1:] >= 0).all(axis=1), {}, %r, "
-             "{})" % "outside the domain: q(1 - v) has coefficients",
+        P.do("_check(({}[:, 0] > 0) & np.logical_and.reduce({}[:, 1:] >= 0, "
+             "axis=1), {}, %r, {})"
+             % "outside the domain: q(1 - v) has coefficients",
              coeffs, coeffs, z, coeffs)
         return H, coeffs
 
@@ -518,7 +523,7 @@ class BoundaryLog(Part):
 
     @staticmethod
     def emit(P, layout, me, z, n, order):
-        H = [P("{}.sum(axis=1)", h)
+        H = [P("np.add.reduce({}, axis=1)", h)
              for h in _emit_contract(P, layout[1], me, z)]
         value = P("{}[:, 0]", H[0])
         size = P("np.abs({})", value, kind="float")

@@ -14,6 +14,12 @@ Conventions, with G the matrix G[a, b] = g_{a bbar} = d^2 phi / dz^a dzbar^b:
 * Laplacian on scalars  Delta f = g^{a bbar} d_a dbar_b f = tr(F g_inv).
 * Ricci tensor      Ric = -d dbar log det G.
 
+One private kernel, ``_metric``, takes a jet to (g, eigenvalues, g_inv)
+and runs the Hermitian and positive-definite checks.  Two callers share
+it: ``metric_from_potential`` reads all three and adds the log-det to
+build a ``MetricFrame``, and a flow step (``vfield._velocity``) reads
+g_inv alone, with the value and the gradient of its jet.
+
 Curvature comes from one order-4 frame of a whole stack, whatever the
 potential: Ric = -g^{i jbar} phi_{i jbar a bbar} + g^{i lbar} g^{k jbar}
 phi_{i jbar a} phi_{k lbar bbar} (``ricci_from_frame``) and
@@ -43,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo
 
 from .errors import DegenerateMetricError
 from .jets import MAX_ORDER, Jet, as_integer, fd_jet
@@ -80,9 +87,55 @@ class MetricFrame:
 def _reject(bad, z, message):
     """Raise DegenerateMetricError for the first point where ``bad`` holds;
     ``message(i, point)`` describes row i of the stack."""
-    if bad.any():
+    if np.logical_or.reduce(bad):
         i = np.flatnonzero(bad)[0]
         raise DegenerateMetricError(message(i, z[i] if z.ndim == 2 else z))
+
+
+def _eigh(g):
+    """``np.linalg.eigh`` of a stack of Hermitian matrices, bit for bit:
+    the gufunc that it calls, with the signature that it picks for a
+    complex or a real g, without its argument checks and error state."""
+    return eigh_lo(g, signature="D->dD" if g.dtype.kind == "c" else "d->dd")
+
+
+def _metric(jet):
+    """The metric kernel: (g, eigenvalues, g_inv) of a jet's (1, 1) tensor,
+    each with a leading axis of N, one row for a one-point jet.
+
+    Raises ``DegenerateMetricError`` naming the point where the tensor
+    fails to be Hermitian or positive definite.  A closed-form (1, 1)
+    tensor is exactly Hermitian (``field._emit_jet`` averages it with its
+    mirror), so the tolerance test and the average 0.5 (g + g^H) run only
+    where g differs from g^H: the average of an exactly Hermitian g is g
+    bit for bit.  FD jets and NaN take them, so NaN and inf never reach
+    the eigensolver.
+
+    The eigensolver is ``_eigh``, without ``np.linalg.eigh``'s error
+    state: a LAPACK failure to converge gives NaN eigenvalues (and numpy's
+    invalid-value warning), which the positive-definite test rejects.  The reductions are the ufuncs that
+    ``any``, ``all`` and ``sum`` call.
+    """
+    z = jet.point
+    g = jet.mixed_hessian()
+    if z.ndim == 1:
+        g = g[None]
+    gh = np.conj(g.transpose(0, 2, 1))
+    defect = g - gh
+    if np.logical_or.reduce(defect, axis=None):
+        herm_defect = np.abs(defect).max(axis=(1, 2))
+        _reject(~(herm_defect <= _HERMITIAN_TOL), z, lambda i, point: (
+            f"complex Hessian not Hermitian at {point!r} "
+            f"(defect {herm_defect[i]:.2e})"))
+        g = 0.5 * (g + gh)
+    eigs, vecs = _eigh(g)
+    definite = eigs[:, 0] > _PD_TOL
+    if not np.logical_and.reduce(definite):
+        _reject(~definite, z, lambda i, point: (
+            f"metric not positive definite at {point!r}: "
+            f"min eigenvalue {eigs[i, 0]:.3e}"))
+    g_inv = (vecs / eigs[:, None, :]) @ np.conj(vecs.transpose(0, 2, 1))
+    return g, eigs, g_inv
 
 
 def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
@@ -95,36 +148,17 @@ def metric_from_potential(p, z, order: int = 3) -> MetricFrame:
     covariant Hessian needs 3, for the third derivatives and the unbarred
     Hessian (2, 0).
 
-    ``p.jet`` checks the points, and each point is checked once.  A
-    closed-form (1, 1) tensor is exactly Hermitian (``field._emit_jet``
-    averages it with its mirror), so the tolerance test and the average
-    0.5 (g + g^H) run only where g differs from g^H: the average of an
-    exactly Hermitian g is g bit for bit.  FD jets and NaN take them.
+    ``p.jet`` checks the points, and the kernel ``_metric`` checks the
+    metric at each point once; a frame reads all three of its results
+    and adds the log-det, the sum of the eigenvalues' logs.
     """
     order = as_integer(order, "order")
     if not 2 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 2..{MAX_ORDER}, got {order}")
     jet = p.jet(z, order)
     z = jet.point
-    g = jet.mixed_hessian()
-    if z.ndim == 1:
-        g = g[None]
-    gh = np.conj(g.transpose(0, 2, 1))
-    defect = g - gh
-    if defect.any():
-        herm_defect = np.abs(defect).max(axis=(1, 2))
-        _reject(~(herm_defect <= _HERMITIAN_TOL), z, lambda i, point: (
-            f"complex Hessian not Hermitian at {point!r} "
-            f"(defect {herm_defect[i]:.2e})"))
-        g = 0.5 * (g + gh)
-    eigs, vecs = np.linalg.eigh(g)
-    definite = eigs[:, 0] > _PD_TOL
-    if not definite.all():
-        _reject(~definite, z, lambda i, point: (
-            f"metric not positive definite at {point!r}: "
-            f"min eigenvalue {eigs[i, 0]:.3e}"))
-    g_inv = (vecs / eigs[:, None, :]) @ np.conj(vecs.transpose(0, 2, 1))
-    log_det = np.log(eigs).sum(axis=1)
+    g, eigs, g_inv = _metric(jet)
+    log_det = np.add.reduce(np.log(eigs), axis=1)
     if z.ndim == 1:
         return MetricFrame(point=z, g=g[0], g_inv=g_inv[0],
                            log_det_g=float(log_det[0]), jet=jet)

@@ -64,7 +64,7 @@ def as_points(coords) -> np.ndarray:
                          f"got shape {z.shape}")
     if z.shape[-1] < 1:
         raise ValueError(f"points need at least one coordinate, got {z.shape}")
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError(f"non-finite coordinates: {z}")
     return z
 

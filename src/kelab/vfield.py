@@ -18,7 +18,9 @@ stack).  ``integrate_flow`` follows the real fields
 with a fixed-step sixth-order Adams–Bashforth method, started by five RK4
 steps.  One integrator serves every flow: it advances an (M, n) stack of
 start points in lockstep, each row with its own time and generator, and
-builds one stacked frame per multistep step (four per RK4 step).  A
+takes one stacked velocity per multistep step (four per RK4 step).  A
+velocity reads g_inv and the order-2 jet, not a frame: the metric
+kernel ``hermgeo._metric`` gives g_inv, with the frame's checks.  A
 fixed-time check (``pullback_check``, ``reparametrization_check``) is
 its start rows plus the reduction of their endpoints to a residual, so
 ``run_flows`` can integrate a recorded trajectory and several checks as
@@ -152,13 +154,16 @@ def level_set_tangency(p, z):
 def _velocity(p, z, re_v):
     """Re W, or Re V on the rows where ``re_v`` holds, at an (M, n) stack.
 
-    Re V is the Re W velocity i phi^a times e^(K phi/(n+1)); one stacked
-    frame serves every row.
+    Re V is the Re W velocity i phi^a times e^(K phi/(n+1)).  One stacked
+    order-2 jet serves every row: the step reads g_inv from the metric
+    kernel ``hermgeo._metric``, with its checks, and phi_z and phi from
+    the jet, and builds no frame and no log-det.
     """
-    frame = hermgeo.metric_from_potential(p, z, order=2)
-    phi_up = frame.raise_index(frame.jet.holo_gradient())
+    jet = p.jet(z, 2)
+    g_inv = hermgeo._metric(jet)[2]
+    phi_up = np.conj((g_inv @ jet.holo_gradient()[..., None])[..., 0])
     n = p.domain.n
-    factor = np.where(re_v, np.exp(p.ricci_constant * frame.jet.value()
+    factor = np.where(re_v, np.exp(p.ricci_constant * jet.value()
                                    / (n + 1)), 1.0)
     return (1j * factor)[:, None] * phi_up
 
@@ -178,6 +183,20 @@ for _weight in _AB6:
 _HISTORY = len(_AB6)
 
 
+def _stage(p, z, re_v, leaving):
+    """The velocity at an RK4 stage stack ``z``, checked for membership:
+    rows outside the domain join ``leaving``, and rows in ``leaving``
+    take no velocity (zero), so a stage never evaluates outside."""
+    leaving |= ~p.domain.contains(z)
+    if not np.logical_or.reduce(leaving):
+        return _velocity(p, z, re_v)
+    v = np.zeros_like(z)
+    on = ~leaving
+    if np.logical_or.reduce(on):
+        v[on] = _velocity(p, z[on], re_v[on])
+    return v
+
+
 def _lockstep(p, z0, t, dt, generator, record_every=0):
     """Lockstep sixth-order Adams–Bashforth of an (M, n) stack of start
     points.
@@ -185,10 +204,11 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
     Row i runs steps_i = round(|t_i|/dt) steps of h_i = t_i/steps_i under
     its own generator and then freezes; a row with t_i != 0 runs at least
     one step.  Step k >= 6 is z_k = z_{k-1} + h sum_j beta_j f_{k-1-j}
-    with one stacked frame, f_{k-1}, over the rows still running; steps 1
-    to 5 are RK4 (four frames each), and their first stage fills the
-    history of velocities.  The weights are summed elementwise in a fixed
-    order, so a row's result does not depend on the stack it runs in.
+    with one stacked velocity, f_{k-1}, over the rows still running;
+    steps 1 to 5 are RK4 (four velocities each), and their first stage
+    fills the history of velocities.  The weights are summed elementwise
+    in a fixed order, so a row's result does not depend on the stack it
+    runs in.
     The running rows and their history step as one compacted stack; rows
     only ever drop, and only at a step after some row's last step or after
     an exit, so the stack is gathered again only then.
@@ -199,7 +219,9 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
     ``as_integer``; 0 records the start and the end only).
 
     Every accepted step is checked for membership, in one stacked
-    ``contains`` call over the running rows.  Rows that leave the
+    ``contains`` call over the running rows, and so is each later stage
+    of an RK4 step before its velocity (``_stage``): a row whose stage
+    point is outside leaves at the end of that step.  Rows that leave the
     domain stop; the others run on while they could still leave earlier,
     and the earliest exit (the lowest row on ties) is raised as a
     ``FlowExitError`` carrying that row's exit time.
@@ -257,10 +279,12 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
         k1 = _velocity(p, zr, rv)
         history[(k - 1) % _HISTORY] = k1
         if k < _HISTORY:
-            k2 = _velocity(p, zr + 0.5 * hr * k1, rv)
-            k3 = _velocity(p, zr + 0.5 * hr * k2, rv)
-            k4 = _velocity(p, zr + hr * k3, rv)
+            leaving = np.zeros(run.size, dtype=bool)
+            k2 = _stage(p, zr + 0.5 * hr * k1, rv, leaving)
+            k3 = _stage(p, zr + 0.5 * hr * k2, rv, leaving)
+            k4 = _stage(p, zr + hr * k3, rv, leaving)
             zr = zr + (hr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            inside = d.contains(zr) & ~leaving
         else:
             # one add at a time: a sum over the history axis takes numpy's
             # pairwise path on a lone row in C^1, which rounds differently
@@ -268,8 +292,8 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
             for j in range(1, _HISTORY):
                 step += _AB6[j] * history[(k - 1 - j) % _HISTORY]
             zr = zr + hr * step
-        inside = d.contains(zr)
-        if not inside.all():
+            inside = d.contains(zr)
+        if not np.logical_and.reduce(inside):
             for i in run[~inside]:
                 tk = float(k * h[i])
                 exits.append((abs(tk), i, tk))

@@ -1,6 +1,8 @@
 """Metric frames and the tensor identities they satisfy."""
 
 import dataclasses
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -343,16 +345,20 @@ def test_stacked_ricci_equals_scalar_stencil():
 
 
 class _Skewed:
-    """``p`` with ``defect`` added to the (0, 1) entry of its (1, 1)
-    tensor at row ``row`` of a stack (or at a lone point)."""
+    """``p`` with ``defect`` added to the ``entry`` of its (1, 1) tensor,
+    (0, 1) unless given, at row ``row`` of a stack (or at a lone point);
+    every other attribute is ``p``'s."""
 
-    def __init__(self, p, defect, row=0):
-        self.p, self.defect, self.row = p, defect, row
+    def __init__(self, p, defect, row=0, entry=(0, 1)):
+        self.p, self.defect, self.row, self.entry = p, defect, row, entry
+
+    def __getattr__(self, name):
+        return getattr(self.p, name)
 
     def jet(self, z, order):
         jet = self.p.jet(z, order)
         t = jet.tensors[(1, 1)].copy()
-        (t[self.row] if t.ndim == 3 else t)[0, 1] += self.defect
+        (t[self.row] if t.ndim == 3 else t)[self.entry] += self.defect
         return dataclasses.replace(jet, tensors={**jet.tensors, (1, 1): t})
 
 
@@ -370,6 +376,55 @@ def test_non_hermitian_hessian_names_the_point():
     frame = hermgeo.metric_from_potential(_Skewed(p, 1e-10, 1), zs)
     assert np.array_equal(frame.g, np.conj(frame.g.transpose(0, 2, 1)))
     assert not np.array_equal(frame.g, p.jet(zs, 3).mixed_hessian())
+
+
+def _baseline():
+    tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location("baseline",
+                                                  tools / "baseline.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_kernel_is_eigh(jet):
+    """The kernel's eigenvalues, and g_inv from eigenpairs, are those of
+    ``np.linalg.eigh`` of the jet's stacked (1, 1) tensor, byte for byte,
+    and so are ``_eigh``'s eigenpairs."""
+    g = jet.mixed_hessian()
+    eigs, vecs = np.linalg.eigh(g)
+    for a, b in zip(hermgeo._eigh(g), (eigs, vecs)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    kernel_g, kernel_eigs, g_inv = hermgeo._metric(jet)
+    assert kernel_g.tobytes() == g.tobytes()
+    assert kernel_eigs.tobytes() == eigs.tobytes()
+    expected = (vecs / eigs[:, None, :]) @ np.conj(vecs.transpose(0, 2, 1))
+    assert g_inv.dtype == expected.dtype
+    assert g_inv.tobytes() == expected.tobytes()
+    return vecs
+
+
+@pytest.mark.parametrize("kind", _baseline().FRAME_KINDS,
+                         ids=lambda kind: domains.from_json(kind).label)
+def test_metric_kernel_is_numpy_eigh(kind):
+    """On the stacked order-2 metrics of every kind of the baseline's
+    frames, the kernel's private gufunc call gives ``np.linalg.eigh``'s
+    bytes; a numpy release that moves or renames it fails here."""
+    d = domains.from_json(kind)
+    zs = np.concatenate([np.zeros((1, d.n), complex),
+                         _baseline()._draws(d, 0)])
+    for p in (domains.bergman_potential(d), potentials.kai_ohsawa_potential(d)):
+        _assert_kernel_is_eigh(p.jet(zs, 2))
+
+
+def test_metric_kernel_keeps_a_real_metric_real():
+    """The flat fixture's real (1, 1) tensor takes eigh's real signature:
+    real eigenvectors and a real inverse, as ``np.linalg.eigh`` gives."""
+    p = quadratic_fixture(2)
+    jet = p.jet(np.array([[0.1 + 0.2j, -0.3j], [0.0, 0.4]]), 2)
+    assert jet.mixed_hessian().dtype == float
+    assert _assert_kernel_is_eigh(jet).dtype == float
+    assert hermgeo._metric(jet)[2].dtype == float
 
 
 HERMITIAN_KINDS = [

@@ -14,6 +14,8 @@ from kelab.field import PotentialField
 from kelab.sampling import sample_interior
 from kelab.suites import run_suite
 
+from test_hermgeo import _fd_only, _Skewed
+
 
 @pytest.fixture(scope="module")
 def certified():
@@ -284,6 +286,101 @@ def test_non_finite_multistep_row_raises(certified, monkeypatch):
     assert len(calls) == 22
 
 
+# ---------------------------------------------------------------------------
+# the velocity reads the metric kernel, not a frame
+
+def _frame_velocity(p, z, re_v):
+    """The velocity by the frame route: i phi^a from an order-2
+    ``MetricFrame``, times e^(K phi/(n+1)) on the ``re_v`` rows."""
+    frame = hermgeo.metric_from_potential(p, z, order=2)
+    phi_up = np.conj((frame.g_inv @ frame.jet.holo_gradient()[..., None])
+                     [..., 0])
+    factor = np.where(re_v, np.exp(p.ricci_constant * frame.jet.value()
+                                   / (p.domain.n + 1)), 1.0)
+    return (1j * factor)[:, None] * phi_up
+
+
+VELOCITY_CASES = {
+    **{f"rescaled-ball(n={n})":
+       (lambda n=n: potentials.rescaled_ball_potential(n, 3.0))
+       for n in (1, 2, 3)},
+    "type1(2,2)": lambda: domains.bergman_potential(domains.type_i(2, 2)),
+    "type4(3)": lambda: domains.bergman_potential(domains.type_iv(3)),
+    "fd-only": lambda: _fd_only(potentials.rescaled_ball_potential(2, 3.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(VELOCITY_CASES))
+@pytest.mark.parametrize("rows", [1, 8])
+def test_velocity_equals_the_frame_route(kind, rows):
+    """``_velocity`` gives the bytes of the frame route it replaced, at one
+    row and at a stack of rows with mixed generators."""
+    p = VELOCITY_CASES[kind]()
+    zs = np.array(sample_interior(p.domain, np.random.default_rng(67), rows,
+                                  shrink=0.8))
+    re_v = np.arange(rows) % 2 == 0
+    v = vfield._velocity(p, zs, re_v)
+    assert v.tobytes() == _frame_velocity(p, zs, re_v).tobytes()
+    assert v.shape == zs.shape
+
+
+def test_lockstep_builds_no_frame(monkeypatch):
+    """The flow suite at the bench's config builds frames only outside
+    ``_lockstep``, for its residuals: a step builds none."""
+    real_lockstep, inside, built = vfield._lockstep, [], []
+    real_frame = hermgeo.MetricFrame
+
+    def lockstep_spy(*args, **kwargs):
+        inside.append(None)
+        try:
+            return real_lockstep(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def frame_spy(*args, **kwargs):
+        built.append(bool(inside))
+        return real_frame(*args, **kwargs)
+
+    monkeypatch.setattr(vfield, "_lockstep", lockstep_spy)
+    monkeypatch.setattr(hermgeo, "MetricFrame", frame_spy)
+    run_suite("flow", {"horizon": 1.0, "dt": 4e-3, "seed": 3})
+    assert built and not any(built)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda p: _Skewed(p, 1e-6, 1), "(?s)not Hermitian.*defect 1.00e-06"),
+    (lambda p: _Skewed(p, -10.0, 1, (0, 0)),
+     "(?s)not positive definite.*min eigenvalue"),
+], ids=["not-hermitian", "indefinite"])
+def test_flow_raises_the_frames_metric_error(make, message):
+    """A row whose metric is not Hermitian, or not positive definite,
+    stops a flow with the error, and the point, that a frame names."""
+    p = make(potentials.rescaled_ball_potential(2, 3.0))
+    zs = np.array(sample_interior(p.domain, np.random.default_rng(5), 3,
+                                  shrink=0.8))
+    with pytest.raises(DegenerateMetricError, match=message) as frame:
+        hermgeo.metric_from_potential(p, zs, order=2)
+    with pytest.raises(DegenerateMetricError, match=message) as flow:
+        vfield.integrate_flow(p, zs, 0.1, dt=0.05)
+    assert str(flow.value) == str(frame.value)
+    assert repr(zs[1]) in str(flow.value)
+
+
+def test_rk4_stage_outside_is_a_flow_exit():
+    """A coarse RK4 step whose stage point leaves the ball is an exit at
+    the end of that step, not an evaluation error inside the jet; a stack
+    gives the leaving row's own exit time."""
+    p = potentials.rescaled_ball_potential(2, 3.0)
+    z0 = np.array([0.9, 0j])
+    with pytest.raises(FlowExitError) as lone:
+        vfield.integrate_flow(p, z0, 1.0, dt=0.5, generator="re_v")
+    assert 0 < lone.value.time <= 0.5
+    with pytest.raises(FlowExitError, match=r"\(row 1\)") as stack:
+        vfield.integrate_flow(p, np.array([[0.1, 0.2j], z0]), 1.0, dt=0.5,
+                              generator="re_v")
+    assert stack.value.time == lone.value.time
+
+
 def test_ab6_weights_have_order_six():
     """sum_j beta_j (-j)^k = 1/(k+1) for k = 0..5, in exact arithmetic:
     the step integrates a polynomial velocity of degree 5 exactly."""
@@ -480,41 +577,55 @@ def test_stacked_flow_exit_is_the_earliest():
 
 def _lockstep_checks(monkeypatch, p, starts, t, dt, generator,
                      record_every=0):
-    """``_lockstep``'s outcome, (ends, record) or its FlowExitError, and the
-    points of its membership checks: the start rows, then the running rows
-    after each step."""
-    real, checks = domains.DomainModel.contains, []
+    """``_lockstep``'s outcome, (ends, record) or its FlowExitError, the
+    points of its membership checks of accepted steps (the start rows,
+    then the running rows after each step) and those of its RK4 stage
+    checks (three per RK4 step)."""
+    real, checks, stages = domains.DomainModel.contains, [], []
+    real_stage, in_stage = vfield._stage, []
 
     def spy(self, z):
-        checks.append(np.array(z))
+        (stages if in_stage else checks).append(np.array(z))
         return real(self, z)
+
+    def stage_spy(*args):
+        in_stage.append(None)
+        try:
+            return real_stage(*args)
+        finally:
+            in_stage.pop()
 
     with monkeypatch.context() as mp:
         mp.setattr(domains.DomainModel, "contains", spy)
+        mp.setattr(vfield, "_stage", stage_spy)
         try:
             outcome = vfield._lockstep(p, starts, t, dt, generator,
                                        record_every)
         except FlowExitError as err:
             outcome = err
-    return outcome, checks
+    return outcome, checks, stages
 
 
 def _assert_steps_match_lone_runs(monkeypatch, p, starts, t, dt, generator,
                                   record_every):
-    """Each row of the stack takes, step by step, the points of its lone run
-    bit for bit; the stack checks the rows still running at every step.
-    Returns the stack's outcome, each row's lone one and the stack's number
-    of steps."""
-    stack, checks = _lockstep_checks(monkeypatch, p, starts, t, dt,
-                                     generator, record_every)
+    """Each row of the stack takes, step by step and stage by stage, the
+    points of its lone run bit for bit; the stack checks the rows still
+    running at every step and at every RK4 stage.  Returns the stack's
+    outcome, each row's lone one and the stack's number of steps."""
+    stack, checks, stages = _lockstep_checks(monkeypatch, p, starts, t, dt,
+                                             generator, record_every)
     lone = [_lockstep_checks(monkeypatch, p, z[None], ti, dt, g,
                              record_every)
             for z, ti, g in zip(starts, t, generator)]
     assert np.array_equal(checks[0], starts)
     for k, points in enumerate(checks[1:], 1):
-        expected = [c[k] for _, c in lone if k < len(c)]
+        expected = [c[k] for _, c, _ in lone if k < len(c)]
         assert np.array_equal(points, np.concatenate(expected)), k
-    return stack, [outcome for outcome, _ in lone], len(checks) - 1
+    assert len(stages) == 3 * min(len(checks) - 1, vfield._HISTORY - 1)
+    for j, points in enumerate(stages):
+        expected = [c[j] for _, _, c in lone if j < len(c)]
+        assert np.array_equal(points, np.concatenate(expected)), j
+    return stack, [outcome for outcome, _, _ in lone], len(checks) - 1
 
 
 @pytest.mark.parametrize("n, K, starts", [
