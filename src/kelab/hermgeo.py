@@ -113,8 +113,8 @@ def _metric(jet):
 
     The eigensolver is ``_eigh``, without ``np.linalg.eigh``'s error
     state: a LAPACK failure to converge gives NaN eigenvalues (and numpy's
-    invalid-value warning), which the positive-definite test rejects.  The reductions are the ufuncs that
-    ``any``, ``all`` and ``sum`` call.
+    invalid-value warning), which the positive-definite test rejects.
+    The reductions are the ufuncs that ``any``, ``all`` and ``sum`` call.
     """
     z = jet.point
     g = jet.mixed_hessian()

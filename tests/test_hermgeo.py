@@ -413,7 +413,8 @@ def test_metric_kernel_is_numpy_eigh(kind):
     d = domains.from_json(kind)
     zs = np.concatenate([np.zeros((1, d.n), complex),
                          _baseline()._draws(d, 0)])
-    for p in (domains.bergman_potential(d), potentials.kai_ohsawa_potential(d)):
+    for p in (domains.bergman_potential(d),
+              potentials.kai_ohsawa_potential(d)):
         _assert_kernel_is_eigh(p.jet(zs, 2))
 
 
