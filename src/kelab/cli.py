@@ -7,7 +7,8 @@
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, including a config key the suite does not take
-(``kelab list`` prints each suite's keys).  The environment variable
+(``kelab list`` prints each suite's keys) and a config or report path
+that cannot be read or written.  The environment variable
 KELAB_SEED overrides the seed when no --seed is given.
 """
 
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
         if args.command == "run-all":
             return _cmd_run_all(args)
         return _cmd_list()
-    except KelabError as exc:
+    except (KelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

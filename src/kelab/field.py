@@ -216,8 +216,9 @@ def _emit_jet(P, layouts, order):
             t = P("np.zeros((N, %s), complex)" % _dims(n, m + l),
                   kind="complex")
         elif m > 1 or l > 1:
-            t = P("{}.reshape(N, -1).take({}, axis=1).reshape({}.shape)",
-                  t, P.const(f"_sorted_index(n, {m}, {l})"), t)
+            t = P("{}.reshape(N, {}).take({}, axis=1).reshape({}.shape)",
+                  t, P.const(f"n ** {m + l}"),
+                  P.const(f"_sorted_index(n, {m}, {l})"), t)
         if 0 < m == l and (m, l) in total:
             t = P("{} * ({} + {})", P.const(0.5, like=t), t,
                   _emit_mirror(P, t, m, m))
@@ -394,14 +395,17 @@ def _emit_contraction(P, degrees, top):
         D = P.const(f"p[0][{k}][1]")
         J = P.const(f"len({D})")
         t = P("{}.reshape(1, {}, -1)", D, J)
-        t = P("{}.repeat(N, axis=0) if N > 1 else {}", t, t)
+        t = P("{}.repeat(N, axis=0) if N != 1 else {}", t, t)
         for i in range(k + 1):
             if i:
+                # sizes, not -1, which an empty stack leaves undetermined
+                size = P.const(f"n ** {k - i}")
                 # row by row, so a stacked point gets its lone bits
-                t = P("{}.reshape(N, -1, %s) @ {}" % n, t, steps[i - 1])
+                t = P("{}.reshape(N, {} * {}, %s) @ {}" % n, t, J, size,
+                      steps[i - 1])
             if k - i <= top:  # t is (N, J, n^(k - i)) if i is 0 or k
                 dh[k - i].append(t if i in (0, k) else
-                                 P("{}.reshape(N, {}, -1)", t, J))
+                                 P("{}.reshape(N, {}, {})", t, J, size))
     return {m: P("np.concatenate([%s], axis=1)" % ", ".join(["{}"] * len(hs)),
                  *hs) if len(hs) > 1 else hs[0] for m, hs in enumerate(dh)}
 

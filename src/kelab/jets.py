@@ -191,125 +191,54 @@ class _StencilPlan:
     layout: tuple
 
 
-def _sorted_tuples(n: int, m: int):
-    """The sorted m-tuples of range(n) as rows, in lexicographic order,
-    which is the order in which they first appear among all m-tuples in
-    ``itertools.product`` order; and, for each of those m-tuples, the row
-    of its sorted form."""
-    tuples = list(itertools.combinations_with_replacement(range(n), m))
-    row = {t: i for i, t in enumerate(tuples)}
-    return (np.array(tuples, dtype=int).reshape(len(tuples), m),
-            np.array([row[tuple(sorted(t))]
-                      for t in itertools.product(range(n), repeat=m)]))
-
-
-def _wirtinger_terms(m: int, l: int):
-    """The 2^(m+l) terms of prod_{m} d/dz prod_{l} d/dzbar in real
-    partials: per term, which factor takes the imaginary part (1) or the
-    real part (0), and its coefficient, in ``itertools.product`` order."""
-    picks = list(itertools.product((0, 1), repeat=m + l))
-    coeffs = []
-    for pick in picks:
-        coeff = 1.0 + 0.0j
-        for j, imag in enumerate(pick):
-            coeff *= (-0.5j if j < m else 0.5j) if imag else 0.5
-        coeffs.append(coeff)
-    return (np.array(picks, dtype=int).reshape(len(picks), m + l),
-            np.array(coeffs))
-
-
-def _first_seen(keys):
-    """The positions of each distinct key's first occurrence, in order of
-    appearance, and for every key the number of its value in that order.
-    (``np.unique`` would do it, but its first call imports ``numpy.ma``,
-    about 20 ms.  The planner sorts only with ``kind="stable"``: each
-    sort kernel numpy runs first pages in 128-256 KB of its code.)"""
-    by_value = np.argsort(keys, kind="stable")
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[by_value[1:]] != keys[by_value[:-1]]
-    first = by_value[new]  # the stable sort keeps first occurrences first
-    seen = np.argsort(first, kind="stable")
-    number = np.empty_like(seen)
-    number[seen] = np.arange(len(seen))
-    value = np.empty_like(by_value)
-    value[by_value] = np.cumsum(new) - 1
-    return first[seen], number[value]
-
-
 @functools.lru_cache(maxsize=None)
 def _stencil_plan(n: int, order: int) -> _StencilPlan:
-    # Jet entries are the (sorted a, sorted b) pairs in order of first
-    # appearance.  Each expands into real partials, keyed here by their
-    # sorted real dimensions (2k is Re z^k, 2k+1 Im z^k) as the digits
-    # 1 + dimension in base 2n + 1.
-    base, E = 2 * n + 1, 0
-    layout, entry, key, coeff = [], [], [], []
+    # Jet entries, real partials and stencil points are each numbered in
+    # order of first appearance.
+    entries, layout = {}, []
     for m, l in bidegrees(order):
-        (A, a_row), (B, b_row) = _sorted_tuples(n, m), _sorted_tuples(n, l)
-        layout.append(((m, l), (E + a_row[:, None] * len(B) + b_row).ravel()))
-        index = np.hstack([np.repeat(A, len(B), 0), np.tile(B, (len(A), 1))])
-        picks, pick_coeff = _wirtinger_terms(m, l)
-        dims = np.sort(2 * index[:, None, :] + picks, axis=2, kind="stable")
-        entry.append(np.repeat(E + np.arange(len(index)), len(picks)))
-        key.append(((dims + 1) * base ** np.arange(m + l)).sum(2).ravel())
-        coeff.append(np.tile(pick_coeff, len(index)))
-        E += len(index)
-    entry, key, coeff = map(np.concatenate, (entry, key, coeff))
-    # Terms of one entry with equal partials merge, their coefficients
-    # summed in order; partials are numbered in order of first appearance.
-    term, merged = _first_seen(entry * base ** MAX_ORDER + key)
-    c = np.zeros(len(term), complex)
-    c.real = np.bincount(merged, coeff.real, len(term))
-    c.imag = np.bincount(merged, coeff.imag, len(term))
-    first, r = _first_seen(key[term])
-    digits = key[term][first, None] // base ** np.arange(MAX_ORDER) % base - 1
-    midx = (digits[:, :, None] == np.arange(2 * n)).sum(1)
-    R = len(midx)
-    # Partials with the same orders along their ascending dimensions (a
-    # pattern, coded in base 5) share one product of 1-d stencils.  Each of
-    # its terms gives row r at step h (offsets in units of h/2: 2) and then
-    # row R + r at step h/2 (unit 1).  A point is keyed by the digits
-    # 9 * dimension + offset + 5 of its nonzero offsets (each in -4..4), in
-    # ascending dimension, in base 18n + 1.
-    nz_row, nz_dim = np.nonzero(midx)
-    rank = np.arange(len(nz_row)) - np.searchsorted(nz_row, nz_row)
-    pattern = np.bincount(nz_row, midx[nz_row, nz_dim] * 5 ** rank,
-                          R).astype(int)
-    unit, pbase = np.array([2, 1]), 18 * n + 1
-    part, point, row, weight = [], [], [], []
-    for p in sorted(set(pattern.tolist())):
-        orders = [p // 5 ** j % 5 for j in range(MAX_ORDER) if p // 5 ** j]
-        ps = np.flatnonzero(pattern == p)
-        dims = nz_dim[np.searchsorted(nz_row, ps)[:, None]
-                      + np.arange(len(orders))]
-        combos = list(itertools.product(*[_STENCILS[k].items()
-                                          for k in orders]))
-        shift = np.array([[o for o, _ in combo] for combo in combos],
-                         dtype=int).reshape(len(combos), len(orders))
-        place = np.where(shift, pbase ** np.cumsum(shift != 0, 1) // pbase, 0)
-        pkey = (((9 * dims + 5)[:, None, :] * place).sum(2)[:, :, None]
-                + unit * (shift * place).sum(1)[:, None])
-        w = np.array([math.prod(c for _, c in combo) for combo in combos],
-                     dtype=float)
-        part.append(np.broadcast_to(ps[:, None, None], pkey.shape).ravel())
-        point.append(pkey.ravel())
-        row.append(np.broadcast_to(ps[:, None, None] + R * np.arange(2),
-                                   pkey.shape).ravel())
-        weight.append(np.broadcast_to(w[:, None], pkey.shape).ravel())
-    # Back to partial order; within a partial each pattern kept its order.
-    by_part = np.argsort(np.concatenate(part), kind="stable")
-    point, rows, weights = (np.concatenate(a)[by_part]
-                            for a in (point, row, weight))
-    first, cols = _first_seen(point)
-    pdigits = point[first, None] // pbase ** np.arange(MAX_ORDER) % pbase - 1
-    at, j = np.nonzero(pdigits + 1)
-    offsets = np.zeros((len(first), 2 * n))
-    offsets[at, pdigits[at, j] // 9] = pdigits[at, j] % 9 - 4
+        index = []
+        for a in itertools.product(range(n), repeat=m):
+            for b in itertools.product(range(n), repeat=l):
+                key = (tuple(sorted(a)), tuple(sorted(b)))
+                index.append(entries.setdefault(key, len(entries)))
+        layout.append(((m, l), np.array(index)))
+    partials, wirtinger = {}, []
+    for (a, b), e in entries.items():
+        # prod d/dz^a prod d/dzbar^b in real partials, keyed by their
+        # multi-index over Re z^k (2k) and Im z^k (2k + 1)
+        factors = [((2 * i, 0.5), (2 * i + 1, -0.5j)) for i in a]
+        factors += [((2 * i, 0.5), (2 * i + 1, 0.5j)) for i in b]
+        terms = {}
+        for combo in itertools.product(*factors):
+            midx = [0] * (2 * n)
+            coeff = 1.0 + 0.0j
+            for dim, c in combo:
+                midx[dim] += 1
+                coeff *= c
+            terms[tuple(midx)] = terms.get(tuple(midx), 0.0 + 0.0j) + coeff
+        for midx, c in terms.items():
+            wirtinger.append((e, partials.setdefault(midx, len(partials)), c))
+    # Partial r at step h is row r (offsets in units of h/2: 2), at step
+    # h/2 row R + r (unit 1).
+    points, stencil = {}, []
+    for midx, r in partials.items():
+        dims = [d for d in range(2 * n) if midx[d] > 0]
+        for combo in itertools.product(*[_STENCILS[midx[d]].items()
+                                         for d in dims]):
+            coeff = math.prod(c for _, c in combo)
+            for row, unit in ((r, 2), (len(partials) + r, 1)):
+                off = [0] * (2 * n)
+                for d, (o, _) in zip(dims, combo):
+                    off[d] = unit * o
+                stencil.append((row, points.setdefault(tuple(off),
+                                                       len(points)), coeff))
+    offsets = np.array(list(points), dtype=float).reshape(len(points), 2 * n)
+    rows, cols, weights = (np.array(col) for col in zip(*stencil))
     return _StencilPlan(
         offsets=offsets[:, 0::2] + 1j * offsets[:, 1::2], rows=rows, cols=cols,
-        weights=weights, real_order=(digits >= 0).sum(1).astype(float),
-        wirtinger=(entry[term], r, c), layout=tuple(layout),
-    )
+        weights=weights, real_order=np.array([sum(m) for m in partials], float),
+        wirtinger=tuple(map(np.array, zip(*wirtinger))), layout=tuple(layout))
 
 
 def _row_sums(bins, weights, size):

@@ -246,6 +246,8 @@ def _lockstep(p, z0, t, dt, generator, record_every=0):
     if outside.size:
         raise FlowExitError(
             f"initial point {z0[outside[0]]!r} outside {d.label}", 0.0)
+    if not m:  # an empty stack: no row 0 to record
+        return z0.copy(), []
     steps = np.array([max(int(round(abs(ti) / dt)), 1) if ti else 0
                       for ti in t])
     h = np.array([ti / s if s else 0.0 for ti, s in zip(t, steps)])

@@ -1,5 +1,6 @@
 """tools/baseline.py: the code-line rule it counts by, its option count,
-its side-file digests, its frame digests and its dynamics digests."""
+its side-file digests, its frame digests, its dynamics digests and its
+oracle digests."""
 
 import dataclasses
 import hashlib
@@ -10,7 +11,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from kelab import chengyau, domains, hermgeo, sampling, suites, vfield
+from kelab import chengyau, domains, hermgeo, jets, sampling, suites, vfield
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "baseline.py"
 
@@ -255,3 +256,33 @@ def test_flow_report_digest_moves_with_one_ulp_of_one_residual(monkeypatch):
 
     monkeypatch.setattr(vfield, "run_flows", nudged)
     assert baseline.report_digest("flow", config) != before
+
+
+def test_oracle_digests_cover_the_kinds_up_to_n_six(monkeypatch):
+    """The 11 kinds of ``FRAME_KINDS`` with n <= 6, the product last."""
+    baseline = _baseline()
+    monkeypatch.setattr(baseline, "oracle_digest", lambda d: d.n)
+    digests = baseline.oracle_digests()
+    assert list(digests) == [
+        "ball(2)", "polydisc(2)", "polydisc(3)", "type1(2,2)", "type1(2,3)",
+        "type2(4)", "type3(2)", "type3(3)", "type4(3)", "type4(5)",
+        "ball(1) x type4(3)"]
+    assert max(digests.values()) == 6
+
+
+def test_oracle_digest_moves_with_one_ulp_of_one_stencil_weight(monkeypatch):
+    """The digest repeats and differs per kind; the centre weight of the
+    order-4 stencil, one ulp up, changes it."""
+    baseline = _baseline()
+    d = domains.ball(2)
+    before = baseline.oracle_digest(d)
+    assert baseline.oracle_digest(d) == before
+    assert baseline.oracle_digest(domains.polydisc(2)) != before
+    monkeypatch.setitem(jets._STENCILS, 4, {
+        **jets._STENCILS[4], 0: float(np.nextafter(6.0, np.inf))})
+    jets._stencil_plan.cache_clear()
+    try:
+        assert baseline.oracle_digest(d) != before
+    finally:
+        monkeypatch.undo()
+        jets._stencil_plan.cache_clear()

@@ -94,6 +94,24 @@ def test_missing_config_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, path", [
+    (["run-all", "--out", "F"], "F"),
+    (["run", "table1", "--out", "F/x.json"], "F"),
+    (["run-all", "--config", "D"], "D"),
+], ids=["run-all-out-is-a-file", "run-out-under-a-file", "config-is-a-dir"])
+def test_unusable_path_is_usage_error(tmp_path, capsys, args, path):
+    """A report path that cannot be written (an existing regular file F
+    where a directory must go) or a config path that cannot be read (a
+    directory D) exits 2 with one ``error:`` line naming it."""
+    (tmp_path / "F").write_text("")
+    (tmp_path / "D").mkdir()
+    args = [str(tmp_path / a) if a[0] in "FD" else a for a in args]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / path) in err
+
+
 def test_out_of_range_value_is_usage_error(tmp_path, capsys):
     """Exit 2 (a config error), not 1 (a failed verification); an infinite
     tol would otherwise pass."""

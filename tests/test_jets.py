@@ -1,7 +1,7 @@
 """Derivative engine: finite-difference oracle vs closed forms."""
 
+import hashlib
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ import pytest
 from kelab import chengyau, domains, hermgeo, potentials, vfield
 from kelab.errors import EvaluationError, UnsupportedOrderError
 from kelab.field import PotentialField
-from kelab.jets import (_STENCILS, _stencil_plan, as_point, as_points,
-                        bidegrees, fd_jet)
+from kelab.jets import _stencil_plan, as_point, as_points, bidegrees, fd_jet
 from kelab.sampling import sample_interior
 
 from flat_fixture import quadratic_fixture
@@ -79,70 +78,49 @@ def test_jets_hold_the_m_ge_l_half():
     assert len(plan.offsets) == 1197
 
 
-def _reference_stencil_plan(n, order):
-    """``_stencil_plan`` as loops over every jet entry, real partial and
-    stencil point, numbering each in order of first appearance."""
-    entries, layout = {}, []
-    for m, l in bidegrees(order):
-        index = []
-        for a in itertools.product(range(n), repeat=m):
-            for b in itertools.product(range(n), repeat=l):
-                key = (tuple(sorted(a)), tuple(sorted(b)))
-                index.append(entries.setdefault(key, len(entries)))
-        layout.append(((m, l), np.array(index)))
-    partials, wirtinger = {}, []
-    for (a, b), e in entries.items():
-        # prod d/dz^a prod d/dzbar^b in real partials, keyed by their
-        # multi-index over Re z^k (2k) and Im z^k (2k + 1)
-        factors = [((2 * i, 0.5), (2 * i + 1, -0.5j)) for i in a]
-        factors += [((2 * i, 0.5), (2 * i + 1, 0.5j)) for i in b]
-        terms = {}
-        for combo in itertools.product(*factors):
-            midx = [0] * (2 * n)
-            coeff = 1.0 + 0.0j
-            for dim, c in combo:
-                midx[dim] += 1
-                coeff *= c
-            terms[tuple(midx)] = terms.get(tuple(midx), 0.0 + 0.0j) + coeff
-        for midx, c in terms.items():
-            wirtinger.append((e, partials.setdefault(midx, len(partials)), c))
-    points, stencil = {}, []
-    for midx, r in partials.items():
-        dims = [d for d in range(2 * n) if midx[d] > 0]
-        for combo in itertools.product(*[_STENCILS[midx[d]].items()
-                                         for d in dims]):
-            coeff = math.prod(c for _, c in combo)
-            for row, unit in ((r, 2), (len(partials) + r, 1)):
-                off = [0] * (2 * n)
-                for d, (o, _) in zip(dims, combo):
-                    off[d] = unit * o
-                stencil.append((row, points.setdefault(tuple(off),
-                                                       len(points)), coeff))
-    offsets = np.array(list(points), dtype=float).reshape(len(points), 2 * n)
-    rows, cols, weights = (np.array(col) for col in zip(*stencil))
-    e, r, c = (np.array(col) for col in zip(*wirtinger))
-    return {"offsets": offsets[:, 0::2] + 1j * offsets[:, 1::2],
-            "rows": rows, "cols": cols, "weights": weights,
-            "real_order": np.array([sum(m) for m in partials], float),
-            "wirtinger": (e, r, c), "layout": tuple(layout)}
+#: the SHA-256 of each stencil plan's arrays, dtype and shape included;
+#: the vectorized planner the loops replaced gave the same bytes.  (5, 4),
+#: (6, 3) and (6, 4) are larger than any plan a suite or the bench makes.
+PLAN_DIGESTS = {
+    (1, 1): "e99792ee03252f15a4e04c77ca069a0cfaaec1ccbcc6caf55876274011436034",
+    (1, 2): "663f14de6fee446bf8bd34440fa4c2132d097b7736b03c2813bc7667d69e776f",
+    (1, 3): "b839029af3e28b1cf15612d0040476bc1052b40f25624922984de46b32ab4981",
+    (1, 4): "45075054b76449ec588c441bdd6e2e9c22b3363a26bcbceb6d2e28ba954f4298",
+    (2, 1): "6cb3db27743050282a55b97236b7d9a4d4d87f7853dd9696a3e90abff8f5620a",
+    (2, 2): "70b18635b0303130ebc7f6051897343d06083cf0e0b80019d72a96bc4635b0a0",
+    (2, 3): "63739cebf5de3aa0d5fce72db08dcd0f5d20bfdedceeaf2bf16fa68df057a399",
+    (2, 4): "f604e6bdf6a8214294039bf783cfbd457649162ceed12593b491f81be9a96b5c",
+    (3, 1): "06a7ea725a058d7fe276999f51ced5679b7705d8114e6231f169a5ff703be714",
+    (3, 2): "0805f33047c6ce1c6e6f42e94ff3fc5094b4a85f0e1de5fe7ec5fe264a4abe69",
+    (3, 3): "f3df91b2b39dac921afc9e23da99244ac36ad8b5810e177a8ac3326545366aa2",
+    (3, 4): "5199cba8ddaf4fd103f1079908669010631ef7b2e45a60c3a2da39ee8ac6a7c5",
+    (5, 4): "71c9491b4890021952f389d6fc1f82d44aa1602c428e0982396df0147e597045",
+    (6, 3): "6479b9967cd91164802a647fc4e2b00d9ea17211e4f856d16498e7dd72839835",
+    (6, 4): "feab54258cecb8eb311e4f923f0ff2ecfb3c509611df3116491ca46f6cb4180d",
+}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_stencil_plan_equals_the_loops(n, order):
-    """The vectorized planner gives the loops' arrays exactly, in their
-    order and dtypes, so every ``fd_jet`` sums each row in the same order
-    and keeps its bits."""
-    plan, ref = _stencil_plan(n, order), _reference_stencil_plan(n, order)
-    pairs = [(getattr(plan, name), ref[name]) for name in
-             ("offsets", "rows", "cols", "weights", "real_order")]
-    pairs += list(zip(plan.wirtinger, ref["wirtinger"]))
-    assert [key for key, _ in plan.layout] == [key for key, _ in ref["layout"]]
-    pairs += [(a, b) for (_, a), (_, b) in zip(plan.layout, ref["layout"])]
-    for got, want in pairs:
-        assert got.dtype == want.dtype
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+def _plan_digest(plan):
+    """The SHA-256 of every array of a stencil plan, each fed as its dtype,
+    its shape and its bytes, the layout's keys included."""
+    sha = hashlib.sha256()
+    arrays = [plan.offsets, plan.rows, plan.cols, plan.weights,
+              plan.real_order, *plan.wirtinger]
+    for key, index in plan.layout:
+        sha.update(repr(key).encode())
+        arrays.append(index)
+    for a in arrays:
+        sha.update(f"{a.dtype.str} {a.shape}".encode())
+        sha.update(np.ascontiguousarray(a).tobytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("n, order", list(PLAN_DIGESTS),
+                         ids=[f"n={n},order={o}" for n, o in PLAN_DIGESTS])
+def test_stencil_plan_bytes_are_pinned(n, order):
+    """Every array of the plan, in its order and dtype, so every ``fd_jet``
+    sums each row in the same order and keeps its bits."""
+    assert _plan_digest(_stencil_plan(n, order)) == PLAN_DIGESTS[n, order]
 
 
 def test_missing_bidegree_is_a_typed_error():
@@ -511,20 +489,88 @@ def test_fd_only_potential_falls_back():
     assert worst <= 1e-6
 
 
+def _sketch_point(d):
+    return sample_interior(d, np.random.default_rng(13), 1, shrink=0.55)[0]
+
+
 @pytest.mark.parametrize("d", [domains.polydisc(3), domains.type_i(2, 3),
-                               domains.type_ii(5), domains.type_iii(3),
-                               domains.type_iv(5)],
+                               domains.type_iii(3), domains.type_iv(5)],
                          ids=lambda d: d.label)
 def test_norm_form_part_order_four_matches_fd_jet(d):
     """The order-4 jet of ``HermitianNormPart`` over ``norm_form`` against
     fd_jet (1e-3, as the other orders 3-4 at moderate interior points);
-    (2, 2) is its one order-4 bidegree."""
+    (2, 2) is its one order-4 bidegree.  The larger kinds are checked along
+    planes (``test_order_four_jet_matches_fd_jet_along_planes``)."""
     p = domains.bergman_potential(d)
-    z = sample_interior(d, np.random.default_rng(13), 1, shrink=0.55)[0]
+    z = _sketch_point(d)
     ja, jf = p.analytic_jet(z, 4), fd_jet(p, z, 4)
     assert set(ja.tensors) == set(jf.tensors) == set(bidegrees(4))
     assert {k for k in ja.tensors if sum(k) == 4} == {(2, 2)}
     assert jet_gap(ja, jf) <= 1e-3
+
+
+#: the 13 constructed kinds and one product
+SKETCH_KINDS = [domains.ball(2), domains.polydisc(2), domains.polydisc(3),
+                domains.type_i(2, 2), domains.type_i(2, 3),
+                domains.type_i(3, 3), domains.type_ii(4), domains.type_ii(5),
+                domains.type_ii(6), domains.type_iii(2), domains.type_iii(3),
+                domains.type_iv(3), domains.type_iv(5),
+                domains.product(domains.ball(1), domains.type_iv(3))]
+#: ``_plane_gap``'s bound: about twice its largest clean reading, 1.2e-6
+#: on the product (type4(3) 7.9e-7, type2(5) 1.9e-7)
+SKETCH_RTOL = 2.5e-6
+
+
+def _plane_gap(p, z, tensors):
+    """The order-4 jet ``tensors`` of ``p`` at ``z`` against ``fd_jet``
+    along 16 random complex 2-planes (Freivalds' randomized check, applied
+    to jets).  On a plane U (n x 2, unit Gaussian columns, seed 0) the jet
+    of w -> p(z + U w) at 0 is each tensor with U in its holomorphic slots
+    and conj(U) in its antiholomorphic ones; a plane's gap is the largest
+    entrywise difference over the largest entry.  Returns the worst."""
+    rng = np.random.default_rng(0)
+    planes = (rng.standard_normal((16, len(z), 2))
+              + 1j * rng.standard_normal((16, len(z), 2)))
+    worst = 0.0
+    for U in planes / np.linalg.norm(planes, axis=1, keepdims=True):
+        fd = fd_jet(lambda W: p(z + W @ U.T), np.zeros(2), 4).tensors
+        assert set(fd) == set(tensors)
+        gap = scale = 0.0
+        for (m, l), t in tensors.items():
+            for k in range(m + l):
+                t = np.tensordot(t, U if k < m else U.conj(), ([0], [0]))
+            gap = max(gap, np.max(np.abs(t - fd[m, l])))
+            scale = max(scale, np.max(np.abs(t)))
+        worst = max(worst, gap / scale)
+    return worst
+
+
+@pytest.mark.parametrize("d", SKETCH_KINDS, ids=lambda d: d.label)
+def test_order_four_jet_matches_fd_jet_along_planes(d):
+    """The kernel potential's order-4 jet, every bidegree, against the FD
+    oracle on planes: 265 stencil points a plane at any n."""
+    p = domains.bergman_potential(d)
+    z = _sketch_point(d)
+    assert _plane_gap(p, z, p.analytic_jet(z, 4).tensors) <= SKETCH_RTOL
+
+
+def test_plane_check_sees_one_moved_curvature_entry():
+    """At type2(5), one (2, 2) entry moved by 1e-3 with its symmetric
+    orbit (both index orders of each type and the Hermitian mirror), so
+    the tensor stays a possible jet, fails the plane check."""
+    d = domains.type_ii(5)
+    p = domains.bergman_potential(d)
+    z = _sketch_point(d)
+    tensors = dict(p.analytic_jet(z, 4).tensors)
+    t = tensors[(2, 2)].copy()
+    a, b = (1, 7), (4, 2)
+    orbit = {i + j for i in (a, a[::-1]) for j in (b, b[::-1])}
+    for ix in orbit | {ix[2:] + ix[:2] for ix in orbit}:
+        t[ix] += 1e-3
+    tensors[(2, 2)] = t
+    assert np.array_equal(t, t.transpose(1, 0, 2, 3))
+    assert np.array_equal(t, t.transpose(2, 3, 0, 1).conj())
+    assert _plane_gap(p, z, tensors) > SKETCH_RTOL
 
 
 def _ball8_kernel():

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from kelab import chengyau, domains, hermgeo, potentials
+from kelab import chengyau, domains, hermgeo, potentials, vfield
 from kelab.errors import (
     CertificateError,
     EvaluationError,
     NormalizationError,
 )
 from kelab.field import BoundaryLog, PotentialField
+from kelab.jets import bidegrees, fd_jet
 from kelab.sampling import sample_interior
 
 from flat_fixture import quadratic_fixture
@@ -501,3 +502,35 @@ def test_minimality_includes_exceptional_data():
     for row in rows:
         assert row.strict
         assert row.lower_bound_only
+
+
+# ---------------------------------------------------------------------------
+# empty stacks
+
+@pytest.mark.parametrize("p", [
+    domains.bergman_potential(domains.ball(2)),
+    domains.bergman_potential(domains.type_i(2, 2)),
+    domains.bergman_potential(domains.type_iv(3)),
+    domains.bergman_potential(domains.product(domains.ball(1),
+                                              domains.type_iv(3))),
+    potentials.rescaled_ball_potential(2, 3.0),
+    potentials.kai_ohsawa_potential(domains.type_i(2, 2)),
+], ids=lambda p: p.label)
+def test_an_empty_stack_gives_empty_results(p):
+    """A (0, n) stack gives a (0, ...) result of the right shape at every
+    entry point: membership, gauge, draws, values, jets of every order on
+    both paths, the Einstein residual and the flow."""
+    d, n = p.domain, p.domain.n
+    z = np.zeros((0, n), complex)
+    assert d.contains(z).shape == domains.gauge(d, z).shape == (0,)
+    assert sample_interior(d, np.random.default_rng(0), 0).shape == (0, n)
+    assert p(z).shape == (0,)
+    for order in range(5):
+        jets = [p.jet(z, order)] + ([fd_jet(p, z, order)] if order else [])
+        for jet in jets:
+            assert {k: t.shape for k, t in jet.tensors.items()} == {
+                (m, l): (0,) + (n,) * (m + l) for m, l in bidegrees(order)}
+    assert hermgeo.einstein_residual(p, z).shape == (0,)
+    assert vfield.integrate_flow(p, z, 1.0).shape == (0, n)
+    if d.kind == "ball":
+        assert domains.cayley(d, z).shape == (0, n)

@@ -1,6 +1,6 @@
 """Print a baseline of a kelab checkout as one JSON object.
 
-Six parts:
+Seven parts:
 
 * ``code_lines``: the code lines of each module of ``src/kelab`` and
   their total.  A line is code unless it is blank, comment-only, or
@@ -31,6 +31,12 @@ Six parts:
   ``FLOW_BENCH`` at seeds 0, 1 and 2, digested as in ``digests``, and of
   the grid, phi and phi' bytes that ``chengyau.shoot`` returns at each
   (n, K) of ``SHOOT_CASES``, whose searches blow up many times.
+* ``oracle``: per kind of ``FRAME_KINDS`` with n <= ``ORACLE_MAX_N``,
+  the SHA-256 of the finite-difference oracle at its seed-0 draws,
+  stacked: every tensor of ``fd_jet`` of its kernel potential at orders
+  1 to 4, then ``hermgeo.ricci`` of that potential and
+  ``hermgeo.laplacian`` of its gradient-length field.  Reports reach
+  ``fd_jet`` only at order 1.
 
 Run it on two checkouts and diff the output; a refactor that claims the
 same reports shows the same digests:
@@ -71,6 +77,7 @@ RESCALED_BALL_DIMENSIONS = (1, 2, 3)
 #: the flow config of the benchmark's dynamics workload
 FLOW_BENCH = {"horizon": 1.0, "dt": 4e-3}
 SHOOT_CASES = ((1, 1.0), (2, 1.0), (2, 3.0), (3, 4.0))
+ORACLE_MAX_N = 6
 
 
 def code_lines(source: str) -> int:
@@ -243,6 +250,37 @@ def dynamics_digests() -> dict:
     return out
 
 
+def oracle_digest(d) -> str:
+    """The SHA-256 of the FD oracle on one kind, as ``oracle`` says."""
+    import numpy as np
+    from kelab import domains, hermgeo
+    from kelab.jets import fd_jet
+
+    p = domains.bergman_potential(d)
+    zs = _draws(d, 0)
+    arrays = []
+    for order in (1, 2, 3, 4):
+        jet = fd_jet(p, zs, order)
+        arrays += [jet.tensors[key] for key in sorted(jet.tensors)]
+    arrays.append(hermgeo.ricci(p, zs))
+    arrays.append(hermgeo.laplacian(hermgeo.gradient_length_field(p),
+                                    hermgeo.metric_from_potential(p, zs, 2)))
+    sha = hashlib.sha256()
+    for a in arrays:
+        sha.update(np.ascontiguousarray(a).tobytes())
+    return sha.hexdigest()
+
+
+def oracle_digests() -> dict:
+    """``oracle_digest`` of each kind of ``FRAME_KINDS`` with n <=
+    ``ORACLE_MAX_N``, by its label."""
+    from kelab import domains
+
+    return {d.label: oracle_digest(d)
+            for d in map(domains.from_json, FRAME_KINDS)
+            if d.n <= ORACLE_MAX_N}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) > 1:
@@ -257,7 +295,8 @@ def main(argv=None) -> int:
            "digests": report_digests(),
            "side_files": side_file_digests(),
            "frames": frame_digests(),
-           "dynamics": dynamics_digests()}
+           "dynamics": dynamics_digests(),
+           "oracle": oracle_digests()}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
